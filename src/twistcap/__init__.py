@@ -3,10 +3,9 @@ and machine-checked Poincare duality over Z, Z/m and Q."""
 
 from .cap import (DualityReport, boundary_identity_check, cap_chain,
                   face_restriction, relative_cap, verify_duality)
-from .chains import (FundamentalClassData, chain_complex, cochain_complex,
-                     cohomology, fundamental_class_direct,
-                     fundamental_class_via_cover, homology,
-                     inclusion_restriction, pushforward)
+from .chains import (FundamentalClassData, chain_complex, cohomology,
+                     fundamental_class_direct, fundamental_class_via_cover,
+                     homology, inclusion_restriction, pushforward)
 from .complexes import (FullSubcomplex, ManifoldReport, SimplicialComplex,
                         Subcomplex, complement, corpus, load_complex,
                         named_complex, star_component_walk, validate)

@@ -44,8 +44,6 @@ class PairComplex:
     def __init__(self, base: SimplicialComplex, system: LocalSystem,
                  pool: Subcomplex | None = None,
                  killed: Subcomplex | None = None):
-        if system.base != base:
-            raise TwistcapError("system lives on a different complex")
         ok, witness = validate_flatness(system)
         if not ok:
             raise FlatnessViolation(f"system is not flat at triangle {witness}")
@@ -86,20 +84,6 @@ class PairComplex:
 
     def length(self, k: int) -> int:
         return len(self.space(k)) * self.rank
-
-    def zero_vector(self, k: int):
-        return (self.ring.zero,) * self.length(k)
-
-    def basis_vector(self, k: int, simplex, fiber_index=0):
-        pos = self.index(k)[tuple(simplex)] * self.rank + fiber_index
-        vec = [self.ring.zero] * self.length(k)
-        vec[pos] = self.ring.one
-        return tuple(vec)
-
-    def coefficient(self, k, vector, simplex):
-        """The fiber block of `vector` at `simplex`."""
-        pos = self.index(k)[tuple(simplex)] * self.rank
-        return tuple(vector[pos:pos + self.rank])
 
     # -- matrices ---------------------------------------------------------
 
@@ -180,18 +164,16 @@ class PairComplex:
         return True
 
 
-_pair_cache: dict = {}
-
-
 def pair_complex(base, system, pool=None, killed=None) -> PairComplex:
-    """Memoized PairComplex; keys use object identity plus subcomplex value."""
-    key = (id(base), id(system), pool, killed)
-    pc = _pair_cache.get(key)
+    """The PairComplex of (pool, killed), memoized on the system."""
+    if system.base is not base and system.base != base:
+        raise TwistcapError("system lives on a different complex")
+    key = ("pair_complex", pool, killed)
+    pc = system._cache.get(key)
     if pc is None:
         pc = PairComplex(base, system, pool, killed)
-        _pair_cache[key] = (pc, base, system)  # keep referents alive
-        return pc
-    return pc[0]
+        system._cache[key] = pc
+    return pc
 
 
 def relative_killed(M: SimplicialComplex, K: FullSubcomplex | None):
@@ -205,20 +187,6 @@ def chain_complex(M, G, K: FullSubcomplex | None = None) -> PairComplex:
     pc = pair_complex(M, G, killed=relative_killed(M, K))
     pc.verify_squares()
     return pc
-
-
-def cochain_complex(M, G, K: FullSubcomplex | None = None) -> PairComplex:
-    return chain_complex(M, G, K)
-
-
-def relative_pair(M, G, K: FullSubcomplex) -> PairComplex:
-    """C(M|K) = C(M) / C(complement of K)."""
-    return chain_complex(M, G, K)
-
-
-# one implementation carries both the chain and the cochain matrices
-TwistedChainComplex = PairComplex
-TwistedCochainComplex = PairComplex
 
 
 def homology(M, G, k, K: FullSubcomplex | None = None) -> HomologyPresentation:

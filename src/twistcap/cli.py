@@ -15,11 +15,11 @@ import os
 import sys
 
 from . import acceptance
-from .cap import boundary_identity_check, cap_setting, verify_duality
+from .cap import verify_duality
 from .chains import (fundamental_class_direct, fundamental_class_via_cover,
-                     homology, pair_complex)
-from .complexes import (FullSubcomplex, dumps_complex, load_complex,
-                        named_complex, validate)
+                     homology)
+from .complexes import (FullSubcomplex, dumps_complex, facet_components,
+                        load_complex, named_complex, validate)
 from .covers import (build_double_cover, check_split_exactness, lemma1_check,
                      lemma2_check, phi_identify, split_maps)
 from .errors import ComplexFormatError, SystemFormatError, TwistcapError, \
@@ -28,7 +28,7 @@ from .localsystems import (constant_system, dumps_local_system,
                            is_trivializable, load_local_system,
                            orientation_system, random_flat_system)
 from .mv import (diagram6_check, diagram6_names, mv_cohomology, mv_homology,
-                 mv_splitting, named_cover, named_diagram6)
+                 named_cover, named_diagram6, splitting_holds)
 from .rings import parse_ring
 
 VERSION = "0.1.0"
@@ -51,17 +51,28 @@ def _resolve_complex(spec: str):
     raise UnknownName(f"unknown complex {spec!r} (not a builtin, not a file)")
 
 
+def _spec_int(spec: str, parts, i: int, default: int) -> int:
+    """Field i of a colon-separated system spec, as an integer."""
+    if len(parts) <= i:
+        return default
+    try:
+        return int(parts[i])
+    except ValueError:
+        raise UnknownName(
+            f"unknown system {spec!r}: {parts[i]!r} is not an integer")
+
+
 def _resolve_system(spec: str, cx, ring, seed: int):
     parts = spec.split(":")
     name = parts[0]
     if name == "constant":
-        rank = int(parts[1]) if len(parts) > 1 else 1
+        rank = _spec_int(spec, parts, 1, 1)
         return constant_system(cx, ring, rank), spec
     if name == "orientation":
         return orientation_system(cx, ring), spec
     if name == "random-flat":
-        sseed = int(parts[1]) if len(parts) > 1 else seed
-        rank = int(parts[2]) if len(parts) > 2 else 2
+        sseed = _spec_int(spec, parts, 1, seed)
+        rank = _spec_int(spec, parts, 2, 2)
         return random_flat_system(cx, ring, rank, sseed), f"random-flat:{sseed}:{rank}"
     if os.path.exists(spec):
         system = load_local_system(spec, cx)
@@ -96,6 +107,16 @@ class Report:
         self.lines.append(f"# result={'fail' if self.failed else 'pass'}")
         print("\n".join(self.lines))
         return 1 if self.failed else 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _add_common(p, system=True):
@@ -140,7 +161,7 @@ def build_parser():
 
     p = sub.add_parser("cap-identity", help="random cap boundary identities")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
 
     p = sub.add_parser("verify-duality", help="duality verdict per degree")
     _add_common(p)
@@ -159,7 +180,7 @@ def build_parser():
 
     p = sub.add_parser("corpus-all", help="the full acceptance battery")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--format", choices=("tsv", "plain"), default="tsv")
 
     return parser
@@ -188,20 +209,7 @@ def _cmd_orientation(args):
     omega = orientation_system(cx, ring)
     trivial, _ = is_trivializable(omega)
     cover = build_double_cover(cx, omega)
-    adj = cover.total.facet_adjacency()
-    seen = set()
-    comps = 0
-    for f in cover.total.facets:
-        if f not in seen:
-            comps += 1
-            stack = [f]
-            seen.add(f)
-            while stack:
-                g = stack.pop()
-                for h, _ in adj[g]:
-                    if h not in seen:
-                        seen.add(h)
-                        stack.append(h)
+    comps = facet_components(cover.total)
     rep.row("orientable", trivial)
     rep.row("cover_components", comps)
     rep.row("cover_euler_characteristic", cover.total.euler_characteristic())
@@ -278,19 +286,8 @@ def _cmd_cap_identity(args):
     rep = Report(args, "cap-identity", complex=name, complex_digest=digest,
                  system=syslabel, ring=ring, seed=args.seed,
                  trials=args.trials)
-    Gp = orientation_system(cx, ring)
-    cochain_pc, chain_pc, _ = cap_setting(cx, system, Gp)
-    rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.trials):
-        k = rng.randint(0, cx.dimension)
-        n = rng.randint(k, cx.dimension)
-        c = tuple(ring.from_int(rng.randint(-3, 3))
-                  for _ in range(cochain_pc.length(k)))
-        a = tuple(ring.from_int(rng.randint(-3, 3))
-                  for _ in range(chain_pc.length(n)))
-        ok, _diff = boundary_identity_check(cx, system, Gp, k, n, c, a)
-        failures += 0 if ok else 1
+    failures = len(acceptance.cap_identity_failures(
+        cx, system, random.Random(args.seed), args.trials))
     rep.check("cap_boundary_identity", failures == 0,
               f"trials={args.trials} failures={failures}")
     return rep.finish()
@@ -324,17 +321,8 @@ def _cmd_check_mv(args):
     coh = mv_cohomology(pair, system)
     rep.check("homology_exact", hom.all_exact)
     rep.check("cohomology_exact", coh.all_exact)
-    splitting_ok = True
-    inter_pc = pair_complex(cx, system, pool=pair.AB)
-    for k in range(cx.dimension + 1):
-        for j in range(inter_pc.length(k)):
-            alpha = tuple(ring.one if i == j else ring.zero
-                          for i in range(inter_pc.length(k)))
-            try:
-                mv_splitting(pair, system, k, alpha)
-            except TwistcapError:
-                splitting_ok = False
-    rep.check("splitting_equation", splitting_ok, "exhaustive basis cochains")
+    rep.check("splitting_equation", splitting_holds(pair, system),
+              "exhaustive basis cochains")
     if rep.failed:
         rep.row("FAIL", "mayer-vietoris", "see rows above")
     return rep.finish()

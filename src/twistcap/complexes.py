@@ -169,7 +169,7 @@ def validate(complex: SimplicialComplex) -> ManifoldReport:
     is_pure = all(len(s) == n + 1 for s in complex.maximal_simplices)
     ridge_ok = all(len(fs) == 2 for fs in complex.ridge_to_facets().values()) \
         if n >= 1 else False
-    connected = _facets_connected(complex)
+    connected = facet_components(complex) == 1
     links_ok = all(_link_is_closed_pm(complex.vertex_link(v), n - 1)
                    for v in range(complex.vertex_count)) if n >= 1 else False
     report = ManifoldReport(n, is_pure, ridge_ok, connected, links_ok,
@@ -178,20 +178,23 @@ def validate(complex: SimplicialComplex) -> ManifoldReport:
     return report
 
 
-def _facets_connected(complex) -> bool:
-    facets = complex.facets
-    if not facets:
-        return False
+def facet_components(complex) -> int:
+    """Number of components of the dual graph: facets joined across ridges."""
     adj = complex.facet_adjacency()
-    seen = {facets[0]}
-    stack = [facets[0]]
-    while stack:
-        f = stack.pop()
-        for g, _ in adj[f]:
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return len(seen) == len(facets)
+    seen = set()
+    count = 0
+    for start in complex.facets:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for g, _ in adj[stack.pop()]:
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return count
 
 
 def _link_is_closed_pm(link, expected_dim) -> bool:
@@ -205,7 +208,7 @@ def _link_is_closed_pm(link, expected_dim) -> bool:
         return False
     if not all(len(fs) == 2 for fs in link.ridge_to_facets().values()):
         return False
-    if not _facets_connected(link):
+    if facet_components(link) != 1:
         return False
     return all(_link_is_closed_pm(link.vertex_link(v), expected_dim - 1)
                for v in range(link.vertex_count))
@@ -326,10 +329,6 @@ class Subcomplex:
 
     def faces(self, k):
         return self._faces.get(k, frozenset())
-
-    def all_faces(self):
-        for k in sorted(self._faces):
-            yield from sorted(self._faces[k])
 
     def contains(self, simplex) -> bool:
         t = tuple(simplex)
@@ -604,7 +603,23 @@ def _rp3() -> SimplicialComplex:
     return SimplicialComplex(verts, _RP3_FACETS)
 
 
-_corpus_cache: dict[str, SimplicialComplex] = {}
+# Builders of the corpus entries plus the auxiliary complexes used by cover
+# checks.  Each is built once per process and kept in _named, the one
+# module-level cache of the package; everything derived from a complex is
+# cached on the complex itself.
+_BUILDERS = {
+    "circle": lambda: SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)]),
+    "sphere2": lambda: SimplicialComplex(4, combinations(range(4), 3)),
+    "torus": _torus7,
+    "rp2": lambda: SimplicialComplex(6, _RP2_FACETS),
+    "klein": lambda: _grid_klein(3, 3),
+    "rp3": _rp3,
+    "sphere3": lambda: SimplicialComplex(5, combinations(range(5), 4)),
+    "octahedron": _octahedron,
+    "torus4": lambda: _grid_torus(4, 4),
+    "klein4": lambda: _grid_klein(4, 3),
+}
+_named: dict[str, SimplicialComplex] = {}
 
 
 def corpus(name: str) -> SimplicialComplex:
@@ -612,40 +627,14 @@ def corpus(name: str) -> SimplicialComplex:
     if name not in _CORPUS_NAMES:
         raise UnknownName(f"unknown corpus entry {name!r}; "
                           f"choose from {', '.join(_CORPUS_NAMES)}")
-    if name not in _corpus_cache:
-        if name == "circle":
-            cx = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
-        elif name == "sphere2":
-            cx = SimplicialComplex(4, combinations(range(4), 3))
-        elif name == "sphere3":
-            cx = SimplicialComplex(5, combinations(range(5), 4))
-        elif name == "torus":
-            cx = _torus7()
-        elif name == "rp2":
-            cx = SimplicialComplex(6, _RP2_FACETS)
-        elif name == "klein":
-            cx = _grid_klein(3, 3)
-        else:
-            cx = _rp3()
-        _corpus_cache[name] = cx
-    return _corpus_cache[name]
-
-
-_EXTRA_NAMES = ("octahedron", "torus4", "klein4")
-_extra_cache: dict[str, SimplicialComplex] = {}
+    return named_complex(name)
 
 
 def named_complex(name: str) -> SimplicialComplex:
     """Corpus entries plus the auxiliary complexes used by cover checks."""
-    if name in _CORPUS_NAMES:
-        return corpus(name)
-    if name not in _EXTRA_NAMES:
+    if name not in _BUILDERS:
         raise UnknownName(f"unknown complex {name!r}")
-    if name not in _extra_cache:
-        if name == "octahedron":
-            _extra_cache[name] = _octahedron()
-        elif name == "torus4":
-            _extra_cache[name] = _grid_torus(4, 4)
-        else:
-            _extra_cache[name] = _grid_klein(4, 3)
-    return _extra_cache[name]
+    cx = _named.get(name)
+    if cx is None:
+        cx = _named[name] = _BUILDERS[name]()
+    return cx

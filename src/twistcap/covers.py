@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import pair_complex, relative_killed, transfer_matrix
-from .complexes import FullSubcomplex, SimplicialComplex, star_signs, validate
-from .errors import (IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero)
+from .complexes import (FullSubcomplex, SimplicialComplex, _ridge_sign,
+                        star_signs, validate)
+from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import homology_presentation
 from .localsystems import (LocalSystem, constant_system, validate_flatness)
-from .matrices import ExactMatrix, SmithSolver, is_invertible, kernel
+from .matrices import ExactMatrix, SmithSolver, is_invertible
 from .rings import RingSpec
 
 
@@ -73,9 +74,6 @@ class DoubleCover:
             self._lift_cache[s] = cached
         return cached
 
-    def other_lift(self, simplex):
-        return self.deck_image(self.canonical_lift(simplex))
-
     def deck_image(self, total_simplex):
         return tuple(sorted(self.deck[v] for v in total_simplex))
 
@@ -87,17 +85,14 @@ class DoubleCover:
         return frozenset(v + s * n for v in vertex_set for s in (0, 1))
 
 
-_cover_cache: dict = {}
-
-
 def build_double_cover(M: SimplicialComplex, omega: LocalSystem) -> DoubleCover:
-    """Construct the two-sheeted cover defined by a flat sign system."""
-    key = (id(M), id(omega))
-    hit = _cover_cache.get(key)
-    if hit is not None and hit[1] is M and hit[2] is omega:
-        return hit[0]
+    """Construct the two-sheeted cover defined by a flat sign system,
+    memoized on the sign system."""
     if omega.base != M or not omega.is_sign_system():
         raise NotSignSystem("double covers need a rank-1 +-1 system on the base")
+    cached = omega._cache.get("double_cover")
+    if cached is not None:
+        return cached
     ok, witness = validate_flatness(omega)
     if not ok:
         raise NotSignSystem(f"sign system is not flat at {witness}")
@@ -119,7 +114,7 @@ def build_double_cover(M: SimplicialComplex, omega: LocalSystem) -> DoubleCover:
     deck = tuple((v + n) % (2 * n) for v in range(2 * n))
     cover = DoubleCover(M, total, projection, deck, omega, signs)
     _check_cover_invariants(cover)
-    _cover_cache[key] = (cover, M, omega)
+    omega._cache["double_cover"] = cover
     return cover
 
 
@@ -202,13 +197,6 @@ def orient_cover(cover: DoubleCover) -> CoverOrientation:
     orientation = CoverOrientation(cover, signs)
     cover._cache["orientation"] = orientation
     return orientation
-
-
-def _ridge_sign(facet, ridge):
-    for i, v in enumerate(facet):
-        if v not in ridge:
-            return -1 if i % 2 else 1
-    raise TwistcapError(f"{ridge} is not a ridge of {facet}")
 
 
 def lift_full_subcomplex(cover, K: FullSubcomplex | None):
@@ -338,13 +326,19 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
     return SplitMaps(cover, ring, K, degrees)
 
 
-def _same_column_span(A: ExactMatrix, B: ExactMatrix) -> bool:
-    return (SmithSolver(A).solve_matrix(B) is not None
-            and SmithSolver(B).solve_matrix(A) is not None)
+def _same_column_span(a: SmithSolver, b: SmithSolver) -> bool:
+    return (a.solve_matrix(b.A) is not None
+            and b.solve_matrix(a.A) is not None)
 
 
-def _injective(A: ExactMatrix) -> bool:
-    return kernel(A).cols == 0
+def _short_exact(incl: SmithSolver, proj: SmithSolver,
+                 image: SmithSolver) -> bool:
+    """0 -> C' --incl--> C --proj--> C'' -> 0 is exact, where the columns
+    of image.A span C''."""
+    kernel_of_proj, _ = proj.snf.kernel_with_relations()
+    return (incl.snf.kernel_with_relations()[0].cols == 0
+            and _same_column_span(SmithSolver(kernel_of_proj), incl)
+            and _same_column_span(proj, image))
 
 
 def check_split_exactness(split: SplitMaps) -> dict:
@@ -352,16 +346,14 @@ def check_split_exactness(split: SplitMaps) -> dict:
 
     Sequence (1): 0 -> C^- -> C --Sigma--> C^+ -> 0
     Sequence (2): 0 -> C^+ -> C --Delta--> C^- -> 0
+    Each of the four matrices of a degree is factored once.
     """
     out = {}
     for k, d in split.degrees.items():
-        seq1 = (_injective(d.incl_minus)
-                and _same_column_span(kernel(d.sigma), d.incl_minus)
-                and _same_column_span(d.sigma, d.incl_plus))
-        seq2 = (_injective(d.incl_plus)
-                and _same_column_span(kernel(d.delta), d.incl_plus)
-                and _same_column_span(d.delta, d.incl_minus))
-        out[k] = {"seq1": seq1, "seq2": seq2}
+        plus, minus = SmithSolver(d.incl_plus), SmithSolver(d.incl_minus)
+        sigma, delta = SmithSolver(d.sigma), SmithSolver(d.delta)
+        out[k] = {"seq1": _short_exact(minus, sigma, plus),
+                  "seq2": _short_exact(plus, delta, minus)}
     return out
 
 

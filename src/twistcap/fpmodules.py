@@ -33,12 +33,11 @@ class FPModule:
         self.ring = ring
         self.generator_count = generator_count
         self.relations = relations
-        snf = smith_normal_form(relations)
-        diag = [d for d in snf.diagonal() if d != ring.zero]
+        self._rel_solver = SmithSolver(relations)
+        diag = [d for d in self._rel_solver.snf.diagonal() if d != ring.zero]
         self.free_rank = generator_count - len(diag)
         self.torsion = tuple(ring.canonical_generator(d) for d in diag
                              if not ring.is_unit(d))
-        self._rel_solver = SmithSolver(relations)
 
     @property
     def normal_form(self):
@@ -95,15 +94,19 @@ class FPModule:
 
 
 class HomologyPresentation:
-    """FPModule together with a cycle basis in chain coordinates."""
+    """FPModule together with a cycle basis in chain coordinates.
 
-    def __init__(self, module: FPModule, cycles: ExactMatrix,
+    The cycles are the columns of `cycle_solver.A`, one per module
+    generator; the solver turns cycles back into class coordinates.
+    """
+
+    def __init__(self, module: FPModule, cycle_solver: SmithSolver,
                  d_in: ExactMatrix, d_out: ExactMatrix):
         self.module = module
-        self.cycles = cycles
+        self.cycles = cycle_solver.A
         self.d_in = d_in
         self.d_out = d_out
-        self._cycle_solver = SmithSolver(cycles)
+        self._cycle_solver = cycle_solver
         self._d_in_solver = None
 
     @property
@@ -118,22 +121,9 @@ class HomologyPresentation:
         """Coordinates of a cycle on the module generators; None if not a cycle."""
         return self._cycle_solver.solve_vector(chain)
 
-    def chain_of_class(self, coords):
-        return self.cycles.apply(coords)
-
     def is_cycle(self, chain) -> bool:
         z = self.ring.zero
         return all(x == z for x in self.d_out.apply(chain))
-
-    def is_zero_class(self, chain) -> bool:
-        coords = self.class_vector(chain)
-        if coords is None:
-            raise TwistcapError("chain is not a cycle")
-        return self.module.is_zero_class(coords)
-
-    def chains_homologous(self, a, b) -> bool:
-        diff = tuple(self.ring.normalize(x - y) for x, y in zip(a, b))
-        return self.is_zero_class(diff)
 
     def boundary_solver(self) -> SmithSolver:
         if self._d_in_solver is None:
@@ -151,12 +141,13 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
         raise CompositionNonzero("d_out @ d_in != 0")
     ring = d_in.ring
     K, Krel = kernel_with_relations(d_out)
-    X = SmithSolver(K).solve_matrix(d_in)
+    cycle_solver = SmithSolver(K)
+    X = cycle_solver.solve_matrix(d_in)
     if X is None:
         raise TwistcapError("image does not lie in the kernel generators")
     relations = ExactMatrix.hstack([X, Krel])
     module = FPModule(ring, K.cols, relations)
-    return HomologyPresentation(module, K, d_in, d_out)
+    return HomologyPresentation(module, cycle_solver, d_in, d_out)
 
 
 @dataclass(frozen=True)
@@ -233,7 +224,8 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
     ts = f.source.generator_count
     tt = f.target.generator_count
     stacked = ExactMatrix.hstack([f.matrix, f.target.relations])
-    snf = smith_normal_form(stacked)
+    solver = SmithSolver(stacked)
+    snf = solver.snf
     units = sum(1 for d in snf.diagonal() if ring.is_unit(d))
     if units < tt:
         idx = units  # first non-unit pivot position marks a cokernel class
@@ -243,14 +235,13 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
         witness = usolve.solve_vector(e)
         return IsoResult(False, cokernel_witness=tuple(witness))
 
-    ker_gens = kernel(stacked)
+    ker_gens, _ = snf.kernel_with_relations()
     src_rel = f.source._rel_solver
     for j in range(ker_gens.cols):
         p = ker_gens.column(j)[:ts]
         if src_rel.solve_vector(p) is None:
             return IsoResult(False, kernel_witness=tuple(p))
 
-    solver = SmithSolver(stacked)
     cols = []
     for i in range(tt):
         e = [ring.zero] * tt

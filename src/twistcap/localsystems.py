@@ -27,7 +27,7 @@ from .rings import Q, RingSpec, Zmod, parse_ring
 
 class LocalSystem:
     __slots__ = ("base", "ring", "rank", "_transport", "_inverse_cache",
-                 "_path_cache")
+                 "_path_cache", "_cache")
 
     def __init__(self, base: SimplicialComplex, ring: RingSpec, rank: int,
                  transport: dict):
@@ -53,6 +53,7 @@ class LocalSystem:
         self._transport = cleaned
         self._inverse_cache = {}
         self._path_cache = {}
+        self._cache = {}   # objects derived from this system
 
     def transport(self, u: int, v: int) -> ExactMatrix:
         """Fiber map fiber(v) -> fiber(u) along the edge between u and v."""
@@ -149,30 +150,21 @@ def _lowest_facet_containing(base, u, v):
     raise TwistcapError(f"edge ({u},{v}) lies in no facet")
 
 
-def orientation_edge_signs(base):
-    """Plain +-1 edge signs of the orientation system (ring-independent)."""
-    cache = base._cache.get("orientation_signs")
-    if cache is None:
-        report = validate(base)
-        if not report.closed_pseudomanifold:
-            raise NotClosedPseudomanifold(
-                "orientation signs need a closed pseudomanifold")
-        cache = {}
-        for (u, v) in base.faces(1):
-            facet = _lowest_facet_containing(base, u, v)
-            cache[(u, v)] = star_signs(base, u)[facet] * star_signs(base, v)[facet]
-        base._cache["orientation_signs"] = cache
-    return cache
-
-
 def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
+    """G (x) Gp, memoized on G."""
+    key = ("tensor", Gp)
+    cached = G._cache.get(key)
+    if cached is not None:
+        return cached
     if G.base != Gp.base:
         raise BaseMismatch("tensor factors live on different complexes")
     if G.ring != Gp.ring:
         raise RingMismatch("tensor factors over different rings")
     transport = {e: G._transport[e].kron(Gp._transport[e])
                  for e in G.base.faces(1)}
-    return LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport)
+    cached = LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport)
+    G._cache[key] = cached
+    return cached
 
 
 def holonomy(system: LocalSystem, loop) -> ExactMatrix:
@@ -377,7 +369,7 @@ def loads_local_system(text: str, base: SimplicialComplex) -> LocalSystem:
         for t in tokens:
             try:
                 row.append(_parse_entry(t, ring))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise SystemFormatError(lineno, f"bad ring element {t!r}")
         pending_rows.append(row)
         if len(pending_rows) == rank:

@@ -93,12 +93,6 @@ class ExactMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self):
-        m = ExactMatrix._raw(self.ring,
-                             [self.column(j) for j in range(self.cols)])
-        m.cols = self.rows
-        return m
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
@@ -231,13 +225,6 @@ def block_diag(ring, blocks) -> ExactMatrix:
     return m
 
 
-def submatrix(A: ExactMatrix, row_indices, col_indices) -> ExactMatrix:
-    m = ExactMatrix._raw(A.ring, [[A.data[i][j] for j in col_indices]
-                                  for i in row_indices])
-    m.cols = len(list(col_indices))
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -265,6 +252,42 @@ class SmithDecomposition:
 
     def nonzero_count(self):
         return sum(1 for d in self.diagonal() if d)
+
+    def kernel_with_relations(self):
+        """Generators K of ker(A) plus the relations among those generators,
+        read off this decomposition of A.
+
+        Over Z and Q the generators form a basis and the relation matrix is
+        empty.  Over Z/m torsion kernels appear: a diagonal entry d with
+        annihilator a contributes the generator a * (column of V) carrying
+        the relation annihilator(a).
+        """
+        ring = self.D.ring
+        rows, cols = self.D.rows, self.D.cols
+        gens = []
+        ann = []
+        diag = self.D.data
+        for j in range(cols):
+            d = diag[j][j] if j < rows else ring.zero
+            col = self.V.column(j)
+            if d == ring.zero:
+                gens.append(col)
+                ann.append(ring.zero)
+            else:
+                a = ring.annihilator(d)
+                if a != ring.zero:
+                    gens.append(tuple(ring.normalize(a * x) for x in col))
+                    ann.append(ring.annihilator(a))
+        K = ExactMatrix.from_columns(ring, gens, cols)
+        t = len(gens)
+        rel_cols = []
+        for i, a in enumerate(ann):
+            if a != ring.zero:
+                col = [ring.zero] * t
+                col[i] = a
+                rel_cols.append(col)
+        Krel = ExactMatrix.from_columns(ring, rel_cols, t)
+        return K, Krel
 
     def verify(self, A: ExactMatrix) -> bool:
         ring = A.ring
@@ -503,39 +526,8 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
 # ---------------------------------------------------------------------------
 
 def kernel_with_relations(A: ExactMatrix):
-    """Generators K of ker(A) plus the relations among those generators.
-
-    Over Z and Q the generators form a basis and the relation matrix is empty.
-    Over Z/m torsion kernels appear: a diagonal entry d with annihilator a
-    contributes the generator a * (column of V) carrying the relation
-    annihilator(a).
-    """
-    ring = A.ring
-    snf = smith_normal_form(A)
-    gens = []
-    ann = []
-    diag = snf.D.data
-    for j in range(A.cols):
-        d = diag[j][j] if j < A.rows else ring.zero
-        col = snf.V.column(j)
-        if d == ring.zero:
-            gens.append(col)
-            ann.append(ring.zero)
-        else:
-            a = ring.annihilator(d)
-            if a != ring.zero:
-                gens.append(tuple(ring.normalize(a * x) for x in col))
-                ann.append(ring.annihilator(a))
-    K = ExactMatrix.from_columns(ring, gens, A.cols)
-    t = len(gens)
-    rel_cols = []
-    for i, a in enumerate(ann):
-        if a != ring.zero:
-            col = [ring.zero] * t
-            col[i] = a
-            rel_cols.append(col)
-    Krel = ExactMatrix.from_columns(ring, rel_cols, t)
-    return K, Krel
+    """Generators K of ker(A) plus the relations among those generators."""
+    return smith_normal_form(A).kernel_with_relations()
 
 
 def kernel(A: ExactMatrix) -> ExactMatrix:
@@ -543,16 +535,18 @@ def kernel(A: ExactMatrix) -> ExactMatrix:
 
 
 class SmithSolver:
-    """Reusable exact solver for A @ x = b, factoring A once."""
+    """Exact solver for A @ x = b.  A is factored once, on construction, and
+    the decomposition is public as `snf` for callers that need its diagonal
+    or kernel too."""
 
     def __init__(self, A: ExactMatrix):
         self.A = A
         self.ring = A.ring
-        self._snf = smith_normal_form(A)
+        self.snf = smith_normal_form(A)
 
     def solve_vector(self, b):
         ring = self.ring
-        snf = self._snf
+        snf = self.snf
         if len(b) != self.A.rows:
             raise TwistcapError("rhs length mismatch")
         cvec = snf.U.apply(b)
@@ -571,7 +565,7 @@ class SmithSolver:
 
     def solve_matrix(self, B: ExactMatrix):
         ring = self.ring
-        snf = self._snf
+        snf = self.snf
         if B.rows != self.A.rows:
             raise TwistcapError("rhs row count mismatch")
         C = snf.U @ B

@@ -135,36 +135,43 @@ class _MVSpaces:
         return tuple(beta), tuple(gamma)
 
 
+def _connecting_chain(spaces: _MVSpaces, k, alpha):
+    """The zig-zag representative of the homology connecting map.
+
+    alpha is a relative k-cycle of (X, Y) in absolute coordinates.  The
+    boundary of its A-part, less the C-part of its boundary, lies in the
+    intersection; it is returned in the (A^B, C^D) coordinates.
+    """
+    ring, r = spaces.ring, spaces.G.rank
+    pair = spaces.pair
+    d_abs = spaces.absolute.boundary(k)
+    beta, _ = spaces.split_chain(k, alpha)
+    e = list(d_abs.apply(beta))
+    dalpha = d_abs.apply(alpha)
+    for pos, s in enumerate(spaces.absolute.space(k - 1)):
+        block = slice(pos * r, (pos + 1) * r)
+        if pair.C.contains(s):
+            e[block] = [ring.normalize(x - y)
+                        for x, y in zip(e[block], dalpha[block])]
+        if any(e[block]) and not pair.AB.contains(s):
+            raise TwistcapError(
+                f"connecting chain escapes the intersection at {s}")
+    return transfer_matrix(spaces.absolute, spaces.inter, k - 1).apply(e)
+
+
 def _connecting_homology(spaces: _MVSpaces, k, src: HomologyPresentation,
                          dst: HomologyPresentation) -> ModuleMap:
     """boundary: H_k(X, Y) -> H_{k-1}(A^B, C^D) by the zig-zag on reps."""
-    ring, r = spaces.ring, spaces.G.rank
-    pair = spaces.pair
     lift = transfer_matrix(spaces.whole, spaces.absolute, k)
-    to_inter = transfer_matrix(spaces.absolute, spaces.inter, k - 1)
-    d_abs = spaces.absolute.boundary(k)
     cols = []
     for j in range(src.module.generator_count):
-        alpha = lift.apply(src.cycles.column(j))
-        beta, _ = spaces.split_chain(k, alpha)
-        dbeta = d_abs.apply(beta)
-        # subtract the C-assigned part of the boundary of alpha
-        dalpha = d_abs.apply(alpha)
-        e = list(dbeta)
-        for pos, s in enumerate(spaces.absolute.space(k - 1)):
-            if pair.C.contains(s):
-                for i in range(pos * r, (pos + 1) * r):
-                    e[i] = ring.normalize(e[i] - dalpha[i])
-        for pos, s in enumerate(spaces.absolute.space(k - 1)):
-            block = e[pos * r:(pos + 1) * r]
-            if any(block) and not pair.AB.contains(s):
-                raise TwistcapError(
-                    f"connecting chain escapes the intersection at {s}")
-        coords = dst.class_vector(to_inter.apply(e))
+        e = _connecting_chain(spaces, k, lift.apply(src.cycles.column(j)))
+        coords = dst.class_vector(e)
         if coords is None:
             raise TwistcapError("connecting image is not a cycle")
         cols.append(coords)
-    matrix = ExactMatrix.from_columns(ring, cols, dst.module.generator_count)
+    matrix = ExactMatrix.from_columns(spaces.ring, cols,
+                                      dst.module.generator_count)
     return ModuleMap(src.module, dst.module, matrix)
 
 
@@ -250,37 +257,59 @@ def mv_splitting(pair: CoverPair, G, k, alpha):
     return tuple(beta), tuple(gamma)
 
 
+def splitting_holds(pair: CoverPair, G) -> bool:
+    """mv_splitting succeeds on every basis cochain of the intersection pair;
+    a splitting that raises counts as a failure."""
+    ring = G.ring
+    inter = _MVSpaces(pair, G).inter
+    for k in range(pair.X.dimension + 1):
+        size = inter.length(k)
+        for j in range(size):
+            alpha = tuple(ring.one if i == j else ring.zero
+                          for i in range(size))
+            try:
+                mv_splitting(pair, G, k, alpha)
+            except TwistcapError:
+                return False
+    return True
+
+
+def _glue_coboundary(spaces: _MVSpaces, k, alpha):
+    """The chain-level connecting value delta(alpha) in the (X, Y)
+    coordinates: the coboundaries of the two halves of the splitting, glued
+    along the overlap, where they must agree."""
+    ring, r = spaces.ring, spaces.G.rank
+    beta, gamma = mv_splitting(spaces.pair, spaces.G, k, alpha)
+    dbeta = spaces.left.coboundary(k).apply(beta)
+    dgamma = spaces.right.coboundary(k).apply(gamma)
+    idx_a = spaces.left.index(k + 1)
+    idx_b = spaces.right.index(k + 1)
+    glued = [ring.zero] * spaces.whole.length(k + 1)
+    for pos, s in enumerate(spaces.whole.space(k + 1)):
+        ia, ib = idx_a.get(s), idx_b.get(s)
+        block = dbeta[ia * r:(ia + 1) * r] if ia is not None else None
+        if ib is not None:
+            other = dgamma[ib * r:(ib + 1) * r]
+            if block is None:
+                block = other
+            elif block != other:
+                raise TwistcapError("coboundaries disagree on the overlap")
+        glued[pos * r:(pos + 1) * r] = block
+    return tuple(glued)
+
+
 def _connecting_cohomology(spaces: _MVSpaces, k, src: HomologyPresentation,
                            dst: HomologyPresentation) -> ModuleMap:
     """delta: H^k(A^B, C^D) -> H^{k+1}(X, Y) via the splitting."""
-    ring, r = spaces.ring, spaces.G.rank
-    pair = spaces.pair
     cols = []
-    a_idx_left = spaces.left.index(k + 1)
-    a_idx_right = spaces.right.index(k + 1)
     for j in range(src.module.generator_count):
-        alpha = src.cycles.column(j)
-        beta, gamma = mv_splitting(pair, spaces.G, k, alpha)
-        dbeta = spaces.left.coboundary(k).apply(beta)
-        dgamma = spaces.right.coboundary(k).apply(gamma)
-        glued = [ring.zero] * spaces.whole.length(k + 1)
-        for pos, s in enumerate(spaces.whole.space(k + 1)):
-            in_a = a_idx_left.get(s)
-            in_b = a_idx_right.get(s)
-            if in_a is not None:
-                block = dbeta[in_a * r:(in_a + 1) * r]
-                if in_b is not None:
-                    other = dgamma[in_b * r:(in_b + 1) * r]
-                    if tuple(block) != tuple(other):
-                        raise TwistcapError("coboundaries disagree on the overlap")
-            else:
-                block = dgamma[in_b * r:(in_b + 1) * r]
-            glued[pos * r:(pos + 1) * r] = block
-        coords = dst.class_vector(tuple(glued))
+        coords = dst.class_vector(
+            _glue_coboundary(spaces, k, src.cycles.column(j)))
         if coords is None:
             raise TwistcapError("glued cochain is not a cocycle")
         cols.append(coords)
-    matrix = ExactMatrix.from_columns(ring, cols, dst.module.generator_count)
+    matrix = ExactMatrix.from_columns(spaces.ring, cols,
+                                      dst.module.generator_count)
     return ModuleMap(src.module, dst.module, matrix)
 
 
@@ -515,38 +544,6 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     sign = sign_constraints.pop() if len(sign_constraints) == 1 else None
     return Diagram6Report(square_left, square_right, connecting_ok, sign,
                           tuple(rows))
-
-
-def _glue_coboundary(top: _MVSpaces, k, x):
-    """The chain-level connecting value delta(x) in the (X, Y) coordinates."""
-    ring, r = top.ring, top.G.rank
-    beta, gamma = mv_splitting(top.pair, top.G, k, x)
-    dbeta = top.left.coboundary(k).apply(beta)
-    dgamma = top.right.coboundary(k).apply(gamma)
-    idx_a = top.left.index(k + 1)
-    idx_b = top.right.index(k + 1)
-    glued = [ring.zero] * top.whole.length(k + 1)
-    for pos, s in enumerate(top.whole.space(k + 1)):
-        ia = idx_a.get(s)
-        if ia is not None:
-            glued[pos * r:(pos + 1) * r] = dbeta[ia * r:(ia + 1) * r]
-        else:
-            ib = idx_b[s]
-            glued[pos * r:(pos + 1) * r] = dgamma[ib * r:(ib + 1) * r]
-    return tuple(glued)
-
-
-def _connecting_chain(spaces: _MVSpaces, k, absolute_cycle):
-    """The zig-zag representative of the homology connecting map."""
-    ring, r = spaces.ring, spaces.G.rank
-    beta, _ = spaces.split_chain(k, absolute_cycle)
-    e = list(spaces.absolute.boundary(k).apply(beta))
-    to_inter = transfer_matrix(spaces.absolute, spaces.inter, k - 1)
-    for pos, s in enumerate(spaces.absolute.space(k - 1)):
-        block = e[pos * r:(pos + 1) * r]
-        if any(block) and not spaces.pair.AB.contains(s):
-            raise TwistcapError(f"zig-zag chain escapes the intersection at {s}")
-    return to_inter.apply(e)
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,6 @@ class RingSpec:
         """False exactly when 2 = 0, i.e. for Z/2."""
         return not (self.kind == MODULAR and self.modulus == 2)
 
-    @property
-    def is_field(self) -> bool:
-        if self.kind == RATIONALS:
-            return True
-        if self.kind == MODULAR:
-            m = self.modulus
-            return all(m % p for p in range(2, int(m ** 0.5) + 1)) or m in (2, 3)
-        return False
-
     # -- element arithmetic --------------------------------------------
 
     def normalize(self, x):
@@ -158,12 +149,16 @@ class RingSpec:
             return 1 / self.normalize(a) if a != 0 else Fraction(1)
         m = self.modulus
         a %= m
-        target = self.canonical_generator(a)
-        # m stays small at this artifact's scale, so scanning is fine.
-        for u in range(1, m + 1):
-            if gcd(u, m) == 1 and (u * a) % m == target:
-                return u
-        raise TwistcapError(f"no unit scales {a} to {target} mod {m}")
+        if a == 0:
+            return 1
+        # u*a = g (mod m) exactly when u = (a/g)^-1 (mod m/g); the smallest
+        # unit mod m in that class is reached within g steps of m/g.
+        g = gcd(a, m)
+        step = m // g
+        u = pow(a // g, -1, step) if step > 1 else 0
+        while gcd(u, m) != 1:
+            u += step
+        return u
 
 
 Z = RingSpec(INTEGERS)

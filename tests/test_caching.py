@@ -1,0 +1,120 @@
+"""Derived objects are memoized on their source and die with it; each
+presented module factors a given matrix once."""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from twistcap import chains, matrices
+from twistcap.acceptance import cap_identity_failures
+from twistcap.cap import boundary_identity_check, cap_setting
+from twistcap.chains import pair_complex
+from twistcap.complexes import SimplicialComplex, corpus
+from twistcap.covers import (build_double_cover, check_split_exactness,
+                             split_maps)
+from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
+                                is_isomorphism)
+from twistcap.localsystems import (constant_system, orientation_system,
+                                   random_flat_system, tensor)
+from twistcap.matrices import ExactMatrix
+from twistcap.rings import Z, Zmod
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def fresh_torus():
+    return SimplicialComplex(7, corpus("torus").facets)
+
+
+def test_repeated_cap_trials_build_no_new_systems_or_pairs(monkeypatch):
+    M = fresh_torus()
+    G = random_flat_system(M, Zmod(3), 2, seed=1)
+    Gp = orientation_system(M, Zmod(3))
+    cap_identity_failures(M, G, random.Random(0), 5)
+    GT = tensor(G, Gp)
+    built = count_calls(monkeypatch, chains.PairComplex, "__init__")
+    rng = random.Random(1)
+    cochain_pc, chain_pc, _ = cap_setting(M, G, Gp)
+    for _ in range(20):
+        k = rng.randint(0, 2)
+        n = rng.randint(k, 2)
+        c = tuple(rng.randint(-3, 3) % 3 for _ in range(cochain_pc.length(k)))
+        a = tuple(rng.randint(-3, 3) % 3 for _ in range(chain_pc.length(n)))
+        assert boundary_identity_check(M, G, Gp, k, n, c, a)[0]
+        assert tensor(G, Gp) is GT
+    assert built == []
+
+
+def test_pair_complexes_and_covers_die_with_their_system():
+    # LocalSystem and DoubleCover take no weak references, so each is
+    # watched through a pair complex that only it keeps alive
+    M = fresh_torus()
+    G = random_flat_system(M, Z, 2, seed=4)
+    omega = random_flat_system(M, Z, 1, seed=4)
+    cover = build_double_cover(M, omega)
+    assert build_double_cover(M, omega) is cover
+    watched = [pair_complex(M, G),
+               pair_complex(M, tensor(G, orientation_system(M, Z))),
+               pair_complex(cover.total, constant_system(cover.total, Z))]
+    refs = [weakref.ref(pc) for pc in watched]
+    del G, omega, cover, watched
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_pair_complex_rejects_a_foreign_system_on_every_call():
+    M = fresh_torus()
+    G = constant_system(M, Z)
+    pair_complex(M, G)
+    with pytest.raises(Exception, match="different complex"):
+        pair_complex(corpus("klein"), G)
+
+
+def test_homology_presentation_factors_three_matrices(monkeypatch):
+    M = corpus("rp2")
+    pc = pair_complex(M, constant_system(M, Z))
+    d_in, d_out = pc.boundary(2), pc.boundary(1)
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    pres = homology_presentation(d_in, d_out)
+    assert pres.module.normal_form == (0, (2,))
+    assert len(calls) == 3
+    assert len({A for (A,) in calls}) == 3
+
+
+def test_fpmodule_factors_its_relations_once(monkeypatch):
+    relations = ExactMatrix(Z, [[2, 0], [0, 3]])
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    module = FPModule(Z, 2, relations)
+    assert module.normal_form == (0, (6,))
+    assert calls == [(relations,)]
+
+
+def test_is_isomorphism_factors_the_stacked_matrix_once(monkeypatch):
+    source = FPModule(Z, 1, ExactMatrix(Z, [[4]]))
+    target = FPModule(Z, 1, ExactMatrix(Z, [[4]]))
+    f = ModuleMap(source, target, ExactMatrix(Z, [[3]]))
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    assert is_isomorphism(f).isomorphism
+    assert len(calls) == 1
+
+
+def test_split_exactness_factors_six_matrices_per_degree(monkeypatch):
+    M = corpus("rp2")
+    cover = build_double_cover(M, orientation_system(M, Z))
+    split = split_maps(cover, Z)
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    verdicts = check_split_exactness(split)
+    assert all(v["seq1"] and v["seq2"] for v in verdicts.values())
+    assert len(calls) == 6 * len(split.degrees)

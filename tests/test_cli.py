@@ -1,3 +1,5 @@
+import pytest
+
 from twistcap.cli import main
 
 
@@ -149,3 +151,28 @@ def test_system_file_through_cli(tmp_path, capsys):
     code, _, err = run(capsys, "verify-duality", "--complex", "rp2",
                        "--system", str(path), "--ring", "Q")
     assert code == 2 and "does not match" in err
+
+
+@pytest.mark.parametrize("spec", ["constant:abc", "random-flat:x"])
+def test_malformed_system_spec_exits_2(capsys, spec):
+    code, _, err = run(capsys, "verify-duality", "--complex", "circle",
+                       "--system", spec)
+    assert code == 2
+    assert err.startswith("error:") and spec in err
+
+
+def test_zero_denominator_in_system_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.ls"
+    path.write_text("ring Q\nrank 1\nedge 0 1\n1/0\n")
+    code, _, err = run(capsys, "verify-duality", "--complex", "circle",
+                       "--system", str(path), "--ring", "Q")
+    assert code == 2
+    assert err.startswith("error:") and "line 4" in err
+
+
+def test_negative_trials_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cap-identity", "--complex", "circle", "--trials", "-5"])
+    assert exc.value.code == 2
+    assert "error: argument --trials" in capsys.readouterr().err
+

@@ -1,0 +1,70 @@
+"""Byte-exact CLI reports for a fixed set of fast commands.
+
+Each entry is a command line, its exit code and the sha256 of its stdout.
+The digests were recorded before the cache and factorization refactor; a
+change that alters any report byte fails here.  Every subcommand except
+corpus-all appears, over Z, Z/3, Q, Z/10007 and Z/1000003, with constant,
+orientation and random-flat systems.
+"""
+
+import hashlib
+
+import pytest
+
+from twistcap.cli import main
+
+GOLDEN = (
+    ("validate --complex rp3", 0,
+     "4e421f11dad2e608810c09b216cd9fdf7789d602036b45a793c765eae155702d"),
+    ("validate --complex klein4 --format plain", 0,
+     "d0a0b312288b4e8ec10423797f8a2a6aed4d4b4e9f0e1d8fcdbba59e85c8fe7e"),
+    ("orientation --complex klein --ring Z", 0,
+     "7e017ccf162c5901a4034a3f02e5c8f919542447f7eea2a8467bcccf2a5a1c0d"),
+    ("orientation --complex torus --ring Z/3", 0,
+     "d93a988f5622e1cefc5500f12280eb7ee117f70978c4d28f851992acf5470561"),
+    ("fundamental-class --complex rp2 --ring Z/3", 0,
+     "a7433735a1e26ea2583e46d17bad6bc46f2d7725f0486afa53c74fe3108fcad2"),
+    ("fundamental-class --complex sphere3 --ring Q", 0,
+     "d8b03fdea878fee476395a916c051d7dee7c726a475bd72f91e0581d6a304799"),
+    ("lemma1 --complex rp2 --ring Z", 0,
+     "7f516066a21b69f44b07f003c0435e4c438d42c0730fa5fda942503cadf83604"),
+    ("lemma2 --complex klein --ring Z/3", 0,
+     "36f0c9c1db6c089c2af2afbb5bff22608f6b6bd890f0ec4cd66dcd681a2640d8"),
+    ("phi-check --complex rp2 --ring Z", 0,
+     "12104c18b3baf4e77379c74cb70f31548eee499920119b4b219b83fb3e53b070"),
+    ("cap-identity --complex torus --system random-flat --ring Q "
+     "--trials 10 --seed 4", 0,
+     "e11a460a55a35ac073391c0423e0bf471c0509829f04cf5a48274011e2f989b7"),
+    ("cap-identity --complex klein --system orientation --ring Z/10007 "
+     "--trials 5 --seed 1", 0,
+     "3fab735ca3733379b43fccbe76e13c63636548bd44c85fa81c4daaf386171fff"),
+    ("verify-duality --complex rp2 --system constant --ring Z", 0,
+     "d4478b8018ae20a9fd1ee822899e72796e32b039c61c265c4a2ff5c798769f78"),
+    ("verify-duality --complex klein --system random-flat:3:2 --ring Z/3 "
+     "--seed 3", 0,
+     "e4093b40cbea18526d4f9a3e3cc9a74516680be20dfcb29831c7725d837b9f8b"),
+    ("verify-duality --complex torus --system orientation --ring Q "
+     "--format plain", 0,
+     "cd083298142c66f95083e764fb6481f0bfe9aece62606cc80cd03c76e6d53aa5"),
+    ("verify-duality --complex rp2 --system orientation --ring Z/1000003", 0,
+     "afbd07695545130dc3d557a793a9e78b5117380557359e14077845654aa482c1"),
+    ("verify-duality --complex circle --system constant:2 --ring Z/10007", 0,
+     "8642578268e2f8e4c7eb4bb92ade7ac4bc28989936d4740de593d64b3fb3329e"),
+    ("check-mv --complex octahedron --cover hemispheres --ring Z", 0,
+     "9a92e4d64bf8e157d2dfb35f95e0f71958fa1de4896a1f7e17a4205cc3031757"),
+    ("check-mv --complex klein --cover cylinders --system orientation "
+     "--ring Z/3", 0,
+     "1b31fd579efe58d9f4d11616350cffa032ffb56a5e2ede1b44255bd18bcf482a"),
+    ("diagram6 --config sphere --ring Z", 0,
+     "568856417d70378fc268bb4b020cbd44a1d8ad302ce328dd371bdefb91c43e85"),
+    ("diagram6 --config klein --system orientation --ring Z/3 --seed 5", 0,
+     "f41f899a4ccc392e74ae50b9a128ce007b0d5fc160992e94521590873e9a8da7"),
+)
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN,
+                         ids=[c for c, _, _ in GOLDEN])
+def test_report_is_byte_identical(capsys, command, code, digest):
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

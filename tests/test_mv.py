@@ -182,3 +182,18 @@ def test_diagram6_sign_stable_across_rings_and_representatives():
             if report.connecting_sign is not None:
                 signs.add(report.connecting_sign)
     assert len(signs) == 1
+
+
+def test_splitting_failure_is_a_verdict_not_an_error(monkeypatch):
+    from twistcap import mv
+    from twistcap.errors import TwistcapError
+
+    M, pair = named_cover("octahedron", "hemispheres")
+    G = constant_system(M, Z)
+    assert mv.splitting_holds(pair, G)
+
+    def broken(*args):
+        raise TwistcapError("splitting failed its defining equation")
+
+    monkeypatch.setattr(mv, "mv_splitting", broken)
+    assert not mv.splitting_holds(pair, G)
