@@ -1,9 +1,14 @@
-"""Exact dense matrices over Z, Z/m and Q, with Smith normal form.
+"""Exact matrices over Z, Z/m and Q, with Smith normal form.
 
-The matrices here are small (boundary operators of desk-scale triangulations),
-so the implementation favours exactness and auditability over asymptotics:
-plain Python integers and Fractions, elementary row/column operations, and a
-minimal-pivot elimination that keeps integer growth tame.
+Entries are plain Python integers and Fractions, so nothing overflows or
+rounds.  ExactMatrix stores its rows as tuples and multiplies through a
+row-sparse view of its right operand.  The Smith form eliminates on
+sparse storage, since boundary operators are almost all zeros and +-1: rows
+of the working matrix and of U are dicts of their nonzeros, V is held as
+sparse columns, and column swaps permute indices.  The pivot rule is the
+minimal-pivot one that keeps integer growth tame, and the elementary
+operations are exactly those of a dense sweep, so the transforms (and every
+kernel basis and certificate derived from them) do not depend on the storage.
 
 Every decomposition carries its transforms: smith_normal_form returns U, D, V
 with U @ A @ V == D, U and V invertible, and the diagonal of D a divisibility
@@ -42,6 +47,7 @@ class ExactMatrix:
         m.ring, m.rows, m.cols = ring, rows, cols
         z = ring.zero
         m.data = tuple((z,) * cols for _ in range(rows))
+        m._columns = None
         return m
 
     @classmethod
@@ -135,18 +141,21 @@ class ExactMatrix:
         norm = self.ring.normalize
         zero = self.ring.zero
         ocols = other.cols
-        odata = other.data
+        # the row-sparse view of `other` is built per call: cached on
+        # long-lived boundary matrices it raised peak memory, not speed
+        orows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for row in self.data:
-            acc = [zero] * ocols
+            acc = {}
+            get = acc.get
             for k, a in enumerate(row):
                 if a:
-                    orow = odata[k]
-                    for j in range(ocols):
-                        b = orow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append([norm(x) for x in acc])
+                    for j, b in orows[k]:
+                        acc[j] = get(j, zero) + a * b
+            orow = [zero] * ocols
+            for j, x in acc.items():
+                orow[j] = norm(x)
+            out.append(orow)
         return self._sized(out, ocols)
 
     def apply(self, vec):
@@ -165,12 +174,13 @@ class ExactMatrix:
                         cols[j].append((i, a))
             self._columns = cols
         norm = self.ring.normalize
-        out = [self.ring.zero] * self.rows
+        zero = self.ring.zero
+        out = [zero] * self.rows
         for j, x in enumerate(vec):
             if x:
                 for i, a in self._columns[j]:
                     out[i] += a * x
-        return tuple(norm(x) for x in out)
+        return tuple(norm(x) if x else zero for x in out)
 
     def kron(self, other):
         """Kronecker product, for tensor products of local systems."""
@@ -318,71 +328,94 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
 
 
 def _euclid_core(M, r, c, m):
-    """Minimal-pivot integer elimination; entries of M are plain ints.
+    """Minimal-pivot integer elimination; entries of M are plain ints, in
+    range(m) when m is given.
 
     Mutates M to diagonal form and returns (U, V, udet, vdet) with
     U @ A @ V == D over Z, reducing mod m throughout when m is given.
+
+    The pivot is the first entry of least absolute value in row-major order
+    (columns in their current order).  Its column is cleared downward and its
+    row rightward in index order, a smaller remainder becoming the new pivot;
+    then an entry the pivot does not divide is folded into the pivot row.
+    Another pivot order would change V, hence kernel bases and certificate
+    hashes downstream.
+
+    The work runs on sparse storage, so row and column operations touch only
+    nonzero entries: rows of M and U are dicts of their nonzeros, V is kept
+    as sparse columns, and a column swap only updates the map between logical
+    and physical (dict key) columns that M and V share.  Zeros are never
+    stored.
     """
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    S = [{j: v for j, v in enumerate(row) if v} for row in M]  # rows of M
+    U = [{i: 1} for i in range(r)]  # rows of U
+    V = [{j: 1} for j in range(c)]  # columns of V, by physical column
+    phys = list(range(c))  # logical column -> physical column
+    logical = list(range(c))  # physical column -> logical column
     udet = vdet = 1
 
-    def red(x):
-        return x % m if m else x
+    def axpy(dst, src, q):
+        # dst -= q * src over the nonzeros of src
+        get = dst.get
+        if m:
+            for k, v in src.items():
+                x = (get(k, 0) - q * v) % m
+                if x:
+                    dst[k] = x
+                else:
+                    dst.pop(k, None)
+        else:
+            for k, v in src.items():
+                x = get(k, 0) - q * v
+                if x:
+                    dst[k] = x
+                else:
+                    del dst[k]  # q * v != 0, so the entry was stored
 
     def rowop(i, t, q):
-        Mi, Mt = M[i], M[t]
-        for j in range(c):
-            Mi[j] = red(Mi[j] - q * Mt[j])
-        Ui, Ut = U[i], U[t]
-        for j in range(r):
-            Ui[j] = red(Ui[j] - q * Ut[j])
+        axpy(S[i], S[t], q)
+        axpy(U[i], U[t], q)
 
-    def colop(j, t, q):
-        for i in range(r):
-            Mi = M[i]
-            Mi[j] = red(Mi[j] - q * Mi[t])
-        for i in range(c):
-            Vi = V[i]
-            Vi[j] = red(Vi[j] - q * Vi[t])
+    def colop(pj, pt, q, holders):
+        # column pj -= q * column pt; holders are the rows storing column pt
+        for i in holders:
+            Si = S[i]
+            x = Si.get(pj, 0) - q * Si[pt]
+            if m:
+                x %= m
+            if x:
+                Si[pj] = x
+            else:
+                Si.pop(pj, None)
+        axpy(V[pj], V[pt], q)
 
     def swap_rows(i, k):
         nonlocal udet
-        M[i], M[k] = M[k], M[i]
+        S[i], S[k] = S[k], S[i]
         U[i], U[k] = U[k], U[i]
         udet = -udet
 
     def swap_cols(j, k):
         nonlocal vdet
-        for i in range(r):
-            Mi = M[i]
-            Mi[j], Mi[k] = Mi[k], Mi[j]
-        for i in range(c):
-            Vi = V[i]
-            Vi[j], Vi[k] = Vi[k], Vi[j]
+        pj, pk = phys[j], phys[k]
+        phys[j], phys[k] = pk, pj
+        logical[pk], logical[pj] = j, k
         vdet = -vdet
-
-    def divides(p, v):
-        if m:
-            return v % gcd(p, m) == 0
-        return v % p == 0
 
     limit = min(r, c)
     for t in range(limit):
-        # choose the smallest nonzero entry as pivot to damp growth
+        # choose the smallest nonzero entry as pivot to damp growth; rows from
+        # t on store nothing left of column t
         best = None
         for i in range(t, r):
-            Mi = M[i]
-            for j in range(t, c):
-                v = Mi[j]
-                if v:
-                    key = abs(v)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-                        if key == 1:
-                            break
-            if best and best[0] == 1:
-                break
+            Si = S[i]
+            if Si:
+                key = min(map(abs, Si.values()))
+                if best is None or key < best[0]:
+                    best = (key, i, min(logical[k] for k, v in Si.items()
+                                        if abs(v) == key))
+                    if key == 1:
+                        break
         if best is None:
             break
         _, bi, bj = best
@@ -392,48 +425,52 @@ def _euclid_core(M, r, c, m):
             swap_cols(t, bj)
 
         while True:
+            pt = phys[t]
             # clear the column below the pivot
             i = t + 1
             while i < r:
-                v = M[i][t]
+                v = S[i].get(pt)
                 if v:
-                    q = v // M[t][t]
+                    q = v // S[t][pt]
                     if q:
                         rowop(i, t, q)
-                    if M[i][t]:
+                    if pt in S[i]:
                         swap_rows(t, i)  # strictly smaller pivot
                         i = t + 1
                         continue
                 i += 1
-            # clear the row to the right
+            # clear the row to the right; until a column swap only the pivot
+            # row stores column t
+            St = S[t]
+            holders = (t,)
             dirty = False
-            j = t + 1
-            while j < c:
-                v = M[t][j]
-                if v:
-                    q = v // M[t][t]
-                    if q:
-                        colop(j, t, q)
-                    if M[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        j = t + 1
-                        continue
-                j += 1
-            if dirty or any(M[i][t] for i in range(t + 1, r)):
+            todo = sorted(logical[k] for k in St if k != pt)
+            n = 0
+            while n < len(todo):
+                j = todo[n]
+                pj = phys[j]
+                q = St[pj] // St[pt]
+                if q:
+                    colop(pj, pt, q, holders)
+                if pj in St:
+                    swap_cols(t, j)
+                    dirty = True
+                    pt = pj
+                    holders = [i for i in range(t, r) if pt in S[i]]
+                    todo = sorted(logical[k] for k in St if k != pt)
+                    n = 0
+                    continue
+                n += 1
+            if dirty:
                 continue
-            # fold in an entry the pivot misses, to force the chain
-            p = M[t][t]
-            fold = None
-            for i in range(t + 1, r):
-                Mi = M[i]
-                for j in range(t + 1, c):
-                    v = Mi[j]
-                    if v and not divides(p, v):
-                        fold = i
-                        break
-                if fold is not None:
-                    break
+            # fold in an entry the pivot misses, to force the chain; a unit
+            # pivot divides everything
+            p = St[pt]
+            g = gcd(p, m) if m else abs(p)
+            if g == 1:
+                break
+            fold = next((i for i in range(t + 1, r)
+                         if any(v % g for v in S[i].values())), None)
             if fold is None:
                 break
             rowop(t, fold, -1)  # row_t += row_fold
@@ -441,13 +478,30 @@ def _euclid_core(M, r, c, m):
     # positive diagonal over Z (Z/m canonicalizes in its wrapper instead)
     if m is None:
         for t in range(limit):
-            if M[t][t] < 0:
-                for j in range(c):
-                    M[t][j] = -M[t][j]
-                for j in range(r):
-                    U[t][j] = -U[t][j]
+            St = S[t]
+            pt = phys[t]
+            if St.get(pt, 0) < 0:
+                St[pt] = -St[pt]
+                U[t] = {k: -v for k, v in U[t].items()}
                 udet = -udet
-    return U, V, udet, vdet
+
+    # densify into the plain lists the wrappers take
+    for i, Si in enumerate(S):
+        row = [0] * c
+        for k, v in Si.items():
+            row[logical[k]] = v
+        M[i] = row
+    Ud = []
+    for Ui in U:
+        row = [0] * r
+        for k, v in Ui.items():
+            row[k] = v
+        Ud.append(row)
+    Vd = [[0] * c for _ in range(c)]
+    for j in range(c):
+        for i, v in V[phys[j]].items():
+            Vd[i][j] = v
+    return Ud, Vd, udet, vdet
 
 
 def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
@@ -466,10 +520,11 @@ def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
                 continue
             u = ring.unit_scaling_to_canonical(d)
             if u != 1:
-                for j in range(c):
-                    M[t][j] = M[t][j] * u % m
-                for j in range(r):
-                    U[t][j] = U[t][j] * u % m
+                M[t][t] = d * u % m  # D is diagonal
+                Ut = U[t]
+                for j, x in enumerate(Ut):
+                    if x:
+                        Ut[j] = x * u % m
                 udet = udet * u
         udet %= m
         vdet %= m
@@ -490,31 +545,36 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
     scales = []
     M = []
     for row in A.data:
-        row = [Fraction(x) for x in row]
         denom = 1
         for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        scales.append(Fraction(denom))
-        M.append([int(x * denom) for x in row])
+            if x:
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+        scales.append(denom)
+        M.append([x.numerator * (denom // x.denominator) if x else 0
+                  for x in row])
     U, V, udet, vdet = _euclid_core(M, r, c, None)
 
-    Uq = [[Fraction(x) * scales[j] for j, x in enumerate(row)] for row in U]
+    zero = Fraction(0)
+    Uq = [[Fraction(x * scales[j]) if x else zero for j, x in enumerate(row)]
+          for row in U]
     udet_q = Fraction(udet)
     for s in scales:
         udet_q *= s
-    Dq = [[Fraction(x) for x in row] for row in M]
+    Dq = [[Fraction(x) if x else zero for x in row] for row in M]
     for t in range(min(r, c)):
         d = Dq[t][t]
         if d and d != 1:
             inv = 1 / d
-            for j in range(c):
-                Dq[t][j] *= inv
-            for j in range(r):
-                Uq[t][j] *= inv
+            Dq[t][t] = d * inv  # D is diagonal
+            Ut = Uq[t]
+            for j, x in enumerate(Ut):
+                if x:
+                    Ut[j] = x * inv
             udet_q *= inv
 
     Um = ExactMatrix._raw(ring, Uq)
-    Vm = ExactMatrix(ring, V)
+    Vm = ExactMatrix._raw(ring, [[Fraction(x) if x else zero for x in row]
+                                 for row in V])
     Dm = ExactMatrix._raw(ring, Dq)
     Dm.cols = c
     Um.cols, Vm.cols = r, c
