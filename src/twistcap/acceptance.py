@@ -3,6 +3,9 @@
 Ten checks, each a pure function returning (passed, detail); everything runs
 at tolerance zero.  The CLI's corpus-all subcommand and the test suite both
 drive this module, so the command line and pytest certify the same thing.
+The per-complex checks the CLI also runs on its own (Lemma 2, the splitting
+sequences with phi, Mayer-Vietoris) are generators of (label, ok, detail)
+rows: the CLI prints the rows, the battery aggregates them.
 """
 
 from __future__ import annotations
@@ -14,17 +17,16 @@ from fractions import Fraction
 from .cap import boundary_identity_check, cap_setting, verify_duality
 from .chains import (fundamental_class_direct, fundamental_class_via_cover,
                      homology, pair_complex)
-from .complexes import FullSubcomplex, corpus
+from .complexes import CORPUS_NAMES, FullSubcomplex, corpus
 from .covers import (build_double_cover, check_split_exactness, lemma1_check,
                      lemma2_check, phi_identify, split_maps)
 from .localsystems import (constant_system, orientation_system,
                            random_flat_system)
 from .matrices import ExactMatrix, smith_normal_form
-from .mv import diagram6_check, mv_cohomology, mv_homology, named_cover, \
-    named_diagram6, splitting_holds
+from .mv import (NAMED_COVERS, diagram6_check, mv_cohomology, mv_homology,
+                 named_cover, named_diagram6, splitting_holds)
 from .rings import Q, RingSpec, Z, Zmod
 
-CORPUS = ("circle", "sphere2", "torus", "rp2", "klein", "rp3", "sphere3")
 RINGS = (Z, Zmod(3), Q)
 COVER_RINGS = (Z, Zmod(3))
 NONORIENTABLE = ("rp2", "klein")
@@ -48,7 +50,7 @@ def check_structural(seed=0) -> CheckResult:
     """d o d = 0 and delta o delta = 0 over the whole corpus grid."""
     failures = []
     count = 0
-    for name in CORPUS:
+    for name in CORPUS_NAMES:
         M = corpus(name)
         for ring in RINGS:
             for label, G in system_family(M, ring, seed):
@@ -78,20 +80,50 @@ def check_lemma1() -> CheckResult:
 
 
 def _k_choices(M):
-    return (None, FullSubcomplex(M, {0}))
+    """The relative pairs the cover checks run over: K = M and K = vertex 0."""
+    return (("K=all", None), ("K=vertex0", FullSubcomplex(M, {0})))
+
+
+def lemma2_rows(M, ring):
+    """Lemma 2 per K choice: the pushforward of the cover class vanishes."""
+    for label, K in _k_choices(M):
+        ok = lemma2_check(M, ring, K)
+        yield label, ok, ("Lemma 2: pushforward class is zero" if ok
+                          else "Lemma 2: nonzero pushforward class")
+
+
+def phi_rows(cover, ring):
+    """Per K choice: sequences (1) and (2) exact in each degree, then phi a
+    boundary-commuting isomorphism."""
+    for label, K in _k_choices(cover.base):
+        verdicts = check_split_exactness(split_maps(cover, ring, K))
+        for k in sorted(verdicts):
+            yield f"{label} degree={k} seq(1)", verdicts[k]["seq1"], ""
+            yield f"{label} degree={k} seq(2)", verdicts[k]["seq2"], ""
+        phi = phi_identify(cover, ring, K)
+        yield f"{label} phi_boundary_commutes", phi.boundary_commutes, ""
+        yield f"{label} phi_iso", phi.degreewise_iso, ""
+
+
+def mv_rows(pair, G):
+    """Both Mayer-Vietoris sequences exact, and the splitting equation."""
+    yield "homology_exact", mv_homology(pair, G).all_exact, ""
+    yield "cohomology_exact", mv_cohomology(pair, G).all_exact, ""
+    yield ("splitting_equation", splitting_holds(pair, G),
+           "exhaustive basis cochains")
 
 
 def check_lemma2() -> CheckResult:
     """Pushforward of the cover class vanishes in H_n(M|K)."""
     bad = []
     count = 0
-    for name in CORPUS:
+    for name in CORPUS_NAMES:
         M = corpus(name)
         for ring in COVER_RINGS:
-            for K in _k_choices(M):
+            for label, ok, _ in lemma2_rows(M, ring):
                 count += 1
-                if not lemma2_check(M, ring, K):
-                    bad.append(f"{name}/{ring}/K={K}")
+                if not ok:
+                    bad.append(f"{name}/{ring}/{label}")
     return CheckResult("lemma 2 pushforward vanishes", not bad,
                        f"{count} cases" + (f"; failed {bad}" if bad else ""))
 
@@ -100,19 +132,13 @@ def check_sequences_and_phi() -> CheckResult:
     """Sequences (1),(2) exact degreewise; phi a boundary-commuting iso."""
     bad = []
     count = 0
-    for name in CORPUS:
+    for name in CORPUS_NAMES:
         M = corpus(name)
         cover = build_double_cover(M, orientation_system(M, Z))
         for ring in COVER_RINGS:
-            for K in _k_choices(M):
-                count += 1
-                split = split_maps(cover, ring, K)
-                verdicts = check_split_exactness(split)
-                if not all(v["seq1"] and v["seq2"] for v in verdicts.values()):
-                    bad.append(f"{name}/{ring}: splitting sequences")
-                phi = phi_identify(cover, ring, K)
-                if not (phi.boundary_commutes and phi.degreewise_iso):
-                    bad.append(f"{name}/{ring}: phi")
+            count += len(_k_choices(M))
+            bad += [f"{name}/{ring}: {label}"
+                    for label, ok, _ in phi_rows(cover, ring) if not ok]
     return CheckResult("splitting sequences and phi", not bad,
                        f"{count} cases" + (f"; failed {bad}" if bad else ""))
 
@@ -120,7 +146,7 @@ def check_sequences_and_phi() -> CheckResult:
 def check_fundamental_class() -> CheckResult:
     """Direct and via-cover constructions agree; the class generates."""
     bad = []
-    for name in CORPUS:
+    for name in CORPUS_NAMES:
         M = corpus(name)
         for ring in COVER_RINGS:
             direct = fundamental_class_direct(M, ring)
@@ -135,7 +161,7 @@ def check_fundamental_class() -> CheckResult:
             elif not pres.module.generates(a):
                 bad.append(f"{name}/{ring}: class does not generate")
     return CheckResult("fundamental class agreement", not bad,
-                       f"{len(CORPUS) * len(COVER_RINGS)} cases"
+                       f"{len(CORPUS_NAMES) * len(COVER_RINGS)} cases"
                        + (f"; failed {bad}" if bad else ""))
 
 
@@ -165,7 +191,7 @@ def check_cap_identity(trials=100, seed=0) -> CheckResult:
     bad = 0
     count = 0
     first = None
-    for name in CORPUS:
+    for name in CORPUS_NAMES:
         M = corpus(name)
         for ring in RINGS:
             for label, G in system_family(M, ring, seed):
@@ -186,7 +212,7 @@ def check_duality(seed=0) -> CheckResult:
     """The duality map is an isomorphism in every degree, everywhere."""
     bad = []
     spot = []
-    for name in CORPUS:
+    for name in CORPUS_NAMES:
         M = corpus(name)
         for ring in RINGS:
             for label, G in system_family(M, ring, seed):
@@ -206,7 +232,7 @@ def check_duality(seed=0) -> CheckResult:
     spot.append(klein_rows[1].left.normal_form == (1, (2,)))
     spot.append(klein_rows[1].right.normal_form == (1, (2,)))
     ok = not bad and all(spot)
-    detail = (f"{len(CORPUS) * len(RINGS) * 4} reports"
+    detail = (f"{len(CORPUS_NAMES) * len(RINGS) * 4} reports"
               + ("" if all(spot) else "; spot values wrong")
               + (f"; failed {bad[:2]}" if bad else ""))
     return CheckResult("duality isomorphism", ok, detail)
@@ -215,19 +241,13 @@ def check_duality(seed=0) -> CheckResult:
 def check_mayer_vietoris() -> CheckResult:
     """Both sequences exact on the three covers; splitting identity exact."""
     bad = []
-    for cname, covname, twisted in (("octahedron", "hemispheres", False),
-                                    ("torus", "cylinders", False),
-                                    ("klein", "cylinders", True)):
+    for cname, covname in NAMED_COVERS:
         M, pair = named_cover(cname, covname)
         for ring in COVER_RINGS:
-            G = orientation_system(M, ring) if twisted \
+            G = orientation_system(M, ring) if cname in NONORIENTABLE \
                 else constant_system(M, ring)
-            if not mv_homology(pair, G).all_exact:
-                bad.append(f"{cname}/{ring}: homology")
-            if not mv_cohomology(pair, G).all_exact:
-                bad.append(f"{cname}/{ring}: cohomology")
-            if not splitting_holds(pair, G):
-                bad.append(f"{cname}/{ring}: splitting")
+            bad += [f"{cname}/{ring}: {label}"
+                    for label, ok, _ in mv_rows(pair, G) if not ok]
     return CheckResult("mayer-vietoris exactness + splitting", not bad,
                        "3 covers x 2 rings, splitting exhaustive"
                        + (f"; failed {bad}" if bad else ""))

@@ -42,9 +42,28 @@ def face_restriction(simplex, indices):
     return tuple(s[i] for i in idx)
 
 
-def _front_transport(G, simplex, j):
-    """Composite transport along vertices 0..j of the simplex."""
-    return G.path_transport(simplex[:j + 1])
+def _cap_terms(cochain_pc, chain_pc, out_pc, k, n, a_vec):
+    """The terms of c cap a for a fixed n-chain a, one per n-simplex s.
+
+    A simplex with a nonzero coefficient block whose back face s[n-k:] and
+    front face s[:n-k+1] both have coordinates yields (block, cochain
+    position, output position, front face); the cochain value on the back
+    face is carried to the leading vertex along the front face's path.
+    """
+    r = chain_pc.rank
+    cochain_index = cochain_pc.index(k)
+    out_index = out_pc.index(n - k)
+    for pos, s in enumerate(chain_pc.space(n)):
+        block = a_vec[pos * r:(pos + 1) * r]
+        if not any(block):
+            continue
+        cpos = cochain_index.get(s[n - k:])
+        if cpos is None:
+            continue
+        front = s[:n - k + 1]
+        opos = out_index.get(front)
+        if opos is not None:
+            yield block, cpos, opos, front
 
 
 def cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec):
@@ -66,24 +85,12 @@ def cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec):
     out = [ring.zero] * out_pc.length(n - k)
     if len(a_vec) != chain_pc.length(n) or len(c_vec) != cochain_pc.length(k):
         raise DegreeMismatch("cap input vector lengths do not match degrees")
-    cochain_index = cochain_pc.index(k)
-    out_index = out_pc.index(n - k)
-    for pos, s in enumerate(chain_pc.space(n)):
-        a_block = a_vec[pos * rGp:(pos + 1) * rGp]
-        if not any(a_block):
-            continue
-        back = s[n - k:]
-        cpos = cochain_index.get(back)
-        if cpos is None:
-            continue
+    for a_block, cpos, opos, front in _cap_terms(cochain_pc, chain_pc, out_pc,
+                                                 k, n, a_vec):
         u = c_vec[cpos * rG:(cpos + 1) * rG]
         if not any(u):
             continue
-        front = s[:n - k + 1]
-        opos = out_index.get(front)
-        if opos is None:
-            continue
-        value = _front_transport(G, s, n - k).apply(u)
+        value = G.path_transport(front).apply(u)
         base = opos * rG * rGp
         for i, x in enumerate(value):
             if x:
@@ -181,21 +188,9 @@ def cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a_vec) -> ExactMatrix:
     rows = out_pc.length(n - k)
     cols = cochain_pc.length(k)
     data = [[ring.zero] * cols for _ in range(rows)]
-    cochain_index = cochain_pc.index(k)
-    out_index = out_pc.index(n - k)
-    for pos, s in enumerate(chain_pc.space(n)):
-        w = a_vec[pos]
-        if not w:
-            continue
-        back = s[n - k:]
-        cpos = cochain_index.get(back)
-        if cpos is None:
-            continue
-        front = s[:n - k + 1]
-        opos = out_index.get(front)
-        if opos is None:
-            continue
-        F = _front_transport(G, s, n - k)
+    for (w,), cpos, opos, front in _cap_terms(cochain_pc, chain_pc, out_pc,
+                                              k, n, a_vec):
+        F = G.path_transport(front)
         for i in range(rG):
             row = data[opos * rG + i]
             for j in range(rG):

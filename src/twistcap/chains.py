@@ -90,67 +90,44 @@ class PairComplex:
     def boundary(self, k: int) -> ExactMatrix:
         """d_k : C_k -> C_{k-1}."""
         if k not in self._boundary:
-            self._boundary[k] = self._assemble_boundary(k)
+            self._boundary[k] = self._assemble(k, cochains=False)
         return self._boundary[k]
 
     def coboundary(self, k: int) -> ExactMatrix:
         """delta_k : C^k -> C^{k+1}."""
         if k not in self._coboundary:
-            self._coboundary[k] = self._assemble_coboundary(k)
+            self._coboundary[k] = self._assemble(k + 1, cochains=True)
         return self._coboundary[k]
 
-    def _assemble_boundary(self, k: int) -> ExactMatrix:
-        ring, r = self.ring, self.rank
-        rows_sx = self.space(k - 1)
-        cols_sx = self.space(k)
-        ridx = self.index(k - 1)
-        data = [[ring.zero] * (len(cols_sx) * r) for _ in range(len(rows_sx) * r)]
-        for j, s in enumerate(cols_sx):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                pos = ridx.get(face)
-                if pos is None:
-                    continue
-                if i == 0:
-                    block = self.system.transport(s[1], s[0])
-                    for a in range(r):
-                        row = data[pos * r + a]
-                        for b in range(r):
-                            row[j * r + b] = block.data[a][b]
-                else:
-                    sign = ring.from_int(-1 if i % 2 else 1)
-                    for a in range(r):
-                        data[pos * r + a][j * r + a] = sign
-        m = ExactMatrix._raw(ring, data)
-        m.cols = len(cols_sx) * r
-        return m
+    def _assemble(self, k: int, cochains: bool) -> ExactMatrix:
+        """d_k, or delta_{k-1} when `cochains`, from one pass over the faces
+        of the k-simplices.
 
-    def _assemble_coboundary(self, k: int) -> ExactMatrix:
+        Face i >= 1 enters with sign (-1)^i.  Face 0 enters through the
+        leading-edge transport: T[s1<-s0] at (face, simplex) for d_k, and
+        T[s0<-s1] at (simplex, face) for delta_{k-1}.
+        """
         ring, r = self.ring, self.rank
-        rows_sx = self.space(k + 1)
-        cols_sx = self.space(k)
-        cidx = self.index(k)
-        data = [[ring.zero] * (len(cols_sx) * r) for _ in range(len(rows_sx) * r)]
-        for i_row, s in enumerate(rows_sx):
+        faces, simplices = self.space(k - 1), self.space(k)
+        fidx = self.index(k - 1)
+        rows, cols = (simplices, faces) if cochains else (faces, simplices)
+        data = [[ring.zero] * (len(cols) * r) for _ in range(len(rows) * r)]
+        for j, s in enumerate(simplices):
             for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                pos = cidx.get(face)
+                pos = fidx.get(s[:i] + s[i + 1:])
                 if pos is None:
                     continue
+                row, col = (j * r, pos * r) if cochains else (pos * r, j * r)
                 if i == 0:
-                    block = self.system.transport(s[0], s[1])
-                    for a in range(r):
-                        row = data[i_row * r + a]
-                        for b in range(r):
-                            row[pos * r + b] = ring.normalize(
-                                row[pos * r + b] + block.data[a][b])
+                    u, v = (s[0], s[1]) if cochains else (s[1], s[0])
+                    for a, entries in enumerate(self.system.transport(u, v).data):
+                        data[row + a][col:col + r] = entries
                 else:
                     sign = ring.from_int(-1 if i % 2 else 1)
                     for a in range(r):
-                        row = data[i_row * r + a]
-                        row[pos * r + a] = ring.normalize(row[pos * r + a] + sign)
+                        data[row + a][col + a] = sign
         m = ExactMatrix._raw(ring, data)
-        m.cols = len(cols_sx) * r
+        m.cols = len(cols) * r
         return m
 
     def verify_squares(self):

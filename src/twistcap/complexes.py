@@ -13,6 +13,7 @@ triangulated manifolds all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .errors import (ComplexFormatError, DisconnectedStar, NotInStar,
@@ -102,7 +103,9 @@ class SimplicialComplex:
         if cached is None:
             n = self.dimension
             m: dict[tuple, list] = {r: [] for r in self.faces(n - 1)}
-            for f in self.faces(n):
+            # the facets of a 0-dimensional complex share no ridge: the
+            # empty face is not a simplex
+            for f in self.faces(n) if n >= 1 else ():
                 for i in range(len(f)):
                     m[f[:i] + f[i + 1:]].append(f)
             cached = {r: tuple(fs) for r, fs in m.items()}
@@ -246,6 +249,33 @@ def _ridge_sign(facet, ridge):
     raise TwistcapError(f"{ridge} is not a ridge of {facet}")
 
 
+def ridge_sign_walk(complex, start, sign=1, vertex=None):
+    """Carry an orientation from `start` (with `sign`) across shared ridges.
+
+    Crossing a ridge flips the sign according to whether the two facets
+    induce the same boundary orientation on it.  With `vertex`, only ridges
+    through that vertex are crossed, so the walk stays in its star.  Returns
+    {facet: sign} over the facets reached, or None when two paths give some
+    facet opposite signs.
+    """
+    adj = complex.facet_adjacency()
+    signs = {start: sign}
+    stack = [start]
+    while stack:
+        f = stack.pop()
+        s = signs[f]
+        for g, ridge in adj[f]:
+            if vertex is not None and vertex not in ridge:
+                continue
+            t = -s * _ridge_sign(f, ridge) * _ridge_sign(g, ridge)
+            if g not in signs:
+                signs[g] = t
+                stack.append(g)
+            elif signs[g] != t:
+                return None
+    return signs
+
+
 def star_component_walk(complex, vertex, facet_a, facet_b):
     """Relative orientation sign between two facets of a vertex star.
 
@@ -266,23 +296,10 @@ def star_component_walk(complex, vertex, facet_a, facet_b):
 
 
 def _star_signs_from(complex, vertex, start):
-    adj = complex.facet_adjacency()
-    signs = {start: 1}
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        s = signs[f]
-        for g, ridge in adj[f]:
-            if vertex not in g or vertex not in ridge:
-                continue
-            t = -s * _ridge_sign(f, ridge) * _ridge_sign(g, ridge)
-            if g in signs:
-                if signs[g] != t:
-                    raise DisconnectedStar(
-                        f"star of vertex {vertex} is not orientably consistent")
-            else:
-                signs[g] = t
-                stack.append(g)
+    signs = ridge_sign_walk(complex, start, vertex=vertex)
+    if signs is None:
+        raise DisconnectedStar(
+            f"star of vertex {vertex} is not orientably consistent")
     return signs
 
 
@@ -372,9 +389,6 @@ class Subcomplex:
         return hash((self.ambient,
                      tuple(sorted((k, tuple(sorted(v)))
                                   for k, v in self._faces.items()))))
-
-    def vertices(self):
-        return frozenset(v for (v,) in self.faces(0))
 
 
 def empty_subcomplex(ambient) -> Subcomplex:
@@ -503,8 +517,12 @@ def loads_complex(text: str) -> SimplicialComplex:
 
 
 def load_complex(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_complex(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ComplexFormatError(0, f"cannot read {path}: {exc}") from None
+    return loads_complex(text)
 
 
 def dumps_complex(complex: SimplicialComplex) -> str:
@@ -518,14 +536,22 @@ def dumps_complex(complex: SimplicialComplex) -> str:
 # corpus
 # ---------------------------------------------------------------------------
 
-_CORPUS_NAMES = ("circle", "sphere2", "torus", "rp2", "klein", "rp3", "sphere3")
+CORPUS_NAMES = ("circle", "sphere2", "torus", "rp2", "klein", "rp3", "sphere3")
 
 _RP2_FACETS = ((0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
                (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5))
 
 
-def _grid_torus(nx: int, ny: int) -> SimplicialComplex:
+def _grid(nx: int, ny: int, twisted: bool) -> SimplicialComplex:
+    """The nx x ny grid surface: y wraps straight, x wraps straight (torus)
+    or, when `twisted`, with a flip in y, (nx, y) ~ (0, -y) (Klein bottle).
+
+    Vertex (x, y) is y * nx + x, and grid_cells maps each square (x, y) to
+    its two triangles.
+    """
     def vid(x, y):
+        if twisted and x >= nx:
+            y = -y
         return (y % ny) * nx + (x % nx)
 
     tris = []
@@ -542,27 +568,8 @@ def _grid_torus(nx: int, ny: int) -> SimplicialComplex:
     return cx
 
 
-def _grid_klein(nx: int, ny: int) -> SimplicialComplex:
-    # x wraps with a flip in y, y wraps straight:
-    # (nx, y) ~ (0, -y), (x, ny) ~ (x, 0)
-    def vid(x, y):
-        if x >= nx:
-            x -= nx
-            y = -y
-        return (y % ny) * nx + x
-
-    tris = []
-    cells = {}
-    for x in range(nx):
-        for y in range(ny):
-            a, b = vid(x, y), vid(x + 1, y)
-            c, d = vid(x, y + 1), vid(x + 1, y + 1)
-            pair = (tuple(sorted((a, b, d))), tuple(sorted((a, d, c))))
-            cells[(x, y)] = pair
-            tris.extend(pair)
-    cx = SimplicialComplex(nx * ny, tris)
-    cx._cache["grid_cells"] = cells
-    return cx
+_grid_torus = partial(_grid, twisted=False)
+_grid_klein = partial(_grid, twisted=True)
 
 
 def _octahedron() -> SimplicialComplex:
@@ -619,14 +626,15 @@ _BUILDERS = {
     "torus4": lambda: _grid_torus(4, 4),
     "klein4": lambda: _grid_klein(4, 3),
 }
+BUILTIN_NAMES = tuple(_BUILDERS)
 _named: dict[str, SimplicialComplex] = {}
 
 
 def corpus(name: str) -> SimplicialComplex:
     """A validated, version-stable triangulation from the built-in corpus."""
-    if name not in _CORPUS_NAMES:
+    if name not in CORPUS_NAMES:
         raise UnknownName(f"unknown corpus entry {name!r}; "
-                          f"choose from {', '.join(_CORPUS_NAMES)}")
+                          f"choose from {', '.join(CORPUS_NAMES)}")
     return named_complex(name)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import pair_complex, relative_killed, transfer_matrix
-from .complexes import (FullSubcomplex, SimplicialComplex, _ridge_sign,
+from .complexes import (FullSubcomplex, SimplicialComplex, ridge_sign_walk,
                         star_signs, validate)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import homology_presentation
@@ -173,24 +173,14 @@ def orient_cover(cover: DoubleCover) -> CoverOrientation:
     report = validate(total)
     if not report.is_pure or not report.each_ridge_in_two_facets:
         raise IncoherentCover("cover total space is not a closed pseudomanifold")
-    adj = total.facet_adjacency()
     signs = {}
     for facet in total.faces(total.dimension):
         if facet in signs:
             continue
-        signs[facet] = _calibrated_sign(cover, facet)
-        stack = [facet]
-        while stack:
-            f = stack.pop()
-            s = signs[f]
-            for g, ridge in adj[f]:
-                t = -s * _ridge_sign(f, ridge) * _ridge_sign(g, ridge)
-                if g in signs:
-                    if signs[g] != t:
-                        raise IncoherentCover("cover admits no coherent orientation")
-                else:
-                    signs[g] = t
-                    stack.append(g)
+        component = ridge_sign_walk(total, facet, _calibrated_sign(cover, facet))
+        if component is None:
+            raise IncoherentCover("cover admits no coherent orientation")
+        signs.update(component)
     for facet, sign in signs.items():
         if sign != _calibrated_sign(cover, facet):
             raise IncoherentCover("coherent orientation drifts from sheet calibration")

@@ -4,8 +4,9 @@ A system assigns an invertible transport matrix to every edge; flatness over
 every triangle is the combinatorial composition law of a functor on the
 fundamental groupoid.  Transports follow one direction convention everywhere:
 ``transport(u, v)`` carries the fiber at the *later* endpoint of the edge path
-u -> v back to the fiber at u.  The reverse direction is always the stored
-inverse.
+u -> v back to the fiber at u.  A system stores both directions of every
+edge: each given transport is inverted once, at construction, and a
+non-invertible one is rejected there.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -21,12 +22,12 @@ from fractions import Fraction
 from .complexes import SimplicialComplex, star_signs, validate
 from .errors import (BaseMismatch, NotClosedPseudomanifold, RingMismatch,
                      SystemFormatError, TwistcapError)
-from .matrices import ExactMatrix, inverse, is_invertible, kernel
+from .matrices import ExactMatrix, inverse, kernel
 from .rings import Q, RingSpec, Zmod, parse_ring
 
 
 class LocalSystem:
-    __slots__ = ("base", "ring", "rank", "_transport", "_inverse_cache",
+    __slots__ = ("base", "ring", "rank", "_transport", "_reverse",
                  "_path_cache", "_cache")
 
     def __init__(self, base: SimplicialComplex, ring: RingSpec, rank: int,
@@ -34,24 +35,27 @@ class LocalSystem:
         if rank < 1:
             raise TwistcapError("rank must be positive")
         edges = set(base.faces(1))
-        cleaned = {}
+        cleaned, reverse = {}, {}
         for edge, mat in transport.items():
             e = tuple(edge)
             if e not in edges:
                 raise TwistcapError(f"{e} is not an edge of the base complex")
             if mat.ring != ring or mat.rows != rank or mat.cols != rank:
                 raise TwistcapError(f"transport at {e} has wrong shape or ring")
-            if not is_invertible(mat):
-                raise TwistcapError(f"transport at {e} is not invertible")
+            try:
+                reverse[e] = inverse(mat)
+            except TwistcapError:
+                raise TwistcapError(f"transport at {e} is not invertible") from None
             cleaned[e] = mat
         ident = ExactMatrix.identity(ring, rank)
         for e in edges:
-            cleaned.setdefault(e, ident)
+            if e not in cleaned:
+                cleaned[e] = reverse[e] = ident
         self.base = base
         self.ring = ring
         self.rank = rank
         self._transport = cleaned
-        self._inverse_cache = {}
+        self._reverse = reverse
         self._path_cache = {}
         self._cache = {}   # objects derived from this system
 
@@ -59,12 +63,7 @@ class LocalSystem:
         """Fiber map fiber(v) -> fiber(u) along the edge between u and v."""
         if u < v:
             return self._transport[(u, v)]
-        key = (v, u)
-        cached = self._inverse_cache.get(key)
-        if cached is None:
-            cached = inverse(self._transport[key])
-            self._inverse_cache[key] = cached
-        return cached
+        return self._reverse[(v, u)]
 
     def path_transport(self, vertices) -> ExactMatrix:
         """Composite transport along consecutive vertices, later -> earlier."""
@@ -221,7 +220,7 @@ def is_trivializable(system: LocalSystem):
             for v in adj[u]:
                 if v not in gauge:
                     # make the tree edge's gauged transport the identity
-                    gauge[v] = inverse(system.transport(u, v)) @ gauge[u]
+                    gauge[v] = system.transport(v, u) @ gauge[u]
                     stack.append(v)
     gauged = gauge_transform(system, gauge)
     for _, mat in gauged.edge_items():
@@ -393,8 +392,12 @@ def _parse_entry(token: str, ring: RingSpec):
 
 
 def load_local_system(path, base) -> LocalSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_local_system(fh.read(), base)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemFormatError(0, f"cannot read {path}: {exc}") from None
+    return loads_local_system(text, base)
 
 
 def dumps_local_system(system: LocalSystem) -> str:

@@ -251,15 +251,6 @@ class SmithDecomposition:
         n = min(self.D.rows, self.D.cols)
         return tuple(self.D.data[i][i] for i in range(n))
 
-    def invariant_factors(self):
-        """Non-unit, nonzero diagonal entries (canonical generators)."""
-        ring = self.D.ring
-        out = []
-        for d in self.diagonal():
-            if d and not ring.is_unit(d):
-                out.append(ring.canonical_generator(d))
-        return tuple(out)
-
     def nonzero_count(self):
         return sum(1 for d in self.diagonal() if d)
 

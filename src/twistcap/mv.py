@@ -567,13 +567,14 @@ def _klein_columns():
     return M, Subcomplex(M, u_tris), Subcomplex(M, v_tris)
 
 
-_COVER_NAMES = {("octahedron", "hemispheres"), ("torus", "cylinders"),
-                ("klein", "cylinders")}
+# (complex, cover) names of the built-in covers, in the order checks run them
+NAMED_COVERS = (("octahedron", "hemispheres"), ("torus", "cylinders"),
+                ("klein", "cylinders"))
 
 
 def named_cover(complex_name: str, cover_name: str) -> tuple:
     """(complex, CoverPair) for the built-in cover configurations."""
-    if (complex_name, cover_name) not in _COVER_NAMES:
+    if (complex_name, cover_name) not in NAMED_COVERS:
         raise UnknownName(f"no cover {cover_name!r} for complex {complex_name!r}")
     if complex_name == "octahedron":
         M = named_complex("octahedron")
@@ -583,10 +584,6 @@ def named_cover(complex_name: str, cover_name: str) -> tuple:
         return M, CoverPair(M, U, V)
     M, U, V = _klein_columns()
     return M, CoverPair(M, U, V)
-
-
-def cover_catalog():
-    return tuple(sorted(_COVER_NAMES))
 
 
 _DIAGRAM6_NAMES = ("torus", "sphere", "klein")

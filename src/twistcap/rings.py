@@ -78,17 +78,6 @@ class RingSpec:
             return gcd(x % self.modulus, self.modulus) == 1
         return x != 0
 
-    def unit_inverse(self, x):
-        if self.kind == INTEGERS:
-            if x not in (1, -1):
-                raise TwistcapError(f"{x} is not a unit in Z")
-            return x
-        if self.kind == MODULAR:
-            return pow(x % self.modulus, -1, self.modulus)
-        if x == 0:
-            raise TwistcapError("0 is not a unit")
-        return 1 / self.normalize(x)
-
     def divides(self, a, b) -> bool:
         """True when b lies in the ideal generated by a."""
         if self.kind == RATIONALS:

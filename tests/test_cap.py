@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from twistcap.cap import (boundary_identity_check, cap_chain, cap_setting,
-                          cap_vector, face_restriction, relative_cap,
-                          verify_duality)
+from twistcap.cap import (boundary_identity_check, cap_chain, cap_matrix,
+                          cap_setting, cap_vector, face_restriction,
+                          relative_cap, verify_duality)
 from twistcap.chains import fundamental_class_direct, pair_complex
 from twistcap.complexes import FullSubcomplex, corpus
 from twistcap.errors import BadIndices, DegreeMismatch
@@ -212,3 +212,25 @@ def test_report_serializes():
     assert lines[0].startswith("degree\t")
     assert len(lines) == 1 + len(report.rows)
     assert all("iso" in ln for ln in lines[1:])
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Q], ids=str)
+@pytest.mark.parametrize("name", ["circle", "sphere2", "torus", "rp2",
+                                  "klein", "rp3"])
+def test_cap_matrix_applies_as_cap_vector(name, ring):
+    # the duality verdict uses cap_matrix, the cap identity cap_vector
+    M = corpus(name)
+    rng = random.Random(f"{name}/{ring}")
+    Gp = orientation_system(M, ring)
+    systems = (constant_system(M, ring), orientation_system(M, ring),
+               random_flat_system(M, ring, 2, 5))
+    for G in systems:
+        for K in (None, FullSubcomplex(M, {0})):
+            cochain_pc, chain_pc, out_pc = cap_setting(M, G, Gp, K)
+            for n in range(M.dimension + 1):
+                a = random_vec(ring, chain_pc.length(n), rng)
+                for k in range(n + 1):
+                    c = random_vec(ring, cochain_pc.length(k), rng)
+                    f = cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a)
+                    assert f.apply(c) == cap_vector(cochain_pc, chain_pc,
+                                                    out_pc, k, c, n, a)

@@ -1,15 +1,17 @@
 import pytest
 
-from twistcap.chains import (NotAFundamentalCycle, chain_complex, cohomology,
-                             fundamental_class_direct,
+from twistcap.chains import (NotAFundamentalCycle, PairComplex, chain_complex,
+                             cohomology, fundamental_class_direct,
                              fundamental_class_via_cover, homology,
-                             inclusion_restriction, vertex_generator_check)
+                             inclusion_restriction, relative_killed,
+                             vertex_generator_check)
 from twistcap.complexes import FullSubcomplex, corpus
 from twistcap.errors import FlatnessViolation, TwoIsZero
 from twistcap.localsystems import (LocalSystem, constant_system,
                                    orientation_system, random_flat_system,
                                    tensor)
 from twistcap.matrices import ExactMatrix
+from twistcap.mv import named_cover
 from twistcap.rings import Q, Z, Zmod
 
 from oracles import RP2_FACETS, boundary_matrix
@@ -201,3 +203,93 @@ def test_tensor_orientation_squared_homology():
     # w (x) w is trivializable: homology matches constant coefficients
     assert homology(M, ww, 1).module.normal_form == \
         homology(M, constant_system(M, Z), 1).module.normal_form
+
+
+# -- the two assembly loops as they stood before d_k and delta_{k-1} shared
+# -- one face loop; frozen here as the reference for that merge
+
+def _reference_boundary(pc, k):
+    ring, r = pc.ring, pc.rank
+    rows_sx = pc.space(k - 1)
+    cols_sx = pc.space(k)
+    ridx = pc.index(k - 1)
+    data = [[ring.zero] * (len(cols_sx) * r) for _ in range(len(rows_sx) * r)]
+    for j, s in enumerate(cols_sx):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            pos = ridx.get(face)
+            if pos is None:
+                continue
+            if i == 0:
+                block = pc.system.transport(s[1], s[0])
+                for a in range(r):
+                    row = data[pos * r + a]
+                    for b in range(r):
+                        row[j * r + b] = block.data[a][b]
+            else:
+                sign = ring.from_int(-1 if i % 2 else 1)
+                for a in range(r):
+                    data[pos * r + a][j * r + a] = sign
+    m = ExactMatrix._raw(ring, data)
+    m.cols = len(cols_sx) * r
+    return m
+
+
+def _reference_coboundary(pc, k):
+    ring, r = pc.ring, pc.rank
+    rows_sx = pc.space(k + 1)
+    cols_sx = pc.space(k)
+    cidx = pc.index(k)
+    data = [[ring.zero] * (len(cols_sx) * r) for _ in range(len(rows_sx) * r)]
+    for i_row, s in enumerate(rows_sx):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            pos = cidx.get(face)
+            if pos is None:
+                continue
+            if i == 0:
+                block = pc.system.transport(s[0], s[1])
+                for a in range(r):
+                    row = data[i_row * r + a]
+                    for b in range(r):
+                        row[pos * r + b] = ring.normalize(
+                            row[pos * r + b] + block.data[a][b])
+            else:
+                sign = ring.from_int(-1 if i % 2 else 1)
+                for a in range(r):
+                    row = data[i_row * r + a]
+                    row[pos * r + a] = ring.normalize(row[pos * r + a] + sign)
+    m = ExactMatrix._raw(ring, data)
+    m.cols = len(cols_sx) * r
+    return m
+
+
+def _pairs(M, cover):
+    """(pool, killed) pairs: the cover's pooled and killed pieces, a
+    relative pair of the pieces, and the relative pair of vertex 0."""
+    yield None, None
+    for piece in (cover.A, cover.B, cover.AB):
+        yield piece, None
+        yield None, piece
+    yield cover.A, cover.AB
+    yield None, relative_killed(M, FullSubcomplex(M, {0}))
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Q], ids=str)
+@pytest.mark.parametrize("cover", ["octahedron/hemispheres", "torus/cylinders",
+                                   "klein/cylinders"])
+def test_assembly_matches_the_reference_loops(cover, ring):
+    M, pair = named_cover(*cover.split("/"))
+    systems = (constant_system(M, ring, 1), constant_system(M, ring, 2),
+               orientation_system(M, ring), random_flat_system(M, ring, 2, 7))
+    for G in systems:
+        for pool, killed in _pairs(M, pair):
+            pc = PairComplex(M, G, pool=pool, killed=killed)
+            for k in range(-1, M.dimension + 2):
+                for got, want in ((pc.boundary(k), _reference_boundary(pc, k)),
+                                  (pc.coboundary(k),
+                                   _reference_coboundary(pc, k))):
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
+                    assert got.data == want.data
+                    assert [type(x) for row in got.data for x in row] \
+                        == [type(x) for row in want.data for x in row]

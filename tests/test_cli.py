@@ -176,3 +176,40 @@ def test_negative_trials_exit_2(capsys):
     assert exc.value.code == 2
     assert "error: argument --trials" in capsys.readouterr().err
 
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"dim 2\n# caf\xe9\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("option", ["--complex", "--system"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, option, kind):
+    path = _unreadable(tmp_path, kind)
+    argv = {"--complex": ("verify-duality", "--complex", path),
+            "--system": ("verify-duality", "--complex", "circle",
+                         "--system", path)}[option]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "orientation",
+                                     "fundamental-class", "lemma1", "lemma2",
+                                     "phi-check", "cap-identity",
+                                     "verify-duality"])
+def test_zero_dimensional_complex(tmp_path, capsys, command):
+    path = tmp_path / "points.cx"
+    path.write_text("dim 0\nsimplex 0\nsimplex 1\n")
+    code, out, err = run(capsys, command, "--complex", str(path))
+    if command == "validate":
+        assert code == 1
+        assert "each_ridge_in_two_facets\tFAIL" in out
+        assert "closed_pseudomanifold\tFAIL" in out
+    else:
+        assert code == 2 and not out
+        assert err.startswith("error:") and "closed" in err

@@ -1,0 +1,88 @@
+"""Dead-code guards for the package, read from the syntax tree (stdlib only).
+
+Every top-level function and class, and every method that is not a dunder,
+must be referenced somewhere outside its own definition: in the package, the
+tests, tools/ or perfbench/.  String constants count as references, because
+the benchmark tracer names the functions it wraps as "Class.method" strings.
+No module may import a name it never uses; the package __init__ re-exports
+by importing, so it is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "twistcap"
+SCANNED = (PACKAGE, ROOT / "tests", ROOT / "tools", ROOT / "perfbench")
+
+
+def _trees():
+    for folder in SCANNED:
+        for path in sorted(folder.rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _references(tree):
+    """(name, line) for every identifier the tree mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def _definitions(tree):
+    """(name, first line, last line) of top-level defs and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def test_every_definition_has_a_reference():
+    trees = list(_trees())
+    refs = {}
+    for path, tree in trees:
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    unreferenced = []
+    for path, tree in trees:
+        if PACKAGE not in path.parents:
+            continue
+        for name, first, last in _definitions(tree):
+            outside = [(p, line) for p, line in refs.get(name, ())
+                       if p != path or not first <= line <= last]
+            if not outside:
+                unreferenced.append(f"{path.relative_to(ROOT)}:{first} {name}")
+    assert not unreferenced, "no reference outside the definition: " \
+        + ", ".join(unreferenced)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)
