@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cap import boundary_identity_check, cap_setting, verify_duality
-from .chains import (fundamental_class_direct, fundamental_class_via_cover,
-                     homology, pair_complex)
+from .chains import fundamental_class_direct, homology, pair_complex
 from .complexes import CORPUS_NAMES, FullSubcomplex, corpus
-from .covers import (build_double_cover, check_split_exactness, lemma1_check,
-                     lemma2_check, phi_identify, split_maps)
+from .covers import (build_double_cover, check_split_exactness,
+                     fundamental_class_via_cover, lemma1_check, lemma2_check,
+                     phi_identify, split_maps)
 from .localsystems import (constant_system, orientation_system,
                            random_flat_system)
 from .matrices import ExactMatrix, smith_normal_form

@@ -9,19 +9,18 @@ the unique convention that makes the cap boundary identity hold on the nose:
     delta c (sigma) = T[v0<-v1](c(face_0)) + sum_{i>=1} (-1)^i c(face_i)
 
 Relative pairs use full-subcomplex complements: C(M|K) = C(M)/C(complement K).
-Both constructions of the twisted fundamental class live here as well.
+The direct, facet-by-facet construction of the twisted fundamental class
+lives here as well; the construction through the orientation double cover
+lives in `covers`, which builds on this module.
 """
 
 from __future__ import annotations
 
 from .complexes import (FullSubcomplex, SimplicialComplex, Subcomplex,
                         star_signs, validate)
-from .errors import (FlatnessViolation, NotClosedPseudomanifold,
-                     TwistcapError, TwoIsZero)
-from .fpmodules import (HomologyPresentation, ModuleMap, homology_presentation,
-                        induced_map)
-from .localsystems import (LocalSystem, constant_system, orientation_system,
-                           validate_flatness)
+from .errors import FlatnessViolation, NotClosedPseudomanifold, TwistcapError
+from .fpmodules import HomologyPresentation, homology_presentation
+from .localsystems import LocalSystem, orientation_system, validate_flatness
 from .matrices import ExactMatrix
 
 
@@ -269,58 +268,12 @@ def fundamental_class_direct(M, ring, system=None) -> FundamentalClassData:
     return FundamentalClassData(M, ring, system, vec, "direct")
 
 
-def fundamental_class_via_cover(M, ring) -> FundamentalClassData:
-    """Push the oriented double cover's fundamental cycle through phi."""
-    if not ring.two_is_nonzero:
-        raise TwoIsZero("the +/- splitting needs 2 != 0 in the ring")
-    from . import covers  # local import: covers builds on this module
-
-    omega = orientation_system(M, ring)
-    cover = covers.build_double_cover(M, omega)
-    orientation = covers.orient_cover(cover)
-    z = orientation.cycle_vector(ring)
-
-    total_pc = pair_complex(cover.total, constant_system(cover.total, ring))
-    n = M.dimension
-    tau = covers.deck_chain_matrix(cover, ring, n)
-    if tau.apply(z) != tuple(ring.normalize(-x) for x in z):
-        raise TwistcapError("deck transformation does not negate the cover cycle")
-
-    base_pc = pair_complex(M, omega)
-    idx_total = total_pc.index(n)
-    vec = [ring.zero] * base_pc.length(n)
-    for pos, facet in enumerate(M.faces(n)):
-        rep = cover.canonical_lift(facet)
-        parity = covers.projection_parity(cover, rep)
-        coeff = z[idx_total[rep]]
-        vec[pos] = ring.normalize(parity * coeff)
-    return FundamentalClassData(M, ring, omega, tuple(vec), "via-cover")
-
-
 def vertex_generator_check(nu: FundamentalClassData, vertex: int) -> bool:
     """The image of nu in H_n(M|{x}) generates that rank-one module."""
     K = FullSubcomplex(nu.base, {vertex})
     pres = nu.relative_presentation(K)
     coords = nu.class_in(pres, K)
     return pres.module.generates(coords)
-
-
-def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
-    """p_* on top relative homology, as a map of presented modules."""
-    from . import covers as cov
-
-    M = cover.base
-    n = M.dimension
-    const_total = constant_system(cover.total, ring)
-    const_base = constant_system(M, ring)
-    Ktilde = cov.lift_full_subcomplex(cover, K)
-    top_pc = pair_complex(cover.total, const_total,
-                          killed=relative_killed(cover.total, Ktilde))
-    base_pc = pair_complex(M, const_base, killed=relative_killed(M, K))
-    proj = cov.projection_chain_matrix(cover, ring, n, top_pc, base_pc)
-    src = homology_presentation(top_pc.boundary(n + 1), top_pc.boundary(n))
-    dst = homology_presentation(base_pc.boundary(n + 1), base_pc.boundary(n))
-    return induced_map(proj, src, dst)
 
 
 def inclusion_restriction(nu: FundamentalClassData, K1: FullSubcomplex,

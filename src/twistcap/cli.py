@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import sys
 
 from . import acceptance
 from .cap import verify_duality
-from .chains import (fundamental_class_direct, fundamental_class_via_cover,
-                     homology)
+from .chains import fundamental_class_direct, homology
 from .complexes import (BUILTIN_NAMES, dumps_complex, facet_components,
                         load_complex, named_complex, validate)
-from .covers import build_double_cover, lemma1_check
+from .covers import (build_double_cover, fundamental_class_via_cover,
+                     lemma1_check)
 from .errors import TwistcapError, UnknownName
 from .localsystems import (constant_system, dumps_local_system,
                            is_trivializable, load_local_system,
@@ -95,8 +96,11 @@ class Report:
         if not ok:
             self.failed = True
 
-    def block(self, text):
-        self.lines.extend(text.rstrip("\n").split("\n"))
+    def block(self, tsv):
+        """Append a tab-separated block, spaced like `row` in plain format."""
+        if self.fmt != "tsv":
+            tsv = tsv.replace("\t", "  ")
+        self.lines.extend(tsv.rstrip("\n").split("\n"))
 
     def finish(self) -> int:
         self.lines.append(f"# result={'fail' if self.failed else 'pass'}")
@@ -265,7 +269,6 @@ def _cmd_phi_check(args):
 
 
 def _cmd_cap_identity(args):
-    import random
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
@@ -286,8 +289,7 @@ def _cmd_verify_duality(args):
     rep = Report(args, "verify-duality", complex=name, complex_digest=digest,
                  system=syslabel, ring=ring, seed=args.seed)
     report = verify_duality(cx, system, ring)
-    rep.block(report.to_tsv() if args.format == "tsv"
-              else report.to_tsv().replace("\t", "  "))
+    rep.block(report.to_tsv())
     if not report.all_verified:
         rep.failed = True
         bad = [r.degree for r in report.rows if not r.verdict]
@@ -319,8 +321,7 @@ def _cmd_diagram6(args):
                  ring=ring, seed=args.seed)
     report = diagram6_check(cx, cfg["U"], cfg["V"], cfg["K"], cfg["L"],
                             system, ring, resample_seed=args.seed or None)
-    rep.block(report.to_tsv() if args.format == "tsv"
-              else report.to_tsv().replace("\t", "  "))
+    rep.block(report.to_tsv())
     if not report.all_verified:
         rep.failed = True
         rep.row("FAIL", "diagram6", "a block failed to commute")

@@ -307,20 +307,20 @@ def star_signs(complex, vertex):
     """Signs of every facet in star(vertex) against the reference facet.
 
     The reference is the lexicographically first facet containing the vertex;
-    this fixed choice calibrates orientation fibers across the library.
+    this fixed choice calibrates orientation fibers across the library.  A
+    star the ridge walk cannot cover (a pinched vertex) raises
+    DisconnectedStar.
     """
     cache = complex._cache.setdefault("star_signs", {})
     if vertex not in cache:
-        ref = reference_facet(complex, vertex)
-        cache[vertex] = _star_signs_from(complex, vertex, ref)
+        star = [f for f in complex.facets if vertex in f]
+        if not star:
+            raise NotInStar(f"vertex {vertex} lies in no facet")
+        signs = _star_signs_from(complex, vertex, star[0])
+        if len(signs) != len(star):
+            raise DisconnectedStar(f"star of vertex {vertex} is disconnected")
+        cache[vertex] = signs
     return cache[vertex]
-
-
-def reference_facet(complex, vertex):
-    for f in complex.facets:
-        if vertex in f:
-            return f
-    raise NotInStar(f"vertex {vertex} lies in no facet")
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,26 @@ which is exactly "the orientation the point names": the deck image then
 carries the opposite sign on the nose, and the two sheets of an orientable
 base project to opposite base orientations.
 
-The +/- splitting maps Sigma, Delta, the orbit bases of the symmetric and
-antisymmetric chains, and the identification of the antisymmetric complex
-with the twisted chains of the base all live here.
+Every double-cover construction lives here: the sheet lift, the relative
+chains of the total space (`cover_chains`), the chain maps of the deck
+transformation and the projection, Lemmas 1 and 2, the +/- splitting maps
+Sigma, Delta with the orbit bases of the symmetric and antisymmetric chains,
+the identification phi of the antisymmetric complex with the twisted chains
+of the base, and the fundamental class pushed through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import pair_complex, relative_killed, transfer_matrix
-from .complexes import (FullSubcomplex, SimplicialComplex, ridge_sign_walk,
-                        star_signs, validate)
+from .chains import (FundamentalClassData, PairComplex, pair_complex,
+                     relative_killed, transfer_matrix)
+from .complexes import (FullSubcomplex, SimplicialComplex, dumps_complex,
+                        ridge_sign_walk, star_signs, validate)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
-from .fpmodules import homology_presentation
-from .localsystems import (LocalSystem, constant_system, validate_flatness)
+from .fpmodules import ModuleMap, homology_presentation, induced_map
+from .localsystems import (LocalSystem, constant_system, orientation_system,
+                           validate_flatness)
 from .matrices import ExactMatrix, SmithSolver, is_invertible
 from .rings import RingSpec
 
@@ -40,6 +45,20 @@ def _perm_parity(seq) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def _sheet_lift(signs, base_count, simplex):
+    """Ascending lift of a base simplex with sheet 0 at its lowest vertex.
+
+    Vertex v joins sheet 1 (total vertex v + base_count) when the edge from
+    the lowest vertex v0 to v carries the sign -1.
+    """
+    v0 = simplex[0]
+    verts = [v0]
+    for v in simplex[1:]:
+        sign = signs[(v0, v)] if v0 < v else signs[(v, v0)]
+        verts.append(v + (base_count if sign < 0 else 0))
+    return tuple(sorted(verts))
 
 
 class DoubleCover:
@@ -64,13 +83,7 @@ class DoubleCover:
         s = tuple(simplex)
         cached = self._lift_cache.get(s)
         if cached is None:
-            n = self.base.vertex_count
-            v0 = s[0]
-            verts = [v0]
-            for v in s[1:]:
-                sign = self.signs[(v0, v)] if v0 < v else self.signs[(v, v0)]
-                verts.append(v + (n if sign < 0 else 0))
-            cached = tuple(sorted(verts))
+            cached = _sheet_lift(self.signs, self.base.vertex_count, s)
             self._lift_cache[s] = cached
         return cached
 
@@ -100,15 +113,9 @@ def build_double_cover(M: SimplicialComplex, omega: LocalSystem) -> DoubleCover:
     signs = {e: omega.edge_sign(*e) for e in M.faces(1)}
     maximal = []
     for s in M.maximal_simplices:
-        s = tuple(sorted(s))
-        v0 = s[0]
-        lift = [v0]
-        for v in s[1:]:
-            sign = signs[(v0, v)] if v0 < v else signs[(v, v0)]
-            lift.append(v + (n if sign < 0 else 0))
-        flipped = [(v + n) % (2 * n) for v in lift]
-        maximal.append(tuple(sorted(lift)))
-        maximal.append(tuple(sorted(flipped)))
+        lift = _sheet_lift(signs, n, tuple(sorted(s)))
+        maximal.append(lift)
+        maximal.append(tuple(sorted((v + n) % (2 * n) for v in lift)))
     total = SimplicialComplex(2 * n, maximal)
     projection = tuple(v % n for v in range(2 * n))
     deck = tuple((v + n) % (2 * n) for v in range(2 * n))
@@ -140,7 +147,7 @@ class CoverOrientation:
     facet_signs: dict
 
     def cycle_vector(self, ring: RingSpec):
-        pc = pair_complex(self.cover.total, constant_system(self.cover.total, ring))
+        pc = cover_chains(self.cover, ring)
         n = self.cover.total.dimension
         idx = pc.index(n)
         vec = [ring.zero] * pc.length(n)
@@ -189,10 +196,14 @@ def orient_cover(cover: DoubleCover) -> CoverOrientation:
     return orientation
 
 
-def lift_full_subcomplex(cover, K: FullSubcomplex | None):
-    if K is None:
-        return None
-    return FullSubcomplex(cover.total, cover.lift_vertices(K.vertex_subset))
+def cover_chains(cover, ring, K: FullSubcomplex | None = None) -> PairComplex:
+    """Constant-coefficient chains of the total space relative to the
+    preimage of K (absolute when K is None)."""
+    total = cover.total
+    Ktilde = (None if K is None
+              else FullSubcomplex(total, cover.lift_vertices(K.vertex_subset)))
+    return pair_complex(total, constant_system(total, ring),
+                        killed=relative_killed(total, Ktilde))
 
 
 def dumps_cover(cover: DoubleCover) -> str:
@@ -201,7 +212,6 @@ def dumps_cover(cover: DoubleCover) -> str:
     The annotations are comments, so the output loads back as a plain
     complex; the sheet block records the covering structure for readers.
     """
-    from .complexes import dumps_complex
     lines = [dumps_complex(cover.total).rstrip("\n")]
     lines.append("# sheets: total vertex = base vertex + sheet * base_count")
     for v in range(cover.total.vertex_count):
@@ -234,12 +244,8 @@ def vertex_map_chain_matrix(vmap, ring, k, src_pc, dst_pc) -> ExactMatrix:
 
 def deck_chain_matrix(cover, ring, k, pc=None) -> ExactMatrix:
     if pc is None:
-        pc = pair_complex(cover.total, constant_system(cover.total, ring))
+        pc = cover_chains(cover, ring)
     return vertex_map_chain_matrix(cover.deck, ring, k, pc, pc)
-
-
-def projection_chain_matrix(cover, ring, k, src_pc, dst_pc) -> ExactMatrix:
-    return vertex_map_chain_matrix(cover.projection, ring, k, src_pc, dst_pc)
 
 
 def lemma1_check(cover, ring) -> bool:
@@ -282,9 +288,7 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
     """
     if not ring.two_is_nonzero:
         raise TwoIsZero("the +/- splitting needs 2 != 0 in the ring")
-    Ktilde = lift_full_subcomplex(cover, K)
-    total_pc = pair_complex(cover.total, constant_system(cover.total, ring),
-                            killed=relative_killed(cover.total, Ktilde))
+    total_pc = cover_chains(cover, ring, K)
     base_pc_space = pair_complex(cover.base, constant_system(cover.base, ring),
                                  killed=relative_killed(cover.base, K))
     degrees = {}
@@ -365,6 +369,7 @@ def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:
     if not ring.two_is_nonzero:
         raise TwoIsZero("the identification needs 2 != 0 in the ring")
     split = split_maps(cover, ring, K)
+    total_pc = cover_chains(cover, ring, K)
     twisted_pc = pair_complex(cover.base, cover_sign_system(cover, ring),
                               killed=relative_killed(cover.base, K))
     matrices = {}
@@ -379,27 +384,19 @@ def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:
         matrices[k] = phi
         iso = iso and is_invertible(phi)
         # boundary on the antisymmetric complex, written in orbit coordinates
-        total_boundary = _total_boundary(split, cover, ring, k)
         if k == 0:
             gamma_bnd = ExactMatrix.zeros(ring, 0, len(d.orbit_bases))
             phi_prev = ExactMatrix.identity(ring, 0)
         else:
             prev = split.degrees[k - 1]
             gamma_bnd = SmithSolver(prev.incl_minus).solve_matrix(
-                total_boundary @ d.incl_minus)
+                total_pc.boundary(k) @ d.incl_minus)
             if gamma_bnd is None:
                 raise TwistcapError("antisymmetric chains are not boundary-closed")
             phi_prev = matrices[k - 1]
         if (twisted_pc.boundary(k) @ phi) != (phi_prev @ gamma_bnd):
             commutes = False
     return PhiData(matrices, commutes, iso)
-
-
-def _total_boundary(split, cover, ring, k):
-    Ktilde = lift_full_subcomplex(cover, split.K)
-    total_pc = pair_complex(cover.total, constant_system(cover.total, ring),
-                            killed=relative_killed(cover.total, Ktilde))
-    return total_pc.boundary(k)
 
 
 def cover_sign_system(cover, ring) -> LocalSystem:
@@ -414,25 +411,54 @@ def cover_sign_system(cover, ring) -> LocalSystem:
     return cached
 
 
+# ---------------------------------------------------------------------------
+# Lemma 2 and the fundamental class through the cover
+# ---------------------------------------------------------------------------
+
+def _orientation_cover_cycle(M, ring):
+    """The orientation double cover of M and its chosen orientation cycle."""
+    cover = build_double_cover(M, orientation_system(M, ring))
+    return cover, orient_cover(cover).cycle_vector(ring)
+
+
+def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
+    """p_* on top relative homology, as a map of presented modules."""
+    M = cover.base
+    n = M.dimension
+    top_pc = cover_chains(cover, ring, K)
+    base_pc = pair_complex(M, constant_system(M, ring),
+                           killed=relative_killed(M, K))
+    proj = vertex_map_chain_matrix(cover.projection, ring, n, top_pc, base_pc)
+    src = homology_presentation(top_pc.boundary(n + 1), top_pc.boundary(n))
+    dst = homology_presentation(base_pc.boundary(n + 1), base_pc.boundary(n))
+    return induced_map(proj, src, dst)
+
+
 def lemma2_check(M, ring, K: FullSubcomplex | None = None) -> bool:
     """Pushforward of the cover's fundamental class vanishes in H_n(M|K)."""
-    from .chains import pushforward  # cycle-free at runtime
-    from .localsystems import orientation_system
-
-    omega = orientation_system(M, ring)
-    cover = build_double_cover(M, omega)
-    orientation = orient_cover(cover)
-    z = orientation.cycle_vector(ring)
-
+    cover, z = _orientation_cover_cycle(M, ring)
     n = M.dimension
-    Ktilde = lift_full_subcomplex(cover, K)
-    abs_pc = pair_complex(cover.total, constant_system(cover.total, ring))
-    rel_pc = pair_complex(cover.total, constant_system(cover.total, ring),
-                          killed=relative_killed(cover.total, Ktilde))
-    z_rel = transfer_matrix(abs_pc, rel_pc, n).apply(z)
+    rel_pc = cover_chains(cover, ring, K)
+    z_rel = transfer_matrix(cover_chains(cover, ring), rel_pc, n).apply(z)
     src = homology_presentation(rel_pc.boundary(n + 1), rel_pc.boundary(n))
     coords = src.class_vector(z_rel)
     if coords is None:
         raise TwistcapError("cover orientation cycle is not a relative cycle")
     pmap = pushforward(cover, ring, K)
     return pmap.target.is_zero_class(pmap.apply(coords))
+
+
+def fundamental_class_via_cover(M, ring) -> FundamentalClassData:
+    """Push the oriented double cover's fundamental cycle through phi."""
+    if not ring.two_is_nonzero:
+        raise TwoIsZero("the +/- splitting needs 2 != 0 in the ring")
+    cover, z = _orientation_cover_cycle(M, ring)
+    if not lemma1_check(cover, ring):
+        raise TwistcapError("deck transformation does not negate the cover cycle")
+    n = M.dimension
+    idx_total = cover_chains(cover, ring).index(n)
+    vec = []
+    for facet in M.faces(n):
+        rep = cover.canonical_lift(facet)
+        vec.append(ring.normalize(projection_parity(cover, rep) * z[idx_total[rep]]))
+    return FundamentalClassData(M, ring, cover.cocycle, tuple(vec), "via-cover")

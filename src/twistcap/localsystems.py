@@ -222,9 +222,10 @@ def is_trivializable(system: LocalSystem):
                     # make the tree edge's gauged transport the identity
                     gauge[v] = system.transport(v, u) @ gauge[u]
                     stack.append(v)
-    gauged = gauge_transform(system, gauge)
-    for _, mat in gauged.edge_items():
-        if mat != ident:
+    # the gauged transport g_u^{-1} T[u<-v] g_v is the identity
+    # exactly when T[u<-v] g_v == g_u
+    for (u, v), mat in system.edge_items():
+        if mat @ gauge[v] != gauge[u]:
             return False, None
     return True, gauge
 

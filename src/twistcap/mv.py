@@ -17,6 +17,7 @@ Smith machinery.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .cap import cap_matrix
@@ -405,8 +406,6 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     representative by a coboundary before evaluation, so a passing run also
     certifies independence of representative choices.
     """
-    import random as _random
-
     if not closed_star(M, K.vertex_subset).issubset(U):
         raise TwistcapError("K is not interior to U (star containment fails)")
     if not closed_star(M, L.vertex_subset).issubset(V):
@@ -422,7 +421,7 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     pair_bot = CoverPair(M, U, V)
     top = _MVSpaces(pair_top, G)
     bot = _MVSpaces(pair_bot, GT)
-    rng = _random.Random(resample_seed) if resample_seed is not None else None
+    rng = random.Random(resample_seed) if resample_seed is not None else None
 
     # restricted fundamental chains and their pair complexes
     mr_abs = pair_complex(M, MR)

@@ -1,5 +1,6 @@
 """Derived objects are memoized on their source and die with it; each
-presented module factors a given matrix once."""
+presented module factors a given matrix once; read-only checks build
+nothing."""
 
 import gc
 import random
@@ -7,17 +8,18 @@ import weakref
 
 import pytest
 
-from twistcap import chains, matrices
-from twistcap.acceptance import cap_identity_failures
+from twistcap import chains, localsystems, matrices
+from twistcap.acceptance import NONORIENTABLE, cap_identity_failures
 from twistcap.cap import boundary_identity_check, cap_setting
 from twistcap.chains import pair_complex
-from twistcap.complexes import SimplicialComplex, corpus
+from twistcap.complexes import CORPUS_NAMES, SimplicialComplex, corpus
 from twistcap.covers import (build_double_cover, check_split_exactness,
                              split_maps)
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 is_isomorphism)
-from twistcap.localsystems import (constant_system, orientation_system,
-                                   random_flat_system, tensor)
+from twistcap.localsystems import (constant_system, is_trivializable,
+                                   orientation_system, random_flat_system,
+                                   tensor)
 from twistcap.matrices import ExactMatrix
 from twistcap.rings import Z, Zmod
 
@@ -118,3 +120,21 @@ def test_split_exactness_factors_six_matrices_per_degree(monkeypatch):
     verdicts = check_split_exactness(split)
     assert all(v["seq1"] and v["seq2"] for v in verdicts.values())
     assert len(calls) == 6 * len(split.degrees)
+
+
+def test_is_trivializable_inverts_nothing_and_builds_no_system(monkeypatch):
+    systems = []
+    for name in CORPUS_NAMES:
+        M = corpus(name)
+        systems += [orientation_system(M, Z), random_flat_system(M, Z, 2, 5)]
+    inverted = count_calls(monkeypatch, localsystems, "inverse")
+    built = count_calls(monkeypatch, localsystems.LocalSystem, "__init__")
+    verdicts = [is_trivializable(G) for G in systems]
+    assert inverted == [] and built == []
+    assert [ok for ok, _ in verdicts[0::2]] == \
+        [name not in NONORIENTABLE for name in CORPUS_NAMES]
+    for G, (ok, gauge) in zip(systems, verdicts):
+        if ok:
+            ident = ExactMatrix.identity(Z, G.rank)
+            gauged = localsystems.gauge_transform(G, gauge)
+            assert all(T == ident for _, T in gauged.edge_items())

@@ -1,11 +1,11 @@
 import pytest
 
 from twistcap.chains import (NotAFundamentalCycle, PairComplex, chain_complex,
-                             cohomology, fundamental_class_direct,
-                             fundamental_class_via_cover, homology,
+                             cohomology, fundamental_class_direct, homology,
                              inclusion_restriction, relative_killed,
                              vertex_generator_check)
 from twistcap.complexes import FullSubcomplex, corpus
+from twistcap.covers import fundamental_class_via_cover
 from twistcap.errors import FlatnessViolation, TwoIsZero
 from twistcap.localsystems import (LocalSystem, constant_system,
                                    orientation_system, random_flat_system,

@@ -1,6 +1,8 @@
 import pytest
 
 from twistcap.cli import main
+from twistcap.complexes import (SimplicialComplex, _grid_klein, _grid_torus,
+                                dumps_complex, validate)
 
 
 def run(capsys, *argv):
@@ -213,3 +215,29 @@ def test_zero_dimensional_complex(tmp_path, capsys, command):
     else:
         assert code == 2 and not out
         assert err.startswith("error:") and "closed" in err
+
+
+def _pinched_grid(tmp_path, build):
+    """A 6x6 grid surface with vertices 0 and 21 identified: a closed
+    pseudomanifold whose dual graph is connected, but whose vertex 0 has a
+    star in two pieces."""
+    grid = build(6, 6)
+    relabel = [0 if v == 21 else v - (v > 21) for v in range(36)]
+    cx = SimplicialComplex(35, [tuple(relabel[v] for v in f)
+                                for f in grid.facets])
+    assert validate(cx).closed_pseudomanifold
+    path = tmp_path / "pinched.cx"
+    path.write_text(dumps_complex(cx))
+    return str(path)
+
+
+@pytest.mark.parametrize("build", [_grid_torus, _grid_klein],
+                         ids=["torus", "klein"])
+@pytest.mark.parametrize("command", ["orientation", "fundamental-class",
+                                     "lemma1", "lemma2", "phi-check",
+                                     "verify-duality", "cap-identity"])
+def test_pinched_surface_exits_2(tmp_path, capsys, command, build):
+    path = _pinched_grid(tmp_path, build)
+    code, out, err = run(capsys, command, "--complex", path)
+    assert code == 2 and not out
+    assert err == "error: star of vertex 0 is disconnected\n"

@@ -5,7 +5,8 @@ must be referenced somewhere outside its own definition: in the package, the
 tests, tools/ or perfbench/.  String constants count as references, because
 the benchmark tracer names the functions it wraps as "Class.method" strings.
 No module may import a name it never uses; the package __init__ re-exports
-by importing, so it is exempt.
+by importing, so it is exempt.  Every import of the package sits at module
+level, so the import graph can be read off the top of each file.
 """
 
 import ast
@@ -86,3 +87,14 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_imports_are_at_module_level():
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and id(node) not in top]
+    assert not nested, "imports inside a function or class: " + ", ".join(nested)
