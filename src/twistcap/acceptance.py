@@ -19,7 +19,7 @@ from .chains import fundamental_class_direct, homology, pair_complex
 from .complexes import CORPUS_NAMES, FullSubcomplex, corpus
 from .covers import (build_double_cover, check_split_exactness,
                      fundamental_class_via_cover, lemma1_check, lemma2_check,
-                     phi_identify, split_maps)
+                     phi_identify)
 from .localsystems import (constant_system, orientation_system,
                            random_flat_system)
 from .matrices import ExactMatrix, smith_normal_form
@@ -96,11 +96,11 @@ def phi_rows(cover, ring):
     """Per K choice: sequences (1) and (2) exact in each degree, then phi a
     boundary-commuting isomorphism."""
     for label, K in _k_choices(cover.base):
-        verdicts = check_split_exactness(split_maps(cover, ring, K))
+        phi = phi_identify(cover, ring, K)
+        verdicts = check_split_exactness(phi.split)
         for k in sorted(verdicts):
             yield f"{label} degree={k} seq(1)", verdicts[k]["seq1"], ""
             yield f"{label} degree={k} seq(2)", verdicts[k]["seq2"], ""
-        phi = phi_identify(cover, ring, K)
         yield f"{label} phi_boundary_commutes", phi.boundary_commutes, ""
         yield f"{label} phi_iso", phi.degreewise_iso, ""
 

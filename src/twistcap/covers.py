@@ -356,6 +356,7 @@ class PhiData:
     matrices: dict        # degree -> orbit coords -> twisted relative coords
     boundary_commutes: bool
     degreewise_iso: bool
+    split: SplitMaps      # the +/- splitting phi is read from
 
 
 def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:
@@ -396,7 +397,7 @@ def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:
             phi_prev = matrices[k - 1]
         if (twisted_pc.boundary(k) @ phi) != (phi_prev @ gamma_bnd):
             commutes = False
-    return PhiData(matrices, commutes, iso)
+    return PhiData(matrices, commutes, iso, split)
 
 
 def cover_sign_system(cover, ring) -> LocalSystem:
@@ -421,8 +422,8 @@ def _orientation_cover_cycle(M, ring):
     return cover, orient_cover(cover).cycle_vector(ring)
 
 
-def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
-    """p_* on top relative homology, as a map of presented modules."""
+def _pushforward(cover, ring, K):
+    """The presented top relative homology of the cover, and p_* on it."""
     M = cover.base
     n = M.dimension
     top_pc = cover_chains(cover, ring, K)
@@ -431,7 +432,12 @@ def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
     proj = vertex_map_chain_matrix(cover.projection, ring, n, top_pc, base_pc)
     src = homology_presentation(top_pc.boundary(n + 1), top_pc.boundary(n))
     dst = homology_presentation(base_pc.boundary(n + 1), base_pc.boundary(n))
-    return induced_map(proj, src, dst)
+    return src, induced_map(proj, src, dst)
+
+
+def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
+    """p_* on top relative homology, as a map of presented modules."""
+    return _pushforward(cover, ring, K)[1]
 
 
 def lemma2_check(M, ring, K: FullSubcomplex | None = None) -> bool:
@@ -440,11 +446,10 @@ def lemma2_check(M, ring, K: FullSubcomplex | None = None) -> bool:
     n = M.dimension
     rel_pc = cover_chains(cover, ring, K)
     z_rel = transfer_matrix(cover_chains(cover, ring), rel_pc, n).apply(z)
-    src = homology_presentation(rel_pc.boundary(n + 1), rel_pc.boundary(n))
+    src, pmap = _pushforward(cover, ring, K)
     coords = src.class_vector(z_rel)
     if coords is None:
         raise TwistcapError("cover orientation cycle is not a relative cycle")
-    pmap = pushforward(cover, ring, K)
     return pmap.target.is_zero_class(pmap.apply(coords))
 
 

@@ -185,16 +185,20 @@ class Holonomy:
         return cls(loop, holonomy(system, loop))
 
 
+def _conjugated(transport: dict, gauge: dict, ring, rank) -> dict:
+    """g_u^{-1} @ T[u<-v] @ g_v on every edge, inverting each g once; a
+    vertex missing from the gauge keeps its fiber basis."""
+    inv = {v: inverse(g) for v, g in gauge.items()}
+    ident = ExactMatrix.identity(ring, rank)
+    return {(u, v): inv.get(u, ident) @ mat @ gauge.get(v, ident)
+            for (u, v), mat in transport.items()}
+
+
 def gauge_transform(system: LocalSystem, gauge: dict) -> LocalSystem:
     """Change fiber bases: T'[u<-v] = g_u^{-1} @ T[u<-v] @ g_v."""
-    inv = {v: inverse(g) for v, g in gauge.items()}
-    ident = ExactMatrix.identity(system.ring, system.rank)
-    transport = {}
-    for (u, v), mat in system._transport.items():
-        gu = inv.get(u, ident)
-        gv = gauge.get(v, ident)
-        transport[(u, v)] = gu @ mat @ gv
-    return LocalSystem(system.base, system.ring, system.rank, transport)
+    return LocalSystem(system.base, system.ring, system.rank,
+                       _conjugated(system._transport, gauge, system.ring,
+                                   system.rank))
 
 
 def is_trivializable(system: LocalSystem):
@@ -292,12 +296,11 @@ def random_flat_system(base, ring, rank, seed) -> LocalSystem:
         diag = [[ring.from_int(signs[i][e]) if i == j else ring.zero
                  for j in range(rank)] for i in range(rank)]
         transport[e] = ExactMatrix(ring, diag)
-    system = LocalSystem(base, ring, rank, transport)
-    if rank == 1:
-        return system
-    gauge = {v: _random_gauge_matrix(ring, rank, rng)
-             for v in range(base.vertex_count)}
-    return gauge_transform(system, gauge)
+    if rank > 1:
+        gauge = {v: _random_gauge_matrix(ring, rank, rng)
+                 for v in range(base.vertex_count)}
+        transport = _conjugated(transport, gauge, ring, rank)
+    return LocalSystem(base, ring, rank, transport)
 
 
 # ---------------------------------------------------------------------------

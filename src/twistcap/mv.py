@@ -52,6 +52,7 @@ class CoverPair:
         self.AB = A.intersection(B)
         self.CD = C.intersection(D)
         self.Y = C.union(D)
+        self._cache = {}   # objects derived from this cover
 
     def __repr__(self):
         return f"CoverPair(X dim {self.X.dimension})"
@@ -92,30 +93,22 @@ class ExactSequenceReport:
     def all_exact(self) -> bool:
         return all(self.exactness)
 
-    def to_tsv(self) -> str:
-        lines = ["node\tmodule\texact"]
-        for i, (label, module) in enumerate(zip(self.node_labels, self.modules)):
-            if 0 < i < len(self.modules) - 1:
-                verdict = "yes" if self.exactness[i - 1] else "NO"
-            else:
-                verdict = "-"
-            lines.append(f"{label}\t{module}\t{verdict}")
-        return "\n".join(lines) + "\n"
-
 
 class _MVSpaces:
-    """The four pair complexes a Mayer-Vietoris computation runs over."""
+    """The pair complexes a Mayer-Vietoris computation runs over, and the
+    transfers between them, each built once.  It keeps the cover's pieces
+    rather than the cover, which holds it in its cache."""
 
     def __init__(self, pair: CoverPair, G):
         X = pair.X
-        self.pair = pair
-        self.G = G
-        self.ring = G.ring
+        self.A, self.B, self.C, self.AB = pair.A, pair.B, pair.C, pair.AB
+        self.ring, self.rank = G.ring, G.rank
         self.inter = pair_complex(X, G, pool=pair.AB, killed=_maybe(pair.CD))
         self.left = pair_complex(X, G, pool=pair.A, killed=_maybe(pair.C))
         self.right = pair_complex(X, G, pool=pair.B, killed=_maybe(pair.D))
         self.whole = pair_complex(X, G, killed=_maybe(pair.Y))
         self.absolute = pair_complex(X, G)
+        self._transfers = {}
 
     def homology(self, pc, k) -> HomologyPresentation:
         return homology_presentation(pc.boundary(k + 1), pc.boundary(k))
@@ -123,164 +116,98 @@ class _MVSpaces:
     def cohomology(self, pc, k) -> HomologyPresentation:
         return homology_presentation(pc.coboundary(k - 1), pc.coboundary(k))
 
+    def transfer(self, src, dst, k) -> ExactMatrix:
+        key = (src, dst, k)
+        m = self._transfers.get(key)
+        if m is None:
+            m = self._transfers[key] = transfer_matrix(src, dst, k)
+        return m
+
     def split_chain(self, k, absolute_vec):
         """Assign each simplex block to A (tie-break) or B."""
-        ring, r = self.ring, self.G.rank
+        ring, r = self.ring, self.rank
         beta = list(absolute_vec)
         gamma = [ring.zero] * len(absolute_vec)
         for pos, s in enumerate(self.absolute.space(k)):
-            if not self.pair.A.contains(s):
+            if not self.A.contains(s):
                 for i in range(pos * r, (pos + 1) * r):
                     gamma[i] = beta[i]
                     beta[i] = ring.zero
         return tuple(beta), tuple(gamma)
 
+    def split_cochain(self, k, alpha):
+        """The explicit preimage (beta, gamma) with beta|^ - gamma|^ = alpha.
+
+        beta copies alpha on simplices inside A^B that are not inside C;
+        gamma is minus alpha on simplices inside C; both vanish elsewhere.
+        The defining equation is re-checked exactly before returning.
+        """
+        ring, r = self.ring, self.rank
+        if len(alpha) != self.inter.length(k):
+            raise TwistcapError(
+                "cochain length does not match the intersection pair")
+        a_idx = self.inter.index(k)
+        beta = [ring.zero] * self.left.length(k)
+        for pos, s in enumerate(self.left.space(k)):
+            if self.B.contains(s) and not self.C.contains(s):
+                src = a_idx.get(s)
+                if src is not None:
+                    beta[pos * r:(pos + 1) * r] = alpha[src * r:(src + 1) * r]
+        gamma = [ring.zero] * self.right.length(k)
+        for pos, s in enumerate(self.right.space(k)):
+            if self.C.contains(s):
+                src = a_idx.get(s)
+                if src is not None:
+                    gamma[pos * r:(pos + 1) * r] = [
+                        ring.normalize(-x) for x in alpha[src * r:(src + 1) * r]]
+        phi_beta = self.transfer(self.left, self.inter, k).apply(beta)
+        phi_gamma = self.transfer(self.right, self.inter, k).apply(gamma)
+        recovered = tuple(ring.normalize(x - y)
+                          for x, y in zip(phi_beta, phi_gamma))
+        if recovered != tuple(ring.normalize(x) for x in alpha):
+            raise TwistcapError("splitting failed its defining equation")
+        return tuple(beta), tuple(gamma)
+
+
+def _mv_spaces(pair: CoverPair, G) -> _MVSpaces:
+    """The Mayer-Vietoris spaces of the cover over G, memoized on the cover."""
+    key = ("mv_spaces", G)
+    spaces = pair._cache.get(key)
+    if spaces is None:
+        spaces = pair._cache[key] = _MVSpaces(pair, G)
+    return spaces
+
 
 def _connecting_chain(spaces: _MVSpaces, k, alpha):
     """The zig-zag representative of the homology connecting map.
 
-    alpha is a relative k-cycle of (X, Y) in absolute coordinates.  The
+    alpha is a relative k-cycle of (X, Y).  Lifted to absolute chains, the
     boundary of its A-part, less the C-part of its boundary, lies in the
     intersection; it is returned in the (A^B, C^D) coordinates.
     """
-    ring, r = spaces.ring, spaces.G.rank
-    pair = spaces.pair
+    ring, r = spaces.ring, spaces.rank
+    alpha = spaces.transfer(spaces.whole, spaces.absolute, k).apply(alpha)
     d_abs = spaces.absolute.boundary(k)
     beta, _ = spaces.split_chain(k, alpha)
     e = list(d_abs.apply(beta))
     dalpha = d_abs.apply(alpha)
     for pos, s in enumerate(spaces.absolute.space(k - 1)):
         block = slice(pos * r, (pos + 1) * r)
-        if pair.C.contains(s):
+        if spaces.C.contains(s):
             e[block] = [ring.normalize(x - y)
                         for x, y in zip(e[block], dalpha[block])]
-        if any(e[block]) and not pair.AB.contains(s):
+        if any(e[block]) and not spaces.AB.contains(s):
             raise TwistcapError(
                 f"connecting chain escapes the intersection at {s}")
-    return transfer_matrix(spaces.absolute, spaces.inter, k - 1).apply(e)
-
-
-def _connecting_homology(spaces: _MVSpaces, k, src: HomologyPresentation,
-                         dst: HomologyPresentation) -> ModuleMap:
-    """boundary: H_k(X, Y) -> H_{k-1}(A^B, C^D) by the zig-zag on reps."""
-    lift = transfer_matrix(spaces.whole, spaces.absolute, k)
-    cols = []
-    for j in range(src.module.generator_count):
-        e = _connecting_chain(spaces, k, lift.apply(src.cycles.column(j)))
-        coords = dst.class_vector(e)
-        if coords is None:
-            raise TwistcapError("connecting image is not a cycle")
-        cols.append(coords)
-    matrix = ExactMatrix.from_columns(spaces.ring, cols,
-                                      dst.module.generator_count)
-    return ModuleMap(src.module, dst.module, matrix)
-
-
-def mv_homology(pair: CoverPair, G) -> ExactSequenceReport:
-    """The long exact homology sequence of the cover, checked at every node."""
-    spaces = _MVSpaces(pair, G)
-    ring = G.ring
-    n = pair.X.dimension
-    labels = ["0"]
-    modules = [_zero_module(ring)]
-    maps = []
-    prev_x_pres = None
-    for k in range(n, -1, -1):
-        h_int = spaces.homology(spaces.inter, k)
-        h_a = spaces.homology(spaces.left, k)
-        h_b = spaces.homology(spaces.right, k)
-        h_x = spaces.homology(spaces.whole, k)
-        m_sum = direct_sum(h_a.module, h_b.module)
-
-        if prev_x_pres is None:
-            maps.append(_zero_map_into(ring, h_int.module))
-        else:
-            maps.append(_connecting_homology(spaces, k + 1, prev_x_pres, h_int))
-
-        ia = induced_map(transfer_matrix(spaces.inter, spaces.left, k), h_int, h_a)
-        ib = induced_map(transfer_matrix(spaces.inter, spaces.right, k), h_int, h_b)
-        f = ModuleMap(h_int.module, m_sum,
-                      ExactMatrix.vstack([ia.matrix, -ib.matrix]))
-        ka = induced_map(transfer_matrix(spaces.left, spaces.whole, k), h_a, h_x)
-        kb = induced_map(transfer_matrix(spaces.right, spaces.whole, k), h_b, h_x)
-        g = ModuleMap(m_sum, h_x.module,
-                      ExactMatrix.hstack([ka.matrix, kb.matrix]))
-
-        labels += [f"H_{k}(A^B)", f"H_{k}(A)+H_{k}(B)", f"H_{k}(X)"]
-        modules += [h_int.module, m_sum, h_x.module]
-        maps += [f, g]
-        prev_x_pres = h_x
-    labels.append("0")
-    modules.append(_zero_module(ring))
-    maps.append(_zero_map_from(ring, modules[-2]))
-
-    exactness = tuple(is_exact_at(maps[i], maps[i + 1])
-                      for i in range(len(maps) - 1))
-    return ExactSequenceReport("homology", tuple(labels), tuple(modules),
-                               tuple(maps), exactness)
-
-
-# ---------------------------------------------------------------------------
-# cohomology side
-# ---------------------------------------------------------------------------
-
-def mv_splitting(pair: CoverPair, G, k, alpha):
-    """The explicit preimage (beta, gamma) with beta|^ - gamma|^ = alpha.
-
-    beta copies alpha on simplices inside A^B that are not inside C; gamma is
-    minus alpha on simplices inside C; both vanish elsewhere.  The defining
-    equation is re-checked exactly before returning.
-    """
-    spaces = _MVSpaces(pair, G)
-    ring, r = G.ring, G.rank
-    if len(alpha) != spaces.inter.length(k):
-        raise TwistcapError("cochain length does not match the intersection pair")
-    a_idx = spaces.inter.index(k)
-    beta = [ring.zero] * spaces.left.length(k)
-    for pos, s in enumerate(spaces.left.space(k)):
-        if pair.B.contains(s) and not pair.C.contains(s):
-            src = a_idx.get(s)
-            if src is not None:
-                beta[pos * r:(pos + 1) * r] = alpha[src * r:(src + 1) * r]
-    gamma = [ring.zero] * spaces.right.length(k)
-    for pos, s in enumerate(spaces.right.space(k)):
-        if pair.C.contains(s):
-            src = a_idx.get(s)
-            if src is not None:
-                gamma[pos * r:(pos + 1) * r] = [
-                    ring.normalize(-x) for x in alpha[src * r:(src + 1) * r]]
-    phi_beta = transfer_matrix(spaces.left, spaces.inter, k).apply(beta)
-    phi_gamma = transfer_matrix(spaces.right, spaces.inter, k).apply(gamma)
-    recovered = tuple(ring.normalize(x - y)
-                      for x, y in zip(phi_beta, phi_gamma))
-    if recovered != tuple(ring.normalize(x) for x in alpha):
-        raise TwistcapError("splitting failed its defining equation")
-    return tuple(beta), tuple(gamma)
-
-
-def splitting_holds(pair: CoverPair, G) -> bool:
-    """mv_splitting succeeds on every basis cochain of the intersection pair;
-    a splitting that raises counts as a failure."""
-    ring = G.ring
-    inter = _MVSpaces(pair, G).inter
-    for k in range(pair.X.dimension + 1):
-        size = inter.length(k)
-        for j in range(size):
-            alpha = tuple(ring.one if i == j else ring.zero
-                          for i in range(size))
-            try:
-                mv_splitting(pair, G, k, alpha)
-            except TwistcapError:
-                return False
-    return True
+    return spaces.transfer(spaces.absolute, spaces.inter, k - 1).apply(e)
 
 
 def _glue_coboundary(spaces: _MVSpaces, k, alpha):
     """The chain-level connecting value delta(alpha) in the (X, Y)
     coordinates: the coboundaries of the two halves of the splitting, glued
     along the overlap, where they must agree."""
-    ring, r = spaces.ring, spaces.G.rank
-    beta, gamma = mv_splitting(spaces.pair, spaces.G, k, alpha)
+    ring, r = spaces.ring, spaces.rank
+    beta, gamma = spaces.split_cochain(k, alpha)
     dbeta = spaces.left.coboundary(k).apply(beta)
     dgamma = spaces.right.coboundary(k).apply(gamma)
     idx_a = spaces.left.index(k + 1)
@@ -299,63 +226,112 @@ def _glue_coboundary(spaces: _MVSpaces, k, alpha):
     return tuple(glued)
 
 
-def _connecting_cohomology(spaces: _MVSpaces, k, src: HomologyPresentation,
-                           dst: HomologyPresentation) -> ModuleMap:
-    """delta: H^k(A^B, C^D) -> H^{k+1}(X, Y) via the splitting."""
+def _connecting_map(spaces: _MVSpaces, k, src: HomologyPresentation,
+                    dst: HomologyPresentation, step, error) -> ModuleMap:
+    """The connecting map out of degree k, computed on representatives:
+    step(spaces, k, rep) carries each generator of src to a (co)cycle whose
+    class in dst is its image; `error` is raised when it is not one."""
     cols = []
     for j in range(src.module.generator_count):
-        coords = dst.class_vector(
-            _glue_coboundary(spaces, k, src.cycles.column(j)))
+        coords = dst.class_vector(step(spaces, k, src.cycles.column(j)))
         if coords is None:
-            raise TwistcapError("glued cochain is not a cocycle")
+            raise TwistcapError(error)
         cols.append(coords)
     matrix = ExactMatrix.from_columns(spaces.ring, cols,
                                       dst.module.generator_count)
     return ModuleMap(src.module, dst.module, matrix)
 
 
-def mv_cohomology(pair: CoverPair, G) -> ExactSequenceReport:
-    """The long exact cohomology sequence of the cover."""
-    spaces = _MVSpaces(pair, G)
-    ring = G.ring
-    n = pair.X.dimension
+def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
+                 last, step, error) -> ExactSequenceReport:
+    """The long exact sequence, degree by degree in the order `degrees`.
+
+    Each degree contributes first -> H(A)+H(B) -> last, with `present`
+    giving the modules; first and last are (pair complex, label) pairs.  The
+    map at the intersection node carries the minus sign on its B summand.
+    Consecutive degrees are joined by `_connecting_map` with `step`.
+    """
+    ring = spaces.ring
+    (first_pc, first_name), (last_pc, last_name) = first, last
+    sides = (spaces.left, spaces.right)
     labels = ["0"]
     modules = [_zero_module(ring)]
     maps = []
-    prev_int_pres = None
-    for k in range(n + 1):
-        h_x = spaces.cohomology(spaces.whole, k)
-        h_a = spaces.cohomology(spaces.left, k)
-        h_b = spaces.cohomology(spaces.right, k)
-        h_int = spaces.cohomology(spaces.inter, k)
-        m_sum = direct_sum(h_a.module, h_b.module)
+    prev = None
+    for k in degrees:
+        p_first = present(first_pc, k)
+        p_sides = [present(pc, k) for pc in sides]
+        p_last = present(last_pc, k)
+        m_sum = direct_sum(p_sides[0].module, p_sides[1].module)
 
-        if prev_int_pres is None:
-            maps.append(_zero_map_into(ring, h_x.module))
+        if prev is None:
+            maps.append(_zero_map_into(ring, p_first.module))
         else:
-            maps.append(_connecting_cohomology(spaces, k - 1, prev_int_pres, h_x))
+            maps.append(_connecting_map(spaces, *prev, p_first, step, error))
 
-        ra = induced_map(transfer_matrix(spaces.whole, spaces.left, k), h_x, h_a)
-        rb = induced_map(transfer_matrix(spaces.whole, spaces.right, k), h_x, h_b)
-        psi = ModuleMap(h_x.module, m_sum,
-                        ExactMatrix.vstack([ra.matrix, rb.matrix]))
-        pa = induced_map(transfer_matrix(spaces.left, spaces.inter, k), h_a, h_int)
-        pb = induced_map(transfer_matrix(spaces.right, spaces.inter, k), h_b, h_int)
-        phi = ModuleMap(m_sum, h_int.module,
-                        ExactMatrix.hstack([pa.matrix, -pb.matrix]))
+        into = [induced_map(spaces.transfer(first_pc, pc, k), p_first, p).matrix
+                for pc, p in zip(sides, p_sides)]
+        out = [induced_map(spaces.transfer(pc, last_pc, k), p, p_last).matrix
+               for pc, p in zip(sides, p_sides)]
+        difference = into if first_pc is spaces.inter else out
+        difference[1] = -difference[1]
+        maps += [ModuleMap(p_first.module, m_sum, ExactMatrix.vstack(into)),
+                 ModuleMap(m_sum, p_last.module, ExactMatrix.hstack(out))]
 
-        labels += [f"H^{k}(X)", f"H^{k}(A)+H^{k}(B)", f"H^{k}(A^B)"]
-        modules += [h_x.module, m_sum, h_int.module]
-        maps += [psi, phi]
-        prev_int_pres = h_int
+        h = f"H{script}{k}"
+        labels += [f"{h}({first_name})", f"{h}(A)+{h}(B)", f"{h}({last_name})"]
+        modules += [p_first.module, m_sum, p_last.module]
+        prev = (k, p_last)
     labels.append("0")
     modules.append(_zero_module(ring))
     maps.append(_zero_map_from(ring, modules[-2]))
 
     exactness = tuple(is_exact_at(maps[i], maps[i + 1])
                       for i in range(len(maps) - 1))
-    return ExactSequenceReport("cohomology", tuple(labels), tuple(modules),
+    return ExactSequenceReport(kind, tuple(labels), tuple(modules),
                                tuple(maps), exactness)
+
+
+def mv_homology(pair: CoverPair, G) -> ExactSequenceReport:
+    """The long exact homology sequence of the cover, checked at every node."""
+    spaces = _mv_spaces(pair, G)
+    return _mv_sequence(spaces, "homology", range(pair.X.dimension, -1, -1),
+                        spaces.homology, "_", (spaces.inter, "A^B"),
+                        (spaces.whole, "X"), _connecting_chain,
+                        "connecting image is not a cycle")
+
+
+def mv_cohomology(pair: CoverPair, G) -> ExactSequenceReport:
+    """The long exact cohomology sequence of the cover."""
+    spaces = _mv_spaces(pair, G)
+    return _mv_sequence(spaces, "cohomology", range(pair.X.dimension + 1),
+                        spaces.cohomology, "^", (spaces.whole, "X"),
+                        (spaces.inter, "A^B"), _glue_coboundary,
+                        "glued cochain is not a cocycle")
+
+
+def mv_splitting(pair: CoverPair, G, k, alpha):
+    """The explicit preimage (beta, gamma) with beta|^ - gamma|^ = alpha;
+    see `_MVSpaces.split_cochain`."""
+    return _mv_spaces(pair, G).split_cochain(k, alpha)
+
+
+def splitting_holds(pair: CoverPair, G) -> bool:
+    """mv_splitting succeeds on every basis cochain of the intersection pair;
+    a splitting that raises counts as a failure."""
+    ring = G.ring
+    inter = _mv_spaces(pair, G).inter
+    for k in range(pair.X.dimension + 1):
+        size = inter.length(k)
+        for j in range(size):
+            alpha = tuple(ring.one if i == j else ring.zero
+                          for i in range(size))
+            try:
+                mv_splitting(pair, G, k, alpha)
+            except TwistcapError:
+                return False
+    return True
+
 
 # ---------------------------------------------------------------------------
 # the cap-compatibility diagram
@@ -367,7 +343,6 @@ class Diagram6Report:
     square_right: bool
     connecting_ok: bool
     connecting_sign: int | None
-    degrees: tuple
 
     @property
     def all_verified(self) -> bool:
@@ -419,8 +394,8 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     pair_top = CoverPair(M, whole_subcomplex(M), whole_subcomplex(M),
                          C=comp_k, D=comp_l)
     pair_bot = CoverPair(M, U, V)
-    top = _MVSpaces(pair_top, G)
-    bot = _MVSpaces(pair_bot, GT)
+    top = _mv_spaces(pair_top, G)
+    bot = _mv_spaces(pair_bot, GT)
     rng = random.Random(resample_seed) if resample_seed is not None else None
 
     # restricted fundamental chains and their pair complexes
@@ -444,7 +419,6 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     square_right = True
     connecting_ok = True
     sign_constraints = set()
-    rows = []
 
     for k in range(n + 1):
         # source presentations in the top row
@@ -463,14 +437,14 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
         cap_v = cap_matrix(top.right, mr_v, bot.right, k, n, nu_v)
         cap_m = cap_matrix(top.inter, mr_abs, bot.whole, k, n, nu.chain)
 
-        to_left = transfer_matrix(top.whole, top.left, k)
-        to_right = transfer_matrix(top.whole, top.right, k)
-        to_inter_a = transfer_matrix(top.left, top.inter, k)
-        to_inter_b = transfer_matrix(top.right, top.inter, k)
-        bot_incl_a = transfer_matrix(bot.inter, bot.left, n - k)
-        bot_incl_b = transfer_matrix(bot.inter, bot.right, n - k)
-        bot_sum_a = transfer_matrix(bot.left, bot.whole, n - k)
-        bot_sum_b = transfer_matrix(bot.right, bot.whole, n - k)
+        to_left = top.transfer(top.whole, top.left, k)
+        to_right = top.transfer(top.whole, top.right, k)
+        to_inter_a = top.transfer(top.left, top.inter, k)
+        to_inter_b = top.transfer(top.right, top.inter, k)
+        bot_incl_a = bot.transfer(bot.inter, bot.left, n - k)
+        bot_incl_b = bot.transfer(bot.inter, bot.right, n - k)
+        bot_sum_a = bot.transfer(bot.left, bot.whole, n - k)
+        bot_sum_b = bot.transfer(bot.right, bot.whole, n - k)
 
         def sum_class(ca, cb):
             return tuple(ca) + tuple(cb)
@@ -536,13 +510,11 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
                     sign_constraints.add(-1)
                 else:
                     connecting_ok = False
-        rows.append((k, square_left, square_right))
 
     if len(sign_constraints) > 1:
         connecting_ok = False
     sign = sign_constraints.pop() if len(sign_constraints) == 1 else None
-    return Diagram6Report(square_left, square_right, connecting_ok, sign,
-                          tuple(rows))
+    return Diagram6Report(square_left, square_right, connecting_ok, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ import weakref
 
 import pytest
 
-from twistcap import chains, localsystems, matrices
-from twistcap.acceptance import NONORIENTABLE, cap_identity_failures
+from twistcap import chains, covers, localsystems, matrices, mv
+from twistcap.acceptance import (NONORIENTABLE, cap_identity_failures,
+                                 phi_rows)
 from twistcap.cap import boundary_identity_check, cap_setting
 from twistcap.chains import pair_complex
 from twistcap.complexes import CORPUS_NAMES, SimplicialComplex, corpus
 from twistcap.covers import (build_double_cover, check_split_exactness,
-                             split_maps)
+                             lemma2_check, split_maps)
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 is_isomorphism)
 from twistcap.localsystems import (constant_system, is_trivializable,
@@ -138,3 +139,49 @@ def test_is_trivializable_inverts_nothing_and_builds_no_system(monkeypatch):
             ident = ExactMatrix.identity(Z, G.rank)
             gauged = localsystems.gauge_transform(G, gauge)
             assert all(T == ident for _, T in gauged.edge_items())
+
+
+def test_mv_spaces_and_transfers_are_built_once_per_cover(monkeypatch):
+    M, pair = mv.named_cover("torus", "cylinders")
+    G = constant_system(M, Z)
+    spaces = count_calls(monkeypatch, mv._MVSpaces, "__init__")
+    built = count_calls(monkeypatch, mv, "transfer_matrix")
+    assert mv.mv_homology(pair, G).all_exact
+    assert mv.mv_cohomology(pair, G).all_exact
+    assert mv.splitting_holds(pair, G)
+    assert len(spaces) == 1
+    assert built and len(built) == len(set(built))
+
+
+def test_mv_spaces_die_with_their_cover():
+    M, pair = mv.named_cover("octahedron", "hemispheres")
+    mv.mv_homology(pair, constant_system(M, Z))
+    [spaces] = pair._cache.values()
+    ref = weakref.ref(spaces)
+    del pair, spaces
+    gc.collect()
+    assert ref() is None
+
+
+def test_phi_rows_build_each_splitting_once(monkeypatch):
+    M = corpus("klein")
+    cover = build_double_cover(M, orientation_system(M, Z))
+    built = count_calls(monkeypatch, covers, "deck_chain_matrix")
+    rows = list(phi_rows(cover, Z))
+    assert all(ok for _, ok, _ in rows)
+    assert len(built) == 6   # 3 degrees for each of the 2 K choices
+
+
+def test_lemma2_presents_the_cover_homology_once(monkeypatch):
+    presented = count_calls(monkeypatch, covers, "homology_presentation")
+    assert lemma2_check(corpus("rp2"), Z)
+    assert len(presented) == 2   # the cover's and the base's top homology
+
+
+def test_random_flat_system_builds_one_system(monkeypatch):
+    M = fresh_torus()
+    inverted = count_calls(monkeypatch, localsystems, "inverse")
+    built = count_calls(monkeypatch, localsystems.LocalSystem, "__init__")
+    random_flat_system(M, Z, 2, seed=3)
+    assert len(built) == 1
+    assert len(inverted) == len(M.faces(1)) + M.vertex_count

@@ -128,14 +128,16 @@ def test_connecting_naturality_for_nested_torus_covers():
     G = constant_system(M, Z)
     from twistcap.chains import pair_complex, transfer_matrix
     from twistcap.fpmodules import homology_presentation, induced_map
-    from twistcap.mv import _MVSpaces, _connecting_homology
-    sp1 = _MVSpaces(pair1, G)
-    sp2 = _MVSpaces(pair2, G)
+    from twistcap.mv import _connecting_chain, _connecting_map, _mv_spaces
+    sp1 = _mv_spaces(pair1, G)
+    sp2 = _mv_spaces(pair2, G)
     h2_x = sp1.homology(sp1.whole, 2)       # same for both (whole torus)
     h1_int1 = sp1.homology(sp1.inter, 1)
     h1_int2 = sp2.homology(sp2.inter, 1)
-    d1 = _connecting_homology(sp1, 2, h2_x, h1_int1)
-    d2 = _connecting_homology(sp2, 2, h2_x, h1_int2)
+    d1 = _connecting_map(sp1, 2, h2_x, h1_int1, _connecting_chain,
+                         "connecting image is not a cycle")
+    d2 = _connecting_map(sp2, 2, h2_x, h1_int2, _connecting_chain,
+                         "connecting image is not a cycle")
     incl = induced_map(transfer_matrix(sp1.inter, sp2.inter, 1),
                        h1_int1, h1_int2)
     assert incl.compose(d1).equals(d2)
