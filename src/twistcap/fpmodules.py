@@ -5,6 +5,9 @@ and divisibility-chain torsion) comes from the Smith form of the relations and
 is the notion of equality used everywhere.  A HomologyPresentation adds the
 lifting data -- a generating set of cycles in chain coordinates -- so that
 homology classes can be moved between the abstract module and actual chains.
+Homology is presented on its Smith basis: one generator per free summand and
+per torsion factor, with diagonal relations, so every map and check built on
+it works on matrices of that size.
 
 Maps between presented modules are matrices on generators carrying a witness
 that relations land in relations.  is_isomorphism certifies bijectivity with a
@@ -30,12 +33,26 @@ class FPModule:
             relations = ExactMatrix.zeros(ring, generator_count, 0)
         if relations.rows != generator_count or relations.ring != ring:
             raise TwistcapError("relation matrix shape/ring mismatch")
+        self._adopt(SmithSolver(relations))
+
+    @classmethod
+    def _diagonal(cls, ring: RingSpec, generator_count: int, invariants):
+        """Trusted constructor: relations invariants[i] * e_i, a divisibility
+        chain of canonical non-units read off a Smith form, which is not
+        factored again."""
+        module = object.__new__(cls)
+        module._adopt(SmithSolver._diagonal(ring, generator_count, invariants))
+        return module
+
+    def _adopt(self, solver: SmithSolver):
+        """Take the relations and their factorization from `solver`."""
+        ring = solver.ring
         self.ring = ring
-        self.generator_count = generator_count
-        self.relations = relations
-        self._rel_solver = SmithSolver(relations)
-        diag = [d for d in self._rel_solver.snf.diagonal() if d != ring.zero]
-        self.free_rank = generator_count - len(diag)
+        self.generator_count = solver.A.rows
+        self.relations = solver.A
+        self._rel_solver = solver
+        diag = [d for d in solver.snf.diagonal() if d != ring.zero]
+        self.free_rank = self.generator_count - len(diag)
         self.torsion = tuple(ring.canonical_generator(d) for d in diag
                              if not ring.is_unit(d))
 
@@ -94,19 +111,23 @@ class FPModule:
 
 
 class HomologyPresentation:
-    """FPModule together with a cycle basis in chain coordinates.
+    """FPModule together with its generators in chain coordinates.
 
-    The cycles are the columns of `cycle_solver.A`, one per module
-    generator; the solver turns cycles back into class coordinates.
+    The columns of `cycles` are cycles, one per module generator.  A cycle
+    goes back to class coordinates in two steps: the cycle solver writes it
+    on the kernel basis of d_out, and `coords` maps those coordinates onto
+    the module generators.
     """
 
-    def __init__(self, module: FPModule, cycle_solver: SmithSolver,
+    def __init__(self, module: FPModule, cycles: ExactMatrix,
+                 cycle_solver: SmithSolver, coords: ExactMatrix,
                  d_in: ExactMatrix, d_out: ExactMatrix):
         self.module = module
-        self.cycles = cycle_solver.A
+        self.cycles = cycles
         self.d_in = d_in
         self.d_out = d_out
         self._cycle_solver = cycle_solver
+        self._coords = coords
         self._d_in_solver = None
 
     @property
@@ -119,7 +140,8 @@ class HomologyPresentation:
 
     def class_vector(self, chain):
         """Coordinates of a cycle on the module generators; None if not a cycle."""
-        return self._cycle_solver.solve_vector(chain)
+        x = self._cycle_solver.solve_vector(chain)
+        return None if x is None else self._coords.apply(x)
 
     def is_cycle(self, chain) -> bool:
         z = self.ring.zero
@@ -132,7 +154,15 @@ class HomologyPresentation:
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
-    """ker(d_out) / im(d_in) as a presented module with cycle lifts."""
+    """ker(d_out) / im(d_in) as a presented module with cycle lifts.
+
+    The raw presentation has one generator per column of a kernel basis K and
+    relations R: the boundaries in K coordinates and, over Z/m, the torsion
+    of K.  R is factored once, U @ R @ V == D.  In the coordinates U @ x the
+    relations are the diagonal of D, so the positions whose invariant factor
+    is a unit carry nothing and are dropped.  The kept positions are the
+    Smith basis: generator chains K @ U^-1[:, kept], coordinates U[kept, :].
+    """
     if d_in.ring != d_out.ring:
         raise TwistcapError("boundary matrices over different rings")
     if d_out.cols != d_in.rows:
@@ -145,9 +175,22 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     X = cycle_solver.solve_matrix(d_in)
     if X is None:
         raise TwistcapError("image does not lie in the kernel generators")
-    relations = ExactMatrix.hstack([X, Krel])
-    module = FPModule(ring, K.cols, relations)
-    return HomologyPresentation(module, cycle_solver, d_in, d_out)
+    raw = FPModule(ring, K.cols, ExactMatrix.hstack([X, Krel]))
+    snf = raw._rel_solver.snf
+    diag = snf.diagonal()
+    # units lead the divisibility chain and zeros close it, so the kept
+    # positions list the torsion factors first
+    kept = [i for i in range(K.cols)
+            if i >= len(diag) or not ring.is_unit(diag[i])]
+    invariants = [diag[i] for i in kept
+                  if i < len(diag) and diag[i] != ring.zero]
+    module = FPModule._diagonal(ring, len(kept), invariants)
+    cycles = ExactMatrix.from_columns(
+        ring, [K.apply(snf.u_inverse_column(i)) for i in kept], K.rows)
+    coords = ExactMatrix._raw(ring, [snf.U.data[i] for i in kept])
+    coords.cols = K.cols
+    return HomologyPresentation(module, cycles, cycle_solver, coords,
+                                d_in, d_out)
 
 
 @dataclass(frozen=True)
@@ -194,9 +237,10 @@ def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
         raise NotChainMap("cycles do not map to cycles")
     if src.d_in.cols and dst.boundary_solver().solve_matrix(f_chain @ src.d_in) is None:
         raise NotChainMap("boundaries do not map to boundaries")
-    M = dst._cycle_solver.solve_matrix(mapped_cycles)
-    if M is None:
+    X = dst._cycle_solver.solve_matrix(mapped_cycles)
+    if X is None:
         raise NotChainMap("mapped cycle escapes the target kernel")
+    M = dst._coords @ X
     witness = dst.module._rel_solver.solve_matrix(M @ src.module.relations)
     if witness is None:
         raise NotChainMap("relations do not map into relations")
@@ -228,12 +272,9 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
     snf = solver.snf
     units = sum(1 for d in snf.diagonal() if ring.is_unit(d))
     if units < tt:
-        idx = units  # first non-unit pivot position marks a cokernel class
-        usolve = SmithSolver(snf.U)
-        e = [ring.zero] * tt
-        e[idx] = ring.one
-        witness = usolve.solve_vector(e)
-        return IsoResult(False, cokernel_witness=tuple(witness))
+        # the first non-unit pivot position marks a cokernel class, the
+        # element that U sends to that unit vector
+        return IsoResult(False, cokernel_witness=snf.u_inverse_column(units))
 
     ker_gens, _ = snf.kernel_with_relations()
     src_rel = f.source._rel_solver

@@ -6,7 +6,9 @@ fundamental groupoid.  Transports follow one direction convention everywhere:
 ``transport(u, v)`` carries the fiber at the *later* endpoint of the edge path
 u -> v back to the fiber at u.  A system stores both directions of every
 edge: each given transport is inverted once, at construction, and a
-non-invertible one is rejected there.
+non-invertible one is rejected there.  A construction that already knows
+the inverses (a tensor product knows those of its factors) passes them in,
+and each is checked with one product instead of computed.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -31,10 +33,11 @@ class LocalSystem:
                  "_path_cache", "_cache")
 
     def __init__(self, base: SimplicialComplex, ring: RingSpec, rank: int,
-                 transport: dict):
+                 transport: dict, known_reverse: dict | None = None):
         if rank < 1:
             raise TwistcapError("rank must be positive")
         edges = set(base.faces(1))
+        ident = ExactMatrix.identity(ring, rank)
         cleaned, reverse = {}, {}
         for edge, mat in transport.items():
             e = tuple(edge)
@@ -42,12 +45,21 @@ class LocalSystem:
                 raise TwistcapError(f"{e} is not an edge of the base complex")
             if mat.ring != ring or mat.rows != rank or mat.cols != rank:
                 raise TwistcapError(f"transport at {e} has wrong shape or ring")
-            try:
-                reverse[e] = inverse(mat)
-            except TwistcapError:
-                raise TwistcapError(f"transport at {e} is not invertible") from None
+            if known_reverse is None:
+                try:
+                    rev = inverse(mat)
+                except TwistcapError:
+                    rev = None
+            else:
+                # a one-sided inverse of a square matrix over a commutative
+                # ring is two-sided
+                rev = known_reverse[e]
+                if mat @ rev != ident:
+                    rev = None
+            if rev is None:
+                raise TwistcapError(f"transport at {e} is not invertible")
+            reverse[e] = rev
             cleaned[e] = mat
-        ident = ExactMatrix.identity(ring, rank)
         for e in edges:
             if e not in cleaned:
                 cleaned[e] = reverse[e] = ident
@@ -159,9 +171,10 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
         raise BaseMismatch("tensor factors live on different complexes")
     if G.ring != Gp.ring:
         raise RingMismatch("tensor factors over different rings")
-    transport = {e: G._transport[e].kron(Gp._transport[e])
-                 for e in G.base.faces(1)}
-    cached = LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport)
+    edges = G.base.faces(1)
+    transport = {e: G._transport[e].kron(Gp._transport[e]) for e in edges}
+    reverse = {e: G._reverse[e].kron(Gp._reverse[e]) for e in edges}
+    cached = LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport, reverse)
     G._cache[key] = cached
     return cached
 

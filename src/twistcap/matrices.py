@@ -4,16 +4,18 @@ Entries are plain Python integers and Fractions, so nothing overflows or
 rounds.  ExactMatrix stores its rows as tuples and multiplies through a
 row-sparse view of its right operand.  The Smith form eliminates on
 sparse storage, since boundary operators are almost all zeros and +-1: rows
-of the working matrix and of U are dicts of their nonzeros, V is held as
-sparse columns, and column swaps permute indices.  The pivot rule is the
-minimal-pivot one that keeps integer growth tame, and the elementary
+of the working matrix and of U are dicts of their nonzeros, V and U^-1 are
+held as sparse columns, and column swaps permute indices.  The pivot rule is
+the minimal-pivot one that keeps integer growth tame, and the elementary
 operations are exactly those of a dense sweep, so the transforms (and every
 kernel basis and certificate derived from them) do not depend on the storage.
 
 Every decomposition carries its transforms: smith_normal_form returns U, D, V
 with U @ A @ V == D, U and V invertible, and the diagonal of D a divisibility
-chain.  kernel_with_relations and SmithSolver build on it; together they are
-the only linear-algebra primitives the homology layer needs.
+chain, together with U^-1 as sparse columns, which the elimination updates
+alongside U (a row operation on U is a column operation on U^-1).
+kernel_with_relations and SmithSolver build on it; together they are the
+only linear-algebra primitives the homology layer needs.
 """
 
 from __future__ import annotations
@@ -246,6 +248,16 @@ class SmithDecomposition:
     V: ExactMatrix
     u_det: object
     v_det: object
+    U_inv: tuple  # columns of U^-1, each a dict row -> nonzero entry
+
+    def u_inverse_column(self, j):
+        """Column j of U^-1 as a dense tuple: the element of the row space
+        that U sends to the j-th unit vector."""
+        ring = self.D.ring
+        col = [ring.zero] * self.U.rows
+        for i, x in self.U_inv[j].items():
+            col[i] = x
+        return tuple(col)
 
     def diagonal(self):
         n = min(self.D.rows, self.D.cols)
@@ -322,8 +334,9 @@ def _euclid_core(M, r, c, m):
     """Minimal-pivot integer elimination; entries of M are plain ints, in
     range(m) when m is given.
 
-    Mutates M to diagonal form and returns (U, V, udet, vdet) with
-    U @ A @ V == D over Z, reducing mod m throughout when m is given.
+    Mutates M to diagonal form and returns (U, U_inv, V, udet, vdet) with
+    U @ A @ V == D over Z, reducing mod m throughout when m is given; U_inv
+    is U^-1 as a list of sparse columns (dicts row -> nonzero entry).
 
     The pivot is the first entry of least absolute value in row-major order
     (columns in their current order).  Its column is cleared downward and its
@@ -333,20 +346,22 @@ def _euclid_core(M, r, c, m):
     hashes downstream.
 
     The work runs on sparse storage, so row and column operations touch only
-    nonzero entries: rows of M and U are dicts of their nonzeros, V is kept
-    as sparse columns, and a column swap only updates the map between logical
-    and physical (dict key) columns that M and V share.  Zeros are never
-    stored.
+    nonzero entries: rows of M and U are dicts of their nonzeros, V and U^-1
+    are kept as sparse columns, and a column swap only updates the map
+    between logical and physical (dict key) columns that M and V share.
+    Zeros are never stored.  Each operation on the rows of U is mirrored on
+    the columns of U^-1, so U^-1 needs no solve.
     """
     S = [{j: v for j, v in enumerate(row) if v} for row in M]  # rows of M
     U = [{i: 1} for i in range(r)]  # rows of U
+    W = [{i: 1} for i in range(r)]  # columns of U^-1
     V = [{j: 1} for j in range(c)]  # columns of V, by physical column
     phys = list(range(c))  # logical column -> physical column
     logical = list(range(c))  # physical column -> logical column
     udet = vdet = 1
 
     def axpy(dst, src, q):
-        # dst -= q * src over the nonzeros of src
+        # dst -= q * src over the nonzeros of src; q != 0
         get = dst.get
         if m:
             for k, v in src.items():
@@ -364,8 +379,10 @@ def _euclid_core(M, r, c, m):
                     del dst[k]  # q * v != 0, so the entry was stored
 
     def rowop(i, t, q):
+        # row i -= q * row t, so column t of U^-1 += q * its column i
         axpy(S[i], S[t], q)
         axpy(U[i], U[t], q)
+        axpy(W[t], W[i], -q)
 
     def colop(pj, pt, q, holders):
         # column pj -= q * column pt; holders are the rows storing column pt
@@ -384,6 +401,7 @@ def _euclid_core(M, r, c, m):
         nonlocal udet
         S[i], S[k] = S[k], S[i]
         U[i], U[k] = U[k], U[i]
+        W[i], W[k] = W[k], W[i]
         udet = -udet
 
     def swap_cols(j, k):
@@ -474,6 +492,7 @@ def _euclid_core(M, r, c, m):
             if St.get(pt, 0) < 0:
                 St[pt] = -St[pt]
                 U[t] = {k: -v for k, v in U[t].items()}
+                W[t] = {k: -v for k, v in W[t].items()}
                 udet = -udet
 
     # densify into the plain lists the wrappers take
@@ -492,7 +511,7 @@ def _euclid_core(M, r, c, m):
     for j in range(c):
         for i, v in V[phys[j]].items():
             Vd[i][j] = v
-    return Ud, Vd, udet, vdet
+    return Ud, W, Vd, udet, vdet
 
 
 def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
@@ -501,7 +520,7 @@ def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
     r, c = A.rows, A.cols
     m = modulus
     M = [list(row) for row in A.data]
-    U, V, udet, vdet = _euclid_core(M, r, c, m)
+    U, W, V, udet, vdet = _euclid_core(M, r, c, m)
 
     if m is not None:
         # scale each nonzero diagonal entry to its canonical gcd-with-m form
@@ -516,6 +535,8 @@ def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
                 for j, x in enumerate(Ut):
                     if x:
                         Ut[j] = x * u % m
+                u_inv = pow(u, -1, m)
+                W[t] = {i: x * u_inv % m for i, x in W[t].items()}
                 udet = udet * u
         udet %= m
         vdet %= m
@@ -524,7 +545,8 @@ def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
     Dm = ExactMatrix._raw(ring, M)
     Dm.cols = c
     Um.cols, Vm.cols = r, c
-    return SmithDecomposition(Um, Dm, Vm, ring.normalize(udet), ring.normalize(vdet))
+    return SmithDecomposition(Um, Dm, Vm, ring.normalize(udet),
+                              ring.normalize(vdet), tuple(W))
 
 
 def _snf_field(A: ExactMatrix) -> SmithDecomposition:
@@ -543,11 +565,13 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
         scales.append(denom)
         M.append([x.numerator * (denom // x.denominator) if x else 0
                   for x in row])
-    U, V, udet, vdet = _euclid_core(M, r, c, None)
+    U, W, V, udet, vdet = _euclid_core(M, r, c, None)
 
+    # U scales column j by scales[j], so U^-1 divides row j by it
     zero = Fraction(0)
     Uq = [[Fraction(x * scales[j]) if x else zero for j, x in enumerate(row)]
           for row in U]
+    Wq = [{i: Fraction(x, scales[i]) for i, x in col.items()} for col in W]
     udet_q = Fraction(udet)
     for s in scales:
         udet_q *= s
@@ -561,6 +585,7 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
             for j, x in enumerate(Ut):
                 if x:
                     Ut[j] = x * inv
+            Wq[t] = {i: x * d for i, x in Wq[t].items()}
             udet_q *= inv
 
     Um = ExactMatrix._raw(ring, Uq)
@@ -569,7 +594,7 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
     Dm = ExactMatrix._raw(ring, Dq)
     Dm.cols = c
     Um.cols, Vm.cols = r, c
-    return SmithDecomposition(Um, Dm, Vm, udet_q, Fraction(vdet))
+    return SmithDecomposition(Um, Dm, Vm, udet_q, Fraction(vdet), tuple(Wq))
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +619,26 @@ class SmithSolver:
         self.A = A
         self.ring = A.ring
         self.snf = smith_normal_form(A)
+
+    @classmethod
+    def _diagonal(cls, ring: RingSpec, rows: int, invariants):
+        """Trusted constructor for the rows x len(invariants) matrix with the
+        invariants on its diagonal.  They must be a divisibility chain in
+        canonical form, read off a Smith form, so the matrix is its own Smith
+        form and nothing is factored."""
+        zero, one = ring.zero, ring.one
+        cols = len(invariants)
+        D = ExactMatrix._raw(ring, [[invariants[i] if i == j else zero
+                                     for j in range(cols)]
+                                    for i in range(rows)])
+        D.cols = cols
+        solver = object.__new__(cls)
+        solver.A = D
+        solver.ring = ring
+        solver.snf = SmithDecomposition(
+            ExactMatrix.identity(ring, rows), D, ExactMatrix.identity(ring, cols),
+            one, one, tuple({i: one} for i in range(rows)))
+        return solver
 
     def solve_vector(self, b):
         ring = self.ring

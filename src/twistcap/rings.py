@@ -168,6 +168,6 @@ def parse_ring(text: str) -> RingSpec:
     for prefix in ("Z/", "Zmod"):
         if t.startswith(prefix):
             body = t[len(prefix):].strip()
-            if body.isdigit():
+            if body.isascii() and body.isdigit():  # int() rejects "²"
                 return Zmod(int(body))
     raise TwistcapError(f"cannot parse ring {text!r}")

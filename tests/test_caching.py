@@ -21,8 +21,8 @@ from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
 from twistcap.localsystems import (constant_system, is_trivializable,
                                    orientation_system, random_flat_system,
                                    tensor)
-from twistcap.matrices import ExactMatrix
-from twistcap.rings import Z, Zmod
+from twistcap.matrices import ExactMatrix, inverse
+from twistcap.rings import Q, Z, Zmod
 
 
 def count_calls(monkeypatch, owner, name):
@@ -113,6 +113,19 @@ def test_is_isomorphism_factors_the_stacked_matrix_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_is_isomorphism_reads_the_cokernel_witness_off_u_inverse(monkeypatch):
+    module = FPModule(Z, 2)
+    f = ModuleMap(module, module, ExactMatrix(Z, [[1, 0], [0, 2]]))
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    result = is_isomorphism(f)
+    assert not result.isomorphism
+    assert len(calls) == 1
+    # the witness is a class outside the image of f
+    stacked = ExactMatrix.hstack([f.matrix, module.relations])
+    assert matrices.SmithSolver(stacked).solve_vector(
+        result.cokernel_witness) is None
+
+
 def test_split_exactness_factors_six_matrices_per_degree(monkeypatch):
     M = corpus("rp2")
     cover = build_double_cover(M, orientation_system(M, Z))
@@ -185,3 +198,20 @@ def test_random_flat_system_builds_one_system(monkeypatch):
     random_flat_system(M, Z, 2, seed=3)
     assert len(built) == 1
     assert len(inverted) == len(M.faces(1)) + M.vertex_count
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)
+def test_tensor_inverts_nothing(monkeypatch, ring):
+    pairs = []
+    for name in CORPUS_NAMES:
+        M = corpus(name)
+        G = random_flat_system(M, ring, 2, seed=2)
+        pairs += [(G, orientation_system(M, ring)), (G, G)]
+    inverted = count_calls(monkeypatch, localsystems, "inverse")
+    products = [tensor(G, Gp) for G, Gp in pairs]
+    assert inverted == []
+    for (G, Gp), GT in zip(pairs, products):
+        for u, v in G.base.faces(1):
+            kron = G.transport(u, v).kron(Gp.transport(u, v))
+            assert GT.transport(u, v) == kron
+            assert GT.transport(v, u) == inverse(kron)

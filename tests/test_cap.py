@@ -8,8 +8,10 @@ from twistcap.cap import (boundary_identity_check, cap_chain, cap_matrix,
 from twistcap.chains import fundamental_class_direct, pair_complex
 from twistcap.complexes import FullSubcomplex, corpus
 from twistcap.errors import BadIndices, DegreeMismatch
+from twistcap.fpmodules import ModuleMap
 from twistcap.localsystems import (constant_system, orientation_system,
                                    random_flat_system, tensor)
+from twistcap.matrices import ExactMatrix
 from twistcap.rings import Q, Z, Zmod
 
 
@@ -234,3 +236,20 @@ def test_cap_matrix_applies_as_cap_vector(name, ring):
                     f = cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a)
                     assert f.apply(c) == cap_vector(cochain_pc, chain_pc,
                                                     out_pc, k, c, n, a)
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(4)], ids=str)
+@pytest.mark.parametrize("name", ["rp2", "klein"])
+def test_duality_inverse_is_two_sided_modulo_relations(name, ring):
+    M = corpus(name)
+    for G in (constant_system(M, ring), orientation_system(M, ring)):
+        for row in verify_duality(M, G, ring).rows:
+            f, N = row.map, row.iso.inverse
+            # one generator per free summand and per torsion factor
+            sizes = [m.free_rank + len(m.torsion) for m in (row.left, row.right)]
+            assert [N.cols, N.rows] == sizes
+            back = ModuleMap(f.target, f.source, N)
+            for m, loop in ((f.source, back.compose(f)),
+                            (f.target, f.compose(back))):
+                ident = ExactMatrix.identity(ring, m.generator_count)
+                assert loop.equals(ModuleMap(m, m, ident))

@@ -1,5 +1,6 @@
-"""Random input files through the CLI: every input ends in exit 0, 1 or 2,
-no exception escapes `cli.main`, and exit 2 comes with an `error:` line.
+"""Random input files and option strings through the CLI: every input ends
+in exit 0, 1 or 2, no exception escapes `cli.main`, and exit 2 comes with an
+`error:` line.
 
 The examples are derandomized, so every run draws the same inputs.
 """
@@ -113,3 +114,72 @@ def test_random_system_files_keep_the_exit_contract(tmp_path, case, command,
     if command == "cap-identity":
         argv += ["--trials", "2"]
     assert_contract(*run(argv)[::2])
+
+
+# Option values: well-formed ones, malformed ones and a little free text.
+# Ranks and trial counts stay small, since each costs memory or time in
+# proportion to its value.
+SPEC_RANKS = ("", "0", "1", "2", "-1", "x", " 2", "2.0")
+SPEC_SEEDS = ("", "0", "3", "-7", "99999999999999999999", "x")
+OPTION_COMMANDS = COMPLEX_COMMANDS + ("check-mv", "diagram6")
+OPTION_COMPLEXES = ("circle", "sphere2", "rp2", "torus", "klein", "octahedron",
+                    "sphere3", "nope", "")
+OPTION_RINGS = ("Z", "Q", "Z/2", "Z/3", "Z/4", "Zmod 5", "Zmod7", "Z/10007",
+                "Z/1", "Z/0", "Z/-3", "Z/", "Z/x", "Z/\u00b2", "Z/\u0663",
+                "z", "R", "", " Q ")
+OPTION_INTS = ("0", "1", "2", "-1", "99999999999999999999", "x", "", "1.5")
+
+
+@st.composite
+def system_specs(draw):
+    name = draw(st.sampled_from(("constant", "orientation", "random-flat",
+                                 "flat", "", "no/such/file")))
+    if name == "random-flat":
+        parts = [draw(st.sampled_from(SPEC_SEEDS)),
+                 draw(st.sampled_from(SPEC_RANKS))]
+    else:
+        parts = [draw(st.sampled_from(SPEC_RANKS))]
+    parts = parts[:draw(st.integers(0, len(parts)))]
+    return ":".join([name] + parts)
+
+
+def text_or(values):
+    return st.one_of(st.sampled_from(values), st.text(max_size=4))
+
+
+@st.composite
+def option_argvs(draw):
+    command = draw(st.sampled_from(OPTION_COMMANDS))
+    options = {"--ring": text_or(OPTION_RINGS),
+               "--seed": text_or(OPTION_INTS),
+               "--format": st.sampled_from(("tsv", "plain", "xml"))}
+    if command == "check-mv":
+        options["--cover"] = st.sampled_from(("cylinders", "hemispheres",
+                                              "bands"))
+    if command == "diagram6":
+        options["--config"] = st.sampled_from(("torus", "sphere", "klein",
+                                               "rp2"))
+    else:
+        options["--complex"] = text_or(OPTION_COMPLEXES)
+    if command in SYSTEM_COMMANDS + ("check-mv", "diagram6"):
+        options["--system"] = st.one_of(system_specs(), st.text(max_size=6))
+    if command == "cap-identity" or draw(st.integers(0, 9)) == 0:
+        options["--trials"] = st.sampled_from(("1", "2", "0", "-1", "x"))
+    argv = [command]
+    for flag, values in options.items():
+        if draw(st.integers(0, 9)):  # one in ten left out
+            argv += [flag, draw(values)]
+    return argv
+
+
+@SETTINGS
+@given(argv=option_argvs())
+def test_random_options_keep_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        assert exc.code == 2 and ": error: " in err.getvalue()
+    else:
+        assert_contract(code, err.getvalue())

@@ -1,9 +1,13 @@
 import pytest
 
+from twistcap.chains import pair_complex
+from twistcap.complexes import CORPUS_NAMES, corpus
 from twistcap.errors import CompositionNonzero, NotChainMap
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 induced_map, is_exact_at, is_isomorphism)
-from twistcap.matrices import ExactMatrix
+from twistcap.localsystems import (constant_system, orientation_system,
+                                   random_flat_system)
+from twistcap.matrices import ExactMatrix, SmithSolver, kernel_with_relations
 from twistcap.rings import Q, Z, Zmod
 
 from oracles import RP2_FACETS, boundary_matrix
@@ -140,3 +144,36 @@ def test_exactness_checker():
     assert is_exact_at(times2, proj)
     times4 = ModuleMap(free, free, imat([[4]]))
     assert not is_exact_at(times4, proj)
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_smith_basis_presentation(name, ring):
+    """The presentation on the Smith basis against the raw one: one
+    generator per kernel basis vector, relations the boundaries and the
+    kernel torsion."""
+    M = corpus(name)
+    for G in (constant_system(M, ring), orientation_system(M, ring),
+              random_flat_system(M, ring, 2, 0)):
+        pc = pair_complex(M, G)
+        for k in range(M.dimension + 1):
+            d_in, d_out = pc.boundary(k + 1), pc.boundary(k)
+            pres = homology_presentation(d_in, d_out)
+            K, Krel = kernel_with_relations(d_out)
+            X = SmithSolver(K).solve_matrix(d_in)
+            raw = FPModule(ring, K.cols, ExactMatrix.hstack([X, Krel]))
+            module = pres.module
+            assert module.normal_form == raw.normal_form
+            assert module.generator_count == \
+                module.free_rank + len(module.torsion)
+            g = module.generator_count
+            for j in range(g):
+                cycle = pres.cycles.column(j)
+                assert pres.is_cycle(cycle)
+                # over Z/m the coordinates are fixed only up to relations
+                unit = [ring.one if i == j else ring.zero for i in range(g)]
+                assert module.classes_equal(pres.class_vector(cycle), unit)
+            if d_in.cols:
+                boundary = d_in.apply([ring.from_int(i % 3 - 1)
+                                       for i in range(d_in.cols)])
+                assert module.is_zero_class(pres.class_vector(boundary))

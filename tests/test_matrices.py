@@ -159,10 +159,12 @@ def _reference_core(M, r, c, m):
     """The dense elimination that twistcap.matrices._euclid_core must match
     operation for operation; entries of M are plain ints.
 
-    Mutates M to diagonal form and returns (U, V, udet, vdet) with
-    U @ A @ V == D over Z, reducing mod m throughout when m is given.
+    Mutates M to diagonal form and returns (U, U_inv, V, udet, vdet) with
+    U @ A @ V == D over Z, reducing mod m throughout when m is given; U_inv
+    is tracked densely and returned as sparse columns.
     """
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    Uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
     udet = vdet = 1
 
@@ -176,6 +178,8 @@ def _reference_core(M, r, c, m):
         Ui, Ut = U[i], U[t]
         for j in range(r):
             Ui[j] = red(Ui[j] - q * Ut[j])
+        for row in Uinv:
+            row[t] = red(row[t] + q * row[i])
 
     def colop(j, t, q):
         for i in range(r):
@@ -189,6 +193,8 @@ def _reference_core(M, r, c, m):
         nonlocal udet
         M[i], M[k] = M[k], M[i]
         U[i], U[k] = U[k], U[i]
+        for row in Uinv:
+            row[i], row[k] = row[k], row[i]
         udet = -udet
 
     def swap_cols(j, k):
@@ -285,8 +291,12 @@ def _reference_core(M, r, c, m):
                     M[t][j] = -M[t][j]
                 for j in range(r):
                     U[t][j] = -U[t][j]
+                for row in Uinv:
+                    row[t] = -row[t]
                 udet = -udet
-    return U, V, udet, vdet
+    Uinv_columns = [{i: Uinv[i][j] for i in range(r) if Uinv[i][j]}
+                    for j in range(r)]
+    return U, Uinv_columns, V, udet, vdet
 
 
 def reference_snf(A):
@@ -356,6 +366,21 @@ def test_snf_matches_frozen_reference(ring, data):
         got = [ring.canonical_generator(d) for d in snf.diagonal()]
         assert got == expected_canonical_diagonal(ring, [list(x) for x in A.data],
                                                   r, c)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_u_inverse_is_a_two_sided_inverse(ring, data):
+    r, c, rows = data.draw(matrix_rows(ring))
+    snf = smith_normal_form(build(ring, rows, r, c))
+    assert all(x for col in snf.U_inv for x in col.values())  # sparse
+    U_inv = ExactMatrix.from_columns(
+        ring, [snf.u_inverse_column(j) for j in range(r)], r)
+    ident = ExactMatrix.identity(ring, r)
+    assert snf.U @ U_inv == ident
+    assert U_inv @ snf.U == ident
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(12), Q], ids=str)

@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from twistcap.rings import Zmod
+from twistcap.errors import TwistcapError
+from twistcap.rings import Q, Z, Zmod, parse_ring
 
 
 def scanned_unit(m, a):
@@ -34,3 +35,16 @@ def test_unit_scaling_cost_does_not_grow_with_the_modulus(m, a):
     assert time.perf_counter() - start < 0.5
     assert gcd(u, m) == 1
     assert u * a % m == ring.canonical_generator(a)
+
+
+@pytest.mark.parametrize("text, ring", [("Z", Z), (" Q ", Q), ("Z/4", Zmod(4)),
+                                        ("Zmod 5", Zmod(5)), ("Zmod7", Zmod(7))])
+def test_parse_ring(text, ring):
+    assert parse_ring(text) == ring
+
+
+@pytest.mark.parametrize("text", ["Z/", "Z/x", "Z/-3", "Z/1", "Z/\u00b2",
+                                  "Z/\u0663", "R", ""])
+def test_parse_ring_rejects_with_a_usage_error(text):
+    with pytest.raises(TwistcapError):
+        parse_ring(text)
