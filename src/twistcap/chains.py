@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from .complexes import (FullSubcomplex, SimplicialComplex, Subcomplex,
                         star_signs, validate)
-from .errors import FlatnessViolation, NotClosedPseudomanifold, TwistcapError
+from .errors import (CheckFailed, FlatnessViolation, NotClosedPseudomanifold,
+                     TwistcapError)
 from .fpmodules import HomologyPresentation, homology_presentation
 from .localsystems import LocalSystem, orientation_system, validate_flatness
 from .matrices import ExactMatrix
 
 
-class NotAFundamentalCycle(TwistcapError):
+class NotAFundamentalCycle(CheckFailed):
     """Raised when the requested coefficient system admits no such cycle."""
 
     def __init__(self, message, witness=None):

@@ -22,7 +22,7 @@ from .complexes import (BUILTIN_NAMES, dumps_complex, facet_components,
                         load_complex, named_complex, validate)
 from .covers import (build_double_cover, fundamental_class_via_cover,
                      lemma1_check)
-from .errors import TwistcapError, UnknownName
+from .errors import CheckFailed, TwistcapError, UnknownName
 from .localsystems import (constant_system, dumps_local_system,
                            is_trivializable, load_local_system,
                            orientation_system, random_flat_system)
@@ -355,6 +355,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except CheckFailed as exc:
+        sep = "\t" if args.format == "tsv" else "  "
+        print(sep.join(("FAIL", type(exc).__name__, str(exc))))
+        return 1
     except TwistcapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -407,7 +407,7 @@ def cover_sign_system(cover, ring) -> LocalSystem:
     if cached is None:
         transport = {e: ExactMatrix(ring, [[ring.from_int(sign)]])
                      for e, sign in cover.signs.items()}
-        cached = LocalSystem(cover.base, ring, 1, transport)
+        cached = LocalSystem(cover.base, ring, 1, transport, transport)
         cover._cache[key] = cached
     return cached
 

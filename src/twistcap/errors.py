@@ -9,7 +9,16 @@ class TwistcapError(Exception):
     pass
 
 
+class CheckFailed(TwistcapError):
+    """A check failed while it ran, rather than the input being bad: the CLI
+    reports it with a FAIL line and exit 1, not exit 2."""
+
+
 # -- exact algebra ----------------------------------------------------------
+
+class CertificateFailed(CheckFailed):
+    """An isomorphism's inverse certificate did not verify."""
+
 
 class CompositionNonzero(TwistcapError):
     """d_out @ d_in != 0, so the pair does not define a chain degree."""
@@ -95,3 +104,7 @@ class NotRelativeCocycle(TwistcapError):
 
 class NotACover(TwistcapError):
     pass
+
+
+class ConnectingChainEscapes(CheckFailed):
+    """A zig-zag connecting chain does not lie in the intersection."""

@@ -7,7 +7,10 @@ lifting data -- a generating set of cycles in chain coordinates -- so that
 homology classes can be moved between the abstract module and actual chains.
 Homology is presented on its Smith basis: one generator per free summand and
 per torsion factor, with diagonal relations, so every map and check built on
-it works on matrices of that size.
+it works on matrices of that size.  A presentation costs two factorizations,
+of d_out and of the raw relations: the coordinates of a cycle on the kernel
+generators are read off V^-1 of d_out, so the kernel is never factored, and
+induced maps check boundaries on the Smith basis, so they factor nothing.
 
 Maps between presented modules are matrices on generators carrying a witness
 that relations land in relations.  is_isomorphism certifies bijectivity with a
@@ -17,10 +20,11 @@ two-sided inverse, or returns an explicit kernel/cokernel witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .errors import CompositionNonzero, NotChainMap, TwistcapError
-from .matrices import (ExactMatrix, SmithSolver, kernel, kernel_with_relations,
-                       smith_normal_form)
+from .errors import (CertificateFailed, CompositionNonzero, NotChainMap,
+                     TwistcapError)
+from .matrices import ExactMatrix, SmithSolver, kernel, smith_normal_form
 from .rings import INTEGERS, MODULAR, RingSpec
 
 
@@ -113,22 +117,24 @@ class FPModule:
 class HomologyPresentation:
     """FPModule together with its generators in chain coordinates.
 
-    The columns of `cycles` are cycles, one per module generator.  A cycle
-    goes back to class coordinates in two steps: the cycle solver writes it
-    on the kernel basis of d_out, and `coords` maps those coordinates onto
-    the module generators.
+    The columns of `cycles` are cycles, one per module generator.  A cycle z
+    goes back to class coordinates in two steps: the kernel rows of V^-1 of
+    d_out, each quotient divided by its a_j (see
+    SmithDecomposition.kernel_positions), write z on the kernel generators,
+    and `coords` = U[kept, :] of the raw relations maps those coordinates
+    onto the module generators.
     """
 
     def __init__(self, module: FPModule, cycles: ExactMatrix,
-                 cycle_solver: SmithSolver, coords: ExactMatrix,
+                 kernel_rows: tuple, divisors: tuple, coords: ExactMatrix,
                  d_in: ExactMatrix, d_out: ExactMatrix):
         self.module = module
         self.cycles = cycles
         self.d_in = d_in
         self.d_out = d_out
-        self._cycle_solver = cycle_solver
+        self._kernel_rows = kernel_rows
+        self._divisors = divisors
         self._coords = coords
-        self._d_in_solver = None
 
     @property
     def ring(self):
@@ -140,28 +146,66 @@ class HomologyPresentation:
 
     def class_vector(self, chain):
         """Coordinates of a cycle on the module generators; None if not a cycle."""
-        x = self._cycle_solver.solve_vector(chain)
-        return None if x is None else self._coords.apply(x)
+        if not self.is_cycle(chain):
+            return None
+        col = ExactMatrix.from_columns(self.ring, [chain], self.chain_rank)
+        return self.class_matrix(col).column(0)
+
+    def class_matrix(self, chains: ExactMatrix) -> ExactMatrix:
+        """Class coordinates of the cycles in the columns of `chains`."""
+        return self._coords @ _kernel_coordinates(self._kernel_rows,
+                                                  self._divisors, chains)
 
     def is_cycle(self, chain) -> bool:
         z = self.ring.zero
         return all(x == z for x in self.d_out.apply(chain))
 
-    def boundary_solver(self) -> SmithSolver:
-        if self._d_in_solver is None:
-            self._d_in_solver = SmithSolver(self.d_in)
-        return self._d_in_solver
+
+def _kernel_coordinates(kernel_rows, divisors, cycles: ExactMatrix):
+    """Coordinates of the columns of `cycles` on the kernel generators
+    a_j * V[:, j]: (V^-1 @ cycles)[j, :] / a_j, from the sparse kernel rows
+    of V^-1.  The entries of a cycle there lie in the ideal (a_j), so each
+    division is exact."""
+    ring = cycles.ring
+    norm, divide, zero = ring.normalize, ring.divide, ring.zero
+    data = cycles.data
+    span = range(cycles.cols)
+    out = []
+    for row, a in zip(kernel_rows, divisors):
+        acc = {}
+        get = acc.get
+        for k, v in row.items():
+            entries = data[k]
+            for j in compress(span, entries):   # the nonzero positions
+                acc[j] = get(j, zero) + v * entries[j]
+        quotients = [zero] * cycles.cols
+        for j, x in acc.items():
+            x = norm(x)
+            if x:
+                q = divide(x, a)
+                if q is None:
+                    raise TwistcapError("chain is not a cycle")
+                quotients[j] = q
+        out.append(quotients)
+    X = ExactMatrix._raw(ring, out)
+    X.cols = cycles.cols
+    return X
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
     """ker(d_out) / im(d_in) as a presented module with cycle lifts.
 
-    The raw presentation has one generator per column of a kernel basis K and
-    relations R: the boundaries in K coordinates and, over Z/m, the torsion
-    of K.  R is factored once, U @ R @ V == D.  In the coordinates U @ x the
-    relations are the diagonal of D, so the positions whose invariant factor
-    is a unit carry nothing and are dropped.  The kept positions are the
-    Smith basis: generator chains K @ U^-1[:, kept], coordinates U[kept, :].
+    d_out is factored once, U_out @ d_out @ V_out == D_out.  The kernel
+    generators are a_j * V_out[:, j] at the kernel positions j, and a cycle
+    z has coordinates (V_out^-1 z)_j / a_j on them, so the boundaries come
+    to kernel coordinates, X, through the kernel rows of V_out^-1 without
+    factoring the kernel.  The raw presentation has relations R = [X, Krel]
+    (Krel: over Z/m, the torsion of the kernel).  R is factored once,
+    U @ R @ V == D.  In the coordinates U @ x the relations are the diagonal
+    of D, so the positions whose invariant factor is a unit carry nothing
+    and are dropped.  The kept positions are the Smith basis: generator
+    chains K @ U^-1[:, kept] (K the kernel generators as columns),
+    coordinates U[kept, :].
     """
     if d_in.ring != d_out.ring:
         raise TwistcapError("boundary matrices over different rings")
@@ -170,26 +214,35 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     if not (d_out @ d_in).is_zero():
         raise CompositionNonzero("d_out @ d_in != 0")
     ring = d_in.ring
-    K, Krel = kernel_with_relations(d_out)
-    cycle_solver = SmithSolver(K)
-    X = cycle_solver.solve_matrix(d_in)
-    if X is None:
-        raise TwistcapError("image does not lie in the kernel generators")
-    raw = FPModule(ring, K.cols, ExactMatrix.hstack([X, Krel]))
+    out_snf = smith_normal_form(d_out)
+    positions = out_snf.kernel_positions
+    kernel_rows = tuple(out_snf.V_inv[j] for j, _ in positions)
+    divisors = tuple(a for _, a in positions)
+    X = _kernel_coordinates(kernel_rows, divisors, d_in)
+    raw = FPModule(ring, len(positions),
+                   ExactMatrix.hstack([X, out_snf.kernel_relations()]))
     snf = raw._rel_solver.snf
     diag = snf.diagonal()
     # units lead the divisibility chain and zeros close it, so the kept
     # positions list the torsion factors first
-    kept = [i for i in range(K.cols)
+    kept = [i for i in range(len(positions))
             if i >= len(diag) or not ring.is_unit(diag[i])]
     invariants = [diag[i] for i in kept
                   if i < len(diag) and diag[i] != ring.zero]
     module = FPModule._diagonal(ring, len(kept), invariants)
-    cycles = ExactMatrix.from_columns(
-        ring, [K.apply(snf.u_inverse_column(i)) for i in kept], K.rows)
+    generators = []
+    for i in kept:
+        # column i of K @ U^-1: a combination of the columns of V_out
+        chain = [ring.zero] * d_out.cols
+        for t, w in snf.U_inv[i].items():
+            j, a = positions[t]
+            c = a * w
+            chain = [x + c * row[j] for x, row in zip(chain, out_snf.V.data)]
+        generators.append([ring.normalize(x) for x in chain])
+    cycles = ExactMatrix.from_columns(ring, generators, d_out.cols)
     coords = ExactMatrix._raw(ring, [snf.U.data[i] for i in kept])
-    coords.cols = K.cols
-    return HomologyPresentation(module, cycles, cycle_solver, coords,
+    coords.cols = len(positions)
+    return HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
                                 d_in, d_out)
 
 
@@ -229,18 +282,22 @@ def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
 
     Checks that f sends cycles to cycles and boundaries to boundaries against
     the stored boundary data, and stores the well-definedness witness.
+    Boundaries are checked on the Smith basis, factoring nothing: a cycle of
+    the target is a boundary exactly when its class coordinates are a zero
+    class, since the cycles are spanned by the generator chains and the
+    boundaries, and the dropped unit positions carry nothing.
     """
     if f_chain.cols != src.chain_rank or f_chain.rows != dst.chain_rank:
         raise TwistcapError("chain map shape mismatch")
     mapped_cycles = f_chain @ src.cycles
     if not (dst.d_out @ mapped_cycles).is_zero():
         raise NotChainMap("cycles do not map to cycles")
-    if src.d_in.cols and dst.boundary_solver().solve_matrix(f_chain @ src.d_in) is None:
+    mapped_boundaries = f_chain @ src.d_in
+    if (not (dst.d_out @ mapped_boundaries).is_zero()
+            or dst.module._rel_solver.solve_matrix(
+                dst.class_matrix(mapped_boundaries)) is None):
         raise NotChainMap("boundaries do not map to boundaries")
-    X = dst._cycle_solver.solve_matrix(mapped_cycles)
-    if X is None:
-        raise NotChainMap("mapped cycle escapes the target kernel")
-    M = dst._coords @ X
+    M = dst.class_matrix(mapped_cycles)
     witness = dst.module._rel_solver.solve_matrix(M @ src.module.relations)
     if witness is None:
         raise NotChainMap("relations do not map into relations")
@@ -295,7 +352,7 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
     ident_t = ExactMatrix.identity(ring, tt)
     if (src_rel.solve_matrix((N @ f.matrix) - ident_s) is None
             or f.target._rel_solver.solve_matrix((f.matrix @ N) - ident_t) is None):
-        raise TwistcapError("inverse certificate failed verification")
+        raise CertificateFailed("inverse certificate failed verification")
     return IsoResult(True, inverse=N)
 
 

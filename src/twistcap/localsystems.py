@@ -5,10 +5,12 @@ every triangle is the combinatorial composition law of a functor on the
 fundamental groupoid.  Transports follow one direction convention everywhere:
 ``transport(u, v)`` carries the fiber at the *later* endpoint of the edge path
 u -> v back to the fiber at u.  A system stores both directions of every
-edge: each given transport is inverted once, at construction, and a
-non-invertible one is rejected there.  A construction that already knows
-the inverses (a tensor product knows those of its factors) passes them in,
-and each is checked with one product instead of computed.
+edge.  A construction that already knows the inverses passes them in, and
+each is checked with one product instead of computed: a +-1 transport is
+its own inverse, a tensor product knows those of its factors, and a gauged
+transport g_u^-1 T g_v has the inverse g_v^-1 T^-1 g_u.  Only transports
+read from a file are inverted, once, at construction, and a non-invertible
+one is rejected there.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -149,7 +151,7 @@ def orientation_system(base, ring) -> LocalSystem:
         facet = _lowest_facet_containing(base, u, v)
         sign = star_signs(base, u)[facet] * star_signs(base, v)[facet]
         transport[(u, v)] = ExactMatrix(ring, [[ring.from_int(sign)]])
-    system = LocalSystem(base, ring, 1, transport)
+    system = LocalSystem(base, ring, 1, transport, transport)
     base._cache[key] = system
     return system
 
@@ -198,20 +200,25 @@ class Holonomy:
         return cls(loop, holonomy(system, loop))
 
 
-def _conjugated(transport: dict, gauge: dict, ring, rank) -> dict:
-    """g_u^{-1} @ T[u<-v] @ g_v on every edge, inverting each g once; a
-    vertex missing from the gauge keeps its fiber basis."""
+def _conjugated(base, ring, rank, transport: dict, reverse: dict,
+                gauge: dict) -> LocalSystem:
+    """The system with transports g_u^{-1} @ T[u<-v] @ g_v, built with their
+    reverses g_v^{-1} @ T^{-1} @ g_u from the given reverses, inverting
+    each g once; a vertex missing from the gauge keeps its fiber basis."""
     inv = {v: inverse(g) for v, g in gauge.items()}
     ident = ExactMatrix.identity(ring, rank)
-    return {(u, v): inv.get(u, ident) @ mat @ gauge.get(v, ident)
-            for (u, v), mat in transport.items()}
+    conj, rev = {}, {}
+    for (u, v), mat in transport.items():
+        g_u, g_v = gauge.get(u, ident), gauge.get(v, ident)
+        conj[(u, v)] = inv.get(u, ident) @ mat @ g_v
+        rev[(u, v)] = inv.get(v, ident) @ reverse[(u, v)] @ g_u
+    return LocalSystem(base, ring, rank, conj, rev)
 
 
 def gauge_transform(system: LocalSystem, gauge: dict) -> LocalSystem:
     """Change fiber bases: T'[u<-v] = g_u^{-1} @ T[u<-v] @ g_v."""
-    return LocalSystem(system.base, system.ring, system.rank,
-                       _conjugated(system._transport, gauge, system.ring,
-                                   system.rank))
+    return _conjugated(system.base, system.ring, system.rank,
+                       system._transport, system._reverse, gauge)
 
 
 def is_trivializable(system: LocalSystem):
@@ -300,7 +307,8 @@ def _random_gauge_matrix(ring, rank, rng) -> ExactMatrix:
 def random_flat_system(base, ring, rank, seed) -> LocalSystem:
     """Seeded flat system: a direct sum of random sign cocycles conjugated by
     a random vertex gauge.  Flatness is inherited from the cocycle condition
-    and preserved by the gauge."""
+    and preserved by the gauge.  A diagonal sign matrix is its own inverse,
+    so only the gauges are inverted."""
     rng = random.Random((seed, rank, str(ring)).__repr__())
     signs = [random_sign_cocycle(base, rng.randrange(2 ** 30))
              for _ in range(rank)]
@@ -309,11 +317,11 @@ def random_flat_system(base, ring, rank, seed) -> LocalSystem:
         diag = [[ring.from_int(signs[i][e]) if i == j else ring.zero
                  for j in range(rank)] for i in range(rank)]
         transport[e] = ExactMatrix(ring, diag)
-    if rank > 1:
-        gauge = {v: _random_gauge_matrix(ring, rank, rng)
-                 for v in range(base.vertex_count)}
-        transport = _conjugated(transport, gauge, ring, rank)
-    return LocalSystem(base, ring, rank, transport)
+    if rank == 1:
+        return LocalSystem(base, ring, 1, transport, transport)
+    gauge = {v: _random_gauge_matrix(ring, rank, rng)
+             for v in range(base.vertex_count)}
+    return _conjugated(base, ring, rank, transport, transport, gauge)
 
 
 # ---------------------------------------------------------------------------

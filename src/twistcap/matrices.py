@@ -4,16 +4,18 @@ Entries are plain Python integers and Fractions, so nothing overflows or
 rounds.  ExactMatrix stores its rows as tuples and multiplies through a
 row-sparse view of its right operand.  The Smith form eliminates on
 sparse storage, since boundary operators are almost all zeros and +-1: rows
-of the working matrix and of U are dicts of their nonzeros, V and U^-1 are
-held as sparse columns, and column swaps permute indices.  The pivot rule is
-the minimal-pivot one that keeps integer growth tame, and the elementary
-operations are exactly those of a dense sweep, so the transforms (and every
-kernel basis and certificate derived from them) do not depend on the storage.
+of the working matrix, of U and of V^-1 are dicts of their nonzeros, V and
+U^-1 are held as sparse columns, and column swaps permute indices.  The
+pivot rule is the minimal-pivot one that keeps integer growth tame, and the
+elementary operations are exactly those of a dense sweep, so the transforms
+(and every kernel basis and certificate derived from them) do not depend on
+the storage.
 
 Every decomposition carries its transforms: smith_normal_form returns U, D, V
 with U @ A @ V == D, U and V invertible, and the diagonal of D a divisibility
-chain, together with U^-1 as sparse columns, which the elimination updates
-alongside U (a row operation on U is a column operation on U^-1).
+chain, together with U^-1 as sparse columns and V^-1 as sparse rows, which
+the elimination updates alongside U and V (a row operation on U is a column
+operation on U^-1, a column operation on V a row operation on V^-1).
 kernel_with_relations and SmithSolver build on it; together they are the
 only linear-algebra primitives the homology layer needs.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import TwistcapError
@@ -62,8 +65,7 @@ class ExactMatrix:
     def from_columns(cls, ring, columns, rows):
         """Build from an iterable of length-`rows` columns."""
         cols = list(columns)
-        data = [[col[i] for col in cols] for i in range(rows)]
-        m = cls._raw(ring, data)
+        m = cls._raw(ring, zip(*cols) if cols else [()] * rows)
         m.cols = len(cols)  # preserve width even when rows == 0
         return m
 
@@ -92,8 +94,7 @@ class ExactMatrix:
         return f"ExactMatrix({self.ring}, {self.rows}x{self.cols})"
 
     def is_zero(self):
-        z = self.ring.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def column(self, j):
         return tuple(row[j] for row in self.data)
@@ -201,8 +202,8 @@ class ExactMatrix:
         rows = blocks[0].rows
         if any(b.rows != rows or b.ring != ring for b in blocks):
             raise TwistcapError("hstack mismatch")
-        data = [sum((list(b.data[i]) for b in blocks), []) for i in range(rows)]
-        m = cls._raw(ring, data)
+        m = cls._raw(ring, [sum(row, ())
+                            for row in zip(*(b.data for b in blocks))])
         if rows == 0:
             m.cols = sum(b.cols for b in blocks)
         return m
@@ -249,6 +250,7 @@ class SmithDecomposition:
     u_det: object
     v_det: object
     U_inv: tuple  # columns of U^-1, each a dict row -> nonzero entry
+    V_inv: tuple  # rows of V^-1, each a dict column -> nonzero entry
 
     def u_inverse_column(self, j):
         """Column j of U^-1 as a dense tuple: the element of the row space
@@ -266,6 +268,29 @@ class SmithDecomposition:
     def nonzero_count(self):
         return sum(1 for d in self.diagonal() if d)
 
+    @cached_property
+    def kernel_positions(self):
+        """(j, a_j) for each generator a_j * (column j of V) of ker(A): a_j is
+        1 where the diagonal vanishes and, over Z/m, the annihilator of a
+        nonzero diagonal entry d_j that has one.
+
+        A vector z lies in ker(A) exactly when d_j * (V^-1 z)_j == 0 for
+        every j, that is when (V^-1 z)_j is a multiple of a_j at these
+        positions and zero elsewhere; the quotients are the coordinates of z
+        on the generators, unique modulo the annihilators of the a_j.
+        """
+        ring = self.D.ring
+        zero, one = ring.zero, ring.one
+        rows = self.D.rows
+        diag = self.D.data
+        out = []
+        for j in range(self.D.cols):
+            d = diag[j][j] if j < rows else zero
+            a = one if d == zero else ring.annihilator(d)
+            if a != zero:
+                out.append((j, a))
+        return tuple(out)
+
     def kernel_with_relations(self):
         """Generators K of ker(A) plus the relations among those generators,
         read off this decomposition of A.
@@ -276,31 +301,29 @@ class SmithDecomposition:
         the relation annihilator(a).
         """
         ring = self.D.ring
-        rows, cols = self.D.rows, self.D.cols
         gens = []
-        ann = []
-        diag = self.D.data
-        for j in range(cols):
-            d = diag[j][j] if j < rows else ring.zero
+        for j, a in self.kernel_positions:
             col = self.V.column(j)
-            if d == ring.zero:
-                gens.append(col)
-                ann.append(ring.zero)
-            else:
-                a = ring.annihilator(d)
-                if a != ring.zero:
-                    gens.append(tuple(ring.normalize(a * x) for x in col))
-                    ann.append(ring.annihilator(a))
-        K = ExactMatrix.from_columns(ring, gens, cols)
-        t = len(gens)
+            gens.append(col if a == ring.one
+                        else tuple(ring.normalize(a * x) for x in col))
+        K = ExactMatrix.from_columns(ring, gens, self.D.cols)
+        return K, self.kernel_relations()
+
+    def kernel_relations(self):
+        """The relations among the kernel generators, in the order of
+        kernel_positions: annihilator(a_j) on generator j where it is
+        nonzero, which happens only over Z/m and never where a_j = 1."""
+        ring = self.D.ring
+        zero = ring.zero
+        t = len(self.kernel_positions)
         rel_cols = []
-        for i, a in enumerate(ann):
-            if a != ring.zero:
-                col = [ring.zero] * t
-                col[i] = a
+        for i, (_, a) in enumerate(self.kernel_positions):
+            b = zero if a == ring.one else ring.annihilator(a)
+            if b != zero:
+                col = [zero] * t
+                col[i] = b
                 rel_cols.append(col)
-        Krel = ExactMatrix.from_columns(ring, rel_cols, t)
-        return K, Krel
+        return ExactMatrix.from_columns(ring, rel_cols, t)
 
     def verify(self, A: ExactMatrix) -> bool:
         ring = A.ring
@@ -334,9 +357,10 @@ def _euclid_core(M, r, c, m):
     """Minimal-pivot integer elimination; entries of M are plain ints, in
     range(m) when m is given.
 
-    Mutates M to diagonal form and returns (U, U_inv, V, udet, vdet) with
-    U @ A @ V == D over Z, reducing mod m throughout when m is given; U_inv
-    is U^-1 as a list of sparse columns (dicts row -> nonzero entry).
+    Mutates M to diagonal form and returns (U, U_inv, V, V_inv, udet, vdet)
+    with U @ A @ V == D over Z, reducing mod m throughout when m is given;
+    U_inv is U^-1 as a list of sparse columns (dicts row -> nonzero entry)
+    and V_inv is V^-1 as a list of sparse rows (dicts column -> nonzero).
 
     The pivot is the first entry of least absolute value in row-major order
     (columns in their current order).  Its column is cleared downward and its
@@ -346,16 +370,18 @@ def _euclid_core(M, r, c, m):
     hashes downstream.
 
     The work runs on sparse storage, so row and column operations touch only
-    nonzero entries: rows of M and U are dicts of their nonzeros, V and U^-1
-    are kept as sparse columns, and a column swap only updates the map
-    between logical and physical (dict key) columns that M and V share.
-    Zeros are never stored.  Each operation on the rows of U is mirrored on
-    the columns of U^-1, so U^-1 needs no solve.
+    nonzero entries: rows of M, U and V^-1 are dicts of their nonzeros, V and
+    U^-1 are kept as sparse columns, and a column swap only updates the map
+    between logical and physical (dict key) columns that M, V and the rows
+    of V^-1 share.  Zeros are never stored.  Each operation on the rows of U
+    is mirrored on the columns of U^-1, and each operation on the columns of
+    V on the rows of V^-1, so neither inverse needs a solve.
     """
     S = [{j: v for j, v in enumerate(row) if v} for row in M]  # rows of M
     U = [{i: 1} for i in range(r)]  # rows of U
     W = [{i: 1} for i in range(r)]  # columns of U^-1
     V = [{j: 1} for j in range(c)]  # columns of V, by physical column
+    Y = [{j: 1} for j in range(c)]  # rows of V^-1, by physical column of V
     phys = list(range(c))  # logical column -> physical column
     logical = list(range(c))  # physical column -> logical column
     udet = vdet = 1
@@ -385,7 +411,8 @@ def _euclid_core(M, r, c, m):
         axpy(W[t], W[i], -q)
 
     def colop(pj, pt, q, holders):
-        # column pj -= q * column pt; holders are the rows storing column pt
+        # column pj -= q * column pt, so row pt of V^-1 += q * its row pj;
+        # holders are the rows storing column pt
         for i in holders:
             Si = S[i]
             x = Si.get(pj, 0) - q * Si[pt]
@@ -396,6 +423,7 @@ def _euclid_core(M, r, c, m):
             else:
                 Si.pop(pj, None)
         axpy(V[pj], V[pt], q)
+        axpy(Y[pt], Y[pj], -q)
 
     def swap_rows(i, k):
         nonlocal udet
@@ -511,7 +539,7 @@ def _euclid_core(M, r, c, m):
     for j in range(c):
         for i, v in V[phys[j]].items():
             Vd[i][j] = v
-    return Ud, W, Vd, udet, vdet
+    return Ud, W, Vd, [Y[phys[j]] for j in range(c)], udet, vdet
 
 
 def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
@@ -520,7 +548,7 @@ def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
     r, c = A.rows, A.cols
     m = modulus
     M = [list(row) for row in A.data]
-    U, W, V, udet, vdet = _euclid_core(M, r, c, m)
+    U, W, V, Y, udet, vdet = _euclid_core(M, r, c, m)
 
     if m is not None:
         # scale each nonzero diagonal entry to its canonical gcd-with-m form
@@ -546,7 +574,7 @@ def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
     Dm.cols = c
     Um.cols, Vm.cols = r, c
     return SmithDecomposition(Um, Dm, Vm, ring.normalize(udet),
-                              ring.normalize(vdet), tuple(W))
+                              ring.normalize(vdet), tuple(W), tuple(Y))
 
 
 def _snf_field(A: ExactMatrix) -> SmithDecomposition:
@@ -565,7 +593,7 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
         scales.append(denom)
         M.append([x.numerator * (denom // x.denominator) if x else 0
                   for x in row])
-    U, W, V, udet, vdet = _euclid_core(M, r, c, None)
+    U, W, V, Y, udet, vdet = _euclid_core(M, r, c, None)
 
     # U scales column j by scales[j], so U^-1 divides row j by it
     zero = Fraction(0)
@@ -594,7 +622,9 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
     Dm = ExactMatrix._raw(ring, Dq)
     Dm.cols = c
     Um.cols, Vm.cols = r, c
-    return SmithDecomposition(Um, Dm, Vm, udet_q, Fraction(vdet), tuple(Wq))
+    Yq = tuple({j: Fraction(x) for j, x in row.items()} for row in Y)
+    return SmithDecomposition(Um, Dm, Vm, udet_q, Fraction(vdet), tuple(Wq),
+                              Yq)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +667,8 @@ class SmithSolver:
         solver.ring = ring
         solver.snf = SmithDecomposition(
             ExactMatrix.identity(ring, rows), D, ExactMatrix.identity(ring, cols),
-            one, one, tuple({i: one} for i in range(rows)))
+            one, one, tuple({i: one} for i in range(rows)),
+            tuple({j: one} for j in range(cols)))
         return solver
 
     def solve_vector(self, b):

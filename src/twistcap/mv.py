@@ -25,7 +25,8 @@ from .chains import (fundamental_class_direct, pair_complex,
                      transfer_matrix)
 from .complexes import (FullSubcomplex, Subcomplex, closed_star, corpus,
                         empty_subcomplex, named_complex, whole_subcomplex)
-from .errors import NotACover, TwistcapError, UnknownName
+from .errors import (ConnectingChainEscapes, NotACover, TwistcapError,
+                     UnknownName)
 from .fpmodules import (FPModule, HomologyPresentation, ModuleMap,
                         homology_presentation, induced_map, is_exact_at)
 from .localsystems import tensor
@@ -197,7 +198,7 @@ def _connecting_chain(spaces: _MVSpaces, k, alpha):
             e[block] = [ring.normalize(x - y)
                         for x, y in zip(e[block], dalpha[block])]
         if any(e[block]) and not spaces.AB.contains(s):
-            raise TwistcapError(
+            raise ConnectingChainEscapes(
                 f"connecting chain escapes the intersection at {s}")
     return spaces.transfer(spaces.absolute, spaces.inter, k - 1).apply(e)
 

@@ -95,6 +95,8 @@ class RingSpec:
         if self.kind == RATIONALS:
             if a == 0:
                 return self.zero if b == 0 else None
+            if a == 1:   # the common case, a Smith pivot or a free generator
+                return self.normalize(b)
             return self.normalize(b) / self.normalize(a)
         if self.kind == INTEGERS:
             if a == 0:

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from twistcap import chains, covers, localsystems, matrices, mv
+from twistcap import chains, covers, fpmodules, localsystems, matrices, mv
 from twistcap.acceptance import (NONORIENTABLE, cap_identity_failures,
                                  phi_rows)
 from twistcap.cap import boundary_identity_check, cap_setting
@@ -17,7 +17,7 @@ from twistcap.complexes import CORPUS_NAMES, SimplicialComplex, corpus
 from twistcap.covers import (build_double_cover, check_split_exactness,
                              lemma2_check, split_maps)
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
-                                is_isomorphism)
+                                induced_map, is_isomorphism)
 from twistcap.localsystems import (constant_system, is_trivializable,
                                    orientation_system, random_flat_system,
                                    tensor)
@@ -34,6 +34,20 @@ def count_calls(monkeypatch, owner, name):
         return original(*args)
 
     monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def count_factorizations(monkeypatch):
+    """Smith-form calls through both names: matrices' own and the one
+    fpmodules imports."""
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    original = fpmodules.smith_normal_form
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fpmodules, "smith_normal_form", counting)
     return calls
 
 
@@ -85,15 +99,30 @@ def test_pair_complex_rejects_a_foreign_system_on_every_call():
         pair_complex(corpus("klein"), G)
 
 
-def test_homology_presentation_factors_three_matrices(monkeypatch):
+def test_homology_presentation_factors_two_matrices(monkeypatch):
     M = corpus("rp2")
     pc = pair_complex(M, constant_system(M, Z))
     d_in, d_out = pc.boundary(2), pc.boundary(1)
-    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    calls = count_factorizations(monkeypatch)
     pres = homology_presentation(d_in, d_out)
     assert pres.module.normal_form == (0, (2,))
-    assert len(calls) == 3
-    assert len({A for (A,) in calls}) == 3
+    assert len(calls) == 2
+    assert len({A for (A,) in calls}) == 2
+    assert calls[0] == (d_out,)
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(4), Q], ids=str)
+def test_induced_map_factors_nothing(monkeypatch, ring):
+    M = corpus("klein")
+    pc = pair_complex(M, constant_system(M, ring))
+    pres = [homology_presentation(pc.boundary(k + 1), pc.boundary(k))
+            for k in range(3)]
+    calls = count_factorizations(monkeypatch)
+    solvers = count_calls(monkeypatch, matrices.SmithSolver, "__init__")
+    for k, p in enumerate(pres):
+        f = ExactMatrix.identity(ring, pc.length(k)).scale(ring.from_int(3))
+        assert induced_map(f, p, p).matrix.rows == p.module.generator_count
+    assert calls == [] and solvers == []
 
 
 def test_fpmodule_factors_its_relations_once(monkeypatch):
@@ -197,7 +226,46 @@ def test_random_flat_system_builds_one_system(monkeypatch):
     built = count_calls(monkeypatch, localsystems.LocalSystem, "__init__")
     random_flat_system(M, Z, 2, seed=3)
     assert len(built) == 1
-    assert len(inverted) == len(M.faces(1)) + M.vertex_count
+    assert len(inverted) == M.vertex_count   # the gauges only
+
+
+def assert_reverses_are_inverses(G):
+    for u, v in G.base.faces(1):
+        assert G.transport(v, u) == inverse(G.transport(u, v))
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)
+def test_sign_systems_invert_nothing(monkeypatch, ring):
+    fresh = [SimplicialComplex(corpus(name).vertex_count, corpus(name).facets)
+             for name in CORPUS_NAMES]
+    inverted = count_calls(monkeypatch, localsystems, "inverse")
+    systems = []
+    for M in fresh:
+        omega = orientation_system(M, ring)
+        cover = build_double_cover(M, omega)
+        systems += [omega, covers.cover_sign_system(cover, ring),
+                    random_flat_system(M, ring, 1, seed=2)]
+    assert inverted == []
+    for G in systems:
+        assert_reverses_are_inverses(G)
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)
+def test_gauged_systems_invert_only_their_gauges(monkeypatch, ring):
+    inverted = count_calls(monkeypatch, localsystems, "inverse")
+    for name in CORPUS_NAMES:
+        M = corpus(name)
+        del inverted[:]
+        G = random_flat_system(M, ring, 2, seed=2)
+        assert len(inverted) == M.vertex_count
+        rng = random.Random(name)
+        gauge = {v: localsystems._random_gauge_matrix(ring, 2, rng)
+                 for v in (0, 1)}
+        del inverted[:]
+        gauged = localsystems.gauge_transform(G, gauge)
+        assert len(inverted) == len(gauge)
+        assert_reverses_are_inverses(G)
+        assert_reverses_are_inverses(gauged)
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)

@@ -1,8 +1,11 @@
 import pytest
 
+from twistcap import chains, cli, fpmodules, mv
 from twistcap.cli import main
 from twistcap.complexes import (SimplicialComplex, _grid_klein, _grid_torus,
                                 dumps_complex, validate)
+from twistcap.localsystems import constant_system
+from twistcap.matrices import ExactMatrix
 
 
 def run(capsys, *argv):
@@ -241,3 +244,50 @@ def test_pinched_surface_exits_2(tmp_path, capsys, command, build):
     code, out, err = run(capsys, command, "--complex", path)
     assert code == 2 and not out
     assert err == "error: star of vertex 0 is disconnected\n"
+
+
+# -- check failures exit 1 with a FAIL line, not 2 ---------------------------
+
+def assert_check_failure(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[-1].split("\t")[:2] == ["FAIL", name]
+
+
+def test_fundamental_cycle_failure_exits_1(monkeypatch, capsys):
+    # the direct construction over the constant system of a non-orientable
+    # surface: the facet signs do not close up
+    def direct_over_constant(cx, ring):
+        return chains.fundamental_class_direct(cx, ring,
+                                               constant_system(cx, ring))
+
+    monkeypatch.setattr(cli, "fundamental_class_direct", direct_over_constant)
+    assert_check_failure(capsys, "NotAFundamentalCycle",
+                         ["fundamental-class", "--complex", "rp2"])
+
+
+def test_failed_inverse_certificate_exits_1(monkeypatch, capsys):
+    # is_isomorphism verifies its inverse against a doubled identity
+    class DoubledIdentity(ExactMatrix):
+        @classmethod
+        def identity(cls, ring, n):
+            return ExactMatrix.identity(ring, n).scale(2)
+
+    monkeypatch.setattr(fpmodules, "ExactMatrix", DoubledIdentity)
+    assert_check_failure(capsys, "CertificateFailed",
+                         ["verify-duality", "--complex", "torus"])
+
+
+def test_escaping_connecting_chain_exits_1(monkeypatch, capsys):
+    # split every chain at its middle block instead of along the cover
+    def split_in_half(spaces, k, vec):
+        half = len(vec) // 2
+        zero = spaces.ring.zero
+        return (tuple(vec[:half]) + (zero,) * (len(vec) - half),
+                (zero,) * half + tuple(vec[half:]))
+
+    monkeypatch.setattr(mv._MVSpaces, "split_chain", split_in_half)
+    assert_check_failure(capsys, "ConnectingChainEscapes",
+                         ["check-mv", "--complex", "torus",
+                          "--cover", "cylinders"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from twistcap.chains import pair_complex
@@ -177,3 +179,103 @@ def test_smith_basis_presentation(name, ring):
                 boundary = d_in.apply([ring.from_int(i % 3 - 1)
                                        for i in range(d_in.cols)])
                 assert module.is_zero_class(pres.class_vector(boundary))
+
+
+# ---------------------------------------------------------------------------
+# Cycle coordinates from V^-1 against the cycle-solver route they replaced
+# ---------------------------------------------------------------------------
+
+# A frozen copy of the route before cycle coordinates were read off V^-1: a
+# cycle is solved for on the kernel basis of d_out by a factorization of
+# that basis, and boundaries are checked by a factorization of the target's
+# d_in.  Both routes share the presentation's coordinate map U[kept, :].
+
+def frozen_class_vector(pres, chain):
+    K, _ = kernel_with_relations(pres.d_out)
+    x = SmithSolver(K).solve_vector(chain)
+    return None if x is None else pres._coords.apply(x)
+
+
+def frozen_induced_matrix(f_chain, src, dst):
+    mapped_cycles = f_chain @ src.cycles
+    if not (dst.d_out @ mapped_cycles).is_zero():
+        raise NotChainMap("cycles do not map to cycles")
+    if src.d_in.cols and SmithSolver(dst.d_in).solve_matrix(
+            f_chain @ src.d_in) is None:
+        raise NotChainMap("boundaries do not map to boundaries")
+    K, _ = kernel_with_relations(dst.d_out)
+    X = SmithSolver(K).solve_matrix(mapped_cycles)
+    if X is None:
+        raise NotChainMap("mapped cycle escapes the target kernel")
+    M = dst._coords @ X
+    if dst.module._rel_solver.solve_matrix(M @ src.module.relations) is None:
+        raise NotChainMap("relations do not map into relations")
+    return M
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Zmod(12), Q], ids=str)
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_cycle_coordinates_match_the_cycle_solver(name, ring):
+    M = corpus(name)
+    rng = random.Random(f"{name}/{ring}")
+    for G in (constant_system(M, ring), orientation_system(M, ring),
+              random_flat_system(M, ring, 2, 0)):
+        pc = pair_complex(M, G)
+        for k in range(M.dimension + 1):
+            d_in, d_out = pc.boundary(k + 1), pc.boundary(k)
+            pres = homology_presentation(d_in, d_out)
+            module, n = pres.module, pres.chain_rank
+
+            def small():
+                return ring.from_int(rng.randint(-3, 3))
+
+            # a random cycle: generator chains plus a boundary
+            chain = pres.cycles.apply([small()
+                                       for _ in range(pres.cycles.cols)])
+            if d_in.cols:
+                boundary = d_in.apply([small() for _ in range(d_in.cols)])
+                chain = tuple(ring.normalize(x + y)
+                              for x, y in zip(chain, boundary))
+            assert module.classes_equal(pres.class_vector(chain),
+                                        frozen_class_vector(pres, chain))
+            # a non-cycle: the cycle plus a chain with nonzero boundary
+            for i in range(n):
+                if any(d_out.column(i)):
+                    off = list(chain)
+                    off[i] = ring.normalize(off[i] + ring.one)
+                    assert pres.class_vector(off) is None
+                    assert frozen_class_vector(pres, off) is None
+                    break
+            # a chain map homotopic to s * identity: s + d_in @ h
+            s = small()
+            f = ExactMatrix.identity(ring, n).scale(s)
+            if d_in.cols:
+                h = [[ring.zero] * n for _ in range(d_in.cols)]
+                for _ in range(3):
+                    h[rng.randrange(d_in.cols)][rng.randrange(n)] = small()
+                f = f + d_in @ ExactMatrix(ring, h)
+            new_map = induced_map(f, pres, pres)
+            old_map = ModuleMap(module, module,
+                                frozen_induced_matrix(f, pres, pres))
+            assert new_map.equals(old_map)
+            ident = ExactMatrix.identity(ring, module.generator_count)
+            scalar = ModuleMap(module, module, ident.scale(s))
+            assert new_map.equals(scalar)
+
+
+def test_boundary_to_a_nonzero_class_is_not_a_chain_map():
+    # f = z (1, ..., 1) with z a generator cycle of H_1 of the torus: every
+    # chain goes to a multiple of z, so cycles go to cycles, but the
+    # boundary of a triangle, whose entries sum to 1, goes to z itself
+    M = corpus("torus")
+    pc = pair_complex(M, constant_system(M, Z))
+    pres = homology_presentation(pc.boundary(2), pc.boundary(1))
+    z = pres.cycles.column(0)
+    f = ExactMatrix(Z, [[x] * pres.chain_rank for x in z])
+    assert (pres.d_out @ f).is_zero()
+    assert any(sum(col) == 1 for col in pres.d_in.columns())
+    assert not pres.module.is_zero_class(pres.class_vector(z))
+    with pytest.raises(NotChainMap, match="boundaries do not map"):
+        induced_map(f, pres, pres)
+    with pytest.raises(NotChainMap, match="boundaries do not map"):
+        frozen_induced_matrix(f, pres, pres)

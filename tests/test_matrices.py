@@ -159,13 +159,15 @@ def _reference_core(M, r, c, m):
     """The dense elimination that twistcap.matrices._euclid_core must match
     operation for operation; entries of M are plain ints.
 
-    Mutates M to diagonal form and returns (U, U_inv, V, udet, vdet) with
-    U @ A @ V == D over Z, reducing mod m throughout when m is given; U_inv
-    is tracked densely and returned as sparse columns.
+    Mutates M to diagonal form and returns (U, U_inv, V, V_inv, udet, vdet)
+    with U @ A @ V == D over Z, reducing mod m throughout when m is given;
+    U_inv is tracked densely and returned as sparse columns, V_inv tracked
+    densely and returned as sparse rows.
     """
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     Uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    Vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
     udet = vdet = 1
 
     def red(x):
@@ -188,6 +190,9 @@ def _reference_core(M, r, c, m):
         for i in range(c):
             Vi = V[i]
             Vi[j] = red(Vi[j] - q * Vi[t])
+        Yt, Yj = Vinv[t], Vinv[j]
+        for k in range(c):
+            Yt[k] = red(Yt[k] + q * Yj[k])
 
     def swap_rows(i, k):
         nonlocal udet
@@ -205,6 +210,7 @@ def _reference_core(M, r, c, m):
         for i in range(c):
             Vi = V[i]
             Vi[j], Vi[k] = Vi[k], Vi[j]
+        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
         vdet = -vdet
 
     def divides(p, v):
@@ -296,7 +302,8 @@ def _reference_core(M, r, c, m):
                 udet = -udet
     Uinv_columns = [{i: Uinv[i][j] for i in range(r) if Uinv[i][j]}
                     for j in range(r)]
-    return U, Uinv_columns, V, udet, vdet
+    Vinv_rows = [{k: x for k, x in enumerate(row) if x} for row in Vinv]
+    return U, Uinv_columns, V, Vinv_rows, udet, vdet
 
 
 def reference_snf(A):
@@ -381,6 +388,22 @@ def test_u_inverse_is_a_two_sided_inverse(ring, data):
     ident = ExactMatrix.identity(ring, r)
     assert snf.U @ U_inv == ident
     assert U_inv @ snf.U == ident
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_v_inverse_is_a_two_sided_inverse(ring, data):
+    r, c, rows = data.draw(matrix_rows(ring))
+    snf = smith_normal_form(build(ring, rows, r, c))
+    assert all(x for row in snf.V_inv for x in row.values())  # sparse
+    V_inv = ExactMatrix.from_columns(
+        ring, [[row.get(k, ring.zero) for row in snf.V_inv] for k in range(c)],
+        c)
+    ident = ExactMatrix.identity(ring, c)
+    assert snf.V @ V_inv == ident
+    assert V_inv @ snf.V == ident
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(12), Q], ids=str)
