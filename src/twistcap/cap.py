@@ -187,20 +187,21 @@ def cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a_vec) -> ExactMatrix:
         raise TwistcapError("cap_matrix expects a rank-1 chain system")
     rows = out_pc.length(n - k)
     cols = cochain_pc.length(k)
-    data = [[ring.zero] * cols for _ in range(rows)]
+    zero = ring.zero
+    data = [{} for _ in range(rows)]
     for (w,), cpos, opos, front in _cap_terms(cochain_pc, chain_pc, out_pc,
                                               k, n, a_vec):
         F = G.path_transport(front)
-        for i in range(rG):
+        for i, frow in enumerate(F.sparse_rows):
             row = data[opos * rG + i]
-            for j in range(rG):
-                x = F.data[i][j]
-                if x:
-                    row[cpos * rG + j] = ring.normalize(
-                        row[cpos * rG + j] + x * w)
-    m = ExactMatrix._raw(ring, data)
-    m.cols = cols
-    return m
+            for j, x in frow.items():
+                col = cpos * rG + j
+                y = ring.normalize(row.get(col, zero) + x * w)
+                if y:
+                    row[col] = y
+                else:
+                    row.pop(col, None)
+    return ExactMatrix._from_rows(ring, data, cols)
 
 
 def relative_cap(M, G, K: FullSubcomplex, k, c_vec, nu: FundamentalClassData):

@@ -111,7 +111,7 @@ class PairComplex:
         faces, simplices = self.space(k - 1), self.space(k)
         fidx = self.index(k - 1)
         rows, cols = (simplices, faces) if cochains else (faces, simplices)
-        data = [[ring.zero] * (len(cols) * r) for _ in range(len(rows) * r)]
+        data = [{} for _ in range(len(rows) * r)]
         for j, s in enumerate(simplices):
             for i in range(len(s)):
                 pos = fidx.get(s[:i] + s[i + 1:])
@@ -120,15 +120,15 @@ class PairComplex:
                 row, col = (j * r, pos * r) if cochains else (pos * r, j * r)
                 if i == 0:
                     u, v = (s[0], s[1]) if cochains else (s[1], s[0])
-                    for a, entries in enumerate(self.system.transport(u, v).data):
-                        data[row + a][col:col + r] = entries
+                    transport = self.system.transport(u, v)
+                    for a, entries in enumerate(transport.sparse_rows):
+                        data[row + a].update(
+                            (col + b, x) for b, x in entries.items())
                 else:
                     sign = ring.from_int(-1 if i % 2 else 1)
                     for a in range(r):
                         data[row + a][col + a] = sign
-        m = ExactMatrix._raw(ring, data)
-        m.cols = len(cols) * r
-        return m
+        return ExactMatrix._from_rows(ring, data, len(cols) * r)
 
     def verify_squares(self):
         """d o d = 0 and delta o delta = 0 in every degree."""
@@ -190,16 +190,14 @@ def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
     ring, r = src.ring, src.rank
     rows = dst.length(k)
     didx = dst.index(k)
-    data = [[ring.zero] * src.length(k) for _ in range(rows)]
+    data = [{} for _ in range(rows)]
     for j, s in enumerate(src.space(k)):
         pos = didx.get(s)
         if pos is None:
             continue
         for a in range(r):
             data[pos * r + a][j * r + a] = ring.one
-    m = ExactMatrix._raw(ring, data)
-    m.cols = src.length(k)
-    return m
+    return ExactMatrix._from_rows(ring, data, src.length(k))
 
 
 # ---------------------------------------------------------------------------

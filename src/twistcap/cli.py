@@ -10,6 +10,7 @@ usage or input-format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import random
@@ -131,7 +132,11 @@ def _add_common(p, system=True):
     p.add_argument("--format", choices=("tsv", "plain"), default="tsv")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace on every call, and a parser per run would leave its
+    thousands of objects in reference cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="twistcap",
         description="Twisted simplicial homology, orientation double covers, "

@@ -227,7 +227,7 @@ def vertex_map_chain_matrix(vmap, ring, k, src_pc, dst_pc) -> ExactMatrix:
     """Chain map induced by a simplicial vertex map (with parity signs)."""
     didx = dst_pc.index(k)
     rows = dst_pc.length(k)
-    data = [[ring.zero] * src_pc.length(k) for _ in range(rows)]
+    data = [{} for _ in range(rows)]
     for j, s in enumerate(src_pc.space(k)):
         image = [vmap[v] for v in s]
         if len(set(image)) != len(image):
@@ -237,9 +237,7 @@ def vertex_map_chain_matrix(vmap, ring, k, src_pc, dst_pc) -> ExactMatrix:
         if pos is None:
             continue
         data[pos][j] = ring.from_int(parity)
-    m = ExactMatrix._raw(ring, data)
-    m.cols = src_pc.length(k)
-    return m
+    return ExactMatrix._from_rows(ring, data, src_pc.length(k))
 
 
 def deck_chain_matrix(cover, ring, k, pc=None) -> ExactMatrix:
@@ -298,23 +296,20 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
         sigma = ident + tau
         delta = ident - tau
         idx = total_pc.index(k)
-        plus_cols, minus_cols = [], []
+        plus_rows = [{} for _ in range(total_pc.length(k))]
+        minus_rows = [{} for _ in range(total_pc.length(k))]
         orbit_bases = base_pc_space.space(k)
-        for b in orbit_bases:
+        for j, b in enumerate(orbit_bases):
             rep = cover.canonical_lift(b)
             other = cover.deck_image(rep)
             parity = projection_parity(cover, rep)
             eps = parity * projection_parity(cover, other)
-            pcol = [ring.zero] * total_pc.length(k)
-            mcol = list(pcol)
-            pcol[idx[rep]] = ring.from_int(parity)
-            pcol[idx[other]] = ring.from_int(parity * eps)
-            mcol[idx[rep]] = ring.from_int(parity)
-            mcol[idx[other]] = ring.from_int(-parity * eps)
-            plus_cols.append(tuple(pcol))
-            minus_cols.append(tuple(mcol))
-        incl_plus = ExactMatrix.from_columns(ring, plus_cols, total_pc.length(k))
-        incl_minus = ExactMatrix.from_columns(ring, minus_cols, total_pc.length(k))
+            plus_rows[idx[rep]][j] = ring.from_int(parity)
+            plus_rows[idx[other]][j] = ring.from_int(parity * eps)
+            minus_rows[idx[rep]][j] = ring.from_int(parity)
+            minus_rows[idx[other]][j] = ring.from_int(-parity * eps)
+        incl_plus = ExactMatrix._from_rows(ring, plus_rows, len(orbit_bases))
+        incl_minus = ExactMatrix._from_rows(ring, minus_rows, len(orbit_bases))
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
                                  tuple(orbit_bases))
     return SplitMaps(cover, ring, K, degrees)

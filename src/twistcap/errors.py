@@ -108,3 +108,13 @@ class NotACover(TwistcapError):
 
 class ConnectingChainEscapes(CheckFailed):
     """A zig-zag connecting chain does not lie in the intersection."""
+
+
+class ConnectingImageNotCycle(CheckFailed):
+    """A connecting map sent a generator to a chain that is not a cycle (or
+    a cochain that is not a cocycle)."""
+
+
+class CoboundariesDisagree(CheckFailed):
+    """The coboundaries of the two halves of a split cochain differ on the
+    overlap, so they do not glue."""

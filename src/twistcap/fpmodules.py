@@ -20,7 +20,6 @@ two-sided inverse, or returns an explicit kernel/cokernel witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import (CertificateFailed, CompositionNonzero, NotChainMap,
                      TwistcapError)
@@ -168,17 +167,15 @@ def _kernel_coordinates(kernel_rows, divisors, cycles: ExactMatrix):
     division is exact."""
     ring = cycles.ring
     norm, divide, zero = ring.normalize, ring.divide, ring.zero
-    data = cycles.data
-    span = range(cycles.cols)
+    crows = cycles.sparse_rows
     out = []
     for row, a in zip(kernel_rows, divisors):
         acc = {}
         get = acc.get
         for k, v in row.items():
-            entries = data[k]
-            for j in compress(span, entries):   # the nonzero positions
-                acc[j] = get(j, zero) + v * entries[j]
-        quotients = [zero] * cycles.cols
+            for j, x in crows[k].items():
+                acc[j] = get(j, zero) + v * x
+        quotients = {}
         for j, x in acc.items():
             x = norm(x)
             if x:
@@ -187,9 +184,7 @@ def _kernel_coordinates(kernel_rows, divisors, cycles: ExactMatrix):
                     raise TwistcapError("chain is not a cycle")
                 quotients[j] = q
         out.append(quotients)
-    X = ExactMatrix._raw(ring, out)
-    X.cols = cycles.cols
-    return X
+    return ExactMatrix._from_rows(ring, out, cycles.cols)
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
@@ -230,18 +225,18 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     invariants = [diag[i] for i in kept
                   if i < len(diag) and diag[i] != ring.zero]
     module = FPModule._diagonal(ring, len(kept), invariants)
-    generators = []
-    for i in kept:
-        # column i of K @ U^-1: a combination of the columns of V_out
-        chain = [ring.zero] * d_out.cols
+    # generator chain g is column kept[g] of K @ U^-1 = V_out @ C, where
+    # C[j, g] = a_j * U^-1[t, kept[g]] at the kernel position j = positions[t]
+    combos = [{} for _ in range(d_out.cols)]
+    for g, i in enumerate(kept):
         for t, w in snf.U_inv[i].items():
             j, a = positions[t]
-            c = a * w
-            chain = [x + c * row[j] for x, row in zip(chain, out_snf.V.data)]
-        generators.append([ring.normalize(x) for x in chain])
-    cycles = ExactMatrix.from_columns(ring, generators, d_out.cols)
-    coords = ExactMatrix._raw(ring, [snf.U.data[i] for i in kept])
-    coords.cols = len(positions)
+            c = ring.normalize(a * w)
+            if c:
+                combos[j][g] = c
+    cycles = out_snf.V @ ExactMatrix._from_rows(ring, combos, len(kept))
+    coords = ExactMatrix._from_rows(ring, [snf.U.sparse_rows[i] for i in kept],
+                                    len(positions))
     return HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
                                 d_in, d_out)
 

@@ -98,12 +98,12 @@ class LocalSystem:
             return False
         one = self.ring.one
         minus = self.ring.from_int(-1)
-        return all(m.data[0][0] in (one, minus)
+        return all(m.entry(0, 0) in (one, minus)
                    for m in self._transport.values())
 
     def edge_sign(self, u: int, v: int) -> int:
         """+-1 for rank-1 sign systems."""
-        val = self.transport(u, v).data[0][0]
+        val = self.transport(u, v).entry(0, 0)
         return 1 if val == self.ring.one else -1
 
     def __repr__(self):
@@ -270,19 +270,16 @@ def random_sign_cocycle(base: SimplicialComplex, seed: int) -> dict:
     tris = base.faces(2)
     ring2 = Zmod(2)
     if tris:
-        rows = [[0] * len(edges) for _ in tris]
-        for i, (u, v, w) in enumerate(tris):
-            for e in ((u, v), (v, w), (u, w)):
-                rows[i][eidx[e]] = 1
-        K = kernel(ExactMatrix(ring2, rows))
+        incidence = ExactMatrix._from_rows(
+            ring2, [{eidx[e]: 1 for e in ((u, v), (v, w), (u, w))}
+                    for u, v, w in tris], len(edges))
+        K = kernel(incidence)
     else:
         K = ExactMatrix.identity(ring2, len(edges))
     rng = random.Random(seed)
-    combo = [0] * len(edges)
-    for j in range(K.cols):
-        if rng.randrange(2):
-            col = K.column(j)
-            combo = [(a + b) % 2 for a, b in zip(combo, col)]
+    chosen = {j for j in range(K.cols) if rng.randrange(2)}
+    combo = [sum(x for j, x in row.items() if j in chosen) % 2
+             for row in K.sparse_rows]
     return {e: (-1 if combo[eidx[e]] else 1) for e in edges}
 
 

@@ -1,15 +1,23 @@
 """Exact matrices over Z, Z/m and Q, with Smith normal form.
 
 Entries are plain Python integers and Fractions, so nothing overflows or
-rounds.  ExactMatrix stores its rows as tuples and multiplies through a
-row-sparse view of its right operand.  The Smith form eliminates on
-sparse storage, since boundary operators are almost all zeros and +-1: rows
-of the working matrix, of U and of V^-1 are dicts of their nonzeros, V and
-U^-1 are held as sparse columns, and column swaps permute indices.  The
-pivot rule is the minimal-pivot one that keeps integer growth tame, and the
-elementary operations are exactly those of a dense sweep, so the transforms
-(and every kernel basis and certificate derived from them) do not depend on
-the storage.
+rounds.  An ExactMatrix has one representation: each row is a dict
+{column: nonzero entry}, and zeros are never stored.  Boundary, transfer and
+deck matrices are almost all zeros, so every operation -- products, sums,
+stacking, Kronecker products, solves and the Smith form -- touches nonzeros
+only.  Rows are never mutated once a matrix holds them, so matrices built
+from others (vstack, block_diag, the coordinate rows of a presentation)
+share them.  `.data` is a dense tuple-of-tuples view, built on each read and
+never stored, for the few readers that want every cell (certificate hashes,
+serialization).
+
+The Smith form eliminates on the same storage: rows of the working matrix,
+of U and of V^-1 are dicts of their nonzeros, V and U^-1 are held as sparse
+columns, and column swaps permute indices.  The pivot rule is the
+minimal-pivot one that keeps integer growth tame, and the elementary
+operations are exactly those of a dense sweep, so the transforms (and every
+kernel basis and certificate derived from them) do not depend on the
+storage.
 
 Every decomposition carries its transforms: smith_normal_form returns U, D, V
 with U @ A @ V == D, U and V invertible, and the diagonal of D a divisibility
@@ -32,72 +40,109 @@ from .rings import INTEGERS, RATIONALS, RingSpec
 
 
 class ExactMatrix:
-    __slots__ = ("ring", "rows", "cols", "data", "_columns")
+    """A rows x cols matrix; `sparse_rows[i]` is row i as a dict {column:
+    nonzero entry}.  Matrices are immutable: neither the tuple nor its dicts
+    change after construction."""
+
+    __slots__ = ("ring", "rows", "cols", "sparse_rows", "_columns")
 
     def __init__(self, ring: RingSpec, data):
-        rows = tuple(tuple(ring.normalize(x) for x in row) for row in data)
+        norm = ring.normalize
+        sparse = []
+        cols = None
+        for row in data:
+            row = [norm(x) for x in row]
+            if cols is None:
+                cols = len(row)
+            elif len(row) != cols:
+                raise TwistcapError("ragged matrix data")
+            sparse.append({j: x for j, x in enumerate(row) if x})
         self.ring = ring
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        if any(len(r) != self.cols for r in rows):
-            raise TwistcapError("ragged matrix data")
-        self.data = rows
+        self.rows = len(sparse)
+        self.cols = cols or 0
+        self.sparse_rows = tuple(sparse)
         self._columns = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zeros(cls, ring, rows, cols):
+    def _from_rows(cls, ring, rows, cols):
+        """Trusted constructor: `rows` are dicts of normalized nonzero
+        entries, owned by the new matrix from now on."""
         m = object.__new__(cls)
-        m.ring, m.rows, m.cols = ring, rows, cols
-        z = ring.zero
-        m.data = tuple((z,) * cols for _ in range(rows))
+        m.ring = ring
+        m.sparse_rows = tuple(rows)
+        m.rows = len(m.sparse_rows)
+        m.cols = cols
         m._columns = None
-        return m
-
-    @classmethod
-    def identity(cls, ring, n):
-        one, zero = ring.one, ring.zero
-        return cls._raw(ring, [[one if i == j else zero for j in range(n)]
-                               for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, ring, columns, rows):
-        """Build from an iterable of length-`rows` columns."""
-        cols = list(columns)
-        m = cls._raw(ring, zip(*cols) if cols else [()] * rows)
-        m.cols = len(cols)  # preserve width even when rows == 0
         return m
 
     @classmethod
     def _raw(cls, ring, data):
-        """Trusted constructor: entries already normalized."""
-        m = object.__new__(cls)
-        m.ring = ring
-        m.data = tuple(tuple(row) for row in data)
-        m.rows = len(m.data)
-        m.cols = len(m.data[0]) if m.data else 0
-        m._columns = None
-        return m
+        """Trusted constructor from dense rows of normalized entries."""
+        data = list(data)
+        return cls._from_rows(ring, [{j: x for j, x in enumerate(row) if x}
+                                     for row in data],
+                              len(data[0]) if data else 0)
+
+    @classmethod
+    def zeros(cls, ring, rows, cols):
+        return cls._from_rows(ring, [{} for _ in range(rows)], cols)
+
+    @classmethod
+    def identity(cls, ring, n):
+        one = ring.one
+        return cls._from_rows(ring, [{i: one} for i in range(n)], n)
+
+    @classmethod
+    def from_columns(cls, ring, columns, rows):
+        """Build from an iterable of length-`rows` columns of normalized
+        entries."""
+        out = [{} for _ in range(rows)]
+        cols = 0
+        for j, col in enumerate(columns):
+            cols = j + 1
+            for i, x in enumerate(col):
+                if x:
+                    out[i][j] = x
+        return cls._from_rows(ring, out, cols)
 
     # -- basic queries ---------------------------------------------------
+
+    @property
+    def data(self):
+        """Dense view: a tuple of row tuples with the ring's zeros filled
+        in.  Built on each read; nothing keeps it."""
+        zero, cols = self.ring.zero, self.cols
+        out = []
+        for row in self.sparse_rows:
+            dense = [zero] * cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.ring == other.ring
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.data))
+        return hash((self.ring, self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
     def __repr__(self):
         return f"ExactMatrix({self.ring}, {self.rows}x{self.cols})"
 
     def is_zero(self):
-        return not any(map(any, self.data))
+        return not any(self.sparse_rows)
+
+    def entry(self, i, j):
+        return self.sparse_rows[i].get(j, self.ring.zero)
 
     def column(self, j):
-        return tuple(row[j] for row in self.data)
+        zero = self.ring.zero
+        return tuple(row.get(j, zero) for row in self.sparse_rows)
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
@@ -108,58 +153,71 @@ class ExactMatrix:
         if self.ring != other.ring:
             raise TwistcapError("ring mismatch in matrix arithmetic")
 
-    def _sized(self, data, cols):
-        m = ExactMatrix._raw(self.ring, data)
-        m.cols = cols
-        return m
+    def _combine(self, other, sign):
+        """self + sign * other, for sign +-1."""
+        self._check(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise TwistcapError(
+                f"shape mismatch {self.rows}x{self.cols} +- "
+                f"{other.rows}x{other.cols}")
+        m = self.ring.modulus
+        out = []
+        for a, b in zip(self.sparse_rows, other.sparse_rows):
+            row = dict(a)
+            get = row.get
+            for j, y in b.items():
+                x = get(j, 0) + sign * y
+                if m:
+                    x %= m
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]  # y != 0, so the entry was stored
+            out.append(row)
+        return ExactMatrix._from_rows(self.ring, out, self.cols)
 
     def __add__(self, other):
-        self._check(other)
-        norm = self.ring.normalize
-        return self._sized([[norm(a + b) for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)], self.cols)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        norm = self.ring.normalize
-        return self._sized([[norm(a - b) for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)], self.cols)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        norm = self.ring.normalize
-        return self._sized([[norm(-a) for a in row] for row in self.data],
-                           self.cols)
+        return self.scale(-1)
 
     def scale(self, s):
         norm = self.ring.normalize
         s = norm(s)
-        return self._sized([[norm(s * a) for a in row] for row in self.data],
-                           self.cols)
+        out = []
+        for row in self.sparse_rows:
+            scaled = {}
+            for j, a in row.items():
+                x = norm(s * a)
+                if x:
+                    scaled[j] = x
+            out.append(scaled)
+        return ExactMatrix._from_rows(self.ring, out, self.cols)
 
     def __matmul__(self, other):
         self._check(other)
         if self.cols != other.rows:
             raise TwistcapError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        norm = self.ring.normalize
+        m = self.ring.modulus
         zero = self.ring.zero
-        ocols = other.cols
-        # the row-sparse view of `other` is built per call: cached on
-        # long-lived boundary matrices it raised peak memory, not speed
-        orows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        orows = other.sparse_rows
         out = []
-        for row in self.data:
+        for row in self.sparse_rows:
             acc = {}
             get = acc.get
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in orows[k]:
-                        acc[j] = get(j, zero) + a * b
-            orow = [zero] * ocols
-            for j, x in acc.items():
-                orow[j] = norm(x)
-            out.append(orow)
-        return self._sized(out, ocols)
+            for k, a in row.items():
+                for j, b in orows[k].items():
+                    acc[j] = get(j, zero) + a * b
+            if m:
+                out.append({j: y for j, x in acc.items() if (y := x % m)})
+            else:
+                out.append({j: x for j, x in acc.items() if x})
+        return ExactMatrix._from_rows(self.ring, out, other.cols)
 
     def apply(self, vec):
         """Matrix times a plain sequence; returns a tuple of length self.rows.
@@ -171,10 +229,9 @@ class ExactMatrix:
             raise TwistcapError("vector length mismatch")
         if self._columns is None:
             cols = [[] for _ in range(self.cols)]
-            for i, row in enumerate(self.data):
-                for j, a in enumerate(row):
-                    if a:
-                        cols[j].append((i, a))
+            for i, row in enumerate(self.sparse_rows):
+                for j, a in row.items():
+                    cols[j].append((i, a))
             self._columns = cols
         norm = self.ring.normalize
         zero = self.ring.zero
@@ -189,11 +246,19 @@ class ExactMatrix:
         """Kronecker product, for tensor products of local systems."""
         self._check(other)
         norm = self.ring.normalize
+        width = other.cols
         out = []
-        for arow in self.data:
-            for brow in other.data:
-                out.append([norm(a * b) for a in arow for b in brow])
-        return self._sized(out, self.cols * other.cols)
+        for arow in self.sparse_rows:
+            for brow in other.sparse_rows:
+                row = {}
+                for ja, a in arow.items():
+                    base = ja * width
+                    for jb, b in brow.items():
+                        x = norm(a * b)
+                        if x:
+                            row[base + jb] = x
+                out.append(row)
+        return ExactMatrix._from_rows(self.ring, out, self.cols * width)
 
     @classmethod
     def hstack(cls, blocks):
@@ -202,11 +267,14 @@ class ExactMatrix:
         rows = blocks[0].rows
         if any(b.rows != rows or b.ring != ring for b in blocks):
             raise TwistcapError("hstack mismatch")
-        m = cls._raw(ring, [sum(row, ())
-                            for row in zip(*(b.data for b in blocks))])
-        if rows == 0:
-            m.cols = sum(b.cols for b in blocks)
-        return m
+        out = [dict(row) for row in blocks[0].sparse_rows]
+        offset = blocks[0].cols
+        for b in blocks[1:]:
+            for row, brow in zip(out, b.sparse_rows):
+                for j, x in brow.items():
+                    row[offset + j] = x
+            offset += b.cols
+        return cls._from_rows(ring, out, offset)
 
     @classmethod
     def vstack(cls, blocks):
@@ -215,27 +283,18 @@ class ExactMatrix:
         cols = blocks[0].cols
         if any(b.cols != cols or b.ring != ring for b in blocks):
             raise TwistcapError("vstack mismatch")
-        data = [row for b in blocks for row in b.data]
-        m = cls._raw(ring, data)
-        m.cols = cols
-        return m
+        return cls._from_rows(ring, [row for b in blocks
+                                     for row in b.sparse_rows], cols)
 
 
 def block_diag(ring, blocks) -> ExactMatrix:
-    blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    z = ring.zero
-    data = [[z] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for b in blocks:
-        for i, row in enumerate(b.data):
-            data[r0 + i][c0:c0 + b.cols] = row
-        r0 += b.rows
+        out += [{c0 + j: x for j, x in row.items()} if c0 else row
+                for row in b.sparse_rows]
         c0 += b.cols
-    m = ExactMatrix._raw(ring, data)
-    m.cols = cols
-    return m
+    return ExactMatrix._from_rows(ring, out, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +321,10 @@ class SmithDecomposition:
         return tuple(col)
 
     def diagonal(self):
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D.data[i][i] for i in range(n))
+        zero = self.D.ring.zero
+        rows = self.D.sparse_rows
+        return tuple(rows[i].get(i, zero)
+                     for i in range(min(self.D.rows, self.D.cols)))
 
     def nonzero_count(self):
         return sum(1 for d in self.diagonal() if d)
@@ -281,11 +342,10 @@ class SmithDecomposition:
         """
         ring = self.D.ring
         zero, one = ring.zero, ring.one
-        rows = self.D.rows
-        diag = self.D.data
+        diag = self.diagonal()
         out = []
         for j in range(self.D.cols):
-            d = diag[j][j] if j < rows else zero
+            d = diag[j] if j < len(diag) else zero
             a = one if d == zero else ring.annihilator(d)
             if a != zero:
                 out.append((j, a))
@@ -301,12 +361,20 @@ class SmithDecomposition:
         the relation annihilator(a).
         """
         ring = self.D.ring
-        gens = []
-        for j, a in self.kernel_positions:
-            col = self.V.column(j)
-            gens.append(col if a == ring.one
-                        else tuple(ring.normalize(a * x) for x in col))
-        K = ExactMatrix.from_columns(ring, gens, self.D.cols)
+        one, norm = ring.one, ring.normalize
+        where = {j: (n, a) for n, (j, a) in enumerate(self.kernel_positions)}
+        rows = []
+        for vrow in self.V.sparse_rows:
+            row = {}
+            for j, x in vrow.items():
+                hit = where.get(j)
+                if hit is not None:
+                    n, a = hit
+                    y = x if a == one else norm(a * x)
+                    if y:
+                        row[n] = y
+            rows.append(row)
+        K = ExactMatrix._from_rows(ring, rows, len(where))
         return K, self.kernel_relations()
 
     def kernel_relations(self):
@@ -315,15 +383,14 @@ class SmithDecomposition:
         nonzero, which happens only over Z/m and never where a_j = 1."""
         ring = self.D.ring
         zero = ring.zero
-        t = len(self.kernel_positions)
-        rel_cols = []
+        rows = [{} for _ in self.kernel_positions]
+        n = 0
         for i, (_, a) in enumerate(self.kernel_positions):
             b = zero if a == ring.one else ring.annihilator(a)
             if b != zero:
-                col = [zero] * t
-                col[i] = b
-                rel_cols.append(col)
-        return ExactMatrix.from_columns(ring, rel_cols, t)
+                rows[i][n] = b
+                n += 1
+        return ExactMatrix._from_rows(ring, rows, n)
 
     def verify(self, A: ExactMatrix) -> bool:
         ring = A.ring
@@ -336,12 +403,8 @@ class SmithDecomposition:
             if not ring.divides(diag[i], diag[i + 1]):
                 return False
         # off-diagonal must vanish
-        z = ring.zero
-        for i, row in enumerate(self.D.data):
-            for j, x in enumerate(row):
-                if i != j and x != z:
-                    return False
-        return True
+        return all(j == i for i, row in enumerate(self.D.sparse_rows)
+                   for j in row)
 
 
 def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
@@ -353,14 +416,15 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     return _snf_euclidean(A, A.ring.modulus)
 
 
-def _euclid_core(M, r, c, m):
-    """Minimal-pivot integer elimination; entries of M are plain ints, in
-    range(m) when m is given.
+def _euclid_core(S, r, c, m):
+    """Minimal-pivot integer elimination on the r x c matrix whose rows are
+    the dicts S ({column: nonzero}, plain ints, in range(m) when m is given).
 
-    Mutates M to diagonal form and returns (U, U_inv, V, V_inv, udet, vdet)
-    with U @ A @ V == D over Z, reducing mod m throughout when m is given;
-    U_inv is U^-1 as a list of sparse columns (dicts row -> nonzero entry)
-    and V_inv is V^-1 as a list of sparse rows (dicts column -> nonzero).
+    Mutates S to the rows of the diagonal D and returns (U, U_inv, V, V_inv,
+    udet, vdet) with U @ A @ V == D over Z, reducing mod m throughout when m
+    is given.  U and V are lists of sparse rows like S, U_inv is U^-1 as a
+    list of sparse columns (dicts row -> nonzero entry) and V_inv is V^-1 as
+    a list of sparse rows (dicts column -> nonzero).
 
     The pivot is the first entry of least absolute value in row-major order
     (columns in their current order).  Its column is cleared downward and its
@@ -369,15 +433,14 @@ def _euclid_core(M, r, c, m):
     Another pivot order would change V, hence kernel bases and certificate
     hashes downstream.
 
-    The work runs on sparse storage, so row and column operations touch only
-    nonzero entries: rows of M, U and V^-1 are dicts of their nonzeros, V and
-    U^-1 are kept as sparse columns, and a column swap only updates the map
-    between logical and physical (dict key) columns that M, V and the rows
-    of V^-1 share.  Zeros are never stored.  Each operation on the rows of U
-    is mirrored on the columns of U^-1, and each operation on the columns of
-    V on the rows of V^-1, so neither inverse needs a solve.
+    Row and column operations touch only nonzero entries: V and U^-1 are
+    kept as sparse columns while the elimination runs, and a column swap
+    only updates the map between logical and physical (dict key) columns
+    that S, V and the rows of V^-1 share.  Zeros are never stored.  Each
+    operation on the rows of U is mirrored on the columns of U^-1, and each
+    operation on the columns of V on the rows of V^-1, so neither inverse
+    needs a solve.
     """
-    S = [{j: v for j, v in enumerate(row) if v} for row in M]  # rows of M
     U = [{i: 1} for i in range(r)]  # rows of U
     W = [{i: 1} for i in range(r)]  # columns of U^-1
     V = [{j: 1} for j in range(c)]  # columns of V, by physical column
@@ -523,23 +586,14 @@ def _euclid_core(M, r, c, m):
                 W[t] = {k: -v for k, v in W[t].items()}
                 udet = -udet
 
-    # densify into the plain lists the wrappers take
+    # back to logical columns: D in place, V from its columns to its rows
     for i, Si in enumerate(S):
-        row = [0] * c
-        for k, v in Si.items():
-            row[logical[k]] = v
-        M[i] = row
-    Ud = []
-    for Ui in U:
-        row = [0] * r
-        for k, v in Ui.items():
-            row[k] = v
-        Ud.append(row)
-    Vd = [[0] * c for _ in range(c)]
+        S[i] = {logical[k]: v for k, v in Si.items()}
+    Vrows = [{} for _ in range(c)]
     for j in range(c):
         for i, v in V[phys[j]].items():
-            Vd[i][j] = v
-    return Ud, W, Vd, [Y[phys[j]] for j in range(c)], udet, vdet
+            Vrows[i][j] = v
+    return U, W, Vrows, [Y[phys[j]] for j in range(c)], udet, vdet
 
 
 def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
@@ -547,34 +601,28 @@ def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
     ring = A.ring
     r, c = A.rows, A.cols
     m = modulus
-    M = [list(row) for row in A.data]
-    U, W, V, Y, udet, vdet = _euclid_core(M, r, c, m)
+    S = [dict(row) for row in A.sparse_rows]
+    U, W, V, Y, udet, vdet = _euclid_core(S, r, c, m)
 
     if m is not None:
         # scale each nonzero diagonal entry to its canonical gcd-with-m form
         for t in range(min(r, c)):
-            d = M[t][t]
+            d = S[t].get(t)
             if not d:
                 continue
             u = ring.unit_scaling_to_canonical(d)
             if u != 1:
-                M[t][t] = d * u % m  # D is diagonal
-                Ut = U[t]
-                for j, x in enumerate(Ut):
-                    if x:
-                        Ut[j] = x * u % m
+                S[t][t] = d * u % m  # D is diagonal; u is a unit
+                U[t] = {j: x * u % m for j, x in U[t].items()}
                 u_inv = pow(u, -1, m)
                 W[t] = {i: x * u_inv % m for i, x in W[t].items()}
                 udet = udet * u
         udet %= m
         vdet %= m
-    Um = ExactMatrix._raw(ring, U)
-    Vm = ExactMatrix._raw(ring, V)
-    Dm = ExactMatrix._raw(ring, M)
-    Dm.cols = c
-    Um.cols, Vm.cols = r, c
-    return SmithDecomposition(Um, Dm, Vm, ring.normalize(udet),
-                              ring.normalize(vdet), tuple(W), tuple(Y))
+    return SmithDecomposition(
+        ExactMatrix._from_rows(ring, U, r), ExactMatrix._from_rows(ring, S, c),
+        ExactMatrix._from_rows(ring, V, c), ring.normalize(udet),
+        ring.normalize(vdet), tuple(W), tuple(Y))
 
 
 def _snf_field(A: ExactMatrix) -> SmithDecomposition:
@@ -584,47 +632,38 @@ def _snf_field(A: ExactMatrix) -> SmithDecomposition:
     ring = A.ring
     r, c = A.rows, A.cols
     scales = []
-    M = []
-    for row in A.data:
+    S = []
+    for row in A.sparse_rows:
         denom = 1
-        for x in row:
-            if x:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
+        for x in row.values():
+            denom = denom * x.denominator // gcd(denom, x.denominator)
         scales.append(denom)
-        M.append([x.numerator * (denom // x.denominator) if x else 0
-                  for x in row])
-    U, W, V, Y, udet, vdet = _euclid_core(M, r, c, None)
+        S.append({j: x.numerator * (denom // x.denominator)
+                  for j, x in row.items()})
+    U, W, V, Y, udet, vdet = _euclid_core(S, r, c, None)
 
     # U scales column j by scales[j], so U^-1 divides row j by it
-    zero = Fraction(0)
-    Uq = [[Fraction(x * scales[j]) if x else zero for j, x in enumerate(row)]
-          for row in U]
+    Uq = [{j: Fraction(x * scales[j]) for j, x in row.items()} for row in U]
     Wq = [{i: Fraction(x, scales[i]) for i, x in col.items()} for col in W]
     udet_q = Fraction(udet)
     for s in scales:
         udet_q *= s
-    Dq = [[Fraction(x) if x else zero for x in row] for row in M]
+    Dq = [{j: Fraction(x) for j, x in row.items()} for row in S]
     for t in range(min(r, c)):
-        d = Dq[t][t]
+        d = Dq[t].get(t)
         if d and d != 1:
             inv = 1 / d
             Dq[t][t] = d * inv  # D is diagonal
-            Ut = Uq[t]
-            for j, x in enumerate(Ut):
-                if x:
-                    Ut[j] = x * inv
+            Uq[t] = {j: x * inv for j, x in Uq[t].items()}
             Wq[t] = {i: x * d for i, x in Wq[t].items()}
             udet_q *= inv
 
-    Um = ExactMatrix._raw(ring, Uq)
-    Vm = ExactMatrix._raw(ring, [[Fraction(x) if x else zero for x in row]
-                                 for row in V])
-    Dm = ExactMatrix._raw(ring, Dq)
-    Dm.cols = c
-    Um.cols, Vm.cols = r, c
+    Vq = [{j: Fraction(x) for j, x in row.items()} for row in V]
     Yq = tuple({j: Fraction(x) for j, x in row.items()} for row in Y)
-    return SmithDecomposition(Um, Dm, Vm, udet_q, Fraction(vdet), tuple(Wq),
-                              Yq)
+    return SmithDecomposition(
+        ExactMatrix._from_rows(ring, Uq, r), ExactMatrix._from_rows(ring, Dq, c),
+        ExactMatrix._from_rows(ring, Vq, c), udet_q, Fraction(vdet),
+        tuple(Wq), Yq)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +695,11 @@ class SmithSolver:
         invariants on its diagonal.  They must be a divisibility chain in
         canonical form, read off a Smith form, so the matrix is its own Smith
         form and nothing is factored."""
-        zero, one = ring.zero, ring.one
+        one = ring.one
         cols = len(invariants)
-        D = ExactMatrix._raw(ring, [[invariants[i] if i == j else zero
-                                     for j in range(cols)]
-                                    for i in range(rows)])
-        D.cols = cols
+        D = ExactMatrix._from_rows(
+            ring, [{i: invariants[i]} if i < cols and invariants[i] else {}
+                   for i in range(rows)], cols)
         solver = object.__new__(cls)
         solver.A = D
         solver.ring = ring
@@ -677,9 +715,10 @@ class SmithSolver:
         if len(b) != self.A.rows:
             raise TwistcapError("rhs length mismatch")
         cvec = snf.U.apply(b)
+        diag = snf.diagonal()
         y = [ring.zero] * self.A.cols
         for i in range(self.A.rows):
-            d = snf.D.data[i][i] if i < self.A.cols else ring.zero
+            d = diag[i] if i < len(diag) else ring.zero
             if d == ring.zero:
                 if cvec[i] != ring.zero:
                     return None
@@ -696,25 +735,21 @@ class SmithSolver:
         if B.rows != self.A.rows:
             raise TwistcapError("rhs row count mismatch")
         C = snf.U @ B
-        zero = ring.zero
-        Y = [[zero] * B.cols for _ in range(self.A.cols)]
-        for i in range(self.A.rows):
-            d = snf.D.data[i][i] if i < self.A.cols else zero
-            crow = C.data[i]
-            if d == zero:
-                if any(x != zero for x in crow):
+        diag = snf.diagonal()
+        Y = [{} for _ in range(self.A.cols)]
+        for i, crow in enumerate(C.sparse_rows):
+            if not crow:
+                continue
+            if i >= len(diag) or diag[i] == ring.zero:
+                return None
+            d, yrow = diag[i], Y[i]
+            for j, x in crow.items():
+                q = ring.divide(x, d)
+                if q is None:
                     return None
-            else:
-                yrow = Y[i]
-                for j, x in enumerate(crow):
-                    if x != zero:
-                        q = ring.divide(x, d)
-                        if q is None:
-                            return None
-                        yrow[j] = q
-        Ym = ExactMatrix._raw(ring, Y)
-        Ym.cols = B.cols
-        return snf.V @ Ym
+                if q:
+                    yrow[j] = q
+        return snf.V @ ExactMatrix._from_rows(ring, Y, B.cols)
 
 
 def is_invertible(A: ExactMatrix) -> bool:

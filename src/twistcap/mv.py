@@ -25,7 +25,8 @@ from .chains import (fundamental_class_direct, pair_complex,
                      transfer_matrix)
 from .complexes import (FullSubcomplex, Subcomplex, closed_star, corpus,
                         empty_subcomplex, named_complex, whole_subcomplex)
-from .errors import (ConnectingChainEscapes, NotACover, TwistcapError,
+from .errors import (CoboundariesDisagree, ConnectingChainEscapes,
+                     ConnectingImageNotCycle, NotACover, TwistcapError,
                      UnknownName)
 from .fpmodules import (FPModule, HomologyPresentation, ModuleMap,
                         homology_presentation, induced_map, is_exact_at)
@@ -222,7 +223,8 @@ def _glue_coboundary(spaces: _MVSpaces, k, alpha):
             if block is None:
                 block = other
             elif block != other:
-                raise TwistcapError("coboundaries disagree on the overlap")
+                raise CoboundariesDisagree(
+                    "coboundaries disagree on the overlap")
         glued[pos * r:(pos + 1) * r] = block
     return tuple(glued)
 
@@ -236,7 +238,7 @@ def _connecting_map(spaces: _MVSpaces, k, src: HomologyPresentation,
     for j in range(src.module.generator_count):
         coords = dst.class_vector(step(spaces, k, src.cycles.column(j)))
         if coords is None:
-            raise TwistcapError(error)
+            raise ConnectingImageNotCycle(error)
         cols.append(coords)
     matrix = ExactMatrix.from_columns(spaces.ring, cols,
                                       dst.module.generator_count)

@@ -291,3 +291,42 @@ def test_escaping_connecting_chain_exits_1(monkeypatch, capsys):
     assert_check_failure(capsys, "ConnectingChainEscapes",
                          ["check-mv", "--complex", "torus",
                           "--cover", "cylinders"])
+
+
+def _bump_first_entry(vec, ring):
+    return (ring.normalize(vec[0] + 1),) + tuple(vec[1:])
+
+
+def test_connecting_image_not_a_cycle_exits_1(monkeypatch, capsys):
+    # the homology zig-zag lands one unit off a cycle
+    zig_zag = mv._connecting_chain
+    monkeypatch.setattr(mv, "_connecting_chain", lambda spaces, k, alpha:
+                        _bump_first_entry(zig_zag(spaces, k, alpha),
+                                          spaces.ring))
+    assert_check_failure(capsys, "ConnectingImageNotCycle",
+                         ["check-mv", "--complex", "torus",
+                          "--cover", "cylinders"])
+
+
+def test_connecting_image_not_a_cocycle_exits_1(monkeypatch, capsys):
+    # the glued coboundary lands one unit off a cocycle
+    glue = mv._glue_coboundary
+    monkeypatch.setattr(mv, "_glue_coboundary", lambda spaces, k, alpha:
+                        _bump_first_entry(glue(spaces, k, alpha), spaces.ring))
+    assert_check_failure(capsys, "ConnectingImageNotCycle",
+                         ["check-mv", "--complex", "torus",
+                          "--cover", "cylinders"])
+
+
+def test_disagreeing_coboundaries_exit_1(monkeypatch, capsys):
+    # the B half of every cochain splitting is off by one unit
+    split = mv._MVSpaces.split_cochain
+
+    def split_off_by_one(spaces, k, alpha):
+        beta, gamma = split(spaces, k, alpha)
+        return beta, _bump_first_entry(gamma, spaces.ring)
+
+    monkeypatch.setattr(mv._MVSpaces, "split_cochain", split_off_by_one)
+    assert_check_failure(capsys, "CoboundariesDisagree",
+                         ["check-mv", "--complex", "torus",
+                          "--cover", "cylinders"])

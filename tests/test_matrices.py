@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twistcap import complexes, matrices
-from twistcap.matrices import (ExactMatrix, SmithSolver, inverse,
-                               is_invertible, kernel, kernel_with_relations,
-                               smith_normal_form)
+from twistcap.matrices import (ExactMatrix, SmithSolver, block_diag,
+                               inverse, is_invertible, kernel,
+                               kernel_with_relations, smith_normal_form)
 from twistcap.rings import MODULAR, Q, RATIONALS, Z, Zmod
 
 from oracles import (RP2_FACETS, boundary_matrix, invariant_factors_by_minors,
@@ -306,9 +306,23 @@ def _reference_core(M, r, c, m):
     return U, Uinv_columns, V, Vinv_rows, udet, vdet
 
 
+def _reference_on_sparse_rows(S, r, c, m):
+    """_reference_core behind the interface of the sparse core: densify the
+    rows S, run the dense sweep, and hand D (in S), U and V back as sparse
+    rows."""
+    M = [[row.get(j, 0) for j in range(c)] for row in S]
+    U, U_inv, V, V_inv, udet, vdet = _reference_core(M, r, c, m)
+
+    def sparse(rows):
+        return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+    S[:] = sparse(M)
+    return sparse(U), U_inv, sparse(V), V_inv, udet, vdet
+
+
 def reference_snf(A):
     """smith_normal_form(A) computed with the dense reference core."""
-    with mock.patch.object(matrices, "_euclid_core", _reference_core):
+    with mock.patch.object(matrices, "_euclid_core", _reference_on_sparse_rows):
         return smith_normal_form(A)
 
 
@@ -459,3 +473,115 @@ def test_matmul_and_apply_match_dense_products(ring, data):
     assert product @ ExactMatrix.identity(ring, n) == product
     for j, col in enumerate(B.columns()):
         assert A.apply(col) == tuple(row[j] for row in expected)
+
+
+# ---------------------------------------------------------------------------
+# The sparse storage against a dense reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def shaped_rows(draw, ring, r, c):
+    entry = draw(st.sampled_from([SPARSE_UNITS, SMALL, WIDE]))
+    if ring.kind == RATIONALS:
+        entry = st.builds(Fraction, entry, st.sampled_from([1, 1, 2, 3]))
+    return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+
+def dense_view(M, rows, cols):
+    """M.data as lists, after checking the shape, that no zero is stored and
+    that the view holds ring elements (Fractions over Q, zeros included)."""
+    assert (M.rows, M.cols) == (rows, cols)
+    assert len(M.sparse_rows) == rows
+    assert all(x and 0 <= j < cols
+               for row in M.sparse_rows for j, x in row.items())
+    view = [list(row) for row in M.data]
+    assert all(len(row) == cols for row in view)
+    if M.ring.kind == RATIONALS:
+        assert all(type(x) is Fraction for row in view for x in row)
+    return view
+
+
+def dense_product(ring, a, b, inner, width):
+    return [[ring.normalize(sum((row[k] * b[k][j] for k in range(inner)),
+                                ring.zero)) for j in range(width)]
+            for row in a]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_operations_match_dense_reference(ring, data):
+    r, c, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+    norm = ring.normalize
+    a, b = (data.draw(shaped_rows(ring, r, c)) for _ in range(2))
+    e = data.draw(shaped_rows(ring, c, n))
+    A, B, E = build(ring, a, r, c), build(ring, b, r, c), build(ring, e, c, n)
+    a, b, e = ([[norm(x) for x in row] for row in m] for m in (a, b, e))
+
+    assert dense_view(A, r, c) == a
+    assert dense_view(A + B, r, c) == [[norm(x + y) for x, y in zip(p, q)]
+                                       for p, q in zip(a, b)]
+    assert dense_view(A - B, r, c) == [[norm(x - y) for x, y in zip(p, q)]
+                                       for p, q in zip(a, b)]
+    assert dense_view(-A, r, c) == [[norm(-x) for x in row] for row in a]
+    s = norm(data.draw(SMALL))
+    assert dense_view(A.scale(s), r, c) == [[norm(s * x) for x in row]
+                                            for row in a]
+    assert dense_view(A @ E, r, n) == dense_product(ring, a, e, c, n)
+    assert dense_view(A.kron(E), r * c, c * n) == [
+        [norm(x * y) for x in p for y in q] for p in a for q in e]
+    assert dense_view(ExactMatrix.hstack([A, B]), r, 2 * c) == [
+        p + q for p, q in zip(a, b)]
+    assert dense_view(ExactMatrix.vstack([A, B]), 2 * r, c) == a + b
+    assert dense_view(block_diag(ring, [A, E]), r + c, c + n) == (
+        [row + [ring.zero] * n for row in a]
+        + [[ring.zero] * c + row for row in e])
+    assert dense_view(ExactMatrix.zeros(ring, r, c), r, c) == [
+        [ring.zero] * c for _ in range(r)]
+    assert dense_view(ExactMatrix.identity(ring, n), n, n) == [
+        [ring.one if i == j else ring.zero for j in range(n)]
+        for i in range(n)]
+
+    assert A.is_zero() == (not any(x for row in a for x in row))
+    assert A.columns() == [tuple(row[j] for row in a) for j in range(c)]
+    for i in range(r):
+        for j in range(c):
+            assert A.entry(i, j) == a[i][j]
+    vec = [norm(x) for x in data.draw(shaped_rows(ring, 1, c))[0]] \
+        if c else []
+    assert A.apply(vec) == tuple(dense_product(ring, a, [[x] for x in vec],
+                                               c, 1)[i][0] for i in range(r))
+    assert A + B - B == A and A - A == ExactMatrix.zeros(ring, r, c)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_constructor_gives_equal_and_equally_hashed_matrices(ring, data):
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    rows = [[ring.normalize(x) for x in row]
+            for row in data.draw(shaped_rows(ring, r, c))]
+    columns = [tuple(row[j] for row in rows) for j in range(c)]
+    raw = ExactMatrix._raw(ring, rows)
+    raw.cols = c  # the trusted dense constructor reads the width off a row
+    split = data.draw(st.integers(0, c))
+    built = [
+        build(ring, rows, r, c),
+        raw,
+        ExactMatrix.from_columns(ring, columns, r),
+        ExactMatrix.hstack([ExactMatrix.from_columns(ring, columns[:split], r),
+                            ExactMatrix.from_columns(ring, columns[split:], r)]),
+        ExactMatrix.hstack([ExactMatrix.from_columns(ring, [col], r)
+                            for col in columns]
+                           or [ExactMatrix.zeros(ring, r, 0)]),
+    ]
+    # rows listing their nonzeros in another order are the same matrix
+    built.append(ExactMatrix._from_rows(
+        ring, [dict(reversed(row.items())) for row in built[0].sparse_rows],
+        c))
+    for M in built:
+        assert M == built[0]
+        assert hash(M) == hash(built[0])
+        assert dense_view(M, r, c) == rows

@@ -3,17 +3,17 @@ of CLI commands, repeated in-process, keeps its tracemalloc peak flat.
 tracemalloc traces this test's own allocations only.
 
 Derived objects are memoized on their source and form reference cycles with
-it (as do the argparse parsers each run builds), so they are freed by the
-cycle collector; each run starts after a full collection, and its peak
-measures what the earlier runs retain rather than when the collector last
-ran."""
+it, so they are freed by the cycle collector; each run starts after a full
+collection, and its peak measures what the earlier runs retain rather than
+when the collector last ran.  The argument parser is built once per process
+and leaves no cycles behind per run."""
 
 import contextlib
 import gc
 import io
 import tracemalloc
 
-from twistcap.cli import main
+from twistcap.cli import build_parser, main
 
 COMMANDS = (
     ("verify-duality", "--complex", "klein", "--ring", "Z"),
@@ -44,3 +44,20 @@ def test_repeated_cli_runs_keep_peak_memory_flat():
     finally:
         tracemalloc.stop()
     assert peaks[2] <= 1.1 * peaks[0], peaks
+
+
+def test_cli_runs_leave_no_argparse_garbage():
+    build_parser()  # built once per process; building it leaves formatters
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(2):
+                assert main(["validate", "--complex", "rp2"]) == 0
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage
+                  if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
