@@ -5,6 +5,8 @@ face on vertices 0..n-k and the back face on n-k..n, evaluates the cochain on
 the back face, carries the value to the leading vertex through the front-path
 transport (edge by edge along consecutive vertices, which flatness makes
 path-independent), and tensors with the chain coefficient on the front face.
+cap_matrix writes this once, as the matrix of c |-> c cap a for a chain of
+any rank; cap_vector checks its inputs and applies that matrix.
 
 The coboundary convention in chains.py is exactly the one that makes
 
@@ -42,30 +44,6 @@ def face_restriction(simplex, indices):
     return tuple(s[i] for i in idx)
 
 
-def _cap_terms(cochain_pc, chain_pc, out_pc, k, n, a_vec):
-    """The terms of c cap a for a fixed n-chain a, one per n-simplex s.
-
-    A simplex with a nonzero coefficient block whose back face s[n-k:] and
-    front face s[:n-k+1] both have coordinates yields (block, cochain
-    position, output position, front face); the cochain value on the back
-    face is carried to the leading vertex along the front face's path.
-    """
-    r = chain_pc.rank
-    cochain_index = cochain_pc.index(k)
-    out_index = out_pc.index(n - k)
-    for pos, s in enumerate(chain_pc.space(n)):
-        block = a_vec[pos * r:(pos + 1) * r]
-        if not any(block):
-            continue
-        cpos = cochain_index.get(s[n - k:])
-        if cpos is None:
-            continue
-        front = s[:n - k + 1]
-        opos = out_index.get(front)
-        if opos is not None:
-            yield block, cpos, opos, front
-
-
 def cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec):
     """The chain c cap a; coordinates are taken from the three complexes.
 
@@ -80,25 +58,9 @@ def cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec):
         raise RingMismatch("cap factors over different rings")
     if k < 0 or n < k:
         raise DegreeMismatch(f"cap needs 0 <= k <= n, got k={k}, n={n}")
-    ring = G.ring
-    rG, rGp = G.rank, Gp.rank
-    out = [ring.zero] * out_pc.length(n - k)
     if len(a_vec) != chain_pc.length(n) or len(c_vec) != cochain_pc.length(k):
         raise DegreeMismatch("cap input vector lengths do not match degrees")
-    for a_block, cpos, opos, front in _cap_terms(cochain_pc, chain_pc, out_pc,
-                                                 k, n, a_vec):
-        u = c_vec[cpos * rG:(cpos + 1) * rG]
-        if not any(u):
-            continue
-        value = G.path_transport(front).apply(u)
-        base = opos * rG * rGp
-        for i, x in enumerate(value):
-            if x:
-                for j, y in enumerate(a_block):
-                    if y:
-                        idx = base + i * rGp + j
-                        out[idx] = ring.normalize(out[idx] + x * y)
-    return tuple(out)
+    return cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a_vec).apply(c_vec)
 
 
 def cap_setting(M, G, Gp, K=None, pool: Subcomplex | None = None):
@@ -179,29 +141,46 @@ def boundary_identity_check(M, G, Gp, k, n, c_vec, a_vec):
 
 
 def cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a_vec) -> ExactMatrix:
-    """Matrix of `c |-> c cap a` for a fixed rank-1-coefficient chain a."""
+    """Matrix of `c |-> c cap a` for a fixed n-chain a, the one cap product.
+
+    An n-simplex s whose coefficient block a_s, back face s[n-k:] and front
+    face s[:n-k+1] all have coordinates contributes F[i, j] * a_s[b] at row
+    (front, i, b) and column (back, j): the cochain value on the back face
+    is carried to the leading vertex by the front-path transport F and
+    tensored with the chain coefficient.
+    """
     G = cochain_pc.system
     ring = G.ring
-    rG = G.rank
-    if chain_pc.rank != 1:
-        raise TwistcapError("cap_matrix expects a rank-1 chain system")
-    rows = out_pc.length(n - k)
-    cols = cochain_pc.length(k)
-    zero = ring.zero
-    data = [{} for _ in range(rows)]
-    for (w,), cpos, opos, front in _cap_terms(cochain_pc, chain_pc, out_pc,
-                                              k, n, a_vec):
-        F = G.path_transport(front)
-        for i, frow in enumerate(F.sparse_rows):
-            row = data[opos * rG + i]
-            for j, x in frow.items():
-                col = cpos * rG + j
-                y = ring.normalize(row.get(col, zero) + x * w)
-                if y:
-                    row[col] = y
-                else:
-                    row.pop(col, None)
-    return ExactMatrix._from_rows(ring, data, cols)
+    norm, zero = ring.normalize, ring.zero
+    rG, rGp = G.rank, chain_pc.rank
+    cochain_index = cochain_pc.index(k)
+    out_index = out_pc.index(n - k)
+    data = [{} for _ in range(out_pc.length(n - k))]
+    for pos, s in enumerate(chain_pc.space(n)):
+        block = a_vec[pos * rGp:(pos + 1) * rGp]
+        if not any(block):
+            continue
+        cpos = cochain_index.get(s[n - k:])
+        if cpos is None:
+            continue
+        front = s[:n - k + 1]
+        opos = out_index.get(front)
+        if opos is None:
+            continue
+        for i, frow in enumerate(G.path_transport(front).sparse_rows):
+            base = (opos * rG + i) * rGp
+            for b, w in enumerate(block):
+                if not w:
+                    continue
+                row = data[base + b]
+                for j, x in frow.items():
+                    col = cpos * rG + j
+                    y = norm(row.get(col, zero) + x * w)
+                    if y:
+                        row[col] = y
+                    else:
+                        row.pop(col, None)
+    return ExactMatrix._from_rows(ring, data, cochain_pc.length(k))
 
 
 def relative_cap(M, G, K: FullSubcomplex, k, c_vec, nu: FundamentalClassData):

@@ -52,12 +52,12 @@ class SimplicialComplex:
         self._index = {k: {s: i for i, s in enumerate(fs)}
                        for k, fs in self._faces.items()}
         self.dimension = max(self._faces)
-        maximal = set()
-        for k in sorted(self._faces, reverse=True):
-            for s in self._faces[k]:
-                if not any(set(s) < set(m) for m in maximal):
-                    maximal.add(s)
-        self.maximal_simplices = frozenset(maximal)
+        # the complex is face-closed, so a simplex lies in a larger one
+        # exactly when it is a codimension-one face of some simplex
+        covered = {s[:i] + s[i + 1:] for k, fs in self._faces.items() if k
+                   for s in fs for i in range(len(s))}
+        self.maximal_simplices = frozenset(
+            s for fs in self._faces.values() for s in fs if s not in covered)
         self._cache: dict = {}
 
     # -- queries -----------------------------------------------------------
@@ -201,20 +201,14 @@ def facet_components(complex) -> int:
 
 
 def _link_is_closed_pm(link, expected_dim) -> bool:
-    if link is None:
+    """True when a vertex link is a closed pseudomanifold of the expected
+    dimension whose own links are, down to pairs of points."""
+    if link is None or link.dimension != expected_dim:
         return False
     if expected_dim == 0:
-        return (link.dimension == 0 and link.vertex_count == 2)
-    if link.dimension != expected_dim:
-        return False
-    if not all(len(s) == expected_dim + 1 for s in link.maximal_simplices):
-        return False
-    if not all(len(fs) == 2 for fs in link.ridge_to_facets().values()):
-        return False
-    if facet_components(link) != 1:
-        return False
-    return all(_link_is_closed_pm(link.vertex_link(v), expected_dim - 1)
-               for v in range(link.vertex_count))
+        return link.vertex_count == 2
+    report = validate(link)
+    return report.closed_pseudomanifold and report.links_validated
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .complexes import (FullSubcomplex, SimplicialComplex, dumps_complex,
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import ModuleMap, homology_presentation, induced_map
 from .localsystems import (LocalSystem, constant_system, orientation_system,
-                           validate_flatness)
+                           sign_system, validate_flatness)
 from .matrices import ExactMatrix, SmithSolver, is_invertible
 from .rings import RingSpec
 
@@ -400,9 +400,7 @@ def cover_sign_system(cover, ring) -> LocalSystem:
     key = ("sign_system", ring)
     cached = cover._cache.get(key)
     if cached is None:
-        transport = {e: ExactMatrix(ring, [[ring.from_int(sign)]])
-                     for e, sign in cover.signs.items()}
-        cached = LocalSystem(cover.base, ring, 1, transport, transport)
+        cached = sign_system(cover.base, ring, cover.signs)
         cover._cache[key] = cached
     return cached
 

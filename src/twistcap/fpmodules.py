@@ -214,9 +214,7 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     kernel_rows = tuple(out_snf.V_inv[j] for j, _ in positions)
     divisors = tuple(a for _, a in positions)
     X = _kernel_coordinates(kernel_rows, divisors, d_in)
-    raw = FPModule(ring, len(positions),
-                   ExactMatrix.hstack([X, out_snf.kernel_relations()]))
-    snf = raw._rel_solver.snf
+    snf = smith_normal_form(ExactMatrix.hstack([X, out_snf.kernel_relations()]))
     diag = snf.diagonal()
     # units lead the divisibility chain and zeros close it, so the kept
     # positions list the torsion factors first

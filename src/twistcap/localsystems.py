@@ -131,6 +131,13 @@ def validate_flatness(system: LocalSystem):
     return True, None
 
 
+def sign_system(base, ring, signs: dict) -> LocalSystem:
+    """The rank-1 system with transport signs[e] = +-1 on each edge e; each
+    transport is its own reverse."""
+    transport = {e: ExactMatrix(ring, [[sign]]) for e, sign in signs.items()}
+    return LocalSystem(base, ring, 1, transport, transport)
+
+
 def orientation_system(base, ring) -> LocalSystem:
     """The rank-1 orientation sign system of a closed pseudomanifold.
 
@@ -146,12 +153,11 @@ def orientation_system(base, ring) -> LocalSystem:
     if not report.closed_pseudomanifold:
         raise NotClosedPseudomanifold(
             "orientation system needs a closed pseudomanifold")
-    transport = {}
+    signs = {}
     for (u, v) in base.faces(1):
         facet = _lowest_facet_containing(base, u, v)
-        sign = star_signs(base, u)[facet] * star_signs(base, v)[facet]
-        transport[(u, v)] = ExactMatrix(ring, [[ring.from_int(sign)]])
-    system = LocalSystem(base, ring, 1, transport, transport)
+        signs[(u, v)] = star_signs(base, u)[facet] * star_signs(base, v)[facet]
+    system = sign_system(base, ring, signs)
     base._cache[key] = system
     return system
 
@@ -285,19 +291,17 @@ def random_sign_cocycle(base: SimplicialComplex, seed: int) -> dict:
 
 def _random_gauge_matrix(ring, rank, rng) -> ExactMatrix:
     """A unit-determinant matrix built from a few elementary operations."""
-    rows = [[ring.one if i == j else ring.zero for j in range(rank)]
-            for i in range(rank)]
-    m = ExactMatrix(ring, rows)
+    m = ExactMatrix.identity(ring, rank)
     for _ in range(3):
         i = rng.randrange(rank)
         j = rng.randrange(rank)
         if i == j:
             continue
         coeff = ring.from_int(rng.choice((-2, -1, 1, 2)))
-        elem = [[ring.one if a == b else ring.zero for b in range(rank)]
-                for a in range(rank)]
-        elem[i][j] = coeff
-        m = m @ ExactMatrix(ring, elem)
+        elem = [{a: ring.one} for a in range(rank)]
+        if coeff:  # +-2 vanishes over Z/2
+            elem[i][j] = coeff
+        m = m @ ExactMatrix._from_rows(ring, elem, rank)
     return m
 
 
@@ -306,16 +310,17 @@ def random_flat_system(base, ring, rank, seed) -> LocalSystem:
     a random vertex gauge.  Flatness is inherited from the cocycle condition
     and preserved by the gauge.  A diagonal sign matrix is its own inverse,
     so only the gauges are inverted."""
+    if rank < 1:
+        raise TwistcapError("rank must be positive")
     rng = random.Random((seed, rank, str(ring)).__repr__())
     signs = [random_sign_cocycle(base, rng.randrange(2 ** 30))
              for _ in range(rank)]
-    transport = {}
-    for e in base.faces(1):
-        diag = [[ring.from_int(signs[i][e]) if i == j else ring.zero
-                 for j in range(rank)] for i in range(rank)]
-        transport[e] = ExactMatrix(ring, diag)
     if rank == 1:
-        return LocalSystem(base, ring, 1, transport, transport)
+        return sign_system(base, ring, signs[0])
+    transport = {e: ExactMatrix._from_rows(
+                     ring, [{i: ring.from_int(signs[i][e])}
+                            for i in range(rank)], rank)
+                 for e in base.faces(1)}
     gauge = {v: _random_gauge_matrix(ring, rank, rng)
              for v in range(base.vertex_count)}
     return _conjugated(base, ring, rank, transport, transport, gauge)

@@ -17,7 +17,10 @@ columns, and column swaps permute indices.  The pivot rule is the
 minimal-pivot one that keeps integer growth tame, and the elementary
 operations are exactly those of a dense sweep, so the transforms (and every
 kernel basis and certificate derived from them) do not depend on the
-storage.
+storage.  One integer elimination serves all three rings, and
+smith_normal_form is its one wrapper: it clears denominators over Q, and
+then, in one loop for every ring, scales each pivot by a unit to the
+canonical generator of its ideal (|d| over Z, gcd(d, m) over Z/m, 1 over Q).
 
 Every decomposition carries its transforms: smith_normal_form returns U, D, V
 with U @ A @ V == D, U and V invertible, and the diagonal of D a divisibility
@@ -36,7 +39,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import TwistcapError
-from .rings import INTEGERS, RATIONALS, RingSpec
+from .rings import RATIONALS, RingSpec
 
 
 class ExactMatrix:
@@ -408,12 +411,61 @@ class SmithDecomposition:
 
 
 def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
-    kind = A.ring.kind
-    if kind == RATIONALS:
-        return _snf_field(A)
-    if kind == INTEGERS:
-        return _snf_euclidean(A, None)
-    return _snf_euclidean(A, A.ring.modulus)
+    """U, D, V with U @ A @ V == D, over any of the three rings.
+
+    The integer elimination runs on canonical lifts: over Z/m reducing mod
+    m, over Q on rows cleared of their denominators (the boundary matrices
+    are integral, so this is much faster than pivoting on fractions), its
+    transforms lifted back afterwards.  Each pivot d is then scaled to the
+    canonical generator of its ideal -- |d| over Z, gcd(d, m) over Z/m, 1
+    over Q -- by the unit u that takes it there: row t of U times u, column
+    t of U^-1 times u^-1.
+    """
+    ring = A.ring
+    r, c = A.rows, A.cols
+    rational = ring.kind == RATIONALS
+    if rational:
+        scales = []
+        S = []
+        for row in A.sparse_rows:
+            denom = 1
+            for x in row.values():
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+            scales.append(denom)
+            S.append({j: x.numerator * (denom // x.denominator)
+                      for j, x in row.items()})
+    else:
+        S = [dict(row) for row in A.sparse_rows]
+    U, W, V, Y, udet, vdet = _euclid_core(S, r, c, ring.modulus)
+    if rational:
+        # U scales column j by scales[j], so U^-1 divides row j by it
+        U = [{j: Fraction(x * scales[j]) for j, x in row.items()} for row in U]
+        W = [{i: Fraction(x, scales[i]) for i, x in col.items()} for col in W]
+        udet = Fraction(udet)
+        for s in scales:
+            udet *= s
+        S = [{j: Fraction(x) for j, x in row.items()} for row in S]
+        V = [{j: Fraction(x) for j, x in row.items()} for row in V]
+        Y = [{j: Fraction(x) for j, x in row.items()} for row in Y]
+
+    norm = ring.normalize
+    for t in range(min(r, c)):
+        d = S[t].get(t)
+        if not d:
+            continue
+        g = ring.canonical_generator(d)
+        if g == d:
+            continue
+        u = ring.unit_scaling_to_canonical(d)
+        u_inv = ring.divide(ring.one, u)
+        S[t][t] = g  # D is diagonal
+        U[t] = {j: norm(x * u) for j, x in U[t].items()}
+        W[t] = {i: norm(x * u_inv) for i, x in W[t].items()}
+        udet = norm(udet * u)
+    return SmithDecomposition(
+        ExactMatrix._from_rows(ring, U, r), ExactMatrix._from_rows(ring, S, c),
+        ExactMatrix._from_rows(ring, V, c), norm(udet), norm(vdet),
+        tuple(W), tuple(Y))
 
 
 def _euclid_core(S, r, c, m):
@@ -422,9 +474,11 @@ def _euclid_core(S, r, c, m):
 
     Mutates S to the rows of the diagonal D and returns (U, U_inv, V, V_inv,
     udet, vdet) with U @ A @ V == D over Z, reducing mod m throughout when m
-    is given.  U and V are lists of sparse rows like S, U_inv is U^-1 as a
-    list of sparse columns (dicts row -> nonzero entry) and V_inv is V^-1 as
-    a list of sparse rows (dicts column -> nonzero).
+    is given.  The pivots are left as the elimination finds them;
+    smith_normal_form scales each to its canonical form.  U and V are lists
+    of sparse rows like S, U_inv is U^-1 as a list of sparse columns (dicts
+    row -> nonzero entry) and V_inv is V^-1 as a list of sparse rows (dicts
+    column -> nonzero).
 
     The pivot is the first entry of least absolute value in row-major order
     (columns in their current order).  Its column is cleared downward and its
@@ -502,8 +556,7 @@ def _euclid_core(S, r, c, m):
         logical[pk], logical[pj] = j, k
         vdet = -vdet
 
-    limit = min(r, c)
-    for t in range(limit):
+    for t in range(min(r, c)):
         # choose the smallest nonzero entry as pivot to damp growth; rows from
         # t on store nothing left of column t
         best = None
@@ -575,17 +628,6 @@ def _euclid_core(S, r, c, m):
                 break
             rowop(t, fold, -1)  # row_t += row_fold
 
-    # positive diagonal over Z (Z/m canonicalizes in its wrapper instead)
-    if m is None:
-        for t in range(limit):
-            St = S[t]
-            pt = phys[t]
-            if St.get(pt, 0) < 0:
-                St[pt] = -St[pt]
-                U[t] = {k: -v for k, v in U[t].items()}
-                W[t] = {k: -v for k, v in W[t].items()}
-                udet = -udet
-
     # back to logical columns: D in place, V from its columns to its rows
     for i, Si in enumerate(S):
         S[i] = {logical[k]: v for k, v in Si.items()}
@@ -594,76 +636,6 @@ def _euclid_core(S, r, c, m):
         for i, v in V[phys[j]].items():
             Vrows[i][j] = v
     return U, W, Vrows, [Y[phys[j]] for j in range(c)], udet, vdet
-
-
-def _snf_euclidean(A: ExactMatrix, modulus) -> SmithDecomposition:
-    """Smith form over Z, or over Z/m on canonical lifts."""
-    ring = A.ring
-    r, c = A.rows, A.cols
-    m = modulus
-    S = [dict(row) for row in A.sparse_rows]
-    U, W, V, Y, udet, vdet = _euclid_core(S, r, c, m)
-
-    if m is not None:
-        # scale each nonzero diagonal entry to its canonical gcd-with-m form
-        for t in range(min(r, c)):
-            d = S[t].get(t)
-            if not d:
-                continue
-            u = ring.unit_scaling_to_canonical(d)
-            if u != 1:
-                S[t][t] = d * u % m  # D is diagonal; u is a unit
-                U[t] = {j: x * u % m for j, x in U[t].items()}
-                u_inv = pow(u, -1, m)
-                W[t] = {i: x * u_inv % m for i, x in W[t].items()}
-                udet = udet * u
-        udet %= m
-        vdet %= m
-    return SmithDecomposition(
-        ExactMatrix._from_rows(ring, U, r), ExactMatrix._from_rows(ring, S, c),
-        ExactMatrix._from_rows(ring, V, c), ring.normalize(udet),
-        ring.normalize(vdet), tuple(W), tuple(Y))
-
-
-def _snf_field(A: ExactMatrix) -> SmithDecomposition:
-    """Smith form over Q: clear denominators row by row, run the integer
-    elimination, then rescale pivots to 1.  Qualitatively faster than naive
-    fraction pivoting because the boundary matrices are integral."""
-    ring = A.ring
-    r, c = A.rows, A.cols
-    scales = []
-    S = []
-    for row in A.sparse_rows:
-        denom = 1
-        for x in row.values():
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        scales.append(denom)
-        S.append({j: x.numerator * (denom // x.denominator)
-                  for j, x in row.items()})
-    U, W, V, Y, udet, vdet = _euclid_core(S, r, c, None)
-
-    # U scales column j by scales[j], so U^-1 divides row j by it
-    Uq = [{j: Fraction(x * scales[j]) for j, x in row.items()} for row in U]
-    Wq = [{i: Fraction(x, scales[i]) for i, x in col.items()} for col in W]
-    udet_q = Fraction(udet)
-    for s in scales:
-        udet_q *= s
-    Dq = [{j: Fraction(x) for j, x in row.items()} for row in S]
-    for t in range(min(r, c)):
-        d = Dq[t].get(t)
-        if d and d != 1:
-            inv = 1 / d
-            Dq[t][t] = d * inv  # D is diagonal
-            Uq[t] = {j: x * inv for j, x in Uq[t].items()}
-            Wq[t] = {i: x * d for i, x in Wq[t].items()}
-            udet_q *= inv
-
-    Vq = [{j: Fraction(x) for j, x in row.items()} for row in V]
-    Yq = tuple({j: Fraction(x) for j, x in row.items()} for row in Y)
-    return SmithDecomposition(
-        ExactMatrix._from_rows(ring, Uq, r), ExactMatrix._from_rows(ring, Dq, c),
-        ExactMatrix._from_rows(ring, Vq, c), udet_q, Fraction(vdet),
-        tuple(Wq), Yq)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,14 @@ def test_malformed_system_spec_exits_2(capsys, spec):
     assert err.startswith("error:") and spec in err
 
 
+@pytest.mark.parametrize("spec", ["random-flat:1:0", "random-flat:1:-1"])
+def test_nonpositive_random_flat_rank_exits_2(capsys, spec):
+    code, out, err = run(capsys, "verify-duality", "--complex", "circle",
+                         "--system", spec)
+    assert code == 2 and not out
+    assert err == "error: rank must be positive\n"
+
+
 def test_zero_denominator_in_system_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ls"
     path.write_text("ring Q\nrank 1\nedge 0 1\n1/0\n")
@@ -220,7 +228,7 @@ def test_zero_dimensional_complex(tmp_path, capsys, command):
         assert err.startswith("error:") and "closed" in err
 
 
-def _pinched_grid(tmp_path, build):
+def _pinched(build):
     """A 6x6 grid surface with vertices 0 and 21 identified: a closed
     pseudomanifold whose dual graph is connected, but whose vertex 0 has a
     star in two pieces."""
@@ -229,9 +237,28 @@ def _pinched_grid(tmp_path, build):
     cx = SimplicialComplex(35, [tuple(relabel[v] for v in f)
                                 for f in grid.facets])
     assert validate(cx).closed_pseudomanifold
+    return cx
+
+
+def _pinched_grid(tmp_path, build):
     path = tmp_path / "pinched.cx"
-    path.write_text(dumps_complex(cx))
+    path.write_text(dumps_complex(_pinched(build)))
     return str(path)
+
+
+@pytest.mark.parametrize("build", [_grid_torus, _grid_klein],
+                         ids=["torus", "klein"])
+def test_pinched_vertex_fails_link_validation(build):
+    # the pinch vertex's link is two circles; in the suspension, each apex
+    # has the pinched surface as its link
+    cx = _pinched(build)
+    n = cx.vertex_count
+    suspension = SimplicialComplex(n + 2, [f + (apex,) for f in cx.facets
+                                           for apex in (n, n + 1)])
+    for complex_ in (cx, suspension):
+        report = validate(complex_)
+        assert report.closed_pseudomanifold
+        assert not report.links_validated
 
 
 @pytest.mark.parametrize("build", [_grid_torus, _grid_klein],

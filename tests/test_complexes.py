@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistcap.complexes import (FullSubcomplex, SimplicialComplex, Subcomplex,
-                                closed_star, complement, corpus, dumps_complex,
+from twistcap.complexes import (BUILTIN_NAMES, FullSubcomplex,
+                                SimplicialComplex, Subcomplex, closed_star,
+                                complement, corpus, dumps_complex,
                                 loads_complex, named_complex, star_component_walk,
                                 star_signs, validate, whole_subcomplex)
 from twistcap.errors import (ComplexFormatError, DisconnectedStar, NotInStar,
@@ -163,6 +166,29 @@ def test_construction_guards():
         SimplicialComplex(5, [(0, 1, 2)])  # vertices 3, 4 uncovered
     with pytest.raises(TwistcapError):
         SimplicialComplex(2, [(0, 3)])
+
+
+def _brute_force_maximal(simplices):
+    """The simplices contained in no other one of the list."""
+    sets = [frozenset(s) for s in simplices]
+    return {tuple(sorted(s)) for s in sets if not any(s < t for t in sets)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5),
+                     min_size=1, max_size=8))
+def test_maximal_simplices_match_brute_force(gens):
+    # the maximal faces of the closure of a list are its maximal members
+    simplices = [tuple(g) for g in gens] + [(v,) for v in range(7)]
+    cx = SimplicialComplex(7, simplices)
+    assert cx.maximal_simplices == _brute_force_maximal(simplices)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_maximal_simplices_of_builtin_complexes(name):
+    cx = named_complex(name)
+    every = [s for k in range(cx.dimension + 1) for s in cx.faces(k)]
+    assert cx.maximal_simplices == _brute_force_maximal(every)
 
 
 def test_euler_characteristics_of_surface_corpus():

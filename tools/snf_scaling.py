@@ -4,8 +4,9 @@ For each n×n grid Klein bottle and torus built by twistcap.complexes,
 n = 4…12, and each ring Z, Z/3 and Q, time one verify_duality call with
 the constant system, then the Klein bottle over Z at n = 16 and 20.  Each
 case runs in a fresh child process (this script with --case), so no case
-shares a cache or inherits memory from another; the child reports its
-seconds and its own peak RSS (ru_maxrss).  One line is printed per case,
+shares a cache or inherits memory from another; the child reports the
+seconds to build the complex (build_s), the seconds of the duality call and
+its own peak RSS (ru_maxrss).  One line is printed per case,
 and one `# fit` line per surface and ring with the least-squares slope of
 log(time) against log(number of simplices) over n = 4…12.
 
@@ -43,16 +44,19 @@ def loglog_slope(points):
 
 
 def run_case(surface, ring_name, n):
-    """One case, in this process: print simplices, seconds, peak RSS in MB
-    and the verdict, tab-separated."""
+    """One case, in this process: print simplices, build seconds, seconds,
+    peak RSS in MB and the verdict, tab-separated."""
+    start = time.perf_counter()
     cx = SURFACES[surface](n, n)
+    build_s = time.perf_counter() - start
     ring = parse_ring(ring_name)
     simplices = sum(len(cx.faces(k)) for k in range(cx.dimension + 1))
     start = time.perf_counter()
     report = verify_duality(cx, constant_system(cx, ring), ring)
     seconds = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{simplices}\t{seconds:.3f}\t{rss_mb:.1f}\t{report.all_verified}")
+    print(f"{simplices}\t{build_s:.3f}\t{seconds:.3f}\t{rss_mb:.1f}\t"
+          f"{report.all_verified}")
 
 
 def measure(surface, ring_name, n):
@@ -61,9 +65,9 @@ def measure(surface, ring_name, n):
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--case",
                           surface, ring_name, str(n)],
                          capture_output=True, text=True, check=True).stdout
-    simplices, seconds, rss_mb, verified = out.split()
-    print(f"{surface}\t{ring_name}\t{n}\t{simplices}\t{seconds}\t{rss_mb}\t"
-          f"{verified}", flush=True)
+    simplices, build_s, seconds, rss_mb, verified = out.split()
+    print(f"{surface}\t{ring_name}\t{n}\t{simplices}\t{build_s}\t{seconds}\t"
+          f"{rss_mb}\t{verified}", flush=True)
     return int(simplices), float(seconds)
 
 
@@ -75,7 +79,8 @@ def main():
         surface, ring_name, n = args.case
         run_case(surface, ring_name, int(n))
         return
-    print("surface\tring\tn\tsimplices\tseconds\tpeak_rss_mb\tverified")
+    print("surface\tring\tn\tsimplices\tbuild_s\tseconds\tpeak_rss_mb\t"
+          "verified")
     for surface in SURFACES:
         for ring_name in RINGS:
             points = [measure(surface, ring_name, n) for n in SIDES]
