@@ -7,7 +7,14 @@ maps unambiguous.
 
 Closed-pseudomanifold validation, dual-graph walks comparing local
 orientations, full subcomplexes and their complements, and a fixed corpus of
-triangulated manifolds all live here.
+triangulated manifolds all live here.  Vertex links are checked in place,
+with no link complex built: in an n-complex, every link is a closed
+pseudomanifold down to pairs of points exactly when the complex is pure,
+every ridge lies in two facets, and the facets containing each simplex of
+dimension at most n - 2 are connected across ridges that contain it
+(`validate`).  Each complex keeps one index from vertex to the facets
+containing it (`SimplicialComplex.vertex_stars`); the walks, `star_signs` and
+the orientation system read their stars from it.
 """
 
 from __future__ import annotations
@@ -126,23 +133,17 @@ class SimplicialComplex:
             self._cache["facet_adjacency"] = cached
         return cached
 
-    def vertex_link(self, v: int):
-        """The link of v, relabelled to its own ascending vertex set."""
-        link_faces = set()
-        verts = set()
-        for k, fs in self._faces.items():
-            if k == 0:
-                continue
-            for s in fs:
-                if v in s:
-                    t = tuple(x for x in s if x != v)
-                    link_faces.add(t)
-                    verts.update(t)
-        if not link_faces:
-            return None
-        order = {x: i for i, x in enumerate(sorted(verts))}
-        return SimplicialComplex(len(order),
-                                 [tuple(order[x] for x in s) for s in link_faces])
+    def vertex_stars(self):
+        """Vertex -> ascending tuple of the facets containing it."""
+        cached = self._cache.get("vertex_stars")
+        if cached is None:
+            stars = {v: [] for v in range(self.vertex_count)}
+            for f in self.facets:
+                for v in f:
+                    stars[v].append(f)
+            cached = {v: tuple(fs) for v, fs in stars.items()}
+            self._cache["vertex_stars"] = cached
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,16 @@ class ManifoldReport:
 
 
 def validate(complex: SimplicialComplex) -> ManifoldReport:
+    """Closed-pseudomanifold report of a complex.
+
+    `links_validated` says that every vertex link is a closed pseudomanifold
+    of dimension n - 1 whose own vertex links pass the same test, down to
+    pairs of points.  The link of w in link(v) is link({v, w}), so that
+    recursion visits link(s) for every simplex s of dimension <= n - 1: its
+    dimension, purity and ridge conditions come to purity and two facets on
+    every ridge of the complex, and its connectivity conditions to connected
+    facets around every simplex of dimension <= n - 2.
+    """
     cached = complex._cache.get("report")
     if cached is not None:
         return cached
@@ -173,62 +184,39 @@ def validate(complex: SimplicialComplex) -> ManifoldReport:
     ridge_ok = all(len(fs) == 2 for fs in complex.ridge_to_facets().values()) \
         if n >= 1 else False
     connected = facet_components(complex) == 1
-    links_ok = all(_link_is_closed_pm(complex.vertex_link(v), n - 1)
-                   for v in range(complex.vertex_count)) if n >= 1 else False
+    links_ok = is_pure and ridge_ok and all(
+        facet_components(complex, s) == 1
+        for k in range(n - 1) for s in complex.faces(k))
     report = ManifoldReport(n, is_pure, ridge_ok, connected, links_ok,
                             complex.euler_characteristic())
     complex._cache["report"] = report
     return report
 
 
-def facet_components(complex) -> int:
-    """Number of components of the dual graph: facets joined across ridges."""
+def facet_components(complex, simplex=()) -> int:
+    """Number of components of the facets containing `simplex`, joined
+    across shared ridges; for the empty simplex, of the dual graph.
+
+    Two facets that share a ridge meet in it, so every ridge joining two
+    facets that contain the simplex contains it too.
+    """
     adj = complex.facet_adjacency()
-    seen = set()
+    if simplex:
+        stars = complex.vertex_stars()
+        todo = set(stars[simplex[0]])
+        todo.intersection_update(*(stars[v] for v in simplex[1:]))
+    else:
+        todo = set(complex.facets)
     count = 0
-    for start in complex.facets:
-        if start in seen:
-            continue
+    while todo:
         count += 1
-        seen.add(start)
-        stack = [start]
+        stack = [todo.pop()]
         while stack:
             for g, _ in adj[stack.pop()]:
-                if g not in seen:
-                    seen.add(g)
+                if g in todo:
+                    todo.remove(g)
                     stack.append(g)
     return count
-
-
-def _link_is_closed_pm(link, expected_dim) -> bool:
-    """True when a vertex link is a closed pseudomanifold of the expected
-    dimension whose own links are, down to pairs of points."""
-    if link is None or link.dimension != expected_dim:
-        return False
-    if expected_dim == 0:
-        return link.vertex_count == 2
-    report = validate(link)
-    return report.closed_pseudomanifold and report.links_validated
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Facet-adjacency graph; edges are labelled by the shared ridge."""
-    nodes: tuple
-    edges: tuple  # (facet_a, facet_b, ridge) with facet_a < facet_b
-
-    def ridge_labels_unique(self) -> bool:
-        labels = [ridge for _, _, ridge in self.edges]
-        return len(labels) == len(set(labels))
-
-
-def dual_graph(complex: SimplicialComplex) -> DualGraph:
-    edges = []
-    for ridge, facets in complex.ridge_to_facets().items():
-        if len(facets) == 2:
-            a, b = sorted(facets)
-            edges.append((a, b, ridge))
-    return DualGraph(tuple(complex.facets), tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +295,7 @@ def star_signs(complex, vertex):
     """
     cache = complex._cache.setdefault("star_signs", {})
     if vertex not in cache:
-        star = [f for f in complex.facets if vertex in f]
+        star = complex.vertex_stars().get(vertex, ())
         if not star:
             raise NotInStar(f"vertex {vertex} lies in no facet")
         signs = _star_signs_from(complex, vertex, star[0])

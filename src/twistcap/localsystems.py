@@ -153,20 +153,15 @@ def orientation_system(base, ring) -> LocalSystem:
     if not report.closed_pseudomanifold:
         raise NotClosedPseudomanifold(
             "orientation system needs a closed pseudomanifold")
+    stars = base.vertex_stars()
     signs = {}
     for (u, v) in base.faces(1):
-        facet = _lowest_facet_containing(base, u, v)
+        # the lowest facet containing the edge; purity puts it in one
+        facet = next(f for f in stars[u] if v in f)
         signs[(u, v)] = star_signs(base, u)[facet] * star_signs(base, v)[facet]
     system = sign_system(base, ring, signs)
     base._cache[key] = system
     return system
-
-
-def _lowest_facet_containing(base, u, v):
-    for f in base.facets:
-        if u in f and v in f:
-            return f
-    raise TwistcapError(f"edge ({u},{v}) lies in no facet")
 
 
 def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:

@@ -70,7 +70,7 @@ def direct_sum(a: FPModule, b: FPModule) -> FPModule:
 
 
 def _zero_module(ring):
-    return FPModule(ring, 0)
+    return FPModule._diagonal(ring, 0, ())
 
 
 def _zero_map_into(ring, target: FPModule) -> ModuleMap:

@@ -99,3 +99,69 @@ def boundary_matrix(facets, k):
 
 RP2_FACETS = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
               (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+
+
+# -- closed pseudomanifolds, by the recursion over vertex links ----------------
+# A frozen form of the recursive link check the library once ran, on plain
+# sets of ascending vertex tuples, with its own purity, ridge and dual-graph
+# tests.  It builds every link explicitly and calls nothing in twistcap.
+
+def face_closure(simplices):
+    """Every nonempty face of the given simplices, as ascending tuples."""
+    faces = set()
+    for s in simplices:
+        s = tuple(sorted(s))
+        for size in range(1, len(s) + 1):
+            faces.update(combinations(s, size))
+    return faces
+
+
+def vertex_link(faces, v):
+    """The faces containing v with v removed, or None when v is isolated."""
+    link = {tuple(x for x in s if x != v) for s in faces if v in s and len(s) > 1}
+    return link or None
+
+
+def _is_closed_pm(faces):
+    """Pure, every ridge in exactly two facets, dual graph connected."""
+    n = max(len(s) for s in faces) - 1
+    covered = {s[:i] + s[i + 1:] for s in faces for i in range(len(s))}
+    if any(len(s) != n + 1 for s in faces if s not in covered):
+        return False
+    facets = sorted(s for s in faces if len(s) == n + 1)
+    ridges = {s: [] for s in faces if len(s) == n}
+    for f in facets:
+        for i in range(len(f)):
+            ridges[f[:i] + f[i + 1:]].append(f)
+    if n < 1 or any(len(fs) != 2 for fs in ridges.values()):
+        return False
+    adjacent = {f: [] for f in facets}
+    for a, b in ridges.values():
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, stack = {facets[0]}, [facets[0]]
+    while stack:
+        for g in adjacent[stack.pop()]:
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return len(seen) == len(facets)
+
+
+def links_validated(faces):
+    """Every vertex link is a closed pseudomanifold of dimension n - 1 whose
+    own links pass the same test, down to pairs of points."""
+    n = max(len(s) for s in faces) - 1
+    if n < 1:
+        return False
+    vertices = {v for s in faces for v in s}
+    return all(_link_is_closed_pm(vertex_link(faces, v), n - 1)
+               for v in vertices)
+
+
+def _link_is_closed_pm(link, expected_dim):
+    if link is None or max(len(s) for s in link) - 1 != expected_dim:
+        return False
+    if expected_dim == 0:
+        return len(link) == 2
+    return _is_closed_pm(link) and links_validated(link)

@@ -195,6 +195,27 @@ def test_mv_spaces_and_transfers_are_built_once_per_cover(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+def test_mv_sequences_factor_no_zero_module(monkeypatch):
+    # the zero modules at both ends of each sequence have nothing to factor
+    M, pair = mv.named_cover("torus", "cylinders")
+    G = constant_system(M, Z)
+    calls = count_factorizations(monkeypatch)
+    per_zero_module = []
+    original = mv._zero_module
+
+    def counting(ring):
+        before = len(calls)
+        module = original(ring)
+        per_zero_module.append(len(calls) - before)
+        return module
+
+    monkeypatch.setattr(mv, "_zero_module", counting)
+    assert mv.mv_homology(pair, G).all_exact
+    assert mv.mv_cohomology(pair, G).all_exact
+    assert calls and per_zero_module
+    assert not any(per_zero_module)
+
+
 def test_mv_spaces_die_with_their_cover():
     M, pair = mv.named_cover("octahedron", "hemispheres")
     mv.mv_homology(pair, constant_system(M, Z))

@@ -3,12 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcap.complexes import (BUILTIN_NAMES, FullSubcomplex,
-                                SimplicialComplex, Subcomplex, closed_star,
+                                SimplicialComplex, Subcomplex, _grid_klein,
+                                _grid_torus, closed_star,
                                 complement, corpus, dumps_complex,
                                 loads_complex, named_complex, star_component_walk,
                                 star_signs, validate, whole_subcomplex)
 from twistcap.errors import (ComplexFormatError, DisconnectedStar, NotInStar,
                              TwistcapError, UnknownName)
+
+import oracles
+from test_cli import _pinched
 
 
 def test_tetrahedron_boundary_validates():
@@ -195,3 +199,134 @@ def test_euler_characteristics_of_surface_corpus():
     expected = {"sphere2": 2, "torus": 0, "rp2": 1, "klein": 0}
     for name, chi in expected.items():
         assert corpus(name).euler_characteristic() == chi
+
+
+# -- links checked in place, against the recursion over link complexes --------
+
+def _complex(faces):
+    """The complex on the faces, its vertices relabelled to 0..m-1."""
+    order = {v: i for i, v in enumerate(sorted({v for s in faces for v in s}))}
+    return SimplicialComplex(len(order),
+                             [tuple(order[v] for v in s) for s in faces])
+
+
+def _faces(cx):
+    return {s for k in range(cx.dimension + 1) for s in cx.faces(k)}
+
+
+def _cone(faces):
+    apex = 1 + max(v for s in faces for v in s)
+    return faces | {s + (apex,) for s in faces} | {(apex,)}
+
+
+def _suspension(faces):
+    apex = 1 + max(v for s in faces for v in s)
+    return faces | {s + (a,) for s in faces for a in (apex, apex + 1)} \
+        | {(apex,), (apex + 1,)}
+
+
+def _shifted(faces, offset):
+    return {tuple(v + offset for v in s) for s in faces}
+
+
+def _disjoint_union(a, b):
+    return a | _shifted(b, 1 + max(v for s in a for v in s))
+
+
+def _wedge(a, b):
+    """a and b glued at their lowest vertices."""
+    offset = max(v for s in a for v in s)
+    return a | {tuple(0 if v == 0 else v + offset for v in s) for s in b}
+
+
+def _edge_pinched_sphere3():
+    """The join of two hexagons, a 3-sphere, with the edges (0, 6) and
+    (3, 9) contracted: the edges (0, 9) and (6, 3) become one edge whose link
+    is two circles, while every vertex star stays connected."""
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    merge = {6: 0, 9: 3}
+    images = [{merge.get(v, v) for v in a + (6 + b, 6 + c)}
+              for a in hexagon for b, c in hexagon]
+    return oracles.face_closure(f for f in images if len(f) == 4)
+
+
+def _assert_links_match(faces):
+    expected = oracles.links_validated(faces)
+    assert validate(_complex(faces)).links_validated == expected
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
+                     min_size=1, max_size=12))
+def test_links_validated_matches_recursion_on_random_complexes(gens):
+    _assert_links_match(oracles.face_closure(gens))
+
+
+def test_links_validated_matches_recursion_on_random_graph_families():
+    # a cycle through some vertices with random chords: the bare cycle, its
+    # suspension and its double suspension pass, every cone fails
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(order=st.permutations(range(6)), length=st.integers(3, 6),
+           chords=st.lists(st.sets(st.integers(0, 5), min_size=2, max_size=2),
+                           max_size=4))
+    def check(order, length, chords):
+        cycle = order[:length]
+        graph = oracles.face_closure(
+            [(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+            + [tuple(c) for c in chords])
+        for faces in (graph, _cone(graph), _suspension(graph),
+                      _suspension(_suspension(graph))):
+            verdicts.add(_assert_links_match(faces))
+
+    check()
+    assert verdicts == {False, True}
+
+
+def test_links_validated_matches_recursion_on_built_families():
+    circle = oracles.face_closure([(0, 1), (1, 2), (0, 2)])
+    surfaces = [_faces(corpus(name)) for name in ("sphere2", "torus", "rp2",
+                                                  "klein")]
+    pinched = [_faces(_pinched(build)) for build in (_grid_torus, _grid_klein)]
+    families = [circle, _faces(corpus("sphere3"))] + surfaces + pinched
+    families += [_cone(f) for f in [circle] + surfaces]
+    families += [_suspension(f) for f in [circle] + surfaces + pinched]
+    families += [_suspension(_suspension(f)) for f in (circle, surfaces[0])]
+    families += [_wedge(a, b) for a in (circle, surfaces[0])
+                 for b in (circle, surfaces[1])]
+    families += [_disjoint_union(a, b) for a in (circle, surfaces[0])
+                 for b in (circle, surfaces[2])]
+    families += [_suspension(_disjoint_union(circle, circle)),
+                 _suspension(_wedge(circle, circle)), _edge_pinched_sphere3()]
+    verdicts = [_assert_links_match(f) for f in families]
+    assert True in verdicts and False in verdicts
+
+
+def _brute_force_star(cx, v):
+    return tuple(sorted(f for f in cx.facets if v in f))
+
+
+def _assert_star_index_matches_scans(cx):
+    stars = cx.vertex_stars()
+    assert set(stars) == set(range(cx.vertex_count))
+    for v in range(cx.vertex_count):
+        assert stars[v] == _brute_force_star(cx, v)
+    for u, v in cx.faces(1):
+        containing = [f for f in cx.facets if u in f and v in f]
+        # the orientation system reads the lowest facet of an edge this way
+        assert next((f for f in stars[u] if v in f), None) \
+            == (min(containing) if containing else None)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_star_index_of_builtin_complexes(name):
+    _assert_star_index_matches_scans(named_complex(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
+                     min_size=1, max_size=10))
+def test_star_index_matches_brute_force(gens):
+    _assert_star_index_matches_scans(_complex(oracles.face_closure(gens)))

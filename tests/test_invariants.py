@@ -2,8 +2,7 @@
 
 from twistcap.cap import CapInput
 from twistcap.chains import homology, pair_complex
-from twistcap.complexes import (corpus, dual_graph, dumps_complex,
-                                star_component_walk)
+from twistcap.complexes import corpus, dumps_complex, star_component_walk
 from twistcap.covers import build_double_cover
 from twistcap.fpmodules import (ModuleMap, homology_presentation,
                                 is_isomorphism)
@@ -18,10 +17,16 @@ from oracles import RP2_FACETS, boundary_matrix
 
 def test_dual_graph_ridges_label_unique_edges():
     for name in ("sphere2", "rp2", "torus", "klein", "rp3"):
-        g = dual_graph(corpus(name))
-        assert g.ridge_labels_unique()
+        cx = corpus(name)
+        labels = {}
+        for f, neighbours in cx.facet_adjacency().items():
+            for g, ridge in neighbours:
+                labels.setdefault(ridge, set()).add(frozenset((f, g)))
+        # each ridge labels exactly one adjacent pair
+        assert all(len(pairs) == 1 for pairs in labels.values())
         # closed pseudomanifold: every ridge labels exactly one dual edge
-        assert len(g.edges) == len(corpus(name).faces(corpus(name).dimension - 1))
+        pairs = set().union(*labels.values())
+        assert len(pairs) == len(cx.faces(cx.dimension - 1))
 
 
 def _all_simple_dual_paths(cx, vertex, start, goal):
@@ -58,15 +63,15 @@ def test_orientation_reference_choice_is_gauge():
     # recompute star signs from the *last* facet containing each vertex;
     # edge signs change by a vertex gauge, loop holonomies do not change
     from twistcap.complexes import _star_signs_from
-    from twistcap.localsystems import LocalSystem, _lowest_facet_containing
+    from twistcap.localsystems import LocalSystem
     cx = corpus("klein")
+    stars = cx.vertex_stars()
     alt_signs = {}
     for v in range(cx.vertex_count):
-        ref = [f for f in cx.facets if v in f][-1]
-        alt_signs[v] = _star_signs_from(cx, v, ref)
+        alt_signs[v] = _star_signs_from(cx, v, stars[v][-1])
     transport = {}
     for (u, v) in cx.faces(1):
-        facet = _lowest_facet_containing(cx, u, v)
+        facet = next(f for f in stars[u] if v in f)
         sign = alt_signs[u][facet] * alt_signs[v][facet]
         transport[(u, v)] = ExactMatrix(Z, [[sign]])
     alt = LocalSystem(cx, Z, 1, transport)

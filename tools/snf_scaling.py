@@ -2,18 +2,25 @@
 
 For each n×n grid Klein bottle and torus built by twistcap.complexes,
 n = 4…12, and each ring Z, Z/3 and Q, time one verify_duality call with
-the constant system, then the Klein bottle over Z at n = 16 and 20.  Each
-case runs in a fresh child process (this script with --case), so no case
-shares a cache or inherits memory from another; the child reports the
-seconds to build the complex (build_s), the seconds of the duality call and
-its own peak RSS (ru_maxrss).  One line is printed per case,
-and one `# fit` line per surface and ring with the least-squares slope of
-log(time) against log(number of simplices) over n = 4…12.
+the constant system, then the Klein bottle over Z at n = 16 and 20.  The
+Klein bottle over Z at n = 40 and 60 times only the complex layers, since
+duality at those sizes takes minutes.  Each case runs in a fresh child
+process (this script with --case), so no case shares a cache or inherits
+memory from another.  The child times the duality call on a freshly built
+complex; then, three times over and each time after a full garbage
+collection, it builds the complex again, validates it and builds its
+orientation system.  It reports the seconds of the duality call, the least
+seconds of each of those three steps (build_s, validate_s, orientation_s)
+and its own peak RSS (ru_maxrss).  One line is printed per case.
+One `# fit` line per surface and ring gives the least-squares slope of
+log(time) against log(number of simplices) over n = 4…12, and one per
+complex-layer column does so for the Klein bottle over Z at n = 20…60.
 
 Run from anywhere:  python3 tools/snf_scaling.py
 """
 
 import argparse
+import gc
 import math
 import os
 import resource
@@ -25,14 +32,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from twistcap.cap import verify_duality  # noqa: E402
-from twistcap.complexes import _grid_klein, _grid_torus  # noqa: E402
-from twistcap.localsystems import constant_system  # noqa: E402
+from twistcap.complexes import _grid_klein, _grid_torus, validate  # noqa: E402
+from twistcap.localsystems import (constant_system,  # noqa: E402
+                                   orientation_system)
 from twistcap.rings import parse_ring  # noqa: E402
 
 SURFACES = {"klein": _grid_klein, "torus": _grid_torus}
 RINGS = ("Z", "Z/3", "Q")
 SIDES = range(4, 13)
 LARGE = (("klein", "Z", 16), ("klein", "Z", 20))
+LAYERS_ONLY = (("klein", "Z", 40), ("klein", "Z", 60))
+LAYER_FIT = (("klein", "Z", 20),) + LAYERS_ONLY
 
 
 def loglog_slope(points):
@@ -43,32 +53,50 @@ def loglog_slope(points):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
 
 
+def _timed(call, *args):
+    start = time.perf_counter()
+    result = call(*args)
+    return result, time.perf_counter() - start
+
+
 def run_case(surface, ring_name, n):
-    """One case, in this process: print simplices, build seconds, seconds,
-    peak RSS in MB and the verdict, tab-separated."""
-    start = time.perf_counter()
-    cx = SURFACES[surface](n, n)
-    build_s = time.perf_counter() - start
+    """One case, in this process: print simplices, build, validate and
+    orientation seconds, duality seconds, peak RSS in MB and the verdict,
+    tab-separated; a case in LAYERS_ONLY prints "-" for the duality."""
+    build = SURFACES[surface]
     ring = parse_ring(ring_name)
+    seconds = verified = "-"
+    if (surface, ring_name, n) not in LAYERS_ONLY:
+        cx = build(n, n)
+        report, duality_s = _timed(verify_duality, cx,
+                                   constant_system(cx, ring), ring)
+        seconds, verified = f"{duality_s:.3f}", report.all_verified
+    layers = []
+    for _ in range(3):
+        # a complex and the systems cached on it refer to each other, so
+        # the complex timed last is cyclic garbage
+        gc.collect()
+        cx, build_s = _timed(build, n, n)
+        _, validate_s = _timed(validate, cx)
+        _, orientation_s = _timed(orientation_system, cx, ring)
+        layers.append((build_s, validate_s, orientation_s))
+    build_s, validate_s, orientation_s = map(min, zip(*layers))
     simplices = sum(len(cx.faces(k)) for k in range(cx.dimension + 1))
-    start = time.perf_counter()
-    report = verify_duality(cx, constant_system(cx, ring), ring)
-    seconds = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{simplices}\t{build_s:.3f}\t{seconds:.3f}\t{rss_mb:.1f}\t"
-          f"{report.all_verified}")
+    print(f"{simplices}\t{build_s:.3f}\t{validate_s:.4f}\t"
+          f"{orientation_s:.4f}\t{seconds}\t{rss_mb:.1f}\t{verified}")
 
 
 def measure(surface, ring_name, n):
     """Run one case in a child process; print its line and return
-    (simplices, seconds)."""
+    {column: value} for simplices and the timed columns."""
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--case",
                           surface, ring_name, str(n)],
                          capture_output=True, text=True, check=True).stdout
-    simplices, build_s, seconds, rss_mb, verified = out.split()
-    print(f"{surface}\t{ring_name}\t{n}\t{simplices}\t{build_s}\t{seconds}\t"
-          f"{rss_mb}\t{verified}", flush=True)
-    return int(simplices), float(seconds)
+    fields = out.split()
+    print(f"{surface}\t{ring_name}\t{n}\t" + "\t".join(fields), flush=True)
+    names = ("simplices", "build_s", "validate_s", "orientation_s", "seconds")
+    return {name: float(x) for name, x in zip(names, fields) if x != "-"}
 
 
 def main():
@@ -79,15 +107,20 @@ def main():
         surface, ring_name, n = args.case
         run_case(surface, ring_name, int(n))
         return
-    print("surface\tring\tn\tsimplices\tbuild_s\tseconds\tpeak_rss_mb\t"
-          "verified")
+    print("surface\tring\tn\tsimplices\tbuild_s\tvalidate_s\t"
+          "orientation_s\tseconds\tpeak_rss_mb\tverified")
     for surface in SURFACES:
         for ring_name in RINGS:
-            points = [measure(surface, ring_name, n) for n in SIDES]
+            rows = [measure(surface, ring_name, n) for n in SIDES]
+            points = [(r["simplices"], r["seconds"]) for r in rows]
             print(f"# fit {surface} {ring_name} "
                   f"exponent={loglog_slope(points):.2f}", flush=True)
-    for case in LARGE:
-        measure(*case)
+    rows = {case: measure(*case) for case in LARGE + LAYERS_ONLY}
+    for column in ("validate_s", "orientation_s"):
+        points = [(rows[case]["simplices"], rows[case][column])
+                  for case in LAYER_FIT]
+        print(f"# fit klein Z {column} n=20-60 "
+              f"exponent={loglog_slope(points):.2f}", flush=True)
 
 
 if __name__ == "__main__":
