@@ -11,6 +11,8 @@ it works on matrices of that size.  A presentation costs two factorizations,
 of d_out and of the raw relations: the coordinates of a cycle on the kernel
 generators are read off V^-1 of d_out, so the kernel is never factored, and
 induced maps check boundaries on the Smith basis, so they factor nothing.
+Each presentation is memoized on its d_out matrix, so a boundary pair that a
+PairComplex owns is presented once for as long as the complex lives.
 
 Maps between presented modules are matrices on generators carrying a witness
 that relations land in relations.  is_isomorphism certifies bijectivity with a
@@ -201,7 +203,14 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     and are dropped.  The kept positions are the Smith basis: generator
     chains K @ U^-1[:, kept] (K the kernel generators as columns),
     coordinates U[kept, :].
+
+    The result is memoized on d_out and returned again for the same d_in
+    object.  The memo holds d_in, so its id cannot be reused while the memo
+    lives; an equal but distinct d_in is presented afresh and replaces it.
     """
+    memo = d_out._presentation
+    if memo is not None and memo.d_in is d_in:
+        return memo
     if d_in.ring != d_out.ring:
         raise TwistcapError("boundary matrices over different rings")
     if d_out.cols != d_in.rows:
@@ -235,8 +244,10 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     cycles = out_snf.V @ ExactMatrix._from_rows(ring, combos, len(kept))
     coords = ExactMatrix._from_rows(ring, [snf.U.sparse_rows[i] for i in kept],
                                     len(positions))
-    return HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
+    memo = HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
                                 d_in, d_out)
+    d_out._presentation = memo
+    return memo
 
 
 @dataclass(frozen=True)

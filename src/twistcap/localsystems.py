@@ -133,8 +133,10 @@ def validate_flatness(system: LocalSystem):
 
 def sign_system(base, ring, signs: dict) -> LocalSystem:
     """The rank-1 system with transport signs[e] = +-1 on each edge e; each
-    transport is its own reverse."""
-    transport = {e: ExactMatrix(ring, [[sign]]) for e, sign in signs.items()}
+    transport is its own reverse, and the edges of one sign share one
+    matrix."""
+    shared = {sign: ExactMatrix(ring, [[sign]]) for sign in (1, -1)}
+    transport = {e: shared[sign] for e, sign in signs.items()}
     return LocalSystem(base, ring, 1, transport, transport)
 
 

@@ -45,9 +45,13 @@ from .rings import RATIONALS, RingSpec
 class ExactMatrix:
     """A rows x cols matrix; `sparse_rows[i]` is row i as a dict {column:
     nonzero entry}.  Matrices are immutable: neither the tuple nor its dicts
-    change after construction."""
+    change after construction.  The one slot written later is
+    `_presentation`, where fpmodules.homology_presentation memoizes the
+    homology presented with this matrix as d_out.  The presentation holds
+    this matrix back, so a presented matrix sits in a reference cycle and is
+    freed by the cycle collector."""
 
-    __slots__ = ("ring", "rows", "cols", "sparse_rows", "_columns")
+    __slots__ = ("ring", "rows", "cols", "sparse_rows", "_presentation")
 
     def __init__(self, ring: RingSpec, data):
         norm = ring.normalize
@@ -64,7 +68,7 @@ class ExactMatrix:
         self.rows = len(sparse)
         self.cols = cols or 0
         self.sparse_rows = tuple(sparse)
-        self._columns = None
+        self._presentation = None
 
     # -- constructors ----------------------------------------------------
 
@@ -77,7 +81,7 @@ class ExactMatrix:
         m.sparse_rows = tuple(rows)
         m.rows = len(m.sparse_rows)
         m.cols = cols
-        m._columns = None
+        m._presentation = None
         return m
 
     @classmethod
@@ -223,27 +227,20 @@ class ExactMatrix:
         return ExactMatrix._from_rows(self.ring, out, other.cols)
 
     def apply(self, vec):
-        """Matrix times a plain sequence; returns a tuple of length self.rows.
-
-        Uses a lazily built column-sparse view, since the incidence-style
-        matrices here are applied to many vectors.
-        """
+        """Matrix times a plain sequence; returns a tuple of length self.rows."""
         if len(vec) != self.cols:
             raise TwistcapError("vector length mismatch")
-        if self._columns is None:
-            cols = [[] for _ in range(self.cols)]
-            for i, row in enumerate(self.sparse_rows):
-                for j, a in row.items():
-                    cols[j].append((i, a))
-            self._columns = cols
         norm = self.ring.normalize
         zero = self.ring.zero
-        out = [zero] * self.rows
-        for j, x in enumerate(vec):
-            if x:
-                for i, a in self._columns[j]:
-                    out[i] += a * x
-        return tuple(norm(x) if x else zero for x in out)
+        out = []
+        for row in self.sparse_rows:
+            acc = 0
+            for j, a in row.items():
+                x = vec[j]
+                if x:
+                    acc += a * x
+            out.append(norm(acc) if acc else zero)
+        return tuple(out)
 
     def kron(self, other):
         """Kronecker product, for tensor products of local systems."""
@@ -666,19 +663,22 @@ class SmithSolver:
         """Trusted constructor for the rows x len(invariants) matrix with the
         invariants on its diagonal.  They must be a divisibility chain in
         canonical form, read off a Smith form, so the matrix is its own Smith
-        form and nothing is factored."""
+        form and nothing is factored.  Every transform is the identity, so
+        U, U^-1, V and V^-1 share the rows of one identity matrix (cols <=
+        rows)."""
         one = ring.one
         cols = len(invariants)
         D = ExactMatrix._from_rows(
             ring, [{i: invariants[i]} if i < cols and invariants[i] else {}
                    for i in range(rows)], cols)
+        ident = ExactMatrix.identity(ring, rows)
+        units = ident.sparse_rows
         solver = object.__new__(cls)
         solver.A = D
         solver.ring = ring
         solver.snf = SmithDecomposition(
-            ExactMatrix.identity(ring, rows), D, ExactMatrix.identity(ring, cols),
-            one, one, tuple({i: one} for i in range(rows)),
-            tuple({j: one} for j in range(cols)))
+            ident, D, ExactMatrix._from_rows(ring, units[:cols], cols),
+            one, one, units, units[:cols])
         return solver
 
     def solve_vector(self, b):

@@ -4,6 +4,7 @@ nothing."""
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from twistcap import chains, covers, fpmodules, localsystems, matrices, mv
 from twistcap.acceptance import (NONORIENTABLE, cap_identity_failures,
                                  phi_rows)
-from twistcap.cap import boundary_identity_check, cap_setting
+from twistcap.cap import boundary_identity_check, cap_setting, verify_duality
 from twistcap.chains import pair_complex
 from twistcap.complexes import CORPUS_NAMES, SimplicialComplex, corpus
 from twistcap.covers import (build_double_cover, check_split_exactness,
@@ -20,7 +21,7 @@ from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 induced_map, is_isomorphism)
 from twistcap.localsystems import (constant_system, is_trivializable,
                                    orientation_system, random_flat_system,
-                                   tensor)
+                                   random_sign_cocycle, sign_system, tensor)
 from twistcap.matrices import ExactMatrix, inverse
 from twistcap.rings import Q, Z, Zmod
 
@@ -51,8 +52,31 @@ def count_factorizations(monkeypatch):
     return calls
 
 
+def count_presentation_eliminations(monkeypatch):
+    """The `_euclid_core` calls made while `homology_presentation` runs."""
+    calls = []
+    original = matrices._euclid_core
+    code = fpmodules.homology_presentation.__code__
+
+    def counting(*args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if frame is not None:
+            calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(matrices, "_euclid_core", counting)
+    return calls
+
+
+def fresh(name):
+    """A copy of a corpus complex that shares no cache with the corpus."""
+    return SimplicialComplex(corpus(name).vertex_count, corpus(name).facets)
+
+
 def fresh_torus():
-    return SimplicialComplex(7, corpus("torus").facets)
+    return fresh("torus")
 
 
 def test_repeated_cap_trials_build_no_new_systems_or_pairs(monkeypatch):
@@ -100,7 +124,7 @@ def test_pair_complex_rejects_a_foreign_system_on_every_call():
 
 
 def test_homology_presentation_factors_two_matrices(monkeypatch):
-    M = corpus("rp2")
+    M = fresh("rp2")
     pc = pair_complex(M, constant_system(M, Z))
     d_in, d_out = pc.boundary(2), pc.boundary(1)
     calls = count_factorizations(monkeypatch)
@@ -109,6 +133,59 @@ def test_homology_presentation_factors_two_matrices(monkeypatch):
     assert len(calls) == 2
     assert len({A for (A,) in calls}) == 2
     assert calls[0] == (d_out,)
+
+
+def test_repeated_duality_presents_nothing_again(monkeypatch):
+    M = fresh("klein")
+    G = random_flat_system(M, Zmod(3), 2, seed=1)
+    calls = count_presentation_eliminations(monkeypatch)
+    first = verify_duality(M, G, Zmod(3))
+    assert calls
+    del calls[:]
+    second = verify_duality(M, G, Zmod(3))
+    assert calls == []
+    assert ([row.certificate_hash() for row in second.rows]
+            == [row.certificate_hash() for row in first.rows])
+
+
+def test_repeated_mv_sequences_present_nothing_again(monkeypatch):
+    M, pair = mv.named_cover("torus", "cylinders")
+    G = random_flat_system(M, Z, 2, seed=7)
+    first = (mv.mv_homology(pair, G), mv.mv_cohomology(pair, G))
+    assert all(report.all_exact for report in first)
+    calls = count_presentation_eliminations(monkeypatch)
+    second = (mv.mv_homology(pair, G), mv.mv_cohomology(pair, G))
+    assert calls == []
+    assert all(report.all_exact for report in second)
+
+
+def test_an_equal_but_distinct_d_in_is_presented_afresh(monkeypatch):
+    M = fresh("rp2")
+    pc = pair_complex(M, constant_system(M, Z))
+    d_in, d_out = pc.boundary(2), pc.boundary(1)
+    first = homology_presentation(d_in, d_out)
+    twin = ExactMatrix._from_rows(Z, d_in.sparse_rows, d_in.cols)
+    assert twin == d_in and twin is not d_in
+    calls = count_presentation_eliminations(monkeypatch)
+    second = homology_presentation(twin, d_out)
+    assert len(calls) == 2
+    assert second is not first and second.d_in is twin
+    assert second.class_matrix(first.cycles) == first.class_matrix(first.cycles)
+    # the fresh presentation replaced the memo
+    assert homology_presentation(twin, d_out) is second
+    assert len(calls) == 2
+
+
+def test_presentations_die_with_their_pair_complex():
+    M = fresh_torus()
+    G = random_flat_system(M, Z, 2, seed=4)
+    pc = pair_complex(M, G)
+    pres = homology_presentation(pc.boundary(2), pc.boundary(1))
+    assert homology_presentation(pc.boundary(2), pc.boundary(1)) is pres
+    refs = [weakref.ref(pc), weakref.ref(pres)]
+    del G, pc, pres
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(4), Q], ids=str)
@@ -269,6 +346,18 @@ def test_sign_systems_invert_nothing(monkeypatch, ring):
     assert inverted == []
     for G in systems:
         assert_reverses_are_inverses(G)
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(2), Zmod(3), Q], ids=str)
+def test_sign_systems_share_one_matrix_per_sign(ring):
+    M = fresh("klein")
+    signs = random_sign_cocycle(M, seed=1)
+    assert set(signs.values()) == {1, -1}
+    G = sign_system(M, ring, signs)
+    by_sign = {}
+    for e, sign in signs.items():
+        assert G.transport(*e) is by_sign.setdefault(sign, G.transport(*e))
+    assert by_sign[1] is not by_sign[-1]
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)

@@ -94,7 +94,10 @@ def test_homology_presentation_idempotent():
     rows1, _, _ = boundary_matrix(RP2_FACETS, 1)
     d2, d1 = ExactMatrix(Z, rows2), ExactMatrix(Z, rows1)
     a = homology_presentation(d2, d1)
-    b = homology_presentation(d2, d1)
+    # an equal but distinct d_in, so the second call presents again
+    b = homology_presentation(ExactMatrix._from_rows(Z, d2.sparse_rows, d2.cols),
+                              d1)
+    assert b is not a
     assert a.module.normal_form == b.module.normal_form
     assert a.cycles == b.cycles
 

@@ -7,11 +7,14 @@ Klein bottle over Z at n = 40 and 60 times only the complex layers, since
 duality at those sizes takes minutes.  Each case runs in a fresh child
 process (this script with --case), so no case shares a cache or inherits
 memory from another.  The child times the duality call on a freshly built
-complex; then, three times over and each time after a full garbage
+complex, and then a second call on the same complex and system (repeat_s),
+which finds every homology presentation memoized on the boundary matrices
+of the first; then, three times over and each time after a full garbage
 collection, it builds the complex again, validates it and builds its
-orientation system.  It reports the seconds of the duality call, the least
-seconds of each of those three steps (build_s, validate_s, orientation_s)
-and its own peak RSS (ru_maxrss).  One line is printed per case.
+orientation system.  It reports the seconds of the two duality calls, the
+least seconds of each of those three steps (build_s, validate_s,
+orientation_s) and its own peak RSS (ru_maxrss).  One line is printed per
+case.
 One `# fit` line per surface and ring gives the least-squares slope of
 log(time) against log(number of simplices) over n = 4…12, and one per
 complex-layer column does so for the Klein bottle over Z at n = 20…60.
@@ -61,16 +64,19 @@ def _timed(call, *args):
 
 def run_case(surface, ring_name, n):
     """One case, in this process: print simplices, build, validate and
-    orientation seconds, duality seconds, peak RSS in MB and the verdict,
-    tab-separated; a case in LAYERS_ONLY prints "-" for the duality."""
+    orientation seconds, the seconds of the first and the repeated duality
+    call, peak RSS in MB and the verdict, tab-separated; a case in
+    LAYERS_ONLY prints "-" for the duality."""
     build = SURFACES[surface]
     ring = parse_ring(ring_name)
-    seconds = verified = "-"
+    seconds = repeat = verified = "-"
     if (surface, ring_name, n) not in LAYERS_ONLY:
         cx = build(n, n)
-        report, duality_s = _timed(verify_duality, cx,
-                                   constant_system(cx, ring), ring)
-        seconds, verified = f"{duality_s:.3f}", report.all_verified
+        system = constant_system(cx, ring)
+        report, duality_s = _timed(verify_duality, cx, system, ring)
+        again, repeat_s = _timed(verify_duality, cx, system, ring)
+        seconds, repeat = f"{duality_s:.3f}", f"{repeat_s:.3f}"
+        verified = report.all_verified and again.all_verified
     layers = []
     for _ in range(3):
         # a complex and the systems cached on it refer to each other, so
@@ -84,7 +90,8 @@ def run_case(surface, ring_name, n):
     simplices = sum(len(cx.faces(k)) for k in range(cx.dimension + 1))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{simplices}\t{build_s:.3f}\t{validate_s:.4f}\t"
-          f"{orientation_s:.4f}\t{seconds}\t{rss_mb:.1f}\t{verified}")
+          f"{orientation_s:.4f}\t{seconds}\t{repeat}\t{rss_mb:.1f}\t"
+          f"{verified}")
 
 
 def measure(surface, ring_name, n):
@@ -95,7 +102,8 @@ def measure(surface, ring_name, n):
                          capture_output=True, text=True, check=True).stdout
     fields = out.split()
     print(f"{surface}\t{ring_name}\t{n}\t" + "\t".join(fields), flush=True)
-    names = ("simplices", "build_s", "validate_s", "orientation_s", "seconds")
+    names = ("simplices", "build_s", "validate_s", "orientation_s", "seconds",
+             "repeat_s")
     return {name: float(x) for name, x in zip(names, fields) if x != "-"}
 
 
@@ -108,7 +116,7 @@ def main():
         run_case(surface, ring_name, int(n))
         return
     print("surface\tring\tn\tsimplices\tbuild_s\tvalidate_s\t"
-          "orientation_s\tseconds\tpeak_rss_mb\tverified")
+          "orientation_s\tseconds\trepeat_s\tpeak_rss_mb\tverified")
     for surface in SURFACES:
         for ring_name in RINGS:
             rows = [measure(surface, ring_name, n) for n in SIDES]
