@@ -78,32 +78,6 @@ def cap_chain(M, G, Gp, k, c_vec, n, a_vec):
     return cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec)
 
 
-@dataclass(frozen=True)
-class CapInput:
-    """A cochain/chain pair ready to be capped."""
-    base: object
-    cochain_system: object
-    chain_system: object
-    cochain_degree: int
-    cochain: tuple
-    chain_degree: int
-    chain: tuple
-
-    def __post_init__(self):
-        if not 0 <= self.cochain_degree <= self.chain_degree:
-            raise DegreeMismatch("cap needs 0 <= k <= n")
-        if self.cochain_system.base != self.base \
-                or self.chain_system.base != self.base:
-            raise BaseMismatch("cap factors live on different complexes")
-        if self.cochain_system.ring != self.chain_system.ring:
-            raise RingMismatch("cap factors over different rings")
-
-    def evaluate(self):
-        return cap_chain(self.base, self.cochain_system, self.chain_system,
-                         self.cochain_degree, self.cochain,
-                         self.chain_degree, self.chain)
-
-
 def boundary_identity_check(M, G, Gp, k, n, c_vec, a_vec):
     """Verify the cap boundary identity exactly, returning (holds, diff).
 

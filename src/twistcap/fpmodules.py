@@ -14,6 +14,13 @@ induced maps check boundaries on the Smith basis, so they factor nothing.
 Each presentation is memoized on its d_out matrix, so a boundary pair that a
 PairComplex owns is presented once for as long as the complex lives.
 
+Each question about a presented module is asked one way, of a matrix:
+class_matrix is the one route from chains to classes (None unless every
+column is a cycle, and class_vector is its one-column case), and
+FPModule.zero_classes is the one zero-class test, a single solve against the
+relations; is_zero_class, classes_equal and the ModuleMap tests are its
+forms.
+
 Maps between presented modules are matrices on generators carrying a witness
 that relations land in relations.  is_isomorphism certifies bijectivity with a
 two-sided inverse, or returns an explicit kernel/cokernel witness.
@@ -98,12 +105,19 @@ class FPModule:
 
     # -- class arithmetic on generator coordinates -----------------------
 
+    def zero_classes(self, classes: ExactMatrix) -> bool:
+        """True when every column of `classes` is the zero class: the one
+        zero-class test, a single solve against the relations."""
+        return self._rel_solver.solve_matrix(classes) is not None
+
     def is_zero_class(self, coords) -> bool:
-        return self._rel_solver.solve_vector(coords) is not None
+        return self.zero_classes(self._class_column(coords))
 
     def classes_equal(self, a, b) -> bool:
-        diff = [self.ring.normalize(x - y) for x, y in zip(a, b)]
-        return self.is_zero_class(diff)
+        return self.zero_classes(self._class_column(a) - self._class_column(b))
+
+    def _class_column(self, coords) -> ExactMatrix:
+        return ExactMatrix.from_columns(self.ring, [coords], self.generator_count)
 
     def generates(self, coords) -> bool:
         """True when the single class `coords` generates the whole module."""
@@ -147,19 +161,17 @@ class HomologyPresentation:
 
     def class_vector(self, chain):
         """Coordinates of a cycle on the module generators; None if not a cycle."""
-        if not self.is_cycle(chain):
-            return None
-        col = ExactMatrix.from_columns(self.ring, [chain], self.chain_rank)
-        return self.class_matrix(col).column(0)
+        classes = self.class_matrix(
+            ExactMatrix.from_columns(self.ring, [chain], self.chain_rank))
+        return None if classes is None else classes.column(0)
 
-    def class_matrix(self, chains: ExactMatrix) -> ExactMatrix:
-        """Class coordinates of the cycles in the columns of `chains`."""
+    def class_matrix(self, chains: ExactMatrix) -> ExactMatrix | None:
+        """Class coordinates of the columns of `chains`; None unless every
+        column is a cycle."""
+        if not (self.d_out @ chains).is_zero():
+            return None
         return self._coords @ _kernel_coordinates(self._kernel_rows,
                                                   self._divisors, chains)
-
-    def is_cycle(self, chain) -> bool:
-        z = self.ring.zero
-        return all(x == z for x in self.d_out.apply(chain))
 
 
 def _kernel_coordinates(kernel_rows, divisors, cycles: ExactMatrix):
@@ -267,17 +279,12 @@ class ModuleMap:
         return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
 
     def is_zero(self) -> bool:
-        solver = self.target._rel_solver
-        return all(solver.solve_vector(self.matrix.column(j)) is not None
-                   for j in range(self.matrix.cols))
+        return self.target.zero_classes(self.matrix)
 
     def equals(self, other: "ModuleMap") -> bool:
         if self.source != other.source or self.target != other.target:
             return False
-        diff = self.matrix - other.matrix
-        solver = self.target._rel_solver
-        return all(solver.solve_vector(diff.column(j)) is not None
-                   for j in range(diff.cols))
+        return self.target.zero_classes(self.matrix - other.matrix)
 
 
 def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
@@ -293,15 +300,12 @@ def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
     """
     if f_chain.cols != src.chain_rank or f_chain.rows != dst.chain_rank:
         raise TwistcapError("chain map shape mismatch")
-    mapped_cycles = f_chain @ src.cycles
-    if not (dst.d_out @ mapped_cycles).is_zero():
+    M = dst.class_matrix(f_chain @ src.cycles)
+    if M is None:
         raise NotChainMap("cycles do not map to cycles")
-    mapped_boundaries = f_chain @ src.d_in
-    if (not (dst.d_out @ mapped_boundaries).is_zero()
-            or dst.module._rel_solver.solve_matrix(
-                dst.class_matrix(mapped_boundaries)) is None):
+    boundaries = dst.class_matrix(f_chain @ src.d_in)
+    if boundaries is None or not dst.module.zero_classes(boundaries):
         raise NotChainMap("boundaries do not map to boundaries")
-    M = dst.class_matrix(mapped_cycles)
     witness = dst.module._rel_solver.solve_matrix(M @ src.module.relations)
     if witness is None:
         raise NotChainMap("relations do not map into relations")
@@ -338,48 +342,40 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
         return IsoResult(False, cokernel_witness=snf.u_inverse_column(units))
 
     ker_gens, _ = snf.kernel_with_relations()
-    src_rel = f.source._rel_solver
-    for j in range(ker_gens.cols):
-        p = ker_gens.column(j)[:ts]
-        if src_rel.solve_vector(p) is None:
-            return IsoResult(False, kernel_witness=tuple(p))
+    kernel_classes = _top_rows(ker_gens, ts)
+    if not f.source.zero_classes(kernel_classes):
+        witness = next(p for p in kernel_classes.columns()
+                       if not f.source.is_zero_class(p))
+        return IsoResult(False, kernel_witness=witness)
 
-    cols = []
-    for i in range(tt):
-        e = [ring.zero] * tt
-        e[i] = ring.one
-        sol = solver.solve_vector(e)
-        cols.append(sol[:ts])
-    N = ExactMatrix.from_columns(ring, cols, ts)
+    # N solves f @ N = 1 modulo the target relations, against unit vectors
+    # built here rather than by ExactMatrix.identity, so the certificate
+    # below checks N against an identity it was not solved from
+    units = ExactMatrix._from_rows(ring, [{i: ring.one} for i in range(tt)], tt)
+    N = _top_rows(solver.solve_matrix(units), ts)
 
-    ident_s = ExactMatrix.identity(ring, ts)
-    ident_t = ExactMatrix.identity(ring, tt)
-    if (src_rel.solve_matrix((N @ f.matrix) - ident_s) is None
-            or f.target._rel_solver.solve_matrix((f.matrix @ N) - ident_t) is None):
+    if not (f.source.zero_classes(N @ f.matrix - ExactMatrix.identity(ring, ts))
+            and f.target.zero_classes(
+                f.matrix @ N - ExactMatrix.identity(ring, tt))):
         raise CertificateFailed("inverse certificate failed verification")
     return IsoResult(True, inverse=N)
 
 
-def composition_is_zero(first: ModuleMap, second: ModuleMap) -> bool:
-    return second.compose(first).is_zero()
+def _top_rows(A: ExactMatrix, rows: int) -> ExactMatrix:
+    """The first `rows` rows of A, sharing their dicts."""
+    return ExactMatrix._from_rows(A.ring, A.sparse_rows[:rows], A.cols)
 
 
 def kernel_inside_image(incoming: ModuleMap, outgoing: ModuleMap) -> bool:
     """ker(outgoing) subset of im(incoming), in the shared middle module."""
-    ring = incoming.matrix.ring
     middle = outgoing.source
-    t = middle.generator_count
     stacked = ExactMatrix.hstack([outgoing.matrix, outgoing.target.relations])
-    ker_gens = kernel(stacked)
+    kernel_part = _top_rows(kernel(stacked), middle.generator_count)
     image = ExactMatrix.hstack([incoming.matrix, middle.relations])
-    solver = SmithSolver(image)
-    for j in range(ker_gens.cols):
-        p = ker_gens.column(j)[:t]
-        if solver.solve_vector(p) is None:
-            return False
-    return True
+    return SmithSolver(image).solve_matrix(kernel_part) is not None
 
 
 def is_exact_at(incoming: ModuleMap, outgoing: ModuleMap) -> bool:
-    return composition_is_zero(incoming, outgoing) and kernel_inside_image(
-        incoming, outgoing)
+    """im(incoming) = ker(outgoing) in the shared middle module."""
+    return (outgoing.compose(incoming).is_zero()
+            and kernel_inside_image(incoming, outgoing))

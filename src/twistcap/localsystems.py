@@ -6,9 +6,11 @@ fundamental groupoid.  Transports follow one direction convention everywhere:
 ``transport(u, v)`` carries the fiber at the *later* endpoint of the edge path
 u -> v back to the fiber at u.  A system stores both directions of every
 edge.  A construction that already knows the inverses passes them in, and
-each is checked with one product instead of computed: a +-1 transport is
-its own inverse, a tensor product knows those of its factors, and a gauged
-transport g_u^-1 T g_v has the inverse g_v^-1 T^-1 g_u.  Only transports
+each distinct pair of matrix objects is checked with one product instead of
+computed: a +-1 transport is its own inverse (a sign system shares one
+matrix per sign, so it checks two pairs), a tensor product knows those of
+its factors, and a gauged transport g_u^-1 T g_v has the inverse
+g_v^-1 T^-1 g_u.  Only transports
 read from a file are inverted, once, at construction, and a non-invertible
 one is rejected there.
 
@@ -20,7 +22,6 @@ trivializable exactly when the complex is orientable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import SimplicialComplex, star_signs, validate
@@ -41,6 +42,7 @@ class LocalSystem:
         edges = set(base.faces(1))
         ident = ExactMatrix.identity(ring, rank)
         cleaned, reverse = {}, {}
+        checked = set()   # ids of (transport, reverse) pairs found inverse
         for edge, mat in transport.items():
             e = tuple(edge)
             if e not in edges:
@@ -54,10 +56,15 @@ class LocalSystem:
                     rev = None
             else:
                 # a one-sided inverse of a square matrix over a commutative
-                # ring is two-sided
+                # ring is two-sided; edges sharing both matrices share the
+                # check, and the dicts keep the pair alive, so ids are stable
                 rev = known_reverse[e]
-                if mat @ rev != ident:
-                    rev = None
+                pair = (id(mat), id(rev))
+                if pair not in checked:
+                    if mat @ rev != ident:
+                        rev = None
+                    else:
+                        checked.add(pair)
             if rev is None:
                 raise TwistcapError(f"transport at {e} is not invertible")
             reverse[e] = rev
@@ -190,17 +197,6 @@ def holonomy(system: LocalSystem, loop) -> ExactMatrix:
     if loop[0] != loop[-1]:
         loop = loop + [loop[0]]
     return system.path_transport(loop)
-
-
-@dataclass(frozen=True)
-class Holonomy:
-    loop: tuple
-    matrix: ExactMatrix
-
-    @classmethod
-    def around(cls, system: LocalSystem, loop) -> "Holonomy":
-        loop = tuple(loop)
-        return cls(loop, holonomy(system, loop))
 
 
 def _conjugated(base, ring, rank, transport: dict, reverse: dict,

@@ -28,7 +28,9 @@ chain, together with U^-1 as sparse columns and V^-1 as sparse rows, which
 the elimination updates alongside U and V (a row operation on U is a column
 operation on U^-1, a column operation on V a row operation on V^-1).
 kernel_with_relations and SmithSolver build on it; together they are the
-only linear-algebra primitives the homology layer needs.
+only linear-algebra primitives the homology layer needs.  SmithSolver has one
+solve, solve_matrix, which takes every right-hand side as a matrix: a
+question about one vector is asked of a one-column matrix.
 """
 
 from __future__ import annotations
@@ -104,11 +106,13 @@ class ExactMatrix:
     @classmethod
     def from_columns(cls, ring, columns, rows):
         """Build from an iterable of length-`rows` columns of normalized
-        entries."""
+        entries; a column of any other length is an error."""
         out = [{} for _ in range(rows)]
         cols = 0
         for j, col in enumerate(columns):
             cols = j + 1
+            if len(col) != rows:
+                raise TwistcapError("vector length mismatch")
             for i, x in enumerate(col):
                 if x:
                     out[i][j] = x
@@ -649,9 +653,10 @@ def kernel(A: ExactMatrix) -> ExactMatrix:
 
 
 class SmithSolver:
-    """Exact solver for A @ x = b.  A is factored once, on construction, and
+    """Exact solver for A @ X = B.  A is factored once, on construction, and
     the decomposition is public as `snf` for callers that need its diagonal
-    or kernel too."""
+    or kernel too.  solve_matrix is the one solve: a single right-hand side
+    is a one-column B."""
 
     def __init__(self, A: ExactMatrix):
         self.A = A
@@ -681,27 +686,8 @@ class SmithSolver:
             one, one, units, units[:cols])
         return solver
 
-    def solve_vector(self, b):
-        ring = self.ring
-        snf = self.snf
-        if len(b) != self.A.rows:
-            raise TwistcapError("rhs length mismatch")
-        cvec = snf.U.apply(b)
-        diag = snf.diagonal()
-        y = [ring.zero] * self.A.cols
-        for i in range(self.A.rows):
-            d = diag[i] if i < len(diag) else ring.zero
-            if d == ring.zero:
-                if cvec[i] != ring.zero:
-                    return None
-            else:
-                q = ring.divide(cvec[i], d)
-                if q is None:
-                    return None
-                y[i] = q
-        return snf.V.apply(y)
-
     def solve_matrix(self, B: ExactMatrix):
+        """An X with A @ X == B, or None when some column of B has none."""
         ring = self.ring
         snf = self.snf
         if B.rows != self.A.rows:

@@ -219,6 +219,21 @@ def test_is_isomorphism_factors_the_stacked_matrix_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_is_isomorphism_solves_as_often_for_every_target_size(monkeypatch):
+    solves = [count_calls(monkeypatch, matrices.SmithSolver, name)
+              for name in dir(matrices.SmithSolver) if name.startswith("solve")]
+    counts = []
+    for n in (1, 3, 6):
+        module = FPModule(Z, n + 1, ExactMatrix(Z, [[4]] + [[0]] * n))
+        shear = ExactMatrix(Z, [[int(j >= i) for j in range(n + 1)]
+                                for i in range(n + 1)])
+        for calls in solves:
+            calls.clear()
+        assert is_isomorphism(ModuleMap(module, module, shear)).isomorphism
+        counts.append(sum(map(len, solves)))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
 def test_is_isomorphism_reads_the_cokernel_witness_off_u_inverse(monkeypatch):
     module = FPModule(Z, 2)
     f = ModuleMap(module, module, ExactMatrix(Z, [[1, 0], [0, 2]]))
@@ -228,8 +243,8 @@ def test_is_isomorphism_reads_the_cokernel_witness_off_u_inverse(monkeypatch):
     assert len(calls) == 1
     # the witness is a class outside the image of f
     stacked = ExactMatrix.hstack([f.matrix, module.relations])
-    assert matrices.SmithSolver(stacked).solve_vector(
-        result.cokernel_witness) is None
+    witness = ExactMatrix.from_columns(Z, [result.cokernel_witness], stacked.rows)
+    assert matrices.SmithSolver(stacked).solve_matrix(witness) is None
 
 
 def test_split_exactness_factors_six_matrices_per_degree(monkeypatch):

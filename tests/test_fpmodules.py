@@ -4,7 +4,7 @@ import pytest
 
 from twistcap.chains import pair_complex
 from twistcap.complexes import CORPUS_NAMES, corpus
-from twistcap.errors import CompositionNonzero, NotChainMap
+from twistcap.errors import CompositionNonzero, NotChainMap, TwistcapError
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 induced_map, is_exact_at, is_isomorphism)
 from twistcap.localsystems import (constant_system, orientation_system,
@@ -43,7 +43,7 @@ def test_circle_h1_free_rank_one():
     assert pres.module.normal_form == (1, ())
     # the cycle basis really is a cycle
     cycle = pres.cycles.column(0)
-    assert pres.is_cycle(cycle)
+    assert pres.class_vector(cycle) is not None
 
 
 def test_both_zero_gives_free_rank():
@@ -148,6 +148,31 @@ def test_exactness_checker():
     assert not is_exact_at(times4, proj)
 
 
+def test_vectors_of_the_wrong_length_are_rejected():
+    rows, _, _ = boundary_matrix([(0, 1), (1, 2), (0, 2)], 1)
+    pres = homology_presentation(empty_in(Z, 3), imat(rows))
+    cycle = pres.cycles.column(0)
+    assert pres.class_vector(cycle) is not None
+    for chain in (cycle + (0,), cycle[:-1]):
+        with pytest.raises(TwistcapError, match="length mismatch"):
+            pres.class_vector(chain)
+    assert pres.module.generator_count == 1
+    for coords in ((0, 0), ()):
+        with pytest.raises(TwistcapError, match="length mismatch"):
+            pres.module.is_zero_class(coords)
+
+
+def test_a_map_is_zero_only_when_every_column_is():
+    zmod2 = FPModule(Z, 1, imat([[2]]))
+    free = FPModule(Z, 3)
+    zero = ModuleMap(free, zmod2, imat([[2, 4, 6]]))
+    last = ModuleMap(free, zmod2, imat([[2, 4, 1]]))
+    assert zero.is_zero()
+    assert not last.is_zero()
+    assert zero.equals(ModuleMap(free, zmod2, imat([[0, 0, 0]])))
+    assert not last.equals(zero)
+
+
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_smith_basis_presentation(name, ring):
@@ -171,7 +196,7 @@ def test_smith_basis_presentation(name, ring):
             g = module.generator_count
             for j in range(g):
                 cycle = pres.cycles.column(j)
-                assert pres.is_cycle(cycle)
+                assert pres.class_vector(cycle) is not None
                 # over Z/m the coordinates are fixed only up to relations
                 unit = [ring.one if i == j else ring.zero for i in range(g)]
                 assert module.classes_equal(pres.class_vector(cycle), unit)
@@ -192,8 +217,9 @@ def test_smith_basis_presentation(name, ring):
 
 def frozen_class_vector(pres, chain):
     K, _ = kernel_with_relations(pres.d_out)
-    x = SmithSolver(K).solve_vector(chain)
-    return None if x is None else pres._coords.apply(x)
+    x = SmithSolver(K).solve_matrix(
+        ExactMatrix.from_columns(pres.ring, [chain], K.rows))
+    return None if x is None else pres._coords.apply(x.column(0))
 
 
 def frozen_induced_matrix(f_chain, src, dst):
@@ -238,6 +264,12 @@ def test_cycle_coordinates_match_the_cycle_solver(name, ring):
                               for x, y in zip(chain, boundary))
             assert module.classes_equal(pres.class_vector(chain),
                                         frozen_class_vector(pres, chain))
+            # class_matrix is class_vector column by column
+            chains = [chain, *pres.cycles.columns()]
+            assert pres.class_matrix(ExactMatrix.from_columns(
+                ring, chains, n)) == ExactMatrix.from_columns(
+                    ring, [pres.class_vector(c) for c in chains],
+                    module.generator_count)
             # a non-cycle: the cycle plus a chain with nonzero boundary
             for i in range(n):
                 if any(d_out.column(i)):
@@ -245,6 +277,9 @@ def test_cycle_coordinates_match_the_cycle_solver(name, ring):
                     off[i] = ring.normalize(off[i] + ring.one)
                     assert pres.class_vector(off) is None
                     assert frozen_class_vector(pres, off) is None
+                    # one non-cycle among several columns is enough
+                    assert pres.class_matrix(ExactMatrix.from_columns(
+                        ring, [chain, off, chain], n)) is None
                     break
             # a chain map homotopic to s * identity: s + d_in @ h
             s = small()

@@ -2,7 +2,9 @@
 
 Every top-level function and class, and every method that is not a dunder,
 must be referenced somewhere outside its own definition: in the package, the
-tests, tools/ or perfbench/.  String constants count as references, because
+tests, tools/ or perfbench/.  A top-level class must also be used by the
+package, tools/ or perfbench/, not only named by the tests or re-exported by
+the package __init__.  String constants count as references, because
 the benchmark tracer names the functions it wraps as "Class.method" strings.
 No module may import a name it never uses; the package __init__ re-exports
 by importing, so it is exempt.  Every import of the package sits at module
@@ -14,7 +16,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twistcap"
-SCANNED = (PACKAGE, ROOT / "tests", ROOT / "tools", ROOT / "perfbench")
+TESTS = ROOT / "tests"
+SCANNED = (PACKAGE, TESTS, ROOT / "tools", ROOT / "perfbench")
 
 
 def _trees():
@@ -50,12 +53,18 @@ def _definitions(tree):
                     yield item.name, item.lineno, item.end_lineno
 
 
-def test_every_definition_has_a_reference():
-    trees = list(_trees())
+def _reference_index(trees):
+    """name -> [(path, line)] of every reference in the scanned trees."""
     refs = {}
     for path, tree in trees:
         for name, line in _references(tree):
             refs.setdefault(name, []).append((path, line))
+    return refs
+
+
+def test_every_definition_has_a_reference():
+    trees = list(_trees())
+    refs = _reference_index(trees)
     unreferenced = []
     for path, tree in trees:
         if PACKAGE not in path.parents:
@@ -67,6 +76,25 @@ def test_every_definition_has_a_reference():
                 unreferenced.append(f"{path.relative_to(ROOT)}:{first} {name}")
     assert not unreferenced, "no reference outside the definition: " \
         + ", ".join(unreferenced)
+
+
+def test_every_class_is_used_outside_the_tests():
+    trees = list(_trees())
+    refs = _reference_index(trees)
+    test_only = []
+    for path, tree in trees:
+        if PACKAGE not in path.parents:
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            users = [(p, line) for p, line in refs.get(node.name, ())
+                     if p.name != "__init__.py" and TESTS not in p.parents
+                     and (p != path or not node.lineno <= line <= node.end_lineno)]
+            if not users:
+                test_only.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                                 f"{node.name}")
+    assert not test_only, "classes only the tests use: " + ", ".join(test_only)
 
 
 def test_no_unused_imports():

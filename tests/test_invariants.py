@@ -1,14 +1,12 @@
 """Cross-module invariants."""
 
-from twistcap.cap import CapInput
-from twistcap.chains import homology, pair_complex
+from twistcap.chains import homology
 from twistcap.complexes import corpus, dumps_complex, star_component_walk
 from twistcap.covers import build_double_cover
 from twistcap.fpmodules import (ModuleMap, homology_presentation,
                                 is_isomorphism)
-from twistcap.localsystems import (Holonomy, constant_system, holonomy,
-                                   orientation_system, random_flat_system,
-                                   tensor)
+from twistcap.localsystems import (constant_system, holonomy,
+                                   orientation_system, random_flat_system, tensor)
 from twistcap.matrices import ExactMatrix
 from twistcap.rings import Z
 
@@ -81,14 +79,6 @@ def test_orientation_reference_choice_is_gauge():
         assert holonomy(alt, [u, v, w]) == holonomy(standard, [u, v, w])
 
 
-def test_holonomy_record_type():
-    cx = corpus("rp2")
-    g = orientation_system(cx, Z)
-    h = Holonomy.around(g, (0, 1, 2))
-    assert h.loop == (0, 1, 2)
-    assert h.matrix in (ExactMatrix(Z, [[1]]), ExactMatrix(Z, [[-1]]))
-
-
 def test_homology_presentation_idempotent():
     rows2, _, _ = boundary_matrix(RP2_FACETS, 2)
     rows1, _, _ = boundary_matrix(RP2_FACETS, 1)
@@ -128,18 +118,6 @@ def test_corpus_is_byte_stable():
     for name in ("circle", "sphere2", "torus", "rp2", "klein", "rp3", "sphere3"):
         assert dumps_complex(corpus(name)) == dumps_complex(corpus(name))
         assert corpus(name) is corpus(name)  # cached singleton
-
-
-def test_cap_input_wrapper():
-    import pytest
-    from twistcap.errors import DegreeMismatch
-    cx = corpus("circle")
-    g = constant_system(cx, Z)
-    assert pair_complex(cx, g).length(1) == 3
-    inp = CapInput(cx, g, g, 1, (2, 3, 5), 1, (1, 0, 0))
-    assert inp.evaluate() == (2, 0, 0)
-    with pytest.raises(DegreeMismatch):
-        CapInput(cx, g, g, 2, (), 1, ())
 
 
 def test_cover_cocycle_equivalences_threeway():

@@ -1,10 +1,12 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from twistcap.complexes import SimplicialComplex, corpus
 from twistcap.errors import (BaseMismatch, NotClosedPseudomanifold,
-                             RingMismatch, SystemFormatError)
+                             RingMismatch, SystemFormatError, TwistcapError)
 from twistcap.localsystems import (LocalSystem, constant_system,
                                    dumps_local_system, gauge_transform,
                                    holonomy, is_trivializable,
@@ -21,6 +23,35 @@ def test_constant_system_flat():
         g = constant_system(cx, Z, rank)
         ok, witness = validate_flatness(g)
         assert ok and witness is None
+
+
+def _not_invertible(edge):
+    return pytest.raises(TwistcapError, match=re.escape(
+        f"transport at {edge} is not invertible"))
+
+
+def test_a_wrong_known_reverse_is_rejected():
+    cx = corpus("circle")
+    edges = cx.faces(1)
+    first, last = edges[0], edges[-1]
+    # shared matrices, each transport passed as its own reverse
+    two = ExactMatrix(Z, [[2]])
+    with _not_invertible(first):
+        LocalSystem(cx, Z, 1, {e: two for e in edges}, {e: two for e in edges})
+    # a pair checked on the first edges does not vouch for a last edge that
+    # shares the transport but brings its own, wrong, reverse
+    minus = ExactMatrix(Z, [[-1]])
+    reverse = {e: minus for e in edges} | {last: ExactMatrix(Z, [[1]])}
+    with _not_invertible(last):
+        LocalSystem(cx, Z, 1, {e: minus for e in edges}, reverse)
+    # per-edge matrices, every reverse right but the last
+    transport = {e: ExactMatrix(Q, [[2]]) for e in edges}
+    reverse = {e: ExactMatrix(Q, [[Fraction(1, 2)]]) for e in edges}
+    g = LocalSystem(cx, Q, 1, transport, reverse)
+    assert g.transport(*reversed(last)) is reverse[last]
+    reverse[last] = ExactMatrix(Q, [[2]])
+    with _not_invertible(last):
+        LocalSystem(cx, Q, 1, transport, reverse)
 
 
 @pytest.mark.parametrize("name", ["sphere2", "rp2", "torus", "klein", "sphere3"])

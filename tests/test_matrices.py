@@ -105,7 +105,7 @@ def test_kernel_is_exact():
     assert (A @ K).is_zero()
     assert K.cols == 2
     # saturation: (1,1,-1) lies in the kernel and must be expressible over Z
-    assert SmithSolver(K).solve_vector((1, 1, -1)) is not None
+    assert SmithSolver(K).solve_matrix(mat(Z, [[1], [1], [-1]])) is not None
 
 
 def test_kernel_torsion_modular():
@@ -120,14 +120,14 @@ def test_kernel_torsion_modular():
 def test_solver_exact_and_unsolvable():
     A = mat(Z, [[2, 0], [0, 3]])
     s = SmithSolver(A)
-    assert s.solve_vector((4, 9)) == (2, 3)
-    assert s.solve_vector((1, 0)) is None
+    assert s.solve_matrix(mat(Z, [[4], [9]])) == mat(Z, [[2], [3]])
+    assert s.solve_matrix(mat(Z, [[1], [0]])) is None
 
     ring = Zmod(6)
     s = SmithSolver(mat(ring, [[2]]))
-    x = s.solve_vector((4,))
-    assert x is not None and (2 * x[0]) % 6 == 4
-    assert s.solve_vector((3,)) is None
+    x = s.solve_matrix(mat(ring, [[4]]))
+    assert x is not None and (2 * x.entry(0, 0)) % 6 == 4
+    assert s.solve_matrix(mat(ring, [[3]])) is None
 
 
 def test_inverse_roundtrip():
