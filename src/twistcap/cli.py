@@ -24,7 +24,7 @@ from .complexes import (BUILTIN_NAMES, dumps_complex, facet_components,
 from .covers import (build_double_cover, fundamental_class_via_cover,
                      lemma1_check)
 from .errors import CheckFailed, TwistcapError, UnknownName
-from .localsystems import (constant_system, dumps_local_system,
+from .localsystems import (MAX_RANK, constant_system, dumps_local_system,
                            is_trivializable, load_local_system,
                            orientation_system, random_flat_system)
 from .mv import (NAMED_COVERS, diagram6_check, diagram6_names, named_cover,
@@ -48,28 +48,33 @@ def _resolve_complex(spec: str):
     raise UnknownName(f"unknown complex {spec!r} (not a builtin, not a file)")
 
 
-def _spec_int(spec: str, parts, i: int, default: int) -> int:
-    """Field i of a colon-separated system spec, as an integer."""
+def _spec_int(spec: str, parts, i: int, default: int, max_rank=None) -> int:
+    """Field i of a colon-separated system spec, as an integer; a rank field
+    is refused above max_rank."""
     if len(parts) <= i:
         return default
     try:
-        return int(parts[i])
+        value = int(parts[i])
     except ValueError:
         raise UnknownName(
             f"unknown system {spec!r}: {parts[i]!r} is not an integer")
+    if max_rank is not None and value > max_rank:
+        raise TwistcapError(
+            f"system {spec!r}: rank {value} exceeds the maximum {max_rank}")
+    return value
 
 
 def _resolve_system(spec: str, cx, ring, seed: int):
     parts = spec.split(":")
     name = parts[0]
     if name == "constant":
-        rank = _spec_int(spec, parts, 1, 1)
+        rank = _spec_int(spec, parts, 1, 1, MAX_RANK)
         return constant_system(cx, ring, rank), spec
     if name == "orientation":
         return orientation_system(cx, ring), spec
     if name == "random-flat":
         sseed = _spec_int(spec, parts, 1, seed)
-        rank = _spec_int(spec, parts, 2, 2)
+        rank = _spec_int(spec, parts, 2, 2, MAX_RANK)
         return random_flat_system(cx, ring, rank, sseed), f"random-flat:{sseed}:{rank}"
     if os.path.exists(spec):
         system = load_local_system(spec, cx)

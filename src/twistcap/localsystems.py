@@ -10,9 +10,10 @@ each distinct pair of matrix objects is checked with one product instead of
 computed: a +-1 transport is its own inverse (a sign system shares one
 matrix per sign, so it checks two pairs), a tensor product knows those of
 its factors, and a gauged transport g_u^-1 T g_v has the inverse
-g_v^-1 T^-1 g_u.  Only transports
-read from a file are inverted, once, at construction, and a non-invertible
-one is rejected there.
+g_v^-1 T^-1 g_u.  A random gauge is built with its inverse, so only the
+gauges passed to gauge_transform and the transports read from a file are
+inverted, once, and a non-invertible transport is rejected there.  A rank
+a user asks for is at most MAX_RANK; only tensor products exceed it.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -29,6 +30,10 @@ from .errors import (BaseMismatch, NotClosedPseudomanifold, RingMismatch,
                      SystemFormatError, TwistcapError)
 from .matrices import ExactMatrix, inverse, kernel
 from .rings import Q, RingSpec, Zmod, parse_ring
+
+# the largest rank a user may ask for, far above the corpus's, the tests'
+# and the benchmark's (at most 3)
+MAX_RANK = 100
 
 
 class LocalSystem:
@@ -202,22 +207,25 @@ def holonomy(system: LocalSystem, loop) -> ExactMatrix:
 def _conjugated(base, ring, rank, transport: dict, reverse: dict,
                 gauge: dict) -> LocalSystem:
     """The system with transports g_u^{-1} @ T[u<-v] @ g_v, built with their
-    reverses g_v^{-1} @ T^{-1} @ g_u from the given reverses, inverting
-    each g once; a vertex missing from the gauge keeps its fiber basis."""
-    inv = {v: inverse(g) for v, g in gauge.items()}
+    reverses g_v^{-1} @ T^{-1} @ g_u from the given reverses.  `gauge` maps
+    a vertex to the pair (g, g^{-1}); a vertex missing from it keeps its
+    fiber basis."""
     ident = ExactMatrix.identity(ring, rank)
+    kept = (ident, ident)
     conj, rev = {}, {}
     for (u, v), mat in transport.items():
-        g_u, g_v = gauge.get(u, ident), gauge.get(v, ident)
-        conj[(u, v)] = inv.get(u, ident) @ mat @ g_v
-        rev[(u, v)] = inv.get(v, ident) @ reverse[(u, v)] @ g_u
+        (g_u, inv_u), (g_v, inv_v) = gauge.get(u, kept), gauge.get(v, kept)
+        conj[(u, v)] = inv_u @ mat @ g_v
+        rev[(u, v)] = inv_v @ reverse[(u, v)] @ g_u
     return LocalSystem(base, ring, rank, conj, rev)
 
 
 def gauge_transform(system: LocalSystem, gauge: dict) -> LocalSystem:
-    """Change fiber bases: T'[u<-v] = g_u^{-1} @ T[u<-v] @ g_v."""
+    """Change fiber bases: T'[u<-v] = g_u^{-1} @ T[u<-v] @ g_v, inverting
+    each g once."""
     return _conjugated(system.base, system.ring, system.rank,
-                       system._transport, system._reverse, gauge)
+                       system._transport, system._reverse,
+                       {v: (g, inverse(g)) for v, g in gauge.items()})
 
 
 def is_trivializable(system: LocalSystem):
@@ -261,20 +269,16 @@ def random_sign_cocycle(base: SimplicialComplex, seed: int) -> dict:
     """A random +-1 edge assignment whose product around every triangle is +1.
 
     Solutions form the mod-2 cocycle space: kernel of the triangle-edge
-    incidence matrix over Z/2.  A seeded combination of kernel generators is
-    returned as a dict edge -> sign.
+    incidence matrix over Z/2, factored once per complex.  A seeded
+    combination of kernel generators is returned as a dict edge -> sign.
     """
     edges = base.faces(1)
     eidx = base.face_index(1)
-    tris = base.faces(2)
-    ring2 = Zmod(2)
-    if tris:
-        incidence = ExactMatrix._from_rows(
-            ring2, [{eidx[e]: 1 for e in ((u, v), (v, w), (u, w))}
-                    for u, v, w in tris], len(edges))
-        K = kernel(incidence)
-    else:
-        K = ExactMatrix.identity(ring2, len(edges))
+    K = base._cache.get("sign_cocycle_kernel")
+    if K is None:
+        K = base._cache["sign_cocycle_kernel"] = kernel(ExactMatrix._from_rows(
+            Zmod(2), [{eidx[e]: 1 for e in ((u, v), (v, w), (u, w))}
+                      for u, v, w in base.faces(2)], len(edges)))
     rng = random.Random(seed)
     chosen = {j for j in range(K.cols) if rng.randrange(2)}
     combo = [sum(x for j, x in row.items() if j in chosen) % 2
@@ -282,27 +286,28 @@ def random_sign_cocycle(base: SimplicialComplex, seed: int) -> dict:
     return {e: (-1 if combo[eidx[e]] else 1) for e in edges}
 
 
-def _random_gauge_matrix(ring, rank, rng) -> ExactMatrix:
-    """A unit-determinant matrix built from a few elementary operations."""
-    m = ExactMatrix.identity(ring, rank)
+def _random_gauge_matrix(ring, rank, rng) -> tuple:
+    """A unit-determinant matrix built from a few elementary operations, and
+    its inverse, the inverse elementaries in reverse order."""
+    m = inv = ident = ExactMatrix.identity(ring, rank)
     for _ in range(3):
         i = rng.randrange(rank)
         j = rng.randrange(rank)
         if i == j:
             continue
         coeff = ring.from_int(rng.choice((-2, -1, 1, 2)))
-        elem = [{a: ring.one} for a in range(rank)]
         if coeff:  # +-2 vanishes over Z/2
-            elem[i][j] = coeff
-        m = m @ ExactMatrix._from_rows(ring, elem, rank)
-    return m
+            unit = ExactMatrix._from_rows(
+                ring, [{j: coeff} if a == i else {} for a in range(rank)], rank)
+            m, inv = m @ (ident + unit), (ident - unit) @ inv
+    return m, inv
 
 
 def random_flat_system(base, ring, rank, seed) -> LocalSystem:
     """Seeded flat system: a direct sum of random sign cocycles conjugated by
     a random vertex gauge.  Flatness is inherited from the cocycle condition
     and preserved by the gauge.  A diagonal sign matrix is its own inverse,
-    so only the gauges are inverted."""
+    and each gauge comes with its inverse, so nothing is inverted."""
     if rank < 1:
         raise TwistcapError("rank must be positive")
     rng = random.Random((seed, rank, str(ring)).__repr__())
@@ -356,8 +361,10 @@ def loads_local_system(text: str, base: SimplicialComplex) -> LocalSystem:
         if tokens[0] == "rank":
             if rank is not None:
                 raise SystemFormatError(lineno, "duplicate rank line")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
-                raise SystemFormatError(lineno, "rank must be a positive integer")
+            if len(tokens) != 2 or not tokens[1].isdecimal() \
+                    or not 1 <= int(tokens[1]) <= MAX_RANK:
+                raise SystemFormatError(
+                    lineno, f"rank must be an integer from 1 to {MAX_RANK}")
             rank = int(tokens[1])
             continue
         if tokens[0] == "edge":

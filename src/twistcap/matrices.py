@@ -87,14 +87,6 @@ class ExactMatrix:
         return m
 
     @classmethod
-    def _raw(cls, ring, data):
-        """Trusted constructor from dense rows of normalized entries."""
-        data = list(data)
-        return cls._from_rows(ring, [{j: x for j, x in enumerate(row) if x}
-                                     for row in data],
-                              len(data[0]) if data else 0)
-
-    @classmethod
     def zeros(cls, ring, rows, cols):
         return cls._from_rows(ring, [{} for _ in range(rows)], cols)
 
@@ -708,14 +700,6 @@ class SmithSolver:
                 if q:
                     yrow[j] = q
         return snf.V @ ExactMatrix._from_rows(ring, Y, B.cols)
-
-
-def is_invertible(A: ExactMatrix) -> bool:
-    if A.rows != A.cols:
-        return False
-    snf = smith_normal_form(A)
-    diag = snf.diagonal()
-    return len(diag) == A.rows and all(A.ring.is_unit(d) for d in diag)
 
 
 def inverse(A: ExactMatrix) -> ExactMatrix:

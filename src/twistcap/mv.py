@@ -3,11 +3,14 @@
 Subcomplex covers replace open covers: a CoverPair is X = A union B
 (simplexwise) with optional relative data C in A, D in B.  The homology
 sequence comes from 0 -> C(A^B) --(x,-x)--> C(A)+C(B) --sum--> C(X) -> 0, the
-cohomology sequence from restrictions and the difference map; with these
-conventions the two cap squares of the compatibility diagram commute exactly
-with the minus sign on the second cap column, and the connecting block
-commutes up to one global sign, which is measured and reported rather than
-assumed.
+cohomology sequence from restrictions and the difference map.  The minus sign
+on the B part of the map at the intersection node is applied in one place,
+`_MVSpaces.row_maps`, which both sequences and the diagram read.  The
+compatibility diagram is a ladder of cap products between two such rows,
+checked on matrices of generator representatives: the two cap squares
+commute exactly with the minus sign on the second cap column, and the
+connecting block commutes up to one global sign, which is measured and
+reported rather than assumed.
 
 Connecting maps are computed on representatives by explicit chain splitting
 with a deterministic tie-break: anything lying in both A and B is assigned
@@ -125,6 +128,22 @@ class _MVSpaces:
             m = self._transfers[key] = transfer_matrix(src, dst, k)
         return m
 
+    def row_maps(self, first, last, k):
+        """The chain maps into and out of C(A)+C(B) in degree k of the row
+        first -> C(A)+C(B) -> last, each [A part, B part].  The map at the
+        intersection node carries the minus sign on its B part: the one
+        place the sign is applied, once per matrix."""
+        key = ("row", first, last, k)
+        maps = self._transfers.get(key)
+        if maps is None:
+            sides = (self.left, self.right)
+            into = [self.transfer(first, pc, k) for pc in sides]
+            out = [self.transfer(pc, last, k) for pc in sides]
+            signed = into if first is self.inter else out
+            signed[1] = -signed[1]
+            maps = self._transfers[key] = (into, out)
+        return maps
+
     def split_chain(self, k, absolute_vec):
         """Assign each simplex block to A (tie-break) or B."""
         ring, r = self.ring, self.rank
@@ -229,20 +248,24 @@ def _glue_coboundary(spaces: _MVSpaces, k, alpha):
     return tuple(glued)
 
 
+def _through(step, spaces: _MVSpaces, k, chains: ExactMatrix,
+             length) -> ExactMatrix:
+    """The matrix whose columns are step(spaces, k, z), each of the given
+    length, for the columns z of `chains`."""
+    return ExactMatrix.from_columns(
+        spaces.ring, [step(spaces, k, z) for z in chains.columns()], length)
+
+
 def _connecting_map(spaces: _MVSpaces, k, src: HomologyPresentation,
                     dst: HomologyPresentation, step, error) -> ModuleMap:
     """The connecting map out of degree k, computed on representatives:
     step(spaces, k, rep) carries each generator of src to a (co)cycle whose
-    class in dst is its image; `error` is raised when it is not one."""
-    cols = []
-    for j in range(src.module.generator_count):
-        coords = dst.class_vector(step(spaces, k, src.cycles.column(j)))
-        if coords is None:
-            raise ConnectingImageNotCycle(error)
-        cols.append(coords)
-    matrix = ExactMatrix.from_columns(spaces.ring, cols,
-                                      dst.module.generator_count)
-    return ModuleMap(src.module, dst.module, matrix)
+    class in dst is its image; `error` is raised when one is not."""
+    images = dst.class_matrix(_through(step, spaces, k, src.cycles,
+                                       dst.chain_rank))
+    if images is None:
+        raise ConnectingImageNotCycle(error)
+    return ModuleMap(src.module, dst.module, images)
 
 
 def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
@@ -250,20 +273,19 @@ def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
     """The long exact sequence, degree by degree in the order `degrees`.
 
     Each degree contributes first -> H(A)+H(B) -> last, with `present`
-    giving the modules; first and last are (pair complex, label) pairs.  The
-    map at the intersection node carries the minus sign on its B summand.
-    Consecutive degrees are joined by `_connecting_map` with `step`.
+    giving the modules and the maps induced by `_MVSpaces.row_maps`; first
+    and last are (pair complex, label) pairs.  Consecutive degrees are
+    joined by `_connecting_map` with `step`.
     """
     ring = spaces.ring
     (first_pc, first_name), (last_pc, last_name) = first, last
-    sides = (spaces.left, spaces.right)
     labels = ["0"]
     modules = [_zero_module(ring)]
     maps = []
     prev = None
     for k in degrees:
         p_first = present(first_pc, k)
-        p_sides = [present(pc, k) for pc in sides]
+        p_sides = [present(pc, k) for pc in (spaces.left, spaces.right)]
         p_last = present(last_pc, k)
         m_sum = direct_sum(p_sides[0].module, p_sides[1].module)
 
@@ -272,12 +294,10 @@ def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
         else:
             maps.append(_connecting_map(spaces, *prev, p_first, step, error))
 
-        into = [induced_map(spaces.transfer(first_pc, pc, k), p_first, p).matrix
-                for pc, p in zip(sides, p_sides)]
-        out = [induced_map(spaces.transfer(pc, last_pc, k), p, p_last).matrix
-               for pc, p in zip(sides, p_sides)]
-        difference = into if first_pc is spaces.inter else out
-        difference[1] = -difference[1]
+        into, out = spaces.row_maps(first_pc, last_pc, k)
+        into = [induced_map(f, p_first, p).matrix
+                for f, p in zip(into, p_sides)]
+        out = [induced_map(f, p, p_last).matrix for f, p in zip(out, p_sides)]
         maps += [ModuleMap(p_first.module, m_sum, ExactMatrix.vstack(into)),
                  ModuleMap(m_sum, p_last.module, ExactMatrix.hstack(out))]
 
@@ -374,15 +394,33 @@ def _restricted_fundamental_chain(M, nu, pool_pc, allowed_defect: Subcomplex):
     return vec
 
 
+def _route_gaps(pres: HomologyPresentation, first: ExactMatrix,
+                second: ExactMatrix, weights=(1,)) -> list | None:
+    """For each weight w, class(first) - w * class(second), column by column,
+    all read off one class_matrix of the two routes side by side; None
+    unless every column of both routes is a cycle."""
+    classes = pres.class_matrix(ExactMatrix.hstack([first, second]))
+    if classes is None:
+        return None
+    ident = ExactMatrix.identity(pres.ring, first.cols)
+    return [classes @ ExactMatrix.vstack([ident, ident.scale(-w)])
+            for w in weights]
+
+
 def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
                    L: FullSubcomplex, G, ring, resample_seed=None) -> Diagram6Report:
     """Evaluate the three blocks of the cap-compatibility diagram on classes.
 
+    The diagram is a ladder of cap products between two Mayer-Vietoris rows
+    read off `_MVSpaces.row_maps`: the cohomology of the (M|K), (M|L) cover
+    on top, the homology of (U, V) below.  Each block compares its two chain
+    routes on the matrix of generator representatives of its source node.
     The two cap squares must commute exactly (the second cap column carries
-    the minus sign); the connecting block must commute up to one global sign,
-    which is measured and reported.  `resample_seed` perturbs every source
-    representative by a coboundary before evaluation, so a passing run also
-    certifies independence of representative choices.
+    the minus sign); the connecting block must commute up to one global
+    sign, which is measured and reported.  A route that leaves the cycles
+    fails its block.  `resample_seed` perturbs every source representative
+    by a coboundary before evaluation, so a passing run also certifies
+    independence of representative choices.
     """
     if not closed_star(M, K.vertex_subset).issubset(U):
         raise TwistcapError("K is not interior to U (star containment fails)")
@@ -410,108 +448,84 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     nu_u = _restricted_fundamental_chain(M, nu, mr_u, comp_k)
     nu_v = _restricted_fundamental_chain(M, nu, mr_v, comp_l)
 
-    def perturb(pc, k, vec):
+    def generators(pc, pres, k):
+        """The generator representatives of `pres`, resampled column by
+        column."""
         if rng is None or k == 0:
-            return vec
-        noise = [ring.from_int(rng.randint(-2, 2))
-                 for _ in range(pc.length(k - 1))]
-        bump = pc.coboundary(k - 1).apply(noise)
-        return tuple(ring.normalize(x + y) for x, y in zip(vec, bump))
+            return pres.cycles
+        length = pc.length(k - 1)
+        noise = ExactMatrix.from_columns(
+            ring, [[ring.from_int(rng.randint(-2, 2)) for _ in range(length)]
+                   for _ in range(pres.cycles.cols)], length)
+        return pres.cycles + pc.coboundary(k - 1) @ noise
 
-    square_left = True
-    square_right = True
-    connecting_ok = True
+    # the first node's cap rung; the connecting block of degree k reads k + 1
+    caps_first = [cap_matrix(top.whole, mr_uv, bot.inter, k, n, nu_uv)
+                  for k in range(n + 1)]
+    square_left = square_right = connecting_ok = True
     sign_constraints = set()
 
+    # the blocks draw their noise in this order, generator by generator, which
+    # fixes the representatives each resample seed moves
     for k in range(n + 1):
-        # source presentations in the top row
-        pres_n1 = top.cohomology(top.whole, k)       # H^k(M | K^L)-node
-        pres_mid_a = top.cohomology(top.left, k)     # H^k(M | K)
-        pres_mid_b = top.cohomology(top.right, k)    # H^k(M | L)
-        pres_n3 = top.cohomology(top.inter, k)       # H^k(M | KuL)
-        # target presentations in the bottom row
-        bpres_a = bot.homology(bot.left, n - k)
-        bpres_b = bot.homology(bot.right, n - k)
-        bpres_x = bot.homology(bot.whole, n - k)
-        sum_mod = direct_sum(bpres_a.module, bpres_b.module)
-
-        cap_n1 = cap_matrix(top.whole, mr_uv, bot.inter, k, n, nu_uv)
-        cap_u = cap_matrix(top.left, mr_u, bot.left, k, n, nu_u)
-        cap_v = cap_matrix(top.right, mr_v, bot.right, k, n, nu_v)
+        p_first = top.cohomology(top.whole, k)      # H^k(M | K^L)
+        p_sides = [top.cohomology(pc, k)            # H^k(M | K), H^k(M | L)
+                   for pc in (top.left, top.right)]
+        b_sides = [bot.homology(pc, n - k) for pc in (bot.left, bot.right)]
+        b_whole = bot.homology(bot.whole, n - k)
+        top_into, top_out = top.row_maps(top.whole, top.inter, k)
+        bot_into, bot_out = bot.row_maps(bot.inter, bot.whole, n - k)
+        caps = [cap_matrix(top.left, mr_u, bot.left, k, n, nu_u),
+                -cap_matrix(top.right, mr_v, bot.right, k, n, nu_v)]
         cap_m = cap_matrix(top.inter, mr_abs, bot.whole, k, n, nu.chain)
 
-        to_left = top.transfer(top.whole, top.left, k)
-        to_right = top.transfer(top.whole, top.right, k)
-        to_inter_a = top.transfer(top.left, top.inter, k)
-        to_inter_b = top.transfer(top.right, top.inter, k)
-        bot_incl_a = bot.transfer(bot.inter, bot.left, n - k)
-        bot_incl_b = bot.transfer(bot.inter, bot.right, n - k)
-        bot_sum_a = bot.transfer(bot.left, bot.whole, n - k)
-        bot_sum_b = bot.transfer(bot.right, bot.whole, n - k)
+        # left cap square: through the intersection, or through the middle
+        X = generators(top.whole, p_first, k)
+        down = caps_first[k] @ X
+        gaps = [_route_gaps(p, into @ down, cap @ (t_into @ X))
+                for p, into, cap, t_into in zip(b_sides, bot_into, caps,
+                                                top_into)]
+        sum_mod = direct_sum(b_sides[0].module, b_sides[1].module)
+        square_left &= None not in gaps and sum_mod.zero_classes(
+            ExactMatrix.vstack([gap[0] for gap in gaps]))
 
-        def sum_class(ca, cb):
-            return tuple(ca) + tuple(cb)
-
-        # left cap square, evaluated on every generator of the first node
-        for j in range(pres_n1.module.generator_count):
-            x = perturb(top.whole, k, pres_n1.cycles.column(j))
-            down = cap_n1.apply(x)
-            ca = bpres_a.class_vector(bot_incl_a.apply(down))
-            cb = bpres_b.class_vector(
-                tuple(ring.normalize(-t) for t in bot_incl_b.apply(down)))
-            via_int = sum_class(ca, cb)
-            ua = bpres_a.class_vector(cap_u.apply(to_left.apply(x)))
-            ub = bpres_b.class_vector(tuple(
-                ring.normalize(-t) for t in cap_v.apply(to_right.apply(x))))
-            via_mid = sum_class(ua, ub)
-            if not sum_mod.classes_equal(via_int, via_mid):
-                square_left = False
-
-        # right cap square, on generators of each middle summand
-        for pres_mid, transfer_in, capcol, second in (
-                (pres_mid_a, to_inter_a, cap_u, False),
-                (pres_mid_b, to_inter_b, cap_v, True)):
-            for j in range(pres_mid.module.generator_count):
-                src_pc = top.left if not second else top.right
-                x = perturb(src_pc, k, pres_mid.cycles.column(j))
-                xbar = transfer_in.apply(x)
-                if second:
-                    xbar = tuple(ring.normalize(-t) for t in xbar)
-                route_top = bpres_x.class_vector(cap_m.apply(xbar))
-                down = capcol.apply(x)
-                if second:
-                    down = tuple(ring.normalize(-t) for t in down)
-                push = bot_sum_a if not second else bot_sum_b
-                route_bot = bpres_x.class_vector(push.apply(down))
-                if not bpres_x.module.classes_equal(route_top, route_bot):
-                    square_right = False
+        # right cap square, on the generators of both middle summands
+        via_top, via_bottom = [], []
+        for pc, p, t_out, cap, b_out in zip((top.left, top.right), p_sides,
+                                            top_out, caps, bot_out):
+            X = generators(pc, p, k)
+            via_top.append(cap_m @ (t_out @ X))
+            via_bottom.append(b_out @ (cap @ X))
+        gaps = _route_gaps(b_whole, ExactMatrix.hstack(via_top),
+                           ExactMatrix.hstack(via_bottom))
+        square_right &= (gaps is not None
+                         and b_whole.module.zero_classes(gaps[0]))
 
         # Connecting block: delta then cap, against cap then boundary.  The
         # pinned cap identity carries the bidegree weight (-1)^(n-k) on the
         # coboundary term; the zig-zag inherits it, so the comparison is made
-        # against the weighted route and the residual global sign is reported.
+        # against the weighted route and the residual global sign is
+        # reported, decided generator by generator.
         if k < n:
-            bpres_int_down = bot.homology(bot.inter, n - k - 1)
-            cap_n1_up = cap_matrix(top.whole, mr_uv, bot.inter, k + 1, n, nu_uv)
+            p_down = bot.homology(bot.inter, n - k - 1)
+            X = generators(top.inter, top.cohomology(top.inter, k), k)
+            glued = _through(_glue_coboundary, top, k, X,
+                             top.whole.length(k + 1))
+            zigzag = _through(_connecting_chain, bot, n - k, cap_m @ X,
+                              bot.inter.length(n - k - 1))
             weight = ring.from_int((-1) ** (n - k))
-            for j in range(pres_n3.module.generator_count):
-                x = perturb(top.inter, k, pres_n3.cycles.column(j))
-                glued = _glue_coboundary(top, k, x)
-                route_a = bpres_int_down.class_vector(cap_n1_up.apply(glued))
-                w = cap_m.apply(x)
-                e_chain = _connecting_chain(bot, n - k, w)
-                route_b = tuple(ring.normalize(weight * t)
-                                for t in bpres_int_down.class_vector(e_chain))
-                plus = bpres_int_down.module.classes_equal(route_a, route_b)
-                minus = bpres_int_down.module.classes_equal(
-                    route_a, tuple(ring.normalize(-t) for t in route_b))
-                if plus and minus:
-                    pass  # torsion ambiguity: no sign information
-                elif plus:
-                    sign_constraints.add(1)
-                elif minus:
-                    sign_constraints.add(-1)
-                else:
+            gaps = _route_gaps(p_down, caps_first[k + 1] @ glued, zigzag,
+                               (weight, -weight))
+            if gaps is None:
+                connecting_ok = False
+                continue
+            for plus_gap, minus_gap in zip(*(gap.columns() for gap in gaps)):
+                plus = p_down.module.is_zero_class(plus_gap)
+                minus = p_down.module.is_zero_class(minus_gap)
+                # both: a torsion ambiguity, with no sign information
+                if plus != minus:
+                    sign_constraints.add(1 if plus else -1)
+                elif not plus:
                     connecting_ok = False
 
     if len(sign_constraints) > 1:

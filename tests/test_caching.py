@@ -14,14 +14,16 @@ from twistcap.acceptance import (NONORIENTABLE, cap_identity_failures,
                                  phi_rows)
 from twistcap.cap import boundary_identity_check, cap_setting, verify_duality
 from twistcap.chains import pair_complex
-from twistcap.complexes import CORPUS_NAMES, SimplicialComplex, corpus
+from twistcap.complexes import (CORPUS_NAMES, FullSubcomplex,
+                                SimplicialComplex, corpus)
 from twistcap.covers import (build_double_cover, check_split_exactness,
                              lemma2_check, split_maps)
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 induced_map, is_isomorphism)
 from twistcap.localsystems import (constant_system, is_trivializable,
                                    orientation_system, random_flat_system,
-                                   random_sign_cocycle, sign_system, tensor)
+                                   random_sign_cocycle, sign_system, tensor,
+                                   validate_flatness)
 from twistcap.matrices import ExactMatrix, inverse
 from twistcap.rings import Q, Z, Zmod
 
@@ -287,6 +289,35 @@ def test_mv_spaces_and_transfers_are_built_once_per_cover(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+def test_row_maps_are_built_once_and_signed_once():
+    M, pair = mv.named_cover("torus", "cylinders")
+    sp = mv._mv_spaces(pair, constant_system(M, Z))
+    # the minus sign sits on the B part of the map at the intersection node:
+    # out of it in the homology row, into it in the cohomology row
+    into, out = sp.row_maps(sp.inter, sp.whole, 1)
+    assert into[1] == -sp.transfer(sp.inter, sp.right, 1)
+    assert out[1] is sp.transfer(sp.right, sp.whole, 1)
+    into, out = sp.row_maps(sp.whole, sp.inter, 1)
+    assert out[1] == -sp.transfer(sp.right, sp.inter, 1)
+    assert into[1] is sp.transfer(sp.whole, sp.right, 1)
+    for first, last in ((sp.inter, sp.whole), (sp.whole, sp.inter)):
+        maps, again = sp.row_maps(first, last, 1), sp.row_maps(first, last, 1)
+        assert all(a is b for a, b in zip(maps[0] + maps[1],
+                                          again[0] + again[1]))
+
+
+def test_phi_identify_factors_nothing(monkeypatch):
+    built = [build_double_cover(M, orientation_system(M, Z))
+             for M in map(fresh, ("sphere2", "rp2", "klein"))]
+    calls = count_factorizations(monkeypatch)
+    for cover in built:
+        for ring in (Z, Zmod(3), Q):
+            for K in (None, FullSubcomplex(cover.base, {0})):
+                phi = covers.phi_identify(cover, ring, K)
+                assert phi.boundary_commutes and phi.degreewise_iso
+    assert calls == []
+
+
 def test_mv_sequences_factor_no_zero_module(monkeypatch):
     # the zero modules at both ends of each sequence have nothing to factor
     M, pair = mv.named_cover("torus", "cylinders")
@@ -339,7 +370,7 @@ def test_random_flat_system_builds_one_system(monkeypatch):
     built = count_calls(monkeypatch, localsystems.LocalSystem, "__init__")
     random_flat_system(M, Z, 2, seed=3)
     assert len(built) == 1
-    assert len(inverted) == M.vertex_count   # the gauges only
+    assert inverted == []   # each gauge comes with its inverse
 
 
 def assert_reverses_are_inverses(G):
@@ -377,20 +408,35 @@ def test_sign_systems_share_one_matrix_per_sign(ring):
 
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)
 def test_gauged_systems_invert_only_their_gauges(monkeypatch, ring):
+    # a random gauge comes with its inverse; gauge_transform inverts the
+    # gauge it is given
     inverted = count_calls(monkeypatch, localsystems, "inverse")
+    ident = ExactMatrix.identity(ring, 2)
     for name in CORPUS_NAMES:
         M = corpus(name)
         del inverted[:]
         G = random_flat_system(M, ring, 2, seed=2)
-        assert len(inverted) == M.vertex_count
+        assert inverted == []
         rng = random.Random(name)
-        gauge = {v: localsystems._random_gauge_matrix(ring, 2, rng)
-                 for v in (0, 1)}
+        pairs = [localsystems._random_gauge_matrix(ring, 2, rng)
+                 for _ in range(2)]
+        assert all(g @ g_inv == ident == g_inv @ g for g, g_inv in pairs)
+        gauge = {v: g for v, (g, _) in enumerate(pairs)}
         del inverted[:]
         gauged = localsystems.gauge_transform(G, gauge)
         assert len(inverted) == len(gauge)
         assert_reverses_are_inverses(G)
         assert_reverses_are_inverses(gauged)
+
+
+def test_sign_cocycles_factor_the_incidence_once_per_complex(monkeypatch):
+    M = fresh("klein")
+    kernels = count_calls(monkeypatch, localsystems, "kernel")
+    systems = [random_flat_system(M, ring, 2, seed=seed)
+               for ring in (Z, Zmod(3)) for seed in (0, 1)]
+    assert len(kernels) == 1
+    for G in systems:
+        assert validate_flatness(G) == (True, None)
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)

@@ -230,9 +230,9 @@ def _reference_boundary(pc, k):
                 sign = ring.from_int(-1 if i % 2 else 1)
                 for a in range(r):
                     data[pos * r + a][j * r + a] = sign
-    m = ExactMatrix._raw(ring, data)
-    m.cols = len(cols_sx) * r
-    return m
+    return ExactMatrix._from_rows(
+        ring, [{j: x for j, x in enumerate(row) if x} for row in data],
+        len(cols_sx) * r)
 
 
 def _reference_coboundary(pc, k):
@@ -259,9 +259,9 @@ def _reference_coboundary(pc, k):
                 for a in range(r):
                     row = data[i_row * r + a]
                     row[pos * r + a] = ring.normalize(row[pos * r + a] + sign)
-    m = ExactMatrix._raw(ring, data)
-    m.cols = len(cols_sx) * r
-    return m
+    return ExactMatrix._from_rows(
+        ring, [{j: x for j, x in enumerate(row) if x} for row in data],
+        len(cols_sx) * r)
 
 
 def _pairs(M, cover):

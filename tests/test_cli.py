@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from twistcap import chains, cli, fpmodules, mv
+from twistcap import chains, cli, covers, fpmodules, mv
 from twistcap.cli import main
 from twistcap.complexes import (SimplicialComplex, _grid_klein, _grid_torus,
                                 dumps_complex, validate)
@@ -357,3 +359,49 @@ def test_disagreeing_coboundaries_exit_1(monkeypatch, capsys):
     assert_check_failure(capsys, "CoboundariesDisagree",
                          ["check-mv", "--complex", "torus",
                           "--cover", "cylinders"])
+
+
+def test_cap_rung_off_the_cycles_fails_both_cap_squares(monkeypatch, capsys):
+    # the cap rung into U reverses its rows, so it sends cycles off the
+    # cycles: both squares through H(U) fail, as rows, not as an error
+    U = mv.named_diagram6("torus")["U"]
+    cap = mv.cap_matrix
+
+    def rows_reversed_into_u(cochain_pc, chain_pc, out_pc, k, n, a_vec):
+        matrix = cap(cochain_pc, chain_pc, out_pc, k, n, a_vec)
+        if out_pc.pool != U:
+            return matrix
+        return ExactMatrix._from_rows(matrix.ring, matrix.sparse_rows[::-1],
+                                      matrix.cols)
+
+    monkeypatch.setattr(mv, "cap_matrix", rows_reversed_into_u)
+    code, out, err = run(capsys, "diagram6", "--config", "torus")
+    assert code == 1 and err == ""
+    assert "cap-square-left\tFAIL" in out
+    assert "cap-square-right\tFAIL" in out
+    assert "connecting\tok\t+1" in out
+    assert out.splitlines()[-2].split("\t")[:2] == ["FAIL", "diagram6"]
+
+
+def test_antisymmetric_inclusion_off_by_one_entry_fails_phi(monkeypatch,
+                                                            capsys):
+    # one entry of the degree-1 antisymmetric inclusion moves down a row
+    split = covers.split_maps
+
+    def moved_entry(cover, ring, K=None):
+        maps = split(cover, ring, K)
+        d = maps.degrees[1]
+        rows = [dict(row) for row in d.incl_minus.sparse_rows]
+        i = next(i for i, row in enumerate(rows) if row)
+        j = next(iter(rows[i]))
+        rows[(i + 1) % len(rows)][j] = rows[i].pop(j)
+        moved = ExactMatrix._from_rows(d.incl_minus.ring, rows,
+                                       d.incl_minus.cols)
+        return dataclasses.replace(maps, degrees={
+            **maps.degrees, 1: dataclasses.replace(d, incl_minus=moved)})
+
+    monkeypatch.setattr(covers, "split_maps", moved_entry)
+    code, out, err = run(capsys, "phi-check", "--complex", "rp2")
+    assert code == 1 and err == ""
+    assert "K=all phi_boundary_commutes\tFAIL" in out
+    assert "K=all phi_iso\tok" in out

@@ -25,7 +25,8 @@ BAD_COMPLEX_LINES = ("simplex 2 1", "simplex -1", "simplex a b", "simplex",
                      "dim x", "dim -1", "foo 1 2", "simplex 0 1 2 3 4 5",
                      "simplex 0 0")
 BAD_SYSTEM_LINES = ("edge 1 0", "edge 0 99", "rank 0", "ring R", "edge a b",
-                    "1/0", "x", "1 2 3", "ring Zmod 4")
+                    "1/0", "x", "1 2 3", "ring Zmod 4",
+                    "rank 99999999999999999999", "rank \u00b2")
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None,
                     deadline=None,
@@ -117,9 +118,11 @@ def test_random_system_files_keep_the_exit_contract(tmp_path, case, command,
 
 
 # Option values: well-formed ones, malformed ones and a little free text.
-# Ranks and trial counts stay small, since each costs memory or time in
-# proportion to its value.
-SPEC_RANKS = ("", "0", "1", "2", "-1", "x", " 2", "2.0")
+# Trial counts and the ranks that are accepted stay small, since each costs
+# memory or time in proportion to its value; a rank above
+# localsystems.MAX_RANK is refused before anything is built.
+SPEC_RANKS = ("", "0", "1", "2", "-1", "x", " 2", "2.0",
+              "99999999999999999999")
 SPEC_SEEDS = ("", "0", "3", "-7", "99999999999999999999", "x")
 OPTION_COMMANDS = COMPLEX_COMMANDS + ("check-mv", "diagram6")
 OPTION_COMPLEXES = ("circle", "sphere2", "rp2", "torus", "klein", "octahedron",

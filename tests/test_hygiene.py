@@ -6,6 +6,8 @@ tests, tools/ or perfbench/.  A top-level class must also be used by the
 package, tools/ or perfbench/, not only named by the tests or re-exported by
 the package __init__.  String constants count as references, because
 the benchmark tracer names the functions it wraps as "Class.method" strings.
+A private definition, one whose name starts with an underscore, must be
+used by the package, tools/ or perfbench/, not only by the tests.
 No module may import a name it never uses; the package __init__ re-exports
 by importing, so it is exempt.  Every import of the package sits at module
 level, so the import graph can be read off the top of each file.
@@ -95,6 +97,27 @@ def test_every_class_is_used_outside_the_tests():
                 test_only.append(f"{path.relative_to(ROOT)}:{node.lineno} "
                                  f"{node.name}")
     assert not test_only, "classes only the tests use: " + ", ".join(test_only)
+
+
+def test_private_names_are_used_outside_the_tests():
+    # a private definition (leading underscore) that only the tests reach
+    # is test scaffolding kept in the library
+    trees = list(_trees())
+    refs = _reference_index(trees)
+    test_only = []
+    for path, tree in trees:
+        if PACKAGE not in path.parents:
+            continue
+        for name, first, last in _definitions(tree):
+            if not name.startswith("_"):
+                continue
+            users = [(p, line) for p, line in refs.get(name, ())
+                     if TESTS not in p.parents
+                     and (p != path or not first <= line <= last)]
+            if not users:
+                test_only.append(f"{path.relative_to(ROOT)}:{first} {name}")
+    assert not test_only, "private names only the tests use: " \
+        + ", ".join(test_only)
 
 
 def test_no_unused_imports():

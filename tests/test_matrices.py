@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from twistcap import complexes, matrices
 from twistcap.matrices import (ExactMatrix, SmithSolver, block_diag,
-                               inverse, is_invertible, kernel,
+                               inverse, kernel,
                                kernel_with_relations, smith_normal_form)
 from twistcap.rings import MODULAR, Q, RATIONALS, Z, Zmod
 
@@ -132,11 +132,8 @@ def test_solver_exact_and_unsolvable():
 
 def test_inverse_roundtrip():
     A = mat(Z, [[1, 2], [0, -1]])
-    assert is_invertible(A)
     B = inverse(A)
     assert (A @ B) == ExactMatrix.identity(Z, 2)
-
-    assert not is_invertible(mat(Z, [[2]]))
 
 
 def test_kron_and_apply():
@@ -564,8 +561,8 @@ def test_every_constructor_gives_equal_and_equally_hashed_matrices(ring, data):
     rows = [[ring.normalize(x) for x in row]
             for row in data.draw(shaped_rows(ring, r, c))]
     columns = [tuple(row[j] for row in rows) for j in range(c)]
-    raw = ExactMatrix._raw(ring, rows)
-    raw.cols = c  # the trusted dense constructor reads the width off a row
+    raw = ExactMatrix._from_rows(
+        ring, [{j: x for j, x in enumerate(row) if x} for row in rows], c)
     split = data.draw(st.integers(0, c))
     built = [
         build(ring, rows, r, c),
