@@ -19,11 +19,15 @@ Sigma, Delta with the orbit bases of the symmetric and antisymmetric chains,
 the identification phi of the antisymmetric complex with the twisted chains
 of the base, checked as one product identity per degree (the antisymmetric
 inclusion is a chain map), and the fundamental class pushed through it.
+
+Derived objects are memoized on their source: the cover on its sign system,
+its orientation, sign systems and +/- splittings (one per ring and K) on the
+cover, and the exactness verdicts of a splitting on the splitting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chains import (FundamentalClassData, PairComplex, pair_complex,
                      relative_killed, transfer_matrix)
@@ -274,6 +278,10 @@ class SplitMaps:
     ring: RingSpec
     K: FullSubcomplex | None
     degrees: dict
+    # objects derived from this splitting; a dataclasses.replace copy starts
+    # empty
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
@@ -283,10 +291,14 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
     The orbit generators are base-ordered: the generator over a base simplex
     is parity * (rep -+ parity_eps * deck(rep)) with rep the canonical lift,
     so the antisymmetric basis matches the twisted chains of the base with
-    coefficient +1.
+    coefficient +1.  Memoized on the cover.
     """
     if not ring.two_is_nonzero:
         raise TwoIsZero("the +/- splitting needs 2 != 0 in the ring")
+    key = ("split_maps", ring, K)
+    cached = cover._cache.get(key)
+    if cached is not None:
+        return cached
     total_pc = cover_chains(cover, ring, K)
     base_pc_space = pair_complex(cover.base, constant_system(cover.base, ring),
                                  killed=relative_killed(cover.base, K))
@@ -313,7 +325,8 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
         incl_minus = ExactMatrix._from_rows(ring, minus_rows, len(orbit_bases))
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
                                  tuple(orbit_bases))
-    return SplitMaps(cover, ring, K, degrees)
+    split = cover._cache[key] = SplitMaps(cover, ring, K, degrees)
+    return split
 
 
 def _same_column_span(a: SmithSolver, b: SmithSolver) -> bool:
@@ -336,14 +349,19 @@ def check_split_exactness(split: SplitMaps) -> dict:
 
     Sequence (1): 0 -> C^- -> C --Sigma--> C^+ -> 0
     Sequence (2): 0 -> C^+ -> C --Delta--> C^- -> 0
-    Each of the four matrices of a degree is factored once.
+    Each of the four matrices of a degree is factored once, and the
+    verdicts are memoized on the splitting.
     """
+    cached = split._cache.get("exactness")
+    if cached is not None:
+        return cached
     out = {}
     for k, d in split.degrees.items():
         plus, minus = SmithSolver(d.incl_plus), SmithSolver(d.incl_minus)
         sigma, delta = SmithSolver(d.sigma), SmithSolver(d.delta)
         out[k] = {"seq1": _short_exact(minus, sigma, plus),
                   "seq2": _short_exact(plus, delta, minus)}
+    split._cache["exactness"] = out
     return out
 
 

@@ -15,6 +15,10 @@ gauges passed to gauge_transform and the transports read from a file are
 inverted, once, and a non-invertible transport is rejected there.  A rank
 a user asks for is at most MAX_RANK; only tensor products exceed it.
 
+The constant, orientation and seeded random flat systems are memoized on
+their complex, one per distinct (ring, rank, seed), and live as long as it
+does; a tensor product is memoized on its first factor.
+
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
 trivializable exactly when the complex is orientable.
@@ -307,21 +311,29 @@ def random_flat_system(base, ring, rank, seed) -> LocalSystem:
     """Seeded flat system: a direct sum of random sign cocycles conjugated by
     a random vertex gauge.  Flatness is inherited from the cocycle condition
     and preserved by the gauge.  A diagonal sign matrix is its own inverse,
-    and each gauge comes with its inverse, so nothing is inverted."""
+    and each gauge comes with its inverse, so nothing is inverted.  The
+    system is memoized on its complex, like the constant systems."""
     if rank < 1:
         raise TwistcapError("rank must be positive")
+    key = ("random_flat_system", ring, rank, seed)
+    cached = base._cache.get(key)
+    if cached is not None:
+        return cached
     rng = random.Random((seed, rank, str(ring)).__repr__())
     signs = [random_sign_cocycle(base, rng.randrange(2 ** 30))
              for _ in range(rank)]
     if rank == 1:
-        return sign_system(base, ring, signs[0])
-    transport = {e: ExactMatrix._from_rows(
-                     ring, [{i: ring.from_int(signs[i][e])}
-                            for i in range(rank)], rank)
-                 for e in base.faces(1)}
-    gauge = {v: _random_gauge_matrix(ring, rank, rng)
-             for v in range(base.vertex_count)}
-    return _conjugated(base, ring, rank, transport, transport, gauge)
+        system = sign_system(base, ring, signs[0])
+    else:
+        transport = {e: ExactMatrix._from_rows(
+                         ring, [{i: ring.from_int(signs[i][e])}
+                                for i in range(rank)], rank)
+                     for e in base.faces(1)}
+        gauge = {v: _random_gauge_matrix(ring, rank, rng)
+                 for v in range(base.vertex_count)}
+        system = _conjugated(base, ring, rank, transport, transport, gauge)
+    base._cache[key] = system
+    return system
 
 
 # ---------------------------------------------------------------------------

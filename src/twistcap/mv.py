@@ -485,9 +485,8 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
         gaps = [_route_gaps(p, into @ down, cap @ (t_into @ X))
                 for p, into, cap, t_into in zip(b_sides, bot_into, caps,
                                                 top_into)]
-        sum_mod = direct_sum(b_sides[0].module, b_sides[1].module)
-        square_left &= None not in gaps and sum_mod.zero_classes(
-            ExactMatrix.vstack([gap[0] for gap in gaps]))
+        square_left &= None not in gaps and all(
+            p.module.zero_classes(gap[0]) for p, gap in zip(b_sides, gaps))
 
         # right cap square, on the generators of both middle summands
         via_top, via_bottom = [], []

@@ -2,6 +2,7 @@
 presented module factors a given matrix once; read-only checks build
 nothing."""
 
+import dataclasses
 import gc
 import random
 import sys
@@ -9,11 +10,13 @@ import weakref
 
 import pytest
 
-from twistcap import chains, covers, fpmodules, localsystems, matrices, mv
+from twistcap import (cap, chains, covers, fpmodules, localsystems, matrices,
+                      mv)
 from twistcap.acceptance import (NONORIENTABLE, cap_identity_failures,
                                  phi_rows)
 from twistcap.cap import boundary_identity_check, cap_setting, verify_duality
 from twistcap.chains import pair_complex
+from twistcap.cli import main
 from twistcap.complexes import (CORPUS_NAMES, FullSubcomplex,
                                 SimplicialComplex, corpus)
 from twistcap.covers import (build_double_cover, check_split_exactness,
@@ -102,7 +105,9 @@ def test_repeated_cap_trials_build_no_new_systems_or_pairs(monkeypatch):
 
 def test_pair_complexes_and_covers_die_with_their_system():
     # LocalSystem and DoubleCover take no weak references, so each is
-    # watched through a pair complex that only it keeps alive
+    # watched through a pair complex that only it keeps alive; random flat
+    # systems live on their complex, so the whole chain complex -> system ->
+    # pair complex is released
     M = fresh_torus()
     G = random_flat_system(M, Z, 2, seed=4)
     omega = random_flat_system(M, Z, 1, seed=4)
@@ -112,7 +117,7 @@ def test_pair_complexes_and_covers_die_with_their_system():
                pair_complex(M, tensor(G, orientation_system(M, Z))),
                pair_complex(cover.total, constant_system(cover.total, Z))]
     refs = [weakref.ref(pc) for pc in watched]
-    del G, omega, cover, watched
+    del M, G, omega, cover, watched
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
 
@@ -179,13 +184,15 @@ def test_an_equal_but_distinct_d_in_is_presented_afresh(monkeypatch):
 
 
 def test_presentations_die_with_their_pair_complex():
+    # the whole chain complex -> system -> pair complex -> presentation is
+    # released, since random flat systems live on their complex
     M = fresh_torus()
     G = random_flat_system(M, Z, 2, seed=4)
     pc = pair_complex(M, G)
     pres = homology_presentation(pc.boundary(2), pc.boundary(1))
     assert homology_presentation(pc.boundary(2), pc.boundary(1)) is pres
     refs = [weakref.ref(pc), weakref.ref(pres)]
-    del G, pc, pres
+    del M, G, pc, pres
     gc.collect()
     assert [r() for r in refs] == [None, None]
 
@@ -250,13 +257,50 @@ def test_is_isomorphism_reads_the_cokernel_witness_off_u_inverse(monkeypatch):
 
 
 def test_split_exactness_factors_six_matrices_per_degree(monkeypatch):
-    M = corpus("rp2")
+    M = fresh("rp2")
     cover = build_double_cover(M, orientation_system(M, Z))
     split = split_maps(cover, Z)
     calls = count_calls(monkeypatch, matrices, "smith_normal_form")
     verdicts = check_split_exactness(split)
     assert all(v["seq1"] and v["seq2"] for v in verdicts.values())
     assert len(calls) == 6 * len(split.degrees)
+    # the verdicts are memoized on the splitting, which is memoized on the
+    # cover
+    del calls[:]
+    assert check_split_exactness(split_maps(cover, Z)) is verdicts
+    assert calls == []
+
+
+def test_a_replaced_splitting_is_checked_afresh(monkeypatch):
+    M = fresh("rp2")
+    split = split_maps(build_double_cover(M, orientation_system(M, Z)), Z)
+    verdicts = check_split_exactness(split)
+    twin = dataclasses.replace(split)
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    assert check_split_exactness(twin) == verdicts
+    assert len(calls) == 6 * len(split.degrees)
+    assert check_split_exactness(split) is verdicts
+
+
+def test_a_failed_exactness_check_memoizes_nothing(monkeypatch):
+    M = fresh("rp2")
+    split = split_maps(build_double_cover(M, orientation_system(M, Z)), Z)
+    degrees = []
+    original = covers._short_exact
+
+    def failing_in_the_last_degree(*args):
+        degrees.append(None)
+        if len(degrees) > 2 * (len(split.degrees) - 1):
+            raise RuntimeError("interrupted")
+        return original(*args)
+
+    monkeypatch.setattr(covers, "_short_exact", failing_in_the_last_degree)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        check_split_exactness(split)
+    assert split._cache == {}
+    monkeypatch.setattr(covers, "_short_exact", original)
+    verdicts = check_split_exactness(split)
+    assert sorted(verdicts) == sorted(split.degrees)
 
 
 def test_is_trivializable_inverts_nothing_and_builds_no_system(monkeypatch):
@@ -350,12 +394,17 @@ def test_mv_spaces_die_with_their_cover():
 
 
 def test_phi_rows_build_each_splitting_once(monkeypatch):
-    M = corpus("klein")
+    M = fresh("klein")
     cover = build_double_cover(M, orientation_system(M, Z))
     built = count_calls(monkeypatch, covers, "deck_chain_matrix")
     rows = list(phi_rows(cover, Z))
     assert all(ok for _, ok, _ in rows)
     assert len(built) == 6   # 3 degrees for each of the 2 K choices
+    # a second call reads the splittings and their verdicts off the cover
+    del built[:]
+    calls = count_factorizations(monkeypatch)
+    assert list(phi_rows(cover, Z)) == rows
+    assert built == [] and calls == []
 
 
 def test_lemma2_presents_the_cover_homology_once(monkeypatch):
@@ -371,6 +420,51 @@ def test_random_flat_system_builds_one_system(monkeypatch):
     random_flat_system(M, Z, 2, seed=3)
     assert len(built) == 1
     assert inverted == []   # each gauge comes with its inverse
+
+
+def test_random_flat_systems_are_memoized_on_their_complex():
+    M = fresh_torus()
+    G = random_flat_system(M, Z, 2, seed=3)
+    assert random_flat_system(M, Z, 2, seed=3) is G
+    assert random_flat_system(M, Z, 1, seed=3) is random_flat_system(M, Z, 1, 3)
+    others = [random_flat_system(M, Zmod(3), 2, seed=3),
+              random_flat_system(M, Z, 3, seed=3),
+              random_flat_system(M, Z, 2, seed=4),
+              random_flat_system(fresh_torus(), Z, 2, seed=3)]
+    assert all(H is not G for H in others)
+    assert len({id(H) for H in others}) == len(others)
+    with pytest.raises(Exception, match="rank must be positive"):
+        random_flat_system(M, Z, 0, seed=3)
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi-check", "--complex", "klein", "--ring", "Z/3"),
+    ("diagram6", "--config", "sphere"),
+    ("diagram6", "--config", "sphere", "--system", "random-flat:3:2"),
+], ids=" ".join)
+def test_a_repeated_command_factors_nothing(monkeypatch, capsys, argv):
+    first = main(list(argv)), capsys.readouterr().out
+    assert first[0] == 0
+    calls = count_factorizations(monkeypatch)
+    built = count_calls(monkeypatch, localsystems.LocalSystem, "__init__")
+    assert (main(list(argv)), capsys.readouterr().out) == first
+    assert calls == [] and built == []
+
+
+def test_a_repeated_random_flat_duality_factors_only_its_iso_checks(
+        monkeypatch, capsys):
+    # the system, its pair complexes and presentations are reused; each
+    # degree's is_isomorphism factors the stacked matrix of a new induced map
+    argv = ["verify-duality", "--complex", "klein", "--system",
+            "random-flat:5:2", "--ring", "Z/3"]
+    first = main(argv), capsys.readouterr().out
+    assert first[0] == 0
+    calls = count_factorizations(monkeypatch)
+    built = count_calls(monkeypatch, localsystems.LocalSystem, "__init__")
+    isos = count_calls(monkeypatch, cap, "is_isomorphism")
+    assert (main(argv), capsys.readouterr().out) == first
+    assert built == []
+    assert len(calls) == len(isos) == corpus("klein").dimension + 1
 
 
 def assert_reverses_are_inverses(G):

@@ -22,6 +22,9 @@ COMMANDS = (
     ("check-mv", "--complex", "torus", "--cover", "cylinders", "--ring", "Z/3"),
     ("cap-identity", "--complex", "torus", "--system", "orientation",
      "--trials", "10"),
+    ("cap-identity", "--complex", "klein", "--system", "random-flat:2:2",
+     "--ring", "Z/3", "--trials", "3"),
+    ("diagram6", "--config", "sphere", "--system", "random-flat:3:2"),
     ("fundamental-class", "--complex", "klein", "--ring", "Z/3"),
     ("lemma2", "--complex", "rp2"),
     ("phi-check", "--complex", "klein", "--ring", "Z/3"),
