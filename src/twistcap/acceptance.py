@@ -295,7 +295,7 @@ def _fraction_rank(rows):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
+        inv = Fraction(1) / m[rank][col]
         m[rank] = [x * inv for x in m[rank]]
         for i in range(len(m)):
             if i != rank and m[i][col]:

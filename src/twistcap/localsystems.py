@@ -426,7 +426,7 @@ def _parse_entry(token: str, ring: RingSpec):
         if ring != Q:
             raise ValueError(token)
         num, den = token.split("/", 1)
-        return Fraction(int(num), int(den))
+        return ring.normalize(Fraction(int(num), int(den)))
     return ring.normalize(int(token))
 
 

@@ -1,7 +1,10 @@
 """Exact matrices over Z, Z/m and Q, with Smith normal form.
 
 Entries are plain Python integers and Fractions, so nothing overflows or
-rounds.  An ExactMatrix has one representation: each row is a dict
+rounds.  They are stored in the ring's canonical form (rings.RingSpec.
+normalize): over Z/m reduced into range(m), over Q an int when integral and
+a Fraction otherwise; every operation that computes an entry normalizes
+it.  An ExactMatrix has one representation: each row is a dict
 {column: nonzero entry}, and zeros are never stored.  Boundary, transfer and
 deck matrices are almost all zeros, so every operation -- products, sums,
 stacking, Kronecker products, solves and the Smith form -- touches nonzeros
@@ -9,7 +12,7 @@ only.  Rows are never mutated once a matrix holds them, so matrices built
 from others (vstack, block_diag, the coordinate rows of a presentation)
 share them.  `.data` is a dense tuple-of-tuples view, built on each read and
 never stored, for the few readers that want every cell (certificate hashes,
-serialization).
+serialization); over Q it renders every cell as a Fraction.
 
 The Smith form eliminates on the same storage: rows of the working matrix,
 of U and of V^-1 are dicts of their nonzeros, V and U^-1 are held as sparse
@@ -18,9 +21,10 @@ minimal-pivot one that keeps integer growth tame, and the elementary
 operations are exactly those of a dense sweep, so the transforms (and every
 kernel basis and certificate derived from them) do not depend on the
 storage.  One integer elimination serves all three rings, and
-smith_normal_form is its one wrapper: it clears denominators over Q, and
-then, in one loop for every ring, scales each pivot by a unit to the
-canonical generator of its ideal (|d| over Z, gcd(d, m) over Z/m, 1 over Q).
+smith_normal_form is its one wrapper: over Q it clears the denominators of
+each row by a row scale, and then, in one loop for every ring, scales each
+pivot by a unit to the canonical generator of its ideal (|d| over Z,
+gcd(d, m) over Z/m, 1 over Q).
 
 Every decomposition carries its transforms: smith_normal_form returns U, D, V
 with U @ A @ V == D, U and V invertible, and the diagonal of D a divisibility
@@ -115,13 +119,16 @@ class ExactMatrix:
     @property
     def data(self):
         """Dense view: a tuple of row tuples with the ring's zeros filled
-        in.  Built on each read; nothing keeps it."""
-        zero, cols = self.ring.zero, self.cols
+        in.  Built on each read; nothing keeps it.  Over Q every cell,
+        zeros included, is rendered as a Fraction, the one form that
+        certificate hashes, serialization and their readers see."""
+        rational, cols = self.ring.kind == RATIONALS, self.cols
+        zero = Fraction(0) if rational else 0
         out = []
         for row in self.sparse_rows:
             dense = [zero] * cols
             for j, x in row.items():
-                dense[j] = x
+                dense[j] = Fraction(x) if rational else x
             out.append(tuple(dense))
         return tuple(out)
 
@@ -164,6 +171,7 @@ class ExactMatrix:
                 f"shape mismatch {self.rows}x{self.cols} +- "
                 f"{other.rows}x{other.cols}")
         m = self.ring.modulus
+        norm = self.ring.normalize if self.ring.kind == RATIONALS else None
         out = []
         for a, b in zip(self.sparse_rows, other.sparse_rows):
             row = dict(a)
@@ -172,6 +180,8 @@ class ExactMatrix:
                 x = get(j, 0) + sign * y
                 if m:
                     x %= m
+                elif norm:
+                    x = norm(x)
                 if x:
                     row[j] = x
                 else:
@@ -207,7 +217,7 @@ class ExactMatrix:
             raise TwistcapError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         m = self.ring.modulus
-        zero = self.ring.zero
+        norm = self.ring.normalize if self.ring.kind == RATIONALS else None
         orows = other.sparse_rows
         out = []
         for row in self.sparse_rows:
@@ -215,9 +225,11 @@ class ExactMatrix:
             get = acc.get
             for k, a in row.items():
                 for j, b in orows[k].items():
-                    acc[j] = get(j, zero) + a * b
+                    acc[j] = get(j, 0) + a * b
             if m:
                 out.append({j: y for j, x in acc.items() if (y := x % m)})
+            elif norm:
+                out.append({j: norm(x) for j, x in acc.items() if x})
             else:
                 out.append({j: x for j, x in acc.items() if x})
         return ExactMatrix._from_rows(self.ring, out, other.cols)
@@ -407,41 +419,43 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     """U, D, V with U @ A @ V == D, over any of the three rings.
 
     The integer elimination runs on canonical lifts: over Z/m reducing mod
-    m, over Q on rows cleared of their denominators (the boundary matrices
-    are integral, so this is much faster than pivoting on fractions), its
-    transforms lifted back afterwards.  Each pivot d is then scaled to the
-    canonical generator of its ideal -- |d| over Z, gcd(d, m) over Z/m, 1
-    over Q -- by the unit u that takes it there: row t of U times u, column
-    t of U^-1 times u^-1.
+    m, over Q on the rows of A each multiplied by a row scale, the least
+    common denominator of its entries.  No transform is converted to
+    Fractions: the elimination of diag(scales) @ A gives U, V, V^-1 and the
+    determinants in integers, U takes the scales into its columns and
+    U^-1 divides its row i by scales[i], which touches only the rows whose
+    scale is not 1 (none for the integral boundary matrices).  Each pivot d
+    is then scaled to the canonical generator of its ideal -- |d| over Z,
+    gcd(d, m) over Z/m, 1 over Q -- by the unit u that takes it there: row
+    t of U times u, column t of U^-1 times u^-1.
     """
     ring = A.ring
     r, c = A.rows, A.cols
     rational = ring.kind == RATIONALS
-    if rational:
-        scales = []
-        S = []
-        for row in A.sparse_rows:
-            denom = 1
+    scales = {}  # row -> its scale, for the rows of a Q matrix not integral
+    S = []
+    for i, row in enumerate(A.sparse_rows):
+        denom = 1
+        if rational:
             for x in row.values():
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            scales.append(denom)
+                if type(x) is not int:
+                    denom = denom * x.denominator // gcd(denom, x.denominator)
+        if denom == 1:
+            S.append(dict(row))
+        else:
+            scales[i] = denom
             S.append({j: x.numerator * (denom // x.denominator)
                       for j, x in row.items()})
-    else:
-        S = [dict(row) for row in A.sparse_rows]
     U, W, V, Y, udet, vdet = _euclid_core(S, r, c, ring.modulus)
-    if rational:
-        # U scales column j by scales[j], so U^-1 divides row j by it
-        U = [{j: Fraction(x * scales[j]) for j, x in row.items()} for row in U]
-        W = [{i: Fraction(x, scales[i]) for i, x in col.items()} for col in W]
-        udet = Fraction(udet)
-        for s in scales:
-            udet *= s
-        S = [{j: Fraction(x) for j, x in row.items()} for row in S]
-        V = [{j: Fraction(x) for j, x in row.items()} for row in V]
-        Y = [{j: Fraction(x) for j, x in row.items()} for row in Y]
-
     norm = ring.normalize
+    if scales:
+        # U scales column i by scales[i], so U^-1 divides row i by it
+        U = [{j: x * scales.get(j, 1) for j, x in row.items()} for row in U]
+        W = [{i: norm(Fraction(x, scales[i])) if i in scales else x
+              for i, x in col.items()} for col in W]
+        for s in scales.values():
+            udet *= s
+
     for t in range(min(r, c)):
         d = S[t].get(t)
         if not d:

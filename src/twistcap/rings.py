@@ -1,7 +1,11 @@
 """Coefficient rings: the integers, Z/m, and the rationals.
 
 Elements are ordinary Python objects: ``int`` for the integers and for Z/m
-(kept reduced into ``range(m)``), ``fractions.Fraction`` for the rationals.
+(kept reduced into ``range(m)``).  A rational is an ``int`` when it is
+integral and a ``fractions.Fraction`` otherwise, so Q arithmetic on the
+integral entries that chain complexes are made of runs at integer speed;
+``normalize`` returns that canonical form.  Every division over Q starts
+from an explicit ``Fraction``, since ``int / int`` would be a float.
 Arbitrary precision comes for free; fixed-width overflow cannot happen.
 
 A RingSpec bundles the canonical-form, unit and divisibility arithmetic the
@@ -55,17 +59,19 @@ class RingSpec:
             return int(x)
         if self.kind == MODULAR:
             return int(x) % self.modulus
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
-        return Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == RATIONALS else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == RATIONALS else self.normalize(1)
+        return 1
 
     def from_int(self, k: int):
         """Image of the integer k, e.g. the signs +-1 used everywhere."""
@@ -97,7 +103,7 @@ class RingSpec:
                 return self.zero if b == 0 else None
             if a == 1:   # the common case, a Smith pivot or a free generator
                 return self.normalize(b)
-            return self.normalize(b) / self.normalize(a)
+            return self.normalize(Fraction(b) / a)
         if self.kind == INTEGERS:
             if a == 0:
                 return 0 if b == 0 else None
@@ -137,7 +143,7 @@ class RingSpec:
         if self.kind == INTEGERS:
             return -1 if a < 0 else 1
         if self.kind == RATIONALS:
-            return 1 / self.normalize(a) if a != 0 else Fraction(1)
+            return self.normalize(Fraction(1) / a) if a != 0 else 1
         m = self.modulus
         a %= m
         if a == 0:

@@ -10,7 +10,9 @@ A private definition, one whose name starts with an underscore, must be
 used by the package, tools/ or perfbench/, not only by the tests.
 No module may import a name it never uses; the package __init__ re-exports
 by importing, so it is exempt.  Every import of the package sits at module
-level, so the import graph can be read off the top of each file.
+level, so the import graph can be read off the top of each file.  Every
+true division in the package has an explicit ``Fraction(...)`` call as its
+left operand: over Q an ``int / int`` quotient would be a float.
 """
 
 import ast
@@ -149,3 +151,22 @@ def test_imports_are_at_module_level():
                    if isinstance(node, (ast.Import, ast.ImportFrom))
                    and id(node) not in top]
     assert not nested, "imports inside a function or class: " + ", ".join(nested)
+
+
+def _is_fraction_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction")
+
+
+def test_every_true_division_starts_from_a_fraction():
+    floats = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                floats.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                  and not _is_fraction_call(node.left)):
+                floats.append(f"{path.name}:{node.lineno}")
+    assert not floats, "true division without a Fraction on the left: " \
+        + ", ".join(floats)
