@@ -36,14 +36,14 @@ class NotAFundamentalCycle(CheckFailed):
 class PairComplex:
     """Chain/cochain matrices of (pool, killed) with twisted coefficients.
 
-    pool defaults to the whole complex; killed to nothing.  Coordinates at
-    degree k are the k-simplices of pool not in killed, in lexicographic
-    order, with one fiber block of size rank each.
+    pool defaults to the whole complex and killed (read only by `contains`)
+    to nothing.  Coordinates at degree k are the k-simplices of pool not in
+    killed, in lexicographic order, with one fiber block of size rank each.
     """
 
     def __init__(self, base: SimplicialComplex, system: LocalSystem,
                  pool: Subcomplex | None = None,
-                 killed: Subcomplex | None = None):
+                 killed: Subcomplex | FullSubcomplex | None = None):
         ok, witness = validate_flatness(system)
         if not ok:
             raise FlatnessViolation(f"system is not flat at triangle {witness}")
@@ -154,10 +154,11 @@ def pair_complex(base, system, pool=None, killed=None) -> PairComplex:
 
 
 def relative_killed(M: SimplicialComplex, K: FullSubcomplex | None):
+    """The full subcomplex that C(M|K) kills, or None when it is empty."""
     if K is None:
         return None
-    comp = K.complement().as_subcomplex()
-    return None if comp.is_empty() else comp
+    comp = K.complement()
+    return comp if comp.vertex_subset else None
 
 
 def chain_complex(M, G, K: FullSubcomplex | None = None) -> PairComplex:

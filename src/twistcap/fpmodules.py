@@ -21,18 +21,19 @@ FPModule.zero_classes is the one zero-class test, a single solve against the
 relations; is_zero_class, classes_equal and the ModuleMap tests are its
 forms.
 
-Maps between presented modules are matrices on generators carrying a witness
-that relations land in relations.  is_isomorphism certifies bijectivity with a
-two-sided inverse, or returns an explicit kernel/cokernel witness.
+A map of presented modules owns one factorization, `image`, of [matrix |
+target relations], made on first use; surjectivity (generates), exactness and
+is_isomorphism's inverse or kernel/cokernel witness are all read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (CertificateFailed, CompositionNonzero, NotChainMap,
                      TwistcapError)
-from .matrices import ExactMatrix, SmithSolver, kernel, smith_normal_form
+from .matrices import ExactMatrix, SmithSolver, smith_normal_form
 from .rings import INTEGERS, MODULAR, RingSpec
 
 
@@ -120,13 +121,10 @@ class FPModule:
         return ExactMatrix.from_columns(self.ring, [coords], self.generator_count)
 
     def generates(self, coords) -> bool:
-        """True when the single class `coords` generates the whole module."""
-        col = ExactMatrix.from_columns(self.ring, [coords], self.generator_count)
-        stacked = ExactMatrix.hstack([col, self.relations])
-        snf = smith_normal_form(stacked)
-        diag = snf.diagonal()
-        units = sum(1 for d in diag if self.ring.is_unit(d))
-        return units == self.generator_count
+        """True when the map from the ring sending 1 to `coords` is onto."""
+        free = FPModule._diagonal(self.ring, 1, ())
+        onto = ModuleMap(free, self, self._class_column(coords))
+        return onto.image_units() == self.generator_count
 
 
 class HomologyPresentation:
@@ -267,14 +265,24 @@ class ModuleMap:
     source: FPModule
     target: FPModule
     matrix: ExactMatrix
-    witness: ExactMatrix | None = None
+
+    @cached_property
+    def image(self) -> SmithSolver:
+        """[matrix | target relations], factored once for the map's life."""
+        return SmithSolver(ExactMatrix.hstack([self.matrix,
+                                               self.target.relations]))
+
+    def image_units(self) -> int:
+        """Unit pivots of `image`: one per target generator iff onto."""
+        ring = self.matrix.ring
+        return sum(1 for d in self.image.snf.diagonal() if ring.is_unit(d))
 
     def apply(self, coords):
         return self.matrix.apply(coords)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (matrix product self @ other)."""
-        if other.target is not self.source and other.target != self.source:
+        """self after other (self @ other), through the same middle object."""
+        if other.target is not self.source:
             raise TwistcapError("composition mismatch")
         return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
 
@@ -282,8 +290,8 @@ class ModuleMap:
         return self.target.zero_classes(self.matrix)
 
     def equals(self, other: "ModuleMap") -> bool:
-        if self.source != other.source or self.target != other.target:
-            return False
+        if self.source is not other.source or self.target is not other.target:
+            raise TwistcapError("composition mismatch")
         return self.target.zero_classes(self.matrix - other.matrix)
 
 
@@ -292,7 +300,7 @@ def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
     """The map on homology induced by a chain-level matrix.
 
     Checks that f sends cycles to cycles and boundaries to boundaries against
-    the stored boundary data, and stores the well-definedness witness.
+    the stored boundary data, and that relations map into relations.
     Boundaries are checked on the Smith basis, factoring nothing: a cycle of
     the target is a boundary exactly when its class coordinates are a zero
     class, since the cycles are spanned by the generator chains and the
@@ -306,10 +314,9 @@ def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
     boundaries = dst.class_matrix(f_chain @ src.d_in)
     if boundaries is None or not dst.module.zero_classes(boundaries):
         raise NotChainMap("boundaries do not map to boundaries")
-    witness = dst.module._rel_solver.solve_matrix(M @ src.module.relations)
-    if witness is None:
+    if not dst.module.zero_classes(M @ src.module.relations):
         raise NotChainMap("relations do not map into relations")
-    return ModuleMap(src.module, dst.module, M, witness)
+    return ModuleMap(src.module, dst.module, M)
 
 
 @dataclass(frozen=True)
@@ -332,10 +339,8 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
     ring = f.matrix.ring
     ts = f.source.generator_count
     tt = f.target.generator_count
-    stacked = ExactMatrix.hstack([f.matrix, f.target.relations])
-    solver = SmithSolver(stacked)
-    snf = solver.snf
-    units = sum(1 for d in snf.diagonal() if ring.is_unit(d))
+    snf = f.image.snf
+    units = f.image_units()
     if units < tt:
         # the first non-unit pivot position marks a cokernel class, the
         # element that U sends to that unit vector
@@ -352,7 +357,7 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
     # built here rather than by ExactMatrix.identity, so the certificate
     # below checks N against an identity it was not solved from
     units = ExactMatrix._from_rows(ring, [{i: ring.one} for i in range(tt)], tt)
-    N = _top_rows(solver.solve_matrix(units), ts)
+    N = _top_rows(f.image.solve_matrix(units), ts)
 
     if not (f.source.zero_classes(N @ f.matrix - ExactMatrix.identity(ring, ts))
             and f.target.zero_classes(
@@ -366,16 +371,10 @@ def _top_rows(A: ExactMatrix, rows: int) -> ExactMatrix:
     return ExactMatrix._from_rows(A.ring, A.sparse_rows[:rows], A.cols)
 
 
-def kernel_inside_image(incoming: ModuleMap, outgoing: ModuleMap) -> bool:
-    """ker(outgoing) subset of im(incoming), in the shared middle module."""
-    middle = outgoing.source
-    stacked = ExactMatrix.hstack([outgoing.matrix, outgoing.target.relations])
-    kernel_part = _top_rows(kernel(stacked), middle.generator_count)
-    image = ExactMatrix.hstack([incoming.matrix, middle.relations])
-    return SmithSolver(image).solve_matrix(kernel_part) is not None
-
-
 def is_exact_at(incoming: ModuleMap, outgoing: ModuleMap) -> bool:
-    """im(incoming) = ker(outgoing) in the shared middle module."""
-    return (outgoing.compose(incoming).is_zero()
-            and kernel_inside_image(incoming, outgoing))
+    """im(incoming) = ker(outgoing), the kernel read off outgoing.image."""
+    if not outgoing.compose(incoming).is_zero():
+        return False
+    kernel = outgoing.image.snf.kernel_with_relations()[0]
+    return incoming.image.solve_matrix(
+        _top_rows(kernel, outgoing.source.generator_count)) is not None

@@ -10,8 +10,8 @@ import weakref
 
 import pytest
 
-from twistcap import (cap, chains, covers, fpmodules, localsystems, matrices,
-                      mv)
+from twistcap import (cap, chains, complexes, covers, fpmodules, localsystems,
+                      matrices, mv)
 from twistcap.acceptance import (NONORIENTABLE, cap_identity_failures,
                                  phi_rows)
 from twistcap.cap import boundary_identity_check, cap_setting, verify_duality
@@ -57,22 +57,28 @@ def count_factorizations(monkeypatch):
     return calls
 
 
-def count_presentation_eliminations(monkeypatch):
-    """The `_euclid_core` calls made while `homology_presentation` runs."""
+def count_calls_under(monkeypatch, owner, name, caller):
+    """The calls to owner.name made while the function `caller` runs."""
     calls = []
-    original = matrices._euclid_core
-    code = fpmodules.homology_presentation.__code__
+    original = getattr(owner, name)
+    code = caller.__code__
 
     def counting(*args):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not code:
             frame = frame.f_back
         if frame is not None:
-            calls.append(args[1:3])
+            calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(matrices, "_euclid_core", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_presentation_eliminations(monkeypatch):
+    """The `_euclid_core` calls made while `homology_presentation` runs."""
+    return count_calls_under(monkeypatch, matrices, "_euclid_core",
+                             fpmodules.homology_presentation)
 
 
 def fresh(name):
@@ -254,6 +260,55 @@ def test_is_isomorphism_reads_the_cokernel_witness_off_u_inverse(monkeypatch):
     stacked = ExactMatrix.hstack([f.matrix, module.relations])
     witness = ExactMatrix.from_columns(Z, [result.cokernel_witness], stacked.rows)
     assert matrices.SmithSolver(stacked).solve_matrix(witness) is None
+
+
+def test_is_isomorphism_reads_the_image_the_map_owns(monkeypatch):
+    module = FPModule(Z, 2, ExactMatrix(Z, [[4], [0]]))
+    f = ModuleMap(module, module, ExactMatrix(Z, [[3, 1], [0, 1]]))
+    image = f.image
+    calls = count_calls(monkeypatch, matrices, "smith_normal_form")
+    assert is_isomorphism(f).isomorphism
+    assert f.image is image and calls == []
+
+
+def test_each_map_of_an_mv_sequence_is_factored_once(monkeypatch):
+    # every interior node reads the images of its two maps, so each map
+    # meets two nodes but is factored once
+    M, pair = mv.named_cover("torus", "cylinders")
+    solvers = count_calls_under(monkeypatch, matrices.SmithSolver, "__init__",
+                                fpmodules.is_exact_at)
+    report = mv.mv_homology(pair, constant_system(M, Z))
+    assert report.all_exact
+    assert len(solvers) == len(report.maps)
+
+
+def test_a_warm_mv_triple_factors_only_map_images_and_sums(monkeypatch):
+    M, pair = mv.named_cover("torus", "cylinders")
+    G = constant_system(M, Z)
+
+    def triple():
+        return (mv.mv_homology(pair, G), mv.mv_cohomology(pair, G),
+                mv.splitting_holds(pair, G))
+
+    first = triple()
+    calls = count_factorizations(monkeypatch)
+    second = triple()
+    # 20 map images (10 maps in each sequence) and 6 direct sums
+    assert len(calls) == 26
+    assert [r.exactness for r in second[:2]] == \
+        [r.exactness for r in first[:2]]
+    assert second[2] == first[2]
+
+
+def test_relative_pairs_are_keyed_by_the_vertices_they_kill(monkeypatch):
+    M = fresh("klein")
+    G = constant_system(M, Z)
+    first = chains.homology(M, G, 1, FullSubcomplex(M, {0, 1, 2}))
+    built = count_calls(monkeypatch, complexes.Subcomplex, "__init__")
+    assert chains.homology(M, G, 1, FullSubcomplex(M, [2, 1, 0])) is first
+    assert built == []
+    everything = FullSubcomplex(M, range(M.vertex_count))
+    assert chains.relative_killed(M, everything) is None
 
 
 def test_split_exactness_factors_six_matrices_per_degree(monkeypatch):

@@ -148,6 +148,22 @@ def test_exactness_checker():
     assert not is_exact_at(times4, proj)
 
 
+def test_maps_compose_only_through_the_same_middle_module():
+    # M1 and M2 are both Z, presented on different generators; f and g are
+    # isomorphisms, yet g.matrix @ f.matrix is zero, so composing through a
+    # merely equal middle module would give a wrong zero map
+    M1 = FPModule(Z, 2, imat([[1], [0]]))
+    M2 = FPModule(Z, 2, imat([[0], [1]]))
+    free = FPModule(Z, 1)
+    f = ModuleMap(free, M1, imat([[0], [1]]))
+    g = ModuleMap(M2, free, imat([[1, 0]]))
+    assert M1 == M2 and is_isomorphism(f) and is_isomorphism(g)
+    for check in (lambda: g.compose(f), lambda: is_exact_at(f, g),
+                  lambda: f.equals(ModuleMap(free, M2, f.matrix))):
+        with pytest.raises(TwistcapError, match="composition mismatch"):
+            check()
+
+
 def test_vectors_of_the_wrong_length_are_rejected():
     rows, _, _ = boundary_matrix([(0, 1), (1, 2), (0, 2)], 1)
     pres = homology_presentation(empty_in(Z, 3), imat(rows))

@@ -12,7 +12,14 @@ No module may import a name it never uses; the package __init__ re-exports
 by importing, so it is exempt.  Every import of the package sits at module
 level, so the import graph can be read off the top of each file.  Every
 true division in the package has an explicit ``Fraction(...)`` call as its
-left operand: over Q an ``int / int`` quotient would be a float.
+left operand: over Q an ``int / int`` quotient would be a float.  Every
+factorization site is named: each call by bare name to ``smith_normal_form``,
+``SmithSolver``, ``kernel_with_relations``, ``kernel`` or ``inverse`` in the
+package, with its module and enclosing function, is in ``FACTORIZATION_SITES``,
+and every entry there is such a call, so a new site fails until it is listed
+on purpose.  A method of a decomposition, such as
+``snf.kernel_with_relations()``, reads a factorization already made and is
+not a site.
 """
 
 import ast
@@ -170,3 +177,49 @@ def test_every_true_division_starts_from_a_fraction():
                 floats.append(f"{path.name}:{node.lineno}")
     assert not floats, "true division without a Fraction on the left: " \
         + ", ".join(floats)
+
+
+FACTORING = {"smith_normal_form", "SmithSolver", "kernel_with_relations",
+             "kernel", "inverse"}
+
+# (module, enclosing function, callee) of every call that factors a matrix
+FACTORIZATION_SITES = {
+    ("acceptance", "check_smith_kernel", "smith_normal_form"),
+    ("covers", "_short_exact", "SmithSolver"),
+    ("covers", "check_split_exactness", "SmithSolver"),
+    ("fpmodules", "FPModule.__init__", "SmithSolver"),
+    ("fpmodules", "ModuleMap.image", "SmithSolver"),
+    ("fpmodules", "homology_presentation", "smith_normal_form"),
+    ("localsystems", "LocalSystem.__init__", "inverse"),
+    ("localsystems", "gauge_transform", "inverse"),
+    ("localsystems", "random_sign_cocycle", "kernel"),
+    ("matrices", "SmithSolver.__init__", "smith_normal_form"),
+    ("matrices", "inverse", "SmithSolver"),
+    ("matrices", "kernel", "kernel_with_relations"),
+    ("matrices", "kernel_with_relations", "smith_normal_form"),
+}
+
+
+def _factorization_calls(node, scope, module):
+    """(module, enclosing function, callee) of each factoring call below
+    `node`; `scope` names the enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+              and child.func.id in FACTORING):
+            yield module, ".".join(scope) or "<module>", child.func.id
+        yield from _factorization_calls(child, inner, module)
+
+
+def test_every_factorization_site_is_listed():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.update(_factorization_calls(tree, (), path.stem))
+    unlisted = sorted(found - FACTORIZATION_SITES)
+    gone = sorted(FACTORIZATION_SITES - found)
+    assert not unlisted, f"unlisted factorization sites: {unlisted}"
+    assert not gone, f"listed factorization sites that are gone: {gone}"
