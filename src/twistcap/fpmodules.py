@@ -11,6 +11,12 @@ it works on matrices of that size.  A presentation costs two factorizations,
 of d_out and of the raw relations: the coordinates of a cycle on the kernel
 generators are read off V^-1 of d_out, so the kernel is never factored, and
 induced maps check boundaries on the Smith basis, so they factor nothing.
+V^-1 of d_out is the one transform a presentation builds whole.  The
+generator chains are V of d_out applied to as many columns as there are
+generators, and the coordinate map is the kept rows of U of the relations
+(the kept columns of U^-1 give the generator chains); each is read off the
+logs of its elimination by replaying them backward from those vectors, so
+the presentation pays no fill for the rows and columns it drops.
 Each presentation is memoized on its d_out matrix, so a boundary pair that a
 PairComplex owns is presented once for as long as the complex lives.
 
@@ -108,8 +114,9 @@ class FPModule:
 
     def zero_classes(self, classes: ExactMatrix) -> bool:
         """True when every column of `classes` is the zero class: the one
-        zero-class test, a single solve against the relations."""
-        return self._rel_solver.solve_matrix(classes) is not None
+        zero-class test, a single solve against the relations, which stops
+        once it knows a solution exists."""
+        return self._rel_solver.solve_diagonal(classes) is not None
 
     def is_zero_class(self, coords) -> bool:
         return self.zero_classes(self._class_column(coords))
@@ -212,7 +219,10 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     of D, so the positions whose invariant factor is a unit carry nothing
     and are dropped.  The kept positions are the Smith basis: generator
     chains K @ U^-1[:, kept] (K the kernel generators as columns),
-    coordinates U[kept, :].
+    coordinates U[kept, :].  Only V_out^-1 is built whole: U[kept, :] and
+    U^-1[:, kept] are read off the row log of R's elimination, and the
+    chains are V_out applied to len(kept) columns, read off the column log
+    of d_out's.
 
     The result is memoized on d_out and returned again for the same d_in
     object.  The memo holds d_in, so its id cannot be reused while the memo
@@ -245,15 +255,14 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     # generator chain g is column kept[g] of K @ U^-1 = V_out @ C, where
     # C[j, g] = a_j * U^-1[t, kept[g]] at the kernel position j = positions[t]
     combos = [{} for _ in range(d_out.cols)]
-    for g, i in enumerate(kept):
-        for t, w in snf.U_inv[i].items():
+    for g, column in enumerate(snf.u_inv_columns(kept)):
+        for t, w in column.items():
             j, a = positions[t]
             c = ring.normalize(a * w)
             if c:
                 combos[j][g] = c
-    cycles = out_snf.V @ ExactMatrix._from_rows(ring, combos, len(kept))
-    coords = ExactMatrix._from_rows(ring, [snf.U.sparse_rows[i] for i in kept],
-                                    len(positions))
+    cycles = out_snf.v_apply(ExactMatrix._from_rows(ring, combos, len(kept)))
+    coords = snf.u_rows(kept)
     memo = HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
                                 d_in, d_out)
     d_out._presentation = memo

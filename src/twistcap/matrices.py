@@ -14,27 +14,32 @@ share them.  `.data` is a dense tuple-of-tuples view, built on each read and
 never stored, for the few readers that want every cell (certificate hashes,
 serialization); over Q it renders every cell as a Fraction.
 
-The Smith form eliminates on the same storage: rows of the working matrix,
-of U and of V^-1 are dicts of their nonzeros, V and U^-1 are held as sparse
-columns, and column swaps permute indices.  The pivot rule is the
-minimal-pivot one that keeps integer growth tame, and the elementary
-operations are exactly those of a dense sweep, so the transforms (and every
-kernel basis and certificate derived from them) do not depend on the
-storage.  One integer elimination serves all three rings, and
+The Smith form eliminates on the same storage: the rows of the working
+matrix are dicts of their nonzeros, and column swaps permute indices.  The
+pivot rule is the minimal-pivot one that keeps integer growth tame, and the
+elementary operations are exactly those of a dense sweep, so the transforms
+(and every kernel basis and certificate derived from them) do not depend on
+the storage.  One integer elimination serves all three rings, and
 smith_normal_form is its one wrapper: over Q it clears the denominators of
 each row by a row scale, and then, in one loop for every ring, scales each
 pivot by a unit to the canonical generator of its ideal (|d| over Z,
 gcd(d, m) over Z/m, 1 over Q).
 
-Every decomposition carries its transforms: smith_normal_form returns U, D, V
-with U @ A @ V == D, U and V invertible, and the diagonal of D a divisibility
-chain, together with U^-1 as sparse columns and V^-1 as sparse rows, which
-the elimination updates alongside U and V (a row operation on U is a column
-operation on U^-1, a column operation on V a row operation on V^-1).
+The elimination updates the working matrix only and records what it does: a
+row log of row operations and swaps, and a column log of column operations.
+smith_normal_form returns D and those logs, with U @ A @ V == D, U and V
+invertible, and the diagonal of D a divisibility chain.  U, U^-1 (as sparse
+columns), V and V^-1 (as sparse rows) are each built from their log the
+first time they are read and kept from then on.  A reader that needs only a
+few rows of U, a few columns of U^-1 or V times a few columns replays a log
+backward from just those vectors (u_rows, u_inv_columns, v_apply), so a
+homology presentation pays for the parts of the transforms it keeps.
 kernel_with_relations and SmithSolver build on it; together they are the
 only linear-algebra primitives the homology layer needs.  SmithSolver has one
 solve, solve_matrix, which takes every right-hand side as a matrix: a
-question about one vector is asked of a one-column matrix.
+question about one vector is asked of a one-column matrix.  solve_diagonal
+is that solve short of its last product with V, for a caller that only asks
+whether a solution exists.
 """
 
 from __future__ import annotations
@@ -216,6 +221,8 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise TwistcapError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if not other.cols:
+            return ExactMatrix.zeros(self.ring, self.rows, 0)
         m = self.ring.modulus
         norm = self.ring.normalize if self.ring.kind == RATIONALS else None
         orows = other.sparse_rows
@@ -309,22 +316,198 @@ def block_diag(ring, blocks) -> ExactMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _axpy(dst, src, q, m):
+    """dst -= q * src over the nonzeros of src, reducing mod m when m is
+    given; q != 0.  Zeros are never stored."""
+    get = dst.get
+    if m:
+        for k, v in src.items():
+            x = (get(k, 0) - q * v) % m
+            if x:
+                dst[k] = x
+            else:
+                dst.pop(k, None)
+    else:
+        for k, v in src.items():
+            x = get(k, 0) - q * v
+            if x:
+                dst[k] = x
+            else:
+                del dst[k]  # q * v != 0, so the entry was stored
+
+
+def _transpose(vectors, count):
+    """`count` dicts, the g-th holding {k: x} for every vectors[k][g] == x."""
+    out = [{} for _ in range(count)]
+    for k, vec in enumerate(vectors):
+        for g, x in vec.items():
+            out[g][k] = x
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class SmithDecomposition:
-    U: ExactMatrix
+    """U @ A @ V == D, with U and V kept as the logs of the elimination.
+
+    `row_log` lists the row operations in order: (i, t, q) with q != 0 is
+    row i -= q * row t, and (i, k, 0) swaps rows i and k.  `col_log` lists
+    the column operations (pj, pt, q), column pj -= q * column pt, on
+    physical columns; column swaps only move `phys`, where phys[j] is the
+    physical column that ends as column j.  Over Q, row i of A was scaled by
+    `scales[i]` before the elimination, and `units[t]` = (u, u^-1) scaled
+    pivot t to its canonical generator.  So U is diag(units) @ E @
+    diag(scales), E the product of the row operations, and V is the product
+    of the column operations followed by the permutation phys.
+
+    U, U_inv (sparse columns), V and V_inv (sparse rows) are each built on
+    first read by replaying their log forward, and kept.  u_rows,
+    u_inv_columns and v_apply read parts of them by replaying a log
+    backward from the vectors asked for, and build no whole transform.
+    """
     D: ExactMatrix
-    V: ExactMatrix
     u_det: object
     v_det: object
-    U_inv: tuple  # columns of U^-1, each a dict row -> nonzero entry
-    V_inv: tuple  # rows of V^-1, each a dict column -> nonzero entry
+    row_log: tuple
+    col_log: tuple
+    phys: tuple
+    scales: dict  # row -> its scale, for the rows of a Q matrix not integral
+    units: dict  # pivot position t -> (u, u^-1)
+
+    # -- whole transforms, replayed forward on first read ------------------
+
+    @cached_property
+    def U(self) -> ExactMatrix:
+        r, m = self.D.rows, self.D.ring.modulus
+        rows = [{i: 1} for i in range(r)]
+        for i, t, q in self.row_log:
+            if q:
+                _axpy(rows[i], rows[t], q, m)
+            else:
+                rows[i], rows[t] = rows[t], rows[i]
+        return ExactMatrix._from_rows(self.D.ring,
+                                      self._finish_u_rows(rows, range(r)), r)
+
+    @cached_property
+    def U_inv(self) -> tuple:
+        """The columns of U^-1, each a dict row -> nonzero entry."""
+        r, m = self.D.rows, self.D.ring.modulus
+        cols = [{i: 1} for i in range(r)]
+        for i, t, q in self.row_log:
+            # row i -= q * row t of U is column t += q * column i of U^-1
+            if q:
+                _axpy(cols[t], cols[i], -q, m)
+            else:
+                cols[i], cols[t] = cols[t], cols[i]
+        return self._finish_u_inv_columns(cols, range(r))
+
+    @cached_property
+    def V(self) -> ExactMatrix:
+        c, m = self.D.cols, self.D.ring.modulus
+        cols = [{j: 1} for j in range(c)]  # by physical column
+        for pj, pt, q in self.col_log:
+            _axpy(cols[pj], cols[pt], q, m)
+        rows = [{} for _ in range(c)]
+        for j, p in enumerate(self.phys):
+            for i, v in cols[p].items():
+                rows[i][j] = v
+        return ExactMatrix._from_rows(self.D.ring, rows, c)
+
+    @cached_property
+    def V_inv(self) -> tuple:
+        """The rows of V^-1, each a dict column -> nonzero entry."""
+        c, m = self.D.cols, self.D.ring.modulus
+        rows = [{j: 1} for j in range(c)]  # by physical column of V
+        for pj, pt, q in self.col_log:
+            # column pj -= q * column pt of V is row pt += q * row pj of V^-1
+            _axpy(rows[pt], rows[pj], -q, m)
+        return tuple(rows[p] for p in self.phys)
+
+    # -- parts of transforms, replayed backward ----------------------------
+
+    def u_rows(self, idx) -> ExactMatrix:
+        """Rows idx of U.  A row x of E takes x[t] -= q * x[i] for each row
+        operation, the last first; the scales and units come after."""
+        r, m = self.D.rows, self.D.ring.modulus
+        X = [{} for _ in range(r)]  # X[k][g]: entry k of row idx[g]
+        for g, k in enumerate(idx):
+            X[k][g] = 1
+        for i, t, q in reversed(self.row_log):
+            if not q:
+                X[i], X[t] = X[t], X[i]
+            elif X[i]:
+                _axpy(X[t], X[i], q, m)
+        rows = self._finish_u_rows(_transpose(X, len(idx)), idx)
+        return ExactMatrix._from_rows(self.D.ring, rows, r)
+
+    def u_inv_columns(self, idx) -> tuple:
+        """Columns idx of U^-1, as dicts like those of U_inv.  A column y
+        takes y[i] += q * y[t] for each row operation, the last first; then
+        row i is divided by its scale and column t times u^-1."""
+        r, m = self.D.rows, self.D.ring.modulus
+        Y = [{} for _ in range(r)]  # Y[i][g]: entry i of column idx[g]
+        for g, k in enumerate(idx):
+            Y[k][g] = 1
+        for i, t, q in reversed(self.row_log):
+            if not q:
+                Y[i], Y[t] = Y[t], Y[i]
+            elif Y[t]:
+                _axpy(Y[i], Y[t], -q, m)
+        return self._finish_u_inv_columns(_transpose(Y, len(idx)), idx)
+
+    def v_apply(self, Z: ExactMatrix) -> ExactMatrix:
+        """V @ Z.  Row j of Z moves to physical column phys[j], then z[pt]
+        -= q * z[pj] for each column operation, the last first."""
+        ring = self.D.ring
+        if Z.rows != self.D.cols:
+            raise TwistcapError("shape mismatch in V @ Z")
+        m = ring.modulus
+        P = [None] * Z.rows
+        for j, p in enumerate(self.phys):
+            P[p] = dict(Z.sparse_rows[j])
+        for pj, pt, q in reversed(self.col_log):
+            if P[pj]:
+                _axpy(P[pt], P[pj], q, m)
+        if ring.kind == RATIONALS:
+            norm = ring.normalize
+            P = [{k: norm(x) for k, x in row.items()} for row in P]
+        return ExactMatrix._from_rows(ring, P, Z.cols)
+
+    def _finish_u_rows(self, rows, idx):
+        """Rows idx of E, as `rows`, made rows of U: column i times its
+        scale, then row t times its unit u."""
+        scales, units = self.scales, self.units
+        norm = self.D.ring.normalize
+        if scales:
+            rows = [{j: x * scales.get(j, 1) for j, x in row.items()}
+                    for row in rows]
+        for g, t in enumerate(idx):
+            if t in units:
+                u = units[t][0]
+                rows[g] = {j: norm(x * u) for j, x in rows[g].items()}
+        return rows
+
+    def _finish_u_inv_columns(self, cols, idx):
+        """Columns idx of E^-1, as `cols`, made columns of U^-1: row i
+        divided by its scale, then column t times u^-1."""
+        scales, units = self.scales, self.units
+        norm = self.D.ring.normalize
+        if scales:
+            cols = [{i: norm(Fraction(x, scales[i])) if i in scales else x
+                     for i, x in col.items()} for col in cols]
+        for g, t in enumerate(idx):
+            if t in units:
+                u_inv = units[t][1]
+                cols[g] = {i: norm(x * u_inv) for i, x in cols[g].items()}
+        return tuple(cols)
+
+    # -- reads of the diagonal ---------------------------------------------
 
     def u_inverse_column(self, j):
         """Column j of U^-1 as a dense tuple: the element of the row space
         that U sends to the j-th unit vector."""
         ring = self.D.ring
-        col = [ring.zero] * self.U.rows
-        for i, x in self.U_inv[j].items():
+        col = [ring.zero] * self.D.rows
+        for i, x in self.u_inv_columns((j,))[0].items():
             col[i] = x
         return tuple(col)
 
@@ -421,18 +604,19 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     The integer elimination runs on canonical lifts: over Z/m reducing mod
     m, over Q on the rows of A each multiplied by a row scale, the least
     common denominator of its entries.  No transform is converted to
-    Fractions: the elimination of diag(scales) @ A gives U, V, V^-1 and the
-    determinants in integers, U takes the scales into its columns and
-    U^-1 divides its row i by scales[i], which touches only the rows whose
-    scale is not 1 (none for the integral boundary matrices).  Each pivot d
-    is then scaled to the canonical generator of its ideal -- |d| over Z,
-    gcd(d, m) over Z/m, 1 over Q -- by the unit u that takes it there: row
-    t of U times u, column t of U^-1 times u^-1.
+    Fractions: the elimination of diag(scales) @ A is logged on integers, U
+    takes the scales into its columns and U^-1 divides its row i by
+    scales[i], which touches only the rows whose scale is not 1 (none for
+    the integral boundary matrices).  Each pivot d is then scaled to the
+    canonical generator of its ideal -- |d| over Z, gcd(d, m) over Z/m, 1
+    over Q -- by the unit u that takes it there: row t of U times u, column
+    t of U^-1 times u^-1.  The scales and units are recorded beside the
+    logs and applied wherever a transform is read.
     """
     ring = A.ring
     r, c = A.rows, A.cols
     rational = ring.kind == RATIONALS
-    scales = {}  # row -> its scale, for the rows of a Q matrix not integral
+    scales = {}
     S = []
     for i, row in enumerate(A.sparse_rows):
         denom = 1
@@ -446,16 +630,12 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
             scales[i] = denom
             S.append({j: x.numerator * (denom // x.denominator)
                       for j, x in row.items()})
-    U, W, V, Y, udet, vdet = _euclid_core(S, r, c, ring.modulus)
+    row_log, col_log, phys, udet, vdet = _euclid_core(S, r, c, ring.modulus)
     norm = ring.normalize
-    if scales:
-        # U scales column i by scales[i], so U^-1 divides row i by it
-        U = [{j: x * scales.get(j, 1) for j, x in row.items()} for row in U]
-        W = [{i: norm(Fraction(x, scales[i])) if i in scales else x
-              for i, x in col.items()} for col in W]
-        for s in scales.values():
-            udet *= s
+    for s in scales.values():
+        udet *= s
 
+    units = {}
     for t in range(min(r, c)):
         d = S[t].get(t)
         if not d:
@@ -464,28 +644,23 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
         if g == d:
             continue
         u = ring.unit_scaling_to_canonical(d)
-        u_inv = ring.divide(ring.one, u)
+        units[t] = (u, ring.divide(ring.one, u))
         S[t][t] = g  # D is diagonal
-        U[t] = {j: norm(x * u) for j, x in U[t].items()}
-        W[t] = {i: norm(x * u_inv) for i, x in W[t].items()}
         udet = norm(udet * u)
     return SmithDecomposition(
-        ExactMatrix._from_rows(ring, U, r), ExactMatrix._from_rows(ring, S, c),
-        ExactMatrix._from_rows(ring, V, c), norm(udet), norm(vdet),
-        tuple(W), tuple(Y))
+        ExactMatrix._from_rows(ring, S, c), norm(udet), norm(vdet),
+        tuple(row_log), tuple(col_log), tuple(phys), scales, units)
 
 
 def _euclid_core(S, r, c, m):
     """Minimal-pivot integer elimination on the r x c matrix whose rows are
     the dicts S ({column: nonzero}, plain ints, in range(m) when m is given).
 
-    Mutates S to the rows of the diagonal D and returns (U, U_inv, V, V_inv,
-    udet, vdet) with U @ A @ V == D over Z, reducing mod m throughout when m
-    is given.  The pivots are left as the elimination finds them;
-    smith_normal_form scales each to its canonical form.  U and V are lists
-    of sparse rows like S, U_inv is U^-1 as a list of sparse columns (dicts
-    row -> nonzero entry) and V_inv is V^-1 as a list of sparse rows (dicts
-    column -> nonzero).
+    Mutates S to the rows of the diagonal D and returns (row_log, col_log,
+    phys, udet, vdet), the operations that take A to D over Z, reducing mod
+    m throughout when m is given, in the form SmithDecomposition reads.  The
+    pivots are left as the elimination finds them; smith_normal_form scales
+    each to its canonical form.
 
     The pivot is the first entry of least absolute value in row-major order
     (columns in their current order).  Its column is cleared downward and its
@@ -494,49 +669,25 @@ def _euclid_core(S, r, c, m):
     Another pivot order would change V, hence kernel bases and certificate
     hashes downstream.
 
-    Row and column operations touch only nonzero entries: V and U^-1 are
-    kept as sparse columns while the elimination runs, and a column swap
-    only updates the map between logical and physical (dict key) columns
-    that S, V and the rows of V^-1 share.  Zeros are never stored.  Each
-    operation on the rows of U is mirrored on the columns of U^-1, and each
-    operation on the columns of V on the rows of V^-1, so neither inverse
-    needs a solve.
+    Only the working matrix is eliminated, and row and column operations
+    touch only its nonzero entries.  Each row operation and row swap is
+    appended to the row log and each column operation to the column log, on
+    physical (dict key) columns; a column swap only updates the map between
+    logical and physical columns.  No transform is kept while the
+    elimination runs: each is built from its log when it is read.
     """
-    U = [{i: 1} for i in range(r)]  # rows of U
-    W = [{i: 1} for i in range(r)]  # columns of U^-1
-    V = [{j: 1} for j in range(c)]  # columns of V, by physical column
-    Y = [{j: 1} for j in range(c)]  # rows of V^-1, by physical column of V
+    row_log = []  # (i, t, q): row i -= q * row t; (i, k, 0): swap i and k
+    col_log = []  # (pj, pt, q): physical column pj -= q * column pt
     phys = list(range(c))  # logical column -> physical column
     logical = list(range(c))  # physical column -> logical column
     udet = vdet = 1
 
-    def axpy(dst, src, q):
-        # dst -= q * src over the nonzeros of src; q != 0
-        get = dst.get
-        if m:
-            for k, v in src.items():
-                x = (get(k, 0) - q * v) % m
-                if x:
-                    dst[k] = x
-                else:
-                    dst.pop(k, None)
-        else:
-            for k, v in src.items():
-                x = get(k, 0) - q * v
-                if x:
-                    dst[k] = x
-                else:
-                    del dst[k]  # q * v != 0, so the entry was stored
-
     def rowop(i, t, q):
-        # row i -= q * row t, so column t of U^-1 += q * its column i
-        axpy(S[i], S[t], q)
-        axpy(U[i], U[t], q)
-        axpy(W[t], W[i], -q)
+        _axpy(S[i], S[t], q, m)
+        row_log.append((i, t, q))
 
     def colop(pj, pt, q, holders):
-        # column pj -= q * column pt, so row pt of V^-1 += q * its row pj;
-        # holders are the rows storing column pt
+        # column pj -= q * column pt; holders are the rows storing column pt
         for i in holders:
             Si = S[i]
             x = Si.get(pj, 0) - q * Si[pt]
@@ -546,14 +697,12 @@ def _euclid_core(S, r, c, m):
                 Si[pj] = x
             else:
                 Si.pop(pj, None)
-        axpy(V[pj], V[pt], q)
-        axpy(Y[pt], Y[pj], -q)
+        col_log.append((pj, pt, q))
 
     def swap_rows(i, k):
         nonlocal udet
         S[i], S[k] = S[k], S[i]
-        U[i], U[k] = U[k], U[i]
-        W[i], W[k] = W[k], W[i]
+        row_log.append((i, k, 0))
         udet = -udet
 
     def swap_cols(j, k):
@@ -635,14 +784,10 @@ def _euclid_core(S, r, c, m):
                 break
             rowop(t, fold, -1)  # row_t += row_fold
 
-    # back to logical columns: D in place, V from its columns to its rows
+    # back to logical columns: D in place
     for i, Si in enumerate(S):
         S[i] = {logical[k]: v for k, v in Si.items()}
-    Vrows = [{} for _ in range(c)]
-    for j in range(c):
-        for i, v in V[phys[j]].items():
-            Vrows[i][j] = v
-    return U, W, Vrows, [Y[phys[j]] for j in range(c)], udet, vdet
+    return row_log, col_log, phys, udet, vdet
 
 
 # ---------------------------------------------------------------------------
@@ -674,26 +819,23 @@ class SmithSolver:
         """Trusted constructor for the rows x len(invariants) matrix with the
         invariants on its diagonal.  They must be a divisibility chain in
         canonical form, read off a Smith form, so the matrix is its own Smith
-        form and nothing is factored.  Every transform is the identity, so
-        U, U^-1, V and V^-1 share the rows of one identity matrix (cols <=
-        rows)."""
-        one = ring.one
+        form and nothing is factored: the logs are empty, so every transform
+        is the identity."""
         cols = len(invariants)
         D = ExactMatrix._from_rows(
             ring, [{i: invariants[i]} if i < cols and invariants[i] else {}
                    for i in range(rows)], cols)
-        ident = ExactMatrix.identity(ring, rows)
-        units = ident.sparse_rows
         solver = object.__new__(cls)
         solver.A = D
         solver.ring = ring
-        solver.snf = SmithDecomposition(
-            ident, D, ExactMatrix._from_rows(ring, units[:cols], cols),
-            one, one, units, units[:cols])
+        solver.snf = SmithDecomposition(D, ring.one, ring.one, (), (),
+                                        tuple(range(cols)), {}, {})
         return solver
 
-    def solve_matrix(self, B: ExactMatrix):
-        """An X with A @ X == B, or None when some column of B has none."""
+    def solve_diagonal(self, B: ExactMatrix):
+        """A Y with D @ Y == U @ B, or None when some column of B has no X
+        with A @ X == B: the solve up to its last product, X = V @ Y, for
+        callers that only ask whether X exists."""
         ring = self.ring
         snf = self.snf
         if B.rows != self.A.rows:
@@ -713,7 +855,12 @@ class SmithSolver:
                     return None
                 if q:
                     yrow[j] = q
-        return snf.V @ ExactMatrix._from_rows(ring, Y, B.cols)
+        return ExactMatrix._from_rows(ring, Y, B.cols)
+
+    def solve_matrix(self, B: ExactMatrix):
+        """An X with A @ X == B, or None when some column of B has none."""
+        Y = self.solve_diagonal(B)
+        return None if Y is None else self.snf.V @ Y
 
 
 def inverse(A: ExactMatrix) -> ExactMatrix:

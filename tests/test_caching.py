@@ -148,6 +148,56 @@ def test_homology_presentation_factors_two_matrices(monkeypatch):
     assert calls[0] == (d_out,)
 
 
+def record_transform_builds(monkeypatch):
+    """(decomposition, name) for each whole transform, U, U_inv, V or V_inv,
+    that a Smith decomposition builds from its logs."""
+    built = []
+    cls = matrices.SmithDecomposition
+    for name in ("U", "U_inv", "V", "V_inv"):
+        lazy = cls.__dict__[name]
+
+        def read(self, lazy=lazy, name=name):
+            if name not in self.__dict__:
+                built.append((self, name))
+            return lazy.__get__(self, type(self))
+
+        monkeypatch.setattr(cls, name, property(read))
+    return built
+
+
+def record_factorizations(monkeypatch):
+    """The decompositions smith_normal_form returns inside fpmodules."""
+    made = []
+    original = fpmodules.smith_normal_form
+
+    def recording(A):
+        made.append(original(A))
+        return made[-1]
+
+    monkeypatch.setattr(fpmodules, "smith_normal_form", recording)
+    return made
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Q], ids=str)
+@pytest.mark.parametrize("name", ["rp2", "klein"])
+def test_a_presentation_builds_only_v_inverse_of_d_out(monkeypatch, ring,
+                                                       name):
+    # the transform rows and columns a presentation keeps are read off the
+    # logs; V^-1 of d_out is the one transform built whole
+    M = fresh(name)
+    pc = pair_complex(M, orientation_system(M, ring))
+    for k in range(3):
+        d_in, d_out = pc.boundary(k + 1), pc.boundary(k)
+        made = record_factorizations(monkeypatch)
+        built = record_transform_builds(monkeypatch)
+        pres = homology_presentation(d_in, d_out)
+        assert len(made) == 2 and made[0].D.rows == d_out.rows
+        assert built == [(made[0], "V_inv")]
+        assert pres.class_matrix(pres.cycles) == ExactMatrix.identity(
+            ring, pres.module.generator_count)
+        monkeypatch.undo()
+
+
 def test_repeated_duality_presents_nothing_again(monkeypatch):
     M = fresh("klein")
     G = random_flat_system(M, Zmod(3), 2, seed=1)

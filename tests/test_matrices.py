@@ -1,13 +1,13 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistcap import complexes, matrices
+from twistcap import complexes
 from twistcap.matrices import (ExactMatrix, SmithSolver, block_diag,
                                inverse, kernel,
                                kernel_with_relations, smith_normal_form)
@@ -303,24 +303,68 @@ def _reference_core(M, r, c, m):
     return U, Uinv_columns, V, Vinv_rows, udet, vdet
 
 
-def _reference_on_sparse_rows(S, r, c, m):
-    """_reference_core behind the interface of the sparse core: densify the
-    rows S, run the dense sweep, and hand D (in S), U and V back as sparse
-    rows."""
-    M = [[row.get(j, 0) for j in range(c)] for row in S]
-    U, U_inv, V, V_inv, udet, vdet = _reference_core(M, r, c, m)
+@dataclass(frozen=True)
+class _Reference:
+    """The transforms of a Smith form, fully built."""
+    D: ExactMatrix
+    U: ExactMatrix
+    U_inv: tuple  # columns of U^-1, each a dict row -> nonzero entry
+    V: ExactMatrix
+    V_inv: tuple  # rows of V^-1, each a dict column -> nonzero entry
+    u_det: object
+    v_det: object
 
-    def sparse(rows):
-        return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
-    S[:] = sparse(M)
-    return sparse(U), U_inv, sparse(V), V_inv, udet, vdet
+def transforms(snf):
+    """D, U, U^-1, V and V^-1 of a decomposition as built on read, with the
+    determinants, in the form of the reference."""
+    return _Reference(snf.D, snf.U, tuple(snf.U_inv), snf.V,
+                      tuple(snf.V_inv), snf.u_det, snf.v_det)
 
 
 def reference_snf(A):
-    """smith_normal_form(A) computed with the dense reference core."""
-    with mock.patch.object(matrices, "_euclid_core", _reference_on_sparse_rows):
-        return smith_normal_form(A)
+    """The Smith form of A from the dense reference core, with the wrapper
+    that smith_normal_form put around its core when the core returned whole
+    transforms: Q rows lifted by their row scales, then each pivot scaled by
+    the unit that takes it to its canonical generator."""
+    ring = A.ring
+    r, c = A.rows, A.cols
+    norm = ring.normalize
+    scales = {}
+    M = []
+    for i, row in enumerate(A.sparse_rows):
+        denom = 1
+        if ring.kind == RATIONALS:
+            for x in row.values():
+                if type(x) is not int:
+                    denom = denom * x.denominator // gcd(denom, x.denominator)
+        if denom != 1:
+            scales[i] = denom
+        M.append([int(row.get(j, 0) * denom) for j in range(c)])
+    U, W, V, Y, udet, vdet = _reference_core(M, r, c, ring.modulus)
+    U = [{j: x for j, x in enumerate(row) if x} for row in U]
+    S = [{j: x for j, x in enumerate(row) if x} for row in M]
+    V = [{j: x for j, x in enumerate(row) if x} for row in V]
+    if scales:
+        U = [{j: x * scales.get(j, 1) for j, x in row.items()} for row in U]
+        W = [{i: norm(Fraction(x, scales[i])) if i in scales else x
+              for i, x in col.items()} for col in W]
+        for s in scales.values():
+            udet *= s
+    for t in range(min(r, c)):
+        d = S[t].get(t)
+        if not d or ring.canonical_generator(d) == d:
+            continue
+        u = ring.unit_scaling_to_canonical(d)
+        u_inv = ring.divide(ring.one, u)
+        S[t][t] = ring.canonical_generator(d)
+        U[t] = {j: norm(x * u) for j, x in U[t].items()}
+        W[t] = {i: norm(x * u_inv) for i, x in W[t].items()}
+        udet = norm(udet * u)
+    return _Reference(
+        ExactMatrix._from_rows(ring, S, c), ExactMatrix._from_rows(ring, U, r),
+        tuple(W), ExactMatrix._from_rows(ring, V, c), tuple(Y), norm(udet),
+        norm(vdet))
 
 
 def build(ring, rows, r, c):
@@ -378,7 +422,7 @@ def test_snf_matches_frozen_reference(ring, data):
     r, c, rows = data.draw(matrix_rows(ring))
     A = build(ring, rows, r, c)
     snf = smith_normal_form(A)
-    assert snf == reference_snf(A)
+    assert transforms(snf) == reference_snf(A)
     assert snf.verify(A)
     if r <= 4 and c <= 4:
         got = [ring.canonical_generator(d) for d in snf.diagonal()]
@@ -428,7 +472,7 @@ def test_snf_of_boundary_matrices_matches_reference(ring, surface):
         rows = boundary_matrix(facets, k)[0]
         for A in (ExactMatrix(ring, rows), ExactMatrix(ring, zip(*rows))):
             snf = smith_normal_form(A)
-            assert snf == reference_snf(A)
+            assert transforms(snf) == reference_snf(A)
             assert snf.verify(A)
 
 
@@ -450,6 +494,114 @@ def test_snf_fold_path_matches_reference(ring, rows, diagonal):
     assert (snf.u_det, snf.v_det) == (ref.u_det, ref.v_det)
     assert [int(d) for d in snf.diagonal()] == diagonal
     assert snf.verify(A)
+
+
+# ---------------------------------------------------------------------------
+# Parts of the transforms, read by replaying the logs backward
+# ---------------------------------------------------------------------------
+
+PARTIAL_RINGS = [Z, Zmod(12), Zmod(10007), Q]
+WHOLE = ("U", "U_inv", "V", "V_inv")
+
+
+def assert_partial_reads_match(snf, idx, B):
+    """u_rows(idx), u_inv_columns(idx) and v_apply(B), read while no whole
+    transform is built, equal the rows of U, the columns of U^-1 and V @ B,
+    with every entry stored in canonical form."""
+    ring = snf.D.ring
+    rows, columns, applied = (snf.u_rows(idx), snf.u_inv_columns(idx),
+                              snf.v_apply(B))
+    assert not [name for name in WHOLE if name in snf.__dict__]
+    assert rows == ExactMatrix._from_rows(
+        ring, [snf.U.sparse_rows[i] for i in idx], snf.D.rows)
+    assert columns == tuple(snf.U_inv[i] for i in idx)
+    assert applied == snf.V @ B
+    stored = [x for part in (rows.sparse_rows, columns, applied.sparse_rows)
+              for vec in part for x in vec.values()]
+    norm = ring.normalize
+    assert all(x and x == norm(x) and type(x) is type(norm(x))
+               for x in stored)
+
+
+@st.composite
+def positions_and_rhs(draw, ring, r, c):
+    """Distinct positions in range(r), in any order, and a c-row matrix."""
+    idx = draw(st.lists(st.integers(0, r - 1), unique=True, max_size=r)
+               if r else st.just([]))
+    n = draw(st.integers(0, 3))
+    entry = SMALL
+    if ring.kind == RATIONALS:
+        entry = st.builds(Fraction, SMALL, st.sampled_from([1, 2, 3]))
+    return idx, build(ring, [[draw(entry) for _ in range(n)]
+                             for _ in range(c)], c, n)
+
+
+@pytest.mark.parametrize("ring", PARTIAL_RINGS, ids=str)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_partial_reads_match_the_whole_transforms(ring, data):
+    # matrix_rows draws empty matrices and, over Q, rows that are not
+    # integral, so row scales apply
+    r, c, rows = data.draw(matrix_rows(ring))
+    snf = smith_normal_form(build(ring, rows, r, c))
+    idx, B = data.draw(positions_and_rhs(ring, r, c))
+    assert_partial_reads_match(snf, idx, B)
+
+
+@st.composite
+def swap_heavy_rows(draw, ring):
+    """A matrix whose entries sit on a random permutation and a few more
+    cells.  Row 0 holds only entries that are not +-1 in any of the rings
+    and the last row holds a 1, so the first pivot is swapped up; the other
+    entries are ones the pivots may not divide, so the elimination swaps and
+    folds."""
+    n = draw(st.integers(2, 6))
+    perm = draw(st.permutations(range(n)))
+    big = st.sampled_from([2, 3, 4, 6, -9])
+    anything = st.sampled_from([-1, 1, 2, 3, 4, 6, -9])
+    rows = [[0] * n for _ in range(n)]
+    cells = list(enumerate(perm)) + [
+        (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        for _ in range(draw(st.integers(0, n)))]
+    for i, j in cells:
+        rows[i][j] = draw(big if i == 0 else anything)
+    rows[n - 1][perm[n - 1]] = 1
+    if ring.kind == RATIONALS:
+        rows[1:] = [[Fraction(x, draw(st.sampled_from([1, 2]))) for x in row]
+                    for row in rows[1:]]
+    return n, rows
+
+
+@pytest.mark.parametrize("ring", PARTIAL_RINGS, ids=str)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_partial_reads_match_on_swap_heavy_matrices(ring, data):
+    n, rows = data.draw(swap_heavy_rows(ring))
+    A = ExactMatrix(ring, rows)
+    snf = smith_normal_form(A)
+    assert snf.row_log and any(q == 0 for _, _, q in snf.row_log)
+    idx, B = data.draw(positions_and_rhs(ring, n, n))
+    assert_partial_reads_match(snf, idx, B)
+
+
+@pytest.mark.parametrize("ring", PARTIAL_RINGS, ids=str)
+@pytest.mark.parametrize("rows,shape", [
+    ([], (0, 0)), ([], (0, 3)), ([[], [], []], (3, 0)),
+    # the fold path, and rows of Q that are not integral
+    ([[2, 0], [0, 3]], (2, 2)), ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (3, 3)),
+    ([[0, 3, 2], [5, 0, 7]], (2, 3)),
+    ([[0, Fraction(1, 2)], [Fraction(2, 3), 1], [1, Fraction(5, 6)]], (3, 2)),
+], ids=str)
+def test_partial_reads_of_every_position(ring, rows, shape):
+    r, c = shape
+    rows = [[ring.normalize(x) for x in row] for row in rows]
+    A = ExactMatrix(ring, rows) if r else ExactMatrix.zeros(ring, 0, c)
+    snf = smith_normal_form(A)
+    ident = ExactMatrix.identity(ring, c)
+    assert_partial_reads_match(snf, list(reversed(range(r))), ident)
+    assert snf.v_apply(ident) == snf.V
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(12), Q], ids=str)
