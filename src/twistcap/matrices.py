@@ -33,7 +33,8 @@ columns), V and V^-1 (as sparse rows) are each built from their log the
 first time they are read and kept from then on.  A reader that needs only a
 few rows of U, a few columns of U^-1 or V times a few columns replays a log
 backward from just those vectors (u_rows, u_inv_columns, v_apply), so a
-homology presentation pays for the parts of the transforms it keeps.
+homology presentation pays for the parts of the transforms it keeps; U^-1
+and V whole are the same reads over every position.
 kernel_with_relations and SmithSolver build on it; together they are the
 only linear-algebra primitives the homology layer needs.  SmithSolver has one
 solve, solve_matrix, which takes every right-hand side as a matrix: a
@@ -359,10 +360,11 @@ class SmithDecomposition:
     diag(scales), E the product of the row operations, and V is the product
     of the column operations followed by the permutation phys.
 
-    U, U_inv (sparse columns), V and V_inv (sparse rows) are each built on
-    first read by replaying their log forward, and kept.  u_rows,
-    u_inv_columns and v_apply read parts of them by replaying a log
-    backward from the vectors asked for, and build no whole transform.
+    u_rows, u_inv_columns and v_apply read parts of the transforms by
+    replaying a log backward from the vectors asked for, and build no whole
+    transform.  U_inv (sparse columns) and V are those reads over every
+    position, while U and V_inv (sparse rows) replay their logs forward;
+    each is built on first read and kept.
     """
     D: ExactMatrix
     u_det: object
@@ -373,10 +375,12 @@ class SmithDecomposition:
     scales: dict  # row -> its scale, for the rows of a Q matrix not integral
     units: dict  # pivot position t -> (u, u^-1)
 
-    # -- whole transforms, replayed forward on first read ------------------
+    # -- whole transforms, built on first read -----------------------------
 
     @cached_property
     def U(self) -> ExactMatrix:
+        # Replayed forward: u_rows over every row transposes the whole of U
+        # at the end, which costs small solvers more than this loop.
         r, m = self.D.rows, self.D.ring.modulus
         rows = [{i: 1} for i in range(r)]
         for i, t, q in self.row_log:
@@ -390,27 +394,11 @@ class SmithDecomposition:
     @cached_property
     def U_inv(self) -> tuple:
         """The columns of U^-1, each a dict row -> nonzero entry."""
-        r, m = self.D.rows, self.D.ring.modulus
-        cols = [{i: 1} for i in range(r)]
-        for i, t, q in self.row_log:
-            # row i -= q * row t of U is column t += q * column i of U^-1
-            if q:
-                _axpy(cols[t], cols[i], -q, m)
-            else:
-                cols[i], cols[t] = cols[t], cols[i]
-        return self._finish_u_inv_columns(cols, range(r))
+        return self.u_inv_columns(range(self.D.rows))
 
     @cached_property
     def V(self) -> ExactMatrix:
-        c, m = self.D.cols, self.D.ring.modulus
-        cols = [{j: 1} for j in range(c)]  # by physical column
-        for pj, pt, q in self.col_log:
-            _axpy(cols[pj], cols[pt], q, m)
-        rows = [{} for _ in range(c)]
-        for j, p in enumerate(self.phys):
-            for i, v in cols[p].items():
-                rows[i][j] = v
-        return ExactMatrix._from_rows(self.D.ring, rows, c)
+        return self.v_apply(ExactMatrix.identity(self.D.ring, self.D.cols))
 
     @cached_property
     def V_inv(self) -> tuple:
@@ -467,7 +455,11 @@ class SmithDecomposition:
         for pj, pt, q in reversed(self.col_log):
             if P[pj]:
                 _axpy(P[pt], P[pj], q, m)
-        if ring.kind == RATIONALS:
+        # every q is an integer, so over Q only a Fraction in Z can leave an
+        # entry out of canonical form
+        if ring.kind == RATIONALS and any(
+                type(x) is not int for row in Z.sparse_rows
+                for x in row.values()):
             norm = ring.normalize
             P = [{k: norm(x) for k, x in row.items()} for row in P]
         return ExactMatrix._from_rows(ring, P, Z.cols)

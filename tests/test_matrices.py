@@ -504,18 +504,21 @@ PARTIAL_RINGS = [Z, Zmod(12), Zmod(10007), Q]
 WHOLE = ("U", "U_inv", "V", "V_inv")
 
 
-def assert_partial_reads_match(snf, idx, B):
+def assert_partial_reads_match(A, idx, B):
     """u_rows(idx), u_inv_columns(idx) and v_apply(B), read while no whole
     transform is built, equal the rows of U, the columns of U^-1 and V @ B,
-    with every entry stored in canonical form."""
-    ring = snf.D.ring
+    both as the decomposition builds them whole and as the dense reference
+    builds them, with every entry stored in canonical form."""
+    ring = A.ring
+    snf = smith_normal_form(A)
     rows, columns, applied = (snf.u_rows(idx), snf.u_inv_columns(idx),
                               snf.v_apply(B))
     assert not [name for name in WHOLE if name in snf.__dict__]
-    assert rows == ExactMatrix._from_rows(
-        ring, [snf.U.sparse_rows[i] for i in idx], snf.D.rows)
-    assert columns == tuple(snf.U_inv[i] for i in idx)
-    assert applied == snf.V @ B
+    for whole in (transforms(snf), reference_snf(A)):
+        assert rows == ExactMatrix._from_rows(
+            ring, [whole.U.sparse_rows[i] for i in idx], A.rows)
+        assert columns == tuple(whole.U_inv[i] for i in idx)
+        assert applied == whole.V @ B
     stored = [x for part in (rows.sparse_rows, columns, applied.sparse_rows)
               for vec in part for x in vec.values()]
     norm = ring.normalize
@@ -544,9 +547,8 @@ def test_partial_reads_match_the_whole_transforms(ring, data):
     # matrix_rows draws empty matrices and, over Q, rows that are not
     # integral, so row scales apply
     r, c, rows = data.draw(matrix_rows(ring))
-    snf = smith_normal_form(build(ring, rows, r, c))
     idx, B = data.draw(positions_and_rhs(ring, r, c))
-    assert_partial_reads_match(snf, idx, B)
+    assert_partial_reads_match(build(ring, rows, r, c), idx, B)
 
 
 @st.composite
@@ -583,7 +585,7 @@ def test_partial_reads_match_on_swap_heavy_matrices(ring, data):
     snf = smith_normal_form(A)
     assert snf.row_log and any(q == 0 for _, _, q in snf.row_log)
     idx, B = data.draw(positions_and_rhs(ring, n, n))
-    assert_partial_reads_match(snf, idx, B)
+    assert_partial_reads_match(A, idx, B)
 
 
 @pytest.mark.parametrize("ring", PARTIAL_RINGS, ids=str)
@@ -598,10 +600,9 @@ def test_partial_reads_of_every_position(ring, rows, shape):
     r, c = shape
     rows = [[ring.normalize(x) for x in row] for row in rows]
     A = ExactMatrix(ring, rows) if r else ExactMatrix.zeros(ring, 0, c)
-    snf = smith_normal_form(A)
     ident = ExactMatrix.identity(ring, c)
-    assert_partial_reads_match(snf, list(reversed(range(r))), ident)
-    assert snf.v_apply(ident) == snf.V
+    assert_partial_reads_match(A, list(reversed(range(r))), ident)
+    assert smith_normal_form(A).v_apply(ident) == reference_snf(A).V
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(12), Q], ids=str)
