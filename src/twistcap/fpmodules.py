@@ -11,12 +11,13 @@ it works on matrices of that size.  A presentation costs two factorizations,
 of d_out and of the raw relations: the coordinates of a cycle on the kernel
 generators are read off V^-1 of d_out, so the kernel is never factored, and
 induced maps check boundaries on the Smith basis, so they factor nothing.
-V^-1 of d_out is the one transform a presentation builds whole.  The
-generator chains are V of d_out applied to as many columns as there are
-generators, and the coordinate map is the kept rows of U of the relations
-(the kept columns of U^-1 give the generator chains); each is read off the
-logs of its elimination by replaying them backward from those vectors, so
-the presentation pays no fill for the rows and columns it drops.
+A presentation builds no transform whole.  The kernel rows of V^-1 of d_out
+give the cycle coordinates, the generator chains are V of d_out applied to
+as many columns as there are generators, and the coordinate map is the kept
+rows of U of the relations (the kept columns of U^-1 give the generator
+chains); each is read off the logs of its elimination by replaying them
+backward from those vectors, so the presentation pays no fill for the rows
+and columns it drops.
 Each presentation is memoized on its d_out matrix, so a boundary pair that a
 PairComplex owns is presented once for as long as the complex lives.
 
@@ -219,10 +220,10 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     of D, so the positions whose invariant factor is a unit carry nothing
     and are dropped.  The kept positions are the Smith basis: generator
     chains K @ U^-1[:, kept] (K the kernel generators as columns),
-    coordinates U[kept, :].  Only V_out^-1 is built whole: U[kept, :] and
-    U^-1[:, kept] are read off the row log of R's elimination, and the
-    chains are V_out applied to len(kept) columns, read off the column log
-    of d_out's.
+    coordinates U[kept, :].  No transform is built whole: the kernel rows
+    of V_out^-1 and the chains, V_out applied to len(kept) columns, are read
+    off the column log of d_out's elimination, and U[kept, :] and
+    U^-1[:, kept] off the row log of R's.
 
     The result is memoized on d_out and returned again for the same d_in
     object.  The memo holds d_in, so its id cannot be reused while the memo
@@ -240,7 +241,7 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     ring = d_in.ring
     out_snf = smith_normal_form(d_out)
     positions = out_snf.kernel_positions
-    kernel_rows = tuple(out_snf.V_inv[j] for j, _ in positions)
+    kernel_rows = out_snf.v_inv_rows([j for j, _ in positions])
     divisors = tuple(a for _, a in positions)
     X = _kernel_coordinates(kernel_rows, divisors, d_in)
     snf = smith_normal_form(ExactMatrix.hstack([X, out_snf.kernel_relations()]))

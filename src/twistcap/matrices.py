@@ -28,13 +28,15 @@ gcd(d, m) over Z/m, 1 over Q).
 The elimination updates the working matrix only and records what it does: a
 row log of row operations and swaps, and a column log of column operations.
 smith_normal_form returns D and those logs, with U @ A @ V == D, U and V
-invertible, and the diagonal of D a divisibility chain.  U, U^-1 (as sparse
-columns), V and V^-1 (as sparse rows) are each built from their log the
-first time they are read and kept from then on.  A reader that needs only a
-few rows of U, a few columns of U^-1 or V times a few columns replays a log
-backward from just those vectors (u_rows, u_inv_columns, v_apply), so a
-homology presentation pays for the parts of the transforms it keeps; U^-1
-and V whole are the same reads over every position.
+invertible, and the diagonal of D a divisibility chain.  The transforms are
+kept as these products of elementary operations (the product form of the
+inverse, Dantzig & Orchard-Hays 1954) and only ever applied to the vectors a
+reader asks for: U @ B replays the row log forward on the rows of B
+(u_apply), and rows of U, columns of U^-1, V @ Z and rows of V^-1 replay a
+log backward from just those vectors (u_rows, u_inv_columns, v_apply,
+v_inv_rows).  So a solve pays for its right-hand sides and a homology
+presentation for the parts of the transforms it keeps, and the library
+builds no transform whole.
 kernel_with_relations and SmithSolver build on it; together they are the
 only linear-algebra primitives the homology layer needs.  SmithSolver has one
 solve, solve_matrix, which takes every right-hand side as a matrix: a
@@ -346,6 +348,18 @@ def _transpose(vectors, count):
     return out
 
 
+def _canonical_q(ring, B, rows):
+    """`rows`, read off a log with B as the operand, in canonical form.
+    Every logged q is an integer, so over Q only a Fraction in B can leave
+    an entry out of it."""
+    if ring.kind == RATIONALS and any(type(x) is not int
+                                      for row in B.sparse_rows
+                                      for x in row.values()):
+        norm = ring.normalize
+        return [{k: norm(x) for k, x in row.items()} for row in rows]
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class SmithDecomposition:
     """U @ A @ V == D, with U and V kept as the logs of the elimination.
@@ -360,11 +374,12 @@ class SmithDecomposition:
     diag(scales), E the product of the row operations, and V is the product
     of the column operations followed by the permutation phys.
 
-    u_rows, u_inv_columns and v_apply read parts of the transforms by
-    replaying a log backward from the vectors asked for, and build no whole
-    transform.  U_inv (sparse columns) and V are those reads over every
-    position, while U and V_inv (sparse rows) replay their logs forward;
-    each is built on first read and kept.
+    Each transform is read only through its log, on the vectors asked
+    for: u_apply (U @ B) replays the row log forward on the rows of B,
+    while u_rows, u_inv_columns, v_apply (V @ Z) and v_inv_rows replay a
+    log backward.  Nothing builds or keeps a whole transform: U and V are
+    u_apply and v_apply of the identity, read anew each time, for verify
+    and the perfbench tracer.
     """
     D: ExactMatrix
     u_det: object
@@ -375,47 +390,43 @@ class SmithDecomposition:
     scales: dict  # row -> its scale, for the rows of a Q matrix not integral
     units: dict  # pivot position t -> (u, u^-1)
 
-    # -- whole transforms, built on first read -----------------------------
+    # -- whole transforms, for verify ----------------------------------------
 
-    @cached_property
+    @property
     def U(self) -> ExactMatrix:
-        # Replayed forward: u_rows over every row transposes the whole of U
-        # at the end, which costs small solvers more than this loop.
-        r, m = self.D.rows, self.D.ring.modulus
-        rows = [{i: 1} for i in range(r)]
-        for i, t, q in self.row_log:
-            if q:
-                _axpy(rows[i], rows[t], q, m)
-            else:
-                rows[i], rows[t] = rows[t], rows[i]
-        return ExactMatrix._from_rows(self.D.ring,
-                                      self._finish_u_rows(rows, range(r)), r)
+        return self.u_apply(ExactMatrix.identity(self.D.ring, self.D.rows))
 
-    @cached_property
-    def U_inv(self) -> tuple:
-        """The columns of U^-1, each a dict row -> nonzero entry."""
-        return self.u_inv_columns(range(self.D.rows))
-
-    @cached_property
+    @property
     def V(self) -> ExactMatrix:
         return self.v_apply(ExactMatrix.identity(self.D.ring, self.D.cols))
 
-    @cached_property
-    def V_inv(self) -> tuple:
-        """The rows of V^-1, each a dict column -> nonzero entry."""
-        c, m = self.D.cols, self.D.ring.modulus
-        rows = [{j: 1} for j in range(c)]  # by physical column of V
-        for pj, pt, q in self.col_log:
-            # column pj -= q * column pt of V is row pt += q * row pj of V^-1
-            _axpy(rows[pt], rows[pj], -q, m)
-        return tuple(rows[p] for p in self.phys)
+    # -- reads of the transforms, replayed from their logs ------------------
 
-    # -- parts of transforms, replayed backward ----------------------------
+    def u_apply(self, B: ExactMatrix) -> ExactMatrix:
+        """U @ B.  Row i of B is multiplied by its scale, then row i -= q *
+        row t for each row operation, the first first, and row t times its
+        unit u."""
+        ring = self.D.ring
+        if B.rows != self.D.rows:
+            raise TwistcapError("shape mismatch in U @ B")
+        m, norm, scales = ring.modulus, ring.normalize, self.scales
+        X = [{k: x * scales[i] for k, x in row.items()} if i in scales
+             else dict(row) for i, row in enumerate(B.sparse_rows)]
+        for i, t, q in self.row_log:
+            if not q:
+                X[i], X[t] = X[t], X[i]
+            elif X[t]:
+                _axpy(X[i], X[t], q, m)
+        for t, (u, _) in self.units.items():
+            X[t] = {k: norm(x * u) for k, x in X[t].items()}
+        return ExactMatrix._from_rows(ring, _canonical_q(ring, B, X), B.cols)
 
     def u_rows(self, idx) -> ExactMatrix:
         """Rows idx of U.  A row x of E takes x[t] -= q * x[i] for each row
-        operation, the last first; the scales and units come after."""
+        operation, the last first; then column i is multiplied by its scale
+        and row t by its unit u."""
         r, m = self.D.rows, self.D.ring.modulus
+        norm, scales, units = self.D.ring.normalize, self.scales, self.units
         X = [{} for _ in range(r)]  # X[k][g]: entry k of row idx[g]
         for g, k in enumerate(idx):
             X[k][g] = 1
@@ -424,14 +435,22 @@ class SmithDecomposition:
                 X[i], X[t] = X[t], X[i]
             elif X[i]:
                 _axpy(X[t], X[i], q, m)
-        rows = self._finish_u_rows(_transpose(X, len(idx)), idx)
+        rows = _transpose(X, len(idx))
+        if scales:
+            rows = [{j: x * scales.get(j, 1) for j, x in row.items()}
+                    for row in rows]
+        for g, t in enumerate(idx):
+            if t in units:
+                u = units[t][0]
+                rows[g] = {j: norm(x * u) for j, x in rows[g].items()}
         return ExactMatrix._from_rows(self.D.ring, rows, r)
 
     def u_inv_columns(self, idx) -> tuple:
-        """Columns idx of U^-1, as dicts like those of U_inv.  A column y
-        takes y[i] += q * y[t] for each row operation, the last first; then
-        row i is divided by its scale and column t times u^-1."""
+        """Columns idx of U^-1, each a dict row -> nonzero entry.  A column
+        y takes y[i] += q * y[t] for each row operation, the last first;
+        then row i is divided by its scale and column t times u^-1."""
         r, m = self.D.rows, self.D.ring.modulus
+        norm, scales, units = self.D.ring.normalize, self.scales, self.units
         Y = [{} for _ in range(r)]  # Y[i][g]: entry i of column idx[g]
         for g, k in enumerate(idx):
             Y[k][g] = 1
@@ -440,7 +459,15 @@ class SmithDecomposition:
                 Y[i], Y[t] = Y[t], Y[i]
             elif Y[t]:
                 _axpy(Y[i], Y[t], -q, m)
-        return self._finish_u_inv_columns(_transpose(Y, len(idx)), idx)
+        cols = _transpose(Y, len(idx))
+        if scales:
+            cols = [{i: norm(Fraction(x, scales[i])) if i in scales else x
+                     for i, x in col.items()} for col in cols]
+        for g, t in enumerate(idx):
+            if t in units:
+                u_inv = units[t][1]
+                cols[g] = {i: norm(x * u_inv) for i, x in cols[g].items()}
+        return tuple(cols)
 
     def v_apply(self, Z: ExactMatrix) -> ExactMatrix:
         """V @ Z.  Row j of Z moves to physical column phys[j], then z[pt]
@@ -455,42 +482,20 @@ class SmithDecomposition:
         for pj, pt, q in reversed(self.col_log):
             if P[pj]:
                 _axpy(P[pt], P[pj], q, m)
-        # every q is an integer, so over Q only a Fraction in Z can leave an
-        # entry out of canonical form
-        if ring.kind == RATIONALS and any(
-                type(x) is not int for row in Z.sparse_rows
-                for x in row.values()):
-            norm = ring.normalize
-            P = [{k: norm(x) for k, x in row.items()} for row in P]
-        return ExactMatrix._from_rows(ring, P, Z.cols)
+        return ExactMatrix._from_rows(ring, _canonical_q(ring, Z, P), Z.cols)
 
-    def _finish_u_rows(self, rows, idx):
-        """Rows idx of E, as `rows`, made rows of U: column i times its
-        scale, then row t times its unit u."""
-        scales, units = self.scales, self.units
-        norm = self.D.ring.normalize
-        if scales:
-            rows = [{j: x * scales.get(j, 1) for j, x in row.items()}
-                    for row in rows]
-        for g, t in enumerate(idx):
-            if t in units:
-                u = units[t][0]
-                rows[g] = {j: norm(x * u) for j, x in rows[g].items()}
-        return rows
-
-    def _finish_u_inv_columns(self, cols, idx):
-        """Columns idx of E^-1, as `cols`, made columns of U^-1: row i
-        divided by its scale, then column t times u^-1."""
-        scales, units = self.scales, self.units
-        norm = self.D.ring.normalize
-        if scales:
-            cols = [{i: norm(Fraction(x, scales[i])) if i in scales else x
-                     for i, x in col.items()} for col in cols]
-        for g, t in enumerate(idx):
-            if t in units:
-                u_inv = units[t][1]
-                cols[g] = {i: norm(x * u_inv) for i, x in cols[g].items()}
-        return tuple(cols)
+    def v_inv_rows(self, idx) -> tuple:
+        """Rows idx of V^-1, each a dict column -> nonzero entry.  Row j
+        starts as row phys[j] of the identity and takes x[pj] += q * x[pt]
+        for each column operation, the last first."""
+        X = [{} for _ in range(self.D.cols)]  # X[p][g]: entry p of row idx[g]
+        for g, j in enumerate(idx):
+            X[self.phys[j]][g] = 1
+        m = self.D.ring.modulus
+        for pj, pt, q in reversed(self.col_log):
+            if X[pt]:
+                _axpy(X[pj], X[pt], -q, m)
+        return tuple(_transpose(X, len(idx)))
 
     # -- reads of the diagonal ---------------------------------------------
 
@@ -541,23 +546,15 @@ class SmithDecomposition:
         Over Z and Q the generators form a basis and the relation matrix is
         empty.  Over Z/m torsion kernels appear: a diagonal entry d with
         annihilator a contributes the generator a * (column of V) carrying
-        the relation annihilator(a).
+        the relation annihilator(a).  K is V applied to the selection with
+        entry a_j at row j, column n for the n-th kernel position j.
         """
-        ring = self.D.ring
-        one, norm = ring.one, ring.normalize
-        where = {j: (n, a) for n, (j, a) in enumerate(self.kernel_positions)}
-        rows = []
-        for vrow in self.V.sparse_rows:
-            row = {}
-            for j, x in vrow.items():
-                hit = where.get(j)
-                if hit is not None:
-                    n, a = hit
-                    y = x if a == one else norm(a * x)
-                    if y:
-                        row[n] = y
-            rows.append(row)
-        K = ExactMatrix._from_rows(ring, rows, len(where))
+        positions = self.kernel_positions
+        select = [{} for _ in range(self.D.cols)]
+        for n, (j, a) in enumerate(positions):
+            select[j][n] = a
+        K = self.v_apply(ExactMatrix._from_rows(self.D.ring, select,
+                                                len(positions)))
         return K, self.kernel_relations()
 
     def kernel_relations(self):
@@ -665,8 +662,8 @@ def _euclid_core(S, r, c, m):
     touch only its nonzero entries.  Each row operation and row swap is
     appended to the row log and each column operation to the column log, on
     physical (dict key) columns; a column swap only updates the map between
-    logical and physical columns.  No transform is kept while the
-    elimination runs: each is built from its log when it is read.
+    logical and physical columns.  No transform is built, here or later:
+    SmithDecomposition reads each off its log, on the vectors asked for.
     """
     row_log = []  # (i, t, q): row i -= q * row t; (i, k, 0): swap i and k
     col_log = []  # (pj, pt, q): physical column pj -= q * column pt
@@ -827,12 +824,13 @@ class SmithSolver:
     def solve_diagonal(self, B: ExactMatrix):
         """A Y with D @ Y == U @ B, or None when some column of B has no X
         with A @ X == B: the solve up to its last product, X = V @ Y, for
-        callers that only ask whether X exists."""
+        callers that only ask whether X exists.  U @ B is read off the row
+        log, so no solve builds U."""
         ring = self.ring
         snf = self.snf
         if B.rows != self.A.rows:
             raise TwistcapError("rhs row count mismatch")
-        C = snf.U @ B
+        C = snf.u_apply(B)
         diag = snf.diagonal()
         Y = [{} for _ in range(self.A.cols)]
         for i, crow in enumerate(C.sparse_rows):
@@ -852,7 +850,7 @@ class SmithSolver:
     def solve_matrix(self, B: ExactMatrix):
         """An X with A @ X == B, or None when some column of B has none."""
         Y = self.solve_diagonal(B)
-        return None if Y is None else self.snf.V @ Y
+        return None if Y is None else self.snf.v_apply(Y)
 
 
 def inverse(A: ExactMatrix) -> ExactMatrix:

@@ -19,7 +19,10 @@ package, with its module and enclosing function, is in ``FACTORIZATION_SITES``,
 and every entry there is such a call, so a new site fails until it is listed
 on purpose.  A method of a decomposition, such as
 ``snf.kernel_with_relations()``, reads a factorization already made and is
-not a site.
+not a site.  Every read of a whole transform, the attribute ``.U`` or ``.V``
+of a decomposition, is in ``WHOLE_TRANSFORM_READS`` (only
+``SmithDecomposition.verify``), so the solve and presentation paths keep
+reading transforms off their logs, on the vectors they need.
 """
 
 import ast
@@ -200,26 +203,50 @@ FACTORIZATION_SITES = {
 }
 
 
-def _factorization_calls(node, scope, module):
-    """(module, enclosing function, callee) of each factoring call below
-    `node`; `scope` names the enclosing classes and functions."""
+def _scoped(node, scope=()):
+    """(enclosing function, node) for each node below `node`; `scope` names
+    the enclosing classes and functions."""
     for child in ast.iter_child_nodes(node):
-        inner = scope
+        yield ".".join(scope) or "<module>", child
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
-            inner = scope + (child.name,)
-        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-              and child.func.id in FACTORING):
-            yield module, ".".join(scope) or "<module>", child.func.id
-        yield from _factorization_calls(child, inner, module)
+            yield from _scoped(child, scope + (child.name,))
+        else:
+            yield from _scoped(child, scope)
+
+
+def _package_nodes():
+    """(module, enclosing function, node) for every node of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for where, node in _scoped(tree):
+            yield path.stem, where, node
+
+
+def assert_listed(found, listed, what):
+    unlisted = sorted(found - listed)
+    gone = sorted(listed - found)
+    assert not unlisted, f"unlisted {what}: {unlisted}"
+    assert not gone, f"listed {what} that are gone: {gone}"
 
 
 def test_every_factorization_site_is_listed():
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found.update(_factorization_calls(tree, (), path.stem))
-    unlisted = sorted(found - FACTORIZATION_SITES)
-    gone = sorted(FACTORIZATION_SITES - found)
-    assert not unlisted, f"unlisted factorization sites: {unlisted}"
-    assert not gone, f"listed factorization sites that are gone: {gone}"
+    found = {(module, where, node.func.id)
+             for module, where, node in _package_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in FACTORING}
+    assert_listed(found, FACTORIZATION_SITES, "factorization sites")
+
+
+# (module, enclosing function, attribute) of every read of a whole transform
+WHOLE_TRANSFORM_READS = {
+    ("matrices", "SmithDecomposition.verify", "U"),
+    ("matrices", "SmithDecomposition.verify", "V"),
+}
+
+
+def test_only_verify_reads_a_whole_transform():
+    found = {(module, where, node.attr)
+             for module, where, node in _package_nodes()
+             if isinstance(node, ast.Attribute) and node.attr in ("U", "V")}
+    assert_listed(found, WHOLE_TRANSFORM_READS, "whole-transform reads")

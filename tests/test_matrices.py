@@ -316,10 +316,11 @@ class _Reference:
 
 
 def transforms(snf):
-    """D, U, U^-1, V and V^-1 of a decomposition as built on read, with the
-    determinants, in the form of the reference."""
-    return _Reference(snf.D, snf.U, tuple(snf.U_inv), snf.V,
-                      tuple(snf.V_inv), snf.u_det, snf.v_det)
+    """D, U, U^-1, V and V^-1 of a decomposition, each read off its log over
+    every position, with the determinants, in the form of the reference."""
+    return _Reference(snf.D, snf.U, snf.u_inv_columns(range(snf.D.rows)),
+                      snf.V, snf.v_inv_rows(range(snf.D.cols)), snf.u_det,
+                      snf.v_det)
 
 
 def reference_snf(A):
@@ -437,7 +438,8 @@ def test_snf_matches_frozen_reference(ring, data):
 def test_u_inverse_is_a_two_sided_inverse(ring, data):
     r, c, rows = data.draw(matrix_rows(ring))
     snf = smith_normal_form(build(ring, rows, r, c))
-    assert all(x for col in snf.U_inv for x in col.values())  # sparse
+    assert all(x for col in snf.u_inv_columns(range(r))
+               for x in col.values())  # sparse
     U_inv = ExactMatrix.from_columns(
         ring, [snf.u_inverse_column(j) for j in range(r)], r)
     ident = ExactMatrix.identity(ring, r)
@@ -452,10 +454,11 @@ def test_u_inverse_is_a_two_sided_inverse(ring, data):
 def test_v_inverse_is_a_two_sided_inverse(ring, data):
     r, c, rows = data.draw(matrix_rows(ring))
     snf = smith_normal_form(build(ring, rows, r, c))
-    assert all(x for row in snf.V_inv for x in row.values())  # sparse
+    rows_of_v_inv = snf.v_inv_rows(range(c))
+    assert all(x for row in rows_of_v_inv for x in row.values())  # sparse
     V_inv = ExactMatrix.from_columns(
-        ring, [[row.get(k, ring.zero) for row in snf.V_inv] for k in range(c)],
-        c)
+        ring, [[row.get(k, ring.zero) for row in rows_of_v_inv]
+               for k in range(c)], c)
     ident = ExactMatrix.identity(ring, c)
     assert snf.V @ V_inv == ident
     assert V_inv @ snf.V == ident
@@ -497,29 +500,35 @@ def test_snf_fold_path_matches_reference(ring, rows, diagonal):
 
 
 # ---------------------------------------------------------------------------
-# Parts of the transforms, read by replaying the logs backward
+# Parts of the transforms, read by replaying the logs
 # ---------------------------------------------------------------------------
 
 PARTIAL_RINGS = [Z, Zmod(12), Zmod(10007), Q]
-WHOLE = ("U", "U_inv", "V", "V_inv")
+WHOLE = ("U", "V")
 
 
-def assert_partial_reads_match(A, idx, B):
-    """u_rows(idx), u_inv_columns(idx) and v_apply(B), read while no whole
-    transform is built, equal the rows of U, the columns of U^-1 and V @ B,
-    both as the decomposition builds them whole and as the dense reference
-    builds them, with every entry stored in canonical form."""
+def assert_partial_reads_match(A, idx, B, jdx, C):
+    """u_rows(idx), u_inv_columns(idx), v_apply(B), v_inv_rows(jdx) and
+    u_apply(C), read while the decomposition keeps no whole transform,
+    equal the rows of U, the columns of U^-1, V @ B, the rows of V^-1 and
+    U @ C, both as the decomposition reads them over every position and as
+    the dense reference builds them, with every entry stored in canonical
+    form."""
     ring = A.ring
     snf = smith_normal_form(A)
     rows, columns, applied = (snf.u_rows(idx), snf.u_inv_columns(idx),
                               snf.v_apply(B))
+    v_inv_rows, u_applied = snf.v_inv_rows(jdx), snf.u_apply(C)
     assert not [name for name in WHOLE if name in snf.__dict__]
     for whole in (transforms(snf), reference_snf(A)):
         assert rows == ExactMatrix._from_rows(
             ring, [whole.U.sparse_rows[i] for i in idx], A.rows)
         assert columns == tuple(whole.U_inv[i] for i in idx)
         assert applied == whole.V @ B
-    stored = [x for part in (rows.sparse_rows, columns, applied.sparse_rows)
+        assert v_inv_rows == tuple(whole.V_inv[j] for j in jdx)
+        assert u_applied == whole.U @ C
+    stored = [x for part in (rows.sparse_rows, columns, applied.sparse_rows,
+                             v_inv_rows, u_applied.sparse_rows)
               for vec in part for x in vec.values()]
     norm = ring.normalize
     assert all(x and x == norm(x) and type(x) is type(norm(x))
@@ -548,7 +557,8 @@ def test_partial_reads_match_the_whole_transforms(ring, data):
     # integral, so row scales apply
     r, c, rows = data.draw(matrix_rows(ring))
     idx, B = data.draw(positions_and_rhs(ring, r, c))
-    assert_partial_reads_match(build(ring, rows, r, c), idx, B)
+    jdx, C = data.draw(positions_and_rhs(ring, c, r))
+    assert_partial_reads_match(build(ring, rows, r, c), idx, B, jdx, C)
 
 
 @st.composite
@@ -585,7 +595,8 @@ def test_partial_reads_match_on_swap_heavy_matrices(ring, data):
     snf = smith_normal_form(A)
     assert snf.row_log and any(q == 0 for _, _, q in snf.row_log)
     idx, B = data.draw(positions_and_rhs(ring, n, n))
-    assert_partial_reads_match(A, idx, B)
+    jdx, C = data.draw(positions_and_rhs(ring, n, n))
+    assert_partial_reads_match(A, idx, B, jdx, C)
 
 
 @pytest.mark.parametrize("ring", PARTIAL_RINGS, ids=str)
@@ -601,8 +612,24 @@ def test_partial_reads_of_every_position(ring, rows, shape):
     rows = [[ring.normalize(x) for x in row] for row in rows]
     A = ExactMatrix(ring, rows) if r else ExactMatrix.zeros(ring, 0, c)
     ident = ExactMatrix.identity(ring, c)
-    assert_partial_reads_match(A, list(reversed(range(r))), ident)
+    assert_partial_reads_match(A, list(reversed(range(r))), ident,
+                               list(reversed(range(c))),
+                               ExactMatrix.identity(ring, r))
     assert smith_normal_form(A).v_apply(ident) == reference_snf(A).V
+
+
+@pytest.mark.parametrize("rows,operand", [
+    # U @ C: row 1 -= row 0 takes 3/2 - 1/2 to an integral Fraction
+    ([[1, 0], [1, 1]], [[Fraction(1, 2)], [Fraction(3, 2)]]),
+    # V @ B: column 1 -= column 0 takes 1/2 - 3/2 to an integral Fraction
+    ([[1, 1]], [[Fraction(1, 2)], [Fraction(3, 2)]]),
+], ids=str)
+def test_reads_of_fraction_operands_store_canonical_entries(rows, operand):
+    A, B = ExactMatrix(Q, rows), ExactMatrix(Q, operand)
+    r, c = A.rows, A.cols
+    assert_partial_reads_match(
+        A, [], B if c == B.rows else ExactMatrix.zeros(Q, c, 0),
+        [], B if r == B.rows else ExactMatrix.zeros(Q, r, 0))
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(12), Q], ids=str)

@@ -94,8 +94,9 @@ def test_a_scaled_row_of_u_inverse_stores_integral_entries_as_ints():
     assert snf.verify(A)
     entries = [x for M in (snf.U, snf.D, snf.V) for row in M.sparse_rows
                for x in row.values()]
-    entries += [x for part in (snf.U_inv, snf.V_inv) for vec in part
-                for x in vec.values()]
+    entries += [x for part in (snf.u_inv_columns(range(2)),
+                               snf.v_inv_rows(range(2)))
+                for vec in part for x in vec.values()]
     entries += [snf.u_det, snf.v_det]
     assert not [x for x in entries if non_canonical(x)]
 
