@@ -44,7 +44,12 @@ class PairComplex:
     def __init__(self, base: SimplicialComplex, system: LocalSystem,
                  pool: Subcomplex | None = None,
                  killed: Subcomplex | FullSubcomplex | None = None):
-        ok, witness = validate_flatness(system)
+        # the verdict is checked once per system; a non-flat system keeps
+        # its verdict and raises on every construction
+        verdict = system._cache.get("flatness")
+        if verdict is None:
+            verdict = system._cache["flatness"] = validate_flatness(system)
+        ok, witness = verdict
         if not ok:
             raise FlatnessViolation(f"system is not flat at triangle {witness}")
         self.base = base

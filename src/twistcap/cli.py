@@ -5,6 +5,10 @@ self-describing header with the artifact version, ring, and input digests,
 and never include timestamps.  Exit codes: 0 when all requested checks pass,
 1 on a check failure (with a machine-readable FAIL line in the body), 2 on
 usage or input-format errors.
+
+A process that runs many commands builds each built-in complex, cover and
+diagram configuration once, and what is derived from them is memoized on
+them; every check a report prints is computed again on every run.
 """
 
 from __future__ import annotations
@@ -38,13 +42,22 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _complex_digest(cx) -> str:
+    """The digest of a complex's serialization, memoized on the complex, so
+    a built-in complex is serialized once per process."""
+    digest = cx._cache.get("digest")
+    if digest is None:
+        digest = cx._cache["digest"] = _digest(dumps_complex(cx))
+    return digest
+
+
 def _resolve_complex(spec: str):
     if spec in BUILTIN_NAMES:
         cx = named_complex(spec)
-        return cx, spec, _digest(dumps_complex(cx))
+        return cx, spec, _complex_digest(cx)
     if os.path.exists(spec):
         cx = load_complex(spec)
-        return cx, os.path.basename(spec), _digest(dumps_complex(cx))
+        return cx, os.path.basename(spec), _complex_digest(cx)
     raise UnknownName(f"unknown complex {spec!r} (not a builtin, not a file)")
 
 

@@ -17,7 +17,8 @@ as many columns as there are generators, and the coordinate map is the kept
 rows of U of the relations (the kept columns of U^-1 give the generator
 chains); each is read off the logs of its elimination by replaying them
 backward from those vectors, so the presentation pays no fill for the rows
-and columns it drops.
+and columns it drops.  A kernel row that is a unit vector e_c is kept as
+its column c, and selects row c of the chains.
 Each presentation is memoized on its d_out matrix, so a boundary pair that a
 PairComplex owns is presented once for as long as the complex lives.
 
@@ -184,17 +185,25 @@ def _kernel_coordinates(kernel_rows, divisors, cycles: ExactMatrix):
     """Coordinates of the columns of `cycles` on the kernel generators
     a_j * V[:, j]: (V^-1 @ cycles)[j, :] / a_j, from the sparse kernel rows
     of V^-1.  The entries of a cycle there lie in the ideal (a_j), so each
-    division is exact."""
+    division is exact.  A kernel row stored as a column c (see
+    `_compact_row`) selects row c of `cycles`, which is shared as it is
+    when a_j = 1, since rows are never mutated."""
     ring = cycles.ring
     norm, divide, zero = ring.normalize, ring.divide, ring.zero
     crows = cycles.sparse_rows
     out = []
     for row, a in zip(kernel_rows, divisors):
-        acc = {}
-        get = acc.get
-        for k, v in row.items():
-            for j, x in crows[k].items():
-                acc[j] = get(j, zero) + v * x
+        if isinstance(row, int):
+            acc = crows[row]
+            if a == ring.one:
+                out.append(acc)
+                continue
+        else:
+            acc = {}
+            get = acc.get
+            for k, v in row.items():
+                for j, x in crows[k].items():
+                    acc[j] = get(j, zero) + v * x
         quotients = {}
         for j, x in acc.items():
             x = norm(x)
@@ -205,6 +214,16 @@ def _kernel_coordinates(kernel_rows, divisors, cycles: ExactMatrix):
                 quotients[j] = q
         out.append(quotients)
     return ExactMatrix._from_rows(ring, out, cycles.cols)
+
+
+def _compact_row(row: dict):
+    """A kernel row of V^-1 equal to the unit vector {c: 1} as its column c;
+    any other row as it is."""
+    if len(row) == 1:
+        (c, v), = row.items()
+        if v == 1:
+            return c
+    return row
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
@@ -241,7 +260,8 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     ring = d_in.ring
     out_snf = smith_normal_form(d_out)
     positions = out_snf.kernel_positions
-    kernel_rows = out_snf.v_inv_rows([j for j, _ in positions])
+    kernel_rows = tuple(map(_compact_row, out_snf.v_inv_rows(
+        [j for j, _ in positions])))
     divisors = tuple(a for _, a in positions)
     X = _kernel_coordinates(kernel_rows, divisors, d_in)
     snf = smith_normal_form(ExactMatrix.hstack([X, out_snf.kernel_relations()]))

@@ -431,12 +431,19 @@ def _parse_entry(token: str, ring: RingSpec):
 
 
 def load_local_system(path, base) -> LocalSystem:
+    """The system a file describes on `base`, memoized on the base under the
+    file's text: a file read again builds nothing, and what is derived from
+    the system lives as long as the base, like a random flat system."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemFormatError(0, f"cannot read {path}: {exc}") from None
-    return loads_local_system(text, base)
+    key = ("load_local_system", text)
+    system = base._cache.get(key)
+    if system is None:
+        system = base._cache[key] = loads_local_system(text, base)
+    return system
 
 
 def dumps_local_system(system: LocalSystem) -> str:

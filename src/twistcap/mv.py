@@ -16,6 +16,16 @@ Connecting maps are computed on representatives by explicit chain splitting
 with a deterministic tie-break: anything lying in both A and B is assigned
 to A.  Exactness is certified node by node as submodule equality through the
 Smith machinery.
+
+Constructions are built once, and verdicts are re-derived on every call.
+The built-in covers and diagram configurations are memoized on their
+complexes, which last for the process; the MV spaces of a cover and a
+system on the cover; the transfers, row maps, splitting plans and each
+sequence's induced maps, direct sums and end maps on the spaces; the two
+covers of a diagram on its complex.  Each map owns the factorization of its
+image.  The connecting maps, exactness at every node, the splitting
+equation and the diagram's squares are computed again on every call from
+these pieces, so a fault in any of them shows on a repeated check too.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 from .cap import cap_matrix
 from .chains import (fundamental_class_direct, pair_complex,
                      transfer_matrix)
-from .complexes import (FullSubcomplex, Subcomplex, closed_star, corpus,
+from .complexes import (FullSubcomplex, Subcomplex, closed_star,
                         empty_subcomplex, named_complex, whole_subcomplex)
 from .errors import (CoboundariesDisagree, ConnectingChainEscapes,
                      ConnectingImageNotCycle, NotACover, TwistcapError,
@@ -100,9 +110,10 @@ class ExactSequenceReport:
 
 
 class _MVSpaces:
-    """The pair complexes a Mayer-Vietoris computation runs over, and the
-    transfers between them, each built once.  It keeps the cover's pieces
-    rather than the cover, which holds it in its cache."""
+    """The pair complexes a Mayer-Vietoris computation runs over, and what
+    is built from them once: transfers, row maps, splitting plans and the
+    sequences' non-connecting maps, all in `_cache`.  It keeps the cover's
+    pieces rather than the cover, which holds it in its cache."""
 
     def __init__(self, pair: CoverPair, G):
         X = pair.X
@@ -113,7 +124,7 @@ class _MVSpaces:
         self.right = pair_complex(X, G, pool=pair.B, killed=_maybe(pair.D))
         self.whole = pair_complex(X, G, killed=_maybe(pair.Y))
         self.absolute = pair_complex(X, G)
-        self._transfers = {}
+        self._cache = {}   # objects derived from these spaces
 
     def homology(self, pc, k) -> HomologyPresentation:
         return homology_presentation(pc.boundary(k + 1), pc.boundary(k))
@@ -123,9 +134,9 @@ class _MVSpaces:
 
     def transfer(self, src, dst, k) -> ExactMatrix:
         key = (src, dst, k)
-        m = self._transfers.get(key)
+        m = self._cache.get(key)
         if m is None:
-            m = self._transfers[key] = transfer_matrix(src, dst, k)
+            m = self._cache[key] = transfer_matrix(src, dst, k)
         return m
 
     def row_maps(self, first, last, k):
@@ -134,14 +145,14 @@ class _MVSpaces:
         intersection node carries the minus sign on its B part: the one
         place the sign is applied, once per matrix."""
         key = ("row", first, last, k)
-        maps = self._transfers.get(key)
+        maps = self._cache.get(key)
         if maps is None:
             sides = (self.left, self.right)
             into = [self.transfer(first, pc, k) for pc in sides]
             out = [self.transfer(pc, last, k) for pc in sides]
             signed = into if first is self.inter else out
             signed[1] = -signed[1]
-            maps = self._transfers[key] = (into, out)
+            maps = self._cache[key] = (into, out)
         return maps
 
     def split_chain(self, k, absolute_vec):
@@ -156,31 +167,45 @@ class _MVSpaces:
                     beta[i] = ring.zero
         return tuple(beta), tuple(gamma)
 
+    def split_plan(self, k):
+        """The (position, source) blocks that split_cochain copies in degree
+        k, built once: into beta the simplices of A inside B and outside C,
+        into gamma those inside C, each from its position in the
+        intersection pair."""
+        key = ("split_plan", k)
+        plan = self._cache.get(key)
+        if plan is None:
+            a_idx = self.inter.index(k)
+            to_beta = [(pos, a_idx[s])
+                       for pos, s in enumerate(self.left.space(k))
+                       if self.B.contains(s) and not self.C.contains(s)
+                       and s in a_idx]
+            to_gamma = [(pos, a_idx[s])
+                        for pos, s in enumerate(self.right.space(k))
+                        if self.C.contains(s) and s in a_idx]
+            plan = self._cache[key] = (to_beta, to_gamma)
+        return plan
+
     def split_cochain(self, k, alpha):
         """The explicit preimage (beta, gamma) with beta|^ - gamma|^ = alpha.
 
         beta copies alpha on simplices inside A^B that are not inside C;
-        gamma is minus alpha on simplices inside C; both vanish elsewhere.
-        The defining equation is re-checked exactly before returning.
+        gamma is minus alpha on simplices inside C; both vanish elsewhere
+        (`split_plan`).  The defining equation is re-checked exactly before
+        returning.
         """
         ring, r = self.ring, self.rank
         if len(alpha) != self.inter.length(k):
             raise TwistcapError(
                 "cochain length does not match the intersection pair")
-        a_idx = self.inter.index(k)
+        to_beta, to_gamma = self.split_plan(k)
         beta = [ring.zero] * self.left.length(k)
-        for pos, s in enumerate(self.left.space(k)):
-            if self.B.contains(s) and not self.C.contains(s):
-                src = a_idx.get(s)
-                if src is not None:
-                    beta[pos * r:(pos + 1) * r] = alpha[src * r:(src + 1) * r]
+        for pos, src in to_beta:
+            beta[pos * r:(pos + 1) * r] = alpha[src * r:(src + 1) * r]
         gamma = [ring.zero] * self.right.length(k)
-        for pos, s in enumerate(self.right.space(k)):
-            if self.C.contains(s):
-                src = a_idx.get(s)
-                if src is not None:
-                    gamma[pos * r:(pos + 1) * r] = [
-                        ring.normalize(-x) for x in alpha[src * r:(src + 1) * r]]
+        for pos, src in to_gamma:
+            gamma[pos * r:(pos + 1) * r] = [
+                ring.normalize(-x) for x in alpha[src * r:(src + 1) * r]]
         phi_beta = self.transfer(self.left, self.inter, k).apply(beta)
         phi_gamma = self.transfer(self.right, self.inter, k).apply(gamma)
         recovered = tuple(ring.normalize(x - y)
@@ -191,7 +216,8 @@ class _MVSpaces:
 
 
 def _mv_spaces(pair: CoverPair, G) -> _MVSpaces:
-    """The Mayer-Vietoris spaces of the cover over G, memoized on the cover."""
+    """The Mayer-Vietoris spaces of the cover over G, memoized on the cover,
+    so they die with it."""
     key = ("mv_spaces", G)
     spaces = pair._cache.get(key)
     if spaces is None:
@@ -268,6 +294,40 @@ def _connecting_map(spaces: _MVSpaces, k, src: HomologyPresentation,
     return ModuleMap(src.module, dst.module, images)
 
 
+def _sequence_maps(spaces: _MVSpaces, kind, degrees, nodes, first_pc,
+                   last_pc):
+    """The maps of the `kind` sequence other than its connecting maps: the
+    zero map into the first node, then per degree the direct sum
+    H(A)+H(B) with the maps into and out of it that `_MVSpaces.row_maps`
+    induce, then the zero map out of the last node.
+
+    `nodes` holds each degree's presentations (first, [A, B], last).  The
+    maps are built once and memoized on the spaces, and built afresh when a
+    presentation is not the one they were induced between.
+    """
+    key = ("sequence", kind)
+    presented = [p for first, sides, last in nodes
+                 for p in (first, *sides, last)]
+    memo = spaces._cache.get(key)
+    if memo is not None and all(a is b for a, b in zip(memo[0], presented)):
+        return memo[1]
+    ring = spaces.ring
+    rows = []
+    for k, (p_first, p_sides, p_last) in zip(degrees, nodes):
+        m_sum = direct_sum(p_sides[0].module, p_sides[1].module)
+        into, out = spaces.row_maps(first_pc, last_pc, k)
+        into = [induced_map(f, p_first, p).matrix
+                for f, p in zip(into, p_sides)]
+        out = [induced_map(f, p, p_last).matrix for f, p in zip(out, p_sides)]
+        rows.append((m_sum,
+                     ModuleMap(p_first.module, m_sum, ExactMatrix.vstack(into)),
+                     ModuleMap(m_sum, p_last.module, ExactMatrix.hstack(out))))
+    maps = (_zero_map_into(ring, nodes[0][0].module), rows,
+            _zero_map_from(ring, nodes[-1][2].module))
+    spaces._cache[key] = (presented, maps)
+    return maps
+
+
 def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
                  last, step, error) -> ExactSequenceReport:
     """The long exact sequence, degree by degree in the order `degrees`.
@@ -276,38 +336,35 @@ def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
     giving the modules and the maps induced by `_MVSpaces.row_maps`; first
     and last are (pair complex, label) pairs.  Consecutive degrees are
     joined by `_connecting_map` with `step`.
+
+    The sequence is built once and re-checked on every call: the induced
+    maps, direct sums and end maps come from `_sequence_maps`, and each
+    owns its image factorization, while the connecting maps and exactness
+    at every node are computed again from them.
     """
     ring = spaces.ring
     (first_pc, first_name), (last_pc, last_name) = first, last
+    sides = (spaces.left, spaces.right)
+    nodes = [(present(first_pc, k), [present(pc, k) for pc in sides],
+              present(last_pc, k)) for k in degrees]
+    into_first, rows, out_of_last = _sequence_maps(spaces, kind, degrees,
+                                                   nodes, first_pc, last_pc)
     labels = ["0"]
     modules = [_zero_module(ring)]
-    maps = []
+    maps = [into_first]
     prev = None
-    for k in degrees:
-        p_first = present(first_pc, k)
-        p_sides = [present(pc, k) for pc in (spaces.left, spaces.right)]
-        p_last = present(last_pc, k)
-        m_sum = direct_sum(p_sides[0].module, p_sides[1].module)
-
-        if prev is None:
-            maps.append(_zero_map_into(ring, p_first.module))
-        else:
+    for k, (p_first, _, p_last), (m_sum, into, out) in zip(degrees, nodes,
+                                                             rows):
+        if prev is not None:
             maps.append(_connecting_map(spaces, *prev, p_first, step, error))
-
-        into, out = spaces.row_maps(first_pc, last_pc, k)
-        into = [induced_map(f, p_first, p).matrix
-                for f, p in zip(into, p_sides)]
-        out = [induced_map(f, p, p_last).matrix for f, p in zip(out, p_sides)]
-        maps += [ModuleMap(p_first.module, m_sum, ExactMatrix.vstack(into)),
-                 ModuleMap(m_sum, p_last.module, ExactMatrix.hstack(out))]
-
+        maps += [into, out]
         h = f"H{script}{k}"
         labels += [f"{h}({first_name})", f"{h}(A)+{h}(B)", f"{h}({last_name})"]
         modules += [p_first.module, m_sum, p_last.module]
         prev = (k, p_last)
     labels.append("0")
     modules.append(_zero_module(ring))
-    maps.append(_zero_map_from(ring, modules[-2]))
+    maps.append(out_of_last)
 
     exactness = tuple(is_exact_at(maps[i], maps[i + 1])
                       for i in range(len(maps) - 1))
@@ -407,6 +464,29 @@ def _route_gaps(pres: HomologyPresentation, first: ExactMatrix,
             for w in weights]
 
 
+def _star_inside(M, K: FullSubcomplex, U: Subcomplex) -> bool:
+    """The closed star of K's vertices lies in U: every maximal simplex
+    meeting K does, since U is face-closed and every simplex meeting K is a
+    face of one."""
+    vs = K.vertex_subset
+    return all(U.contains(s) for s in M.maximal_simplices
+               if not vs.isdisjoint(s))
+
+
+def _diagram6_covers(M, U, V, K, L):
+    """The diagram's top cover, M = M u M relative to the complements of K
+    and L, and its bottom cover (U, V), built once per configuration and
+    memoized on M."""
+    key = ("diagram6_covers", U, V, K, L)
+    covers = M._cache.get(key)
+    if covers is None:
+        whole = whole_subcomplex(M)
+        top = CoverPair(M, whole, whole, C=K.complement().as_subcomplex(),
+                        D=L.complement().as_subcomplex())
+        covers = M._cache[key] = (top, CoverPair(M, U, V))
+    return covers
+
+
 def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
                    L: FullSubcomplex, G, ring, resample_seed=None) -> Diagram6Report:
     """Evaluate the three blocks of the cap-compatibility diagram on classes.
@@ -421,20 +501,21 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     fails its block.  `resample_seed` perturbs every source representative
     by a coboundary before evaluation, so a passing run also certifies
     independence of representative choices.
+
+    The two covers and their MV spaces are built once per configuration;
+    the star containments, the cap rungs and every block are checked again
+    on every call.
     """
-    if not closed_star(M, K.vertex_subset).issubset(U):
+    if not _star_inside(M, K, U):
         raise TwistcapError("K is not interior to U (star containment fails)")
-    if not closed_star(M, L.vertex_subset).issubset(V):
+    if not _star_inside(M, L, V):
         raise TwistcapError("L is not interior to V (star containment fails)")
     n = M.dimension
     nu = fundamental_class_direct(M, ring)
     MR = nu.system
     GT = tensor(G, MR)
-    comp_k = K.complement().as_subcomplex()
-    comp_l = L.complement().as_subcomplex()
-    pair_top = CoverPair(M, whole_subcomplex(M), whole_subcomplex(M),
-                         C=comp_k, D=comp_l)
-    pair_bot = CoverPair(M, U, V)
+    pair_top, pair_bot = _diagram6_covers(M, U, V, K, L)
+    comp_k, comp_l = pair_top.C, pair_top.D
     top = _mv_spaces(pair_top, G)
     bot = _mv_spaces(pair_bot, GT)
     rng = random.Random(resample_seed) if resample_seed is not None else None
@@ -537,43 +618,82 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
 # named covers and diagram configurations
 # ---------------------------------------------------------------------------
 
-def _torus7_strips():
-    M = corpus("torus")
+def _octahedron_hemispheres(M):
+    return closed_star(M, {0}), closed_star(M, {1})
+
+
+def _torus7_strips(M):
     A = [tuple(sorted((i % 7, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
     B = [tuple(sorted((i % 7, (i + 2) % 7, (i + 3) % 7))) for i in range(7)]
     u_tris = [A[0], B[1], A[1], B[2], A[2], B[3], A[3]]
     v_tris = [B[4], A[4], B[5], A[5], B[6], A[6], B[0]]
-    return M, Subcomplex(M, u_tris), Subcomplex(M, v_tris)
+    return Subcomplex(M, u_tris), Subcomplex(M, v_tris)
 
 
-def _klein_columns():
-    M = corpus("klein")
+def _klein_columns(M):
     cells = M._cache["grid_cells"]
     u_tris = [t for (x, y), pair in cells.items() if x in (0, 1) for t in pair]
     v_tris = [t for (x, y), pair in cells.items() if x == 2 for t in pair]
-    return M, Subcomplex(M, u_tris), Subcomplex(M, v_tris)
+    return Subcomplex(M, u_tris), Subcomplex(M, v_tris)
 
 
-# (complex, cover) names of the built-in covers, in the order checks run them
-NAMED_COVERS = (("octahedron", "hemispheres"), ("torus", "cylinders"),
-                ("klein", "cylinders"))
+# (complex, cover) -> the two pieces of the built-in cover, in the order
+# checks run them
+_COVER_PIECES = {("octahedron", "hemispheres"): _octahedron_hemispheres,
+                 ("torus", "cylinders"): _torus7_strips,
+                 ("klein", "cylinders"): _klein_columns}
+NAMED_COVERS = tuple(_COVER_PIECES)
 
 
 def named_cover(complex_name: str, cover_name: str) -> tuple:
-    """(complex, CoverPair) for the built-in cover configurations."""
-    if (complex_name, cover_name) not in NAMED_COVERS:
+    """(complex, CoverPair) for the built-in cover configurations.  Each is
+    built once and memoized on its complex, which lasts for the process, so
+    the cover's MV spaces and everything built from them last too."""
+    pieces = _COVER_PIECES.get((complex_name, cover_name))
+    if pieces is None:
         raise UnknownName(f"no cover {cover_name!r} for complex {complex_name!r}")
-    if complex_name == "octahedron":
-        M = named_complex("octahedron")
-        return M, CoverPair(M, closed_star(M, {0}), closed_star(M, {1}))
-    if complex_name == "torus":
-        M, U, V = _torus7_strips()
-        return M, CoverPair(M, U, V)
-    M, U, V = _klein_columns()
-    return M, CoverPair(M, U, V)
+    M = named_complex(complex_name)
+    key = ("named_cover", cover_name)
+    pair = M._cache.get(key)
+    if pair is None:
+        pair = M._cache[key] = CoverPair(M, *pieces(M))
+    return M, pair
 
 
-_DIAGRAM6_NAMES = ("torus", "sphere", "klein")
+def _torus_bands(M):
+    cells = M._cache["grid_cells"]
+    u_tris = [t for (x, y), pair in cells.items() if y in (3, 0, 1)
+              for t in pair]
+    v_tris = [t for (x, y), pair in cells.items() if y in (1, 2, 3)
+              for t in pair]
+    return (Subcomplex(M, u_tris), Subcomplex(M, v_tris),
+            FullSubcomplex(M, range(0, 8)),      # the band of rows y = 0, 1
+            FullSubcomplex(M, range(8, 16)))     # the band of rows y = 2, 3
+
+
+def _sphere_halves(M):
+    return (Subcomplex(M, [t for t in M.faces(2) if t != (1, 3, 5)]),
+            Subcomplex(M, [t for t in M.faces(2) if t != (0, 2, 4)]),
+            FullSubcomplex(M, {0, 2, 4}), FullSubcomplex(M, {1, 3, 5}))
+
+
+def _klein_bands(M):
+    # a 4x3 grid whose columns wrap straight
+    cells = M._cache["grid_cells"]
+    u_tris = [t for (x, y), pair in cells.items() if x in (3, 0, 1)
+              for t in pair]
+    v_tris = [t for (x, y), pair in cells.items() if x in (1, 2, 3)
+              for t in pair]
+    cols = {x: frozenset((y % 3) * 4 + x for y in range(3)) for x in range(4)}
+    return (Subcomplex(M, u_tris), Subcomplex(M, v_tris),
+            FullSubcomplex(M, cols[0] | cols[1]),    # band of columns 0, 1
+            FullSubcomplex(M, cols[2] | cols[3]))    # band of columns 2, 3
+
+
+# configuration name -> (complex name, builder of U, V, K, L)
+_DIAGRAM6 = {"torus": ("torus4", _torus_bands),
+             "sphere": ("octahedron", _sphere_halves),
+             "klein": ("klein4", _klein_bands)}
 
 
 def named_diagram6(name: str) -> dict:
@@ -583,39 +703,20 @@ def named_diagram6(name: str) -> dict:
     U, V proper neighbourhoods; this keeps both cap squares nontrivial and
     makes the connecting block observable (the unit class of H^0(M|KuL) caps
     to the fundamental class, whose Mayer-Vietoris boundary is nonzero).
+    Each configuration is built once and memoized on its complex; every call
+    returns a new dict of the same pieces.
     """
-    if name == "torus":
-        M = named_complex("torus4")
-        cells = M._cache["grid_cells"]
-        u_tris = [t for (x, y), pair in cells.items() if y in (3, 0, 1)
-                  for t in pair]
-        v_tris = [t for (x, y), pair in cells.items() if y in (1, 2, 3)
-                  for t in pair]
-        U, V = Subcomplex(M, u_tris), Subcomplex(M, v_tris)
-        K = FullSubcomplex(M, range(0, 8))     # the band of rows y = 0, 1
-        L = FullSubcomplex(M, range(8, 16))    # the band of rows y = 2, 3
-        return {"complex": M, "U": U, "V": V, "K": K, "L": L}
-    if name == "sphere":
-        M = named_complex("octahedron")
-        U = Subcomplex(M, [t for t in M.faces(2) if t != (1, 3, 5)])
-        V = Subcomplex(M, [t for t in M.faces(2) if t != (0, 2, 4)])
-        return {"complex": M, "U": U, "V": V,
-                "K": FullSubcomplex(M, {0, 2, 4}),
-                "L": FullSubcomplex(M, {1, 3, 5})}
-    if name == "klein":
-        M = named_complex("klein4")            # 4x3 grid, columns wrap straight
-        cells = M._cache["grid_cells"]
-        u_tris = [t for (x, y), pair in cells.items() if x in (3, 0, 1)
-                  for t in pair]
-        v_tris = [t for (x, y), pair in cells.items() if x in (1, 2, 3)
-                  for t in pair]
-        U, V = Subcomplex(M, u_tris), Subcomplex(M, v_tris)
-        cols = {x: frozenset((y % 3) * 4 + x for y in range(3)) for x in range(4)}
-        K = FullSubcomplex(M, cols[0] | cols[1])   # band of columns 0, 1
-        L = FullSubcomplex(M, cols[2] | cols[3])   # band of columns 2, 3
-        return {"complex": M, "U": U, "V": V, "K": K, "L": L}
-    raise UnknownName(f"no diagram-6 configuration named {name!r}")
+    if name not in _DIAGRAM6:
+        raise UnknownName(f"no diagram-6 configuration named {name!r}")
+    complex_name, pieces = _DIAGRAM6[name]
+    M = named_complex(complex_name)
+    key = ("named_diagram6", name)
+    cfg = M._cache.get(key)
+    if cfg is None:
+        cfg = M._cache[key] = dict(zip(("complex", "U", "V", "K", "L"),
+                                       (M, *pieces(M))))
+    return dict(cfg)
 
 
 def diagram6_names():
-    return _DIAGRAM6_NAMES
+    return tuple(_DIAGRAM6)

@@ -18,7 +18,7 @@ from twistcap.cap import boundary_identity_check, cap_setting, verify_duality
 from twistcap.chains import pair_complex
 from twistcap.cli import main
 from twistcap.complexes import (CORPUS_NAMES, FullSubcomplex,
-                                SimplicialComplex, corpus)
+                                SimplicialComplex, Subcomplex, corpus)
 from twistcap.covers import (build_double_cover, check_split_exactness,
                              lemma2_check, split_maps)
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
@@ -88,6 +88,17 @@ def fresh(name):
 
 def fresh_torus():
     return fresh("torus")
+
+
+def fresh_cover(complex_name, cover_name):
+    """A copy of a built-in cover on a copy of its complex, sharing no cache
+    with them: the built-in covers last for the process."""
+    M, pair = mv.named_cover(complex_name, cover_name)
+    X = SimplicialComplex(M.vertex_count, M.facets)
+    A, B = (Subcomplex(X, piece.faces(M.dimension))
+            for piece in (pair.A, pair.B))
+    assert (A, B) == (pair.A, pair.B)
+    return X, mv.CoverPair(X, A, B)
 
 
 def test_repeated_cap_trials_build_no_new_systems_or_pairs(monkeypatch):
@@ -343,8 +354,9 @@ def test_is_isomorphism_reads_the_image_the_map_owns(monkeypatch):
 
 def test_each_map_of_an_mv_sequence_is_factored_once(monkeypatch):
     # every interior node reads the images of its two maps, so each map
-    # meets two nodes but is factored once
-    M, pair = mv.named_cover("torus", "cylinders")
+    # meets two nodes but is factored once (a fresh cover, since the
+    # built-in one keeps its maps for the process)
+    M, pair = fresh_cover("torus", "cylinders")
     solvers = count_calls_under(monkeypatch, matrices.SmithSolver, "__init__",
                                 fpmodules.is_exact_at)
     report = mv.mv_homology(pair, constant_system(M, Z))
@@ -363,8 +375,11 @@ def test_a_warm_mv_triple_factors_only_map_images_and_sums(monkeypatch):
     first = triple()
     calls = count_factorizations(monkeypatch)
     second = triple()
-    # 20 map images (10 maps in each sequence) and 6 direct sums
-    assert len(calls) == 26
+    # the induced maps, direct sums and end maps are memoized with their
+    # images, so only the images of the 2 connecting maps of each sequence,
+    # derived again on every call, are factored (26 before that memo: 20
+    # map images and 6 direct sums)
+    assert len(calls) == 4
     assert [r.exactness for r in second[:2]] == \
         [r.exactness for r in first[:2]]
     assert second[2] == first[2]
@@ -447,7 +462,7 @@ def test_is_trivializable_inverts_nothing_and_builds_no_system(monkeypatch):
 
 
 def test_mv_spaces_and_transfers_are_built_once_per_cover(monkeypatch):
-    M, pair = mv.named_cover("torus", "cylinders")
+    M, pair = fresh_cover("torus", "cylinders")
     G = constant_system(M, Z)
     spaces = count_calls(monkeypatch, mv._MVSpaces, "__init__")
     built = count_calls(monkeypatch, mv, "transfer_matrix")
@@ -509,7 +524,7 @@ def test_mv_sequences_factor_no_zero_module(monkeypatch):
 
 
 def test_mv_spaces_die_with_their_cover():
-    M, pair = mv.named_cover("octahedron", "hemispheres")
+    M, pair = fresh_cover("octahedron", "hemispheres")
     mv.mv_homology(pair, constant_system(M, Z))
     [spaces] = pair._cache.values()
     ref = weakref.ref(spaces)
@@ -578,8 +593,10 @@ def test_a_repeated_command_factors_nothing(monkeypatch, capsys, argv):
 
 def test_a_repeated_random_flat_duality_factors_only_its_iso_checks(
         monkeypatch, capsys):
-    # the system, its pair complexes and presentations are reused; each
-    # degree's is_isomorphism factors the stacked matrix of a new induced map
+    # the system, its pair complexes, presentations and duality maps are
+    # reused; each degree's is_isomorphism still runs, on the image its
+    # memoized map owns, so nothing is factored (one factorization per
+    # degree before the duality maps were memoized)
     argv = ["verify-duality", "--complex", "klein", "--system",
             "random-flat:5:2", "--ring", "Z/3"]
     first = main(argv), capsys.readouterr().out
@@ -589,7 +606,8 @@ def test_a_repeated_random_flat_duality_factors_only_its_iso_checks(
     isos = count_calls(monkeypatch, cap, "is_isomorphism")
     assert (main(argv), capsys.readouterr().out) == first
     assert built == []
-    assert len(calls) == len(isos) == corpus("klein").dimension + 1
+    assert len(calls) == 0
+    assert len(isos) == corpus("klein").dimension + 1
 
 
 def assert_reverses_are_inverses(G):
@@ -673,3 +691,166 @@ def test_tensor_inverts_nothing(monkeypatch, ring):
             kron = G.transport(u, v).kron(Gp.transport(u, v))
             assert GT.transport(u, v) == kron
             assert GT.transport(v, u) == inverse(kron)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-mv", "--complex", "torus", "--cover", "cylinders", "--system",
+     "random-flat:2:2", "--ring", "Z/3"),
+    ("verify-duality", "--complex", "klein", "--system", "orientation"),
+    ("diagram6", "--config", "torus", "--seed", "5"),
+], ids=" ".join)
+def test_a_repeated_command_builds_no_cover_spaces_or_maps(monkeypatch,
+                                                           capsys, argv):
+    # covers, their MV spaces, the sequences' maps and the duality maps are
+    # built on the first run; a second prints the same bytes from them
+    first = main(list(argv)), capsys.readouterr().out
+    assert first[0] == 0
+    covers_built = count_calls(monkeypatch, mv.CoverPair, "__init__")
+    spaces = count_calls(monkeypatch, mv._MVSpaces, "__init__")
+    induced = [count_calls(monkeypatch, module, "induced_map")
+               for module in (mv, cap)]
+    rederived = {"check-mv": count_calls(monkeypatch, mv, "is_exact_at"),
+                 "verify-duality": count_calls(monkeypatch, cap,
+                                               "is_isomorphism"),
+                 "diagram6": count_calls(monkeypatch, mv, "_route_gaps")}
+    assert (main(list(argv)), capsys.readouterr().out) == first
+    assert covers_built == [] and spaces == [] and induced == [[], []]
+    # the verdicts are derived again
+    assert rederived[argv[0]]
+
+
+def test_flatness_is_checked_once_per_system(monkeypatch):
+    M, pair = fresh_cover("torus", "cylinders")
+    G = random_flat_system(M, Z, 2, seed=1)
+    checked = count_calls(monkeypatch, chains, "validate_flatness")
+    assert mv.mv_homology(pair, G).all_exact
+    pair_complex(M, G, killed=FullSubcomplex(M, {0}))
+    assert verify_duality(M, G, Z).all_verified
+    # the MV spaces alone hold five pair complexes of G; the duality adds
+    # pair complexes of G (x) M_R and of M_R
+    assert [system for (system,) in checked].count(G) == 1
+    assert len(checked) == len({id(system) for (system,) in checked})
+
+
+def test_a_non_flat_system_raises_on_every_pair_complex(monkeypatch):
+    M = fresh("rp2")
+    transport = dict(orientation_system(M, Z).edge_items())
+    edge = M.faces(1)[3]
+    transport[edge] = transport[edge].scale(-1)
+    bad = localsystems.LocalSystem(M, Z, 1, transport)
+    checked = count_calls(monkeypatch, chains, "validate_flatness")
+    for killed in (None, None, FullSubcomplex(M, {0}), None):
+        with pytest.raises(chains.FlatnessViolation, match="not flat"):
+            pair_complex(M, bad, killed=killed)
+    assert len(checked) == 1
+    assert not any(key[0] == "pair_complex" for key in bad._cache
+                   if isinstance(key, tuple))
+
+
+def test_duality_maps_die_with_their_system():
+    M = fresh("klein")
+    G = random_flat_system(M, Zmod(3), 2, seed=1)
+    first = verify_duality(M, G, Zmod(3))
+    again = verify_duality(M, G, Zmod(3))
+    assert [row.map for row in again.rows] == [row.map for row in first.rows]
+    assert all(a.map is b.map for a, b in zip(first.rows, again.rows))
+    refs = [weakref.ref(row.map) for row in first.rows]
+    del M, G, first, again
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+
+
+def test_a_rebuilt_presentation_gets_a_new_duality_map():
+    M = fresh("torus")
+    G = constant_system(M, Z)
+    first = verify_duality(M, G, Z)
+    pc = pair_complex(M, G)
+    d_in = pc.coboundary(0)
+    twin = ExactMatrix._from_rows(Z, d_in.sparse_rows, d_in.cols)
+    before = homology_presentation(d_in, pc.coboundary(1))
+    assert homology_presentation(twin, pc.coboundary(1)) is not before
+    # the twin replaced the presentation memoized on d_out, so
+    # verify_duality presents degree 1 afresh from its own d_in, and the
+    # map of that degree is induced again; the others are reused
+    second = verify_duality(M, G, Z)
+    assert [a.map is b.map for a, b in zip(first.rows, second.rows)] == \
+        [True, False, True]
+    assert second.to_tsv() == first.to_tsv()
+
+
+def test_mv_sequence_maps_die_with_their_cover():
+    M, pair = fresh_cover("torus", "cylinders")
+    G = constant_system(M, Z)
+    first = mv.mv_homology(pair, G)
+    second = mv.mv_homology(pair, G)
+    # every map but the connecting maps is the memoized one
+    same = [a is b for a, b in zip(first.maps, second.maps)]
+    assert same == [True, True, True, False, True, True, False, True, True,
+                    True]
+    refs = [weakref.ref(f) for f in first.maps]
+    del pair, first, second
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_diagram6_covers_die_with_their_complex():
+    cfg = mv.named_diagram6("sphere")
+    M = SimplicialComplex(cfg["complex"].vertex_count, cfg["complex"].facets)
+    U, V = (Subcomplex(M, cfg[name].faces(2)) for name in ("U", "V"))
+    K, L = (FullSubcomplex(M, cfg[name].vertex_subset) for name in ("K", "L"))
+    G = constant_system(M, Z)
+    first = mv.diagram6_check(M, U, V, K, L, G, Z)
+    built = [key for key in M._cache if key[0] == "diagram6_covers"]
+    assert len(built) == 1
+    covers = M._cache[built[0]]
+    assert mv.diagram6_check(M, U, V, K, L, G, Z) == first
+    assert M._cache[built[0]] is covers
+    refs = [weakref.ref(pair) for pair in covers]
+    del M, U, V, K, L, G, covers, built
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_named_configurations_are_built_once():
+    M, pair = mv.named_cover("klein", "cylinders")
+    assert mv.named_cover("klein", "cylinders") == (M, pair)
+    assert mv.named_cover("klein", "cylinders")[1] is pair
+    cfg = mv.named_diagram6("klein")
+    again = mv.named_diagram6("klein")
+    assert again is not cfg
+    assert all(again[name] is cfg[name] for name in cfg)
+
+
+def test_a_system_file_read_again_builds_nothing(tmp_path, monkeypatch,
+                                                 capsys):
+    # the built-in cover lasts for the process and keeps MV spaces per
+    # system, so a system file's system is memoized on its complex by text
+    # rather than built, and held by the cover, once per run
+    path = tmp_path / "omega.sys"
+    path.write_text(localsystems.dumps_local_system(
+        orientation_system(corpus("torus"), Zmod(3))))
+    argv = ["check-mv", "--complex", "torus", "--cover", "cylinders",
+            "--system", str(path), "--ring", "Z/3"]
+    first = main(argv), capsys.readouterr().out
+    assert first[0] == 0
+    built = count_calls(monkeypatch, localsystems.LocalSystem, "__init__")
+    spaces = count_calls(monkeypatch, mv._MVSpaces, "__init__")
+    assert (main(argv), capsys.readouterr().out) == first
+    assert built == [] and spaces == []
+
+
+def test_a_rebuilt_presentation_gets_new_sequence_maps():
+    M, pair = fresh_cover("torus", "cylinders")
+    G = constant_system(M, Z)
+    first = mv.mv_homology(pair, G)
+    whole = mv._mv_spaces(pair, G).whole
+    d_in, d_out = whole.boundary(2), whole.boundary(1)
+    twin = ExactMatrix._from_rows(Z, d_in.sparse_rows, d_in.cols)
+    homology_presentation(twin, d_out)
+    # the twin replaced the presentation of H_1(X) memoized on d_out, so
+    # the sequence presents it afresh and induces every map again
+    second = mv.mv_homology(pair, G)
+    assert second.all_exact and second.exactness == first.exactness
+    assert not any(a is b for a, b in zip(first.maps, second.maps))
+    third = mv.mv_homology(pair, G)
+    assert all(a is b for a, b in zip(second.maps[:3], third.maps[:3]))

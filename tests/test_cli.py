@@ -405,3 +405,25 @@ def test_antisymmetric_inclusion_off_by_one_entry_fails_phi(monkeypatch,
     assert code == 1 and err == ""
     assert "K=all phi_boundary_commutes\tFAIL" in out
     assert "K=all phi_iso\tok" in out
+
+
+CHECK_MV = ("check-mv", "--complex", "torus", "--cover", "cylinders")
+
+
+@pytest.mark.parametrize("warm, fault", [
+    (("verify-duality", "--complex", "torus"),
+     test_failed_inverse_certificate_exits_1),
+    (CHECK_MV, test_escaping_connecting_chain_exits_1),
+    (CHECK_MV, test_connecting_image_not_a_cycle_exits_1),
+    (CHECK_MV, test_connecting_image_not_a_cocycle_exits_1),
+    (CHECK_MV, test_disagreeing_coboundaries_exit_1),
+    (("diagram6", "--config", "torus"),
+     test_cap_rung_off_the_cycles_fails_both_cap_squares),
+], ids=lambda x: x.__name__ if callable(x) else x[0])
+def test_a_fault_after_a_warm_run_still_fails(monkeypatch, capsys, warm,
+                                              fault):
+    # the same command has run and passed in this process, so its covers,
+    # maps and image factorizations are memoized; the check paths run again
+    # and the injected fault still gives its FAIL row and exit 1
+    assert run(capsys, *warm)[0] == 0
+    fault(monkeypatch, capsys)

@@ -9,7 +9,8 @@ from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 induced_map, is_exact_at, is_isomorphism)
 from twistcap.localsystems import (constant_system, orientation_system,
                                    random_flat_system)
-from twistcap.matrices import ExactMatrix, SmithSolver, kernel_with_relations
+from twistcap.matrices import (ExactMatrix, SmithSolver, inverse,
+                               kernel_with_relations, smith_normal_form)
 from twistcap.rings import Q, Z, Zmod
 
 from oracles import RP2_FACETS, boundary_matrix
@@ -330,3 +331,77 @@ def test_boundary_to_a_nonzero_class_is_not_a_chain_map():
         induced_map(f, pres, pres)
     with pytest.raises(NotChainMap, match="boundaries do not map"):
         frozen_induced_matrix(f, pres, pres)
+
+
+# ---------------------------------------------------------------------------
+# Cycle coordinates against a dense computation
+# ---------------------------------------------------------------------------
+
+def dense_class_matrix(pres, chains):
+    """class_matrix by dense arithmetic: y = V^-1 z with V^-1 the inverse
+    of the whole V of d_out, y_j / a_j at each kernel position, then the
+    coordinate map."""
+    ring = pres.ring
+    snf = smith_normal_form(pres.d_out)
+    v_inv = inverse(snf.V).data
+    z = chains.data
+    kernel = []
+    for j, a in snf.kernel_positions:
+        row = []
+        for col in range(chains.cols):
+            y = ring.normalize(sum(v_inv[j][i] * z[i][col]
+                                   for i in range(chains.rows)))
+            row.append(ring.divide(y, a))
+        kernel.append(row)
+    X = ExactMatrix(ring, kernel) if kernel else \
+        ExactMatrix.zeros(ring, 0, chains.cols)
+    return pres._coords @ X
+
+
+def small_cases(ring):
+    """(d_in, d_out) pairs whose kernel rows of V^-1 are not unit vectors,
+    and over Z/12 pairs whose kernels have torsion generators a_j != 1 on
+    rows of V^-1 that are unit vectors."""
+    mixed = [(ExactMatrix(ring, [[3], [-2]]), ExactMatrix(ring, [[2, 3]])),
+             (ExactMatrix.zeros(ring, 3, 0),
+              ExactMatrix(ring, [[2, 3, 5], [4, 7, 1]]))]
+    if ring != Zmod(12):
+        return mixed
+    return mixed + [(ExactMatrix(ring, [[6]]), ExactMatrix(ring, [[2]])),
+            (ExactMatrix.zeros(ring, 1, 0), ExactMatrix(ring, [[4]])),
+            (ExactMatrix(ring, [[3], [2], [5]]),
+             ExactMatrix(ring, [[4, 0, 0], [0, 6, 0]]))]
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(12), Zmod(10007), Q], ids=str)
+def test_class_matrix_matches_a_dense_computation(ring):
+    rng = random.Random(str(ring))
+    cases = small_cases(ring)
+    for name in ("rp2", "torus", "klein"):
+        M = corpus(name)
+        for G in (constant_system(M, ring), orientation_system(M, ring),
+                  random_flat_system(M, ring, 2, 3)):
+            pc = pair_complex(M, G)
+            cases += [(pc.boundary(k + 1), pc.boundary(k)) for k in range(3)]
+    kinds = set()
+    for d_in, d_out in cases:
+        pres = homology_presentation(d_in, d_out)
+        for row, a in zip(pres._kernel_rows, pres._divisors):
+            kinds.add((isinstance(row, int), a == ring.one))
+        # the generator chains, a random cycle and a boundary
+        columns = list(pres.cycles.columns())
+        combo = pres.cycles.apply([ring.from_int(rng.randint(-3, 3))
+                                   for _ in range(pres.cycles.cols)])
+        if d_in.cols:
+            boundary = d_in.apply([ring.from_int(rng.randint(-3, 3))
+                                   for _ in range(d_in.cols)])
+            combo = tuple(ring.normalize(x + y)
+                          for x, y in zip(combo, boundary))
+            columns.append(boundary)
+        chains = ExactMatrix.from_columns(ring, columns + [combo],
+                                          pres.chain_rank)
+        assert pres.class_matrix(chains) == dense_class_matrix(pres, chains)
+    # unit rows shared as they are, and dense rows; over Z/12 also unit
+    # rows whose generator is a torsion multiple a_j != 1
+    assert {(True, True), (False, True)} <= kinds
+    assert ((True, False) in kinds) == (ring == Zmod(12))

@@ -22,7 +22,13 @@ on purpose.  A method of a decomposition, such as
 not a site.  Every read of a whole transform, the attribute ``.U`` or ``.V``
 of a decomposition, is in ``WHOLE_TRANSFORM_READS`` (only
 ``SmithDecomposition.verify``), so the solve and presentation paths keep
-reading transforms off their logs, on the vectors they need.
+reading transforms off their logs, on the vectors they need.  Every function
+that stores into a memo is in ``MEMO_SITES``: an item assignment into, or a
+``setdefault`` on, an attribute named ``_cache`` or ending in ``_cache`` or a
+module-level dict; a ``_presentation`` store; a function decorated with
+``cache``, ``lru_cache`` or ``cached_property``.  A new memo fails until it
+is listed on purpose, so each one is seen to hang on what it is derived from
+and to grow with distinct inputs, not with the checks a process runs.
 """
 
 import ast
@@ -250,3 +256,114 @@ def test_only_verify_reads_a_whole_transform():
              for module, where, node in _package_nodes()
              if isinstance(node, ast.Attribute) and node.attr in ("U", "V")}
     assert_listed(found, WHOLE_TRANSFORM_READS, "whole-transform reads")
+
+
+MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+# (module, enclosing function) of every store into a memo; each memo hangs
+# on the complex, system, cover, map or decomposition it is derived from
+# (`named_complex` and `build_parser` are the two per-process ones, and
+# `_grid` stores the grid cells its complex is built from)
+MEMO_SITES = {
+    ("cap", "verify_duality"),
+    ("chains", "PairComplex.__init__"),
+    ("chains", "pair_complex"),
+    ("cli", "_complex_digest"),
+    ("cli", "build_parser"),
+    ("complexes", "SimplicialComplex.facet_adjacency"),
+    ("complexes", "SimplicialComplex.ridge_to_facets"),
+    ("complexes", "SimplicialComplex.vertex_stars"),
+    ("complexes", "_grid"),
+    ("complexes", "named_complex"),
+    ("complexes", "star_signs"),
+    ("complexes", "validate"),
+    ("covers", "DoubleCover.canonical_lift"),
+    ("covers", "build_double_cover"),
+    ("covers", "check_split_exactness"),
+    ("covers", "cover_sign_system"),
+    ("covers", "orient_cover"),
+    ("covers", "split_maps"),
+    ("fpmodules", "ModuleMap.image"),
+    ("fpmodules", "homology_presentation"),
+    ("localsystems", "LocalSystem.path_transport"),
+    ("localsystems", "constant_system"),
+    ("localsystems", "load_local_system"),
+    ("localsystems", "orientation_system"),
+    ("localsystems", "random_flat_system"),
+    ("localsystems", "random_sign_cocycle"),
+    ("localsystems", "tensor"),
+    ("matrices", "SmithDecomposition.kernel_positions"),
+    ("mv", "_MVSpaces.row_maps"),
+    ("mv", "_MVSpaces.split_plan"),
+    ("mv", "_MVSpaces.transfer"),
+    ("mv", "_diagram6_covers"),
+    ("mv", "_mv_spaces"),
+    ("mv", "_sequence_maps"),
+    ("mv", "named_cover"),
+    ("mv", "named_diagram6"),
+}
+
+
+def _module_dicts(tree):
+    """Names a module binds at its top level to a dict display or dict()."""
+    names = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        value = getattr(node, "value", None)
+        if isinstance(value, ast.Dict) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "dict"):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _is_memo(owner, module_dicts):
+    """An attribute named _cache or ending in _cache, or a module-level
+    dict."""
+    if isinstance(owner, ast.Attribute):
+        return owner.attr.endswith("_cache")
+    return isinstance(owner, ast.Name) and owner.id in module_dicts
+
+
+def _memo_stores(node, module_dicts):
+    """True when the statement or call `node` stores into a memo: an item
+    assignment into a memo, a setdefault on one, a `_presentation` store
+    other than None, or a memoizing decorator."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if isinstance(target, ast.Subscript) \
+                    and _is_memo(target.value, module_dicts):
+                return True
+            if isinstance(target, ast.Attribute) \
+                    and target.attr == "_presentation" \
+                    and not (isinstance(node.value, ast.Constant)
+                             and node.value.value is None):
+                return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "setdefault" \
+            and _is_memo(node.func.value, module_dicts):
+        return True
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for deco in node.decorator_list:
+            deco = deco.func if isinstance(deco, ast.Call) else deco
+            name = deco.attr if isinstance(deco, ast.Attribute) else \
+                getattr(deco, "id", None)
+            if name in MEMO_DECORATORS:
+                return True
+    return False
+
+
+def test_every_memo_site_is_listed():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module_dicts = _module_dicts(tree)
+        for where, node in _scoped(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{where}.{node.name}".removeprefix("<module>.")
+            if where != "<module>" and _memo_stores(node, module_dicts):
+                found.add((path.stem, where))
+    assert_listed(found, MEMO_SITES, "memo sites")

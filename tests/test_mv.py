@@ -1,7 +1,8 @@
 import pytest
 
-from twistcap.complexes import Subcomplex, corpus
-from twistcap.errors import NotACover, UnknownName
+from twistcap import mv
+from twistcap.complexes import Subcomplex, closed_star, corpus
+from twistcap.errors import NotACover, TwistcapError, UnknownName
 from twistcap.localsystems import constant_system, orientation_system
 from twistcap.mv import (CoverPair, diagram6_check, mv_cohomology,
                          mv_homology, mv_splitting, named_cover,
@@ -152,6 +153,28 @@ def test_diagram6_torus(ring):
     assert report.square_left and report.square_right
     assert report.connecting_ok
     assert report.connecting_sign in (-1, 1)
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", "klein"])
+def test_star_containment_matches_the_closed_star(name):
+    cfg = named_diagram6(name)
+    M = cfg["complex"]
+    for band in (cfg["K"], cfg["L"]):
+        for piece in (cfg["U"], cfg["V"]):
+            assert mv._star_inside(M, band, piece) == \
+                closed_star(M, band.vertex_subset).issubset(piece)
+
+
+def test_a_band_outside_its_neighbourhood_is_refused():
+    cfg = named_diagram6("torus")
+    M = cfg["complex"]
+    assert not closed_star(M, cfg["L"].vertex_subset).issubset(cfg["U"])
+    with pytest.raises(TwistcapError, match="K is not interior to U"):
+        diagram6_check(M, cfg["U"], cfg["V"], cfg["L"], cfg["K"],
+                       constant_system(M, Z), Z)
+    with pytest.raises(TwistcapError, match="L is not interior to V"):
+        diagram6_check(M, cfg["U"], cfg["V"], cfg["K"], cfg["K"],
+                       constant_system(M, Z), Z)
 
 
 def test_diagram6_sphere():
