@@ -14,10 +14,10 @@ The coboundary convention in chains.py is exactly the one that makes
 
 hold on the nose; boundary_identity_check evaluates both sides literally.
 Capping cocycle representatives with the twisted fundamental cycle gives the
-duality map, certified degree by degree through the module machinery.  Each
-degree's duality map is built once and memoized on the system, beside its
-pair complexes, with the factorization of its image; the isomorphism
-certificate is derived again on every call.
+duality map, certified degree by degree through the module machinery.
+Memoized (`complexes.memo`): each degree's duality map, on the system, keyed
+by the two presentations it is induced between; its isomorphism certificate
+is derived again on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .chains import (FundamentalClassData, fundamental_class_direct,
                      pair_complex, relative_killed)
-from .complexes import FullSubcomplex, Subcomplex, validate
+from .complexes import FullSubcomplex, Subcomplex, memo, validate
 from .errors import (BadIndices, BaseMismatch, DegreeMismatch,
                      NotRelativeCocycle, RingMismatch, TwistcapError)
 from .fpmodules import (IsoResult, ModuleMap, homology_presentation,
@@ -241,9 +241,9 @@ def verify_duality(M, G, ring) -> DualityReport:
     twisted fundamental class, in every degree.
 
     Each degree's duality map, the map the cap matrix induces, is built
-    once: it is memoized on G under ("duality_map", k) with the two
-    presentations it was induced between, and built afresh when either is
-    not the one presented now.  The memo is read only after every input
+    once: it is memoized on G under ("duality_map", k, src, dst), keyed by
+    the two presentations it is induced between, so a presentation built
+    afresh gets a map of its own.  The memo is read only after every input
     check (the ring, the closed manifold, the base of each pair complex),
     and is_isomorphism runs on every call: it reads the image the map owns
     and certifies the inverse again.
@@ -263,12 +263,8 @@ def verify_duality(M, G, ring) -> DualityReport:
     for k in range(n + 1):
         src = homology_presentation(pcG.coboundary(k - 1), pcG.coboundary(k))
         dst = homology_presentation(pcT.boundary(n - k + 1), pcT.boundary(n - k))
-        key = ("duality_map", k)
-        memo = G._cache.get(key)
-        if memo is None or memo[0] is not src or memo[1] is not dst:
-            f = cap_matrix(pcG, chain_pc, pcT, k, n, nu.chain)
-            memo = G._cache[key] = (src, dst, induced_map(f, src, dst))
-        mmap = memo[2]
+        mmap = memo(G, ("duality_map", k, src, dst), lambda: induced_map(
+            cap_matrix(pcG, chain_pc, pcT, k, n, nu.chain), src, dst))
         iso = is_isomorphism(mmap)
         rows.append(DualityRow(k, src.module, dst.module, mmap, iso))
     return DualityReport(M, G, ring, tuple(rows))

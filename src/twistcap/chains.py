@@ -17,7 +17,7 @@ lives in `covers`, which builds on this module.
 from __future__ import annotations
 
 from .complexes import (FullSubcomplex, SimplicialComplex, Subcomplex,
-                        star_signs, validate)
+                        memo, star_signs, validate)
 from .errors import (CheckFailed, FlatnessViolation, NotClosedPseudomanifold,
                      TwistcapError)
 from .fpmodules import HomologyPresentation, homology_presentation
@@ -46,10 +46,8 @@ class PairComplex:
                  killed: Subcomplex | FullSubcomplex | None = None):
         # the verdict is checked once per system; a non-flat system keeps
         # its verdict and raises on every construction
-        verdict = system._cache.get("flatness")
-        if verdict is None:
-            verdict = system._cache["flatness"] = validate_flatness(system)
-        ok, witness = verdict
+        ok, witness = memo(system, "flatness",
+                           lambda: validate_flatness(system))
         if not ok:
             raise FlatnessViolation(f"system is not flat at triangle {witness}")
         self.base = base
@@ -58,34 +56,25 @@ class PairComplex:
         self.rank = system.rank
         self.pool = pool
         self.killed = killed
-        self._spaces: dict[int, tuple] = {}
-        self._index: dict[int, dict] = {}
-        self._boundary: dict[int, ExactMatrix] = {}
-        self._coboundary: dict[int, ExactMatrix] = {}
+        self._cache = {}   # coordinates and matrices, per degree
 
     # -- coordinates ------------------------------------------------------
 
     def space(self, k: int):
-        if k not in self._spaces:
+        def build():
             if k < 0 or k > self.base.dimension:
-                simplices = ()
-            elif self.pool is None:
-                simplices = self.base.faces(k)
-                if self.killed is not None:
-                    simplices = tuple(s for s in simplices
-                                      if not self.killed.contains(s))
-            else:
-                simplices = tuple(sorted(self.pool.faces(k)))
-                if self.killed is not None:
-                    simplices = tuple(s for s in simplices
-                                      if not self.killed.contains(s))
-            self._spaces[k] = simplices
-            self._index[k] = {s: i for i, s in enumerate(simplices)}
-        return self._spaces[k]
+                return ()
+            simplices = (self.base.faces(k) if self.pool is None
+                         else tuple(sorted(self.pool.faces(k))))
+            if self.killed is not None:
+                simplices = tuple(s for s in simplices
+                                  if not self.killed.contains(s))
+            return simplices
+        return memo(self, ("space", k), build)
 
     def index(self, k: int):
-        self.space(k)
-        return self._index[k]
+        return memo(self, ("index", k),
+                    lambda: {s: i for i, s in enumerate(self.space(k))})
 
     def length(self, k: int) -> int:
         return len(self.space(k)) * self.rank
@@ -94,15 +83,13 @@ class PairComplex:
 
     def boundary(self, k: int) -> ExactMatrix:
         """d_k : C_k -> C_{k-1}."""
-        if k not in self._boundary:
-            self._boundary[k] = self._assemble(k, cochains=False)
-        return self._boundary[k]
+        return memo(self, ("boundary", k),
+                    lambda: self._assemble(k, cochains=False))
 
     def coboundary(self, k: int) -> ExactMatrix:
         """delta_k : C^k -> C^{k+1}."""
-        if k not in self._coboundary:
-            self._coboundary[k] = self._assemble(k + 1, cochains=True)
-        return self._coboundary[k]
+        return memo(self, ("coboundary", k),
+                    lambda: self._assemble(k + 1, cochains=True))
 
     def _assemble(self, k: int, cochains: bool) -> ExactMatrix:
         """d_k, or delta_{k-1} when `cochains`, from one pass over the faces
@@ -150,12 +137,8 @@ def pair_complex(base, system, pool=None, killed=None) -> PairComplex:
     """The PairComplex of (pool, killed), memoized on the system."""
     if system.base is not base and system.base != base:
         raise TwistcapError("system lives on a different complex")
-    key = ("pair_complex", pool, killed)
-    pc = system._cache.get(key)
-    if pc is None:
-        pc = PairComplex(base, system, pool, killed)
-        system._cache[key] = pc
-    return pc
+    return memo(system, ("pair_complex", pool, killed),
+                lambda: PairComplex(base, system, pool, killed))
 
 
 def relative_killed(M: SimplicialComplex, K: FullSubcomplex | None):

@@ -24,7 +24,7 @@ from . import acceptance
 from .cap import verify_duality
 from .chains import fundamental_class_direct, homology
 from .complexes import (BUILTIN_NAMES, dumps_complex, facet_components,
-                        load_complex, named_complex, validate)
+                        load_complex, memo, named_complex, validate)
 from .covers import (build_double_cover, fundamental_class_via_cover,
                      lemma1_check)
 from .errors import CheckFailed, TwistcapError, UnknownName
@@ -45,10 +45,7 @@ def _digest(text: str) -> str:
 def _complex_digest(cx) -> str:
     """The digest of a complex's serialization, memoized on the complex, so
     a built-in complex is serialized once per process."""
-    digest = cx._cache.get("digest")
-    if digest is None:
-        digest = cx._cache["digest"] = _digest(dumps_complex(cx))
-    return digest
+    return memo(cx, "digest", lambda: _digest(dumps_complex(cx)))
 
 
 def _resolve_complex(spec: str):

@@ -14,7 +14,8 @@ every ridge lies in two facets, and the facets containing each simplex of
 dimension at most n - 2 are connected across ridges that contain it
 (`validate`).  Each complex keeps one index from vertex to the facets
 containing it (`SimplicialComplex.vertex_stars`); the walks, `star_signs` and
-the orientation system read their stars from it.
+the orientation system read their stars from it.  `memo` is the package's
+one cache policy.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ class SimplicialComplex:
 
     def ridge_to_facets(self):
         """Map (n-1)-face -> tuple of containing n-faces."""
-        cached = self._cache.get("ridge_map")
-        if cached is None:
+        def build():
             n = self.dimension
             m: dict[tuple, list] = {r: [] for r in self.faces(n - 1)}
             # the facets of a 0-dimensional complex share no ridge: the
@@ -115,35 +115,47 @@ class SimplicialComplex:
             for f in self.faces(n) if n >= 1 else ():
                 for i in range(len(f)):
                     m[f[:i] + f[i + 1:]].append(f)
-            cached = {r: tuple(fs) for r, fs in m.items()}
-            self._cache["ridge_map"] = cached
-        return cached
+            return {r: tuple(fs) for r, fs in m.items()}
+        return memo(self, "ridge_map", build)
 
     def facet_adjacency(self):
         """Facet -> list of (neighbour facet, shared ridge)."""
-        cached = self._cache.get("facet_adjacency")
-        if cached is None:
+        def build():
             adj = {f: [] for f in self.facets}
             for ridge, fs in self.ridge_to_facets().items():
                 if len(fs) == 2:
                     a, b = fs
                     adj[a].append((b, ridge))
                     adj[b].append((a, ridge))
-            cached = {f: tuple(v) for f, v in adj.items()}
-            self._cache["facet_adjacency"] = cached
-        return cached
+            return {f: tuple(v) for f, v in adj.items()}
+        return memo(self, "facet_adjacency", build)
 
     def vertex_stars(self):
         """Vertex -> ascending tuple of the facets containing it."""
-        cached = self._cache.get("vertex_stars")
-        if cached is None:
+        def build():
             stars = {v: [] for v in range(self.vertex_count)}
             for f in self.facets:
                 for v in f:
                     stars[v].append(f)
-            cached = {v: tuple(fs) for v, fs in stars.items()}
-            self._cache["vertex_stars"] = cached
-        return cached
+            return {v: tuple(fs) for v, fs in stars.items()}
+        return memo(self, "vertex_stars", build)
+
+
+def memo(owner, key, build):
+    """`owner._cache[key]`, built by `build()` on the first ask.
+
+    The one cache policy of the package: an object derived from another is
+    memoized on the object it comes from, its owner, in the owner's
+    `_cache`; the key names the other inputs it was built from, and the
+    memo dies with the owner.  A build that raises stores nothing, so a
+    failing input raises again on every ask.
+    """
+    try:
+        return owner._cache[key]
+    except KeyError:
+        pass
+    value = owner._cache[key] = build()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +188,10 @@ def validate(complex: SimplicialComplex) -> ManifoldReport:
     every ridge of the complex, and its connectivity conditions to connected
     facets around every simplex of dimension <= n - 2.
     """
-    cached = complex._cache.get("report")
-    if cached is not None:
-        return cached
+    return memo(complex, "report", lambda: _validate(complex))
+
+
+def _validate(complex) -> ManifoldReport:
     n = complex.dimension
     is_pure = all(len(s) == n + 1 for s in complex.maximal_simplices)
     ridge_ok = all(len(fs) == 2 for fs in complex.ridge_to_facets().values()) \
@@ -187,10 +200,8 @@ def validate(complex: SimplicialComplex) -> ManifoldReport:
     links_ok = is_pure and ridge_ok and all(
         facet_components(complex, s) == 1
         for k in range(n - 1) for s in complex.faces(k))
-    report = ManifoldReport(n, is_pure, ridge_ok, connected, links_ok,
-                            complex.euler_characteristic())
-    complex._cache["report"] = report
-    return report
+    return ManifoldReport(n, is_pure, ridge_ok, connected, links_ok,
+                          complex.euler_characteristic())
 
 
 def facet_components(complex, simplex=()) -> int:
@@ -293,16 +304,15 @@ def star_signs(complex, vertex):
     star the ridge walk cannot cover (a pinched vertex) raises
     DisconnectedStar.
     """
-    cache = complex._cache.setdefault("star_signs", {})
-    if vertex not in cache:
+    def build():
         star = complex.vertex_stars().get(vertex, ())
         if not star:
             raise NotInStar(f"vertex {vertex} lies in no facet")
         signs = _star_signs_from(complex, vertex, star[0])
         if len(signs) != len(star):
             raise DisconnectedStar(f"star of vertex {vertex} is disconnected")
-        cache[vertex] = signs
-    return cache[vertex]
+        return signs
+    return memo(complex, ("star_signs", vertex), build)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +605,7 @@ def _rp3() -> SimplicialComplex:
 # Builders of the corpus entries plus the auxiliary complexes used by cover
 # checks.  Each is built once per process and kept in _named, the one
 # module-level cache of the package; everything derived from a complex is
-# cached on the complex itself.
+# memoized on the complex itself (`memo`).
 _BUILDERS = {
     "circle": lambda: SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)]),
     "sphere2": lambda: SimplicialComplex(4, combinations(range(4), 3)),

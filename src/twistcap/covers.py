@@ -20,9 +20,9 @@ the identification phi of the antisymmetric complex with the twisted chains
 of the base, checked as one product identity per degree (the antisymmetric
 inclusion is a chain map), and the fundamental class pushed through it.
 
-Derived objects are memoized on their source: the cover on its sign system,
-its orientation, sign systems and +/- splittings (one per ring and K) on the
-cover, and the exactness verdicts of a splitting on the splitting.
+Memoized (`complexes.memo`): the cover on its sign system; its orientation,
+sheet lifts, sign systems and +/- splittings (one per ring and K) on the
+cover; the exactness verdicts of a splitting on the splitting.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .chains import (FundamentalClassData, PairComplex, pair_complex,
                      relative_killed, transfer_matrix)
 from .complexes import (FullSubcomplex, SimplicialComplex, dumps_complex,
-                        ridge_sign_walk, star_signs, validate)
+                        memo, ridge_sign_walk, star_signs, validate)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import ModuleMap, homology_presentation, induced_map
 from .localsystems import (LocalSystem, constant_system, orientation_system,
@@ -68,7 +68,7 @@ def _sheet_lift(signs, base_count, simplex):
 
 class DoubleCover:
     __slots__ = ("base", "total", "projection", "deck", "cocycle", "signs",
-                 "_lift_cache", "_cache")
+                 "_cache")
 
     def __init__(self, base, total, projection, deck, cocycle, signs):
         self.base = base
@@ -77,7 +77,6 @@ class DoubleCover:
         self.deck = deck
         self.cocycle = cocycle
         self.signs = signs
-        self._lift_cache = {}
         self._cache = {}
 
     def sheet(self, total_vertex: int) -> int:
@@ -86,11 +85,8 @@ class DoubleCover:
     def canonical_lift(self, simplex):
         """The lift carrying sheet 0 at the simplex's lowest vertex."""
         s = tuple(simplex)
-        cached = self._lift_cache.get(s)
-        if cached is None:
-            cached = _sheet_lift(self.signs, self.base.vertex_count, s)
-            self._lift_cache[s] = cached
-        return cached
+        return memo(self, ("lift", s),
+                    lambda: _sheet_lift(self.signs, self.base.vertex_count, s))
 
     def deck_image(self, total_simplex):
         return tuple(sorted(self.deck[v] for v in total_simplex))
@@ -108,9 +104,10 @@ def build_double_cover(M: SimplicialComplex, omega: LocalSystem) -> DoubleCover:
     memoized on the sign system."""
     if omega.base != M or not omega.is_sign_system():
         raise NotSignSystem("double covers need a rank-1 +-1 system on the base")
-    cached = omega._cache.get("double_cover")
-    if cached is not None:
-        return cached
+    return memo(omega, "double_cover", lambda: _build_double_cover(M, omega))
+
+
+def _build_double_cover(M, omega) -> DoubleCover:
     ok, witness = validate_flatness(omega)
     if not ok:
         raise NotSignSystem(f"sign system is not flat at {witness}")
@@ -126,7 +123,6 @@ def build_double_cover(M: SimplicialComplex, omega: LocalSystem) -> DoubleCover:
     deck = tuple((v + n) % (2 * n) for v in range(2 * n))
     cover = DoubleCover(M, total, projection, deck, omega, signs)
     _check_cover_invariants(cover)
-    omega._cache["double_cover"] = cover
     return cover
 
 
@@ -178,9 +174,10 @@ def orient_cover(cover: DoubleCover) -> CoverOrientation:
     The BFS result is cross-checked against the calibration facet by facet;
     a mismatch means the sheet bookkeeping is broken upstream.
     """
-    cached = cover._cache.get("orientation")
-    if cached is not None:
-        return cached
+    return memo(cover, "orientation", lambda: _build_orientation(cover))
+
+
+def _build_orientation(cover: DoubleCover) -> CoverOrientation:
     total = cover.total
     report = validate(total)
     if not report.is_pure or not report.each_ridge_in_two_facets:
@@ -196,9 +193,7 @@ def orient_cover(cover: DoubleCover) -> CoverOrientation:
     for facet, sign in signs.items():
         if sign != _calibrated_sign(cover, facet):
             raise IncoherentCover("coherent orientation drifts from sheet calibration")
-    orientation = CoverOrientation(cover, signs)
-    cover._cache["orientation"] = orientation
-    return orientation
+    return CoverOrientation(cover, signs)
 
 
 def cover_chains(cover, ring, K: FullSubcomplex | None = None) -> PairComplex:
@@ -295,10 +290,11 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
     """
     if not ring.two_is_nonzero:
         raise TwoIsZero("the +/- splitting needs 2 != 0 in the ring")
-    key = ("split_maps", ring, K)
-    cached = cover._cache.get(key)
-    if cached is not None:
-        return cached
+    return memo(cover, ("split_maps", ring, K),
+                lambda: _build_split_maps(cover, ring, K))
+
+
+def _build_split_maps(cover, ring, K) -> SplitMaps:
     total_pc = cover_chains(cover, ring, K)
     base_pc_space = pair_complex(cover.base, constant_system(cover.base, ring),
                                  killed=relative_killed(cover.base, K))
@@ -325,8 +321,7 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
         incl_minus = ExactMatrix._from_rows(ring, minus_rows, len(orbit_bases))
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
                                  tuple(orbit_bases))
-    split = cover._cache[key] = SplitMaps(cover, ring, K, degrees)
-    return split
+    return SplitMaps(cover, ring, K, degrees)
 
 
 def _same_column_span(a: SmithSolver, b: SmithSolver) -> bool:
@@ -352,17 +347,15 @@ def check_split_exactness(split: SplitMaps) -> dict:
     Each of the four matrices of a degree is factored once, and the
     verdicts are memoized on the splitting.
     """
-    cached = split._cache.get("exactness")
-    if cached is not None:
-        return cached
-    out = {}
-    for k, d in split.degrees.items():
-        plus, minus = SmithSolver(d.incl_plus), SmithSolver(d.incl_minus)
-        sigma, delta = SmithSolver(d.sigma), SmithSolver(d.delta)
-        out[k] = {"seq1": _short_exact(minus, sigma, plus),
-                  "seq2": _short_exact(plus, delta, minus)}
-    split._cache["exactness"] = out
-    return out
+    def build():
+        out = {}
+        for k, d in split.degrees.items():
+            plus, minus = SmithSolver(d.incl_plus), SmithSolver(d.incl_minus)
+            sigma, delta = SmithSolver(d.sigma), SmithSolver(d.delta)
+            out[k] = {"seq1": _short_exact(minus, sigma, plus),
+                      "seq2": _short_exact(plus, delta, minus)}
+        return out
+    return memo(split, "exactness", build)
 
 
 @dataclass(frozen=True)
@@ -404,12 +397,8 @@ def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:
 
 def cover_sign_system(cover, ring) -> LocalSystem:
     """The defining sign cocycle of the cover, over the requested ring."""
-    key = ("sign_system", ring)
-    cached = cover._cache.get(key)
-    if cached is None:
-        cached = sign_system(cover.base, ring, cover.signs)
-        cover._cache[key] = cached
-    return cached
+    return memo(cover, ("sign_system", ring),
+                lambda: sign_system(cover.base, ring, cover.signs))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ gauges passed to gauge_transform and the transports read from a file are
 inverted, once, and a non-invertible transport is rejected there.  A rank
 a user asks for is at most MAX_RANK; only tensor products exceed it.
 
-The constant, orientation and seeded random flat systems are memoized on
-their complex, one per distinct (ring, rank, seed), and live as long as it
-does; a tensor product is memoized on its first factor.
+Memoized (`complexes.memo`): the constant, orientation and seeded random
+flat systems, one per distinct (ring, rank, seed), a system read from a file
+(under its text) and the sign-cocycle kernel on their complex; a tensor
+product on its first factor; path transports on their system.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -29,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, star_signs, validate
+from .complexes import SimplicialComplex, memo, star_signs, validate
 from .errors import (BaseMismatch, NotClosedPseudomanifold, RingMismatch,
                      SystemFormatError, TwistcapError)
 from .matrices import ExactMatrix, inverse, kernel
@@ -41,8 +42,7 @@ MAX_RANK = 100
 
 
 class LocalSystem:
-    __slots__ = ("base", "ring", "rank", "_transport", "_reverse",
-                 "_path_cache", "_cache")
+    __slots__ = ("base", "ring", "rank", "_transport", "_reverse", "_cache")
 
     def __init__(self, base: SimplicialComplex, ring: RingSpec, rank: int,
                  transport: dict, known_reverse: dict | None = None):
@@ -86,7 +86,6 @@ class LocalSystem:
         self.rank = rank
         self._transport = cleaned
         self._reverse = reverse
-        self._path_cache = {}
         self._cache = {}   # objects derived from this system
 
     def transport(self, u: int, v: int) -> ExactMatrix:
@@ -97,14 +96,14 @@ class LocalSystem:
 
     def path_transport(self, vertices) -> ExactMatrix:
         """Composite transport along consecutive vertices, later -> earlier."""
-        key = tuple(vertices)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = ExactMatrix.identity(self.ring, self.rank)
-            for u, v in zip(key, key[1:]):
-                cached = cached @ self.transport(u, v)
-            self._path_cache[key] = cached
-        return cached
+        path = tuple(vertices)
+
+        def build():
+            out = ExactMatrix.identity(self.ring, self.rank)
+            for u, v in zip(path, path[1:]):
+                out = out @ self.transport(u, v)
+            return out
+        return memo(self, ("path", path), build)
 
     def edge_items(self):
         return sorted(self._transport.items())
@@ -127,12 +126,8 @@ class LocalSystem:
 
 
 def constant_system(base, ring, rank=1) -> LocalSystem:
-    key = ("constant_system", ring, rank)
-    cached = base._cache.get(key)
-    if cached is None:
-        cached = LocalSystem(base, ring, rank, {})
-        base._cache[key] = cached
-    return cached
+    return memo(base, ("constant_system", ring, rank),
+                lambda: LocalSystem(base, ring, rank, {}))
 
 
 def validate_flatness(system: LocalSystem):
@@ -163,41 +158,34 @@ def orientation_system(base, ring) -> LocalSystem:
     compares that calibration across any facet containing the edge.  Flatness
     and independence of the facet choice are exercised by the tests.
     """
-    key = ("orientation_system", ring)
-    cached = base._cache.get(key)
-    if cached is not None:
-        return cached
-    report = validate(base)
-    if not report.closed_pseudomanifold:
-        raise NotClosedPseudomanifold(
-            "orientation system needs a closed pseudomanifold")
-    stars = base.vertex_stars()
-    signs = {}
-    for (u, v) in base.faces(1):
-        # the lowest facet containing the edge; purity puts it in one
-        facet = next(f for f in stars[u] if v in f)
-        signs[(u, v)] = star_signs(base, u)[facet] * star_signs(base, v)[facet]
-    system = sign_system(base, ring, signs)
-    base._cache[key] = system
-    return system
+    def build():
+        if not validate(base).closed_pseudomanifold:
+            raise NotClosedPseudomanifold(
+                "orientation system needs a closed pseudomanifold")
+        stars = base.vertex_stars()
+        signs = {}
+        for (u, v) in base.faces(1):
+            # the lowest facet containing the edge; purity puts it in one
+            facet = next(f for f in stars[u] if v in f)
+            signs[(u, v)] = (star_signs(base, u)[facet]
+                             * star_signs(base, v)[facet])
+        return sign_system(base, ring, signs)
+    return memo(base, ("orientation_system", ring), build)
 
 
 def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
     """G (x) Gp, memoized on G."""
-    key = ("tensor", Gp)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    if G.base != Gp.base:
-        raise BaseMismatch("tensor factors live on different complexes")
-    if G.ring != Gp.ring:
-        raise RingMismatch("tensor factors over different rings")
-    edges = G.base.faces(1)
-    transport = {e: G._transport[e].kron(Gp._transport[e]) for e in edges}
-    reverse = {e: G._reverse[e].kron(Gp._reverse[e]) for e in edges}
-    cached = LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport, reverse)
-    G._cache[key] = cached
-    return cached
+    def build():
+        if G.base != Gp.base:
+            raise BaseMismatch("tensor factors live on different complexes")
+        if G.ring != Gp.ring:
+            raise RingMismatch("tensor factors over different rings")
+        edges = G.base.faces(1)
+        transport = {e: G._transport[e].kron(Gp._transport[e]) for e in edges}
+        reverse = {e: G._reverse[e].kron(Gp._reverse[e]) for e in edges}
+        return LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport,
+                           reverse)
+    return memo(G, ("tensor", Gp), build)
 
 
 def holonomy(system: LocalSystem, loop) -> ExactMatrix:
@@ -278,11 +266,10 @@ def random_sign_cocycle(base: SimplicialComplex, seed: int) -> dict:
     """
     edges = base.faces(1)
     eidx = base.face_index(1)
-    K = base._cache.get("sign_cocycle_kernel")
-    if K is None:
-        K = base._cache["sign_cocycle_kernel"] = kernel(ExactMatrix._from_rows(
-            Zmod(2), [{eidx[e]: 1 for e in ((u, v), (v, w), (u, w))}
-                      for u, v, w in base.faces(2)], len(edges)))
+    K = memo(base, "sign_cocycle_kernel", lambda: kernel(
+        ExactMatrix._from_rows(Zmod(2), [
+            {eidx[e]: 1 for e in ((u, v), (v, w), (u, w))}
+            for u, v, w in base.faces(2)], len(edges))))
     rng = random.Random(seed)
     chosen = {j for j in range(K.cols) if rng.randrange(2)}
     combo = [sum(x for j, x in row.items() if j in chosen) % 2
@@ -315,25 +302,20 @@ def random_flat_system(base, ring, rank, seed) -> LocalSystem:
     system is memoized on its complex, like the constant systems."""
     if rank < 1:
         raise TwistcapError("rank must be positive")
-    key = ("random_flat_system", ring, rank, seed)
-    cached = base._cache.get(key)
-    if cached is not None:
-        return cached
-    rng = random.Random((seed, rank, str(ring)).__repr__())
-    signs = [random_sign_cocycle(base, rng.randrange(2 ** 30))
-             for _ in range(rank)]
-    if rank == 1:
-        system = sign_system(base, ring, signs[0])
-    else:
+    def build():
+        rng = random.Random((seed, rank, str(ring)).__repr__())
+        signs = [random_sign_cocycle(base, rng.randrange(2 ** 30))
+                 for _ in range(rank)]
+        if rank == 1:
+            return sign_system(base, ring, signs[0])
         transport = {e: ExactMatrix._from_rows(
                          ring, [{i: ring.from_int(signs[i][e])}
                                 for i in range(rank)], rank)
                      for e in base.faces(1)}
         gauge = {v: _random_gauge_matrix(ring, rank, rng)
                  for v in range(base.vertex_count)}
-        system = _conjugated(base, ring, rank, transport, transport, gauge)
-    base._cache[key] = system
-    return system
+        return _conjugated(base, ring, rank, transport, transport, gauge)
+    return memo(base, ("random_flat_system", ring, rank, seed), build)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +421,8 @@ def load_local_system(path, base) -> LocalSystem:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemFormatError(0, f"cannot read {path}: {exc}") from None
-    key = ("load_local_system", text)
-    system = base._cache.get(key)
-    if system is None:
-        system = base._cache[key] = loads_local_system(text, base)
-    return system
+    return memo(base, ("load_local_system", text),
+                lambda: loads_local_system(text, base))
 
 
 def dumps_local_system(system: LocalSystem) -> str:

@@ -17,15 +17,15 @@ with a deterministic tie-break: anything lying in both A and B is assigned
 to A.  Exactness is certified node by node as submodule equality through the
 Smith machinery.
 
-Constructions are built once, and verdicts are re-derived on every call.
-The built-in covers and diagram configurations are memoized on their
-complexes, which last for the process; the MV spaces of a cover and a
-system on the cover; the transfers, row maps, splitting plans and each
-sequence's induced maps, direct sums and end maps on the spaces; the two
-covers of a diagram on its complex.  Each map owns the factorization of its
-image.  The connecting maps, exactness at every node, the splitting
-equation and the diagram's squares are computed again on every call from
-these pieces, so a fault in any of them shows on a repeated check too.
+Memoized (`complexes.memo`): the built-in covers and diagram
+configurations, and the two covers of a diagram, on their complex, which
+lasts for the process; the MV spaces of a system on its cover; the
+transfers, row maps and splitting plans on the spaces, and each sequence's
+induced maps, direct sums and end maps too, keyed by the presentations they
+are induced between.  Each map owns the factorization of its image.  The
+connecting maps, exactness at every node, the splitting equation and the
+diagram's squares are computed again on every call from these pieces, so a
+fault in any of them shows on a repeated check too.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .cap import cap_matrix
 from .chains import (fundamental_class_direct, pair_complex,
                      transfer_matrix)
 from .complexes import (FullSubcomplex, Subcomplex, closed_star,
-                        empty_subcomplex, named_complex, whole_subcomplex)
+                        empty_subcomplex, memo, named_complex,
+                        whole_subcomplex)
 from .errors import (CoboundariesDisagree, ConnectingChainEscapes,
                      ConnectingImageNotCycle, NotACover, TwistcapError,
                      UnknownName)
@@ -133,27 +134,21 @@ class _MVSpaces:
         return homology_presentation(pc.coboundary(k - 1), pc.coboundary(k))
 
     def transfer(self, src, dst, k) -> ExactMatrix:
-        key = (src, dst, k)
-        m = self._cache.get(key)
-        if m is None:
-            m = self._cache[key] = transfer_matrix(src, dst, k)
-        return m
+        return memo(self, (src, dst, k), lambda: transfer_matrix(src, dst, k))
 
     def row_maps(self, first, last, k):
         """The chain maps into and out of C(A)+C(B) in degree k of the row
         first -> C(A)+C(B) -> last, each [A part, B part].  The map at the
         intersection node carries the minus sign on its B part: the one
         place the sign is applied, once per matrix."""
-        key = ("row", first, last, k)
-        maps = self._cache.get(key)
-        if maps is None:
+        def build():
             sides = (self.left, self.right)
             into = [self.transfer(first, pc, k) for pc in sides]
             out = [self.transfer(pc, last, k) for pc in sides]
             signed = into if first is self.inter else out
             signed[1] = -signed[1]
-            maps = self._cache[key] = (into, out)
-        return maps
+            return into, out
+        return memo(self, ("row", first, last, k), build)
 
     def split_chain(self, k, absolute_vec):
         """Assign each simplex block to A (tie-break) or B."""
@@ -172,9 +167,7 @@ class _MVSpaces:
         k, built once: into beta the simplices of A inside B and outside C,
         into gamma those inside C, each from its position in the
         intersection pair."""
-        key = ("split_plan", k)
-        plan = self._cache.get(key)
-        if plan is None:
+        def build():
             a_idx = self.inter.index(k)
             to_beta = [(pos, a_idx[s])
                        for pos, s in enumerate(self.left.space(k))
@@ -183,8 +176,8 @@ class _MVSpaces:
             to_gamma = [(pos, a_idx[s])
                         for pos, s in enumerate(self.right.space(k))
                         if self.C.contains(s) and s in a_idx]
-            plan = self._cache[key] = (to_beta, to_gamma)
-        return plan
+            return to_beta, to_gamma
+        return memo(self, ("split_plan", k), build)
 
     def split_cochain(self, k, alpha):
         """The explicit preimage (beta, gamma) with beta|^ - gamma|^ = alpha.
@@ -218,11 +211,7 @@ class _MVSpaces:
 def _mv_spaces(pair: CoverPair, G) -> _MVSpaces:
     """The Mayer-Vietoris spaces of the cover over G, memoized on the cover,
     so they die with it."""
-    key = ("mv_spaces", G)
-    spaces = pair._cache.get(key)
-    if spaces is None:
-        spaces = pair._cache[key] = _MVSpaces(pair, G)
-    return spaces
+    return memo(pair, ("mv_spaces", G), lambda: _MVSpaces(pair, G))
 
 
 def _connecting_chain(spaces: _MVSpaces, k, alpha):
@@ -302,30 +291,29 @@ def _sequence_maps(spaces: _MVSpaces, kind, degrees, nodes, first_pc,
     induce, then the zero map out of the last node.
 
     `nodes` holds each degree's presentations (first, [A, B], last).  The
-    maps are built once and memoized on the spaces, and built afresh when a
-    presentation is not the one they were induced between.
+    maps are memoized on the spaces, keyed by the presentations they are
+    induced between, so a presentation built afresh gets maps of its own.
     """
-    key = ("sequence", kind)
-    presented = [p for first, sides, last in nodes
-                 for p in (first, *sides, last)]
-    memo = spaces._cache.get(key)
-    if memo is not None and all(a is b for a, b in zip(memo[0], presented)):
-        return memo[1]
-    ring = spaces.ring
-    rows = []
-    for k, (p_first, p_sides, p_last) in zip(degrees, nodes):
-        m_sum = direct_sum(p_sides[0].module, p_sides[1].module)
-        into, out = spaces.row_maps(first_pc, last_pc, k)
-        into = [induced_map(f, p_first, p).matrix
-                for f, p in zip(into, p_sides)]
-        out = [induced_map(f, p, p_last).matrix for f, p in zip(out, p_sides)]
-        rows.append((m_sum,
-                     ModuleMap(p_first.module, m_sum, ExactMatrix.vstack(into)),
-                     ModuleMap(m_sum, p_last.module, ExactMatrix.hstack(out))))
-    maps = (_zero_map_into(ring, nodes[0][0].module), rows,
-            _zero_map_from(ring, nodes[-1][2].module))
-    spaces._cache[key] = (presented, maps)
-    return maps
+    def build():
+        ring = spaces.ring
+        rows = []
+        for k, (p_first, p_sides, p_last) in zip(degrees, nodes):
+            m_sum = direct_sum(p_sides[0].module, p_sides[1].module)
+            into, out = spaces.row_maps(first_pc, last_pc, k)
+            into = [induced_map(f, p_first, p).matrix
+                    for f, p in zip(into, p_sides)]
+            out = [induced_map(f, p, p_last).matrix
+                   for f, p in zip(out, p_sides)]
+            rows.append((m_sum,
+                         ModuleMap(p_first.module, m_sum,
+                                   ExactMatrix.vstack(into)),
+                         ModuleMap(m_sum, p_last.module,
+                                   ExactMatrix.hstack(out))))
+        return (_zero_map_into(ring, nodes[0][0].module), rows,
+                _zero_map_from(ring, nodes[-1][2].module))
+    presented = tuple(p for first, sides, last in nodes
+                      for p in (first, *sides, last))
+    return memo(spaces, ("sequence", kind, presented), build)
 
 
 def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
@@ -477,14 +465,12 @@ def _diagram6_covers(M, U, V, K, L):
     """The diagram's top cover, M = M u M relative to the complements of K
     and L, and its bottom cover (U, V), built once per configuration and
     memoized on M."""
-    key = ("diagram6_covers", U, V, K, L)
-    covers = M._cache.get(key)
-    if covers is None:
+    def build():
         whole = whole_subcomplex(M)
         top = CoverPair(M, whole, whole, C=K.complement().as_subcomplex(),
                         D=L.complement().as_subcomplex())
-        covers = M._cache[key] = (top, CoverPair(M, U, V))
-    return covers
+        return top, CoverPair(M, U, V)
+    return memo(M, ("diagram6_covers", U, V, K, L), build)
 
 
 def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
@@ -653,11 +639,8 @@ def named_cover(complex_name: str, cover_name: str) -> tuple:
     if pieces is None:
         raise UnknownName(f"no cover {cover_name!r} for complex {complex_name!r}")
     M = named_complex(complex_name)
-    key = ("named_cover", cover_name)
-    pair = M._cache.get(key)
-    if pair is None:
-        pair = M._cache[key] = CoverPair(M, *pieces(M))
-    return M, pair
+    return M, memo(M, ("named_cover", cover_name),
+                   lambda: CoverPair(M, *pieces(M)))
 
 
 def _torus_bands(M):
@@ -710,12 +693,8 @@ def named_diagram6(name: str) -> dict:
         raise UnknownName(f"no diagram-6 configuration named {name!r}")
     complex_name, pieces = _DIAGRAM6[name]
     M = named_complex(complex_name)
-    key = ("named_diagram6", name)
-    cfg = M._cache.get(key)
-    if cfg is None:
-        cfg = M._cache[key] = dict(zip(("complex", "U", "V", "K", "L"),
-                                       (M, *pieces(M))))
-    return dict(cfg)
+    return dict(memo(M, ("named_diagram6", name), lambda: dict(
+        zip(("complex", "U", "V", "K", "L"), (M, *pieces(M))))))
 
 
 def diagram6_names():

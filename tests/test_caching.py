@@ -21,6 +21,7 @@ from twistcap.complexes import (CORPUS_NAMES, FullSubcomplex,
                                 SimplicialComplex, Subcomplex, corpus)
 from twistcap.covers import (build_double_cover, check_split_exactness,
                              lemma2_check, split_maps)
+from twistcap.errors import NotClosedPseudomanifold, NotInStar
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 induced_map, is_isomorphism)
 from twistcap.localsystems import (constant_system, is_trivializable,
@@ -854,3 +855,23 @@ def test_a_rebuilt_presentation_gets_new_sequence_maps():
     assert not any(a is b for a, b in zip(first.maps, second.maps))
     third = mv.mv_homology(pair, G)
     assert all(a is b for a, b in zip(second.maps[:3], third.maps[:3]))
+
+
+def test_a_failing_orientation_system_memoizes_nothing():
+    disk = SimplicialComplex(4, [(0, 1, 2), (0, 2, 3)])
+    for _ in range(2):
+        with pytest.raises(NotClosedPseudomanifold):
+            orientation_system(disk, Z)
+    assert ("orientation_system", Z) not in disk._cache
+    # what the build read on its way to the error stays memoized
+    assert "report" in disk._cache
+
+
+def test_a_star_sign_of_a_vertex_in_no_facet_memoizes_nothing():
+    # vertex 3 lies only on the edge (2, 3), in no triangle
+    M = SimplicialComplex(4, [(0, 1, 2), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(NotInStar, match="vertex 3 lies in no facet"):
+            complexes.star_signs(M, 3)
+    assert ("star_signs", 3) not in M._cache
+    assert complexes.star_signs(M, 0) == {(0, 1, 2): 1}

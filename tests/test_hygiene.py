@@ -22,13 +22,15 @@ on purpose.  A method of a decomposition, such as
 not a site.  Every read of a whole transform, the attribute ``.U`` or ``.V``
 of a decomposition, is in ``WHOLE_TRANSFORM_READS`` (only
 ``SmithDecomposition.verify``), so the solve and presentation paths keep
-reading transforms off their logs, on the vectors they need.  Every function
-that stores into a memo is in ``MEMO_SITES``: an item assignment into, or a
-``setdefault`` on, an attribute named ``_cache`` or ending in ``_cache`` or a
-module-level dict; a ``_presentation`` store; a function decorated with
-``cache``, ``lru_cache`` or ``cached_property``.  A new memo fails until it
-is listed on purpose, so each one is seen to hang on what it is derived from
-and to grow with distinct inputs, not with the checks a process runs.
+reading transforms off their logs, on the vectors they need.  Every memo is in
+``MEMO_SITES``: each call of ``complexes.memo``, the one function that
+stores into a ``_cache`` (``_grid`` aside, which stores the cells its
+complex is built from; ``CACHE_STORES``), and the memos that do not go
+through it: an item store into a module-level name, a ``_presentation``
+store, a function decorated with ``cache``, ``lru_cache`` or
+``cached_property``.  A new memo fails until it is listed on purpose, so
+each one is seen to hang on what it is derived from and to grow with
+distinct inputs, not with the checks a process runs.
 """
 
 import ast
@@ -195,7 +197,7 @@ FACTORING = {"smith_normal_form", "SmithSolver", "kernel_with_relations",
 FACTORIZATION_SITES = {
     ("acceptance", "check_smith_kernel", "smith_normal_form"),
     ("covers", "_short_exact", "SmithSolver"),
-    ("covers", "check_split_exactness", "SmithSolver"),
+    ("covers", "check_split_exactness.build", "SmithSolver"),
     ("fpmodules", "FPModule.__init__", "SmithSolver"),
     ("fpmodules", "ModuleMap.image", "SmithSolver"),
     ("fpmodules", "homology_presentation", "smith_normal_form"),
@@ -260,20 +262,25 @@ def test_only_verify_reads_a_whole_transform():
 
 MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
 
-# (module, enclosing function) of every store into a memo; each memo hangs
-# on the complex, system, cover, map or decomposition it is derived from
-# (`named_complex` and `build_parser` are the two per-process ones, and
-# `_grid` stores the grid cells its complex is built from)
+# (module, enclosing function) of every memo.  Each call of `complexes.memo`
+# hangs what it builds on the complex, system, cover, splitting, pair
+# complex or spaces it is derived from, keyed by its other inputs; the rest
+# do not go through it: the cached image of a map and kernel positions of a
+# decomposition, the presentation memoized on its d_out matrix, and the two
+# per-process ones, `named_complex` and `build_parser`.
 MEMO_SITES = {
     ("cap", "verify_duality"),
     ("chains", "PairComplex.__init__"),
+    ("chains", "PairComplex.boundary"),
+    ("chains", "PairComplex.coboundary"),
+    ("chains", "PairComplex.index"),
+    ("chains", "PairComplex.space"),
     ("chains", "pair_complex"),
     ("cli", "_complex_digest"),
     ("cli", "build_parser"),
     ("complexes", "SimplicialComplex.facet_adjacency"),
     ("complexes", "SimplicialComplex.ridge_to_facets"),
     ("complexes", "SimplicialComplex.vertex_stars"),
-    ("complexes", "_grid"),
     ("complexes", "named_complex"),
     ("complexes", "star_signs"),
     ("complexes", "validate"),
@@ -303,55 +310,61 @@ MEMO_SITES = {
     ("mv", "named_diagram6"),
 }
 
-
-def _module_dicts(tree):
-    """Names a module binds at its top level to a dict display or dict()."""
-    names = set()
-    for node in tree.body:
-        targets = (node.targets if isinstance(node, ast.Assign)
-                   else [node.target] if isinstance(node, ast.AnnAssign)
-                   else [])
-        value = getattr(node, "value", None)
-        if isinstance(value, ast.Dict) or (
-                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id == "dict"):
-            names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    return names
+# (module, enclosing function) of every item store into an attribute named
+# `_cache` or ending in `_cache`: `memo` itself, and `_grid`, which stores
+# the grid cells its complex is built from
+CACHE_STORES = {
+    ("complexes", "_grid"),
+    ("complexes", "memo"),
+}
 
 
-def _is_memo(owner, module_dicts):
-    """An attribute named _cache or ending in _cache, or a module-level
-    dict."""
-    if isinstance(owner, ast.Attribute):
-        return owner.attr.endswith("_cache")
-    return isinstance(owner, ast.Name) and owner.id in module_dicts
+def _targets(node):
+    """The targets the statement `node` assigns to."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
 
 
-def _memo_stores(node, module_dicts):
-    """True when the statement or call `node` stores into a memo: an item
-    assignment into a memo, a setdefault on one, a `_presentation` store
-    other than None, or a memoizing decorator."""
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            if isinstance(target, ast.Subscript) \
-                    and _is_memo(target.value, module_dicts):
-                return True
-            if isinstance(target, ast.Attribute) \
-                    and target.attr == "_presentation" \
-                    and not (isinstance(node.value, ast.Constant)
-                             and node.value.value is None):
-                return True
+def _item_stores(node):
+    """The objects the statement or call `node` stores an item into: the
+    subscripted object of an item assignment, the owner of a setdefault."""
+    stores = [t.value for t in _targets(node) if isinstance(t, ast.Subscript)]
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "setdefault" \
-            and _is_memo(node.func.value, module_dicts):
+            and node.func.attr == "setdefault":
+        stores.append(node.func.value)
+    return stores
+
+
+def test_only_memo_stores_into_a_cache():
+    found = {(module, where) for module, where, node in _package_nodes()
+             for owner in _item_stores(node)
+             if isinstance(owner, ast.Attribute)
+             and owner.attr.endswith("_cache")}
+    assert_listed(found, CACHE_STORES, "stores into a cache")
+
+
+def _memoizes(node, module_names):
+    """True when `node` is a call of `memo`, an item store into a name the
+    module binds at its top level, a `_presentation` store other than None,
+    or a function with a memoizing decorator."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "memo":
         return True
+    if any(isinstance(owner, ast.Name) and owner.id in module_names
+           for owner in _item_stores(node)):
+        return True
+    if isinstance(node, ast.Assign) and not (
+            isinstance(node.value, ast.Constant) and node.value.value is None):
+        return any(isinstance(t, ast.Attribute) and t.attr == "_presentation"
+                   for t in node.targets)
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         for deco in node.decorator_list:
             deco = deco.func if isinstance(deco, ast.Call) else deco
-            name = deco.attr if isinstance(deco, ast.Attribute) else \
-                getattr(deco, "id", None)
-            if name in MEMO_DECORATORS:
+            if getattr(deco, "attr", getattr(deco, "id", None)) \
+                    in MEMO_DECORATORS:
                 return True
     return False
 
@@ -360,10 +373,11 @@ def test_every_memo_site_is_listed():
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        module_dicts = _module_dicts(tree)
+        module_names = {t.id for node in tree.body
+                        for t in _targets(node) if isinstance(t, ast.Name)}
         for where, node in _scoped(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where = f"{where}.{node.name}".removeprefix("<module>.")
-            if where != "<module>" and _memo_stores(node, module_dicts):
+            if where != "<module>" and _memoizes(node, module_names):
                 found.add((path.stem, where))
     assert_listed(found, MEMO_SITES, "memo sites")
