@@ -9,6 +9,10 @@ the unique convention that makes the cap boundary identity hold on the nose:
     delta c (sigma) = T[v0<-v1](c(face_0)) + sum_{i>=1} (-1)^i c(face_i)
 
 Relative pairs use full-subcomplex complements: C(M|K) = C(M)/C(complement K).
+A PairComplex keeps its (co)boundary matrices, and a transfer matrix is kept
+by the MV spaces that ask for it, so both take their empty and +-1 unit rows
+from the shared rows of `matrices` (ExactMatrix.shared): a transfer has no
+other kind of row.
 The direct, facet-by-facet construction of the twisted fundamental class
 lives here as well; the construction through the orientation double cover
 lives in `covers`, which builds on this module.
@@ -120,7 +124,7 @@ class PairComplex:
                     sign = ring.from_int(-1 if i % 2 else 1)
                     for a in range(r):
                         data[row + a][col + a] = sign
-        return ExactMatrix._from_rows(ring, data, len(cols) * r)
+        return ExactMatrix._from_rows(ring, data, len(cols) * r).shared()
 
     def verify_squares(self):
         """d o d = 0 and delta o delta = 0 in every degree."""
@@ -186,7 +190,7 @@ def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
             continue
         for a in range(r):
             data[pos * r + a][j * r + a] = ring.one
-    return ExactMatrix._from_rows(ring, data, src.length(k))
+    return ExactMatrix._from_rows(ring, data, src.length(k)).shared()
 
 
 # ---------------------------------------------------------------------------

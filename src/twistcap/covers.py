@@ -317,8 +317,10 @@ def _build_split_maps(cover, ring, K) -> SplitMaps:
             plus_rows[idx[other]][j] = ring.from_int(parity * eps)
             minus_rows[idx[rep]][j] = ring.from_int(parity)
             minus_rows[idx[other]][j] = ring.from_int(-parity * eps)
-        incl_plus = ExactMatrix._from_rows(ring, plus_rows, len(orbit_bases))
-        incl_minus = ExactMatrix._from_rows(ring, minus_rows, len(orbit_bases))
+        incl_plus = ExactMatrix._from_rows(
+            ring, plus_rows, len(orbit_bases)).shared()
+        incl_minus = ExactMatrix._from_rows(
+            ring, minus_rows, len(orbit_bases)).shared()
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
                                  tuple(orbit_bases))
     return SplitMaps(cover, ring, K, degrees)

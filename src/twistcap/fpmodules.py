@@ -20,7 +20,9 @@ backward from those vectors, so the presentation pays no fill for the rows
 and columns it drops.  A kernel row that is a unit vector e_c is kept as
 its column c, and selects row c of the chains.
 Each presentation is memoized on its d_out matrix, so a boundary pair that a
-PairComplex owns is presented once for as long as the complex lives.
+PairComplex owns is presented once for as long as the complex lives; its
+generator chains and coordinate map take their empty and +-1 unit rows from
+the shared rows of `matrices` (ExactMatrix.shared).
 
 Each question about a presented module is asked one way, of a matrix:
 class_matrix is the one route from chains to classes (None unless every
@@ -282,8 +284,9 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
             c = ring.normalize(a * w)
             if c:
                 combos[j][g] = c
-    cycles = out_snf.v_apply(ExactMatrix._from_rows(ring, combos, len(kept)))
-    coords = snf.u_rows(kept)
+    cycles = out_snf.v_apply(
+        ExactMatrix._from_rows(ring, combos, len(kept))).shared()
+    coords = snf.u_rows(kept).shared()
     memo = HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
                                 d_in, d_out)
     d_out._presentation = memo

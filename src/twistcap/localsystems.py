@@ -10,15 +10,18 @@ each distinct pair of matrix objects is checked with one product instead of
 computed: a +-1 transport is its own inverse (a sign system shares one
 matrix per sign, so it checks two pairs), a tensor product knows those of
 its factors, and a gauged transport g_u^-1 T g_v has the inverse
-g_v^-1 T^-1 g_u.  A random gauge is built with its inverse, so only the
-gauges passed to gauge_transform and the transports read from a file are
-inverted, once, and a non-invertible transport is rejected there.  A rank
-a user asks for is at most MAX_RANK; only tensor products exceed it.
+g_v^-1 T^-1 g_u.  A tensor product builds one Kronecker product per
+distinct pair of factor matrices, so the tensor of two sign systems holds
+at most four matrices.  A random gauge is built with its inverse, so only
+the gauges passed to gauge_transform and the transports read from a file
+are inverted, once, and a non-invertible transport is rejected there.  A
+rank a user asks for is at most MAX_RANK; only tensor products exceed it.
 
 Memoized (`complexes.memo`): the constant, orientation and seeded random
 flat systems, one per distinct (ring, rank, seed), a system read from a file
 (under its text) and the sign-cocycle kernel on their complex; a tensor
-product on its first factor; path transports on their system.
+product on its first factor; path transports on their system, which take
+their +-1 unit rows from the shared rows of `matrices` (ExactMatrix.shared).
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -102,7 +105,7 @@ class LocalSystem:
             out = ExactMatrix.identity(self.ring, self.rank)
             for u, v in zip(path, path[1:]):
                 out = out @ self.transport(u, v)
-            return out
+            return out.shared()
         return memo(self, ("path", path), build)
 
     def edge_items(self):
@@ -181,8 +184,17 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
         if G.ring != Gp.ring:
             raise RingMismatch("tensor factors over different rings")
         edges = G.base.faces(1)
-        transport = {e: G._transport[e].kron(Gp._transport[e]) for e in edges}
-        reverse = {e: G._reverse[e].kron(Gp._reverse[e]) for e in edges}
+        # (id(a), id(b)) -> a (x) b, one per distinct pair; the factors
+        # outlive the build, so their ids are stable
+        products = {}
+
+        def kron(a, b):
+            key = (id(a), id(b))
+            if key not in products:
+                products[key] = a.kron(b)
+            return products[key]
+        transport = {e: kron(G._transport[e], Gp._transport[e]) for e in edges}
+        reverse = {e: kron(G._reverse[e], Gp._reverse[e]) for e in edges}
         return LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport,
                            reverse)
     return memo(G, ("tensor", Gp), build)

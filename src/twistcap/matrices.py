@@ -9,10 +9,13 @@ it.  An ExactMatrix has one representation: each row is a dict
 deck matrices are almost all zeros, so every operation -- products, sums,
 stacking, Kronecker products, solves and the Smith form -- touches nonzeros
 only.  Rows are never mutated once a matrix holds them, so matrices built
-from others (vstack, block_diag, the coordinate rows of a presentation)
-share them.  `.data` is a dense tuple-of-tuples view, built on each read and
-never stored, for the few readers that want every cell (certificate hashes,
-serialization); over Q it renders every cell as a Fraction.
+from others (vstack, block_diag, the coordinate rows of a presentation, a
+product with a unit row {k: 1} on the left) share them, and the matrices
+that memos keep share one table of empty and +-1 unit rows
+(ExactMatrix.shared).  `.data` is a dense tuple-of-tuples view, built on
+each read and never stored, for the few readers that want every cell
+(certificate hashes, serialization); over Q it renders every cell as a
+Fraction.
 
 The Smith form eliminates on the same storage: the rows of the working
 matrix are dicts of their nonzeros, and column swaps permute indices.  The
@@ -56,6 +59,12 @@ from .errors import TwistcapError
 from .rings import RATIONALS, RingSpec
 
 
+# The rows that kept matrices share (ExactMatrix.shared): the empty row, and
+# the unit row {j: 1} or {j: -1} of each column j, made on its first ask.
+_EMPTY_ROW = {}
+_UNIT_ROWS = {}  # (j, 1) or (j, -1) -> the row {j: 1} or {j: -1}
+
+
 class ExactMatrix:
     """A rows x cols matrix; `sparse_rows[i]` is row i as a dict {column:
     nonzero entry}.  Matrices are immutable: neither the tuple nor its dicts
@@ -63,7 +72,18 @@ class ExactMatrix:
     `_presentation`, where fpmodules.homology_presentation memoizes the
     homology presented with this matrix as d_out.  The presentation holds
     this matrix back, so a presented matrix sits in a reference cycle and is
-    freed by the cycle collector."""
+    freed by the cycle collector.
+
+    Since no row changes, equal rows can be one object.  A matrix that a
+    memo keeps (identities, transfers, boundaries, a presentation's cycles
+    and coordinates, the split inclusions, path transports and the MV row
+    maps) takes its empty rows and its rows {j: 1} and {j: -1} from one
+    process-wide table through `shared`; these int rows are the canonical
+    rows over Z and Q, and {j: 1} over Z/m too.  The table holds at most two
+    rows per column index, so it grows with the widest kept matrix, never
+    with the number of checks.  A product shares the rows of its right
+    factor where a row of the left is {k: 1}.  A transient matrix is built
+    with its own rows: `_from_rows` adds no work per row."""
 
     __slots__ = ("ring", "rows", "cols", "sparse_rows", "_presentation")
 
@@ -104,8 +124,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, ring, n):
-        one = ring.one
-        return cls._from_rows(ring, [{i: one} for i in range(n)], n)
+        return cls._from_rows(ring, [{i: 1} for i in range(n)], n).shared()
 
     @classmethod
     def from_columns(cls, ring, columns, rows):
@@ -121,6 +140,23 @@ class ExactMatrix:
                 if x:
                     out[i][j] = x
         return cls._from_rows(ring, out, cols)
+
+    def shared(self) -> ExactMatrix:
+        """This matrix with each empty row and each row holding a single +-1
+        taken from the process-wide table of shared rows, for a matrix that
+        a memo keeps."""
+        rows = []
+        for row in self.sparse_rows:
+            if not row:
+                row = _EMPTY_ROW
+            elif len(row) == 1:
+                item, = row.items()
+                if item[1] == 1 or item[1] == -1:
+                    row = _UNIT_ROWS.get(item)
+                    if row is None:
+                        row = _UNIT_ROWS[item] = dict((item,))
+            rows.append(row)
+        return ExactMatrix._from_rows(self.ring, rows, self.cols)
 
     # -- basic queries ---------------------------------------------------
 
@@ -231,6 +267,11 @@ class ExactMatrix:
         orows = other.sparse_rows
         out = []
         for row in self.sparse_rows:
+            if len(row) == 1:
+                (k, a), = row.items()
+                if a == 1:  # the product row is row k of other, shared
+                    out.append(orows[k])
+                    continue
             acc = {}
             get = acc.get
             for k, a in row.items():

@@ -146,7 +146,7 @@ class _MVSpaces:
             into = [self.transfer(first, pc, k) for pc in sides]
             out = [self.transfer(pc, last, k) for pc in sides]
             signed = into if first is self.inter else out
-            signed[1] = -signed[1]
+            signed[1] = (-signed[1]).shared()
             return into, out
         return memo(self, ("row", first, last, k), build)
 
@@ -385,17 +385,18 @@ def mv_splitting(pair: CoverPair, G, k, alpha):
 
 
 def splitting_holds(pair: CoverPair, G) -> bool:
-    """mv_splitting succeeds on every basis cochain of the intersection pair;
-    a splitting that raises counts as a failure."""
+    """split_cochain succeeds on every basis cochain of the intersection
+    pair, on MV spaces read once; a splitting that raises counts as a
+    failure."""
     ring = G.ring
-    inter = _mv_spaces(pair, G).inter
+    spaces = _mv_spaces(pair, G)
     for k in range(pair.X.dimension + 1):
-        size = inter.length(k)
+        size = spaces.inter.length(k)
         for j in range(size):
             alpha = tuple(ring.one if i == j else ring.zero
                           for i in range(size))
             try:
-                mv_splitting(pair, G, k, alpha)
+                spaces.split_cochain(k, alpha)
             except TwistcapError:
                 return False
     return True

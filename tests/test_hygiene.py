@@ -30,7 +30,11 @@ through it: an item store into a module-level name, a ``_presentation``
 store, a function decorated with ``cache``, ``lru_cache`` or
 ``cached_property``.  A new memo fails until it is listed on purpose, so
 each one is seen to hang on what it is derived from and to grow with
-distinct inputs, not with the checks a process runs.
+distinct inputs, not with the checks a process runs.  The shared rows of
+kept matrices, ``_EMPTY_ROW`` and ``_UNIT_ROWS``, are named only in
+``matrices.py``, and every call of ``.shared()``, the one way a matrix takes
+its rows from them, is in ``SHARED_ROW_SITES``, so each matrix that shares
+rows is one a memo keeps.
 """
 
 import ast
@@ -266,8 +270,9 @@ MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
 # hangs what it builds on the complex, system, cover, splitting, pair
 # complex or spaces it is derived from, keyed by its other inputs; the rest
 # do not go through it: the cached image of a map and kernel positions of a
-# decomposition, the presentation memoized on its d_out matrix, and the two
-# per-process ones, `named_complex` and `build_parser`.
+# decomposition, the presentation memoized on its d_out matrix, and the
+# three per-process ones, `named_complex`, `build_parser` and the table of
+# shared unit rows, which holds two rows per column index at most.
 MEMO_SITES = {
     ("cap", "verify_duality"),
     ("chains", "PairComplex.__init__"),
@@ -299,6 +304,7 @@ MEMO_SITES = {
     ("localsystems", "random_flat_system"),
     ("localsystems", "random_sign_cocycle"),
     ("localsystems", "tensor"),
+    ("matrices", "ExactMatrix.shared"),
     ("matrices", "SmithDecomposition.kernel_positions"),
     ("mv", "_MVSpaces.row_maps"),
     ("mv", "_MVSpaces.split_plan"),
@@ -381,3 +387,34 @@ def test_every_memo_site_is_listed():
             if where != "<module>" and _memoizes(node, module_names):
                 found.add((path.stem, where))
     assert_listed(found, MEMO_SITES, "memo sites")
+
+
+SHARED_ROWS = {"_EMPTY_ROW", "_UNIT_ROWS"}
+
+# (module, enclosing function) of every call of `ExactMatrix.shared`, which
+# gives a matrix that memos keep the shared empty and +-1 unit rows
+SHARED_ROW_SITES = {
+    ("chains", "PairComplex._assemble"),
+    ("chains", "transfer_matrix"),
+    ("covers", "_build_split_maps"),
+    ("fpmodules", "homology_presentation"),
+    ("localsystems", "LocalSystem.path_transport.build"),
+    ("matrices", "ExactMatrix.identity"),
+    ("mv", "_MVSpaces.row_maps.build"),
+}
+
+
+def test_only_matrices_names_the_shared_rows():
+    naming = sorted({path.name for path in PACKAGE.glob("*.py")
+                     for name, _ in _references(
+                         ast.parse(path.read_text(encoding="utf-8")))
+                     if name in SHARED_ROWS})
+    assert naming == ["matrices.py"]
+
+
+def test_every_shared_row_site_is_listed():
+    found = {(module, where) for module, where, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "shared" and not node.args}
+    assert_listed(found, SHARED_ROW_SITES, "shared-row sites")

@@ -136,6 +136,20 @@ def test_inverse_roundtrip():
     assert (A @ B) == ExactMatrix.identity(Z, 2)
 
 
+@pytest.mark.parametrize("ring", [Z, Zmod(5), Q])
+def test_a_product_shares_the_rows_a_unit_row_selects(ring):
+    A = mat(ring, [[0, 1, 0], [2, 0, 0], [0, 0, 1], [0, -1, 0]])
+    B = mat(ring, [[1, 2], [Fraction(1, 3) if ring == Q else 3, 0], [0, 4]])
+    P = A @ B
+    assert P.sparse_rows[0] is B.sparse_rows[1]
+    assert P.sparse_rows[2] is B.sparse_rows[2]
+    assert P.sparse_rows[1] is not B.sparse_rows[0]
+    assert P.sparse_rows[3] is not B.sparse_rows[1]
+    assert P.data == tuple(
+        tuple(ring.normalize(sum(a * b for a, b in zip(arow, bcol)))
+              for bcol in zip(*B.data)) for arow in A.data)
+
+
 def test_kron_and_apply():
     A = mat(Z, [[0, 1], [1, 0]])
     B = mat(Z, [[-1]])
@@ -580,8 +594,10 @@ def swap_heavy_rows(draw, ring):
         rows[i][j] = draw(big if i == 0 else anything)
     rows[n - 1][perm[n - 1]] = 1
     if ring.kind == RATIONALS:
-        rows[1:] = [[Fraction(x, draw(st.sampled_from([1, 2]))) for x in row]
-                    for row in rows[1:]]
+        # the last row stays integral: scaled by a denominator 2, its 1
+        # would become a 2 and the first pivot could stay in row 0
+        rows[1:-1] = [[Fraction(x, draw(st.sampled_from([1, 2])))
+                       for x in row] for row in rows[1:-1]]
     return n, rows
 
 

@@ -6,14 +6,30 @@ Derived objects are memoized on their source and form reference cycles with
 it, so they are freed by the cycle collector; each run starts after a full
 collection, and its peak measures what the earlier runs retain rather than
 when the collector last ran.  The argument parser is built once per process
-and leaves no cycles behind per run."""
+and leaves no cycles behind per run.
+
+Kept matrices share their empty and +-1 unit rows through one table in
+`matrices`: nothing writes into a shared row, the kept matrices do share
+them, and the table grows with the width of the inputs, not with the
+checks run.  The tests of the table run the commands on fresh built-in
+complexes, so every memo they read is built under the table they see."""
 
 import contextlib
 import gc
 import io
 import tracemalloc
 
+import pytest
+
+from twistcap import complexes, matrices
+from twistcap.chains import pair_complex, relative_killed, transfer_matrix
 from twistcap.cli import build_parser, main
+from twistcap.complexes import FullSubcomplex, SimplicialComplex, corpus
+from twistcap.fpmodules import homology_presentation
+from twistcap.localsystems import (constant_system, orientation_system,
+                                   random_sign_cocycle, sign_system, tensor)
+from twistcap.matrices import ExactMatrix
+from twistcap.rings import Q, Z, Zmod
 
 COMMANDS = (
     ("verify-duality", "--complex", "klein", "--ring", "Z"),
@@ -64,3 +80,83 @@ def test_cli_runs_leave_no_argparse_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == []
+
+
+class ReadOnlyRow(dict):
+    """A shared row that raises on every write."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared row was written")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    pop = popitem = update = setdefault = clear = _refuse
+
+
+def fresh(name):
+    """A copy of a corpus complex that shares no cache with the corpus."""
+    return SimplicialComplex(corpus(name).vertex_count, corpus(name).facets)
+
+
+def run_quietly(argv_list):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return [main(list(argv)) for argv in argv_list]
+
+
+def test_nothing_writes_into_a_shared_row(monkeypatch):
+    width = 4096  # wider than any matrix the commands keep
+    table = {(j, s): ReadOnlyRow({j: s}) for j in range(width)
+             for s in (1, -1)}
+    before = {key: dict(row) for key, row in table.items()}
+    monkeypatch.setattr(matrices, "_EMPTY_ROW", ReadOnlyRow())
+    monkeypatch.setattr(matrices, "_UNIT_ROWS", table)
+    monkeypatch.setattr(complexes, "_named", {})
+    commands = COMMANDS + (("corpus-all", "--seed", "0", "--trials", "2"),)
+    assert run_quietly(commands) == [0] * len(commands)
+    assert matrices._EMPTY_ROW == {}
+    assert table == before  # no row changed and none was added
+
+
+def test_a_second_run_adds_no_shared_row(monkeypatch):
+    monkeypatch.setattr(matrices, "_UNIT_ROWS", {})
+    monkeypatch.setattr(complexes, "_named", {})
+    assert run_quietly(COMMANDS) == [0] * len(COMMANDS)
+    first = set(matrices._UNIT_ROWS)
+    assert run_quietly(COMMANDS) == [0] * len(COMMANDS)
+    assert set(matrices._UNIT_ROWS) == first
+    # one row per column index and sign, up to the widest kept matrix
+    widest = max(j for j, _ in first) + 1
+    assert 0 < len(first) <= 2 * widest < 1000
+
+
+def test_transfers_share_the_rows_of_the_identity():
+    M = fresh("torus")
+    pc = pair_complex(M, constant_system(M, Z, 2))
+    ident = ExactMatrix.identity(Z, pc.length(1)).sparse_rows
+    for vertices in ({0}, {0, 1}):
+        rel = pair_complex(M, pc.system, killed=relative_killed(
+            M, FullSubcomplex(M, vertices)))
+        proj = transfer_matrix(pc, rel, 1)
+        assert proj.rows and all(row is ident[j]
+                                 for row in proj.sparse_rows for j in row)
+
+
+def test_the_unit_rows_of_cycles_are_the_shared_rows():
+    M = fresh("klein")
+    pc = pair_complex(M, constant_system(M, Z))
+    cycles = homology_presentation(pc.boundary(2), pc.boundary(1)).cycles
+    units = [row for row in cycles.sparse_rows
+             if len(row) == 1 and set(row.values()) <= {1, -1}]
+    assert units and all(row is matrices._UNIT_ROWS[next(iter(row.items()))]
+                         for row in units)
+    assert all(row is matrices._EMPTY_ROW
+               for row in cycles.sparse_rows if not row)
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q])
+def test_a_tensor_of_sign_systems_holds_four_transports(ring):
+    M = fresh("klein")
+    G = orientation_system(M, ring)
+    H = sign_system(M, ring, random_sign_cocycle(M, seed=5))
+    T = tensor(G, H)
+    held = {id(m) for m in (*T._transport.values(), *T._reverse.values())}
+    assert len(held) <= 4

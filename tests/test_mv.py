@@ -220,5 +220,5 @@ def test_splitting_failure_is_a_verdict_not_an_error(monkeypatch):
     def broken(*args):
         raise TwistcapError("splitting failed its defining equation")
 
-    monkeypatch.setattr(mv, "mv_splitting", broken)
+    monkeypatch.setattr(mv._MVSpaces, "split_cochain", broken)
     assert not mv.splitting_holds(pair, G)
