@@ -9,10 +9,13 @@ the unique convention that makes the cap boundary identity hold on the nose:
     delta c (sigma) = T[v0<-v1](c(face_0)) + sum_{i>=1} (-1)^i c(face_i)
 
 Relative pairs use full-subcomplex complements: C(M|K) = C(M)/C(complement K).
-A PairComplex keeps its (co)boundary matrices, and a transfer matrix is kept
-by the MV spaces that ask for it, so both take their empty and +-1 unit rows
-from the shared rows of `matrices` (ExactMatrix.shared): a transfer has no
-other kind of row.
+Coordinates belong to the cells: an absolute PairComplex reads the base
+complex's own faces and face index, and the relative ones over one cell set
+(pool, killed) read one coordinate tuple and one index per degree, memoized
+on the base, whatever their system.  A PairComplex keeps its (co)boundary
+matrices, and a transfer matrix is kept by the MV spaces that ask for it, so
+both take their empty and +-1 unit rows from the shared rows of `matrices`
+(ExactMatrix.shared): a transfer has no other kind of row.
 The direct, facet-by-facet construction of the twisted fundamental class
 lives here as well; the construction through the orientation double cover
 lives in `covers`, which builds on this module.
@@ -43,6 +46,10 @@ class PairComplex:
     pool defaults to the whole complex and killed (read only by `contains`)
     to nothing.  Coordinates at degree k are the k-simplices of pool not in
     killed, in lexicographic order, with one fiber block of size rank each.
+    The coordinates belong to the cells, not to the system: an absolute
+    complex reads the base's own `faces` and `face_index`, and every
+    relative complex over one (pool, killed) reads one tuple and one index
+    per degree, kept on the base.  The matrices are the complex's own.
     """
 
     def __init__(self, base: SimplicialComplex, system: LocalSystem,
@@ -65,20 +72,31 @@ class PairComplex:
     # -- coordinates ------------------------------------------------------
 
     def space(self, k: int):
+        if self.pool is None and self.killed is None:
+            return self.base.faces(k)
+
         def build():
-            if k < 0 or k > self.base.dimension:
-                return ()
             simplices = (self.base.faces(k) if self.pool is None
                          else tuple(sorted(self.pool.faces(k))))
             if self.killed is not None:
                 simplices = tuple(s for s in simplices
                                   if not self.killed.contains(s))
             return simplices
-        return memo(self, ("space", k), build)
+        return self._cells("space", k, build)
 
     def index(self, k: int):
-        return memo(self, ("index", k),
-                    lambda: {s: i for i, s in enumerate(self.space(k))})
+        if self.pool is None and self.killed is None:
+            return self.base.face_index(k)
+        return self._cells("index", k, lambda: {
+            s: i for i, s in enumerate(self.space(k))})
+
+    def _cells(self, kind, k, build):
+        """The relative coordinates of one kind at degree k: one value per
+        cell set, memoized on the base under (kind, pool, killed, k), and
+        read once per complex into its own memo, since hashing a
+        Subcomplex sorts its faces."""
+        return memo(self, (kind, k), lambda: memo(
+            self.base, (kind, self.pool, self.killed, k), build))
 
     def length(self, k: int) -> int:
         return len(self.space(k)) * self.rank

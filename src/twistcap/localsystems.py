@@ -10,9 +10,12 @@ each distinct pair of matrix objects is checked with one product instead of
 computed: a +-1 transport is its own inverse (a sign system shares one
 matrix per sign, so it checks two pairs), a tensor product knows those of
 its factors, and a gauged transport g_u^-1 T g_v has the inverse
-g_v^-1 T^-1 g_u.  A tensor product builds one Kronecker product per
-distinct pair of factor matrices, so the tensor of two sign systems holds
-at most four matrices.  A random gauge is built with its inverse, so only
+g_v^-1 T^-1 g_u.  The rank-1 system whose every transport is 1 is the
+unit of the tensor product: tensoring with it returns the other factor.
+Otherwise a tensor product builds one Kronecker product per distinct pair
+of factor matrices, and a 1x1 identity factor gives the other factor's
+matrix object, so the tensor of two sign systems holds at most four
+matrices.  A random gauge is built with its inverse, so only
 the gauges passed to gauge_transform and the transports read from a file
 are inverted, once, and a non-invertible transport is rejected there.  A
 rank a user asks for is at most MAX_RANK; only tensor products exceed it.
@@ -20,8 +23,11 @@ rank a user asks for is at most MAX_RANK; only tensor products exceed it.
 Memoized (`complexes.memo`): the constant, orientation and seeded random
 flat systems, one per distinct (ring, rank, seed), a system read from a file
 (under its text) and the sign-cocycle kernel on their complex; a tensor
-product on its first factor; path transports on their system, which take
-their +-1 unit rows from the shared rows of `matrices` (ExactMatrix.shared).
+product on its first factor; whether a system is the unit, and its path
+transports, on the system.  A system's transports and path transports take
+their empty and +-1 unit rows from the shared rows of `matrices`
+(ExactMatrix.shared), once per distinct matrix object; a transport with no
+row to share is kept as the object given.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -55,22 +61,32 @@ class LocalSystem:
         ident = ExactMatrix.identity(ring, rank)
         cleaned, reverse = {}, {}
         checked = set()   # ids of (transport, reverse) pairs found inverse
+        kept = {}   # id of a given matrix -> (it, it with shared rows)
+
+        def share(mat):
+            """`mat.shared()`, once per distinct matrix object; the entry
+            keeps `mat` alive, so its id is not reused."""
+            entry = kept.get(id(mat))
+            if entry is None:
+                entry = kept[id(mat)] = (mat, mat.shared())
+            return entry[1]
         for edge, mat in transport.items():
             e = tuple(edge)
             if e not in edges:
                 raise TwistcapError(f"{e} is not an edge of the base complex")
             if mat.ring != ring or mat.rows != rank or mat.cols != rank:
                 raise TwistcapError(f"transport at {e} has wrong shape or ring")
+            mat = share(mat)
             if known_reverse is None:
                 try:
-                    rev = inverse(mat)
+                    rev = share(inverse(mat))
                 except TwistcapError:
                     rev = None
             else:
                 # a one-sided inverse of a square matrix over a commutative
                 # ring is two-sided; edges sharing both matrices share the
-                # check, and the dicts keep the pair alive, so ids are stable
-                rev = known_reverse[e]
+                # check, and `kept` keeps the pair alive, so ids are stable
+                rev = share(known_reverse[e])
                 pair = (id(mat), id(rev))
                 if pair not in checked:
                     if mat @ rev != ident:
@@ -110,6 +126,12 @@ class LocalSystem:
 
     def edge_items(self):
         return sorted(self._transport.items())
+
+    def is_unit(self) -> bool:
+        """Rank 1 with every transport 1: the unit of `tensor`."""
+        one = self.ring.one
+        return memo(self, "unit", lambda: self.rank == 1 and all(
+            m.entry(0, 0) == one for m in self._transport.values()))
 
     def is_sign_system(self) -> bool:
         if self.rank != 1:
@@ -177,12 +199,25 @@ def orientation_system(base, ring) -> LocalSystem:
 
 
 def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
-    """G (x) Gp, memoized on G."""
+    """G (x) Gp, memoized on G.
+
+    The rank-1 system whose every transport is 1 is the unit: with it as
+    either factor the product is the other factor itself, with its pair
+    complexes and everything else memoized on it.  Otherwise one Kronecker
+    product is built per distinct pair of factor matrices, and a 1x1
+    identity factor gives the other factor's matrix object.
+    """
+    if G.base is not Gp.base and G.base != Gp.base:
+        raise BaseMismatch("tensor factors live on different complexes")
+    if G.ring != Gp.ring:
+        raise RingMismatch("tensor factors over different rings")
+    if Gp.is_unit():
+        return G
+    if G.is_unit():
+        return Gp
+
     def build():
-        if G.base != Gp.base:
-            raise BaseMismatch("tensor factors live on different complexes")
-        if G.ring != Gp.ring:
-            raise RingMismatch("tensor factors over different rings")
+        one = G.ring.one
         edges = G.base.faces(1)
         # (id(a), id(b)) -> a (x) b, one per distinct pair; the factors
         # outlive the build, so their ids are stable
@@ -191,7 +226,12 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
         def kron(a, b):
             key = (id(a), id(b))
             if key not in products:
-                products[key] = a.kron(b)
+                if a.rows == 1 and a.entry(0, 0) == one:
+                    products[key] = b
+                elif b.rows == 1 and b.entry(0, 0) == one:
+                    products[key] = a
+                else:
+                    products[key] = a.kron(b)
             return products[key]
         transport = {e: kron(G._transport[e], Gp._transport[e]) for e in edges}
         reverse = {e: kron(G._reverse[e], Gp._reverse[e]) for e in edges}

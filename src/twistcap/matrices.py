@@ -76,14 +76,16 @@ class ExactMatrix:
 
     Since no row changes, equal rows can be one object.  A matrix that a
     memo keeps (identities, transfers, boundaries, a presentation's cycles
-    and coordinates, the split inclusions, path transports and the MV row
-    maps) takes its empty rows and its rows {j: 1} and {j: -1} from one
-    process-wide table through `shared`; these int rows are the canonical
-    rows over Z and Q, and {j: 1} over Z/m too.  The table holds at most two
-    rows per column index, so it grows with the widest kept matrix, never
-    with the number of checks.  A product shares the rows of its right
-    factor where a row of the left is {k: 1}.  A transient matrix is built
-    with its own rows: `_from_rows` adds no work per row."""
+    and coordinates, the split inclusions, system and path transports and
+    the MV row maps) takes its empty rows and its rows {j: 1} and {j: -1}
+    from one process-wide table through `shared`; these int rows are the
+    canonical rows over Z and Q, and {j: 1} over Z/m too.  The table holds
+    at most two rows per column index, so it grows with the widest kept
+    matrix, never with the number of checks.  Zero matrices and the
+    diagonal relations of a presented module take the table's empty row.
+    A product shares the rows of its right factor where a row of the left
+    is {k: 1}.  A transient matrix is built with its own rows: `_from_rows`
+    adds no work per row."""
 
     __slots__ = ("ring", "rows", "cols", "sparse_rows", "_presentation")
 
@@ -120,7 +122,7 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, ring, rows, cols):
-        return cls._from_rows(ring, [{} for _ in range(rows)], cols)
+        return cls._from_rows(ring, [_EMPTY_ROW] * rows, cols)
 
     @classmethod
     def identity(cls, ring, n):
@@ -144,9 +146,11 @@ class ExactMatrix:
     def shared(self) -> ExactMatrix:
         """This matrix with each empty row and each row holding a single +-1
         taken from the process-wide table of shared rows, for a matrix that
-        a memo keeps."""
+        a memo keeps; the matrix itself when that changes no row."""
         rows = []
-        for row in self.sparse_rows:
+        changed = False
+        for old in self.sparse_rows:
+            row = old
             if not row:
                 row = _EMPTY_ROW
             elif len(row) == 1:
@@ -155,7 +159,10 @@ class ExactMatrix:
                     row = _UNIT_ROWS.get(item)
                     if row is None:
                         row = _UNIT_ROWS[item] = dict((item,))
+            changed = changed or row is not old
             rows.append(row)
+        if not changed:
+            return self
         return ExactMatrix._from_rows(self.ring, rows, self.cols)
 
     # -- basic queries ---------------------------------------------------
@@ -853,8 +860,8 @@ class SmithSolver:
         is the identity."""
         cols = len(invariants)
         D = ExactMatrix._from_rows(
-            ring, [{i: invariants[i]} if i < cols and invariants[i] else {}
-                   for i in range(rows)], cols)
+            ring, [{i: invariants[i]} if i < cols and invariants[i]
+                   else _EMPTY_ROW for i in range(rows)], cols)
         solver = object.__new__(cls)
         solver.A = D
         solver.ring = ring

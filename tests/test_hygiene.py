@@ -276,10 +276,9 @@ MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
 MEMO_SITES = {
     ("cap", "verify_duality"),
     ("chains", "PairComplex.__init__"),
+    ("chains", "PairComplex._cells"),
     ("chains", "PairComplex.boundary"),
     ("chains", "PairComplex.coboundary"),
-    ("chains", "PairComplex.index"),
-    ("chains", "PairComplex.space"),
     ("chains", "pair_complex"),
     ("cli", "_complex_digest"),
     ("cli", "build_parser"),
@@ -297,6 +296,7 @@ MEMO_SITES = {
     ("covers", "split_maps"),
     ("fpmodules", "ModuleMap.image"),
     ("fpmodules", "homology_presentation"),
+    ("localsystems", "LocalSystem.is_unit"),
     ("localsystems", "LocalSystem.path_transport"),
     ("localsystems", "constant_system"),
     ("localsystems", "load_local_system"),
@@ -398,6 +398,7 @@ SHARED_ROW_SITES = {
     ("chains", "transfer_matrix"),
     ("covers", "_build_split_maps"),
     ("fpmodules", "homology_presentation"),
+    ("localsystems", "LocalSystem.__init__.share"),
     ("localsystems", "LocalSystem.path_transport.build"),
     ("matrices", "ExactMatrix.identity"),
     ("mv", "_MVSpaces.row_maps.build"),

@@ -12,22 +12,30 @@ Kept matrices share their empty and +-1 unit rows through one table in
 `matrices`: nothing writes into a shared row, the kept matrices do share
 them, and the table grows with the width of the inputs, not with the
 checks run.  The tests of the table run the commands on fresh built-in
-complexes, so every memo they read is built under the table they see."""
+complexes, so every memo they read is built under the table they see.
+
+Each kept object exists once per complex: every pair complex over one cell
+set, whatever its system, reads one coordinate tuple and one index per
+degree, and the rank-1 system whose every transport is 1 is the unit of
+the tensor product, so tensoring with it builds no second system."""
 
 import contextlib
 import gc
 import io
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from twistcap import complexes, matrices
 from twistcap.chains import pair_complex, relative_killed, transfer_matrix
 from twistcap.cli import build_parser, main
-from twistcap.complexes import FullSubcomplex, SimplicialComplex, corpus
+from twistcap.complexes import (FullSubcomplex, SimplicialComplex,
+                                closed_star, corpus)
 from twistcap.fpmodules import homology_presentation
-from twistcap.localsystems import (constant_system, orientation_system,
-                                   random_sign_cocycle, sign_system, tensor)
+from twistcap.localsystems import (LocalSystem, constant_system, orientation_system,
+                                   random_flat_system, random_sign_cocycle,
+                                   sign_system, tensor)
 from twistcap.matrices import ExactMatrix
 from twistcap.rings import Q, Z, Zmod
 
@@ -160,3 +168,103 @@ def test_a_tensor_of_sign_systems_holds_four_transports(ring):
     T = tensor(G, H)
     held = {id(m) for m in (*T._transport.values(), *T._reverse.values())}
     assert len(held) <= 4
+
+
+def systems_on(M, ring):
+    return [constant_system(M, ring), constant_system(M, ring, 2),
+            orientation_system(M, ring), random_flat_system(M, ring, 1, 4),
+            random_flat_system(M, ring, 2, 4)]
+
+
+def test_pair_complexes_share_one_coordinate_object_per_cell_set():
+    M = fresh("klein")
+
+    def cell_sets():
+        """Equal cell sets, built anew for each system."""
+        yield None, None
+        for vertices in ({0}, {0, 1}):
+            yield None, relative_killed(M, FullSubcomplex(M, vertices))
+        yield closed_star(M, {0}), None
+        yield closed_star(M, {0, 3}), FullSubcomplex(M, {3})
+
+    seen = {}
+    for ring in (Z, Zmod(3), Q):
+        for G in systems_on(M, ring):
+            for n, (pool, killed) in enumerate(cell_sets()):
+                pc = pair_complex(M, G, pool=pool, killed=killed)
+                for k in range(M.dimension + 1):
+                    seen.setdefault((n, k), set()).add(
+                        (id(pc.space(k)), id(pc.index(k))))
+    assert len(seen) == 5 * (M.dimension + 1)
+    assert all(len(ids) == 1 for ids in seen.values())
+    pc = pair_complex(M, constant_system(M, Z))
+    for k in range(M.dimension + 1):
+        assert pc.space(k) is M.faces(k) and pc.index(k) is M.face_index(k)
+    rel = pair_complex(M, constant_system(M, Z), killed=relative_killed(
+        M, FullSubcomplex(M, {0})))
+    assert 0 < len(rel.space(1)) < len(M.faces(1))
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Q])
+def test_the_unit_system_is_the_unit_of_tensor(ring):
+    M = fresh("klein")
+    unit = constant_system(M, ring)
+    for G in systems_on(M, ring):
+        assert tensor(unit, G) is G and tensor(G, unit) is G
+    # a rank-1 system of +1 transports that is not the constant one
+    ones = sign_system(M, ring, {e: 1 for e in M.faces(1)})
+    G = orientation_system(M, ring)
+    assert tensor(ones, G) is G and tensor(G, ones) is G
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Q])
+def test_a_rank_one_system_with_a_minus_one_edge_is_no_unit(ring):
+    M = fresh("klein")
+    edges = M.faces(1)
+    flipped = edges[len(edges) // 2]
+    H = sign_system(M, ring, {e: -1 if e == flipped else 1 for e in edges})
+    G = random_flat_system(M, ring, 2, 4)
+    minus = ring.from_int(-1)
+    for T in (tensor(H, G), tensor(G, H)):
+        assert T is not G and T.rank == 2
+        for e in edges:
+            want = G.transport(*e)
+            if e == flipped:
+                want = ExactMatrix._from_rows(ring, [
+                    {j: ring.normalize(minus * x) for j, x in row.items()}
+                    for row in want.sparse_rows], 2)
+                assert T.transport(*e) == want
+            else:
+                # a 1x1 identity factor gives the other factor's matrix
+                assert T.transport(*e) is want
+
+
+def test_system_transports_take_the_shared_rows():
+    M = fresh("klein")
+    G = random_flat_system(M, Z, 2, 4)
+    rows = [row for e in M.faces(1)
+            for m in (G.transport(*e), G.transport(*reversed(e)))
+            for row in m.sparse_rows]
+    units = [row for row in rows if len(row) == 1
+             and set(row.values()) <= {1, -1}]
+    assert units and all(row is matrices._UNIT_ROWS[next(iter(row.items()))]
+                         for row in units)
+    # a transport with no row to share is kept as the object given
+    two = ExactMatrix(Q, [[2]])
+    half = ExactMatrix(Q, [[Fraction(1, 2)]])
+    circle = corpus("circle")
+    edge = circle.faces(1)[0]
+    H = LocalSystem(circle, Q, 1, {edge: two}, {edge: half})
+    assert H.transport(*edge) is two and H.transport(*reversed(edge)) is half
+
+
+def test_free_modules_share_the_empty_row():
+    M = fresh("klein")
+    pc = pair_complex(M, constant_system(M, Z))
+    module = homology_presentation(pc.boundary(2), pc.boundary(1)).module
+    relations = module.relations
+    assert relations.rows == module.free_rank + len(module.torsion) > 0
+    empty = [row for row in relations.sparse_rows if not row]
+    assert empty and all(row is matrices._EMPTY_ROW for row in empty)
+    assert all(row is matrices._EMPTY_ROW
+               for row in ExactMatrix.zeros(Z, 3, 0).sparse_rows)
