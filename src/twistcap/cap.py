@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .chains import (FundamentalClassData, fundamental_class_direct,
                      pair_complex, relative_killed)
-from .complexes import FullSubcomplex, Subcomplex, memo, validate
+from .complexes import FullSubcomplex, memo, validate
 from .errors import (BadIndices, BaseMismatch, DegreeMismatch,
                      NotRelativeCocycle, RingMismatch, TwistcapError)
 from .fpmodules import (IsoResult, ModuleMap, homology_presentation,
@@ -66,12 +66,12 @@ def cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec):
     return cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a_vec).apply(c_vec)
 
 
-def cap_setting(M, G, Gp, K=None, pool: Subcomplex | None = None):
+def cap_setting(M, G, Gp, K=None):
     """The three pair complexes a cap computation runs over."""
     killed = relative_killed(M, K) if K is not None else None
-    cochain_pc = pair_complex(M, G, pool=pool, killed=killed)
-    chain_pc = pair_complex(M, Gp, pool=pool, killed=killed)
-    out_pc = pair_complex(M, tensor(G, Gp), pool=pool)
+    cochain_pc = pair_complex(M, G, killed=killed)
+    chain_pc = pair_complex(M, Gp, killed=killed)
+    out_pc = pair_complex(M, tensor(G, Gp))
     return cochain_pc, chain_pc, out_pc
 
 

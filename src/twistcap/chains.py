@@ -12,10 +12,11 @@ Relative pairs use full-subcomplex complements: C(M|K) = C(M)/C(complement K).
 Coordinates belong to the cells: an absolute PairComplex reads the base
 complex's own faces and face index, and the relative ones over one cell set
 (pool, killed) read one coordinate tuple and one index per degree, memoized
-on the base, whatever their system.  A PairComplex keeps its (co)boundary
-matrices, and a transfer matrix is kept by the MV spaces that ask for it, so
-both take their empty and +-1 unit rows from the shared rows of `matrices`
-(ExactMatrix.shared): a transfer has no other kind of row.
+on the base under the cell set's content, whatever their system.  A
+PairComplex keeps its (co)boundary matrices, and a transfer matrix is kept
+by the MV spaces that ask for it, so both take their empty and +-1 unit
+rows from the shared rows of `matrices` (ExactMatrix.shared): a transfer
+has no other kind of row.
 The direct, facet-by-facet construction of the twisted fundamental class
 lives here as well; the construction through the orientation double cover
 lives in `covers`, which builds on this module.
@@ -67,7 +68,7 @@ class PairComplex:
         self.rank = system.rank
         self.pool = pool
         self.killed = killed
-        self._cache = {}   # coordinates and matrices, per degree
+        self._cache = {}   # matrices, per degree
 
     # -- coordinates ------------------------------------------------------
 
@@ -92,11 +93,8 @@ class PairComplex:
 
     def _cells(self, kind, k, build):
         """The relative coordinates of one kind at degree k: one value per
-        cell set, memoized on the base under (kind, pool, killed, k), and
-        read once per complex into its own memo, since hashing a
-        Subcomplex sorts its faces."""
-        return memo(self, (kind, k), lambda: memo(
-            self.base, (kind, self.pool, self.killed, k), build))
+        cell set, memoized on the base under (kind, pool, killed, k)."""
+        return memo(self.base, (kind, self.pool, self.killed, k), build)
 
     def length(self, k: int) -> int:
         return len(self.space(k)) * self.rank
@@ -218,12 +216,11 @@ def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
 class FundamentalClassData:
     """A twisted top cycle plus access to its relative restrictions."""
 
-    def __init__(self, base, ring, system, chain, label):
+    def __init__(self, base, ring, system, chain):
         self.base = base
         self.ring = ring
         self.system = system
         self.chain = chain
-        self.label = label
         self._pc = pair_complex(base, system)
 
     @property
@@ -275,7 +272,7 @@ def fundamental_class_direct(M, ring, system=None) -> FundamentalClassData:
     if any(x != ring.zero for x in defect):
         raise NotAFundamentalCycle(
             "facet signs do not close up over this system", witness=defect)
-    return FundamentalClassData(M, ring, system, vec, "direct")
+    return FundamentalClassData(M, ring, system, vec)
 
 
 def vertex_generator_check(nu: FundamentalClassData, vertex: int) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import (ComplexFormatError, DisconnectedStar, NotInStar,
                      TwistcapError, UnknownName)
@@ -52,10 +52,15 @@ class SimplicialComplex:
                     by_dim.setdefault(size - 1, set()).add(f)
         if not by_dim:
             raise TwistcapError("complex needs at least one simplex")
+        # labels are in range: they cover 0..n-1 when there are n, and the
+        # first five missing lie below len(covered) + 5, whatever n is
         covered = {v for (v,) in by_dim.get(0, ())}
-        if covered != set(range(vertex_count)):
-            missing = sorted(set(range(vertex_count)) - covered)
-            raise TwistcapError(f"vertices {missing} lie in no simplex")
+        absent = vertex_count - len(covered)
+        if absent:
+            missing = list(islice(
+                (v for v in range(vertex_count) if v not in covered), 5))
+            more = f" and {absent - 5} more" if absent > 5 else ""
+            raise TwistcapError(f"vertices {missing}{more} lie in no simplex")
         self._faces = {k: tuple(sorted(v)) for k, v in by_dim.items()}
         self._index = {k: {s: i for i, s in enumerate(fs)}
                        for k, fs in self._faces.items()}
@@ -147,8 +152,10 @@ def memo(owner, key, build):
     The one cache policy of the package: an object derived from another is
     memoized on the object it comes from, its owner, in the owner's
     `_cache`; the key names the other inputs it was built from, and the
-    memo dies with the owner.  A build that raises stores nothing, so a
-    failing input raises again on every ask.
+    memo dies with the owner.  Of several inputs, the owner is the one that
+    dies first, so a lasting input keeps nothing of passing ones.  A build
+    that raises stores nothing, so a failing input raises again on every
+    ask.
     """
     try:
         return owner._cache[key]
@@ -378,9 +385,8 @@ class Subcomplex:
                 and self._faces == other._faces)
 
     def __hash__(self):
-        return hash((self.ambient,
-                     tuple(sorted((k, tuple(sorted(v)))
-                                  for k, v in self._faces.items()))))
+        # each frozenset of faces keeps its own hash once computed
+        return hash((self.ambient, frozenset(self._faces.items())))
 
 
 def empty_subcomplex(ambient) -> Subcomplex:
@@ -534,30 +540,30 @@ _RP2_FACETS = ((0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
                (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5))
 
 
-def _grid(nx: int, ny: int, twisted: bool) -> SimplicialComplex:
-    """The nx x ny grid surface: y wraps straight, x wraps straight (torus)
-    or, when `twisted`, with a flip in y, (nx, y) ~ (0, -y) (Klein bottle).
-
-    Vertex (x, y) is y * nx + x, and grid_cells maps each square (x, y) to
-    its two triangles.
-    """
+def _grid_cells(nx: int, ny: int, twisted: bool) -> dict:
+    """The squares of the nx x ny grid surface: y wraps straight, x wraps
+    straight (torus) or, when `twisted`, with a flip in y, (nx, y) ~ (0, -y)
+    (Klein bottle).  Vertex (x, y) is y * nx + x, and square (x, y) maps to
+    its two triangles."""
     def vid(x, y):
         if twisted and x >= nx:
             y = -y
         return (y % ny) * nx + (x % nx)
 
-    tris = []
     cells = {}
     for x in range(nx):
         for y in range(ny):
             a, b = vid(x, y), vid(x + 1, y)
             c, d = vid(x, y + 1), vid(x + 1, y + 1)
-            pair = (tuple(sorted((a, b, d))), tuple(sorted((a, d, c))))
-            cells[(x, y)] = pair
-            tris.extend(pair)
-    cx = SimplicialComplex(nx * ny, tris)
-    cx._cache["grid_cells"] = cells
-    return cx
+            cells[(x, y)] = (tuple(sorted((a, b, d))),
+                             tuple(sorted((a, d, c))))
+    return cells
+
+
+def _grid(nx: int, ny: int, twisted: bool) -> SimplicialComplex:
+    """The nx x ny grid surface whose squares are `_grid_cells`."""
+    cells = _grid_cells(nx, ny, twisted).values()
+    return SimplicialComplex(nx * ny, [t for pair in cells for t in pair])
 
 
 _grid_torus = partial(_grid, twisted=False)

@@ -21,8 +21,9 @@ of the base, checked as one product identity per degree (the antisymmetric
 inclusion is a chain map), and the fundamental class pushed through it.
 
 Memoized (`complexes.memo`): the cover on its sign system; its orientation,
-sheet lifts, sign systems and +/- splittings (one per ring and K) on the
-cover; the exactness verdicts of a splitting on the splitting.
+sign systems and +/- splittings (one per ring and K) on the cover; the
+exactness verdicts of a splitting on the splitting.  Sheet lifts are
+computed on every ask: a lift costs little more than a lookup.
 """
 
 from __future__ import annotations
@@ -84,9 +85,7 @@ class DoubleCover:
 
     def canonical_lift(self, simplex):
         """The lift carrying sheet 0 at the simplex's lowest vertex."""
-        s = tuple(simplex)
-        return memo(self, ("lift", s),
-                    lambda: _sheet_lift(self.signs, self.base.vertex_count, s))
+        return _sheet_lift(self.signs, self.base.vertex_count, simplex)
 
     def deck_image(self, total_simplex):
         return tuple(sorted(self.deck[v] for v in total_simplex))
@@ -457,4 +456,4 @@ def fundamental_class_via_cover(M, ring) -> FundamentalClassData:
     for facet in M.faces(n):
         rep = cover.canonical_lift(facet)
         vec.append(ring.normalize(projection_parity(cover, rep) * z[idx_total[rep]]))
-    return FundamentalClassData(M, ring, cover.cocycle, tuple(vec), "via-cover")
+    return FundamentalClassData(M, ring, cover.cocycle, tuple(vec))

@@ -19,7 +19,8 @@ Smith machinery.
 
 Memoized (`complexes.memo`): the built-in covers and diagram
 configurations, and the two covers of a diagram, on their complex, which
-lasts for the process; the MV spaces of a system on its cover; the
+lasts for the process; the MV spaces on their system, keyed by the cover's
+pieces, so equal covers share them and they die with the system; the
 transfers, row maps and splitting plans on the spaces, and each sequence's
 induced maps, direct sums and end maps too, keyed by the presentations they
 are induced between.  Each map owns the factorization of its image.  The
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 from .cap import cap_matrix
 from .chains import (fundamental_class_direct, pair_complex,
                      transfer_matrix)
-from .complexes import (FullSubcomplex, Subcomplex, closed_star,
-                        empty_subcomplex, memo, named_complex,
+from .complexes import (FullSubcomplex, Subcomplex, _grid_cells,
+                        closed_star, empty_subcomplex, memo, named_complex,
                         whole_subcomplex)
 from .errors import (CoboundariesDisagree, ConnectingChainEscapes,
                      ConnectingImageNotCycle, NotACover, TwistcapError,
@@ -68,7 +69,6 @@ class CoverPair:
         self.AB = A.intersection(B)
         self.CD = C.intersection(D)
         self.Y = C.union(D)
-        self._cache = {}   # objects derived from this cover
 
     def __repr__(self):
         return f"CoverPair(X dim {self.X.dimension})"
@@ -113,8 +113,7 @@ class ExactSequenceReport:
 class _MVSpaces:
     """The pair complexes a Mayer-Vietoris computation runs over, and what
     is built from them once: transfers, row maps, splitting plans and the
-    sequences' non-connecting maps, all in `_cache`.  It keeps the cover's
-    pieces rather than the cover, which holds it in its cache."""
+    sequences' non-connecting maps, all in `_cache`."""
 
     def __init__(self, pair: CoverPair, G):
         X = pair.X
@@ -209,9 +208,10 @@ class _MVSpaces:
 
 
 def _mv_spaces(pair: CoverPair, G) -> _MVSpaces:
-    """The Mayer-Vietoris spaces of the cover over G, memoized on the cover,
-    so they die with it."""
-    return memo(pair, ("mv_spaces", G), lambda: _MVSpaces(pair, G))
+    """The Mayer-Vietoris spaces of the cover over G, memoized on G under
+    the cover's pieces, so they die with G and equal covers share them."""
+    return memo(G, ("mv_spaces", pair.A, pair.B, pair.C, pair.D),
+                lambda: _MVSpaces(pair, G))
 
 
 def _connecting_chain(spaces: _MVSpaces, k, alpha):
@@ -617,11 +617,17 @@ def _torus7_strips(M):
     return Subcomplex(M, u_tris), Subcomplex(M, v_tris)
 
 
+def _strips(M, grid, axis, *line_sets):
+    """For each set of lines, the subcomplex of the squares whose `axis`
+    coordinate lies in it, M being the grid surface of `_grid_cells(*grid)`."""
+    cells = _grid_cells(*grid)
+    return tuple(Subcomplex(M, [t for xy, pair in cells.items()
+                                if xy[axis] in lines for t in pair])
+                 for lines in line_sets)
+
+
 def _klein_columns(M):
-    cells = M._cache["grid_cells"]
-    u_tris = [t for (x, y), pair in cells.items() if x in (0, 1) for t in pair]
-    v_tris = [t for (x, y), pair in cells.items() if x == 2 for t in pair]
-    return Subcomplex(M, u_tris), Subcomplex(M, v_tris)
+    return _strips(M, (3, 3, True), 0, {0, 1}, {2})
 
 
 # (complex, cover) -> the two pieces of the built-in cover, in the order
@@ -634,8 +640,7 @@ NAMED_COVERS = tuple(_COVER_PIECES)
 
 def named_cover(complex_name: str, cover_name: str) -> tuple:
     """(complex, CoverPair) for the built-in cover configurations.  Each is
-    built once and memoized on its complex, which lasts for the process, so
-    the cover's MV spaces and everything built from them last too."""
+    built once and memoized on its complex, which lasts for the process."""
     pieces = _COVER_PIECES.get((complex_name, cover_name))
     if pieces is None:
         raise UnknownName(f"no cover {cover_name!r} for complex {complex_name!r}")
@@ -645,12 +650,7 @@ def named_cover(complex_name: str, cover_name: str) -> tuple:
 
 
 def _torus_bands(M):
-    cells = M._cache["grid_cells"]
-    u_tris = [t for (x, y), pair in cells.items() if y in (3, 0, 1)
-              for t in pair]
-    v_tris = [t for (x, y), pair in cells.items() if y in (1, 2, 3)
-              for t in pair]
-    return (Subcomplex(M, u_tris), Subcomplex(M, v_tris),
+    return (*_strips(M, (4, 4, False), 1, {3, 0, 1}, {1, 2, 3}),
             FullSubcomplex(M, range(0, 8)),      # the band of rows y = 0, 1
             FullSubcomplex(M, range(8, 16)))     # the band of rows y = 2, 3
 
@@ -663,13 +663,8 @@ def _sphere_halves(M):
 
 def _klein_bands(M):
     # a 4x3 grid whose columns wrap straight
-    cells = M._cache["grid_cells"]
-    u_tris = [t for (x, y), pair in cells.items() if x in (3, 0, 1)
-              for t in pair]
-    v_tris = [t for (x, y), pair in cells.items() if x in (1, 2, 3)
-              for t in pair]
     cols = {x: frozenset((y % 3) * 4 + x for y in range(3)) for x in range(4)}
-    return (Subcomplex(M, u_tris), Subcomplex(M, v_tris),
+    return (*_strips(M, (4, 3, True), 0, {3, 0, 1}, {1, 2, 3}),
             FullSubcomplex(M, cols[0] | cols[1]),    # band of columns 0, 1
             FullSubcomplex(M, cols[2] | cols[3]))    # band of columns 2, 3
 

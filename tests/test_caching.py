@@ -524,14 +524,18 @@ def test_mv_sequences_factor_no_zero_module(monkeypatch):
     assert not any(per_zero_module)
 
 
-def test_mv_spaces_die_with_their_cover():
-    M, pair = fresh_cover("octahedron", "hemispheres")
-    mv.mv_homology(pair, constant_system(M, Z))
-    [spaces] = pair._cache.values()
+def test_mv_spaces_die_with_their_system():
+    # the built-in cover lasts for the process and keeps nothing of the
+    # systems it is asked about
+    M, pair = mv.named_cover("octahedron", "hemispheres")
+    G = sign_system(M, Z, {e: 1 for e in M.faces(1)})
+    mv.mv_homology(pair, G)
+    [spaces] = [v for v in G._cache.values() if isinstance(v, mv._MVSpaces)]
     ref = weakref.ref(spaces)
-    del pair, spaces
+    del G, spaces
     gc.collect()
     assert ref() is None
+    assert not hasattr(pair, "_cache")
 
 
 def test_phi_rows_build_each_splitting_once(monkeypatch):
@@ -779,9 +783,9 @@ def test_a_rebuilt_presentation_gets_a_new_duality_map():
     assert second.to_tsv() == first.to_tsv()
 
 
-def test_mv_sequence_maps_die_with_their_cover():
-    M, pair = fresh_cover("torus", "cylinders")
-    G = constant_system(M, Z)
+def test_mv_sequence_maps_die_with_their_system():
+    M, pair = mv.named_cover("torus", "cylinders")
+    G = sign_system(M, Z, random_sign_cocycle(M, seed=5))
     first = mv.mv_homology(pair, G)
     second = mv.mv_homology(pair, G)
     # every map but the connecting maps is the memoized one
@@ -789,7 +793,7 @@ def test_mv_sequence_maps_die_with_their_cover():
     assert same == [True, True, True, False, True, True, False, True, True,
                     True]
     refs = [weakref.ref(f) for f in first.maps]
-    del pair, first, second
+    del G, first, second
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 

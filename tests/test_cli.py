@@ -32,6 +32,18 @@ def test_validate_malformed_file_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_a_huge_vertex_label_exits_2_with_a_short_message(tmp_path, capsys):
+    # the labels must cover 0..n-1, and the check that they do costs the
+    # same whatever the largest label, so a twelve-digit one is refused at once
+    path = tmp_path / "sparse.cx"
+    path.write_text(f"dim 1\nsimplex 0 {10 ** 12}\n")
+    code, out, err = run(capsys, "validate", "--complex", str(path))
+    assert code == 2 and not out
+    assert "vertices [1, 2, 3, 4, 5] and 999999999994 more lie in no " \
+        "simplex" in err
+    assert len(err) < 200
+
+
 def test_validate_open_surface_fails(tmp_path, capsys):
     disk = tmp_path / "disk.cx"
     disk.write_text("dim 2\nsimplex 0 1 2\n")

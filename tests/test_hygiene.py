@@ -288,7 +288,6 @@ MEMO_SITES = {
     ("complexes", "named_complex"),
     ("complexes", "star_signs"),
     ("complexes", "validate"),
-    ("covers", "DoubleCover.canonical_lift"),
     ("covers", "build_double_cover"),
     ("covers", "check_split_exactness"),
     ("covers", "cover_sign_system"),
@@ -317,12 +316,8 @@ MEMO_SITES = {
 }
 
 # (module, enclosing function) of every item store into an attribute named
-# `_cache` or ending in `_cache`: `memo` itself, and `_grid`, which stores
-# the grid cells its complex is built from
-CACHE_STORES = {
-    ("complexes", "_grid"),
-    ("complexes", "memo"),
-}
+# `_cache` or ending in `_cache`: `memo` itself
+CACHE_STORES = {("complexes", "memo")}
 
 
 def _targets(node):

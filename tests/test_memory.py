@@ -17,7 +17,11 @@ complexes, so every memo they read is built under the table they see.
 Each kept object exists once per complex: every pair complex over one cell
 set, whatever its system, reads one coordinate tuple and one index per
 degree, and the rank-1 system whose every transport is 1 is the unit of
-the tensor product, so tensoring with it builds no second system."""
+the tensor product, so tensoring with it builds no second system.
+
+The Mayer-Vietoris spaces hang on their system, keyed by the cover's
+pieces: a lasting cover keeps nothing of the systems it is asked about, and
+a lasting system shares one set of spaces among equal covers."""
 
 import contextlib
 import gc
@@ -27,11 +31,11 @@ from fractions import Fraction
 
 import pytest
 
-from twistcap import complexes, matrices
+from twistcap import complexes, matrices, mv
 from twistcap.chains import pair_complex, relative_killed, transfer_matrix
 from twistcap.cli import build_parser, main
 from twistcap.complexes import (FullSubcomplex, SimplicialComplex,
-                                closed_star, corpus)
+                                Subcomplex, closed_star, corpus)
 from twistcap.fpmodules import homology_presentation
 from twistcap.localsystems import (LocalSystem, constant_system, orientation_system,
                                    random_flat_system, random_sign_cocycle,
@@ -268,3 +272,56 @@ def test_free_modules_share_the_empty_row():
     assert empty and all(row is matrices._EMPTY_ROW for row in empty)
     assert all(row is matrices._EMPTY_ROW
                for row in ExactMatrix.zeros(Z, 3, 0).sparse_rows)
+
+
+def live_mv_spaces():
+    return sum(isinstance(o, mv._MVSpaces) for o in gc.get_objects())
+
+
+def test_fresh_equal_systems_leave_nothing_on_a_lasting_cover():
+    M, pair = mv.named_cover("torus", "cylinders")
+    signs = random_sign_cocycle(M, seed=5)
+
+    def check():
+        G = sign_system(M, Z, signs)
+        assert mv.mv_homology(pair, G).all_exact
+        assert mv.mv_cohomology(pair, G).all_exact
+        assert mv.splitting_holds(pair, G)
+
+    check()   # fills the memos of the complex: coordinates and unit rows
+    gc.collect()
+    alive = live_mv_spaces()
+    tracemalloc.start()
+    try:
+        for _ in range(6):
+            check()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # one set of spaces is about 75 KB
+    assert retained < 20_000, retained
+    assert live_mv_spaces() == alive
+    assert not hasattr(pair, "_cache")
+
+
+def test_a_lasting_system_shares_spaces_among_equal_covers(monkeypatch):
+    built = []
+    init = mv._MVSpaces.__init__
+
+    def counting(self, pair, G):
+        built.append(pair)
+        init(self, pair, G)
+
+    monkeypatch.setattr(mv._MVSpaces, "__init__", counting)
+    _, named = mv.named_cover("torus", "cylinders")
+    M = fresh("torus")
+    G = constant_system(M, Z)
+    reports = []
+    for _ in range(5):
+        A, B = (Subcomplex(M, piece.faces(2)) for piece in (named.A, named.B))
+        pair = mv.CoverPair(M, A, B)
+        reports.append((mv.mv_homology(pair, G).exactness,
+                        mv.mv_cohomology(pair, G).exactness))
+    assert len(built) == 1
+    assert reports == [reports[0]] * 5 and all(map(all, reports[0]))
