@@ -11,7 +11,6 @@ rows: the CLI prints the rows, the battery aggregates them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cap import boundary_identity_check, cap_setting, verify_duality
@@ -32,11 +31,13 @@ COVER_RINGS = (Z, Zmod(3))
 NONORIENTABLE = ("rp2", "klein")
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 def system_family(M, ring: RingSpec, seed: int):

@@ -23,7 +23,6 @@ is derived again on every call.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .chains import (FundamentalClassData, fundamental_class_direct,
                      pair_complex, relative_killed)
@@ -194,13 +193,16 @@ def relative_cap(M, G, K: FullSubcomplex, k, c_vec, nu: FundamentalClassData):
 # the duality verdict
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DualityRow:
-    degree: int
-    left: object       # FPModule H^k(M; G)
-    right: object      # FPModule H_{n-k}(M; G (x) M_R)
-    map: ModuleMap
-    iso: IsoResult
+    __slots__ = ("degree", "left", "right", "map", "iso")
+
+    def __init__(self, degree: int, left, right, map: ModuleMap,
+                 iso: IsoResult):
+        self.degree = degree
+        self.left = left     # FPModule H^k(M; G)
+        self.right = right   # FPModule H_{n-k}(M; G (x) M_R)
+        self.map = map
+        self.iso = iso
 
     @property
     def verdict(self) -> bool:
@@ -216,12 +218,14 @@ class DualityRow:
         return hashlib.sha256(repr(payload).encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
 class DualityReport:
-    base: object
-    system: object
-    ring: object
-    rows: tuple
+    __slots__ = ("base", "system", "ring", "rows")
+
+    def __init__(self, base, system, ring, rows: tuple):
+        self.base = base
+        self.system = system
+        self.ring = ring
+        self.rows = rows
 
     @property
     def all_verified(self) -> bool:

@@ -275,14 +275,6 @@ def fundamental_class_direct(M, ring, system=None) -> FundamentalClassData:
     return FundamentalClassData(M, ring, system, vec)
 
 
-def vertex_generator_check(nu: FundamentalClassData, vertex: int) -> bool:
-    """The image of nu in H_n(M|{x}) generates that rank-one module."""
-    K = FullSubcomplex(nu.base, {vertex})
-    pres = nu.relative_presentation(K)
-    coords = nu.class_in(pres, K)
-    return pres.module.generates(coords)
-
-
 def inclusion_restriction(nu: FundamentalClassData, K1: FullSubcomplex,
                           K2: FullSubcomplex) -> bool:
     """Quotient-map image of nu_{K2} equals nu_{K1} in H_n(M|K1)."""

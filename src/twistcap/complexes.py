@@ -20,7 +20,6 @@ one cache policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice
 
@@ -71,6 +70,7 @@ class SimplicialComplex:
                    for s in fs for i in range(len(s))}
         self.maximal_simplices = frozenset(
             s for fs in self._faces.values() for s in fs if s not in covered)
+        self._hash = None
         self._cache: dict = {}
 
     # -- queries -----------------------------------------------------------
@@ -102,7 +102,10 @@ class SimplicialComplex:
                 and self.maximal_simplices == other.maximal_simplices)
 
     def __hash__(self):
-        return hash((self.vertex_count, self.maximal_simplices))
+        # the complex is immutable, so its hash is taken once
+        if self._hash is None:
+            self._hash = hash((self.vertex_count, self.maximal_simplices))
+        return self._hash
 
     def __repr__(self):
         return (f"SimplicialComplex(dim={self.dimension}, "
@@ -169,14 +172,20 @@ def memo(owner, key, build):
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ManifoldReport:
-    dimension: int
-    is_pure: bool
-    each_ridge_in_two_facets: bool
-    dual_graph_connected: bool
-    links_validated: bool
-    euler_characteristic: int
+    __slots__ = ("dimension", "is_pure", "each_ridge_in_two_facets",
+                 "dual_graph_connected", "links_validated",
+                 "euler_characteristic")
+
+    def __init__(self, dimension: int, is_pure: bool,
+                 each_ridge_in_two_facets: bool, dual_graph_connected: bool,
+                 links_validated: bool, euler_characteristic: int):
+        self.dimension = dimension
+        self.is_pure = is_pure
+        self.each_ridge_in_two_facets = each_ridge_in_two_facets
+        self.dual_graph_connected = dual_graph_connected
+        self.links_validated = links_validated
+        self.euler_characteristic = euler_characteristic
 
     @property
     def closed_pseudomanifold(self) -> bool:
@@ -329,7 +338,7 @@ def star_signs(complex, vertex):
 class Subcomplex:
     """A face-closed set of simplices of an ambient complex."""
 
-    __slots__ = ("ambient", "_faces")
+    __slots__ = ("ambient", "_faces", "_hash")
 
     def __init__(self, ambient: SimplicialComplex, simplices):
         closure: dict[int, set] = {}
@@ -385,8 +394,13 @@ class Subcomplex:
                 and self._faces == other._faces)
 
     def __hash__(self):
-        # each frozenset of faces keeps its own hash once computed
-        return hash((self.ambient, frozenset(self._faces.items())))
+        # the subcomplex is immutable, so its hash is taken once; each
+        # frozenset of faces keeps its own hash too
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.ambient, frozenset(self._faces.items())))
+            return self._hash
 
 
 def empty_subcomplex(ambient) -> Subcomplex:

@@ -28,12 +28,10 @@ computed on every ask: a lift costs little more than a lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chains import (FundamentalClassData, PairComplex, pair_complex,
                      relative_killed, transfer_matrix)
-from .complexes import (FullSubcomplex, SimplicialComplex, dumps_complex,
-                        memo, ridge_sign_walk, star_signs, validate)
+from .complexes import (FullSubcomplex, SimplicialComplex, memo,
+                        ridge_sign_walk, star_signs, validate)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import ModuleMap, homology_presentation, induced_map
 from .localsystems import (LocalSystem, constant_system, orientation_system,
@@ -141,10 +139,12 @@ def projection_parity(cover, total_simplex) -> int:
     return _perm_parity([cover.projection[v] for v in total_simplex])
 
 
-@dataclass(frozen=True)
 class CoverOrientation:
-    cover: DoubleCover
-    facet_signs: dict
+    __slots__ = ("cover", "facet_signs")
+
+    def __init__(self, cover: DoubleCover, facet_signs: dict):
+        self.cover = cover
+        self.facet_signs = facet_signs
 
     def cycle_vector(self, ring: RingSpec):
         pc = cover_chains(self.cover, ring)
@@ -205,19 +205,6 @@ def cover_chains(cover, ring, K: FullSubcomplex | None = None) -> PairComplex:
                         killed=relative_killed(total, Ktilde))
 
 
-def dumps_cover(cover: DoubleCover) -> str:
-    """Total space in the complex file format, plus sheet annotations.
-
-    The annotations are comments, so the output loads back as a plain
-    complex; the sheet block records the covering structure for readers.
-    """
-    lines = [dumps_complex(cover.total).rstrip("\n")]
-    lines.append("# sheets: total vertex = base vertex + sheet * base_count")
-    for v in range(cover.total.vertex_count):
-        lines.append(f"# vertex {v} over {cover.projection[v]} sheet {cover.sheet(v)}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # chain maps of the deck transformation and the projection
 # ---------------------------------------------------------------------------
@@ -257,25 +244,32 @@ def lemma1_check(cover, ring) -> bool:
 # the +/- splitting and the identification with twisted base chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DegreeSplit:
-    sigma: ExactMatrix
-    delta: ExactMatrix
-    incl_plus: ExactMatrix
-    incl_minus: ExactMatrix
-    orbit_bases: tuple  # base simplices indexing the orbit generators
+    __slots__ = ("sigma", "delta", "incl_plus", "incl_minus", "orbit_bases")
+
+    def __init__(self, sigma: ExactMatrix, delta: ExactMatrix,
+                 incl_plus: ExactMatrix, incl_minus: ExactMatrix,
+                 orbit_bases: tuple):
+        self.sigma = sigma
+        self.delta = delta
+        self.incl_plus = incl_plus
+        self.incl_minus = incl_minus
+        # base simplices indexing the orbit generators
+        self.orbit_bases = orbit_bases
 
 
-@dataclass(frozen=True)
 class SplitMaps:
-    cover: DoubleCover
-    ring: RingSpec
-    K: FullSubcomplex | None
-    degrees: dict
-    # objects derived from this splitting; a dataclasses.replace copy starts
-    # empty
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    __slots__ = ("cover", "ring", "K", "degrees", "_cache")
+
+    def __init__(self, cover: DoubleCover, ring: RingSpec,
+                 K: FullSubcomplex | None, degrees: dict):
+        self.cover = cover
+        self.ring = ring
+        self.K = K
+        self.degrees = degrees
+        # objects derived from this splitting; a copy built from the same
+        # fields starts empty
+        self._cache = {}
 
 
 def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
@@ -359,12 +353,15 @@ def check_split_exactness(split: SplitMaps) -> dict:
     return memo(split, "exactness", build)
 
 
-@dataclass(frozen=True)
 class PhiData:
-    matrices: dict        # degree -> orbit coords -> twisted relative coords
-    boundary_commutes: bool
-    degreewise_iso: bool
-    split: SplitMaps      # the +/- splitting phi is read from
+    __slots__ = ("matrices", "boundary_commutes", "degreewise_iso", "split")
+
+    def __init__(self, matrices: dict, boundary_commutes: bool,
+                 degreewise_iso: bool, split: SplitMaps):
+        self.matrices = matrices  # degree -> orbit -> twisted relative coords
+        self.boundary_commutes = boundary_commutes
+        self.degreewise_iso = degreewise_iso
+        self.split = split        # the +/- splitting phi is read from
 
 
 def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:

@@ -38,12 +38,12 @@ is_isomorphism's inverse or kernel/cokernel witness are all read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (CertificateFailed, CompositionNonzero, NotChainMap,
                      TwistcapError)
-from .matrices import ExactMatrix, SmithSolver, smith_normal_form
+from .matrices import (ExactMatrix, SmithDecomposition, SmithSolver,
+                       smith_normal_form)
 from .rings import INTEGERS, MODULAR, RingSpec
 
 
@@ -109,10 +109,6 @@ class FPModule:
 
     def __repr__(self):
         return f"<FPModule {self} over {self.ring}>"
-
-    @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
 
     # -- class arithmetic on generator coordinates -----------------------
 
@@ -228,6 +224,13 @@ def _compact_row(row: dict):
     return row
 
 
+def _smith_form(A: ExactMatrix):
+    """The Smith form of A, which a 0 x 0 matrix, met at a zero chain group
+    or a zero kernel, is of itself."""
+    return (smith_normal_form(A) if A.rows or A.cols
+            else SmithDecomposition._of_diagonal(A))
+
+
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
     """ker(d_out) / im(d_in) as a presented module with cycle lifts.
 
@@ -260,13 +263,13 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     if not (d_out @ d_in).is_zero():
         raise CompositionNonzero("d_out @ d_in != 0")
     ring = d_in.ring
-    out_snf = smith_normal_form(d_out)
+    out_snf = _smith_form(d_out)
     positions = out_snf.kernel_positions
     kernel_rows = tuple(map(_compact_row, out_snf.v_inv_rows(
         [j for j, _ in positions])))
     divisors = tuple(a for _, a in positions)
     X = _kernel_coordinates(kernel_rows, divisors, d_in)
-    snf = smith_normal_form(ExactMatrix.hstack([X, out_snf.kernel_relations()]))
+    snf = _smith_form(ExactMatrix.hstack([X, out_snf.kernel_relations()]))
     diag = snf.diagonal()
     # units lead the divisibility chain and zeros close it, so the kept
     # positions list the torsion factors first
@@ -293,11 +296,12 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     return memo
 
 
-@dataclass(frozen=True)
 class ModuleMap:
-    source: FPModule
-    target: FPModule
-    matrix: ExactMatrix
+    def __init__(self, source: FPModule, target: FPModule,
+                 matrix: ExactMatrix):
+        self.source = source
+        self.target = target
+        self.matrix = matrix
 
     @cached_property
     def image(self) -> SmithSolver:
@@ -352,12 +356,17 @@ def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
     return ModuleMap(src.module, dst.module, M)
 
 
-@dataclass(frozen=True)
 class IsoResult:
-    isomorphism: bool
-    inverse: ExactMatrix | None = None
-    kernel_witness: tuple | None = None
-    cokernel_witness: tuple | None = None
+    __slots__ = ("isomorphism", "inverse", "kernel_witness",
+                 "cokernel_witness")
+
+    def __init__(self, isomorphism: bool, inverse: ExactMatrix | None = None,
+                 kernel_witness: tuple | None = None,
+                 cokernel_witness: tuple | None = None):
+        self.isomorphism = isomorphism
+        self.inverse = inverse
+        self.kernel_witness = kernel_witness
+        self.cokernel_witness = cokernel_witness
 
     def __bool__(self):
         return self.isomorphism

@@ -51,7 +51,8 @@ MAX_RANK = 100
 
 
 class LocalSystem:
-    __slots__ = ("base", "ring", "rank", "_transport", "_reverse", "_cache")
+    __slots__ = ("base", "ring", "rank", "_transport", "_reverse", "_identity",
+                 "_cache")
 
     def __init__(self, base: SimplicialComplex, ring: RingSpec, rank: int,
                  transport: dict, known_reverse: dict | None = None):
@@ -105,6 +106,7 @@ class LocalSystem:
         self.rank = rank
         self._transport = cleaned
         self._reverse = reverse
+        self._identity = ident
         self._cache = {}   # objects derived from this system
 
     def transport(self, u: int, v: int) -> ExactMatrix:
@@ -114,12 +116,18 @@ class LocalSystem:
         return self._reverse[(v, u)]
 
     def path_transport(self, vertices) -> ExactMatrix:
-        """Composite transport along consecutive vertices, later -> earlier."""
+        """Composite transport along consecutive vertices, later -> earlier.
+        A path of one vertex is the system's identity and a path of two its
+        edge transport; only longer products are built, once each."""
         path = tuple(vertices)
+        if len(path) < 2:
+            return self._identity
+        if len(path) == 2:
+            return self.transport(*path)
 
         def build():
-            out = ExactMatrix.identity(self.ring, self.rank)
-            for u, v in zip(path, path[1:]):
+            out = self.transport(path[0], path[1])
+            for u, v in zip(path[1:], path[2:]):
                 out = out @ self.transport(u, v)
             return out.shared()
         return memo(self, ("path", path), build)

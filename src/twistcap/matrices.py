@@ -50,7 +50,6 @@ whether a solution exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -408,7 +407,6 @@ def _canonical_q(ring, B, rows):
     return rows
 
 
-@dataclass(frozen=True, eq=False)
 class SmithDecomposition:
     """U @ A @ V == D, with U and V kept as the logs of the elimination.
 
@@ -429,14 +427,24 @@ class SmithDecomposition:
     u_apply and v_apply of the identity, read anew each time, for verify
     and the perfbench tracer.
     """
-    D: ExactMatrix
-    u_det: object
-    v_det: object
-    row_log: tuple
-    col_log: tuple
-    phys: tuple
-    scales: dict  # row -> its scale, for the rows of a Q matrix not integral
-    units: dict  # pivot position t -> (u, u^-1)
+
+    def __init__(self, D: ExactMatrix, u_det, v_det, row_log: tuple,
+                 col_log: tuple, phys: tuple, scales: dict, units: dict):
+        self.D = D
+        self.u_det = u_det
+        self.v_det = v_det
+        self.row_log = row_log
+        self.col_log = col_log
+        self.phys = phys
+        self.scales = scales  # row -> its scale, for the Q rows not integral
+        self.units = units    # pivot position t -> (u, u^-1)
+
+    @classmethod
+    def _of_diagonal(cls, D: ExactMatrix):
+        """D as its own Smith form: the logs are empty, so every transform
+        is the identity.  D is a diagonal read off a Smith form, or 0 x 0."""
+        one = D.ring.one
+        return cls(D, one, one, (), (), tuple(range(D.cols)), {}, {})
 
     # -- whole transforms, for verify ----------------------------------------
 
@@ -849,7 +857,8 @@ class SmithSolver:
     def __init__(self, A: ExactMatrix):
         self.A = A
         self.ring = A.ring
-        self.snf = smith_normal_form(A)
+        self.snf = (smith_normal_form(A) if A.rows or A.cols
+                    else SmithDecomposition._of_diagonal(A))
 
     @classmethod
     def _diagonal(cls, ring: RingSpec, rows: int, invariants):
@@ -865,8 +874,7 @@ class SmithSolver:
         solver = object.__new__(cls)
         solver.A = D
         solver.ring = ring
-        solver.snf = SmithDecomposition(D, ring.one, ring.one, (), (),
-                                        tuple(range(cols)), {}, {})
+        solver.snf = SmithDecomposition._of_diagonal(D)
         return solver
 
     def solve_diagonal(self, B: ExactMatrix):

@@ -32,7 +32,6 @@ fault in any of them shows on a repeated check too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .cap import cap_matrix
 from .chains import (fundamental_class_direct, pair_complex,
@@ -97,13 +96,16 @@ def _zero_map_from(ring, source: FPModule) -> ModuleMap:
                      ExactMatrix.zeros(ring, 0, source.generator_count))
 
 
-@dataclass(frozen=True)
 class ExactSequenceReport:
-    kind: str
-    node_labels: tuple
-    modules: tuple
-    maps: tuple          # maps[i] : modules[i] -> modules[i+1]
-    exactness: tuple     # verdict at each interior node modules[1..-2]
+    __slots__ = ("kind", "node_labels", "modules", "maps", "exactness")
+
+    def __init__(self, kind: str, node_labels: tuple, modules: tuple,
+                 maps: tuple, exactness: tuple):
+        self.kind = kind
+        self.node_labels = node_labels
+        self.modules = modules
+        self.maps = maps              # maps[i] : modules[i] -> modules[i+1]
+        self.exactness = exactness    # verdicts at modules[1..-2]
 
     @property
     def all_exact(self) -> bool:
@@ -406,12 +408,22 @@ def splitting_holds(pair: CoverPair, G) -> bool:
 # the cap-compatibility diagram
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Diagram6Report:
-    square_left: bool
-    square_right: bool
-    connecting_ok: bool
-    connecting_sign: int | None
+    __slots__ = ("square_left", "square_right", "connecting_ok",
+                 "connecting_sign")
+
+    def __init__(self, square_left: bool, square_right: bool,
+                 connecting_ok: bool, connecting_sign: int | None):
+        self.square_left = square_left
+        self.square_right = square_right
+        self.connecting_ok = connecting_ok
+        self.connecting_sign = connecting_sign
+
+    def __eq__(self, other):
+        if type(other) is not Diagram6Report:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     @property
     def all_verified(self) -> bool:

@@ -9,13 +9,12 @@ from an explicit ``Fraction``, since ``int / int`` would be a float.
 Arbitrary precision comes for free; fixed-width overflow cannot happen.
 
 A RingSpec bundles the canonical-form, unit and divisibility arithmetic the
-normal-form code needs.  Instances are frozen and hashable so they can key
-caches.
+normal-form code needs.  Instances are immutable and hashable so they can
+key caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -26,21 +25,42 @@ RATIONALS = "Q"
 MODULAR = "Zmod"
 
 
-@dataclass(frozen=True)
 class RingSpec:
-    kind: str
-    modulus: int | None = None
+    __slots__ = ("kind", "modulus")
 
-    def __post_init__(self):
-        if self.kind not in (INTEGERS, RATIONALS, MODULAR):
-            raise TwistcapError(f"unknown ring kind {self.kind!r}")
-        if self.kind == MODULAR:
-            if self.modulus is None or self.modulus < 2:
+    def __init__(self, kind: str, modulus: int | None = None):
+        if kind not in (INTEGERS, RATIONALS, MODULAR):
+            raise TwistcapError(f"unknown ring kind {kind!r}")
+        if kind == MODULAR:
+            if modulus is None or modulus < 2:
                 raise TwistcapError("modular ring needs modulus >= 2")
-        elif self.modulus is not None:
-            raise TwistcapError(f"{self.kind} takes no modulus")
+        elif modulus is not None:
+            raise TwistcapError(f"{kind} takes no modulus")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RingSpec is immutable: cannot set {name!r}")
+
+    # every matrix operation compares the rings of its operands, which are
+    # nearly always the same object
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not RingSpec:
+            return NotImplemented
+        return self.kind == other.kind and self.modulus == other.modulus
+
+    def __ne__(self, other):
+        return self is not other and not self == other
+
+    def __hash__(self):
+        return hash((self.kind, self.modulus))
 
     # -- presentation --------------------------------------------------
+
+    def __repr__(self):
+        return f"RingSpec(kind={self.kind!r}, modulus={self.modulus!r})"
 
     def __str__(self):
         if self.kind == MODULAR:

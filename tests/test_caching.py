@@ -2,7 +2,6 @@
 presented module factors a given matrix once; read-only checks build
 nothing."""
 
-import dataclasses
 import gc
 import random
 import sys
@@ -19,8 +18,8 @@ from twistcap.chains import pair_complex
 from twistcap.cli import main
 from twistcap.complexes import (CORPUS_NAMES, FullSubcomplex,
                                 SimplicialComplex, Subcomplex, corpus)
-from twistcap.covers import (build_double_cover, check_split_exactness,
-                             lemma2_check, split_maps)
+from twistcap.covers import (SplitMaps, build_double_cover,
+                             check_split_exactness, lemma2_check, split_maps)
 from twistcap.errors import NotClosedPseudomanifold, NotInStar
 from twistcap.fpmodules import (FPModule, ModuleMap, homology_presentation,
                                 induced_map, is_isomorphism)
@@ -158,6 +157,25 @@ def test_homology_presentation_factors_two_matrices(monkeypatch):
     assert len(calls) == 2
     assert len({A for (A,) in calls}) == 2
     assert calls[0] == (d_out,)
+
+
+def test_no_zero_by_zero_matrix_is_factored(monkeypatch):
+    # zero chain groups, zero kernels, direct sums of zero modules and the
+    # images of maps between them meet 0 x 0 matrices, each its own Smith
+    # form with empty logs
+    M, pair = fresh_cover("torus", "cylinders")
+    G = constant_system(M, Z)
+    calls = count_factorizations(monkeypatch)
+    reports = (mv.mv_homology(pair, G), mv.mv_cohomology(pair, G))
+    assert all(report.all_exact for report in reports)
+    assert calls
+    for ring in (Z, Zmod(4), Q):
+        empty = ExactMatrix.zeros(ring, 0, 0)
+        snf = matrices.SmithSolver(empty).snf
+        assert snf.verify(empty) and snf.kernel_positions == ()
+        pres = homology_presentation(empty, empty)
+        assert pres.module.normal_form == (0, ())
+    assert [A for (A,) in calls if not A.rows and not A.cols] == []
 
 
 def record_transform_builds(monkeypatch):
@@ -416,7 +434,7 @@ def test_a_replaced_splitting_is_checked_afresh(monkeypatch):
     M = fresh("rp2")
     split = split_maps(build_double_cover(M, orientation_system(M, Z)), Z)
     verdicts = check_split_exactness(split)
-    twin = dataclasses.replace(split)
+    twin = SplitMaps(split.cover, split.ring, split.K, split.degrees)
     calls = count_calls(monkeypatch, matrices, "smith_normal_form")
     assert check_split_exactness(twin) == verdicts
     assert len(calls) == 6 * len(split.degrees)

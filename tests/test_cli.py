@@ -1,4 +1,7 @@
-import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,23 @@ from twistcap.complexes import (SimplicialComplex, _grid_klein, _grid_torus,
                                 dumps_complex, validate)
 from twistcap.localsystems import constant_system
 from twistcap.matrices import ExactMatrix
+
+
+# modules a cold start must not load: `dataclasses` and what it imports,
+# which a batch process would pay for in start-up time and memory
+HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_package_and_cli_loads_no_introspection_modules():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, twistcap, twistcap.cli; "
+             f"print(sorted(set({HEAVY_STDLIB!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def run(capsys, *argv):
@@ -409,8 +429,10 @@ def test_antisymmetric_inclusion_off_by_one_entry_fails_phi(monkeypatch,
         rows[(i + 1) % len(rows)][j] = rows[i].pop(j)
         moved = ExactMatrix._from_rows(d.incl_minus.ring, rows,
                                        d.incl_minus.cols)
-        return dataclasses.replace(maps, degrees={
-            **maps.degrees, 1: dataclasses.replace(d, incl_minus=moved)})
+        faulty = covers.DegreeSplit(d.sigma, d.delta, d.incl_plus, moved,
+                                    d.orbit_bases)
+        return covers.SplitMaps(maps.cover, maps.ring, maps.K,
+                                {**maps.degrees, 1: faulty})
 
     monkeypatch.setattr(covers, "split_maps", moved_entry)
     code, out, err = run(capsys, "phi-check", "--complex", "rp2")

@@ -144,6 +144,25 @@ def test_subcomplex_operations():
     assert not star0.contains((1, 2, 3))
 
 
+def test_stored_hashes_equal_those_of_fresh_equal_objects():
+    cx = corpus("sphere2")
+    a = Subcomplex(cx, [(0, 1, 2)])
+    b = Subcomplex(cx, [(0, 1, 3)])
+    built = {"union": a.union(b), "intersection": a.intersection(b),
+             "star": closed_star(cx, {0}), "empty": a.intersection(
+                 Subcomplex(cx, [(3,)])), "whole": whole_subcomplex(cx)}
+    fresh_cx = SimplicialComplex(cx.vertex_count, cx.maximal_simplices)
+    for name, sub in built.items():
+        # asked twice, so the second ask reads the stored hash
+        assert hash(sub) == hash(sub), name
+        twin = Subcomplex(fresh_cx, [s for k in range(3)
+                                     for s in sub.faces(k)])
+        assert twin == sub and hash(twin) == hash(sub), name
+    assert hash(cx) == hash(cx) == hash(fresh_cx) and fresh_cx == cx
+    assert {built["union"]: 1}[Subcomplex(fresh_cx, [(0, 1, 2),
+                                                     (0, 1, 3)])] == 1
+
+
 def test_file_roundtrip_and_errors():
     cx = corpus("rp2")
     text = dumps_complex(cx)

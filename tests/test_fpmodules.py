@@ -34,7 +34,7 @@ def test_fpmodule_normal_forms():
     assert m == FPModule(Z, 2, imat([[0], [2]]))
 
     trivial = FPModule(Z, 0)
-    assert trivial.is_trivial and str(trivial) == "0"
+    assert trivial.normal_form == (0, ()) and str(trivial) == "0"
 
 
 def test_circle_h1_free_rank_one():
@@ -95,7 +95,7 @@ def test_inclusion_into_contractible_is_zero():
     disk1, _, _ = boundary_matrix([(0, 1, 2)], 1)
     circle = homology_presentation(empty_in(Z, 3), imat(circle_rows))
     disk = homology_presentation(imat(disk2), imat(disk1))
-    assert disk.module.is_trivial
+    assert disk.module.normal_form == (0, ())
     incl = induced_map(ExactMatrix.identity(Z, 3), circle, disk)
     assert incl.is_zero()
 

@@ -10,7 +10,9 @@ A private definition, one whose name starts with an underscore, must be
 used by the package, tools/ or perfbench/, not only by the tests.
 No module may import a name it never uses; the package __init__ re-exports
 by importing, so it is exempt.  Every import of the package sits at module
-level, so the import graph can be read off the top of each file.  Every
+level, so the import graph can be read off the top of each file, and none
+imports ``dataclasses``, whose own imports (``inspect``, ``ast``, ``dis``,
+``tokenize``) would make every cold start slower and larger.  Every
 true division in the package has an explicit ``Fraction(...)`` call as its
 left operand: over Q an ``int / int`` quotient would be a float.  Every
 factorization site is named: each call by bare name to ``smith_normal_form``,
@@ -175,6 +177,22 @@ def test_imports_are_at_module_level():
     assert not nested, "imports inside a function or class: " + ", ".join(nested)
 
 
+def test_no_module_imports_dataclasses():
+    importing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                importing.append(f"{path.name}:{node.lineno}")
+    assert not importing, "imports of dataclasses: " + ", ".join(importing)
+
+
 def _is_fraction_call(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "Fraction")
@@ -204,7 +222,7 @@ FACTORIZATION_SITES = {
     ("covers", "check_split_exactness.build", "SmithSolver"),
     ("fpmodules", "FPModule.__init__", "SmithSolver"),
     ("fpmodules", "ModuleMap.image", "SmithSolver"),
-    ("fpmodules", "homology_presentation", "smith_normal_form"),
+    ("fpmodules", "_smith_form", "smith_normal_form"),
     ("localsystems", "LocalSystem.__init__", "inverse"),
     ("localsystems", "gauge_transform", "inverse"),
     ("localsystems", "random_sign_cocycle", "kernel"),

@@ -99,6 +99,25 @@ def test_trivializing_gauge_actually_trivializes():
     assert all(m == ident for _, m in fixed.edge_items())
 
 
+def test_only_paths_of_three_or_more_vertices_are_built():
+    rp2 = corpus("rp2")
+    cx = SimplicialComplex(rp2.vertex_count, rp2.maximal_simplices)
+    G = random_flat_system(cx, Z, 2, seed=4)
+    u, v, w = cx.faces(2)[0]
+    # a one-vertex path is the system's one identity, a two-vertex path
+    # its edge transport itself
+    assert G.path_transport([u]) is G.path_transport([w])
+    assert G.path_transport([u]) == ExactMatrix.identity(Z, 2)
+    assert G.path_transport((u, v)) is G.transport(u, v)
+    assert G.path_transport((w, u)) is G.transport(w, u)
+    longer = G.path_transport((u, v, w))
+    assert longer == G.transport(u, v) @ G.transport(v, w)
+    assert G.path_transport([u, v, w]) is longer
+    paths = [key[1] for key in G._cache
+             if isinstance(key, tuple) and key[0] == "path"]
+    assert paths == [(u, v, w)]
+
+
 def test_rp2_has_minus_one_holonomy_loop():
     cx = corpus("rp2")
     g = orientation_system(cx, Z)
