@@ -25,7 +25,7 @@ lives in `covers`, which builds on this module.
 from __future__ import annotations
 
 from .complexes import (FullSubcomplex, SimplicialComplex, Subcomplex,
-                        memo, star_signs, validate)
+                        memo, star_signs, validate, weak)
 from .errors import (CheckFailed, FlatnessViolation, NotClosedPseudomanifold,
                      TwistcapError)
 from .fpmodules import HomologyPresentation, homology_presentation
@@ -51,7 +51,13 @@ class PairComplex:
     complex reads the base's own `faces` and `face_index`, and every
     relative complex over one (pool, killed) reads one tuple and one index
     per degree, kept on the base.  The matrices are the complex's own.
+
+    The complex is memoized on its system, so it holds the system and the
+    base weakly, and the base's face tables, plain data, strongly.
     """
+
+    base = weak("base")
+    system = weak("system")
 
     def __init__(self, base: SimplicialComplex, system: LocalSystem,
                  pool: Subcomplex | None = None,
@@ -68,16 +74,18 @@ class PairComplex:
         self.rank = system.rank
         self.pool = pool
         self.killed = killed
+        self._faces = base._faces
+        self._index = base._index
         self._cache = {}   # matrices, per degree
 
     # -- coordinates ------------------------------------------------------
 
     def space(self, k: int):
         if self.pool is None and self.killed is None:
-            return self.base.faces(k)
+            return self._faces.get(k, ())
 
         def build():
-            simplices = (self.base.faces(k) if self.pool is None
+            simplices = (self._faces.get(k, ()) if self.pool is None
                          else tuple(sorted(self.pool.faces(k))))
             if self.killed is not None:
                 simplices = tuple(s for s in simplices
@@ -87,7 +95,7 @@ class PairComplex:
 
     def index(self, k: int):
         if self.pool is None and self.killed is None:
-            return self.base.face_index(k)
+            return self._index.get(k, {})
         return self._cells("index", k, lambda: {
             s: i for i, s in enumerate(self.space(k))})
 
@@ -120,6 +128,7 @@ class PairComplex:
         T[s0<-s1] at (simplex, face) for delta_{k-1}.
         """
         ring, r = self.ring, self.rank
+        transport = self.system.transport
         faces, simplices = self.space(k - 1), self.space(k)
         fidx = self.index(k - 1)
         rows, cols = (simplices, faces) if cochains else (faces, simplices)
@@ -132,8 +141,7 @@ class PairComplex:
                 row, col = (j * r, pos * r) if cochains else (pos * r, j * r)
                 if i == 0:
                     u, v = (s[0], s[1]) if cochains else (s[1], s[0])
-                    transport = self.system.transport(u, v)
-                    for a, entries in enumerate(transport.sparse_rows):
+                    for a, entries in enumerate(transport(u, v).sparse_rows):
                         data[row + a].update(
                             (col + b, x) for b, x in entries.items())
                 else:
@@ -144,10 +152,11 @@ class PairComplex:
 
     def verify_squares(self):
         """d o d = 0 and delta o delta = 0 in every degree."""
-        for k in range(self.base.dimension + 2):
+        n = self.base.dimension
+        for k in range(n + 2):
             if not (self.boundary(k) @ self.boundary(k + 1)).is_zero():
                 raise FlatnessViolation(f"boundary squared != 0 at degree {k + 1}")
-        for k in range(-1, self.base.dimension + 1):
+        for k in range(-1, n + 1):
             if not (self.coboundary(k + 1) @ self.coboundary(k)).is_zero():
                 raise FlatnessViolation(f"coboundary squared != 0 at degree {k}")
         return True
@@ -155,7 +164,8 @@ class PairComplex:
 
 def pair_complex(base, system, pool=None, killed=None) -> PairComplex:
     """The PairComplex of (pool, killed), memoized on the system."""
-    if system.base is not base and system.base != base:
+    owner = system.base
+    if owner is not base and owner != base:
         raise TwistcapError("system lives on a different complex")
     return memo(system, ("pair_complex", pool, killed),
                 lambda: PairComplex(base, system, pool, killed))

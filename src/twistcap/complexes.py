@@ -15,13 +15,16 @@ dimension at most n - 2 are connected across ridges that contain it
 (`validate`).  Each complex keeps one index from vertex to the facets
 containing it (`SimplicialComplex.vertex_stars`); the walks, `star_signs` and
 the orientation system read their stars from it.  `memo` is the package's
-one cache policy.
+one cache policy, and `weak` the one way a memoized object refers back to
+the object whose memo holds it.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from itertools import combinations, islice
+from operator import attrgetter
 
 from .errors import (ComplexFormatError, DisconnectedStar, NotInStar,
                      TwistcapError, UnknownName)
@@ -159,6 +162,13 @@ def memo(owner, key, build):
     dies first, so a lasting input keeps nothing of passing ones.  A build
     that raises stores nothing, so a failing input raises again on every
     ask.
+
+    A memo refers back to its owner, and to anything that holds the owner,
+    only weakly (`weak`), and no key names the owner, so the owner and its
+    memos form no reference cycle: a complex the caller drops is freed by
+    reference counting, with everything memoized on it, and the collector
+    finds nothing of it.  The caller keeps a complex alive while it uses
+    anything derived from it.
     """
     try:
         return owner._cache[key]
@@ -166,6 +176,27 @@ def memo(owner, key, build):
         pass
     value = owner._cache[key] = build()
     return value
+
+
+def weak(name):
+    """A property `name` that holds its object weakly, in the attribute
+    `_<name>`: the one way a memoized object refers back to what owns its
+    memo.  Reading it once the object is gone raises TwistcapError.  A read
+    costs a call, about ten plain attribute reads, so loops read it once
+    before they start."""
+    ref = attrgetter("_" + name)
+
+    def read(self):
+        target = ref(self)()
+        if target is None:
+            raise TwistcapError(
+                f"the {name} of this {type(self).__name__} is gone: keep "
+                f"the {name} alive while the {type(self).__name__} is in use")
+        return target
+
+    def write(self, value):
+        setattr(self, "_" + name, weakref.ref(value))
+    return property(read, write)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +367,11 @@ def star_signs(complex, vertex):
 # ---------------------------------------------------------------------------
 
 class Subcomplex:
-    """A face-closed set of simplices of an ambient complex."""
+    """A face-closed set of simplices of an ambient complex, which it holds
+    weakly: memo keys on the complex hold its subcomplexes."""
 
-    __slots__ = ("ambient", "_faces", "_hash")
+    __slots__ = ("_ambient", "_faces", "_hash")
+    ambient = weak("ambient")
 
     def __init__(self, ambient: SimplicialComplex, simplices):
         closure: dict[int, set] = {}
@@ -365,7 +398,7 @@ class Subcomplex:
     def union(self, other: "Subcomplex") -> "Subcomplex":
         self._check(other)
         out = Subcomplex.__new__(Subcomplex)
-        out.ambient = self.ambient
+        out._ambient = self._ambient
         keys = set(self._faces) | set(other._faces)
         out._faces = {k: self.faces(k) | other.faces(k) for k in keys}
         return out
@@ -373,7 +406,7 @@ class Subcomplex:
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         self._check(other)
         out = Subcomplex.__new__(Subcomplex)
-        out.ambient = self.ambient
+        out._ambient = self._ambient
         faces = {}
         for k in set(self._faces) & set(other._faces):
             common = self.faces(k) & other.faces(k)
@@ -386,11 +419,14 @@ class Subcomplex:
         return all(self.faces(k) <= other.faces(k) for k in self._faces)
 
     def _check(self, other):
-        if self.ambient != other.ambient:
+        if self._ambient != other._ambient:
             raise TwistcapError("subcomplexes of different ambient complexes")
 
+    # the weak references compare their complexes while both live, and
+    # themselves once one is gone, so a comparison never reads a lost one
     def __eq__(self, other):
-        return (isinstance(other, Subcomplex) and self.ambient == other.ambient
+        return (isinstance(other, Subcomplex)
+                and self._ambient == other._ambient
                 and self._faces == other._faces)
 
     def __hash__(self):
@@ -424,9 +460,11 @@ def closed_star(ambient, vertex_set) -> Subcomplex:
 
 
 class FullSubcomplex:
-    """All ambient simplices spanned by a chosen vertex subset."""
+    """All ambient simplices spanned by a chosen vertex subset; the ambient
+    complex is held weakly, as by a Subcomplex."""
 
-    __slots__ = ("ambient", "vertex_subset")
+    __slots__ = ("_ambient", "vertex_subset", "_hash")
+    ambient = weak("ambient")
 
     def __init__(self, ambient: SimplicialComplex, vertex_subset):
         vs = frozenset(vertex_subset)
@@ -435,6 +473,8 @@ class FullSubcomplex:
                 raise TwistcapError(f"vertex {v} out of range")
         self.ambient = ambient
         self.vertex_subset = vs
+        # taken once, like a Subcomplex's: memo keys hash it on every ask
+        self._hash = hash((ambient, vs))
 
     def simplices(self, k):
         vs = self.vertex_subset
@@ -444,27 +484,29 @@ class FullSubcomplex:
         return self.vertex_subset.issuperset(simplex)
 
     def complement(self) -> "FullSubcomplex":
-        rest = frozenset(range(self.ambient.vertex_count)) - self.vertex_subset
-        return FullSubcomplex(self.ambient, rest)
+        ambient = self.ambient
+        rest = frozenset(range(ambient.vertex_count)) - self.vertex_subset
+        return FullSubcomplex(ambient, rest)
 
     def as_subcomplex(self) -> Subcomplex:
-        gens = [s for k in range(self.ambient.dimension + 1)
+        ambient = self.ambient
+        gens = [s for k in range(ambient.dimension + 1)
                 for s in self.simplices(k)]
         if not gens:
-            return empty_subcomplex(self.ambient)
-        return Subcomplex(self.ambient, gens)
+            return empty_subcomplex(ambient)
+        return Subcomplex(ambient, gens)
 
     def issubset(self, other: "FullSubcomplex") -> bool:
-        return (self.ambient == other.ambient
+        return (self._ambient == other._ambient
                 and self.vertex_subset <= other.vertex_subset)
 
     def __eq__(self, other):
         return (isinstance(other, FullSubcomplex)
-                and self.ambient == other.ambient
+                and self._ambient == other._ambient
                 and self.vertex_subset == other.vertex_subset)
 
     def __hash__(self):
-        return hash((self.ambient, self.vertex_subset))
+        return self._hash
 
     def __repr__(self):
         return f"FullSubcomplex({sorted(self.vertex_subset)})"

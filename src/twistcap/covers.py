@@ -22,8 +22,11 @@ inclusion is a chain map), and the fundamental class pushed through it.
 
 Memoized (`complexes.memo`): the cover on its sign system; its orientation,
 sign systems and +/- splittings (one per ring and K) on the cover; the
-exactness verdicts of a splitting on the splitting.  Sheet lifts are
-computed on every ask: a lift costs little more than a lookup.
+exactness verdicts of a splitting on the splitting.  A cover holds its
+base and its sign system weakly, and its orientation and splittings hold
+the cover weakly (`complexes.weak`), so none of them keeps alive what it
+is memoized on.  Sheet lifts are computed on every ask: a lift costs
+little more than a lookup.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from .chains import (FundamentalClassData, PairComplex, pair_complex,
                      relative_killed, transfer_matrix)
 from .complexes import (FullSubcomplex, SimplicialComplex, memo,
-                        ridge_sign_walk, star_signs, validate)
+                        ridge_sign_walk, star_signs, validate, weak)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import ModuleMap, homology_presentation, induced_map
 from .localsystems import (LocalSystem, constant_system, orientation_system,
@@ -66,11 +69,18 @@ def _sheet_lift(signs, base_count, simplex):
 
 
 class DoubleCover:
-    __slots__ = ("base", "total", "projection", "deck", "cocycle", "signs",
-                 "_cache")
+    """The cover of `base` that the sign system `cocycle` defines.  It is
+    memoized on its cocycle, so it holds both weakly, and the total space,
+    which is its own, strongly."""
+
+    __slots__ = ("_base", "_base_count", "total", "projection", "deck",
+                 "_cocycle", "signs", "_cache", "__weakref__")
+    base = weak("base")
+    cocycle = weak("cocycle")
 
     def __init__(self, base, total, projection, deck, cocycle, signs):
         self.base = base
+        self._base_count = base.vertex_count
         self.total = total
         self.projection = projection
         self.deck = deck
@@ -79,11 +89,11 @@ class DoubleCover:
         self._cache = {}
 
     def sheet(self, total_vertex: int) -> int:
-        return 0 if total_vertex < self.base.vertex_count else 1
+        return 0 if total_vertex < self._base_count else 1
 
     def canonical_lift(self, simplex):
         """The lift carrying sheet 0 at the simplex's lowest vertex."""
-        return _sheet_lift(self.signs, self.base.vertex_count, simplex)
+        return _sheet_lift(self.signs, self._base_count, simplex)
 
     def deck_image(self, total_simplex):
         return tuple(sorted(self.deck[v] for v in total_simplex))
@@ -92,7 +102,7 @@ class DoubleCover:
         return tuple(sorted(self.projection[v] for v in total_simplex))
 
     def lift_vertices(self, vertex_set):
-        n = self.base.vertex_count
+        n = self._base_count
         return frozenset(v + s * n for v in vertex_set for s in (0, 1))
 
 
@@ -129,8 +139,9 @@ def _check_cover_invariants(cover):
             raise IncoherentCover("deck map is not a free involution")
         if cover.projection[cover.deck[v]] != cover.projection[v]:
             raise IncoherentCover("projection does not commute with the deck map")
-    for k in range(cover.base.dimension + 1):
-        if len(cover.total.faces(k)) != 2 * len(cover.base.faces(k)):
+    base = cover.base
+    for k in range(base.dimension + 1):
+        if len(cover.total.faces(k)) != 2 * len(base.faces(k)):
             raise IncoherentCover(f"lift count wrong in dimension {k}")
 
 
@@ -140,15 +151,20 @@ def projection_parity(cover, total_simplex) -> int:
 
 
 class CoverOrientation:
-    __slots__ = ("cover", "facet_signs")
+    """Signs of the facets of a cover's total space; memoized on the cover,
+    which it holds weakly."""
+
+    __slots__ = ("_cover", "facet_signs")
+    cover = weak("cover")
 
     def __init__(self, cover: DoubleCover, facet_signs: dict):
         self.cover = cover
         self.facet_signs = facet_signs
 
     def cycle_vector(self, ring: RingSpec):
-        pc = cover_chains(self.cover, ring)
-        n = self.cover.total.dimension
+        cover = self.cover
+        pc = cover_chains(cover, ring)
+        n = cover.total.dimension
         idx = pc.index(n)
         vec = [ring.zero] * pc.length(n)
         for facet, sign in self.facet_signs.items():
@@ -156,12 +172,12 @@ class CoverOrientation:
         return tuple(vec)
 
 
-def _calibrated_sign(cover, facet) -> int:
+def _calibrated_sign(cover, base, facet) -> int:
     base_facet = cover.project(facet)
     v0 = base_facet[0]
     lift_of_v0 = [v for v in facet if cover.projection[v] == v0][0]
     sheet = cover.sheet(lift_of_v0)
-    w = star_signs(cover.base, v0)[base_facet]
+    w = star_signs(base, v0)[base_facet]
     return (-1) ** sheet * w * projection_parity(cover, facet)
 
 
@@ -177,7 +193,7 @@ def orient_cover(cover: DoubleCover) -> CoverOrientation:
 
 
 def _build_orientation(cover: DoubleCover) -> CoverOrientation:
-    total = cover.total
+    total, base = cover.total, cover.base
     report = validate(total)
     if not report.is_pure or not report.each_ridge_in_two_facets:
         raise IncoherentCover("cover total space is not a closed pseudomanifold")
@@ -185,12 +201,13 @@ def _build_orientation(cover: DoubleCover) -> CoverOrientation:
     for facet in total.faces(total.dimension):
         if facet in signs:
             continue
-        component = ridge_sign_walk(total, facet, _calibrated_sign(cover, facet))
+        component = ridge_sign_walk(total, facet,
+                                    _calibrated_sign(cover, base, facet))
         if component is None:
             raise IncoherentCover("cover admits no coherent orientation")
         signs.update(component)
     for facet, sign in signs.items():
-        if sign != _calibrated_sign(cover, facet):
+        if sign != _calibrated_sign(cover, base, facet):
             raise IncoherentCover("coherent orientation drifts from sheet calibration")
     return CoverOrientation(cover, signs)
 
@@ -259,7 +276,11 @@ class DegreeSplit:
 
 
 class SplitMaps:
-    __slots__ = ("cover", "ring", "K", "degrees", "_cache")
+    """The +/- splitting of a cover's chains, memoized on the cover, which
+    it holds weakly."""
+
+    __slots__ = ("_cover", "ring", "K", "degrees", "_cache")
+    cover = weak("cover")
 
     def __init__(self, cover: DoubleCover, ring: RingSpec,
                  K: FullSubcomplex | None, degrees: dict):
@@ -289,10 +310,11 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
 
 def _build_split_maps(cover, ring, K) -> SplitMaps:
     total_pc = cover_chains(cover, ring, K)
-    base_pc_space = pair_complex(cover.base, constant_system(cover.base, ring),
-                                 killed=relative_killed(cover.base, K))
+    base = cover.base
+    base_pc_space = pair_complex(base, constant_system(base, ring),
+                                 killed=relative_killed(base, K))
     degrees = {}
-    for k in range(cover.base.dimension + 1):
+    for k in range(base.dimension + 1):
         tau = deck_chain_matrix(cover, ring, k, total_pc)
         ident = ExactMatrix.identity(ring, total_pc.length(k))
         sigma = ident + tau
@@ -379,8 +401,9 @@ def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:
         raise TwoIsZero("the identification needs 2 != 0 in the ring")
     split = split_maps(cover, ring, K)
     total_pc = cover_chains(cover, ring, K)
-    twisted_pc = pair_complex(cover.base, cover_sign_system(cover, ring),
-                              killed=relative_killed(cover.base, K))
+    base = cover.base
+    twisted_pc = pair_complex(base, cover_sign_system(cover, ring),
+                              killed=relative_killed(base, K))
     degrees = split.degrees
     iso = all(d.orbit_bases == tuple(twisted_pc.space(k))
               for k, d in degrees.items())

@@ -143,6 +143,9 @@ class HomologyPresentation:
     SmithDecomposition.kernel_positions), write z on the kernel generators,
     and `coords` = U[kept, :] of the raw relations maps those coordinates
     onto the module generators.
+
+    d_out holds the presentation as its memo, so the presentation holds
+    only d_out's rows, and `d_out` is a matrix of them built on each read.
     """
 
     def __init__(self, module: FPModule, cycles: ExactMatrix,
@@ -151,7 +154,7 @@ class HomologyPresentation:
         self.module = module
         self.cycles = cycles
         self.d_in = d_in
-        self.d_out = d_out
+        self._out_rows = d_out.sparse_rows
         self._kernel_rows = kernel_rows
         self._divisors = divisors
         self._coords = coords
@@ -163,6 +166,11 @@ class HomologyPresentation:
     @property
     def chain_rank(self):
         return self.cycles.rows
+
+    @property
+    def d_out(self) -> ExactMatrix:
+        return ExactMatrix._from_rows(self.ring, self._out_rows,
+                                      self.chain_rank)
 
     def class_vector(self, chain):
         """Coordinates of a cycle on the module generators; None if not a cycle."""
@@ -225,9 +233,10 @@ def _compact_row(row: dict):
 
 
 def _smith_form(A: ExactMatrix):
-    """The Smith form of A, which a 0 x 0 matrix, met at a zero chain group
-    or a zero kernel, is of itself."""
-    return (smith_normal_form(A) if A.rows or A.cols
+    """The Smith form of A, which a matrix with no rows or no columns, met
+    at a zero chain group, a zero kernel or a module with no relations, is
+    of itself."""
+    return (smith_normal_form(A) if A.rows and A.cols
             else SmithDecomposition._of_diagonal(A))
 
 

@@ -23,11 +23,13 @@ rank a user asks for is at most MAX_RANK; only tensor products exceed it.
 Memoized (`complexes.memo`): the constant, orientation and seeded random
 flat systems, one per distinct (ring, rank, seed), a system read from a file
 (under its text) and the sign-cocycle kernel on their complex; a tensor
-product on its first factor; whether a system is the unit, and its path
-transports, on the system.  A system's transports and path transports take
-their empty and +-1 unit rows from the shared rows of `matrices`
-(ExactMatrix.shared), once per distinct matrix object; a transport with no
-row to share is kept as the object given.
+product on its first factor, and a system's square G (x) G under no key
+naming G; whether a system is the unit, and its path transports, on the
+system.  A system holds its base weakly (`complexes.weak`), so the caller
+keeps the complex alive while using the system.  A system's transports and
+path transports take their empty and +-1 unit rows from the shared rows of
+`matrices` (ExactMatrix.shared), once per distinct matrix object; a
+transport with no row to share is kept as the object given.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -39,7 +41,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, memo, star_signs, validate
+from .complexes import SimplicialComplex, memo, star_signs, validate, weak
 from .errors import (BaseMismatch, NotClosedPseudomanifold, RingMismatch,
                      SystemFormatError, TwistcapError)
 from .matrices import ExactMatrix, inverse, kernel
@@ -51,8 +53,12 @@ MAX_RANK = 100
 
 
 class LocalSystem:
-    __slots__ = ("base", "ring", "rank", "_transport", "_reverse", "_identity",
-                 "_cache")
+    """A flat system on `base`, which it holds weakly: the system is
+    memoized on its base."""
+
+    __slots__ = ("_base", "ring", "rank", "_transport", "_reverse",
+                 "_identity", "_cache", "__weakref__")
+    base = weak("base")
 
     def __init__(self, base: SimplicialComplex, ring: RingSpec, rank: int,
                  transport: dict, known_reverse: dict | None = None):
@@ -215,7 +221,8 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
     product is built per distinct pair of factor matrices, and a 1x1
     identity factor gives the other factor's matrix object.
     """
-    if G.base is not Gp.base and G.base != Gp.base:
+    base, other = G.base, Gp.base
+    if base is not other and base != other:
         raise BaseMismatch("tensor factors live on different complexes")
     if G.ring != Gp.ring:
         raise RingMismatch("tensor factors over different rings")
@@ -226,7 +233,7 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
 
     def build():
         one = G.ring.one
-        edges = G.base.faces(1)
+        edges = base.faces(1)
         # (id(a), id(b)) -> a (x) b, one per distinct pair; the factors
         # outlive the build, so their ids are stable
         products = {}
@@ -243,9 +250,10 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
             return products[key]
         transport = {e: kron(G._transport[e], Gp._transport[e]) for e in edges}
         reverse = {e: kron(G._reverse[e], Gp._reverse[e]) for e in edges}
-        return LocalSystem(G.base, G.ring, G.rank * Gp.rank, transport,
+        return LocalSystem(base, G.ring, G.rank * Gp.rank, transport,
                            reverse)
-    return memo(G, ("tensor", Gp), build)
+    # G (x) G is keyed without G, so that G's memo names nothing that holds G
+    return memo(G, ("tensor", None if Gp is G else Gp), build)
 
 
 def holonomy(system: LocalSystem, loop) -> ExactMatrix:

@@ -69,9 +69,10 @@ class ExactMatrix:
     nonzero entry}.  Matrices are immutable: neither the tuple nor its dicts
     change after construction.  The one slot written later is
     `_presentation`, where fpmodules.homology_presentation memoizes the
-    homology presented with this matrix as d_out.  The presentation holds
-    this matrix back, so a presented matrix sits in a reference cycle and is
-    freed by the cycle collector.
+    homology presented with this matrix as d_out.  The presentation keeps
+    this matrix's rows, not the matrix, so the two form no reference cycle:
+    a presented matrix is freed by reference counting, with its
+    presentation, once what owns it, such as a pair complex, is dropped.
 
     Since no row changes, equal rows can be one object.  A matrix that a
     memo keeps (identities, transfers, boundaries, a presentation's cycles
@@ -442,7 +443,8 @@ class SmithDecomposition:
     @classmethod
     def _of_diagonal(cls, D: ExactMatrix):
         """D as its own Smith form: the logs are empty, so every transform
-        is the identity.  D is a diagonal read off a Smith form, or 0 x 0."""
+        is the identity.  D is a diagonal read off a Smith form, or has no
+        rows or no columns."""
         one = D.ring.one
         return cls(D, one, one, (), (), tuple(range(D.cols)), {}, {})
 
@@ -857,7 +859,7 @@ class SmithSolver:
     def __init__(self, A: ExactMatrix):
         self.A = A
         self.ring = A.ring
-        self.snf = (smith_normal_form(A) if A.rows or A.cols
+        self.snf = (smith_normal_form(A) if A.rows and A.cols
                     else SmithDecomposition._of_diagonal(A))
 
     @classmethod

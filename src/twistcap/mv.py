@@ -38,7 +38,7 @@ from .chains import (fundamental_class_direct, pair_complex,
                      transfer_matrix)
 from .complexes import (FullSubcomplex, Subcomplex, _grid_cells,
                         closed_star, empty_subcomplex, memo, named_complex,
-                        whole_subcomplex)
+                        weak, whole_subcomplex)
 from .errors import (CoboundariesDisagree, ConnectingChainEscapes,
                      ConnectingImageNotCycle, NotACover, TwistcapError,
                      UnknownName)
@@ -49,7 +49,10 @@ from .matrices import ExactMatrix, block_diag
 
 
 class CoverPair:
-    """(X, Y) = (A u B, C u D) with C in A, D in B, checked simplexwise."""
+    """(X, Y) = (A u B, C u D) with C in A, D in B, checked simplexwise.
+    The built-in covers are memoized on X, so a cover holds X weakly."""
+
+    X = weak("X")
 
     def __init__(self, X, A: Subcomplex, B: Subcomplex,
                  C: Subcomplex | None = None, D: Subcomplex | None = None):
@@ -701,8 +704,8 @@ def named_diagram6(name: str) -> dict:
         raise UnknownName(f"no diagram-6 configuration named {name!r}")
     complex_name, pieces = _DIAGRAM6[name]
     M = named_complex(complex_name)
-    return dict(memo(M, ("named_diagram6", name), lambda: dict(
-        zip(("complex", "U", "V", "K", "L"), (M, *pieces(M))))))
+    return {"complex": M, **memo(M, ("named_diagram6", name), lambda: dict(
+        zip(("U", "V", "K", "L"), pieces(M))))}
 
 
 def diagram6_names():

@@ -12,7 +12,11 @@ No module may import a name it never uses; the package __init__ re-exports
 by importing, so it is exempt.  Every import of the package sits at module
 level, so the import graph can be read off the top of each file, and none
 imports ``dataclasses``, whose own imports (``inspect``, ``ast``, ``dis``,
-``tokenize``) would make every cold start slower and larger.  Every
+``tokenize``) would make every cold start slower and larger.  No module
+collects, freezes, disables or retunes the cycle collector (``gc.collect``,
+``gc.freeze``, ``gc.disable``, ``gc.set_threshold``): memory is freed by
+design, each memo referring to its owner weakly, not by tuning the
+collector.  Every
 true division in the package has an explicit ``Fraction(...)`` call as its
 left operand: over Q an ``int / int`` quotient would be a float.  Every
 factorization site is named: each call by bare name to ``smith_normal_form``,
@@ -191,6 +195,29 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in names:
                 importing.append(f"{path.name}:{node.lineno}")
     assert not importing, "imports of dataclasses: " + ", ".join(importing)
+
+
+COLLECTOR_TUNING = {"collect", "freeze", "disable", "set_threshold"}
+
+
+def test_no_module_tunes_the_collector():
+    tuning = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        gc_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name == "gc"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in gc_names \
+                    and node.attr in COLLECTOR_TUNING:
+                tuning.append(f"{path.name}:{node.lineno} gc.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                tuning += [f"{path.name}:{node.lineno} {alias.name}"
+                           for alias in node.names
+                           if alias.name in COLLECTOR_TUNING | {"*"}]
+    assert not tuning, "collector tuning: " + ", ".join(tuning)
 
 
 def _is_fraction_call(node):

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twistcap import complexes
-from twistcap.matrices import (ExactMatrix, SmithSolver, block_diag,
-                               inverse, kernel,
+from twistcap.matrices import (ExactMatrix, SmithDecomposition, SmithSolver,
+                               block_diag, inverse, kernel,
                                kernel_with_relations, smith_normal_form)
 from twistcap.rings import MODULAR, Q, RATIONALS, Z, Zmod
 
@@ -632,6 +632,21 @@ def test_partial_reads_of_every_position(ring, rows, shape):
                                list(reversed(range(c))),
                                ExactMatrix.identity(ring, r))
     assert smith_normal_form(A).v_apply(ident) == reference_snf(A).V
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Zmod(6)], ids=str)
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (1, 0), (0, 1), (0, 0)],
+                         ids=str)
+def test_a_matrix_with_no_rows_or_no_columns_is_its_own_smith_form(ring,
+                                                                   shape):
+    # a solver takes such a matrix as its own Smith form, with empty logs,
+    # and factors nothing; the elimination would give the same decomposition
+    A = ExactMatrix.zeros(ring, *shape)
+    made, own = smith_normal_form(A), SmithDecomposition._of_diagonal(A)
+    for field in ("D", "u_det", "v_det", "row_log", "col_log", "phys",
+                  "scales", "units", "kernel_positions"):
+        assert getattr(made, field) == getattr(own, field), field
+    assert SmithSolver(A).snf.D is A
 
 
 @pytest.mark.parametrize("rows,operand", [

@@ -2,11 +2,15 @@
 of CLI commands, repeated in-process, keeps its tracemalloc peak flat.
 tracemalloc traces this test's own allocations only.
 
-Derived objects are memoized on their source and form reference cycles with
-it, so they are freed by the cycle collector; each run starts after a full
-collection, and its peak measures what the earlier runs retain rather than
-when the collector last ran.  The argument parser is built once per process
-and leaves no cycles behind per run.
+Derived objects are memoized on their source and refer back to it only
+weakly, so they form no reference cycle with it: a complex the caller drops
+is freed by reference counting, with everything memoized on it, before any
+collection, and the collector finds nothing of it.  The caller keeps a
+complex alive while it uses anything derived from it; reading what a
+derived object was derived from after that raises TwistcapError.  Each run
+still starts after a full collection, so its peak measures what the earlier
+runs retain.  The argument parser is built once per process and leaves no
+cycles behind per run.
 
 Kept matrices share their empty and +-1 unit rows through one table in
 `matrices`: nothing writes into a shared row, the kept matrices do share
@@ -26,16 +30,21 @@ a lasting system shares one set of spaces among equal covers."""
 import contextlib
 import gc
 import io
+import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from twistcap import complexes, matrices, mv
+from twistcap import complexes, covers, matrices, mv
+from twistcap.cap import verify_duality
 from twistcap.chains import pair_complex, relative_killed, transfer_matrix
 from twistcap.cli import build_parser, main
 from twistcap.complexes import (FullSubcomplex, SimplicialComplex,
-                                Subcomplex, closed_star, corpus)
+                                Subcomplex, closed_star, corpus, validate,
+                                whole_subcomplex)
+from twistcap.errors import TwistcapError
 from twistcap.fpmodules import homology_presentation
 from twistcap.localsystems import (LocalSystem, constant_system, orientation_system,
                                    random_flat_system, random_sign_cocycle,
@@ -325,3 +334,117 @@ def test_a_lasting_system_shares_spaces_among_equal_covers(monkeypatch):
                         mv.mv_cohomology(pair, G).exactness))
     assert len(built) == 1
     assert reports == [reports[0]] * 5 and all(map(all, reports[0]))
+
+
+def banded_grid(twisted, n, seed):
+    """A relabelled n x n grid Klein bottle (twisted) or torus, and its cover
+    by the bands of columns 0..n/2 and n/2..n-1,0, which meet in two
+    annuli."""
+    perm = list(range(n * n))
+    random.Random(seed).shuffle(perm)
+    cells = {xy: [tuple(sorted(perm[v] for v in t)) for t in pair] for xy, pair
+             in complexes._grid_cells(n, n, twisted).items()}
+    M = SimplicialComplex(n * n, [t for pair in cells.values() for t in pair])
+    h = n // 2
+    A = Subcomplex(M, [t for (x, _), p in cells.items() if x <= h for t in p])
+    B = Subcomplex(M, [t for (x, _), p in cells.items()
+                       if x >= h or x == 0 for t in p])
+    return M, mv.CoverPair(M, A, B)
+
+
+def first_splitting(pair, G):
+    inter = pair_complex(pair.X, G, pool=pair.AB)
+    alpha = [G.ring.zero] * inter.length(1)
+    alpha[0] = G.ring.one
+    return mv.mv_splitting(pair, G, 1, tuple(alpha))
+
+
+def duality(system, ring):
+    def check(M, pair):
+        G = (random_flat_system(M, ring, 2, 7) if system == "random-flat"
+             else {"constant": constant_system,
+                   "orientation": orientation_system}[system](M, ring))
+        assert verify_duality(M, G, ring).all_verified
+    return check
+
+
+def mv_check(step):
+    return lambda M, pair: step(pair, orientation_system(M, Z))
+
+
+def cover_check(step):
+    return lambda M, pair: step(covers.build_double_cover(
+        M, orientation_system(M, Z)), Q)
+
+
+# each kind of check the grid benchmark runs, on a complex and its cover
+LIFETIME_CHECKS = {
+    "validate": lambda M, pair: validate(M),
+    **{f"duality-{system}-{ring}": duality(system, ring)
+       for system in ("constant", "orientation", "random-flat")
+       for ring in (Z, Zmod(3), Q)},
+    "mv_homology": mv_check(mv.mv_homology),
+    "mv_cohomology": mv_check(mv.mv_cohomology),
+    "mv_splitting": mv_check(first_splitting),
+    "build_double_cover": cover_check(lambda cover, ring: cover),
+    "split_maps": cover_check(covers.split_maps),
+    "check_split_exactness": cover_check(
+        lambda cover, ring: covers.check_split_exactness(
+            covers.split_maps(cover, ring))),
+    "phi_identify": cover_check(covers.phi_identify),
+}
+
+
+@pytest.mark.parametrize("twisted", [True, False], ids=["klein", "torus"])
+@pytest.mark.parametrize("kind", LIFETIME_CHECKS)
+def test_a_dropped_complex_is_freed_without_the_collector(kind, twisted):
+    gc.collect()
+    gc.disable()
+    try:
+        M, pair = banded_grid(twisted, 4, seed=len(kind))
+        LIFETIME_CHECKS[kind](M, pair)
+        ref = weakref.ref(M)
+        del M, pair
+        alive = ref() is not None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = sorted({type(o).__qualname__ for o in gc.garbage
+                         if type(o).__module__.startswith("twistcap")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not alive and cyclic == []
+
+
+def _cover_of(M):
+    return covers.build_double_cover(M, orientation_system(M, Z))
+
+
+# (object derived from a complex M, attribute naming what it derives from);
+# nothing but the object is kept, so dropping M drops what it names
+WEAK_READS = {
+    "LocalSystem.base": lambda M: (orientation_system(M, Z), "base"),
+    "PairComplex.base": lambda M: (
+        pair_complex(M, orientation_system(M, Z)), "base"),
+    "PairComplex.system": lambda M: (
+        pair_complex(M, orientation_system(M, Z)), "system"),
+    "Subcomplex.ambient": lambda M: (closed_star(M, {0}), "ambient"),
+    "FullSubcomplex.ambient": lambda M: (FullSubcomplex(M, {0}), "ambient"),
+    "CoverPair.X": lambda M: (mv.CoverPair(
+        M, whole_subcomplex(M), whole_subcomplex(M)), "X"),
+    "DoubleCover.base": lambda M: (_cover_of(M), "base"),
+    "DoubleCover.cocycle": lambda M: (_cover_of(M), "cocycle"),
+    "CoverOrientation.cover": lambda M: (
+        covers.orient_cover(_cover_of(M)), "cover"),
+    "SplitMaps.cover": lambda M: (covers.split_maps(_cover_of(M), Q), "cover"),
+}
+
+
+@pytest.mark.parametrize("kind", WEAK_READS)
+def test_reading_what_a_dropped_owner_was_raises(kind):
+    M = fresh("klein")
+    derived, name = WEAK_READS[kind](M)
+    del M
+    with pytest.raises(TwistcapError, match="is gone"):
+        getattr(derived, name)

@@ -13,8 +13,11 @@ of the first; then, three times over and each time after a full garbage
 collection, it builds the complex again, validates it and builds its
 orientation system.  It reports the seconds of the two duality calls, the
 least seconds of each of those three steps (build_s, validate_s,
-orientation_s) and its own peak RSS (ru_maxrss).  One line is printed per
-case.
+orientation_s), its own peak RSS (ru_maxrss) and gc_freed, the number of
+objects the cycle collector freed over the case, counting a last
+collection after the case drops its complexes.  A memo refers to its owner
+weakly, so a dropped complex is freed by reference counting and gc_freed
+is 0.  One line is printed per case.
 One `# fit` line per surface and ring gives the least-squares slope of
 log(time) against log(number of simplices) over n = 4…12, and one per
 complex-layer column does so for the Klein bottle over Z at n = 20…60.
@@ -65,8 +68,15 @@ def _timed(call, *args):
 def run_case(surface, ring_name, n):
     """One case, in this process: print simplices, build, validate and
     orientation seconds, the seconds of the first and the repeated duality
-    call, peak RSS in MB and the verdict, tab-separated; a case in
-    LAYERS_ONLY prints "-" for the duality."""
+    call, peak RSS in MB, the verdict and gc_freed, tab-separated; a case
+    in LAYERS_ONLY prints "-" for the duality."""
+    gc.collect()   # what start-up left, the argument parser's formatters
+    freed = []
+
+    def count(phase, info):
+        if phase == "stop":
+            freed.append(info["collected"])
+    gc.callbacks.append(count)
     build = SURFACES[surface]
     ring = parse_ring(ring_name)
     seconds = repeat = verified = "-"
@@ -79,8 +89,7 @@ def run_case(surface, ring_name, n):
         verified = report.all_verified and again.all_verified
     layers = []
     for _ in range(3):
-        # a complex and the systems cached on it refer to each other, so
-        # the complex timed last is cyclic garbage
+        # a full collection first, so that no timed step pays for one
         gc.collect()
         cx, build_s = _timed(build, n, n)
         _, validate_s = _timed(validate, cx)
@@ -89,9 +98,11 @@ def run_case(surface, ring_name, n):
     build_s, validate_s, orientation_s = map(min, zip(*layers))
     simplices = sum(len(cx.faces(k)) for k in range(cx.dimension + 1))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    cx = system = report = again = None   # the case drops its complexes
+    gc.collect()
     print(f"{simplices}\t{build_s:.3f}\t{validate_s:.4f}\t"
           f"{orientation_s:.4f}\t{seconds}\t{repeat}\t{rss_mb:.1f}\t"
-          f"{verified}")
+          f"{verified}\t{sum(freed)}")
 
 
 def measure(surface, ring_name, n):
@@ -116,7 +127,8 @@ def main():
         run_case(surface, ring_name, int(n))
         return
     print("surface\tring\tn\tsimplices\tbuild_s\tvalidate_s\t"
-          "orientation_s\tseconds\trepeat_s\tpeak_rss_mb\tverified")
+          "orientation_s\tseconds\trepeat_s\tpeak_rss_mb\tverified\t"
+          "gc_freed")
     for surface in SURFACES:
         for ring_name in RINGS:
             rows = [measure(surface, ring_name, n) for n in SIDES]
