@@ -15,10 +15,12 @@ base project to opposite base orientations.
 Every double-cover construction lives here: the sheet lift, the relative
 chains of the total space (`cover_chains`), the chain maps of the deck
 transformation and the projection, Lemmas 1 and 2, the +/- splitting maps
-Sigma, Delta with the orbit bases of the symmetric and antisymmetric chains,
-the identification phi of the antisymmetric complex with the twisted chains
-of the base, checked as one product identity per degree (the antisymmetric
-inclusion is a chain map), and the fundamental class pushed through it.
+Sigma, Delta with the orbit bases of the symmetric and antisymmetric chains
+and the exactness of their two sequences (the splitting lemma's identities
+R i = 1, p = j P, P s = 1, i R + s P = 1), the identification phi of the
+antisymmetric complex with the twisted chains of the base (the antisymmetric
+inclusion is a chain map; both checks are products and factor nothing), and
+the fundamental class pushed through it.
 
 Memoized (`complexes.memo`): the cover on its sign system; its orientation,
 sign systems and +/- splittings (one per ring and K) on the cover; the
@@ -39,7 +41,7 @@ from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import ModuleMap, homology_presentation, induced_map
 from .localsystems import (LocalSystem, constant_system, orientation_system,
                            sign_system, validate_flatness)
-from .matrices import ExactMatrix, SmithSolver
+from .matrices import ExactMatrix, _transpose
 from .rings import RingSpec
 
 
@@ -341,37 +343,35 @@ def _build_split_maps(cover, ring, K) -> SplitMaps:
     return SplitMaps(cover, ring, K, degrees)
 
 
-def _same_column_span(a: SmithSolver, b: SmithSolver) -> bool:
-    return (a.solve_matrix(b.A) is not None
-            and b.solve_matrix(a.A) is not None)
-
-
-def _short_exact(incl: SmithSolver, proj: SmithSolver,
-                 image: SmithSolver) -> bool:
-    """0 -> C' --incl--> C --proj--> C'' -> 0 is exact, where the columns
-    of image.A span C''."""
-    kernel_of_proj, _ = proj.snf.kernel_with_relations()
-    return (incl.snf.kernel_with_relations()[0].cols == 0
-            and _same_column_span(SmithSolver(kernel_of_proj), incl)
-            and _same_column_span(proj, image))
+def _split_exact(i: ExactMatrix, p: ExactMatrix, j: ExactMatrix) -> bool:
+    """0 -> C' --i--> C --p--> C'' -> 0 is exact, where the columns of j
+    span C'': with S the rows where i and j agree (the orbit representatives
+    of a splitting), R = S^T, P = R p and s = (p - 1) S, the identities
+    R i = 1, p = j P, P s = 1, i R + s P = 1 make i injective, ker p = im i
+    and im p = im j, whatever S is; R j = 1 and p i = 0 follow."""
+    ring, n = i.ring, i.cols
+    kept = [a if a == b else {} for a, b in zip(i.sparse_rows, j.sparse_rows)]
+    R = ExactMatrix._from_rows(ring, _transpose(kept, n), i.rows)
+    S = ExactMatrix._from_rows(ring, kept, n)
+    P = R @ p
+    s = (p - ExactMatrix.identity(ring, p.rows)) @ S
+    one = ExactMatrix.identity(ring, n)
+    return (R @ i == one and p == j @ P and P @ s == one
+            and i @ R + s @ P == ExactMatrix.identity(ring, i.rows))
 
 
 def check_split_exactness(split: SplitMaps) -> dict:
-    """Degreewise exactness of both short sequences.
+    """Degreewise exactness of both short sequences, by the splitting
+    lemma's identities (`_split_exact`); nothing is factored, and the
+    verdicts are memoized on the splitting.
 
     Sequence (1): 0 -> C^- -> C --Sigma--> C^+ -> 0
     Sequence (2): 0 -> C^+ -> C --Delta--> C^- -> 0
-    Each of the four matrices of a degree is factored once, and the
-    verdicts are memoized on the splitting.
     """
     def build():
-        out = {}
-        for k, d in split.degrees.items():
-            plus, minus = SmithSolver(d.incl_plus), SmithSolver(d.incl_minus)
-            sigma, delta = SmithSolver(d.sigma), SmithSolver(d.delta)
-            out[k] = {"seq1": _short_exact(minus, sigma, plus),
-                      "seq2": _short_exact(plus, delta, minus)}
-        return out
+        return {k: {"seq1": _split_exact(d.incl_minus, d.sigma, d.incl_plus),
+                    "seq2": _split_exact(d.incl_plus, d.delta, d.incl_minus)}
+                for k, d in split.degrees.items()}
     return memo(split, "exactness", build)
 
 

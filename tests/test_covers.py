@@ -1,14 +1,19 @@
 import pytest
 
+from twistcap import covers
 from twistcap.chains import fundamental_class_direct, pair_complex
 from twistcap.complexes import (FullSubcomplex, corpus, dumps_complex,
                                 loads_complex, validate)
-from twistcap.covers import (build_double_cover, check_split_exactness,
-                             deck_chain_matrix, lemma1_check, lemma2_check,
-                             orient_cover, phi_identify, split_maps)
-from twistcap.errors import NotSignSystem, TwoIsZero
+from twistcap.covers import (CoverOrientation, DegreeSplit, DoubleCover,
+                             SplitMaps, _check_cover_invariants,
+                             build_double_cover, check_split_exactness,
+                             cover_chains, deck_chain_matrix, lemma1_check,
+                             lemma2_check, orient_cover, phi_identify,
+                             split_maps)
+from twistcap.errors import IncoherentCover, NotSignSystem, TwoIsZero
 from twistcap.localsystems import (constant_system, is_trivializable,
                                    orientation_system)
+from twistcap.matrices import ExactMatrix
 from twistcap.rings import Q, Z, Zmod
 
 
@@ -78,6 +83,42 @@ def test_lemma1_deck_reverses_orientation(name):
     assert lemma1_check(cover_of(name), Z)
 
 
+def test_lemma1_fails_on_a_flipped_facet_sign(monkeypatch):
+    c = cover_of("rp2")
+    signs = dict(orient_cover(c).facet_signs)
+    facet = min(signs)
+    signs[facet] = -signs[facet]
+    faulty = CoverOrientation(c, signs)
+    monkeypatch.setattr(covers, "orient_cover", lambda cover: faulty)
+    assert lemma1_check(c, Z) is False
+
+
+def _with_deck(cover, swaps):
+    """The cover with its deck map changed to swap each pair in `swaps`
+    (a pair (v, v) fixes v)."""
+    deck = list(cover.deck)
+    for v, w in swaps:
+        deck[v], deck[w] = w, v
+    return DoubleCover(cover.base, cover.total, cover.projection, tuple(deck),
+                       cover.cocycle, cover.signs)
+
+
+def test_a_deck_map_with_fixed_points_is_incoherent():
+    c = cover_of("rp2")
+    n = c.base.vertex_count
+    # still an involution, but 0 and n are fixed
+    with pytest.raises(IncoherentCover, match="free involution"):
+        _check_cover_invariants(_with_deck(c, [(0, 0), (n, n)]))
+
+
+def test_a_deck_map_across_fibres_is_incoherent():
+    c = cover_of("rp2")
+    n = c.base.vertex_count
+    # a free involution that swaps points over different base vertices
+    with pytest.raises(IncoherentCover, match="does not commute"):
+        _check_cover_invariants(_with_deck(c, [(0, n + 1), (1, n)]))
+
+
 def test_components_project_to_opposite_orientations():
     M = corpus("sphere2")
     c = cover_of("sphere2")
@@ -121,6 +162,52 @@ def test_split_refuses_mod2():
     c = cover_of("rp2")
     with pytest.raises(TwoIsZero):
         split_maps(c, Zmod(2))
+
+
+def _with_entry(A, row, col, x):
+    """A copy of A with entry (row, col) set to x, dropped when x is 0."""
+    rows = list(A.sparse_rows)
+    rows[row] = {**rows[row], col: x}
+    if not x:
+        del rows[row][col]
+    return ExactMatrix._from_rows(A.ring, rows, A.cols)
+
+
+FAULTS = {"flip": lambda x: -x, "double": lambda x: 2 * x,
+          "drop": lambda x: 0}
+# (seq1, seq2) with one matrix broken: sequence (1) reads Sigma, sequence
+# (2) Delta, and both read the two inclusions
+EXACT_WITH = {"incl_plus": (False, False), "incl_minus": (False, False),
+              "sigma": (False, True), "delta": (True, False)}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("lift", ["representative", "deck image"])
+@pytest.mark.parametrize("field", EXACT_WITH)
+def test_a_faulty_splitting_fails_exactly_its_sequences(field, lift, fault):
+    # one entry of one matrix of degree 1 is flipped, doubled (over Z, not
+    # a unit) or dropped, in the row of an orbit's representative or of its
+    # deck image: an inclusion's orbit column, Sigma's or Delta's diagonal
+    c = cover_of("klein")
+    split = split_maps(c, Z)
+    k = 1
+    d = split.degrees[k]
+    rep = c.canonical_lift(d.orbit_bases[0])
+    row = cover_chains(c, Z).index(k)[
+        rep if lift == "representative" else c.deck_image(rep)]
+    parts = {name: getattr(d, name) for name in EXACT_WITH}
+    A = parts[field]
+    col = 0 if field.startswith("incl") else row
+    parts[field] = _with_entry(A, row, col, FAULTS[fault](A.entry(row, col)))
+    degrees = dict(split.degrees)
+    degrees[k] = DegreeSplit(parts["sigma"], parts["delta"],
+                             parts["incl_plus"], parts["incl_minus"],
+                             d.orbit_bases)
+    verdicts = check_split_exactness(SplitMaps(c, Z, None, degrees))
+    seq1, seq2 = EXACT_WITH[field]
+    assert verdicts[k]["seq1"] is seq1 and verdicts[k]["seq2"] is seq2
+    assert all(v == {"seq1": True, "seq2": True}
+               for j, v in verdicts.items() if j != k)
 
 
 def test_sigma_image_is_sum_of_lifts():

@@ -245,8 +245,6 @@ FACTORING = {"smith_normal_form", "SmithSolver", "kernel_with_relations",
 # (module, enclosing function, callee) of every call that factors a matrix
 FACTORIZATION_SITES = {
     ("acceptance", "check_smith_kernel", "smith_normal_form"),
-    ("covers", "_short_exact", "SmithSolver"),
-    ("covers", "check_split_exactness.build", "SmithSolver"),
     ("fpmodules", "FPModule.__init__", "SmithSolver"),
     ("fpmodules", "ModuleMap.image", "SmithSolver"),
     ("fpmodules", "_smith_form", "smith_normal_form"),

@@ -21,6 +21,9 @@ is 0.  One line is printed per case.
 One `# fit` line per surface and ring gives the least-squares slope of
 log(time) against log(number of simplices) over n = 4…12, and one per
 complex-layer column does so for the Klein bottle over Z at n = 20…60.
+A last table times check_split_exactness(split_maps(cover, Z)) on the
+orientation double cover of the Klein bottle at n = 24 (the --split child:
+simplices, seconds, peak RSS, verdict).
 
 Run from anywhere:  python3 tools/snf_scaling.py
 """
@@ -39,6 +42,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from twistcap.cap import verify_duality  # noqa: E402
 from twistcap.complexes import _grid_klein, _grid_torus, validate  # noqa: E402
+from twistcap.covers import (build_double_cover,  # noqa: E402
+                             check_split_exactness, split_maps)
 from twistcap.localsystems import (constant_system,  # noqa: E402
                                    orientation_system)
 from twistcap.rings import parse_ring  # noqa: E402
@@ -49,6 +54,7 @@ SIDES = range(4, 13)
 LARGE = (("klein", "Z", 16), ("klein", "Z", 20))
 LAYERS_ONLY = (("klein", "Z", 40), ("klein", "Z", 60))
 LAYER_FIT = (("klein", "Z", 20),) + LAYERS_ONLY
+SPLIT = ("klein", "Z", 24)
 
 
 def loglog_slope(points):
@@ -105,13 +111,33 @@ def run_case(surface, ring_name, n):
           f"{verified}\t{sum(freed)}")
 
 
+def run_split_case(surface, ring_name, n):
+    """Split exactness of the orientation cover, in this process: print
+    simplices, the seconds of check_split_exactness(split_maps(...)), peak
+    RSS in MB and the verdict, tab-separated."""
+    cx = SURFACES[surface](n, n)
+    ring = parse_ring(ring_name)
+    cover = build_double_cover(cx, orientation_system(cx, ring))
+    verdicts, seconds = _timed(
+        lambda: check_split_exactness(split_maps(cover, ring)))
+    verified = all(v["seq1"] and v["seq2"] for v in verdicts.values())
+    simplices = sum(len(cx.faces(k)) for k in range(cx.dimension + 1))
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{simplices}\t{seconds:.3f}\t{rss_mb:.1f}\t{verified}")
+
+
+def _child(flag, surface, ring_name, n):
+    """The fields one case prints in a child process."""
+    return subprocess.run([sys.executable, os.path.abspath(__file__), flag,
+                           surface, ring_name, str(n)],
+                          capture_output=True, text=True, check=True
+                          ).stdout.split()
+
+
 def measure(surface, ring_name, n):
     """Run one case in a child process; print its line and return
     {column: value} for simplices and the timed columns."""
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--case",
-                          surface, ring_name, str(n)],
-                         capture_output=True, text=True, check=True).stdout
-    fields = out.split()
+    fields = _child("--case", surface, ring_name, n)
     print(f"{surface}\t{ring_name}\t{n}\t" + "\t".join(fields), flush=True)
     names = ("simplices", "build_s", "validate_s", "orientation_s", "seconds",
              "repeat_s")
@@ -121,10 +147,11 @@ def measure(surface, ring_name, n):
 def main():
     p = argparse.ArgumentParser()
     p.add_argument("--case", nargs=3, metavar=("SURFACE", "RING", "N"))
+    p.add_argument("--split", nargs=3, metavar=("SURFACE", "RING", "N"))
     args = p.parse_args()
-    if args.case:
-        surface, ring_name, n = args.case
-        run_case(surface, ring_name, int(n))
+    if args.case or args.split:
+        surface, ring_name, n = args.case or args.split
+        (run_case if args.case else run_split_case)(surface, ring_name, int(n))
         return
     print("surface\tring\tn\tsimplices\tbuild_s\tvalidate_s\t"
           "orientation_s\tseconds\trepeat_s\tpeak_rss_mb\tverified\t"
@@ -141,6 +168,8 @@ def main():
                   for case in LAYER_FIT]
         print(f"# fit klein Z {column} n=20-60 "
               f"exponent={loglog_slope(points):.2f}", flush=True)
+    print("surface\tring\tn\tsimplices\tsplit_s\tpeak_rss_mb\tverified")
+    print("\t".join(map(str, SPLIT + tuple(_child("--split", *SPLIT)))))
 
 
 if __name__ == "__main__":
