@@ -76,16 +76,16 @@ class ExactMatrix:
 
     Since no row changes, equal rows can be one object.  A matrix that a
     memo keeps (identities, transfers, boundaries, a presentation's cycles
-    and coordinates, the split inclusions, system and path transports and
-    the MV row maps) takes its empty rows and its rows {j: 1} and {j: -1}
-    from one process-wide table through `shared`; these int rows are the
-    canonical rows over Z and Q, and {j: 1} over Z/m too.  The table holds
-    at most two rows per column index, so it grows with the widest kept
-    matrix, never with the number of checks.  Zero matrices and the
-    diagonal relations of a presented module take the table's empty row.
-    A product shares the rows of its right factor where a row of the left
-    is {k: 1}.  A transient matrix is built with its own rows: `_from_rows`
-    adds no work per row."""
+    and coordinates, the split inclusions, system and path transports, and
+    the MV row maps, splittings, zig-zags and gluings) takes its empty rows
+    and its rows {j: 1} and {j: -1} from one process-wide table through
+    `shared`; these int rows are the canonical rows over Z and Q, and
+    {j: 1} over Z/m too.  The table holds at most two rows per column
+    index, so it grows with the widest kept matrix, never with the number
+    of checks.  Zero matrices and the diagonal relations of a presented
+    module take the table's empty row.  A product shares the rows of its
+    right factor where a row of the left is {k: 1}.  A transient matrix is
+    built with its own rows: `_from_rows` adds no work per row."""
 
     __slots__ = ("ring", "rows", "cols", "sparse_rows", "_presentation")
 
@@ -300,6 +300,9 @@ class ExactMatrix:
         zero = self.ring.zero
         out = []
         for row in self.sparse_rows:
+            if not row:
+                out.append(zero)
+                continue
             acc = 0
             for j, a in row.items():
                 x = vec[j]

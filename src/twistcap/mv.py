@@ -12,21 +12,25 @@ commute exactly with the minus sign on the second cap column, and the
 connecting block commutes up to one global sign, which is measured and
 reported rather than assumed.
 
-Connecting maps are computed on representatives by explicit chain splitting
-with a deterministic tie-break: anything lying in both A and B is assigned
-to A.  Exactness is certified node by node as submodule equality through the
-Smith machinery.
+Connecting maps are computed on the matrix of generator representatives by
+explicit chain splitting with a deterministic tie-break: anything lying in
+both A and B is assigned to A.  Each chain-level step is one matrix per
+degree: the zig-zag, the gluing, and the cochain splitting, which is two
+matrices (S_beta, S_gamma) certified by the one identity
+T(A->A^B) S_beta - T(B->A^B) S_gamma = 1.  Exactness is certified node by
+node as submodule equality through the Smith machinery.
 
 Memoized (`complexes.memo`): the built-in covers and diagram
 configurations, and the two covers of a diagram, on their complex, which
 lasts for the process; the MV spaces on their system, keyed by the cover's
 pieces, so equal covers share them and they die with the system; the
-transfers, row maps and splitting plans on the spaces, and each sequence's
-induced maps, direct sums and end maps too, keyed by the presentations they
-are induced between.  Each map owns the factorization of its image.  The
-connecting maps, exactness at every node, the splitting equation and the
-diagram's squares are computed again on every call from these pieces, so a
-fault in any of them shows on a repeated check too.
+transfers, row maps, splittings, zig-zags and gluings on the spaces, and
+each sequence's induced maps, direct sums and end maps too, keyed by the
+presentations they are induced between.  Each map owns the factorization of
+its image.  The connecting maps with their escape and overlap checks,
+exactness at every node, the splitting identity and the diagram's squares
+are computed again on every call from these pieces, so a fault in any of
+them shows on a repeated check too.
 """
 
 from __future__ import annotations
@@ -117,8 +121,10 @@ class ExactSequenceReport:
 
 class _MVSpaces:
     """The pair complexes a Mayer-Vietoris computation runs over, and what
-    is built from them once: transfers, row maps, splitting plans and the
-    sequences' non-connecting maps, all in `_cache`."""
+    is built from them once, all in `_cache`: transfers, row maps, the
+    sequences' non-connecting maps, and per degree the chain-level steps as
+    matrices of columns: the cochain splitting, the zig-zag and the
+    gluing."""
 
     def __init__(self, pair: CoverPair, G):
         X = pair.X
@@ -154,62 +160,65 @@ class _MVSpaces:
             return into, out
         return memo(self, ("row", first, last, k), build)
 
-    def split_chain(self, k, absolute_vec):
-        """Assign each simplex block to A (tie-break) or B."""
-        ring, r = self.ring, self.rank
-        beta = list(absolute_vec)
-        gamma = [ring.zero] * len(absolute_vec)
-        for pos, s in enumerate(self.absolute.space(k)):
-            if not self.A.contains(s):
-                for i in range(pos * r, (pos + 1) * r):
-                    gamma[i] = beta[i]
-                    beta[i] = ring.zero
-        return tuple(beta), tuple(gamma)
+    def blocks(self, pc, k, inside) -> ExactMatrix:
+        """The projection of pc's degree-k coordinates onto the fiber blocks
+        of the simplices that `inside` holds."""
+        r, one = self.rank, self.ring.one
+        rows = [{pos * r + a: one} if inside(s) else {}
+                for pos, s in enumerate(pc.space(k)) for a in range(r)]
+        return ExactMatrix._from_rows(self.ring, rows, len(rows))
 
-    def split_plan(self, k):
-        """The (position, source) blocks that split_cochain copies in degree
-        k, built once: into beta the simplices of A inside B and outside C,
-        into gamma those inside C, each from its position in the
-        intersection pair."""
+    def split(self, k):
+        """The cochain splitting of degree k, (S_beta, S_gamma): a cochain
+        alpha of the intersection pair goes to beta = S_beta alpha, alpha on
+        the simplices outside C, and gamma = S_gamma alpha, minus alpha on
+        those inside C, so that beta|^ - gamma|^ = alpha, the identity
+        `splitting_holds` checks."""
         def build():
-            a_idx = self.inter.index(k)
-            to_beta = [(pos, a_idx[s])
-                       for pos, s in enumerate(self.left.space(k))
-                       if self.B.contains(s) and not self.C.contains(s)
-                       and s in a_idx]
-            to_gamma = [(pos, a_idx[s])
-                        for pos, s in enumerate(self.right.space(k))
-                        if self.C.contains(s) and s in a_idx]
-            return to_beta, to_gamma
-        return memo(self, ("split_plan", k), build)
+            in_c = self.blocks(self.right, k, self.C.contains)
+            s_gamma = -(in_c @ self.transfer(self.inter, self.right, k))
+            return self.transfer(self.inter, self.left, k), s_gamma.shared()
+        return memo(self, ("split", k), build)
 
-    def split_cochain(self, k, alpha):
-        """The explicit preimage (beta, gamma) with beta|^ - gamma|^ = alpha.
+    def difference(self, k) -> ExactMatrix:
+        """The difference map (beta, gamma) -> beta|^ - gamma|^ of degree
+        k, out of the k-cochains of C(A)+C(B) stacked: the cohomology row's
+        `row_maps` out of its middle node, side by side.  A splitting is
+        `split(k)` stacked, and difference(k) times it is the identity."""
+        return memo(self, ("difference", k), lambda: ExactMatrix.hstack(
+            self.row_maps(self.whole, self.inter, k)[1]).shared())
 
-        beta copies alpha on simplices inside A^B that are not inside C;
-        gamma is minus alpha on simplices inside C; both vanish elsewhere
-        (`split_plan`).  The defining equation is re-checked exactly before
-        returning.
-        """
-        ring, r = self.ring, self.rank
-        if len(alpha) != self.inter.length(k):
-            raise TwistcapError(
-                "cochain length does not match the intersection pair")
-        to_beta, to_gamma = self.split_plan(k)
-        beta = [ring.zero] * self.left.length(k)
-        for pos, src in to_beta:
-            beta[pos * r:(pos + 1) * r] = alpha[src * r:(src + 1) * r]
-        gamma = [ring.zero] * self.right.length(k)
-        for pos, src in to_gamma:
-            gamma[pos * r:(pos + 1) * r] = [
-                ring.normalize(-x) for x in alpha[src * r:(src + 1) * r]]
-        phi_beta = self.transfer(self.left, self.inter, k).apply(beta)
-        phi_gamma = self.transfer(self.right, self.inter, k).apply(gamma)
-        recovered = tuple(ring.normalize(x - y)
-                          for x, y in zip(phi_beta, phi_gamma))
-        if recovered != tuple(ring.normalize(x) for x in alpha):
-            raise TwistcapError("splitting failed its defining equation")
-        return tuple(beta), tuple(gamma)
+    def zigzag(self, k) -> ExactMatrix:
+        """The zig-zag of degree k: a relative k-cycle of (X, Y), lifted to
+        absolute chains, goes to the boundary of its A-part less the C-part
+        of its boundary, an absolute (k-1)-chain, which lies in A^B."""
+        # off A both terms vanish; on A outside B the boundary of the B-part
+        # does, and the boundary of a relative cycle lies in Y, hence in C
+        def build():
+            d = self.absolute.boundary(k)
+            in_a = self.blocks(self.absolute, k, self.A.contains)
+            in_c = self.blocks(self.absolute, k - 1, self.C.contains)
+            lift = self.transfer(self.whole, self.absolute, k)
+            return ((d @ in_a - in_c @ d) @ lift).shared()
+        return memo(self, ("zigzag", k), build)
+
+    def glue(self, k):
+        """The gluing of degree k, (glue, overlap), each on the k-cochains
+        (beta, gamma) of C(A)+C(B), stacked: glue gives the (k+1)-cochain of
+        (X, Y) that is delta beta on the simplices in A and delta gamma on
+        the others, and overlap gives delta beta - delta gamma on the
+        simplices in both, which vanishes on the splitting of a cocycle."""
+        def build():
+            whole, in_a = self.whole, self.A.contains
+            d_beta, d_gamma = (self.transfer(pc, whole, k + 1)
+                               @ pc.coboundary(k)
+                               for pc in (self.left, self.right))
+            out_a = self.blocks(whole, k + 1, lambda s: not in_a(s))
+            in_ab = self.blocks(whole, k + 1, self.AB.contains)
+            glue = ExactMatrix.hstack([d_beta, out_a @ d_gamma])
+            overlap = in_ab @ ExactMatrix.hstack([d_beta, -d_gamma])
+            return glue.shared(), overlap.shared()
+        return memo(self, ("glue", k), build)
 
 
 def _mv_spaces(pair: CoverPair, G) -> _MVSpaces:
@@ -219,70 +228,42 @@ def _mv_spaces(pair: CoverPair, G) -> _MVSpaces:
                 lambda: _MVSpaces(pair, G))
 
 
-def _connecting_chain(spaces: _MVSpaces, k, alpha):
-    """The zig-zag representative of the homology connecting map.
-
-    alpha is a relative k-cycle of (X, Y).  Lifted to absolute chains, the
-    boundary of its A-part, less the C-part of its boundary, lies in the
-    intersection; it is returned in the (A^B, C^D) coordinates.
-    """
-    ring, r = spaces.ring, spaces.rank
-    alpha = spaces.transfer(spaces.whole, spaces.absolute, k).apply(alpha)
-    d_abs = spaces.absolute.boundary(k)
-    beta, _ = spaces.split_chain(k, alpha)
-    e = list(d_abs.apply(beta))
-    dalpha = d_abs.apply(alpha)
-    for pos, s in enumerate(spaces.absolute.space(k - 1)):
-        block = slice(pos * r, (pos + 1) * r)
-        if spaces.C.contains(s):
-            e[block] = [ring.normalize(x - y)
-                        for x, y in zip(e[block], dalpha[block])]
-        if any(e[block]) and not spaces.AB.contains(s):
-            raise ConnectingChainEscapes(
-                f"connecting chain escapes the intersection at {s}")
-    return spaces.transfer(spaces.absolute, spaces.inter, k - 1).apply(e)
+def _connecting_chain(spaces: _MVSpaces, k, cycles: ExactMatrix):
+    """The zig-zag representatives of the homology connecting map, one per
+    column of `cycles`, relative k-cycles of (X, Y): each column's
+    `_MVSpaces.zigzag` image, checked to lie in the intersection, in the
+    (A^B, C^D) coordinates."""
+    chains = spaces.zigzag(k) @ cycles
+    space, r = spaces.absolute.space(k - 1), spaces.rank
+    # the first column that escapes, at its first simplex outside A^B
+    escapes = [(min(row), i) for i, row in enumerate(chains.sparse_rows)
+               if row and not spaces.AB.contains(space[i // r])]
+    if escapes:
+        s = space[min(escapes)[1] // r]
+        raise ConnectingChainEscapes(
+            f"connecting chain escapes the intersection at {s}")
+    return spaces.transfer(spaces.absolute, spaces.inter, k - 1) @ chains
 
 
-def _glue_coboundary(spaces: _MVSpaces, k, alpha):
-    """The chain-level connecting value delta(alpha) in the (X, Y)
-    coordinates: the coboundaries of the two halves of the splitting, glued
-    along the overlap, where they must agree."""
-    ring, r = spaces.ring, spaces.rank
-    beta, gamma = spaces.split_cochain(k, alpha)
-    dbeta = spaces.left.coboundary(k).apply(beta)
-    dgamma = spaces.right.coboundary(k).apply(gamma)
-    idx_a = spaces.left.index(k + 1)
-    idx_b = spaces.right.index(k + 1)
-    glued = [ring.zero] * spaces.whole.length(k + 1)
-    for pos, s in enumerate(spaces.whole.space(k + 1)):
-        ia, ib = idx_a.get(s), idx_b.get(s)
-        block = dbeta[ia * r:(ia + 1) * r] if ia is not None else None
-        if ib is not None:
-            other = dgamma[ib * r:(ib + 1) * r]
-            if block is None:
-                block = other
-            elif block != other:
-                raise CoboundariesDisagree(
-                    "coboundaries disagree on the overlap")
-        glued[pos * r:(pos + 1) * r] = block
-    return tuple(glued)
-
-
-def _through(step, spaces: _MVSpaces, k, chains: ExactMatrix,
-             length) -> ExactMatrix:
-    """The matrix whose columns are step(spaces, k, z), each of the given
-    length, for the columns z of `chains`."""
-    return ExactMatrix.from_columns(
-        spaces.ring, [step(spaces, k, z) for z in chains.columns()], length)
+def _glue_coboundary(spaces: _MVSpaces, k, cocycles: ExactMatrix):
+    """The chain-level connecting values delta(alpha) in the (X, Y)
+    coordinates, one per column alpha of `cocycles`: the coboundaries of
+    the two halves of the splitting, glued along the overlap, where they
+    must agree."""
+    halves = ExactMatrix.vstack([s @ cocycles for s in spaces.split(k)])
+    glue, overlap = spaces.glue(k)
+    if not (overlap @ halves).is_zero():
+        raise CoboundariesDisagree("coboundaries disagree on the overlap")
+    return glue @ halves
 
 
 def _connecting_map(spaces: _MVSpaces, k, src: HomologyPresentation,
                     dst: HomologyPresentation, step, error) -> ModuleMap:
     """The connecting map out of degree k, computed on representatives:
-    step(spaces, k, rep) carries each generator of src to a (co)cycle whose
-    class in dst is its image; `error` is raised when one is not."""
-    images = dst.class_matrix(_through(step, spaces, k, src.cycles,
-                                       dst.chain_rank))
+    step(spaces, k, reps) carries the matrix of generators of src to
+    (co)cycles whose classes in dst are their images; `error` is raised
+    when one is not."""
+    images = dst.class_matrix(step(spaces, k, src.cycles))
     if images is None:
         raise ConnectingImageNotCycle(error)
     return ModuleMap(src.module, dst.module, images)
@@ -384,27 +365,31 @@ def mv_cohomology(pair: CoverPair, G) -> ExactSequenceReport:
 
 
 def mv_splitting(pair: CoverPair, G, k, alpha):
-    """The explicit preimage (beta, gamma) with beta|^ - gamma|^ = alpha;
-    see `_MVSpaces.split_cochain`."""
-    return _mv_spaces(pair, G).split_cochain(k, alpha)
+    """The explicit preimage (beta, gamma) of one cochain alpha of the
+    intersection pair, read off `_MVSpaces.split`, with the defining
+    equation beta|^ - gamma|^ = alpha re-checked exactly before returning."""
+    spaces = _mv_spaces(pair, G)
+    ring = spaces.ring
+    if len(alpha) != spaces.inter.length(k):
+        raise TwistcapError(
+            "cochain length does not match the intersection pair")
+    s_beta, s_gamma = spaces.split(k)
+    beta, gamma = s_beta.apply(alpha), s_gamma.apply(alpha)
+    recovered = spaces.difference(k).apply(beta + gamma)
+    if recovered != tuple(ring.normalize(x) for x in alpha):
+        raise TwistcapError("splitting failed its defining equation")
+    return beta, gamma
 
 
 def splitting_holds(pair: CoverPair, G) -> bool:
-    """split_cochain succeeds on every basis cochain of the intersection
-    pair, on MV spaces read once; a splitting that raises counts as a
-    failure."""
-    ring = G.ring
+    """The splitting identity T(left->inter) S_beta - T(right->inter)
+    S_gamma = 1, the difference map times the splitting, holds in every
+    degree, on MV spaces read once: beta|^ - gamma|^ = alpha for every
+    cochain alpha of the intersection pair."""
     spaces = _mv_spaces(pair, G)
-    for k in range(pair.X.dimension + 1):
-        size = spaces.inter.length(k)
-        for j in range(size):
-            alpha = tuple(ring.one if i == j else ring.zero
-                          for i in range(size))
-            try:
-                spaces.split_cochain(k, alpha)
-            except TwistcapError:
-                return False
-    return True
+    return all(spaces.difference(k) @ ExactMatrix.vstack(spaces.split(k))
+               == ExactMatrix.identity(spaces.ring, spaces.inter.length(k))
+               for k in range(pair.X.dimension + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +576,8 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
         if k < n:
             p_down = bot.homology(bot.inter, n - k - 1)
             X = generators(top.inter, top.cohomology(top.inter, k), k)
-            glued = _through(_glue_coboundary, top, k, X,
-                             top.whole.length(k + 1))
-            zigzag = _through(_connecting_chain, bot, n - k, cap_m @ X,
-                              bot.inter.length(n - k - 1))
+            glued = _glue_coboundary(top, k, X)
+            zigzag = _connecting_chain(bot, n - k, cap_m @ X)
             weight = ring.from_int((-1) ** (n - k))
             gaps = _route_gaps(p_down, caps_first[k + 1] @ glued, zigzag,
                                (weight, -weight))

@@ -2,6 +2,7 @@
 presented module factors a given matrix once; read-only checks build
 nothing."""
 
+import contextlib
 import gc
 import random
 import sys
@@ -29,6 +30,18 @@ from twistcap.localsystems import (constant_system, is_trivializable,
                                    validate_flatness)
 from twistcap.matrices import ExactMatrix, inverse
 from twistcap.rings import Q, Z, Zmod
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The cycle collector off, after a full collection: what dies inside
+    dies by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def count_calls(monkeypatch, owner, name):
@@ -125,9 +138,7 @@ def test_pair_complexes_and_covers_die_with_their_system():
     # that only it keeps alive; random flat systems live on their complex,
     # so the whole chain complex -> system -> pair complex is released, and
     # by reference counting alone: the collector is off until it is checked
-    gc.collect()
-    gc.disable()
-    try:
+    with collector_off():
         M = fresh_torus()
         G = random_flat_system(M, Z, 2, seed=4)
         omega = random_flat_system(M, Z, 1, seed=4)
@@ -138,10 +149,7 @@ def test_pair_complexes_and_covers_die_with_their_system():
                    pair_complex(cover.total, constant_system(cover.total, Z))]
         refs = [weakref.ref(pc) for pc in watched]
         del M, G, omega, cover, watched
-        alive = [r() is not None for r in refs]
-    finally:
-        gc.enable()
-    assert alive == [False, False, False]
+        assert [r() for r in refs] == [None, None, None]
 
 
 def test_pair_complex_rejects_a_foreign_system_on_every_call():
@@ -300,16 +308,17 @@ def test_an_equal_but_distinct_d_in_is_presented_afresh(monkeypatch):
 
 def test_presentations_die_with_their_pair_complex():
     # the whole chain complex -> system -> pair complex -> presentation is
-    # released, since random flat systems live on their complex
-    M = fresh_torus()
-    G = random_flat_system(M, Z, 2, seed=4)
-    pc = pair_complex(M, G)
-    pres = homology_presentation(pc.boundary(2), pc.boundary(1))
-    assert homology_presentation(pc.boundary(2), pc.boundary(1)) is pres
-    refs = [weakref.ref(pc), weakref.ref(pres)]
-    del M, G, pc, pres
-    gc.collect()
-    assert [r() for r in refs] == [None, None]
+    # released, since random flat systems live on their complex, and by
+    # reference counting alone
+    with collector_off():
+        M = fresh_torus()
+        G = random_flat_system(M, Z, 2, seed=4)
+        pc = pair_complex(M, G)
+        pres = homology_presentation(pc.boundary(2), pc.boundary(1))
+        assert homology_presentation(pc.boundary(2), pc.boundary(1)) is pres
+        refs = [weakref.ref(pc), weakref.ref(pres)]
+        del M, G, pc, pres
+        assert [r() for r in refs] == [None, None]
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(4), Q], ids=str)
@@ -553,15 +562,19 @@ def test_mv_sequences_factor_no_zero_module(monkeypatch):
 
 def test_mv_spaces_die_with_their_system():
     # the built-in cover lasts for the process and keeps nothing of the
-    # systems it is asked about
+    # systems it is asked about; the spaces, with every memo on them, die
+    # by reference counting alone
     M, pair = mv.named_cover("octahedron", "hemispheres")
-    G = sign_system(M, Z, {e: 1 for e in M.faces(1)})
-    mv.mv_homology(pair, G)
-    [spaces] = [v for v in G._cache.values() if isinstance(v, mv._MVSpaces)]
-    ref = weakref.ref(spaces)
-    del G, spaces
-    gc.collect()
-    assert ref() is None
+    with collector_off():
+        G = sign_system(M, Z, {e: 1 for e in M.faces(1)})
+        mv.mv_homology(pair, G)
+        mv.mv_cohomology(pair, G)
+        assert mv.splitting_holds(pair, G)
+        [spaces] = [v for v in G._cache.values()
+                    if isinstance(v, mv._MVSpaces)]
+        ref = weakref.ref(spaces)
+        del G, spaces
+        assert ref() is None
     assert not hasattr(pair, "_cache")
 
 
@@ -780,16 +793,17 @@ def test_a_non_flat_system_raises_on_every_pair_complex(monkeypatch):
 
 
 def test_duality_maps_die_with_their_system():
-    M = fresh("klein")
-    G = random_flat_system(M, Zmod(3), 2, seed=1)
-    first = verify_duality(M, G, Zmod(3))
-    again = verify_duality(M, G, Zmod(3))
-    assert [row.map for row in again.rows] == [row.map for row in first.rows]
-    assert all(a.map is b.map for a, b in zip(first.rows, again.rows))
-    refs = [weakref.ref(row.map) for row in first.rows]
-    del M, G, first, again
-    gc.collect()
-    assert [r() for r in refs] == [None] * 3
+    with collector_off():
+        M = fresh("klein")
+        G = random_flat_system(M, Zmod(3), 2, seed=1)
+        first = verify_duality(M, G, Zmod(3))
+        again = verify_duality(M, G, Zmod(3))
+        assert [row.map for row in again.rows] == \
+            [row.map for row in first.rows]
+        assert all(a.map is b.map for a, b in zip(first.rows, again.rows))
+        refs = [weakref.ref(row.map) for row in first.rows]
+        del M, G, first, again
+        assert [r() for r in refs] == [None] * 3
 
 
 def test_a_rebuilt_presentation_gets_a_new_duality_map():
@@ -812,35 +826,37 @@ def test_a_rebuilt_presentation_gets_a_new_duality_map():
 
 def test_mv_sequence_maps_die_with_their_system():
     M, pair = mv.named_cover("torus", "cylinders")
-    G = sign_system(M, Z, random_sign_cocycle(M, seed=5))
-    first = mv.mv_homology(pair, G)
-    second = mv.mv_homology(pair, G)
-    # every map but the connecting maps is the memoized one
-    same = [a is b for a, b in zip(first.maps, second.maps)]
-    assert same == [True, True, True, False, True, True, False, True, True,
-                    True]
-    refs = [weakref.ref(f) for f in first.maps]
-    del G, first, second
-    gc.collect()
-    assert [r() for r in refs] == [None] * len(refs)
+    with collector_off():
+        G = sign_system(M, Z, random_sign_cocycle(M, seed=5))
+        first = mv.mv_homology(pair, G)
+        second = mv.mv_homology(pair, G)
+        # every map but the connecting maps is the memoized one
+        same = [a is b for a, b in zip(first.maps, second.maps)]
+        assert same == [True, True, True, False, True, True, False, True,
+                        True, True]
+        refs = [weakref.ref(f) for f in first.maps]
+        del G, first, second
+        assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_diagram6_covers_die_with_their_complex():
     cfg = mv.named_diagram6("sphere")
-    M = SimplicialComplex(cfg["complex"].vertex_count, cfg["complex"].facets)
-    U, V = (Subcomplex(M, cfg[name].faces(2)) for name in ("U", "V"))
-    K, L = (FullSubcomplex(M, cfg[name].vertex_subset) for name in ("K", "L"))
-    G = constant_system(M, Z)
-    first = mv.diagram6_check(M, U, V, K, L, G, Z)
-    built = [key for key in M._cache if key[0] == "diagram6_covers"]
-    assert len(built) == 1
-    covers = M._cache[built[0]]
-    assert mv.diagram6_check(M, U, V, K, L, G, Z) == first
-    assert M._cache[built[0]] is covers
-    refs = [weakref.ref(pair) for pair in covers]
-    del M, U, V, K, L, G, covers, built
-    gc.collect()
-    assert [r() for r in refs] == [None, None]
+    with collector_off():
+        M = SimplicialComplex(cfg["complex"].vertex_count,
+                              cfg["complex"].facets)
+        U, V = (Subcomplex(M, cfg[name].faces(2)) for name in ("U", "V"))
+        K, L = (FullSubcomplex(M, cfg[name].vertex_subset)
+                for name in ("K", "L"))
+        G = constant_system(M, Z)
+        first = mv.diagram6_check(M, U, V, K, L, G, Z)
+        built = [key for key in M._cache if key[0] == "diagram6_covers"]
+        assert len(built) == 1
+        covers = M._cache[built[0]]
+        assert mv.diagram6_check(M, U, V, K, L, G, Z) == first
+        assert M._cache[built[0]] is covers
+        refs = [weakref.ref(pair) for pair in covers]
+        del M, U, V, K, L, G, covers, built
+        assert [r() for r in refs] == [None, None]
 
 
 def test_named_configurations_are_built_once():

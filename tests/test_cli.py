@@ -341,29 +341,34 @@ def test_failed_inverse_certificate_exits_1(monkeypatch, capsys):
 
 
 def test_escaping_connecting_chain_exits_1(monkeypatch, capsys):
-    # split every chain at its middle block instead of along the cover
-    def split_in_half(spaces, k, vec):
-        half = len(vec) // 2
-        zero = spaces.ring.zero
-        return (tuple(vec[:half]) + (zero,) * (len(vec) - half),
-                (zero,) * half + tuple(vec[half:]))
+    # the zig-zag takes the boundary of the first half of every chain
+    # instead of its A-part
+    def split_in_half(spaces, k):
+        d = spaces.absolute.boundary(k)
+        half = ExactMatrix._from_rows(d.ring, [
+            {i: 1} if i < d.cols // 2 else {} for i in range(d.cols)], d.cols)
+        return d @ half @ spaces.transfer(spaces.whole, spaces.absolute, k)
 
-    monkeypatch.setattr(mv._MVSpaces, "split_chain", split_in_half)
+    monkeypatch.setattr(mv._MVSpaces, "zigzag", split_in_half)
     assert_check_failure(capsys, "ConnectingChainEscapes",
                          ["check-mv", "--complex", "torus",
                           "--cover", "cylinders"])
 
 
-def _bump_first_entry(vec, ring):
-    return (ring.normalize(vec[0] + 1),) + tuple(vec[1:])
+def _bump_first_row(matrix):
+    """`matrix` with one unit added to every entry of its first row."""
+    ring = matrix.ring
+    first = {j: x for j in range(matrix.cols)
+             if (x := ring.normalize(matrix.entry(0, j) + 1))}
+    return ExactMatrix._from_rows(ring, (first,) + matrix.sparse_rows[1:],
+                                  matrix.cols)
 
 
 def test_connecting_image_not_a_cycle_exits_1(monkeypatch, capsys):
     # the homology zig-zag lands one unit off a cycle
     zig_zag = mv._connecting_chain
-    monkeypatch.setattr(mv, "_connecting_chain", lambda spaces, k, alpha:
-                        _bump_first_entry(zig_zag(spaces, k, alpha),
-                                          spaces.ring))
+    monkeypatch.setattr(mv, "_connecting_chain", lambda spaces, k, cycles:
+                        _bump_first_row(zig_zag(spaces, k, cycles)))
     assert_check_failure(capsys, "ConnectingImageNotCycle",
                          ["check-mv", "--complex", "torus",
                           "--cover", "cylinders"])
@@ -372,22 +377,23 @@ def test_connecting_image_not_a_cycle_exits_1(monkeypatch, capsys):
 def test_connecting_image_not_a_cocycle_exits_1(monkeypatch, capsys):
     # the glued coboundary lands one unit off a cocycle
     glue = mv._glue_coboundary
-    monkeypatch.setattr(mv, "_glue_coboundary", lambda spaces, k, alpha:
-                        _bump_first_entry(glue(spaces, k, alpha), spaces.ring))
+    monkeypatch.setattr(mv, "_glue_coboundary", lambda spaces, k, cocycles:
+                        _bump_first_row(glue(spaces, k, cocycles)))
     assert_check_failure(capsys, "ConnectingImageNotCycle",
                          ["check-mv", "--complex", "torus",
                           "--cover", "cylinders"])
 
 
 def test_disagreeing_coboundaries_exit_1(monkeypatch, capsys):
-    # the B half of every cochain splitting is off by one unit
-    split = mv._MVSpaces.split_cochain
+    # the B half of the cochain splitting sends every basis cochain one
+    # unit off in its first entry
+    split = mv._MVSpaces.split
 
-    def split_off_by_one(spaces, k, alpha):
-        beta, gamma = split(spaces, k, alpha)
-        return beta, _bump_first_entry(gamma, spaces.ring)
+    def split_off_by_one(spaces, k):
+        s_beta, s_gamma = split(spaces, k)
+        return s_beta, _bump_first_row(s_gamma)
 
-    monkeypatch.setattr(mv._MVSpaces, "split_cochain", split_off_by_one)
+    monkeypatch.setattr(mv._MVSpaces, "split", split_off_by_one)
     assert_check_failure(capsys, "CoboundariesDisagree",
                          ["check-mv", "--complex", "torus",
                           "--cover", "cylinders"])

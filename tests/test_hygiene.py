@@ -348,9 +348,12 @@ MEMO_SITES = {
     ("localsystems", "tensor"),
     ("matrices", "ExactMatrix.shared"),
     ("matrices", "SmithDecomposition.kernel_positions"),
+    ("mv", "_MVSpaces.difference"),
+    ("mv", "_MVSpaces.glue"),
     ("mv", "_MVSpaces.row_maps"),
-    ("mv", "_MVSpaces.split_plan"),
+    ("mv", "_MVSpaces.split"),
     ("mv", "_MVSpaces.transfer"),
+    ("mv", "_MVSpaces.zigzag"),
     ("mv", "_diagram6_covers"),
     ("mv", "_mv_spaces"),
     ("mv", "_sequence_maps"),
@@ -439,7 +442,11 @@ SHARED_ROW_SITES = {
     ("localsystems", "LocalSystem.__init__.share"),
     ("localsystems", "LocalSystem.path_transport.build"),
     ("matrices", "ExactMatrix.identity"),
+    ("mv", "_MVSpaces.difference"),
+    ("mv", "_MVSpaces.glue.build"),
     ("mv", "_MVSpaces.row_maps.build"),
+    ("mv", "_MVSpaces.split.build"),
+    ("mv", "_MVSpaces.zigzag.build"),
 }
 
 

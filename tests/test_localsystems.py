@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from twistcap.chains import PairComplex
 from twistcap.complexes import SimplicialComplex, corpus
-from twistcap.errors import (BaseMismatch, NotClosedPseudomanifold,
-                             RingMismatch, SystemFormatError, TwistcapError)
+from twistcap.errors import (BaseMismatch, FlatnessViolation,
+                             NotClosedPseudomanifold, RingMismatch,
+                             SystemFormatError, TwistcapError)
 from twistcap.localsystems import (LocalSystem, constant_system,
                                    dumps_local_system, gauge_transform,
                                    holonomy, is_trivializable,
@@ -79,6 +81,23 @@ def test_corrupting_one_edge_breaks_flatness():
     ok, witness = validate_flatness(bad)
     assert not ok
     assert witness is not None and set(edge) <= set(witness)
+
+
+def test_a_bad_triangle_after_the_first_is_the_witness():
+    # flipping the sign of the last edge breaks exactly the triangles
+    # through it, the first of which is not the complex's first triangle
+    cx = corpus("rp2")
+    g = orientation_system(cx, Z)
+    edge = cx.faces(1)[-1]
+    transport = dict(g.edge_items())
+    transport[edge] = transport[edge].scale(-1)
+    bad = LocalSystem(cx, Z, 1, transport)
+    first_bad = next(t for t in cx.faces(2) if set(edge) <= set(t))
+    assert first_bad != cx.faces(2)[0]
+    assert validate_flatness(bad) == (False, first_bad)
+    with pytest.raises(FlatnessViolation,
+                       match=re.escape(f"not flat at triangle {first_bad}")):
+        PairComplex(cx, bad)
 
 
 def test_orientability_detection():

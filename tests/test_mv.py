@@ -4,6 +4,7 @@ from twistcap import mv
 from twistcap.complexes import Subcomplex, closed_star, corpus
 from twistcap.errors import NotACover, TwistcapError, UnknownName
 from twistcap.localsystems import constant_system, orientation_system
+from twistcap.matrices import ExactMatrix
 from twistcap.mv import (CoverPair, diagram6_check, mv_cohomology,
                          mv_homology, mv_splitting, named_cover,
                          named_diagram6)
@@ -85,19 +86,22 @@ def test_cover_pair_validation():
 
 
 def test_splitting_exhaustive_basis_cochains():
+    from twistcap.chains import pair_complex
     for cname, covname in (("octahedron", "hemispheres"),
                            ("torus", "cylinders"), ("klein", "cylinders")):
         M, pair = named_cover(cname, covname)
         G = constant_system(M, Z)
-        from twistcap.chains import pair_complex
-        inter_pc = pair_complex(M, G, pool=pair.AB)
+        inter_pc, left, right = (pair_complex(M, G, pool=piece)
+                                 for piece in (pair.AB, pair.A, pair.B))
         for k in range(M.dimension + 1):
             length = inter_pc.length(k)
             for j in range(length):
                 alpha = tuple(1 if i == j else 0 for i in range(length))
                 beta, gamma = mv_splitting(pair, G, k, alpha)
-                # mv_splitting re-checks phi(beta, gamma) == alpha internally
-        assert True
+                # beta|^ - gamma|^ = alpha, read off the coordinates: C and
+                # D are empty, so each simplex of A^B lies in both pieces
+                assert tuple(beta[left.index(k)[s]] - gamma[right.index(k)[s]]
+                             for s in inter_pc.space(k)) == alpha
 
 
 def test_splitting_zero_and_outside_c():
@@ -210,15 +214,57 @@ def test_diagram6_sign_stable_across_rings_and_representatives():
 
 
 def test_splitting_failure_is_a_verdict_not_an_error(monkeypatch):
-    from twistcap import mv
-    from twistcap.errors import TwistcapError
-
     M, pair = named_cover("octahedron", "hemispheres")
     G = constant_system(M, Z)
     assert mv.splitting_holds(pair, G)
+    split = mv._MVSpaces.split
 
-    def broken(*args):
-        raise TwistcapError("splitting failed its defining equation")
+    def doubled(spaces, k):
+        s_beta, s_gamma = split(spaces, k)
+        return s_beta.scale(2), s_gamma
 
-    monkeypatch.setattr(mv._MVSpaces, "split_cochain", broken)
+    monkeypatch.setattr(mv._MVSpaces, "split", doubled)
     assert not mv.splitting_holds(pair, G)
+
+
+def _one_more_in_last_column(matrix, row):
+    """`matrix` with one unit added to its entry (row, last column)."""
+    rows = [dict(r) for r in matrix.sparse_rows]
+    j = matrix.cols - 1
+    rows[row][j] = rows[row].get(j, 0) + 1
+    return ExactMatrix._from_rows(matrix.ring, rows, matrix.cols)
+
+
+@pytest.mark.parametrize("half", [1, 0], ids=["S_gamma", "S_beta"])
+@pytest.mark.parametrize("cover", mv.NAMED_COVERS, ids="-".join)
+def test_a_splitting_fault_in_the_last_column_fails(monkeypatch, cover,
+                                                    half):
+    # one entry of S_gamma or S_beta is off by one unit, in the top degree
+    # of the intersection, in the last column, at the row of the last
+    # simplex of the intersection; a first passing check memoizes the
+    # splittings
+    M, pair = named_cover(*cover)
+    G = constant_system(M, Z)
+    assert mv.splitting_holds(pair, G)
+    spaces = mv._mv_spaces(pair, G)
+    k = max(k for k in range(M.dimension + 1) if spaces.inter.space(k))
+    side = (spaces.left, spaces.right)[half]
+    row = side.index(k)[spaces.inter.space(k)[-1]]
+    split = mv._MVSpaces.split
+
+    def faulty(self, degree):
+        pieces = list(split(self, degree))
+        if degree == k:
+            pieces[half] = _one_more_in_last_column(pieces[half], row)
+        return tuple(pieces)
+
+    monkeypatch.setattr(mv._MVSpaces, "split", faulty)
+    assert not mv.splitting_holds(pair, G)
+    length = spaces.inter.length(k)
+    failed = []
+    for j in range(length):
+        try:
+            mv_splitting(pair, G, k, tuple(int(i == j) for i in range(length)))
+        except TwistcapError:
+            failed.append(j)
+    assert failed == [length - 1]

@@ -23,7 +23,11 @@ log(time) against log(number of simplices) over n = 4…12, and one per
 complex-layer column does so for the Klein bottle over Z at n = 20…60.
 A last table times check_split_exactness(split_maps(cover, Z)) on the
 orientation double cover of the Klein bottle at n = 24 (the --split child:
-simplices, seconds, peak RSS, verdict).
+simplices, seconds, peak RSS, verdict).  Another times the Mayer-Vietoris
+steps on the Klein bottle at n = 24 over Z with the orientation system,
+covered by the bands of columns 0..12 and 12..23,0 (the --mv child: the
+seconds of a first mv_homology, a first mv_cohomology, splitting_holds and
+the warm pair of both sequences again, peak RSS and the verdicts).
 
 Run from anywhere:  python3 tools/snf_scaling.py
 """
@@ -46,6 +50,8 @@ from twistcap.covers import (build_double_cover,  # noqa: E402
                              check_split_exactness, split_maps)
 from twistcap.localsystems import (constant_system,  # noqa: E402
                                    orientation_system)
+from twistcap.mv import (CoverPair, _strips, mv_cohomology,  # noqa: E402
+                         mv_homology, splitting_holds)
 from twistcap.rings import parse_ring  # noqa: E402
 
 SURFACES = {"klein": _grid_klein, "torus": _grid_torus}
@@ -55,6 +61,7 @@ LARGE = (("klein", "Z", 16), ("klein", "Z", 20))
 LAYERS_ONLY = (("klein", "Z", 40), ("klein", "Z", 60))
 LAYER_FIT = (("klein", "Z", 20),) + LAYERS_ONLY
 SPLIT = ("klein", "Z", 24)
+MV = ("klein", "Z", 24)
 
 
 def loglog_slope(points):
@@ -126,6 +133,31 @@ def run_split_case(surface, ring_name, n):
     print(f"{simplices}\t{seconds:.3f}\t{rss_mb:.1f}\t{verified}")
 
 
+def run_mv_case(surface, ring_name, n):
+    """The Mayer-Vietoris steps on a two-band cover, in this process: print
+    simplices, the seconds of a first mv_homology, a first mv_cohomology,
+    splitting_holds and the warm pair of both sequences, peak RSS in MB and
+    the verdicts (both sequences exact, the splitting identity, both warm
+    sequences exact), tab-separated."""
+    cx = SURFACES[surface](n, n)
+    G = orientation_system(cx, parse_ring(ring_name))
+    h = n // 2
+    bands = _strips(cx, (n, n, surface == "klein"), 0, set(range(h + 1)),
+                    set(range(h, n)) | {0})
+    pair = CoverPair(cx, *bands)
+    homology, homology_s = _timed(mv_homology, pair, G)
+    cohomology, cohomology_s = _timed(mv_cohomology, pair, G)
+    split, split_s = _timed(splitting_holds, pair, G)
+    warm, warm_s = _timed(lambda: (mv_homology(pair, G).all_exact
+                                   and mv_cohomology(pair, G).all_exact))
+    simplices = sum(len(cx.faces(k)) for k in range(cx.dimension + 1))
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    verified = "/".join(str(v) for v in (
+        homology.all_exact and cohomology.all_exact, split, warm))
+    print(f"{simplices}\t{homology_s:.3f}\t{cohomology_s:.3f}\t"
+          f"{split_s:.4f}\t{warm_s:.3f}\t{rss_mb:.1f}\t{verified}")
+
+
 def _child(flag, surface, ring_name, n):
     """The fields one case prints in a child process."""
     return subprocess.run([sys.executable, os.path.abspath(__file__), flag,
@@ -148,11 +180,14 @@ def main():
     p = argparse.ArgumentParser()
     p.add_argument("--case", nargs=3, metavar=("SURFACE", "RING", "N"))
     p.add_argument("--split", nargs=3, metavar=("SURFACE", "RING", "N"))
+    p.add_argument("--mv", nargs=3, metavar=("SURFACE", "RING", "N"))
     args = p.parse_args()
-    if args.case or args.split:
-        surface, ring_name, n = args.case or args.split
-        (run_case if args.case else run_split_case)(surface, ring_name, int(n))
-        return
+    for child, run in ((args.case, run_case), (args.split, run_split_case),
+                       (args.mv, run_mv_case)):
+        if child:
+            surface, ring_name, n = child
+            run(surface, ring_name, int(n))
+            return
     print("surface\tring\tn\tsimplices\tbuild_s\tvalidate_s\t"
           "orientation_s\tseconds\trepeat_s\tpeak_rss_mb\tverified\t"
           "gc_freed")
@@ -170,6 +205,9 @@ def main():
               f"exponent={loglog_slope(points):.2f}", flush=True)
     print("surface\tring\tn\tsimplices\tsplit_s\tpeak_rss_mb\tverified")
     print("\t".join(map(str, SPLIT + tuple(_child("--split", *SPLIT)))))
+    print("surface\tring\tn\tsimplices\thomology_s\tcohomology_s\t"
+          "splitting_s\twarm_pair_s\tpeak_rss_mb\tverified")
+    print("\t".join(map(str, MV + tuple(_child("--mv", *MV)))))
 
 
 if __name__ == "__main__":
