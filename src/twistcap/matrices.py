@@ -9,13 +9,13 @@ it.  An ExactMatrix has one representation: each row is a dict
 deck matrices are almost all zeros, so every operation -- products, sums,
 stacking, Kronecker products, solves and the Smith form -- touches nonzeros
 only.  Rows are never mutated once a matrix holds them, so matrices built
-from others (vstack, block_diag, the coordinate rows of a presentation, a
-product with a unit row {k: 1} on the left) share them, and the matrices
-that memos keep share one table of empty and +-1 unit rows
-(ExactMatrix.shared).  `.data` is a dense tuple-of-tuples view, built on
-each read and never stored, for the few readers that want every cell
-(certificate hashes, serialization); over Q it renders every cell as a
-Fraction.
+from others (vstack, block_diag, hstack where later blocks add nothing to a
+row, a presentation's coordinate rows, a product with a unit row {k: 1} on
+the left) share them, and the matrices that memos keep share one table of
+empty and +-1 unit rows (ExactMatrix.shared).  `.data` is a dense
+tuple-of-tuples view, built on each read and never stored, for the few
+readers that want every cell (certificate hashes, serialization); over Q it
+renders every cell as a Fraction.
 
 The Smith form eliminates on the same storage: the rows of the working
 matrix are dicts of their nonzeros, and column swaps permute indices.  The
@@ -336,12 +336,12 @@ class ExactMatrix:
         rows = blocks[0].rows
         if any(b.rows != rows or b.ring != ring for b in blocks):
             raise TwistcapError("hstack mismatch")
-        out = [dict(row) for row in blocks[0].sparse_rows]
+        out = list(blocks[0].sparse_rows)
         offset = blocks[0].cols
         for b in blocks[1:]:
-            for row, brow in zip(out, b.sparse_rows):
-                for j, x in brow.items():
-                    row[offset + j] = x
+            for i, brow in enumerate(b.sparse_rows):
+                if brow:
+                    out[i] = out[i] | {offset + j: x for j, x in brow.items()}
             offset += b.cols
         return cls._from_rows(ring, out, offset)
 

@@ -647,10 +647,20 @@ def named_cover(complex_name: str, cover_name: str) -> tuple:
                    lambda: CoverPair(M, *pieces(M)))
 
 
-def _torus_bands(M):
-    return (*_strips(M, (4, 4, False), 1, {3, 0, 1}, {1, 2, 3}),
-            FullSubcomplex(M, range(0, 8)),      # the band of rows y = 0, 1
-            FullSubcomplex(M, range(8, 16)))     # the band of rows y = 2, 3
+def _grid_bands(M, grid, axis):
+    """U, V, K, L of diagram (6) on the grid surface M of `_grid_cells(*grid)`
+    with 4m lines across `axis`: U is the squares in lines [3m, 4m) u [0, 2m),
+    V those in [m, 4m), K the vertices in lines [0, 2m), those of the squares
+    in [0, 2m - 1), and L the rest.  The stars of K and L lie in U and V for
+    every m >= 1, but not across axis 1 of a twisted grid, whose seam flips
+    the lines; that shape is refused, as is any other side."""
+    m, rest = divmod(grid[axis], 4)
+    if m < 1 or rest or (grid[2] and axis == 1):
+        raise TwistcapError(f"no diagram-6 bands across axis {axis} of {grid}")
+    U, V, W = _strips(M, grid, axis, {i % (4 * m) for i in range(-m, 2 * m)},
+                      set(range(m, 4 * m)), set(range(2 * m - 1)))
+    K = FullSubcomplex(M, (v for v, in W.faces(0)))
+    return U, V, K, K.complement()
 
 
 def _sphere_halves(M):
@@ -659,30 +669,20 @@ def _sphere_halves(M):
             FullSubcomplex(M, {0, 2, 4}), FullSubcomplex(M, {1, 3, 5}))
 
 
-def _klein_bands(M):
-    # a 4x3 grid whose columns wrap straight
-    cols = {x: frozenset((y % 3) * 4 + x for y in range(3)) for x in range(4)}
-    return (*_strips(M, (4, 3, True), 0, {3, 0, 1}, {1, 2, 3}),
-            FullSubcomplex(M, cols[0] | cols[1]),    # band of columns 0, 1
-            FullSubcomplex(M, cols[2] | cols[3]))    # band of columns 2, 3
-
-
 # configuration name -> (complex name, builder of U, V, K, L)
-_DIAGRAM6 = {"torus": ("torus4", _torus_bands),
+_DIAGRAM6 = {"torus": ("torus4", lambda M: _grid_bands(M, (4, 4, False), 1)),
              "sphere": ("octahedron", _sphere_halves),
-             "klein": ("klein4", _klein_bands)}
+             "klein": ("klein4", lambda M: _grid_bands(M, (4, 3, True), 0))}
 
 
 def named_diagram6(name: str) -> dict:
     """Built-in diagram-6 configurations: (M, U, V, K, L).
 
-    K and L are thick parallel bands whose union covers every vertex, with
-    U, V proper neighbourhoods; this keeps both cap squares nontrivial and
-    makes the connecting block observable (the unit class of H^0(M|KuL) caps
-    to the fundamental class, whose Mayer-Vietoris boundary is nonzero).
-    Each configuration is built once and memoized on its complex; every call
-    returns a new dict of the same pieces.
-    """
+    K and L split the vertices into thick bands (`_grid_bands` on the grids)
+    with U, V proper neighbourhoods, so both cap squares are nontrivial and
+    the connecting block observable: the unit class of H^0(M|KuL) caps to
+    the fundamental class, whose Mayer-Vietoris boundary is nonzero.  Each is
+    memoized on its complex; each call gets a new dict of the same pieces."""
     if name not in _DIAGRAM6:
         raise UnknownName(f"no diagram-6 configuration named {name!r}")
     complex_name, pieces = _DIAGRAM6[name]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,25 @@ def test_validate_open_surface_fails(tmp_path, capsys):
     assert code == 1
     assert "# result=fail" in out
     assert "each_ridge_in_two_facets\tFAIL" in out
+
+
+def test_two_disjoint_spheres_fail_connectivity(tmp_path, capsys):
+    # every ridge lies in two facets and every link is a circle, so the
+    # dual graph is the one test that fails
+    spheres = SimplicialComplex(8, [tuple(v + shift for v in face)
+                                    for shift in (0, 4)
+                                    for face in combinations(range(4), 3)])
+    report = validate(spheres)
+    assert report.each_ridge_in_two_facets and report.links_validated
+    assert not report.dual_graph_connected
+    assert not report.closed_pseudomanifold
+    path = tmp_path / "two_spheres.cx"
+    path.write_text(dumps_complex(spheres))
+    code, out, _ = run(capsys, "validate", "--complex", str(path))
+    assert code == 1
+    assert "# result=fail" in out
+    assert "dual_graph_connected\tFAIL" in out
+    assert "closed_pseudomanifold\tFAIL" in out
 
 
 def test_unknown_names_exit_2(capsys):

@@ -89,6 +89,18 @@ def test_induced_identity_and_doubling():
         Z, [res.cokernel_witness], 1).rows == 1
 
 
+@pytest.mark.parametrize("ring", [Z, Zmod(3), Q], ids=str)
+def test_a_surjective_map_with_a_kernel_returns_its_kernel_witness(ring):
+    # Z^2 -> Z by [1 1]: onto, so only the kernel test can refuse it
+    source, target = FPModule(ring, 2), FPModule(ring, 1)
+    f = ModuleMap(source, target, ExactMatrix(ring, [[1, 1]]))
+    res = is_isomorphism(f)
+    assert not res.isomorphism and res.cokernel_witness is None
+    witness = res.kernel_witness
+    assert not source.is_zero_class(witness)
+    assert f.apply(witness) == (ring.zero,)
+
+
 def test_inclusion_into_contractible_is_zero():
     circle_rows, edges, _ = boundary_matrix([(0, 1), (1, 2), (0, 2)], 1)
     disk2, _, disk_edges = boundary_matrix([(0, 1, 2)], 2)

@@ -30,8 +30,7 @@ of a decomposition, is in ``WHOLE_TRANSFORM_READS`` (only
 ``SmithDecomposition.verify``), so the solve and presentation paths keep
 reading transforms off their logs, on the vectors they need.  Every memo is in
 ``MEMO_SITES``: each call of ``complexes.memo``, the one function that
-stores into a ``_cache`` (``_grid`` aside, which stores the cells its
-complex is built from; ``CACHE_STORES``), and the memos that do not go
+stores into a ``_cache`` (``CACHE_STORES``), and the memos that do not go
 through it: an item store into a module-level name, a ``_presentation``
 store, a function decorated with ``cache``, ``lru_cache`` or
 ``cached_property``.  A new memo fails until it is listed on purpose, so

@@ -150,6 +150,21 @@ def test_a_product_shares_the_rows_a_unit_row_selects(ring):
               for bcol in zip(*B.data)) for arow in A.data)
 
 
+def test_hstack_shares_the_first_block_rows_no_later_block_extends():
+    A = mat(Z, [[1, 0], [0, 2], [3, 4]])
+    before = [dict(row) for row in A.sparse_rows]
+    B, C = mat(Z, [[0], [5], [0]]), mat(Z, [[0], [7], [6]])
+    H = ExactMatrix.hstack([A, B, C])
+    assert H.sparse_rows[0] is A.sparse_rows[0]
+    assert all(H.sparse_rows[i] is not A.sparse_rows[i] for i in (1, 2))
+    assert list(A.sparse_rows) == before
+    assert H.data == ((1, 0, 0, 0), (0, 2, 5, 7), (3, 4, 0, 6))
+    # the rows of a zero block are one shared empty row, copied per row
+    zero = ExactMatrix.zeros(Z, 2, 1)
+    H = ExactMatrix.hstack([zero, ExactMatrix.identity(Z, 2)])
+    assert H.data == ((0, 1, 0), (0, 0, 1)) and zero.is_zero()
+
+
 def test_kron_and_apply():
     A = mat(Z, [[0, 1], [1, 0]])
     B = mat(Z, [[-1]])

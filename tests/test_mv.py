@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from twistcap import mv
-from twistcap.complexes import Subcomplex, closed_star, corpus
+from twistcap.complexes import (FullSubcomplex, SimplicialComplex, Subcomplex,
+                                _grid, closed_star, corpus)
 from twistcap.errors import NotACover, TwistcapError, UnknownName
-from twistcap.localsystems import constant_system, orientation_system
+from twistcap.localsystems import (constant_system, orientation_system,
+                                   random_flat_system)
 from twistcap.matrices import ExactMatrix
 from twistcap.mv import (CoverPair, diagram6_check, mv_cohomology,
                          mv_homology, mv_splitting, named_cover,
@@ -148,6 +152,90 @@ def test_connecting_naturality_for_nested_torus_covers():
     assert incl.compose(d1).equals(d2)
 
 
+# sized band configurations, name -> (grid, axis): the Klein bottle and the
+# torus banded across x, and the torus across y
+SIZED = {"klein8x6": ((8, 6, True), 0), "torus8x6": ((8, 6, False), 0),
+         "torus6x8": ((6, 8, False), 1)}
+SYSTEMS = {"constant": constant_system, "orientation": orientation_system,
+           "flat2": lambda M, ring: random_flat_system(M, ring, 2, 5)}
+
+
+def configuration(name):
+    """The pieces of a named or a sized diagram-6 configuration."""
+    if name not in SIZED:
+        return named_diagram6(name)
+    grid, axis = SIZED[name]
+    M = _grid(*grid)
+    return dict(zip(("complex", "U", "V", "K", "L"),
+                    (M, *mv._grid_bands(M, grid, axis))))
+
+
+def check(cfg, G, ring, resample_seed=None):
+    return diagram6_check(cfg["complex"], cfg["U"], cfg["V"], cfg["K"],
+                          cfg["L"], G, ring, resample_seed=resample_seed)
+
+
+def test_named_grid_bands_are_the_hand_listed_ones():
+    torus, klein = named_diagram6("torus"), named_diagram6("klein")
+    assert torus["K"].vertex_subset == set(range(8))      # rows y = 0, 1
+    assert torus["L"].vertex_subset == set(range(8, 16))  # rows y = 2, 3
+    # the 4x3 grid's columns wrap straight: columns 0, 1 and columns 2, 3
+    assert klein["K"].vertex_subset == {y * 4 + x for x in (0, 1)
+                                        for y in range(3)}
+    assert klein["L"].vertex_subset == {y * 4 + x for x in (2, 3)
+                                        for y in range(3)}
+    for cfg, grid, axis in ((torus, (4, 4, False), 1),
+                            (klein, (4, 3, True), 0)):
+        assert (cfg["U"], cfg["V"]) == mv._strips(
+            cfg["complex"], grid, axis, {3, 0, 1}, {1, 2, 3})
+
+
+# each ring meets each system once, and each sized configuration each ring
+@pytest.mark.parametrize("name,ring,system", [
+    (name, ring, tuple(SYSTEMS)[(i + j) % 3])
+    for i, name in enumerate(SIZED)
+    for j, ring in enumerate((Z, Zmod(3), Q, Zmod(4)))], ids=str)
+def test_diagram6_sized_bands(name, ring, system):
+    cfg = configuration(name)
+    report = check(cfg, SYSTEMS[system](cfg["complex"], ring), ring,
+                   resample_seed=3)
+    assert report.all_verified
+    # a rank-2 flat system may leave no class to measure the sign on
+    assert report.connecting_sign in ((1, None) if system == "flat2" else (1,))
+
+
+@pytest.mark.parametrize("ring,system", [(Z, "orientation"),
+                                         (Zmod(3), "constant")], ids=str)
+def test_diagram6_verdicts_survive_a_relabelling(ring, system):
+    cfg = configuration("klein8x6")
+    M = cfg["complex"]
+    perm = list(range(M.vertex_count))
+    random.Random(8).shuffle(perm)
+
+    def moved(simplices):
+        return [tuple(sorted(perm[v] for v in s)) for s in simplices]
+    N = SimplicialComplex(M.vertex_count, moved(M.maximal_simplices))
+    relabelled = {"complex": N}
+    for piece in "UV":
+        relabelled[piece] = Subcomplex(N, moved(cfg[piece].faces(2)))
+    for band in "KL":
+        relabelled[band] = FullSubcomplex(
+            N, (perm[v] for v in cfg[band].vertex_subset))
+    reports = [check(c, SYSTEMS[system](c["complex"], ring), ring)
+               for c in (cfg, relabelled)]
+    assert reports[0].all_verified and reports[0].connecting_sign == 1
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("grid,axis", [((8, 6, True), 1), ((6, 8, True), 1),
+                                       ((6, 8, False), 0), ((8, 6, False), 1),
+                                       ((0, 4, False), 0)], ids=str)
+def test_grid_bands_refuse_a_twisted_axis_1_and_other_sides(grid, axis):
+    # refused before anything is built: no complex is needed
+    with pytest.raises(TwistcapError, match="no diagram-6 bands"):
+        mv._grid_bands(None, grid, axis)
+
+
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Q])
 def test_diagram6_torus(ring):
     cfg = named_diagram6("torus")
@@ -159,9 +247,9 @@ def test_diagram6_torus(ring):
     assert report.connecting_sign in (-1, 1)
 
 
-@pytest.mark.parametrize("name", ["torus", "sphere", "klein"])
+@pytest.mark.parametrize("name", ["torus", "sphere", "klein", *SIZED])
 def test_star_containment_matches_the_closed_star(name):
-    cfg = named_diagram6(name)
+    cfg = configuration(name)
     M = cfg["complex"]
     for band in (cfg["K"], cfg["L"]):
         for piece in (cfg["U"], cfg["V"]):
@@ -170,15 +258,15 @@ def test_star_containment_matches_the_closed_star(name):
 
 
 def test_a_band_outside_its_neighbourhood_is_refused():
-    cfg = named_diagram6("torus")
-    M = cfg["complex"]
-    assert not closed_star(M, cfg["L"].vertex_subset).issubset(cfg["U"])
-    with pytest.raises(TwistcapError, match="K is not interior to U"):
-        diagram6_check(M, cfg["U"], cfg["V"], cfg["L"], cfg["K"],
-                       constant_system(M, Z), Z)
-    with pytest.raises(TwistcapError, match="L is not interior to V"):
-        diagram6_check(M, cfg["U"], cfg["V"], cfg["K"], cfg["K"],
-                       constant_system(M, Z), Z)
+    for cfg in map(configuration, ("torus", "klein8x6")):
+        M = cfg["complex"]
+        assert not closed_star(M, cfg["L"].vertex_subset).issubset(cfg["U"])
+        with pytest.raises(TwistcapError, match="K is not interior to U"):
+            diagram6_check(M, cfg["U"], cfg["V"], cfg["L"], cfg["K"],
+                           constant_system(M, Z), Z)
+        with pytest.raises(TwistcapError, match="L is not interior to V"):
+            diagram6_check(M, cfg["U"], cfg["V"], cfg["K"], cfg["K"],
+                           constant_system(M, Z), Z)
 
 
 def test_diagram6_sphere():

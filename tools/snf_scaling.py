@@ -27,7 +27,12 @@ simplices, seconds, peak RSS, verdict).  Another times the Mayer-Vietoris
 steps on the Klein bottle at n = 24 over Z with the orientation system,
 covered by the bands of columns 0..12 and 12..23,0 (the --mv child: the
 seconds of a first mv_homology, a first mv_cohomology, splitting_holds and
-the warm pair of both sequences again, peak RSS and the verdicts).
+the warm pair of both sequences again, peak RSS and the verdicts).  The
+last checks diagram (6) on the Klein bottle of 24 x 16 squares over Z with
+the orientation system, on the bands that mv._grid_bands lays across x
+(the --diagram6 child, given the surface, the ring and NXxNY with NX a
+multiple of 4: simplices, the seconds of a first diagram6_check, peak RSS
+and the verdict; a shape the bands refuse exits 2 with its message).
 
 Run from anywhere:  python3 tools/snf_scaling.py
 """
@@ -50,8 +55,10 @@ from twistcap.covers import (build_double_cover,  # noqa: E402
                              check_split_exactness, split_maps)
 from twistcap.localsystems import (constant_system,  # noqa: E402
                                    orientation_system)
-from twistcap.mv import (CoverPair, _strips, mv_cohomology,  # noqa: E402
-                         mv_homology, splitting_holds)
+from twistcap.errors import TwistcapError  # noqa: E402
+from twistcap.mv import (CoverPair, _grid_bands, _strips,  # noqa: E402
+                         diagram6_check, mv_cohomology, mv_homology,
+                         splitting_holds)
 from twistcap.rings import parse_ring  # noqa: E402
 
 SURFACES = {"klein": _grid_klein, "torus": _grid_torus}
@@ -62,6 +69,7 @@ LAYERS_ONLY = (("klein", "Z", 40), ("klein", "Z", 60))
 LAYER_FIT = (("klein", "Z", 20),) + LAYERS_ONLY
 SPLIT = ("klein", "Z", 24)
 MV = ("klein", "Z", 24)
+DIAGRAM6 = ("klein", "Z", "24x16")
 
 
 def loglog_slope(points):
@@ -158,6 +166,20 @@ def run_mv_case(surface, ring_name, n):
           f"{split_s:.4f}\t{warm_s:.3f}\t{rss_mb:.1f}\t{verified}")
 
 
+def run_diagram6_case(surface, nx, ny, ring_name):
+    """Diagram (6) on the nx x ny grid surface banded across x, with the
+    orientation system, in this process: print simplices, the seconds of a
+    first diagram6_check, peak RSS in MB and the verdict, tab-separated."""
+    cx = SURFACES[surface](nx, ny)
+    ring = parse_ring(ring_name)
+    bands = _grid_bands(cx, (nx, ny, surface == "klein"), 0)
+    report, seconds = _timed(diagram6_check, cx, *bands,
+                             orientation_system(cx, ring), ring)
+    simplices = sum(len(cx.faces(k)) for k in range(cx.dimension + 1))
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{simplices}\t{seconds:.3f}\t{rss_mb:.1f}\t{report.all_verified}")
+
+
 def _child(flag, surface, ring_name, n):
     """The fields one case prints in a child process."""
     return subprocess.run([sys.executable, os.path.abspath(__file__), flag,
@@ -181,7 +203,20 @@ def main():
     p.add_argument("--case", nargs=3, metavar=("SURFACE", "RING", "N"))
     p.add_argument("--split", nargs=3, metavar=("SURFACE", "RING", "N"))
     p.add_argument("--mv", nargs=3, metavar=("SURFACE", "RING", "N"))
+    p.add_argument("--diagram6", nargs=3, metavar=("SURFACE", "RING", "NXxNY"))
     args = p.parse_args()
+    if args.diagram6:
+        surface, ring_name, shape = args.diagram6
+        try:
+            nx, ny = map(int, shape.split("x"))
+        except ValueError:
+            p.error(f"--diagram6 takes NXxNY, not {shape!r}")
+        try:
+            run_diagram6_case(surface, nx, ny, ring_name)
+        except TwistcapError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(2)
+        return
     for child, run in ((args.case, run_case), (args.split, run_split_case),
                        (args.mv, run_mv_case)):
         if child:
@@ -208,6 +243,10 @@ def main():
     print("surface\tring\tn\tsimplices\thomology_s\tcohomology_s\t"
           "splitting_s\twarm_pair_s\tpeak_rss_mb\tverified")
     print("\t".join(map(str, MV + tuple(_child("--mv", *MV)))))
+    print("surface\tring\tshape\tsimplices\tdiagram6_s\tpeak_rss_mb\t"
+          "verified")
+    print("\t".join(map(str, DIAGRAM6 + tuple(_child("--diagram6",
+                                                     *DIAGRAM6)))))
 
 
 if __name__ == "__main__":
