@@ -265,8 +265,7 @@ def verify_duality(M, G, ring) -> DualityReport:
     chain_pc = pair_complex(M, nu.system)
     rows = []
     for k in range(n + 1):
-        src = homology_presentation(pcG.coboundary(k - 1), pcG.coboundary(k))
-        dst = homology_presentation(pcT.boundary(n - k + 1), pcT.boundary(n - k))
+        src, dst = pcG.cohomology(k), pcT.homology(n - k)
         mmap = memo(G, ("duality_map", k, src, dst), lambda: induced_map(
             cap_matrix(pcG, chain_pc, pcT, k, n, nu.chain), src, dst))
         iso = is_isomorphism(mmap)

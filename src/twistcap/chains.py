@@ -13,7 +13,9 @@ Coordinates belong to the cells: an absolute PairComplex reads the base
 complex's own faces and face index, and the relative ones over one cell set
 (pool, killed) read one coordinate tuple and one index per degree, memoized
 on the base under the cell set's content, whatever their system.  A
-PairComplex keeps its (co)boundary matrices, and a transfer matrix is kept
+PairComplex keeps its (co)boundary matrices and the presentations of its
+homology and cohomology, each kind built for every degree at once as a
+ladder that factors no boundary of its own, and a transfer matrix is kept
 by the MV spaces that ask for it, so both take their empty and +-1 unit
 rows from the shared rows of `matrices` (ExactMatrix.shared): a transfer
 has no other kind of row.
@@ -161,6 +163,43 @@ class PairComplex:
                 raise FlatnessViolation(f"coboundary squared != 0 at degree {k}")
         return True
 
+    # -- homology ---------------------------------------------------------
+
+    def homology(self, k: int) -> HomologyPresentation:
+        """H_k = ker d_k / im d_{k+1}, presented (see `_ladder`)."""
+        return self._ladder("homology", k, self.boundary, 1)
+
+    def cohomology(self, k: int) -> HomologyPresentation:
+        """H^k = ker delta_k / im delta_{k-1}, presented (see `_ladder`)."""
+        return self._ladder("cohomology", k, self.coboundary, -1)
+
+    def _ladder(self, kind, k, d_out, step):
+        """Degree k of the presentations of every degree, memoized as one
+        under `kind`; d_out(j) is the map out of degree j and d_out(j +
+        step) the map into it.
+
+        The first ask presents every degree, as a ladder: from the degree
+        whose d_out has no rows, 0 for homology and the dimension for
+        cohomology, each degree hands its relations' factorization to the
+        next, which reads its kernel off it and factors no d_out of its own
+        (the `rung` of fpmodules.homology_presentation).  So a presentation
+        depends only on the pair and the degree, never on which degree was
+        asked first, and no factorization outlives the build.  A degree
+        outside 0..n has no chains, and is presented afresh.
+        """
+        n = self.base.dimension
+        if not 0 <= k <= n:
+            return homology_presentation(d_out(k + step), d_out(k))
+
+        def build():
+            rung = [None]
+            degrees = range(n + 1) if step > 0 else range(n, -1, -1)
+            presented = {j: homology_presentation(d_out(j + step), d_out(j),
+                                                  rung=rung)
+                         for j in degrees}
+            return tuple(presented[j] for j in range(n + 1))
+        return memo(self, kind, build)[k]
+
 
 def pair_complex(base, system, pool=None, killed=None) -> PairComplex:
     """The PairComplex of (pool, killed), memoized on the system."""
@@ -186,13 +225,11 @@ def chain_complex(M, G, K: FullSubcomplex | None = None) -> PairComplex:
 
 
 def homology(M, G, k, K: FullSubcomplex | None = None) -> HomologyPresentation:
-    pc = pair_complex(M, G, killed=relative_killed(M, K))
-    return homology_presentation(pc.boundary(k + 1), pc.boundary(k))
+    return pair_complex(M, G, killed=relative_killed(M, K)).homology(k)
 
 
 def cohomology(M, G, k, K: FullSubcomplex | None = None) -> HomologyPresentation:
-    pc = pair_complex(M, G, killed=relative_killed(M, K))
-    return homology_presentation(pc.coboundary(k - 1), pc.coboundary(k))
+    return pair_complex(M, G, killed=relative_killed(M, K)).cohomology(k)
 
 
 def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
@@ -294,7 +331,7 @@ def inclusion_restriction(nu: FundamentalClassData, K1: FullSubcomplex,
     pc2 = pair_complex(M, nu.system, killed=relative_killed(M, K2))
     pc1 = pair_complex(M, nu.system, killed=relative_killed(M, K1))
     proj = transfer_matrix(pc2, pc1, n)
-    pres1 = homology_presentation(pc1.boundary(n + 1), pc1.boundary(n))
+    pres1 = pc1.homology(n)
     image = proj.apply(nu.restriction(K2))
     a = pres1.class_vector(image)
     b = pres1.class_vector(nu.restriction(K1))

@@ -617,7 +617,12 @@ def _grid_cells(nx: int, ny: int, twisted: bool) -> dict:
 
 
 def _grid(nx: int, ny: int, twisted: bool) -> SimplicialComplex:
-    """The nx x ny grid surface whose squares are `_grid_cells`."""
+    """The nx x ny grid surface whose squares are `_grid_cells`.  A side
+    below 3 is refused: there the squares share edges or vertices, and the
+    triangles form no closed surface, or no simplex at all."""
+    if nx < 3 or ny < 3:
+        raise TwistcapError(
+            f"a grid surface needs sides of at least 3, not {nx}x{ny}")
     cells = _grid_cells(nx, ny, twisted).values()
     return SimplicialComplex(nx * ny, [t for pair in cells for t in pair])
 

@@ -38,7 +38,7 @@ from .chains import (FundamentalClassData, PairComplex, pair_complex,
 from .complexes import (FullSubcomplex, SimplicialComplex, memo,
                         ridge_sign_walk, star_signs, validate, weak)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
-from .fpmodules import ModuleMap, homology_presentation, induced_map
+from .fpmodules import ModuleMap, induced_map
 from .localsystems import (LocalSystem, constant_system, orientation_system,
                            sign_system, validate_flatness)
 from .matrices import ExactMatrix, _transpose
@@ -440,8 +440,7 @@ def _pushforward(cover, ring, K):
     base_pc = pair_complex(M, constant_system(M, ring),
                            killed=relative_killed(M, K))
     proj = vertex_map_chain_matrix(cover.projection, ring, n, top_pc, base_pc)
-    src = homology_presentation(top_pc.boundary(n + 1), top_pc.boundary(n))
-    dst = homology_presentation(base_pc.boundary(n + 1), base_pc.boundary(n))
+    src, dst = top_pc.homology(n), base_pc.homology(n)
     return src, induced_map(proj, src, dst)
 
 

@@ -7,10 +7,17 @@ lifting data -- a generating set of cycles in chain coordinates -- so that
 homology classes can be moved between the abstract module and actual chains.
 Homology is presented on its Smith basis: one generator per free summand and
 per torsion factor, with diagonal relations, so every map and check built on
-it works on matrices of that size.  A presentation costs two factorizations,
-of d_out and of the raw relations: the coordinates of a cycle on the kernel
-generators are read off V^-1 of d_out, so the kernel is never factored, and
-induced maps check boundaries on the Smith basis, so they factor nothing.
+it works on matrices of that size.  A presentation costs one factorization,
+of the raw relations, once its d_out is factored: the coordinates of a cycle
+on the kernel generators are read off V^-1 of d_out, so the kernel is never
+factored, and induced maps check boundaries on the Smith basis, so they
+factor nothing.  d_out's factorization is handed up by the degree before:
+where every kernel divisor of d_out is 1, the kernel generators K have a
+left inverse, the kernel rows of V^-1, so ker d_in = ker R, and the
+factorization of the relations R serves the next degree as the
+factorization of its d_out (the ladder, chains.PairComplex.homology).
+Where a divisor is not 1, which happens only over Z/m, the next degree
+factors its own d_out.
 A presentation builds no transform whole.  The kernel rows of V^-1 of d_out
 give the cycle coordinates, the generator chains are V of d_out applied to
 as many columns as there are generators, and the coordinate map is the kept
@@ -19,10 +26,10 @@ chains); each is read off the logs of its elimination by replaying them
 backward from those vectors, so the presentation pays no fill for the rows
 and columns it drops.  A kernel row that is a unit vector e_c is kept as
 its column c, and selects row c of the chains.
-Each presentation is memoized on its d_out matrix, so a boundary pair that a
-PairComplex owns is presented once for as long as the complex lives; its
-generator chains and coordinate map take their empty and +-1 unit rows from
-the shared rows of `matrices` (ExactMatrix.shared).
+Each pair complex memoizes the presentations of every degree as one, so a
+presentation is built once for as long as its complex lives; a lone call
+presents afresh.  Its generator chains and coordinate map take their empty
+and +-1 unit rows from the shared rows of `matrices` (ExactMatrix.shared).
 
 Each question about a presented module is asked one way, of a matrix:
 class_matrix is the one route from chains to classes (None unless every
@@ -49,6 +56,9 @@ from .rings import INTEGERS, MODULAR, RingSpec
 
 class FPModule:
     """Module given by generators and relations, normalized eagerly."""
+
+    __slots__ = ("ring", "generator_count", "relations", "_rel_solver",
+                 "free_rank", "torsion", "__weakref__")
 
     def __init__(self, ring: RingSpec, generator_count: int,
                  relations: ExactMatrix | None = None):
@@ -143,10 +153,10 @@ class HomologyPresentation:
     SmithDecomposition.kernel_positions), write z on the kernel generators,
     and `coords` = U[kept, :] of the raw relations maps those coordinates
     onto the module generators.
-
-    d_out holds the presentation as its memo, so the presentation holds
-    only d_out's rows, and `d_out` is a matrix of them built on each read.
     """
+
+    __slots__ = ("module", "cycles", "d_in", "d_out", "_kernel_rows",
+                 "_divisors", "_coords", "__weakref__")
 
     def __init__(self, module: FPModule, cycles: ExactMatrix,
                  kernel_rows: tuple, divisors: tuple, coords: ExactMatrix,
@@ -154,7 +164,7 @@ class HomologyPresentation:
         self.module = module
         self.cycles = cycles
         self.d_in = d_in
-        self._out_rows = d_out.sparse_rows
+        self.d_out = d_out
         self._kernel_rows = kernel_rows
         self._divisors = divisors
         self._coords = coords
@@ -166,11 +176,6 @@ class HomologyPresentation:
     @property
     def chain_rank(self):
         return self.cycles.rows
-
-    @property
-    def d_out(self) -> ExactMatrix:
-        return ExactMatrix._from_rows(self.ring, self._out_rows,
-                                      self.chain_rank)
 
     def class_vector(self, chain):
         """Coordinates of a cycle on the module generators; None if not a cycle."""
@@ -240,31 +245,35 @@ def _smith_form(A: ExactMatrix):
             else SmithDecomposition._of_diagonal(A))
 
 
-def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
+def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix,
+                          rung: list | None = None) -> HomologyPresentation:
     """ker(d_out) / im(d_in) as a presented module with cycle lifts.
 
-    d_out is factored once, U_out @ d_out @ V_out == D_out.  The kernel
-    generators are a_j * V_out[:, j] at the kernel positions j, and a cycle
-    z has coordinates (V_out^-1 z)_j / a_j on them, so the boundaries come
-    to kernel coordinates, X, through the kernel rows of V_out^-1 without
-    factoring the kernel.  The raw presentation has relations R = [X, Krel]
-    (Krel: over Z/m, the torsion of the kernel).  R is factored once,
-    U @ R @ V == D.  In the coordinates U @ x the relations are the diagonal
-    of D, so the positions whose invariant factor is a unit carry nothing
-    and are dropped.  The kept positions are the Smith basis: generator
-    chains K @ U^-1[:, kept] (K the kernel generators as columns),
-    coordinates U[kept, :].  No transform is built whole: the kernel rows
-    of V_out^-1 and the chains, V_out applied to len(kept) columns, are read
-    off the column log of d_out's elimination, and U[kept, :] and
-    U^-1[:, kept] off the row log of R's.
+    d_out is factored, U_out @ d_out @ V_out == D_out, unless `rung` hands
+    a factorization in.  The kernel generators are a_j * V_out[:, j] at the
+    kernel positions j, and a cycle z has coordinates (V_out^-1 z)_j / a_j
+    on them, so the boundaries come to kernel coordinates, X, through the
+    kernel rows of V_out^-1 without factoring the kernel.  The raw
+    presentation has relations R = [X, Krel] (Krel: over Z/m, the torsion
+    of the kernel).  R is factored once, U @ R @ V == D.  In the
+    coordinates U @ x the relations are the diagonal of D, so the positions
+    whose invariant factor is a unit carry nothing and are dropped.  The
+    kept positions are the Smith basis: generator chains K @ U^-1[:, kept]
+    (K the kernel generators as columns), coordinates U[kept, :].  No
+    transform is built whole: the kernel rows of V_out^-1 and the chains,
+    V_out applied to len(kept) columns, are read off the column log of
+    d_out's elimination, and U[kept, :] and U^-1[:, kept] off the row log
+    of R's.
 
-    The result is memoized on d_out and returned again for the same d_in
-    object.  The memo holds d_in, so its id cannot be reused while the memo
-    lives; an equal but distinct d_in is presented afresh and replaces it.
+    `rung`, a one-item list, carries a factorization from one degree of a
+    ladder to the next (chains.PairComplex.homology).  On entry it holds a
+    factorization of a matrix with d_out's columns and d_out's kernel,
+    which stands in for d_out's own, or None.  On return it holds R's
+    factorization where every kernel divisor a_j is 1, else None.  Then
+    Krel is empty and K has a left inverse, the kernel rows of V_out^-1, so
+    d_in = K @ X gives ker d_in = ker X = ker R: R's factorization is one
+    of the next degree's d_out, d_in here.  Nothing else keeps it.
     """
-    memo = d_out._presentation
-    if memo is not None and memo.d_in is d_in:
-        return memo
     if d_in.ring != d_out.ring:
         raise TwistcapError("boundary matrices over different rings")
     if d_out.cols != d_in.rows:
@@ -272,7 +281,11 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     if not (d_out @ d_in).is_zero():
         raise CompositionNonzero("d_out @ d_in != 0")
     ring = d_in.ring
-    out_snf = _smith_form(d_out)
+    out_snf = rung[0] if rung else None
+    if out_snf is None:
+        out_snf = _smith_form(d_out)
+    elif out_snf.D.cols != d_out.cols:
+        raise TwistcapError("the factorization handed in has the wrong width")
     positions = out_snf.kernel_positions
     kernel_rows = tuple(map(_compact_row, out_snf.v_inv_rows(
         [j for j, _ in positions])))
@@ -299,10 +312,10 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     cycles = out_snf.v_apply(
         ExactMatrix._from_rows(ring, combos, len(kept))).shared()
     coords = snf.u_rows(kept).shared()
-    memo = HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
+    if rung is not None:
+        rung[0] = snf if all(a == ring.one for a in divisors) else None
+    return HomologyPresentation(module, cycles, kernel_rows, divisors, coords,
                                 d_in, d_out)
-    d_out._presentation = memo
-    return memo
 
 
 class ModuleMap:

@@ -53,6 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from types import MappingProxyType
 
 from .errors import TwistcapError
 from .rings import RATIONALS, RingSpec
@@ -63,16 +64,14 @@ from .rings import RATIONALS, RingSpec
 _EMPTY_ROW = {}
 _UNIT_ROWS = {}  # (j, 1) or (j, -1) -> the row {j: 1} or {j: -1}
 
+# The scales and units of every decomposition that has none to record.
+_NO_ENTRIES = MappingProxyType({})
+
 
 class ExactMatrix:
     """A rows x cols matrix; `sparse_rows[i]` is row i as a dict {column:
     nonzero entry}.  Matrices are immutable: neither the tuple nor its dicts
-    change after construction.  The one slot written later is
-    `_presentation`, where fpmodules.homology_presentation memoizes the
-    homology presented with this matrix as d_out.  The presentation keeps
-    this matrix's rows, not the matrix, so the two form no reference cycle:
-    a presented matrix is freed by reference counting, with its
-    presentation, once what owns it, such as a pair complex, is dropped.
+    change after construction.
 
     Since no row changes, equal rows can be one object.  A matrix that a
     memo keeps (identities, transfers, boundaries, a presentation's cycles
@@ -87,7 +86,7 @@ class ExactMatrix:
     right factor where a row of the left is {k: 1}.  A transient matrix is
     built with its own rows: `_from_rows` adds no work per row."""
 
-    __slots__ = ("ring", "rows", "cols", "sparse_rows", "_presentation")
+    __slots__ = ("ring", "rows", "cols", "sparse_rows")
 
     def __init__(self, ring: RingSpec, data):
         norm = ring.normalize
@@ -104,7 +103,6 @@ class ExactMatrix:
         self.rows = len(sparse)
         self.cols = cols or 0
         self.sparse_rows = tuple(sparse)
-        self._presentation = None
 
     # -- constructors ----------------------------------------------------
 
@@ -117,7 +115,6 @@ class ExactMatrix:
         m.sparse_rows = tuple(rows)
         m.rows = len(m.sparse_rows)
         m.cols = cols
-        m._presentation = None
         return m
 
     @classmethod
@@ -449,7 +446,8 @@ class SmithDecomposition:
         is the identity.  D is a diagonal read off a Smith form, or has no
         rows or no columns."""
         one = D.ring.one
-        return cls(D, one, one, (), (), tuple(range(D.cols)), {}, {})
+        return cls(D, one, one, (), (), tuple(range(D.cols)), _NO_ENTRIES,
+                   _NO_ENTRIES)
 
     # -- whole transforms, for verify ----------------------------------------
 
@@ -858,6 +856,8 @@ class SmithSolver:
     the decomposition is public as `snf` for callers that need its diagonal
     or kernel too.  solve_matrix is the one solve: a single right-hand side
     is a one-column B."""
+
+    __slots__ = ("A", "ring", "snf", "__weakref__")
 
     def __init__(self, A: ExactMatrix):
         self.A = A

@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 
 from .cap import cap_matrix
-from .chains import (fundamental_class_direct, pair_complex,
+from .chains import (PairComplex, fundamental_class_direct, pair_complex,
                      transfer_matrix)
 from .complexes import (FullSubcomplex, Subcomplex, _grid_cells,
                         closed_star, empty_subcomplex, memo, named_complex,
@@ -47,7 +47,7 @@ from .errors import (CoboundariesDisagree, ConnectingChainEscapes,
                      ConnectingImageNotCycle, NotACover, TwistcapError,
                      UnknownName)
 from .fpmodules import (FPModule, HomologyPresentation, ModuleMap,
-                        homology_presentation, induced_map, is_exact_at)
+                        induced_map, is_exact_at)
 from .localsystems import tensor
 from .matrices import ExactMatrix, block_diag
 
@@ -136,12 +136,6 @@ class _MVSpaces:
         self.whole = pair_complex(X, G, killed=_maybe(pair.Y))
         self.absolute = pair_complex(X, G)
         self._cache = {}   # objects derived from these spaces
-
-    def homology(self, pc, k) -> HomologyPresentation:
-        return homology_presentation(pc.boundary(k + 1), pc.boundary(k))
-
-    def cohomology(self, pc, k) -> HomologyPresentation:
-        return homology_presentation(pc.coboundary(k - 1), pc.coboundary(k))
 
     def transfer(self, src, dst, k) -> ExactMatrix:
         return memo(self, (src, dst, k), lambda: transfer_matrix(src, dst, k))
@@ -307,9 +301,10 @@ def _mv_sequence(spaces: _MVSpaces, kind, degrees, present, script, first,
     """The long exact sequence, degree by degree in the order `degrees`.
 
     Each degree contributes first -> H(A)+H(B) -> last, with `present`
-    giving the modules and the maps induced by `_MVSpaces.row_maps`; first
-    and last are (pair complex, label) pairs.  Consecutive degrees are
-    joined by `_connecting_map` with `step`.
+    (PairComplex.homology or .cohomology) giving the modules and the maps
+    induced by `_MVSpaces.row_maps`; first and last are (pair complex,
+    label) pairs.  Consecutive degrees are joined by `_connecting_map` with
+    `step`.
 
     The sequence is built once and re-checked on every call: the induced
     maps, direct sums and end maps come from `_sequence_maps`, and each
@@ -350,7 +345,7 @@ def mv_homology(pair: CoverPair, G) -> ExactSequenceReport:
     """The long exact homology sequence of the cover, checked at every node."""
     spaces = _mv_spaces(pair, G)
     return _mv_sequence(spaces, "homology", range(pair.X.dimension, -1, -1),
-                        spaces.homology, "_", (spaces.inter, "A^B"),
+                        PairComplex.homology, "_", (spaces.inter, "A^B"),
                         (spaces.whole, "X"), _connecting_chain,
                         "connecting image is not a cycle")
 
@@ -359,7 +354,7 @@ def mv_cohomology(pair: CoverPair, G) -> ExactSequenceReport:
     """The long exact cohomology sequence of the cover."""
     spaces = _mv_spaces(pair, G)
     return _mv_sequence(spaces, "cohomology", range(pair.X.dimension + 1),
-                        spaces.cohomology, "^", (spaces.whole, "X"),
+                        PairComplex.cohomology, "^", (spaces.whole, "X"),
                         (spaces.inter, "A^B"), _glue_coboundary,
                         "glued cochain is not a cocycle")
 
@@ -536,11 +531,11 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
     # the blocks draw their noise in this order, generator by generator, which
     # fixes the representatives each resample seed moves
     for k in range(n + 1):
-        p_first = top.cohomology(top.whole, k)      # H^k(M | K^L)
-        p_sides = [top.cohomology(pc, k)            # H^k(M | K), H^k(M | L)
+        p_first = top.whole.cohomology(k)          # H^k(M | K^L)
+        p_sides = [pc.cohomology(k)                # H^k(M | K), H^k(M | L)
                    for pc in (top.left, top.right)]
-        b_sides = [bot.homology(pc, n - k) for pc in (bot.left, bot.right)]
-        b_whole = bot.homology(bot.whole, n - k)
+        b_sides = [pc.homology(n - k) for pc in (bot.left, bot.right)]
+        b_whole = bot.whole.homology(n - k)
         top_into, top_out = top.row_maps(top.whole, top.inter, k)
         bot_into, bot_out = bot.row_maps(bot.inter, bot.whole, n - k)
         caps = [cap_matrix(top.left, mr_u, bot.left, k, n, nu_u),
@@ -574,8 +569,8 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
         # against the weighted route and the residual global sign is
         # reported, decided generator by generator.
         if k < n:
-            p_down = bot.homology(bot.inter, n - k - 1)
-            X = generators(top.inter, top.cohomology(top.inter, k), k)
+            p_down = bot.inter.homology(n - k - 1)
+            X = generators(top.inter, top.inter.cohomology(k), k)
             glued = _glue_coboundary(top, k, X)
             zigzag = _connecting_chain(bot, n - k, cap_m @ X)
             weight = ring.from_int((-1) ** (n - k))

@@ -48,9 +48,9 @@ def count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -266,16 +266,37 @@ def test_a_first_duality_and_mv_triple_build_no_whole_transform(
 
 
 def test_repeated_duality_presents_nothing_again(monkeypatch):
+    # the first duality presents each ladder, the cohomology of G and the
+    # homology of G (x) M_R, once, every degree; the second reads the
+    # presentations off the two pair complexes' memos
     M = fresh("klein")
     G = random_flat_system(M, Zmod(3), 2, seed=1)
-    calls = count_presentation_eliminations(monkeypatch)
+    presented = count_calls(monkeypatch, chains, "homology_presentation")
+    eliminations = count_presentation_eliminations(monkeypatch)
     first = verify_duality(M, G, Zmod(3))
-    assert calls
-    del calls[:]
+    assert len(presented) == 2 * (M.dimension + 1) and eliminations
+    del presented[:], eliminations[:]
     second = verify_duality(M, G, Zmod(3))
-    assert calls == []
+    assert presented == [] and eliminations == []
+    assert all(a.left is b.left and a.right is b.right
+               for a, b in zip(first.rows, second.rows))
     assert ([row.certificate_hash() for row in second.rows]
             == [row.certificate_hash() for row in first.rows])
+
+
+def test_a_first_duality_factors_no_d_out(monkeypatch):
+    # Klein 8x8 over Z: the parent factored 11 matrices, d_1, d_2, delta_0
+    # and delta_1 among them; each ladder now reads every kernel off the
+    # relations of the degree before, so it factors only relations, R_0
+    # and R_1 of the homology and R_2 and R_1 of the cohomology, and the
+    # three duality maps factor their images
+    M = complexes._grid_klein(8, 8)
+    G = constant_system(M, Z)
+    eliminations = count_calls(monkeypatch, matrices, "_euclid_core")
+    presenting = count_presentation_eliminations(monkeypatch)
+    assert verify_duality(M, G, Z).all_verified
+    assert len(eliminations) == 11 - 4
+    assert len(presenting) == 4
 
 
 def test_repeated_mv_sequences_present_nothing_again(monkeypatch):
@@ -290,9 +311,12 @@ def test_repeated_mv_sequences_present_nothing_again(monkeypatch):
 
 
 def test_an_equal_but_distinct_d_in_is_presented_afresh(monkeypatch):
+    # a lone presentation is not memoized: each call factors d_out and the
+    # relations again, and the pair complex's own presentation stays
     M = fresh("rp2")
     pc = pair_complex(M, constant_system(M, Z))
     d_in, d_out = pc.boundary(2), pc.boundary(1)
+    kept = pc.homology(1)
     first = homology_presentation(d_in, d_out)
     twin = ExactMatrix._from_rows(Z, d_in.sparse_rows, d_in.cols)
     assert twin == d_in and twin is not d_in
@@ -301,9 +325,9 @@ def test_an_equal_but_distinct_d_in_is_presented_afresh(monkeypatch):
     assert len(calls) == 2
     assert second is not first and second.d_in is twin
     assert second.class_matrix(first.cycles) == first.class_matrix(first.cycles)
-    # the fresh presentation replaced the memo
-    assert homology_presentation(twin, d_out) is second
-    assert len(calls) == 2
+    assert homology_presentation(twin, d_out) is not second
+    assert len(calls) == 4
+    assert pc.homology(1) is kept
 
 
 def test_presentations_die_with_their_pair_complex():
@@ -314,8 +338,8 @@ def test_presentations_die_with_their_pair_complex():
         M = fresh_torus()
         G = random_flat_system(M, Z, 2, seed=4)
         pc = pair_complex(M, G)
-        pres = homology_presentation(pc.boundary(2), pc.boundary(1))
-        assert homology_presentation(pc.boundary(2), pc.boundary(1)) is pres
+        pres = pc.homology(1)
+        assert pc.homology(1) is pres
         refs = [weakref.ref(pc), weakref.ref(pres)]
         del M, G, pc, pres
         assert [r() for r in refs] == [None, None]
@@ -593,9 +617,14 @@ def test_phi_rows_build_each_splitting_once(monkeypatch):
 
 
 def test_lemma2_presents_the_cover_homology_once(monkeypatch):
-    presented = count_calls(monkeypatch, covers, "homology_presentation")
-    assert lemma2_check(corpus("rp2"), Z)
-    assert len(presented) == 2   # the cover's and the base's top homology
+    # the cover's and the base's top homology, each read off its pair
+    # complex's ladder, which presents every degree once
+    M = fresh("rp2")
+    presented = count_calls(monkeypatch, chains, "homology_presentation")
+    assert lemma2_check(M, Z)
+    assert len(presented) == 2 * (M.dimension + 1)
+    assert lemma2_check(M, Z)
+    assert len(presented) == 2 * (M.dimension + 1)
 
 
 def test_random_flat_system_builds_one_system(monkeypatch):
@@ -811,16 +840,14 @@ def test_a_rebuilt_presentation_gets_a_new_duality_map():
     G = constant_system(M, Z)
     first = verify_duality(M, G, Z)
     pc = pair_complex(M, G)
-    d_in = pc.coboundary(0)
-    twin = ExactMatrix._from_rows(Z, d_in.sparse_rows, d_in.cols)
-    before = homology_presentation(d_in, pc.coboundary(1))
-    assert homology_presentation(twin, pc.coboundary(1)) is not before
-    # the twin replaced the presentation memoized on d_out, so
-    # verify_duality presents degree 1 afresh from its own d_in, and the
-    # map of that degree is induced again; the others are reused
+    before = pc.cohomology(1)
+    # dropping the pair complex's memo of its cohomology ladder makes it
+    # present every degree afresh, so each duality map is induced again
+    # between the new presentations, with the same report
+    del pc._cache["cohomology"]
     second = verify_duality(M, G, Z)
-    assert [a.map is b.map for a, b in zip(first.rows, second.rows)] == \
-        [True, False, True]
+    assert pc.cohomology(1) is not before
+    assert not any(a.map is b.map for a, b in zip(first.rows, second.rows))
     assert second.to_tsv() == first.to_tsv()
 
 
@@ -892,11 +919,9 @@ def test_a_rebuilt_presentation_gets_new_sequence_maps():
     G = constant_system(M, Z)
     first = mv.mv_homology(pair, G)
     whole = mv._mv_spaces(pair, G).whole
-    d_in, d_out = whole.boundary(2), whole.boundary(1)
-    twin = ExactMatrix._from_rows(Z, d_in.sparse_rows, d_in.cols)
-    homology_presentation(twin, d_out)
-    # the twin replaced the presentation of H_1(X) memoized on d_out, so
-    # the sequence presents it afresh and induces every map again
+    # dropping the memo of H_*(X)'s ladder makes the sequence present every
+    # degree of X afresh and induce every map again
+    del whole._cache["homology"]
     second = mv.mv_homology(pair, G)
     assert second.all_exact and second.exactness == first.exactness
     assert not any(a is b for a, b in zip(first.maps, second.maps))

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +84,30 @@ def test_octahedron_and_grid_torus():
         named_complex("not-a-thing")
     with pytest.raises(UnknownName):
         corpus("octahedron")
+
+
+@pytest.mark.parametrize("sides", [(4, 2), (2, 4), (2, 2), (1, 4), (4, 1)],
+                         ids=lambda sides: "%dx%d" % sides)
+@pytest.mark.parametrize("build", [_grid_torus, _grid_klein],
+                         ids=["torus", "klein"])
+def test_a_grid_side_below_3_is_refused(build, sides):
+    # a side of 2 makes squares share edges, which no closed surface has,
+    # and a side of 1 makes triangles with a repeated vertex
+    with pytest.raises(TwistcapError, match="sides of at least 3, not "
+                       "%dx%d" % sides):
+        build(*sides)
+    for smallest in ((3, 3), (3, 4), (4, 3)):
+        assert validate(build(*smallest)).closed_pseudomanifold
+
+
+def test_snf_scaling_refuses_a_grid_side_below_3():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "snf_scaling.py"
+    run = subprocess.run([sys.executable, str(tool), "--diagram6", "klein",
+                          "Z", "4x2"], capture_output=True, text=True,
+                         timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == ("error: a grid surface needs sides of at least 3, "
+                          "not 4x2\n")
 
 
 def test_star_walk_identity_and_adjacent():

@@ -5,7 +5,12 @@ The digests were recorded before the cache and factorization refactor; a
 change that alters any report byte fails here.  The five verify-duality
 digests were recorded again when homology moved to its Smith basis: the
 duality inverse is now a matrix on the minimal generators, so only the
-certificate column of those reports changed.  Every subcommand except
+certificate column of those reports changed.  The random-flat Z/3
+verify-duality digest was recorded again when each pair complex came to
+present its degrees as a ladder: H^0 and H_2, the two ends of the
+degree-0 row, read their kernels off the relations of degree 1, not off
+their own (co)boundary, so their Smith bases and that row's certificate
+changed (667f8c2ec3d0 to 4afceb299f90), and nothing else in the report.  Every subcommand except
 corpus-all appears, over Z, Z/3, Q, Z/10007 and Z/1000003, with constant,
 orientation and random-flat systems.
 """
@@ -45,7 +50,7 @@ GOLDEN = (
      "1d47ba3ca20ae14c3350036e391a4843fc6c36a6c6dde74e2bac831d7d5e629d"),
     ("verify-duality --complex klein --system random-flat:3:2 --ring Z/3 "
      "--seed 3", 0,
-     "8eaafa77d5d01617e3b2dcdf11845f07e62dffafb485e4b9612d2c42a78bbdfb"),
+     "ed782f7ca933e1f156c3cd14558a03b37863540cb3c63b4c83e39e2e6495e0d1"),
     ("verify-duality --complex torus --system orientation --ring Q "
      "--format plain", 0,
      "aeb829e34c9aee83ed80870e29a48f552e68fbfafe4fa1b4437291dd52756607"),

@@ -31,9 +31,8 @@ of a decomposition, is in ``WHOLE_TRANSFORM_READS`` (only
 reading transforms off their logs, on the vectors they need.  Every memo is in
 ``MEMO_SITES``: each call of ``complexes.memo``, the one function that
 stores into a ``_cache`` (``CACHE_STORES``), and the memos that do not go
-through it: an item store into a module-level name, a ``_presentation``
-store, a function decorated with ``cache``, ``lru_cache`` or
-``cached_property``.  A new memo fails until it is listed on purpose, so
+through it: an item store into a module-level name, a function decorated
+with ``cache``, ``lru_cache`` or ``cached_property``.  A new memo fails until it is listed on purpose, so
 each one is seen to hang on what it is derived from and to grow with
 distinct inputs, not with the checks a process runs.  The shared rows of
 kept matrices, ``_EMPTY_ROW`` and ``_UNIT_ROWS``, are named only in
@@ -319,6 +318,7 @@ MEMO_SITES = {
     ("cap", "verify_duality"),
     ("chains", "PairComplex.__init__"),
     ("chains", "PairComplex._cells"),
+    ("chains", "PairComplex._ladder"),
     ("chains", "PairComplex.boundary"),
     ("chains", "PairComplex.coboundary"),
     ("chains", "pair_complex"),
@@ -336,7 +336,6 @@ MEMO_SITES = {
     ("covers", "orient_cover"),
     ("covers", "split_maps"),
     ("fpmodules", "ModuleMap.image"),
-    ("fpmodules", "homology_presentation"),
     ("localsystems", "LocalSystem.is_unit"),
     ("localsystems", "LocalSystem.path_transport"),
     ("localsystems", "constant_system"),
@@ -394,18 +393,14 @@ def test_only_memo_stores_into_a_cache():
 
 def _memoizes(node, module_names):
     """True when `node` is a call of `memo`, an item store into a name the
-    module binds at its top level, a `_presentation` store other than None,
-    or a function with a memoizing decorator."""
+    module binds at its top level, or a function with a memoizing
+    decorator."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
             and node.func.id == "memo":
         return True
     if any(isinstance(owner, ast.Name) and owner.id in module_names
            for owner in _item_stores(node)):
         return True
-    if isinstance(node, ast.Assign) and not (
-            isinstance(node.value, ast.Constant) and node.value.value is None):
-        return any(isinstance(t, ast.Attribute) and t.attr == "_presentation"
-                   for t in node.targets)
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         for deco in node.decorator_list:
             deco = deco.func if isinstance(deco, ast.Call) else deco

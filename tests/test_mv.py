@@ -136,13 +136,13 @@ def test_connecting_naturality_for_nested_torus_covers():
     pair2 = CoverPair(M, Subcomplex(M, big_u), Subcomplex(M, big_v))
     G = constant_system(M, Z)
     from twistcap.chains import pair_complex, transfer_matrix
-    from twistcap.fpmodules import homology_presentation, induced_map
+    from twistcap.fpmodules import induced_map
     from twistcap.mv import _connecting_chain, _connecting_map, _mv_spaces
     sp1 = _mv_spaces(pair1, G)
     sp2 = _mv_spaces(pair2, G)
-    h2_x = sp1.homology(sp1.whole, 2)       # same for both (whole torus)
-    h1_int1 = sp1.homology(sp1.inter, 1)
-    h1_int2 = sp2.homology(sp2.inter, 1)
+    h2_x = sp1.whole.homology(2)            # same for both (whole torus)
+    h1_int1 = sp1.inter.homology(1)
+    h1_int2 = sp2.inter.homology(1)
     d1 = _connecting_map(sp1, 2, h2_x, h1_int1, _connecting_chain,
                          "connecting image is not a cycle")
     d2 = _connecting_map(sp2, 2, h2_x, h1_int2, _connecting_chain,

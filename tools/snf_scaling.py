@@ -8,10 +8,11 @@ duality at those sizes takes minutes.  Each case runs in a fresh child
 process (this script with --case), so no case shares a cache or inherits
 memory from another.  The child times the duality call on a freshly built
 complex, and then a second call on the same complex and system (repeat_s),
-which finds every homology presentation memoized on the boundary matrices
-of the first; then, three times over and each time after a full garbage
+which finds every homology presentation memoized on the pair complexes of
+the first; then, three times over and each time after a full garbage
 collection, it builds the complex again, validates it and builds its
 orientation system.  It reports the seconds of the two duality calls, the
+number of Smith forms the first one makes (snf, one per elimination), the
 least seconds of each of those three steps (build_s, validate_s,
 orientation_s), its own peak RSS (ru_maxrss) and gc_freed, the number of
 objects the cycle collector freed over the case, counting a last
@@ -49,6 +50,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from twistcap import matrices  # noqa: E402
 from twistcap.cap import verify_duality  # noqa: E402
 from twistcap.complexes import _grid_klein, _grid_torus, validate  # noqa: E402
 from twistcap.covers import (build_double_cover,  # noqa: E402
@@ -86,11 +88,26 @@ def _timed(call, *args):
     return result, time.perf_counter() - start
 
 
+def _count_smith_forms():
+    """A one-item list counting the Smith forms made from here on: each
+    runs the integer elimination once."""
+    count = [0]
+    core = matrices._euclid_core
+
+    def counted(*args):
+        count[0] += 1
+        return core(*args)
+
+    matrices._euclid_core = counted
+    return count
+
+
 def run_case(surface, ring_name, n):
     """One case, in this process: print simplices, build, validate and
-    orientation seconds, the seconds of the first and the repeated duality
-    call, peak RSS in MB, the verdict and gc_freed, tab-separated; a case
-    in LAYERS_ONLY prints "-" for the duality."""
+    orientation seconds, the seconds and Smith forms of the first duality
+    call, the seconds of the repeated one, peak RSS in MB, the verdict and
+    gc_freed, tab-separated; a case in LAYERS_ONLY prints "-" for the
+    duality."""
     gc.collect()   # what start-up left, the argument parser's formatters
     freed = []
 
@@ -100,11 +117,13 @@ def run_case(surface, ring_name, n):
     gc.callbacks.append(count)
     build = SURFACES[surface]
     ring = parse_ring(ring_name)
-    seconds = repeat = verified = "-"
+    seconds = smith_forms = repeat = verified = "-"
     if (surface, ring_name, n) not in LAYERS_ONLY:
         cx = build(n, n)
         system = constant_system(cx, ring)
+        made = _count_smith_forms()
         report, duality_s = _timed(verify_duality, cx, system, ring)
+        smith_forms = made[0]
         again, repeat_s = _timed(verify_duality, cx, system, ring)
         seconds, repeat = f"{duality_s:.3f}", f"{repeat_s:.3f}"
         verified = report.all_verified and again.all_verified
@@ -122,8 +141,8 @@ def run_case(surface, ring_name, n):
     cx = system = report = again = None   # the case drops its complexes
     gc.collect()
     print(f"{simplices}\t{build_s:.3f}\t{validate_s:.4f}\t"
-          f"{orientation_s:.4f}\t{seconds}\t{repeat}\t{rss_mb:.1f}\t"
-          f"{verified}\t{sum(freed)}")
+          f"{orientation_s:.4f}\t{seconds}\t{smith_forms}\t{repeat}\t"
+          f"{rss_mb:.1f}\t{verified}\t{sum(freed)}")
 
 
 def run_split_case(surface, ring_name, n):
@@ -194,7 +213,7 @@ def measure(surface, ring_name, n):
     fields = _child("--case", surface, ring_name, n)
     print(f"{surface}\t{ring_name}\t{n}\t" + "\t".join(fields), flush=True)
     names = ("simplices", "build_s", "validate_s", "orientation_s", "seconds",
-             "repeat_s")
+             "snf", "repeat_s")
     return {name: float(x) for name, x in zip(names, fields) if x != "-"}
 
 
@@ -224,7 +243,7 @@ def main():
             run(surface, ring_name, int(n))
             return
     print("surface\tring\tn\tsimplices\tbuild_s\tvalidate_s\t"
-          "orientation_s\tseconds\trepeat_s\tpeak_rss_mb\tverified\t"
+          "orientation_s\tseconds\tsnf\trepeat_s\tpeak_rss_mb\tverified\t"
           "gc_freed")
     for surface in SURFACES:
         for ring_name in RINGS:
