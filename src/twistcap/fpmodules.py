@@ -1,13 +1,16 @@
 """Finitely presented modules, induced maps, and isomorphism certificates.
 
-An FPModule is generators plus a relation matrix; its normal form (free rank
-and divisibility-chain torsion) comes from the Smith form of the relations and
+An FPModule is generators plus a relation matrix, built one way,
+FPModule(ring, n, relations); its normal form (free rank and
+divisibility-chain torsion) comes from the Smith form of the relations and
 is the notion of equality used everywhere.  A HomologyPresentation adds the
 lifting data -- a generating set of cycles in chain coordinates -- so that
 homology classes can be moved between the abstract module and actual chains.
 Homology is presented on its Smith basis: one generator per free summand and
-per torsion factor, with diagonal relations, so every map and check built on
-it works on matrices of that size.  A presentation costs one factorization,
+per torsion factor, the module built from its diagonal of invariants, which
+is its own Smith form and so is not factored again
+(matrices._is_own_smith_form), so every map and check built on it works on
+matrices of that size.  A presentation costs one factorization,
 of the raw relations, once its d_out is factored: the coordinates of a cycle
 on the kernel generators are read off V^-1 of d_out, so the kernel is never
 factored, and induced maps check boundaries on the Smith basis, so they
@@ -50,7 +53,7 @@ from functools import cached_property
 from .errors import (CertificateFailed, CompositionNonzero, NotChainMap,
                      TwistcapError)
 from .matrices import (ExactMatrix, SmithDecomposition, SmithSolver,
-                       smith_normal_form)
+                       _is_own_smith_form, smith_normal_form)
 from .rings import INTEGERS, MODULAR, RingSpec
 
 
@@ -66,28 +69,13 @@ class FPModule:
             relations = ExactMatrix.zeros(ring, generator_count, 0)
         if relations.rows != generator_count or relations.ring != ring:
             raise TwistcapError("relation matrix shape/ring mismatch")
-        self._adopt(SmithSolver(relations))
-
-    @classmethod
-    def _diagonal(cls, ring: RingSpec, generator_count: int, invariants):
-        """Trusted constructor: relations invariants[i] * e_i, a divisibility
-        chain of canonical non-units read off a Smith form, which is not
-        factored again."""
-        module = object.__new__(cls)
-        module._adopt(SmithSolver._diagonal(ring, generator_count, invariants))
-        return module
-
-    def _adopt(self, solver: SmithSolver):
-        """Take the relations and their factorization from `solver`."""
-        ring = solver.ring
         self.ring = ring
-        self.generator_count = solver.A.rows
-        self.relations = solver.A
-        self._rel_solver = solver
-        diag = [d for d in solver.snf.diagonal() if d != ring.zero]
-        self.free_rank = self.generator_count - len(diag)
-        self.torsion = tuple(ring.canonical_generator(d) for d in diag
-                             if not ring.is_unit(d))
+        self.generator_count = generator_count
+        self.relations = relations
+        self._rel_solver = SmithSolver(relations)
+        diag = [d for d in self._rel_solver.snf.diagonal() if d != ring.zero]
+        self.free_rank = generator_count - len(diag)
+        self.torsion = tuple(d for d in diag if not ring.is_unit(d))
 
     @property
     def normal_form(self):
@@ -139,7 +127,7 @@ class FPModule:
 
     def generates(self, coords) -> bool:
         """True when the map from the ring sending 1 to `coords` is onto."""
-        free = FPModule._diagonal(self.ring, 1, ())
+        free = FPModule(self.ring, 1)
         onto = ModuleMap(free, self, self._class_column(coords))
         return onto.image_units() == self.generator_count
 
@@ -238,11 +226,10 @@ def _compact_row(row: dict):
 
 
 def _smith_form(A: ExactMatrix):
-    """The Smith form of A, which a matrix with no rows or no columns, met
-    at a zero chain group, a zero kernel or a module with no relations, is
-    of itself."""
-    return (smith_normal_form(A) if A.rows and A.cols
-            else SmithDecomposition._of_diagonal(A))
+    """The Smith form of A, which A is where _is_own_smith_form says so: at
+    a zero chain group or kernel, or a boundary that already is one."""
+    return (SmithDecomposition._of_diagonal(A) if _is_own_smith_form(A)
+            else smith_normal_form(A))
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix,
@@ -297,9 +284,9 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix,
     # positions list the torsion factors first
     kept = [i for i in range(len(positions))
             if i >= len(diag) or not ring.is_unit(diag[i])]
-    invariants = [diag[i] for i in kept
-                  if i < len(diag) and diag[i] != ring.zero]
-    module = FPModule._diagonal(ring, len(kept), invariants)
+    invariants = [d for d in diag if d and not ring.is_unit(d)]
+    module = FPModule(ring, len(kept),
+                      ExactMatrix.diagonal(ring, len(kept), invariants))
     # generator chain g is column kept[g] of K @ U^-1 = V_out @ C, where
     # C[j, g] = a_j * U^-1[t, kept[g]] at the kernel position j = positions[t]
     combos = [{} for _ in range(d_out.cols)]

@@ -67,39 +67,33 @@ class LocalSystem:
         edges = set(base.faces(1))
         ident = ExactMatrix.identity(ring, rank)
         cleaned, reverse = {}, {}
-        checked = set()   # ids of (transport, reverse) pairs found inverse
-        kept = {}   # id of a given matrix -> (it, it with shared rows)
-
-        def share(mat):
-            """`mat.shared()`, once per distinct matrix object; the entry
-            keeps `mat` alive, so its id is not reused."""
-            entry = kept.get(id(mat))
-            if entry is None:
-                entry = kept[id(mat)] = (mat, mat.shared())
-            return entry[1]
+        # (id(transport), id(reverse given)) -> (shared transport, its
+        # reverse or None, the two given): one share and one inverse or check
+        # per distinct pair; the given matrices stay alive, so ids are stable
+        pairs = {}
         for edge, mat in transport.items():
             e = tuple(edge)
             if e not in edges:
                 raise TwistcapError(f"{e} is not an edge of the base complex")
             if mat.ring != ring or mat.rows != rank or mat.cols != rank:
                 raise TwistcapError(f"transport at {e} has wrong shape or ring")
-            mat = share(mat)
-            if known_reverse is None:
-                try:
-                    rev = share(inverse(mat))
-                except TwistcapError:
-                    rev = None
-            else:
-                # a one-sided inverse of a square matrix over a commutative
-                # ring is two-sided; edges sharing both matrices share the
-                # check, and `kept` keeps the pair alive, so ids are stable
-                rev = share(known_reverse[e])
-                pair = (id(mat), id(rev))
-                if pair not in checked:
-                    if mat @ rev != ident:
+            given = None if known_reverse is None else known_reverse[e]
+            entry = pairs.get((id(mat), id(given)))
+            if entry is None:
+                fwd = mat.shared()
+                if given is None:
+                    try:
+                        rev = inverse(fwd).shared()
+                    except TwistcapError:
                         rev = None
-                    else:
-                        checked.add(pair)
+                else:
+                    # a one-sided inverse of a square matrix over a
+                    # commutative ring is two-sided
+                    rev = fwd if given is mat else given.shared()
+                    if fwd @ rev != ident:
+                        rev = None
+                entry = pairs[id(mat), id(given)] = (fwd, rev, mat, given)
+            mat, rev = entry[:2]
             if rev is None:
                 raise TwistcapError(f"transport at {e} is not invertible")
             reverse[e] = rev

@@ -45,7 +45,13 @@ only linear-algebra primitives the homology layer needs.  SmithSolver has one
 solve, solve_matrix, which takes every right-hand side as a matrix: a
 question about one vector is asked of a one-column matrix.  solve_diagonal
 is that solve short of its last product with V, for a caller that only asks
-whether a solution exists.
+whether a solution exists.  A matrix the elimination leaves as it is (no
+rows or no columns, or a canonical divisibility chain on the diagonal,
+zeros last: _is_own_smith_form) is its own Smith form with empty logs, which
+SmithSolver and fpmodules take as it is.  The test sits beside
+smith_normal_form, not in it, so a tracer wrapping smith_normal_form, which
+reads the transforms of every call, never meets the n x 0 relations of a
+large free module.
 """
 
 from __future__ import annotations
@@ -89,10 +95,17 @@ class ExactMatrix:
     __slots__ = ("ring", "rows", "cols", "sparse_rows")
 
     def __init__(self, ring: RingSpec, data):
-        norm = ring.normalize
+        """Build from dense rows of ints and Fractions, integral ones over
+        Z and Z/m; any other entry is refused, never rounded."""
+        norm, integral = ring.normalize, ring.kind != RATIONALS
         sparse = []
         cols = None
         for row in data:
+            row = list(row)
+            for x in row:
+                if not isinstance(x, (int, Fraction)) or (
+                        integral and x.denominator != 1):
+                    raise TwistcapError(f"entry {x!r} is not exact in {ring}")
             row = [norm(x) for x in row]
             if cols is None:
                 cols = len(row)
@@ -124,6 +137,14 @@ class ExactMatrix:
     @classmethod
     def identity(cls, ring, n):
         return cls._from_rows(ring, [{i: 1} for i in range(n)], n).shared()
+
+    @classmethod
+    def diagonal(cls, ring, rows, entries):
+        """The rows x len(entries) matrix with the normalized `entries` on
+        its diagonal; a row holding none is the shared empty row."""
+        cols = len(entries)
+        return cls._from_rows(ring, [{i: entries[i]} if i < cols and entries[i]
+                                     else _EMPTY_ROW for i in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, ring, columns, rows):
@@ -329,6 +350,8 @@ class ExactMatrix:
     @classmethod
     def hstack(cls, blocks):
         blocks = list(blocks)
+        if not blocks:
+            raise TwistcapError("hstack of no blocks")
         ring = blocks[0].ring
         rows = blocks[0].rows
         if any(b.rows != rows or b.ring != ring for b in blocks):
@@ -345,6 +368,8 @@ class ExactMatrix:
     @classmethod
     def vstack(cls, blocks):
         blocks = list(blocks)
+        if not blocks:
+            raise TwistcapError("vstack of no blocks")
         ring = blocks[0].ring
         cols = blocks[0].cols
         if any(b.cols != cols or b.ring != ring for b in blocks):
@@ -442,9 +467,8 @@ class SmithDecomposition:
 
     @classmethod
     def _of_diagonal(cls, D: ExactMatrix):
-        """D as its own Smith form: the logs are empty, so every transform
-        is the identity.  D is a diagonal read off a Smith form, or has no
-        rows or no columns."""
+        """D as its own Smith form, where _is_own_smith_form holds: empty
+        logs, equal to what smith_normal_form would return for D."""
         one = D.ring.one
         return cls(D, one, one, (), (), tuple(range(D.cols)), _NO_ENTRIES,
                    _NO_ENTRIES)
@@ -632,18 +656,12 @@ class SmithDecomposition:
         return ExactMatrix._from_rows(ring, rows, n)
 
     def verify(self, A: ExactMatrix) -> bool:
+        """U and V are invertible, U @ A @ V == D, and D is a Smith form:
+        one the elimination leaves as it is."""
         ring = A.ring
         if not ring.is_unit(self.u_det) or not ring.is_unit(self.v_det):
             return False
-        if self.U @ A @ self.V != self.D:
-            return False
-        diag = self.diagonal()
-        for i in range(len(diag) - 1):
-            if not ring.divides(diag[i], diag[i + 1]):
-                return False
-        # off-diagonal must vanish
-        return all(j == i for i, row in enumerate(self.D.sparse_rows)
-                   for j in row)
+        return self.U @ A @ self.V == self.D and _is_own_smith_form(self.D)
 
 
 def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
@@ -698,6 +716,22 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         ExactMatrix._from_rows(ring, S, c), norm(udet), norm(vdet),
         tuple(row_log), tuple(col_log), tuple(phys), scales, units)
+
+
+def _is_own_smith_form(A: ExactMatrix) -> bool:
+    """True when A has no rows or no columns, or is a diagonal of canonical
+    entries, each dividing the next, with zeros last (zero divides only
+    zero): exactly the matrices the elimination leaves as they are, with
+    empty logs and no scales or units."""
+    ring, rows = A.ring, A.sparse_rows
+    prev = ring.one
+    for i, row in enumerate(rows[:A.cols]):
+        d = row.get(i, ring.zero)
+        if len(row) > (i in row) or ring.canonical_generator(d) != d \
+                or not ring.divides(prev, d):
+            return False
+        prev = d
+    return not any(rows[A.cols:])  # the rows beyond the diagonal are empty
 
 
 def _euclid_core(S, r, c, m):
@@ -862,25 +896,8 @@ class SmithSolver:
     def __init__(self, A: ExactMatrix):
         self.A = A
         self.ring = A.ring
-        self.snf = (smith_normal_form(A) if A.rows and A.cols
-                    else SmithDecomposition._of_diagonal(A))
-
-    @classmethod
-    def _diagonal(cls, ring: RingSpec, rows: int, invariants):
-        """Trusted constructor for the rows x len(invariants) matrix with the
-        invariants on its diagonal.  They must be a divisibility chain in
-        canonical form, read off a Smith form, so the matrix is its own Smith
-        form and nothing is factored: the logs are empty, so every transform
-        is the identity."""
-        cols = len(invariants)
-        D = ExactMatrix._from_rows(
-            ring, [{i: invariants[i]} if i < cols and invariants[i]
-                   else _EMPTY_ROW for i in range(rows)], cols)
-        solver = object.__new__(cls)
-        solver.A = D
-        solver.ring = ring
-        solver.snf = SmithDecomposition._of_diagonal(D)
-        return solver
+        self.snf = (SmithDecomposition._of_diagonal(A)
+                    if _is_own_smith_form(A) else smith_normal_form(A))
 
     def solve_diagonal(self, B: ExactMatrix):
         """A Y with D @ Y == U @ B, or None when some column of B has no X

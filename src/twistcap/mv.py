@@ -90,7 +90,7 @@ def direct_sum(a: FPModule, b: FPModule) -> FPModule:
 
 
 def _zero_module(ring):
-    return FPModule._diagonal(ring, 0, ())
+    return FPModule(ring, 0)
 
 
 def _zero_map_into(ring, target: FPModule) -> ModuleMap:

@@ -393,7 +393,8 @@ def test_is_isomorphism_solves_as_often_for_every_target_size(monkeypatch):
 
 def test_is_isomorphism_reads_the_cokernel_witness_off_u_inverse(monkeypatch):
     module = FPModule(Z, 2)
-    f = ModuleMap(module, module, ExactMatrix(Z, [[1, 0], [0, 2]]))
+    # [[1, 0], [0, 2]] would be its own Smith form, factored by nobody
+    f = ModuleMap(module, module, ExactMatrix(Z, [[2, 0], [0, 1]]))
     calls = count_calls(monkeypatch, matrices, "smith_normal_form")
     result = is_isomorphism(f)
     assert not result.isomorphism
@@ -402,6 +403,20 @@ def test_is_isomorphism_reads_the_cokernel_witness_off_u_inverse(monkeypatch):
     stacked = ExactMatrix.hstack([f.matrix, module.relations])
     witness = ExactMatrix.from_columns(Z, [result.cokernel_witness], stacked.rows)
     assert matrices.SmithSolver(stacked).solve_matrix(witness) is None
+
+
+def test_a_matrix_that_is_its_own_smith_form_is_not_factored(monkeypatch):
+    calls = count_calls(monkeypatch, matrices, "_euclid_core")
+    free = FPModule(Z, 3)
+    assert ModuleMap(free, free, ExactMatrix.identity(Z, 3)).image_units() == 3
+    module = FPModule(Z, 3, ExactMatrix.diagonal(Z, 3, [2, 4]))
+    assert module.normal_form == (1, (2, 4))
+    assert calls == []
+    # a negative or out-of-order diagonal is factored, once
+    for relations in ([[-2]], [[4, 0], [0, 2]]):
+        module = FPModule(Z, len(relations), ExactMatrix(Z, relations))
+        assert len(calls) == 1 and module.relations.rows == len(relations)
+        calls.clear()
 
 
 def test_is_isomorphism_reads_the_image_the_map_owns(monkeypatch):

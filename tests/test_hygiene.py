@@ -38,7 +38,10 @@ distinct inputs, not with the checks a process runs.  The shared rows of
 kept matrices, ``_EMPTY_ROW`` and ``_UNIT_ROWS``, are named only in
 ``matrices.py``, and every call of ``.shared()``, the one way a matrix takes
 its rows from them, is in ``SHARED_ROW_SITES``, so each matrix that shares
-rows is one a memo keeps.
+rows is one a memo keeps.  ``object.__new__``, which builds an object
+without its ``__init__``, is called only in ``TRUSTED_CONSTRUCTORS``
+(``ExactMatrix._from_rows``), so every other object is built by its one
+constructor, and a new trusted constructor fails until it is listed.
 """
 
 import ast
@@ -433,7 +436,7 @@ SHARED_ROW_SITES = {
     ("chains", "transfer_matrix"),
     ("covers", "_build_split_maps"),
     ("fpmodules", "homology_presentation"),
-    ("localsystems", "LocalSystem.__init__.share"),
+    ("localsystems", "LocalSystem.__init__"),
     ("localsystems", "LocalSystem.path_transport.build"),
     ("matrices", "ExactMatrix.identity"),
     ("mv", "_MVSpaces.difference"),
@@ -458,3 +461,18 @@ def test_every_shared_row_site_is_listed():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "shared" and not node.args}
     assert_listed(found, SHARED_ROW_SITES, "shared-row sites")
+
+
+# (module, enclosing function) of every call of object.__new__: a trusted
+# constructor, which builds an object without its __init__
+TRUSTED_CONSTRUCTORS = {("matrices", "ExactMatrix._from_rows")}
+
+
+def test_only_the_listed_trusted_constructors_skip_init():
+    found = {(module, where) for module, where, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "object"}
+    assert_listed(found, TRUSTED_CONSTRUCTORS, "trusted constructors")

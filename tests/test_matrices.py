@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistcap import complexes
+from twistcap import complexes, matrices
+from twistcap.errors import TwistcapError
 from twistcap.matrices import (ExactMatrix, SmithDecomposition, SmithSolver,
                                block_diag, inverse, kernel,
                                kernel_with_relations, smith_normal_form)
@@ -808,3 +809,79 @@ def test_every_constructor_gives_equal_and_equally_hashed_matrices(ring, data):
         assert M == built[0]
         assert hash(M) == hash(built[0])
         assert dense_view(M, r, c) == rows
+
+
+# Diagonal candidates per ring: canonical generators, entries that are not
+# canonical (negative, a non-canonical generator of an ideal, a non-unit
+# rational) and zeros, so that random picks give chains and non-chains.
+RECOGNITION_POOLS = {
+    Z: [0, 1, 1, 2, 2, 3, 4, 6, 12, -1, -2],
+    Q: [0, 1, 1, 1, 2, -1, Fraction(1, 2)],
+    Zmod(4): [0, 1, 2, 3],
+    Zmod(7): [0, 1, 1, 3],
+    Zmod(12): [0, 1, 2, 3, 4, 6, 5, 8, 10],
+    Zmod(30): [0, 1, 2, 3, 5, 6, 10, 15, 4, 7, 12],
+}
+
+
+def near_diagonal(rng, ring):
+    """Up to 4 x 4: a diagonal picked from the ring's pool, most often
+    sorted with zeros last, and sometimes one stray entry anywhere,
+    beyond the diagonal included."""
+    r, c = rng.randint(0, 4), rng.randint(0, 4)
+    diag = [rng.choice(RECOGNITION_POOLS[ring]) for _ in range(min(r, c))]
+    if rng.random() < 0.7:
+        diag.sort(key=lambda d: (d == 0, abs(d)))
+    rows = [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
+    if r and c and rng.random() < 0.3:
+        rows[rng.randrange(r)][rng.randrange(c)] = rng.choice([1, 2, -3])
+    return ExactMatrix(ring, rows)
+
+
+@pytest.mark.parametrize("ring", list(RECOGNITION_POOLS), ids=str)
+def test_a_matrix_is_recognised_as_its_own_smith_form_iff_nothing_moves(ring):
+    rng = random.Random(f"own-smith-form {ring}")
+    recognised = 0
+    for _ in range(1500):
+        A = near_diagonal(rng, ring)
+        snf = smith_normal_form(A)
+        untouched = (not snf.row_log and not snf.col_log and not snf.scales
+                     and not snf.units and snf.phys == tuple(range(A.cols))
+                     and snf.D == A)
+        assert matrices._is_own_smith_form(A) == untouched, A.data
+        if untouched:
+            recognised += 1
+            own = SmithDecomposition._of_diagonal(A)
+            for field in ("D", "u_det", "v_det", "row_log", "col_log", "phys",
+                          "scales", "units", "kernel_positions"):
+                assert getattr(own, field) == getattr(snf, field), field
+            assert SmithSolver(A).snf.D is A
+    assert 300 < recognised < 1200
+
+
+@pytest.mark.parametrize("ring,rows", [
+    (Z, [[Fraction(1, 2), 2]]),      # would truncate to 0
+    (Z, [[2.7]]),                    # a float, would truncate to 2
+    (Z, [["x"]]),
+    (Zmod(5), [[Fraction(7, 2)]]),   # would truncate to 3, not 7 * 2^-1
+    (Zmod(5), [[1.0]]),
+    (Q, [[0.5]]),
+    (Q, [[1, None]]),
+], ids=str)
+def test_the_dense_constructor_refuses_inexact_entries(ring, rows):
+    with pytest.raises(TwistcapError, match="not exact"):
+        ExactMatrix(ring, rows)
+
+
+def test_the_dense_constructor_keeps_exact_entries():
+    assert ExactMatrix(Z, [[Fraction(4, 2), -3]]).sparse_rows == ({0: 2, 1: -3},)
+    assert ExactMatrix(Zmod(5), [[7, Fraction(10, 5)]]).sparse_rows == (
+        {0: 2, 1: 2},)
+    assert ExactMatrix(Q, [[Fraction(1, 2), Fraction(4, 2)]]).sparse_rows == (
+        {0: Fraction(1, 2), 1: 2},)
+
+
+@pytest.mark.parametrize("stack", [ExactMatrix.hstack, ExactMatrix.vstack])
+def test_stacking_no_blocks_is_refused(stack):
+    with pytest.raises(TwistcapError, match="no blocks"):
+        stack([])
