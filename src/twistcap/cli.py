@@ -22,11 +22,9 @@ import sys
 
 from . import acceptance
 from .cap import verify_duality
-from .chains import fundamental_class_direct, homology
 from .complexes import (BUILTIN_NAMES, dumps_complex, facet_components,
                         load_complex, memo, named_complex, validate)
-from .covers import (build_double_cover, fundamental_class_via_cover,
-                     lemma1_check)
+from .covers import build_double_cover
 from .errors import CheckFailed, TwistcapError, UnknownName
 from .localsystems import (MAX_RANK, constant_system, dumps_local_system,
                            is_trivializable, load_local_system,
@@ -237,54 +235,19 @@ def _cmd_orientation(args):
     return rep.finish()
 
 
-def _cmd_fundamental_class(args):
+def _cmd_rows(driver, args):
+    """Print the rows of the battery's `driver` on one complex over one
+    ring: a row whose second cell is a bool is a check, any other row is
+    printed as it is."""
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
-    rep = Report(args, "fundamental-class", complex=name,
-                 complex_digest=digest, ring=ring)
-    nu = fundamental_class_direct(cx, ring)
-    pres = homology(cx, nu.system, cx.dimension)
-    coords = pres.class_vector(nu.chain)
-    rep.row("H_n(M; M_R)", pres.module)
-    rep.check("direct_cycle", coords is not None)
-    rep.check("generates", pres.module.generates(coords))
-    if ring.two_is_nonzero:
-        via = fundamental_class_via_cover(cx, ring)
-        other = pres.class_vector(via.chain)
-        rep.check("via_cover_agrees", pres.module.classes_equal(coords, other),
-                  "Lemma 2 route equals the direct construction")
-    else:
-        rep.row("via_cover_agrees", "skipped", "ring has 2 = 0")
-    return rep.finish()
-
-
-def _cmd_lemma1(args):
-    cx, name, digest = _resolve_complex(args.complex)
-    ring = parse_ring(args.ring)
-    rep = Report(args, "lemma1", complex=name, complex_digest=digest, ring=ring)
-    cover = build_double_cover(cx, orientation_system(cx, ring))
-    rep.check("deck_reverses_orientation", lemma1_check(cover, ring),
-              "Lemma 1: tau(z) = -z on the chosen orientation cycle")
-    return rep.finish()
-
-
-def _cmd_lemma2(args):
-    cx, name, digest = _resolve_complex(args.complex)
-    ring = parse_ring(args.ring)
-    rep = Report(args, "lemma2", complex=name, complex_digest=digest, ring=ring)
-    for row in acceptance.lemma2_rows(cx, ring):
-        rep.check(*row)
-    return rep.finish()
-
-
-def _cmd_phi_check(args):
-    cx, name, digest = _resolve_complex(args.complex)
-    ring = parse_ring(args.ring)
-    rep = Report(args, "phi-check", complex=name, complex_digest=digest,
+    rep = Report(args, args.command, complex=name, complex_digest=digest,
                  ring=ring)
-    cover = build_double_cover(cx, orientation_system(cx, ring))
-    for row in acceptance.phi_rows(cover, ring):
-        rep.check(*row)
+    for row in driver(cx, ring):
+        if isinstance(row[1], bool):
+            rep.check(*row)
+        else:
+            rep.row(*row)
     return rep.finish()
 
 
@@ -358,10 +321,11 @@ def _cmd_corpus_all(args):
 _HANDLERS = {
     "validate": _cmd_validate,
     "orientation": _cmd_orientation,
-    "fundamental-class": _cmd_fundamental_class,
-    "lemma1": _cmd_lemma1,
-    "lemma2": _cmd_lemma2,
-    "phi-check": _cmd_phi_check,
+    "fundamental-class": functools.partial(
+        _cmd_rows, acceptance.fundamental_class_rows),
+    "lemma1": functools.partial(_cmd_rows, acceptance.lemma1_rows),
+    "lemma2": functools.partial(_cmd_rows, acceptance.lemma2_rows),
+    "phi-check": functools.partial(_cmd_rows, acceptance.phi_rows),
     "cap-identity": _cmd_cap_identity,
     "verify-duality": _cmd_verify_duality,
     "check-mv": _cmd_check_mv,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import attrgetter
 
 from .errors import (ComplexFormatError, DisconnectedStar, NotInStar,
@@ -397,23 +397,13 @@ class Subcomplex:
 
     def union(self, other: "Subcomplex") -> "Subcomplex":
         self._check(other)
-        out = Subcomplex.__new__(Subcomplex)
-        out._ambient = self._ambient
-        keys = set(self._faces) | set(other._faces)
-        out._faces = {k: self.faces(k) | other.faces(k) for k in keys}
-        return out
+        return Subcomplex(self.ambient, chain(*self._faces.values(),
+                                              *other._faces.values()))
 
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         self._check(other)
-        out = Subcomplex.__new__(Subcomplex)
-        out._ambient = self._ambient
-        faces = {}
-        for k in set(self._faces) & set(other._faces):
-            common = self.faces(k) & other.faces(k)
-            if common:
-                faces[k] = common
-        out._faces = faces
-        return out
+        return Subcomplex(self.ambient, [f for k in self._faces
+                                         for f in self.faces(k) & other.faces(k)])
 
     def issubset(self, other: "Subcomplex") -> bool:
         return all(self.faces(k) <= other.faces(k) for k in self._faces)
@@ -440,10 +430,7 @@ class Subcomplex:
 
 
 def empty_subcomplex(ambient) -> Subcomplex:
-    s = Subcomplex.__new__(Subcomplex)
-    s.ambient = ambient
-    s._faces = {}
-    return s
+    return Subcomplex(ambient, ())
 
 
 def whole_subcomplex(ambient) -> Subcomplex:

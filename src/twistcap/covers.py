@@ -20,7 +20,10 @@ and the exactness of their two sequences (the splitting lemma's identities
 R i = 1, p = j P, P s = 1, i R + s P = 1), the identification phi of the
 antisymmetric complex with the twisted chains of the base (the antisymmetric
 inclusion is a chain map; both checks are products and factor nothing), and
-the fundamental class pushed through it.
+the fundamental class pushed through it.  The orientation double cover of
+a complex is `orientation_cover(M)`, the cover of its integer orientation
+character; Lemmas 1 and 2, phi and the fundamental class through the cover
+read it over every ring, so a complex has one.
 
 Memoized (`complexes.memo`): the cover on its sign system; its orientation,
 sign systems and +/- splittings (one per ring and K) on the cover; the
@@ -42,7 +45,7 @@ from .fpmodules import ModuleMap, induced_map
 from .localsystems import (LocalSystem, constant_system, orientation_system,
                            sign_system, validate_flatness)
 from .matrices import ExactMatrix, _transpose
-from .rings import RingSpec
+from .rings import RingSpec, Z
 
 
 def _perm_parity(seq) -> int:
@@ -426,9 +429,17 @@ def cover_sign_system(cover, ring) -> LocalSystem:
 # Lemma 2 and the fundamental class through the cover
 # ---------------------------------------------------------------------------
 
+def orientation_cover(M) -> DoubleCover:
+    """The orientation double cover of M, the cover of its integer
+    orientation character over every ring (over Z/2 the ring's own
+    orientation system is constant, its cover two copies of M); one per
+    complex, as the system and the cover are memoized."""
+    return build_double_cover(M, orientation_system(M, Z))
+
+
 def _orientation_cover_cycle(M, ring):
     """The orientation double cover of M and its chosen orientation cycle."""
-    cover = build_double_cover(M, orientation_system(M, ring))
+    cover = orientation_cover(M)
     return cover, orient_cover(cover).cycle_vector(ring)
 
 
@@ -475,4 +486,5 @@ def fundamental_class_via_cover(M, ring) -> FundamentalClassData:
     for facet in M.faces(n):
         rep = cover.canonical_lift(facet)
         vec.append(ring.normalize(projection_parity(cover, rep) * z[idx_total[rep]]))
-    return FundamentalClassData(M, ring, cover.cocycle, tuple(vec))
+    return FundamentalClassData(M, ring, orientation_system(M, ring),
+                                tuple(vec))

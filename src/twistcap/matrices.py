@@ -148,18 +148,15 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, ring, columns, rows):
-        """Build from an iterable of length-`rows` columns of normalized
-        entries; a column of any other length is an error."""
-        out = [{} for _ in range(rows)]
-        cols = 0
-        for j, col in enumerate(columns):
-            cols = j + 1
-            if len(col) != rows:
-                raise TwistcapError("vector length mismatch")
-            for i, x in enumerate(col):
-                if x:
-                    out[i][j] = x
-        return cls._from_rows(ring, out, cols)
+        """Build from an iterable of length-`rows` columns through the dense
+        constructor, which refuses an entry not exact in the ring and
+        normalizes the rest; a column of any other length is an error."""
+        columns = list(columns)
+        if any(len(col) != rows for col in columns):
+            raise TwistcapError("vector length mismatch")
+        if not rows or not columns:
+            return cls.zeros(ring, rows, len(columns))
+        return cls(ring, zip(*columns))
 
     def shared(self) -> ExactMatrix:
         """This matrix with each empty row and each row holding a single +-1

@@ -516,10 +516,14 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
         column."""
         if rng is None or k == 0:
             return pres.cycles
-        length = pc.length(k - 1)
-        noise = ExactMatrix.from_columns(
-            ring, [[ring.from_int(rng.randint(-2, 2)) for _ in range(length)]
-                   for _ in range(pres.cycles.cols)], length)
+        length, cols = pc.length(k - 1), pres.cycles.cols
+        rows = [{} for _ in range(length)]
+        for j in range(cols):
+            for row in rows:
+                x = ring.from_int(rng.randint(-2, 2))
+                if x:
+                    row[j] = x
+        noise = ExactMatrix._from_rows(ring, rows, cols)
         return pres.cycles + pc.coboundary(k - 1) @ noise
 
     # the first node's cap rung; the connecting block of degree k reads k + 1

@@ -619,15 +619,14 @@ def test_mv_spaces_die_with_their_system():
 
 def test_phi_rows_build_each_splitting_once(monkeypatch):
     M = fresh("klein")
-    cover = build_double_cover(M, orientation_system(M, Z))
     built = count_calls(monkeypatch, covers, "deck_chain_matrix")
-    rows = list(phi_rows(cover, Z))
+    rows = list(phi_rows(M, Z))
     assert all(ok for _, ok, _ in rows)
     assert len(built) == 6   # 3 degrees for each of the 2 K choices
     # a second call reads the splittings and their verdicts off the cover
     del built[:]
     calls = count_factorizations(monkeypatch)
-    assert list(phi_rows(cover, Z)) == rows
+    assert list(phi_rows(M, Z)) == rows
     assert built == [] and calls == []
 
 

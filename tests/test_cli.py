@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from twistcap import chains, cli, covers, fpmodules, mv
+from twistcap import acceptance, chains, cli, covers, fpmodules, mv
 from twistcap.cli import main
-from twistcap.complexes import (SimplicialComplex, _grid_klein, _grid_torus,
-                                dumps_complex, validate)
+from twistcap.complexes import (BUILTIN_NAMES, SimplicialComplex, _grid_klein,
+                                _grid_torus, dumps_complex, validate)
 from twistcap.localsystems import constant_system
 from twistcap.matrices import ExactMatrix
 
@@ -165,6 +165,31 @@ def test_orientation_subcommand(capsys):
     assert code == 0
     assert "orientable\tTrue" in out
     assert "cover_components\t2" in out
+
+
+@pytest.mark.parametrize("name, ring, orientable, components", [
+    ("rp2", "Z/2", "True", "2"), ("klein", "Z/2", "True", "2"),
+    ("rp2", "Z", "False", "1"), ("klein", "Z", "False", "1")])
+def test_orientation_reports_the_rings_own_system(capsys, name, ring,
+                                                  orientable, components):
+    # a census of R-orientability: over Z/2 every complex is orientable,
+    # and the cover of its constant orientation system is two copies
+    code, out, _ = run(capsys, "orientation", "--complex", name,
+                       "--ring", ring)
+    assert code == 0
+    assert f"orientable\t{orientable}" in out
+    assert f"cover_components\t{components}" in out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("command", ["lemma1", "lemma2"])
+def test_cover_lemmas_pass_over_z2(capsys, command, name):
+    # the cover checks read the cover of the integer orientation character,
+    # whatever the ring
+    code, out, err = run(capsys, command, "--complex", name, "--ring", "Z/2")
+    assert code == 0 and err == ""
+    rows = [ln.split("\t") for ln in out.splitlines() if ln[0] != "#"]
+    assert rows and all(row[1] == "ok" for row in rows)
 
 
 def test_complex_file_roundtrip_through_cli(tmp_path, capsys):
@@ -343,7 +368,8 @@ def test_fundamental_cycle_failure_exits_1(monkeypatch, capsys):
         return chains.fundamental_class_direct(cx, ring,
                                                constant_system(cx, ring))
 
-    monkeypatch.setattr(cli, "fundamental_class_direct", direct_over_constant)
+    monkeypatch.setattr(acceptance, "fundamental_class_direct",
+                        direct_over_constant)
     assert_check_failure(capsys, "NotAFundamentalCycle",
                          ["fundamental-class", "--complex", "rp2"])
 

@@ -8,8 +8,8 @@ from twistcap.covers import (CoverOrientation, DegreeSplit, DoubleCover,
                              SplitMaps, _check_cover_invariants,
                              build_double_cover, check_split_exactness,
                              cover_chains, deck_chain_matrix, lemma1_check,
-                             lemma2_check, orient_cover, phi_identify,
-                             split_maps)
+                             lemma2_check, orient_cover, orientation_cover,
+                             phi_identify, split_maps)
 from twistcap.errors import IncoherentCover, NotSignSystem, TwoIsZero
 from twistcap.localsystems import (constant_system, is_trivializable,
                                    orientation_system)
@@ -70,6 +70,34 @@ def test_connectivity_matches_orientability():
         c = build_double_cover(M, omega)
         trivial, _ = is_trivializable(omega)
         assert (components(c.total) == 2) == trivial
+
+
+def test_the_orientation_cover_is_one_object_per_complex():
+    M = corpus("klein")
+    assert orientation_cover(M) is orientation_cover(M)
+    assert orientation_cover(M) is build_double_cover(
+        M, orientation_system(M, Z))
+
+
+@pytest.mark.parametrize("ring", [Zmod(3), Q], ids=str)
+@pytest.mark.parametrize("name", ["sphere2", "rp2", "klein", "torus",
+                                  "sphere3"])
+def test_where_two_is_nonzero_the_ring_has_the_same_cover(name, ring):
+    M = corpus(name)
+    own = build_double_cover(M, orientation_system(M, ring))
+    cover = orientation_cover(M)
+    assert cover.total == own.total
+    assert cover.signs == own.signs
+
+
+@pytest.mark.parametrize("name", ["rp2", "klein"])
+def test_over_z2_the_orientation_cover_stays_connected(name):
+    # over Z/2 the ring's own orientation system is constant, and its cover
+    # is two copies of the base; the orientation cover is not
+    M = corpus(name)
+    assert components(orientation_cover(M).total) == 1
+    mod2 = build_double_cover(M, orientation_system(M, Zmod(2)))
+    assert components(mod2.total) == 2
 
 
 def test_reject_non_sign_systems():

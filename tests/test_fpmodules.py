@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -189,6 +190,15 @@ def test_vectors_of_the_wrong_length_are_rejected():
     for coords in ((0, 0), ()):
         with pytest.raises(TwistcapError, match="length mismatch"):
             pres.module.is_zero_class(coords)
+
+
+def test_class_questions_check_and_normalize_the_callers_coordinates():
+    mod5 = FPModule(Zmod(5), 1)
+    assert mod5.is_zero_class([5])
+    assert mod5.classes_equal([6], [1])
+    for coords in ([Fraction(1, 2)], [0.5]):
+        with pytest.raises(TwistcapError, match="not exact"):
+            FPModule(Z, 1).is_zero_class(coords)
 
 
 def test_a_map_is_zero_only_when_every_column_is():

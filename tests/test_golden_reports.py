@@ -12,7 +12,11 @@ degree-0 row, read their kernels off the relations of degree 1, not off
 their own (co)boundary, so their Smith bases and that row's certificate
 changed (667f8c2ec3d0 to 4afceb299f90), and nothing else in the report.  Every subcommand except
 corpus-all appears, over Z, Z/3, Q, Z/10007 and Z/1000003, with constant,
-orientation and random-flat systems.
+orientation and random-flat systems.  The Z/2 lemma2 digest was added when
+the cover checks came to read one orientation cover per complex, the cover
+of its integer orientation character, whatever the ring: until then the
+report was an exit-2 error, the cover of the constant Z/2 orientation
+system being two copies of the base.
 """
 
 import hashlib
@@ -38,6 +42,8 @@ GOLDEN = (
      "7f516066a21b69f44b07f003c0435e4c438d42c0730fa5fda942503cadf83604"),
     ("lemma2 --complex klein --ring Z/3", 0,
      "36f0c9c1db6c089c2af2afbb5bff22608f6b6bd890f0ec4cd66dcd681a2640d8"),
+    ("lemma2 --complex klein --ring Z/2", 0,
+     "79afd5b8b796fff64f0340273586e0ced26c45a11c4cb96e2e5076389dbcb916"),
     ("phi-check --complex rp2 --ring Z", 0,
      "12104c18b3baf4e77379c74cb70f31548eee499920119b4b219b83fb3e53b070"),
     ("cap-identity --complex torus --system random-flat --ring Q "

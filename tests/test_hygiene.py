@@ -38,10 +38,12 @@ distinct inputs, not with the checks a process runs.  The shared rows of
 kept matrices, ``_EMPTY_ROW`` and ``_UNIT_ROWS``, are named only in
 ``matrices.py``, and every call of ``.shared()``, the one way a matrix takes
 its rows from them, is in ``SHARED_ROW_SITES``, so each matrix that shares
-rows is one a memo keeps.  ``object.__new__``, which builds an object
-without its ``__init__``, is called only in ``TRUSTED_CONSTRUCTORS``
-(``ExactMatrix._from_rows``), so every other object is built by its one
-constructor, and a new trusted constructor fails until it is listed.
+rows is one a memo keeps.  A ``<name>.__new__(...)`` call, such as
+``object.__new__(cls)`` or ``Subcomplex.__new__(Subcomplex)``, which builds
+an object without its ``__init__``, is made only in
+``TRUSTED_CONSTRUCTORS`` (``ExactMatrix._from_rows``), so every other
+object is built by its one constructor, and a new trusted constructor fails
+until it is listed.
 """
 
 import ast
@@ -463,7 +465,7 @@ def test_every_shared_row_site_is_listed():
     assert_listed(found, SHARED_ROW_SITES, "shared-row sites")
 
 
-# (module, enclosing function) of every call of object.__new__: a trusted
+# (module, enclosing function) of every call of <name>.__new__: a trusted
 # constructor, which builds an object without its __init__
 TRUSTED_CONSTRUCTORS = {("matrices", "ExactMatrix._from_rows")}
 
@@ -473,6 +475,5 @@ def test_only_the_listed_trusted_constructors_skip_init():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "__new__"
-             and isinstance(node.func.value, ast.Name)
-             and node.func.value.id == "object"}
+             and isinstance(node.func.value, ast.Name)}
     assert_listed(found, TRUSTED_CONSTRUCTORS, "trusted constructors")

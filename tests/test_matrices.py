@@ -881,6 +881,18 @@ def test_the_dense_constructor_keeps_exact_entries():
         {0: Fraction(1, 2), 1: 2},)
 
 
+def test_from_columns_goes_through_the_dense_constructor():
+    assert ExactMatrix.from_columns(Zmod(5), [(5, 6)], 2).sparse_rows == (
+        {}, {0: 1})
+    for entry in (Fraction(1, 2), 0.5):
+        with pytest.raises(TwistcapError, match="not exact"):
+            ExactMatrix.from_columns(Z, [(entry,)], 1)
+    no_rows = ExactMatrix.from_columns(Z, [(), ()], 0)
+    assert (no_rows.rows, no_rows.cols) == (0, 2)
+    no_columns = ExactMatrix.from_columns(Z, [], 3)
+    assert (no_columns.rows, no_columns.cols) == (3, 0)
+
+
 @pytest.mark.parametrize("stack", [ExactMatrix.hstack, ExactMatrix.vstack])
 def test_stacking_no_blocks_is_refused(stack):
     with pytest.raises(TwistcapError, match="no blocks"):

@@ -53,8 +53,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from twistcap import matrices  # noqa: E402
 from twistcap.cap import verify_duality  # noqa: E402
 from twistcap.complexes import _grid_klein, _grid_torus, validate  # noqa: E402
-from twistcap.covers import (build_double_cover,  # noqa: E402
-                             check_split_exactness, split_maps)
+from twistcap.covers import (check_split_exactness,  # noqa: E402
+                             orientation_cover, split_maps)
 from twistcap.localsystems import (constant_system,  # noqa: E402
                                    orientation_system)
 from twistcap.errors import TwistcapError  # noqa: E402
@@ -151,7 +151,7 @@ def run_split_case(surface, ring_name, n):
     RSS in MB and the verdict, tab-separated."""
     cx = SURFACES[surface](n, n)
     ring = parse_ring(ring_name)
-    cover = build_double_cover(cx, orientation_system(cx, ring))
+    cover = orientation_cover(cx)
     verdicts, seconds = _timed(
         lambda: check_split_exactness(split_maps(cover, ring)))
     verified = all(v["seq1"] and v["seq2"] for v in verdicts.values())
