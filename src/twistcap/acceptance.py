@@ -122,8 +122,14 @@ def lemma2_rows(M, ring):
 
 def phi_rows(M, ring):
     """Per K choice: sequences (1) and (2) exact in each degree, then phi a
-    boundary-commuting isomorphism, on the orientation cover of M."""
+    boundary-commuting isomorphism, on the orientation cover of M; where
+    2 = 0 in the ring, which the splitting needs invertible, one skipped
+    row per K choice."""
     cover = orientation_cover(M)
+    if not ring.two_is_nonzero:
+        for label, _ in _k_choices(M):
+            yield f"{label} phi", "skipped", "ring has 2 = 0"
+        return
     for label, K in _k_choices(M):
         phi = phi_identify(cover, ring, K)
         verdicts = check_split_exactness(phi.split)

@@ -15,10 +15,9 @@ complex's own faces and face index, and the relative ones over one cell set
 on the base under the cell set's content, whatever their system.  A
 PairComplex keeps its (co)boundary matrices and the presentations of its
 homology and cohomology, each kind built for every degree at once as a
-ladder that factors no boundary of its own, and a transfer matrix is kept
-by the MV spaces that ask for it, so both take their empty and +-1 unit
-rows from the shared rows of `matrices` (ExactMatrix.shared): a transfer
-has no other kind of row.
+ladder that factors no boundary of its own; both take their rows from the
+table of shared rows of the system (matrices.row_table), as the MV spaces
+do for the transfer matrices they keep.
 The direct, facet-by-facet construction of the twisted fundamental class
 lives here as well; the construction through the orientation double cover
 lives in `covers`, which builds on this module.
@@ -32,7 +31,7 @@ from .errors import (CheckFailed, FlatnessViolation, NotClosedPseudomanifold,
                      TwistcapError)
 from .fpmodules import HomologyPresentation, homology_presentation
 from .localsystems import LocalSystem, orientation_system, validate_flatness
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, row_table
 
 
 class NotAFundamentalCycle(CheckFailed):
@@ -150,7 +149,8 @@ class PairComplex:
                     sign = ring.from_int(-1 if i % 2 else 1)
                     for a in range(r):
                         data[row + a][col + a] = sign
-        return ExactMatrix._from_rows(ring, data, len(cols) * r).shared()
+        return ExactMatrix._from_rows(ring, data, len(cols) * r).shared(
+            row_table(self.system))
 
     def verify_squares(self):
         """d o d = 0 and delta o delta = 0 in every degree."""
@@ -192,10 +192,10 @@ class PairComplex:
             return homology_presentation(d_out(k + step), d_out(k))
 
         def build():
-            rung = [None]
+            rung, table = [None], row_table(self.system)
             degrees = range(n + 1) if step > 0 else range(n, -1, -1)
             presented = {j: homology_presentation(d_out(j + step), d_out(j),
-                                                  rung=rung)
+                                                  rung=rung, table=table)
                          for j in degrees}
             return tuple(presented[j] for j in range(n + 1))
         return memo(self, kind, build)[k]
@@ -238,6 +238,7 @@ def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
     Covers inclusion of a subcomplex pair into a larger one and quotient
     projections alike: coordinates present on both sides map by the identity,
     everything else to zero.  Both sides must share base, system and ring.
+    A memo that keeps the matrix shares its rows (mv._MVSpaces.transfer).
     """
     if src.system is not dst.system and (src.base != dst.base
                                          or src.rank != dst.rank
@@ -253,7 +254,7 @@ def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
             continue
         for a in range(r):
             data[pos * r + a][j * r + a] = ring.one
-    return ExactMatrix._from_rows(ring, data, src.length(k)).shared()
+    return ExactMatrix._from_rows(ring, data, src.length(k))
 
 
 # ---------------------------------------------------------------------------

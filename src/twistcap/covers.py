@@ -27,11 +27,13 @@ read it over every ring, so a complex has one.
 
 Memoized (`complexes.memo`): the cover on its sign system; its orientation,
 sign systems and +/- splittings (one per ring and K) on the cover; the
-exactness verdicts of a splitting on the splitting.  A cover holds its
-base and its sign system weakly, and its orientation and splittings hold
-the cover weakly (`complexes.weak`), so none of them keeps alive what it
-is memoized on.  Sheet lifts are computed on every ask: a lift costs
-little more than a lookup.
+exactness verdicts of a splitting on the splitting.  The cover and its
+total space take the table of shared rows of the sign system
+(matrices.row_table), and so do the splittings and the systems on either.
+A cover holds its base and its sign system weakly, and its orientation and
+splittings hold the cover weakly (`complexes.weak`), so none of them keeps
+alive what it is memoized on.  Sheet lifts are computed on every ask: a
+lift costs little more than a lookup.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .complexes import (FullSubcomplex, SimplicialComplex, memo,
                         ridge_sign_walk, star_signs, validate, weak)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import ModuleMap, induced_map
-from .localsystems import (LocalSystem, constant_system, orientation_system,
-                           sign_system, validate_flatness)
-from .matrices import ExactMatrix, _transpose
+from .localsystems import (LocalSystem, _kept_on, constant_system,
+                           orientation_system, sign_system, validate_flatness)
+from .matrices import ExactMatrix, _transpose, row_table
 from .rings import RingSpec, Z
 
 
@@ -134,6 +136,8 @@ def _build_double_cover(M, omega) -> DoubleCover:
     projection = tuple(v % n for v in range(2 * n))
     deck = tuple((v + n) % (2 * n) for v in range(2 * n))
     cover = DoubleCover(M, total, projection, deck, omega, signs)
+    row_table(cover, omega)
+    row_table(total, omega)
     _check_cover_invariants(cover)
     return cover
 
@@ -318,12 +322,13 @@ def _build_split_maps(cover, ring, K) -> SplitMaps:
     base = cover.base
     base_pc_space = pair_complex(base, constant_system(base, ring),
                                  killed=relative_killed(base, K))
+    table = row_table(cover)
     degrees = {}
     for k in range(base.dimension + 1):
         tau = deck_chain_matrix(cover, ring, k, total_pc)
         ident = ExactMatrix.identity(ring, total_pc.length(k))
-        sigma = ident + tau
-        delta = ident - tau
+        sigma = (ident + tau).shared(table)
+        delta = (ident - tau).shared(table)
         idx = total_pc.index(k)
         plus_rows = [{} for _ in range(total_pc.length(k))]
         minus_rows = [{} for _ in range(total_pc.length(k))]
@@ -338,9 +343,9 @@ def _build_split_maps(cover, ring, K) -> SplitMaps:
             minus_rows[idx[rep]][j] = ring.from_int(parity)
             minus_rows[idx[other]][j] = ring.from_int(-parity * eps)
         incl_plus = ExactMatrix._from_rows(
-            ring, plus_rows, len(orbit_bases)).shared()
+            ring, plus_rows, len(orbit_bases)).shared(table)
         incl_minus = ExactMatrix._from_rows(
-            ring, minus_rows, len(orbit_bases)).shared()
+            ring, minus_rows, len(orbit_bases)).shared(table)
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
                                  tuple(orbit_bases))
     return SplitMaps(cover, ring, K, degrees)
@@ -422,7 +427,8 @@ def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:
 def cover_sign_system(cover, ring) -> LocalSystem:
     """The defining sign cocycle of the cover, over the requested ring."""
     return memo(cover, ("sign_system", ring),
-                lambda: sign_system(cover.base, ring, cover.signs))
+                lambda: _kept_on(cover, sign_system(cover.base, ring,
+                                                    cover.signs)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ and columns it drops.  A kernel row that is a unit vector e_c is kept as
 its column c, and selects row c of the chains.
 Each pair complex memoizes the presentations of every degree as one, so a
 presentation is built once for as long as its complex lives; a lone call
-presents afresh.  Its generator chains and coordinate map take their empty
-and +-1 unit rows from the shared rows of `matrices` (ExactMatrix.shared).
+presents afresh.  The generator chains and coordinate map of a kept
+presentation take their rows from its system's table of shared rows
+(`table`, matrices.row_table).
 
 Each question about a presented module is asked one way, of a matrix:
 class_matrix is the one route from chains to classes (None unless every
@@ -233,7 +234,8 @@ def _smith_form(A: ExactMatrix):
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix,
-                          rung: list | None = None) -> HomologyPresentation:
+                          rung: list | None = None,
+                          table: dict | None = None) -> HomologyPresentation:
     """ker(d_out) / im(d_in) as a presented module with cycle lifts.
 
     d_out is factored, U_out @ d_out @ V_out == D_out, unless `rung` hands
@@ -260,6 +262,10 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix,
     Krel is empty and K has a left inverse, the kernel rows of V_out^-1, so
     d_in = K @ X gives ker d_in = ker X = ker R: R's factorization is one
     of the next degree's d_out, d_in here.  Nothing else keeps it.
+
+    `table`, for a presentation a memo keeps, is the table of shared rows of
+    the memo's owner (matrices.row_table), which the generator chains and
+    the coordinate map take their rows from.
     """
     if d_in.ring != d_out.ring:
         raise TwistcapError("boundary matrices over different rings")
@@ -296,9 +302,10 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix,
             c = ring.normalize(a * w)
             if c:
                 combos[j][g] = c
-    cycles = out_snf.v_apply(
-        ExactMatrix._from_rows(ring, combos, len(kept))).shared()
-    coords = snf.u_rows(kept).shared()
+    cycles = out_snf.v_apply(ExactMatrix._from_rows(ring, combos, len(kept)))
+    coords = snf.u_rows(kept)
+    if table is not None:
+        cycles, coords = cycles.shared(table), coords.shared(table)
     if rung is not None:
         rung[0] = snf if all(a == ring.one for a in divisors) else None
     return HomologyPresentation(module, cycles, kernel_rows, divisors, coords,

@@ -26,10 +26,20 @@ flat systems, one per distinct (ring, rank, seed), a system read from a file
 product on its first factor, and a system's square G (x) G under no key
 naming G; whether a system is the unit, and its path transports, on the
 system.  A system holds its base weakly (`complexes.weak`), so the caller
-keeps the complex alive while using the system.  A system's transports and
-path transports take their empty and +-1 unit rows from the shared rows of
-`matrices` (ExactMatrix.shared), once per distinct matrix object; a
-transport with no row to share is kept as the object given.
+keeps the complex alive while using the system.
+
+A memoized system takes the table of shared rows (matrices.row_table) of
+what its memo hangs on: a system memoized on its complex, and everything
+memoized under it (its path transports, tensor products, pair complexes,
+presentations, covers and MV spaces), takes the complex's, so equal rows of
+the kept matrices of every system and ring on one complex are one dict.
+Any other system, such as one that sign_system, gauge_transform or
+LocalSystem builds when called directly, has a table of its own, which dies
+with it, so a lasting complex keeps nothing of a passing system.  The
+transports a constructor computes, the gauged ones of random_flat_system
+and the Kronecker products of a tensor, take their rows from the table the
+system takes, and gauge_transform's share their rows among themselves; a
+transport passed in is kept as the object given.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -44,7 +54,7 @@ from fractions import Fraction
 from .complexes import SimplicialComplex, memo, star_signs, validate, weak
 from .errors import (BaseMismatch, NotClosedPseudomanifold, RingMismatch,
                      SystemFormatError, TwistcapError)
-from .matrices import ExactMatrix, inverse, kernel
+from .matrices import ExactMatrix, inverse, kernel, row_table
 from .rings import Q, RingSpec, Zmod, parse_ring
 
 # the largest rank a user may ask for, far above the corpus's, the tests'
@@ -67,9 +77,9 @@ class LocalSystem:
         edges = set(base.faces(1))
         ident = ExactMatrix.identity(ring, rank)
         cleaned, reverse = {}, {}
-        # (id(transport), id(reverse given)) -> (shared transport, its
-        # reverse or None, the two given): one share and one inverse or check
-        # per distinct pair; the given matrices stay alive, so ids are stable
+        # (id(transport), id(reverse given)) -> its reverse, or None where
+        # it has none: one inverse or check per distinct pair; the given
+        # matrices stay alive, so ids are stable
         pairs = {}
         for edge, mat in transport.items():
             e = tuple(edge)
@@ -78,22 +88,18 @@ class LocalSystem:
             if mat.ring != ring or mat.rows != rank or mat.cols != rank:
                 raise TwistcapError(f"transport at {e} has wrong shape or ring")
             given = None if known_reverse is None else known_reverse[e]
-            entry = pairs.get((id(mat), id(given)))
-            if entry is None:
-                fwd = mat.shared()
+            key = (id(mat), id(given))
+            if key not in pairs:
                 if given is None:
                     try:
-                        rev = inverse(fwd).shared()
+                        pairs[key] = inverse(mat)
                     except TwistcapError:
-                        rev = None
+                        pairs[key] = None
                 else:
                     # a one-sided inverse of a square matrix over a
                     # commutative ring is two-sided
-                    rev = fwd if given is mat else given.shared()
-                    if fwd @ rev != ident:
-                        rev = None
-                entry = pairs[id(mat), id(given)] = (fwd, rev, mat, given)
-            mat, rev = entry[:2]
+                    pairs[key] = given if mat @ given == ident else None
+            rev = pairs[key]
             if rev is None:
                 raise TwistcapError(f"transport at {e} is not invertible")
             reverse[e] = rev
@@ -129,7 +135,7 @@ class LocalSystem:
             out = self.transport(path[0], path[1])
             for u, v in zip(path[1:], path[2:]):
                 out = out @ self.transport(u, v)
-            return out.shared()
+            return out.shared(row_table(self))
         return memo(self, ("path", path), build)
 
     def edge_items(self):
@@ -158,9 +164,16 @@ class LocalSystem:
         return f"LocalSystem(rank={self.rank}, ring={self.ring})"
 
 
+def _kept_on(keeper, system: LocalSystem) -> LocalSystem:
+    """`system`, which a memo of `keeper` keeps, given keeper's table of
+    shared rows (matrices.row_table) before anything reads its own."""
+    row_table(system, keeper)
+    return system
+
+
 def constant_system(base, ring, rank=1) -> LocalSystem:
     return memo(base, ("constant_system", ring, rank),
-                lambda: LocalSystem(base, ring, rank, {}))
+                lambda: _kept_on(base, LocalSystem(base, ring, rank, {})))
 
 
 def validate_flatness(system: LocalSystem):
@@ -202,7 +215,7 @@ def orientation_system(base, ring) -> LocalSystem:
             facet = next(f for f in stars[u] if v in f)
             signs[(u, v)] = (star_signs(base, u)[facet]
                              * star_signs(base, v)[facet])
-        return sign_system(base, ring, signs)
+        return _kept_on(base, sign_system(base, ring, signs))
     return memo(base, ("orientation_system", ring), build)
 
 
@@ -228,6 +241,7 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
     def build():
         one = G.ring.one
         edges = base.faces(1)
+        table = row_table(G)
         # (id(a), id(b)) -> a (x) b, one per distinct pair; the factors
         # outlive the build, so their ids are stable
         products = {}
@@ -240,12 +254,12 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
                 elif b.rows == 1 and b.entry(0, 0) == one:
                     products[key] = a
                 else:
-                    products[key] = a.kron(b)
+                    products[key] = a.kron(b).shared(table)
             return products[key]
         transport = {e: kron(G._transport[e], Gp._transport[e]) for e in edges}
         reverse = {e: kron(G._reverse[e], Gp._reverse[e]) for e in edges}
-        return LocalSystem(base, G.ring, G.rank * Gp.rank, transport,
-                           reverse)
+        return _kept_on(G, LocalSystem(base, G.ring, G.rank * Gp.rank,
+                                       transport, reverse))
     # G (x) G is keyed without G, so that G's memo names nothing that holds G
     return memo(G, ("tensor", None if Gp is G else Gp), build)
 
@@ -259,18 +273,18 @@ def holonomy(system: LocalSystem, loop) -> ExactMatrix:
 
 
 def _conjugated(base, ring, rank, transport: dict, reverse: dict,
-                gauge: dict) -> LocalSystem:
+                gauge: dict, table: dict) -> LocalSystem:
     """The system with transports g_u^{-1} @ T[u<-v] @ g_v, built with their
-    reverses g_v^{-1} @ T^{-1} @ g_u from the given reverses.  `gauge` maps
-    a vertex to the pair (g, g^{-1}); a vertex missing from it keeps its
-    fiber basis."""
+    reverses g_v^{-1} @ T^{-1} @ g_u from the given reverses, which take
+    their rows from `table`.  `gauge` maps a vertex to the pair
+    (g, g^{-1}); a vertex missing from it keeps its fiber basis."""
     ident = ExactMatrix.identity(ring, rank)
     kept = (ident, ident)
     conj, rev = {}, {}
     for (u, v), mat in transport.items():
         (g_u, inv_u), (g_v, inv_v) = gauge.get(u, kept), gauge.get(v, kept)
-        conj[(u, v)] = inv_u @ mat @ g_v
-        rev[(u, v)] = inv_v @ reverse[(u, v)] @ g_u
+        conj[(u, v)] = (inv_u @ mat @ g_v).shared(table)
+        rev[(u, v)] = (inv_v @ reverse[(u, v)] @ g_u).shared(table)
     return LocalSystem(base, ring, rank, conj, rev)
 
 
@@ -279,7 +293,7 @@ def gauge_transform(system: LocalSystem, gauge: dict) -> LocalSystem:
     each g once."""
     return _conjugated(system.base, system.ring, system.rank,
                        system._transport, system._reverse,
-                       {v: (g, inverse(g)) for v, g in gauge.items()})
+                       {v: (g, inverse(g)) for v, g in gauge.items()}, {})
 
 
 def is_trivializable(system: LocalSystem):
@@ -369,14 +383,15 @@ def random_flat_system(base, ring, rank, seed) -> LocalSystem:
         signs = [random_sign_cocycle(base, rng.randrange(2 ** 30))
                  for _ in range(rank)]
         if rank == 1:
-            return sign_system(base, ring, signs[0])
+            return _kept_on(base, sign_system(base, ring, signs[0]))
         transport = {e: ExactMatrix._from_rows(
                          ring, [{i: ring.from_int(signs[i][e])}
                                 for i in range(rank)], rank)
                      for e in base.faces(1)}
         gauge = {v: _random_gauge_matrix(ring, rank, rng)
                  for v in range(base.vertex_count)}
-        return _conjugated(base, ring, rank, transport, transport, gauge)
+        return _kept_on(base, _conjugated(base, ring, rank, transport,
+                                          transport, gauge, row_table(base)))
     return memo(base, ("random_flat_system", ring, rank, seed), build)
 
 
@@ -484,7 +499,7 @@ def load_local_system(path, base) -> LocalSystem:
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemFormatError(0, f"cannot read {path}: {exc}") from None
     return memo(base, ("load_local_system", text),
-                lambda: loads_local_system(text, base))
+                lambda: _kept_on(base, loads_local_system(text, base)))
 
 
 def dumps_local_system(system: LocalSystem) -> str:

@@ -11,8 +11,10 @@ stacking, Kronecker products, solves and the Smith form -- touches nonzeros
 only.  Rows are never mutated once a matrix holds them, so matrices built
 from others (vstack, block_diag, hstack where later blocks add nothing to a
 row, a presentation's coordinate rows, a product with a unit row {k: 1} on
-the left) share them, and the matrices that memos keep share one table of
-empty and +-1 unit rows (ExactMatrix.shared).  `.data` is a dense
+the left) share them, and a matrix that a memo keeps takes every row equal
+to one its owner's table holds from that table (ExactMatrix.shared,
+row_table), so equal rows of the kept matrices of one complex, over every
+system and ring on it, are one dict.  `.data` is a dense
 tuple-of-tuples view, built on each read and never stored, for the few
 readers that want every cell (certificate hashes, serialization); over Q it
 renders every cell as a Fraction.
@@ -61,14 +63,13 @@ from functools import cached_property
 from math import gcd
 from types import MappingProxyType
 
+from .complexes import memo
 from .errors import TwistcapError
 from .rings import RATIONALS, RingSpec
 
 
-# The rows that kept matrices share (ExactMatrix.shared): the empty row, and
-# the unit row {j: 1} or {j: -1} of each column j, made on its first ask.
+# The empty row of every zero matrix, diagonal relation and kept matrix.
 _EMPTY_ROW = {}
-_UNIT_ROWS = {}  # (j, 1) or (j, -1) -> the row {j: 1} or {j: -1}
 
 # The scales and units of every decomposition that has none to record.
 _NO_ENTRIES = MappingProxyType({})
@@ -80,17 +81,19 @@ class ExactMatrix:
     change after construction.
 
     Since no row changes, equal rows can be one object.  A matrix that a
-    memo keeps (identities, transfers, boundaries, a presentation's cycles
-    and coordinates, the split inclusions, system and path transports, and
-    the MV row maps, splittings, zig-zags and gluings) takes its empty rows
-    and its rows {j: 1} and {j: -1} from one process-wide table through
-    `shared`; these int rows are the canonical rows over Z and Q, and
-    {j: 1} over Z/m too.  The table holds at most two rows per column
-    index, so it grows with the widest kept matrix, never with the number
-    of checks.  Zero matrices and the diagonal relations of a presented
-    module take the table's empty row.  A product shares the rows of its
-    right factor where a row of the left is {k: 1}.  A transient matrix is
-    built with its own rows: `_from_rows` adds no work per row."""
+    memo keeps (boundaries, transfers, a presentation's cycles and
+    coordinates, the +/- splittings, computed system transports and path
+    transports, and the MV row maps, splittings, zig-zags and gluings)
+    takes its rows through `shared` from the table of the owner whose
+    memos keep it (`row_table`): a row equal to one the table holds is that
+    row, whatever the ring of the matrix that brought it, and the empty row
+    is `_EMPTY_ROW`.  A table holds only rows of matrices kept on its
+    owner, so it grows with the distinct inputs asked about, never with the
+    number of checks, and dies with its owner.  Zero matrices and the
+    diagonal relations of a presented module take the empty row too.  A
+    product shares the rows of its right factor where a row of the left is
+    {k: 1}.  A transient matrix is built with its own rows: `_from_rows`
+    adds no work per row."""
 
     __slots__ = ("ring", "rows", "cols", "sparse_rows")
 
@@ -136,7 +139,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls._from_rows(ring, [{i: 1} for i in range(n)], n).shared()
+        return cls._from_rows(ring, [{i: 1} for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, ring, rows, entries):
@@ -158,22 +161,23 @@ class ExactMatrix:
             return cls.zeros(ring, rows, len(columns))
         return cls(ring, zip(*columns))
 
-    def shared(self) -> ExactMatrix:
-        """This matrix with each empty row and each row holding a single +-1
-        taken from the process-wide table of shared rows, for a matrix that
-        a memo keeps; the matrix itself when that changes no row."""
+    def shared(self, table: dict) -> ExactMatrix:
+        """This matrix, for a memo to keep, with each row equal to a row of
+        `table` (the `row_table` of the memo's owner) taken from it, and
+        each empty row `_EMPTY_ROW`; the matrix itself when that changes no
+        row.  The table maps the hash of a row's items to the first row it
+        took under that hash, so a row whose hash collides with an unequal
+        row's stays as it is."""
         rows = []
         changed = False
+        take = table.setdefault
         for old in self.sparse_rows:
-            row = old
-            if not row:
+            if old:
+                row = take(hash(frozenset(old.items())), old)
+                if row is not old and row != old:
+                    row = old
+            else:
                 row = _EMPTY_ROW
-            elif len(row) == 1:
-                item, = row.items()
-                if item[1] == 1 or item[1] == -1:
-                    row = _UNIT_ROWS.get(item)
-                    if row is None:
-                        row = _UNIT_ROWS[item] = dict((item,))
             changed = changed or row is not old
             rows.append(row)
         if not changed:
@@ -373,6 +377,19 @@ class ExactMatrix:
             raise TwistcapError("vstack mismatch")
         return cls._from_rows(ring, [row for b in blocks
                                      for row in b.sparse_rows], cols)
+
+
+def row_table(owner, keeper=None) -> dict:
+    """The table of shared rows of `owner`, a complex, system or cover,
+    memoized on it, that the matrices its memos keep take their rows from
+    (ExactMatrix.shared): the table of `keeper` when a memo of `keeper`
+    keeps `owner`, else a table of its own, which dies with it.  The first
+    ask decides, so an owner that a memo keeps is given its keeper as it is
+    built, before anything reads its table.  So everything that lives as
+    long as a complex shares the complex's table, and a passing system
+    leaves nothing in it."""
+    return memo(owner, "rows",
+                dict if keeper is None else lambda: row_table(keeper))
 
 
 def block_diag(ring, blocks) -> ExactMatrix:

@@ -24,13 +24,14 @@ Memoized (`complexes.memo`): the built-in covers and diagram
 configurations, and the two covers of a diagram, on their complex, which
 lasts for the process; the MV spaces on their system, keyed by the cover's
 pieces, so equal covers share them and they die with the system; the
-transfers, row maps, splittings, zig-zags and gluings on the spaces, and
-each sequence's induced maps, direct sums and end maps too, keyed by the
-presentations they are induced between.  Each map owns the factorization of
-its image.  The connecting maps with their escape and overlap checks,
-exactness at every node, the splitting identity and the diagram's squares
-are computed again on every call from these pieces, so a fault in any of
-them shows on a repeated check too.
+transfers, row maps, splittings, zig-zags and gluings on the spaces, which
+take their rows from the system's table of shared rows
+(matrices.row_table), and each sequence's induced maps, direct sums and end
+maps too, keyed by the presentations they are induced between.  Each map
+owns the factorization of its image.  The connecting maps with their
+escape and overlap checks, exactness at every node, the splitting identity
+and the diagram's squares are computed again on every call from these
+pieces, so a fault in any of them shows on a repeated check too.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (CoboundariesDisagree, ConnectingChainEscapes,
 from .fpmodules import (FPModule, HomologyPresentation, ModuleMap,
                         induced_map, is_exact_at)
 from .localsystems import tensor
-from .matrices import ExactMatrix, block_diag
+from .matrices import ExactMatrix, block_diag, row_table
 
 
 class CoverPair:
@@ -135,10 +136,12 @@ class _MVSpaces:
         self.right = pair_complex(X, G, pool=pair.B, killed=_maybe(pair.D))
         self.whole = pair_complex(X, G, killed=_maybe(pair.Y))
         self.absolute = pair_complex(X, G)
+        self.table = row_table(G)   # the table of shared rows
         self._cache = {}   # objects derived from these spaces
 
     def transfer(self, src, dst, k) -> ExactMatrix:
-        return memo(self, (src, dst, k), lambda: transfer_matrix(src, dst, k))
+        return memo(self, (src, dst, k),
+                    lambda: transfer_matrix(src, dst, k).shared(self.table))
 
     def row_maps(self, first, last, k):
         """The chain maps into and out of C(A)+C(B) in degree k of the row
@@ -150,7 +153,7 @@ class _MVSpaces:
             into = [self.transfer(first, pc, k) for pc in sides]
             out = [self.transfer(pc, last, k) for pc in sides]
             signed = into if first is self.inter else out
-            signed[1] = (-signed[1]).shared()
+            signed[1] = (-signed[1]).shared(self.table)
             return into, out
         return memo(self, ("row", first, last, k), build)
 
@@ -171,7 +174,8 @@ class _MVSpaces:
         def build():
             in_c = self.blocks(self.right, k, self.C.contains)
             s_gamma = -(in_c @ self.transfer(self.inter, self.right, k))
-            return self.transfer(self.inter, self.left, k), s_gamma.shared()
+            return (self.transfer(self.inter, self.left, k),
+                    s_gamma.shared(self.table))
         return memo(self, ("split", k), build)
 
     def difference(self, k) -> ExactMatrix:
@@ -180,7 +184,7 @@ class _MVSpaces:
         `row_maps` out of its middle node, side by side.  A splitting is
         `split(k)` stacked, and difference(k) times it is the identity."""
         return memo(self, ("difference", k), lambda: ExactMatrix.hstack(
-            self.row_maps(self.whole, self.inter, k)[1]).shared())
+            self.row_maps(self.whole, self.inter, k)[1]).shared(self.table))
 
     def zigzag(self, k) -> ExactMatrix:
         """The zig-zag of degree k: a relative k-cycle of (X, Y), lifted to
@@ -193,7 +197,7 @@ class _MVSpaces:
             in_a = self.blocks(self.absolute, k, self.A.contains)
             in_c = self.blocks(self.absolute, k - 1, self.C.contains)
             lift = self.transfer(self.whole, self.absolute, k)
-            return ((d @ in_a - in_c @ d) @ lift).shared()
+            return ((d @ in_a - in_c @ d) @ lift).shared(self.table)
         return memo(self, ("zigzag", k), build)
 
     def glue(self, k):
@@ -211,7 +215,7 @@ class _MVSpaces:
             in_ab = self.blocks(whole, k + 1, self.AB.contains)
             glue = ExactMatrix.hstack([d_beta, out_a @ d_gamma])
             overlap = in_ab @ ExactMatrix.hstack([d_beta, -d_gamma])
-            return glue.shared(), overlap.shared()
+            return glue.shared(self.table), overlap.shared(self.table)
         return memo(self, ("glue", k), build)
 
 

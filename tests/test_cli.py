@@ -192,6 +192,19 @@ def test_cover_lemmas_pass_over_z2(capsys, command, name):
     assert rows and all(row[1] == "ok" for row in rows)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_phi_check_skips_over_z2(capsys, name):
+    # phi reads the +/- splitting, which needs 2 invertible: over Z/2 each
+    # K choice is one skipped row, as fundamental-class skips its cover row
+    code, out, err = run(capsys, "phi-check", "--complex", name,
+                         "--ring", "Z/2")
+    assert code == 0 and err == ""
+    rows = [ln.split("\t") for ln in out.splitlines() if ln[0] != "#"]
+    assert rows == [["K=all phi", "skipped", "ring has 2 = 0"],
+                    ["K=vertex0 phi", "skipped", "ring has 2 = 0"]]
+    assert out.endswith("# result=pass\n")
+
+
 def test_complex_file_roundtrip_through_cli(tmp_path, capsys):
     from twistcap.complexes import corpus, dumps_complex
     path = tmp_path / "torus.cx"

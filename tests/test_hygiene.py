@@ -34,13 +34,14 @@ stores into a ``_cache`` (``CACHE_STORES``), and the memos that do not go
 through it: an item store into a module-level name, a function decorated
 with ``cache``, ``lru_cache`` or ``cached_property``.  A new memo fails until it is listed on purpose, so
 each one is seen to hang on what it is derived from and to grow with
-distinct inputs, not with the checks a process runs.  The shared rows of
-kept matrices, ``_EMPTY_ROW`` and ``_UNIT_ROWS``, are named only in
-``matrices.py``, and every call of ``.shared()``, the one way a matrix takes
-its rows from them, is in ``SHARED_ROW_SITES``, so each matrix that shares
-rows is one a memo keeps.  A ``<name>.__new__(...)`` call, such as
-``object.__new__(cls)`` or ``Subcomplex.__new__(Subcomplex)``, which builds
-an object without its ``__init__``, is made only in
+distinct inputs, not with the checks a process runs.  The shared empty
+row of kept matrices, ``_EMPTY_ROW``, is named only in ``matrices.py``, and
+every call of ``.shared(table)``, the one way a matrix takes its rows from
+its owner's table of shared rows (``matrices.row_table``), is in
+``SHARED_ROW_SITES``, so each matrix that shares rows is one a memo keeps.
+A ``<name>.__new__(...)`` call, such as ``object.__new__(cls)`` or
+``Subcomplex.__new__(Subcomplex)``, which builds an object without its
+``__init__``, is made only in
 ``TRUSTED_CONSTRUCTORS`` (``ExactMatrix._from_rows``), so every other
 object is built by its one constructor, and a new trusted constructor fails
 until it is listed.
@@ -317,8 +318,7 @@ MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
 # complex or spaces it is derived from, keyed by its other inputs; the rest
 # do not go through it: the cached image of a map and kernel positions of a
 # decomposition, the presentation memoized on its d_out matrix, and the
-# three per-process ones, `named_complex`, `build_parser` and the table of
-# shared unit rows, which holds two rows per column index at most.
+# two per-process ones, `named_complex` and `build_parser`.
 MEMO_SITES = {
     ("cap", "verify_duality"),
     ("chains", "PairComplex.__init__"),
@@ -349,7 +349,7 @@ MEMO_SITES = {
     ("localsystems", "random_flat_system"),
     ("localsystems", "random_sign_cocycle"),
     ("localsystems", "tensor"),
-    ("matrices", "ExactMatrix.shared"),
+    ("matrices", "row_table"),
     ("matrices", "SmithDecomposition.kernel_positions"),
     ("mv", "_MVSpaces.difference"),
     ("mv", "_MVSpaces.glue"),
@@ -429,22 +429,22 @@ def test_every_memo_site_is_listed():
     assert_listed(found, MEMO_SITES, "memo sites")
 
 
-SHARED_ROWS = {"_EMPTY_ROW", "_UNIT_ROWS"}
+SHARED_ROWS = {"_EMPTY_ROW"}
 
 # (module, enclosing function) of every call of `ExactMatrix.shared`, which
-# gives a matrix that memos keep the shared empty and +-1 unit rows
+# gives a matrix that a memo keeps the equal rows of its owner's table
 SHARED_ROW_SITES = {
     ("chains", "PairComplex._assemble"),
-    ("chains", "transfer_matrix"),
     ("covers", "_build_split_maps"),
     ("fpmodules", "homology_presentation"),
-    ("localsystems", "LocalSystem.__init__"),
     ("localsystems", "LocalSystem.path_transport.build"),
-    ("matrices", "ExactMatrix.identity"),
+    ("localsystems", "_conjugated"),
+    ("localsystems", "tensor.build.kron"),
     ("mv", "_MVSpaces.difference"),
     ("mv", "_MVSpaces.glue.build"),
     ("mv", "_MVSpaces.row_maps.build"),
     ("mv", "_MVSpaces.split.build"),
+    ("mv", "_MVSpaces.transfer"),
     ("mv", "_MVSpaces.zigzag.build"),
 }
 
@@ -461,7 +461,7 @@ def test_every_shared_row_site_is_listed():
     found = {(module, where) for module, where, node in _package_nodes()
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "shared" and not node.args}
+             and node.func.attr == "shared"}
     assert_listed(found, SHARED_ROW_SITES, "shared-row sites")
 
 

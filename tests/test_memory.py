@@ -12,11 +12,14 @@ still starts after a full collection, so its peak measures what the earlier
 runs retain.  The argument parser is built once per process and leaves no
 cycles behind per run.
 
-Kept matrices share their empty and +-1 unit rows through one table in
-`matrices`: nothing writes into a shared row, the kept matrices do share
-them, and the table grows with the width of the inputs, not with the
-checks run.  The tests of the table run the commands on fresh built-in
-complexes, so every memo they read is built under the table they see.
+Kept matrices share every equal row through the table of the owner whose
+memos keep them (`matrices.row_table`): a complex's table serves every
+system memoized on it, and a system built directly has a table of its own.
+Nothing writes into a shared row, the kept matrices do share them, a table
+grows with the distinct inputs, not with the checks run, and a passing
+system leaves nothing in its complex's table.  The tests of the tables run
+the commands on fresh built-in complexes, so every memo they read is built
+under the tables they see.
 
 Each kept object exists once per complex: every pair complex over one cell
 set, whatever its system, reads one coordinate tuple and one index per
@@ -49,7 +52,7 @@ from twistcap.fpmodules import homology_presentation
 from twistcap.localsystems import (LocalSystem, constant_system, orientation_system,
                                    random_flat_system, random_sign_cocycle,
                                    sign_system, tensor)
-from twistcap.matrices import ExactMatrix
+from twistcap.matrices import ExactMatrix, row_table
 from twistcap.rings import Q, Z, Zmod
 
 COMMANDS = (
@@ -123,52 +126,81 @@ def run_quietly(argv_list):
         return [main(list(argv)) for argv in argv_list]
 
 
+class ReadOnlyRows:
+    """A stand-in for a table of shared rows: the table keeps, and hands
+    out, a read-only copy of each row it is given."""
+
+    def __init__(self, table, made):
+        self.table, self.made = table, made
+
+    def setdefault(self, key, row):
+        if key not in self.table:
+            self.made.append(ReadOnlyRow(row))
+            self.table[key] = self.made[-1]
+        return self.table[key]
+
+
+def in_table(row, table):
+    """True when `row` is the row that `table` holds for its content, or
+    is left as it is because its hash collides with an unequal row's there
+    (hash(-1) == hash(-2), so {0: 1, 1: -1} collides with {0: 1, 1: -2})."""
+    held = table.get(hash(frozenset(row.items())))
+    return held is row or held is not None and held != row
+
+
 def test_nothing_writes_into_a_shared_row(monkeypatch):
-    width = 4096  # wider than any matrix the commands keep
-    table = {(j, s): ReadOnlyRow({j: s}) for j in range(width)
-             for s in (1, -1)}
-    before = {key: dict(row) for key, row in table.items()}
+    made = []
+    shared = ExactMatrix.shared
+    monkeypatch.setattr(ExactMatrix, "shared", lambda self, table: shared(
+        self, ReadOnlyRows(table, made)))
     monkeypatch.setattr(matrices, "_EMPTY_ROW", ReadOnlyRow())
-    monkeypatch.setattr(matrices, "_UNIT_ROWS", table)
     monkeypatch.setattr(complexes, "_named", {})
     commands = COMMANDS + (("corpus-all", "--seed", "0", "--trials", "2"),)
     assert run_quietly(commands) == [0] * len(commands)
     assert matrices._EMPTY_ROW == {}
-    assert table == before  # no row changed and none was added
+    assert len(made) > 1000  # every kept row is a read-only copy
+
+
+def tables_of_named_complexes():
+    """The number of rows in the table of each named complex."""
+    return {name: len(row_table(M)) for name, M in complexes._named.items()}
 
 
 def test_a_second_run_adds_no_shared_row(monkeypatch):
-    monkeypatch.setattr(matrices, "_UNIT_ROWS", {})
     monkeypatch.setattr(complexes, "_named", {})
     assert run_quietly(COMMANDS) == [0] * len(COMMANDS)
-    first = set(matrices._UNIT_ROWS)
+    first = tables_of_named_complexes()
     assert run_quietly(COMMANDS) == [0] * len(COMMANDS)
-    assert set(matrices._UNIT_ROWS) == first
-    # one row per column index and sign, up to the widest kept matrix
-    widest = max(j for j, _ in first) + 1
-    assert 0 < len(first) <= 2 * widest < 1000
+    assert tables_of_named_complexes() == first
+    assert first and all(first.values())
 
 
-def test_transfers_share_the_rows_of_the_identity():
+def test_kept_transfers_share_their_rows():
+    _, named = mv.named_cover("torus", "cylinders")
     M = fresh("torus")
-    pc = pair_complex(M, constant_system(M, Z, 2))
-    ident = ExactMatrix.identity(Z, pc.length(1)).sparse_rows
-    for vertices in ({0}, {0, 1}):
-        rel = pair_complex(M, pc.system, killed=relative_killed(
-            M, FullSubcomplex(M, vertices)))
-        proj = transfer_matrix(pc, rel, 1)
-        assert proj.rows and all(row is ident[j]
-                                 for row in proj.sparse_rows for j in row)
+    G = constant_system(M, Z, 2)
+    pair = mv.CoverPair(M, *(Subcomplex(M, piece.faces(2))
+                             for piece in (named.A, named.B)))
+    spaces = mv._mv_spaces(pair, G)
+    rows = [row for src, dst in ((spaces.inter, spaces.left),
+                                 (spaces.inter, spaces.right),
+                                 (spaces.left, spaces.whole),
+                                 (spaces.whole, spaces.absolute))
+            for row in spaces.transfer(src, dst, 1).sparse_rows if row]
+    # the transfers of a system memoized on M take M's table: equal rows of
+    # different transfers are one dict
+    assert row_table(G) is row_table(M)
+    assert rows and all(in_table(row, row_table(M)) for row in rows)
+    assert len({id(row) for row in rows}) == len(
+        {frozenset(row.items()) for row in rows}) < len(rows)
 
 
-def test_the_unit_rows_of_cycles_are_the_shared_rows():
+def test_the_rows_of_kept_cycles_are_the_shared_rows():
     M = fresh("klein")
     pc = pair_complex(M, constant_system(M, Z))
-    cycles = homology_presentation(pc.boundary(2), pc.boundary(1)).cycles
-    units = [row for row in cycles.sparse_rows
-             if len(row) == 1 and set(row.values()) <= {1, -1}]
-    assert units and all(row is matrices._UNIT_ROWS[next(iter(row.items()))]
-                         for row in units)
+    cycles = pc.homology(1).cycles
+    assert cycles.rows and all(in_table(row, row_table(M))
+                               for row in cycles.sparse_rows if row)
     assert all(row is matrices._EMPTY_ROW
                for row in cycles.sparse_rows if not row)
 
@@ -258,10 +290,9 @@ def test_system_transports_take_the_shared_rows():
     rows = [row for e in M.faces(1)
             for m in (G.transport(*e), G.transport(*reversed(e)))
             for row in m.sparse_rows]
-    units = [row for row in rows if len(row) == 1
-             and set(row.values()) <= {1, -1}]
-    assert units and all(row is matrices._UNIT_ROWS[next(iter(row.items()))]
-                         for row in units)
+    assert row_table(G) is row_table(M)
+    assert rows and all(in_table(row, row_table(M)) for row in rows)
+    assert len({id(row) for row in rows}) < len(rows)
     # a transport with no row to share is kept as the object given
     two = ExactMatrix(Q, [[2]])
     half = ExactMatrix(Q, [[Fraction(1, 2)]])
@@ -297,7 +328,7 @@ def test_fresh_equal_systems_leave_nothing_on_a_lasting_cover():
         assert mv.mv_cohomology(pair, G).all_exact
         assert mv.splitting_holds(pair, G)
 
-    check()   # fills the memos of the complex: coordinates and unit rows
+    check()   # fills the memos of the complex: the relative coordinates
     gc.collect()
     alive = live_mv_spaces()
     tracemalloc.start()
@@ -312,6 +343,45 @@ def test_fresh_equal_systems_leave_nothing_on_a_lasting_cover():
     assert retained < 20_000, retained
     assert live_mv_spaces() == alive
     assert not hasattr(pair, "_cache")
+
+
+def test_dropped_unequal_systems_leave_nothing_on_a_lasting_cover():
+    # unequal systems build unequal rows, which the complex's table would
+    # keep for the complex's life were it the table of every system
+    M, pair = mv.named_cover("torus", "cylinders")
+    cocycles = [random_sign_cocycle(M, seed) for seed in range(7)]
+    assert len({tuple(sorted(c.items())) for c in cocycles}) == 7
+
+    def check(signs):
+        G = sign_system(M, Z, signs)
+        assert mv.mv_homology(pair, G).all_exact
+        assert mv.mv_cohomology(pair, G).all_exact
+        assert mv.splitting_holds(pair, G)
+
+    check(cocycles[0])   # fills the memos of the complex
+    gc.collect()
+    alive, rows = live_mv_spaces(), len(row_table(M))
+    tracemalloc.start()
+    try:
+        for signs in cocycles[1:]:
+            check(signs)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 20_000, retained
+    assert live_mv_spaces() == alive
+    assert len(row_table(M)) == rows
+
+
+def test_a_passing_system_keeps_its_rows_off_its_complex():
+    M = fresh("klein")
+    assert verify_duality(M, orientation_system(M, Z), Z).all_verified
+    kept = dict(row_table(M))
+    H = sign_system(M, Z, random_sign_cocycle(M, seed=5))
+    assert verify_duality(M, H, Z).all_verified
+    assert row_table(H) is not row_table(M) and row_table(H)
+    assert row_table(M) == kept
 
 
 def test_a_lasting_system_shares_spaces_among_equal_covers(monkeypatch):
