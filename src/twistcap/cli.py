@@ -6,6 +6,10 @@ and never include timestamps.  Exit codes: 0 when all requested checks pass,
 1 on a check failure (with a machine-readable FAIL line in the body), 2 on
 usage or input-format errors.
 
+`_COMMANDS` is the one place a subcommand is declared: its help, its options
+(each declared once, in `_OPTIONS`) and its handler.  The parser is built
+from it and `main` dispatches through it.
+
 A process that runs many commands builds each built-in complex, cover and
 diagram configuration once, and what is derived from them is memoized on
 them; every check a report prints is computed again on every run.
@@ -93,17 +97,20 @@ def _resolve_system(spec: str, cx, ring, seed: int):
     raise UnknownName(f"unknown system {spec!r}")
 
 
+# the cell separator of each report format
+_SEPARATORS = {"tsv": "\t", "plain": "  "}
+
+
 class Report:
-    def __init__(self, args, command, **meta):
-        self.fmt = args.format
+    def __init__(self, args, **meta):
+        self.sep = _SEPARATORS[args.format]
         self.lines = [f"# twistcap {VERSION}"]
         fields = " ".join(f"{k}={v}" for k, v in meta.items())
-        self.lines.append(f"# command={command} {fields}")
+        self.lines.append(f"# command={args.command} {fields}")
         self.failed = False
 
     def row(self, *cells):
-        sep = "\t" if self.fmt == "tsv" else "  "
-        self.lines.append(sep.join(str(c) for c in cells))
+        self.lines.append(self.sep.join(str(c) for c in cells))
 
     def check(self, label, ok, detail=""):
         self.row(label, "ok" if ok else "FAIL", detail)
@@ -111,10 +118,9 @@ class Report:
             self.failed = True
 
     def block(self, tsv):
-        """Append a tab-separated block, spaced like `row` in plain format."""
-        if self.fmt != "tsv":
-            tsv = tsv.replace("\t", "  ")
-        self.lines.extend(tsv.rstrip("\n").split("\n"))
+        """Append a tab-separated block, one `row` per line."""
+        for line in tsv.rstrip("\n").split("\n"):
+            self.row(*line.split("\t"))
 
     def finish(self) -> int:
         self.lines.append(f"# result={'fail' if self.failed else 'pass'}")
@@ -132,80 +138,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, system=True):
-    p.add_argument("--complex", required=True,
-                   help="corpus name (%s) or a complex file" %
-                   ", ".join(BUILTIN_NAMES))
-    if system:
-        p.add_argument("--system", default="constant",
-                       help="constant[:rank] | orientation | "
-                            "random-flat[:seed[:rank]] | file path")
-    p.add_argument("--ring", default="Z", help="Z | Q | Z/<m>")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("tsv", "plain"), default="tsv")
-
-
-@functools.cache
-def build_parser():
-    """The argument parser, built once per process: parse_args returns a
-    fresh namespace on every call, and a parser per run would leave its
-    thousands of objects in reference cycles for the collector."""
-    parser = argparse.ArgumentParser(
-        prog="twistcap",
-        description="Twisted simplicial homology, orientation double covers, "
-                    "and machine-checked duality.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="closed-pseudomanifold report")
-    _add_common(p, system=False)
-
-    p = sub.add_parser("orientation", help="orientability and cover census")
-    _add_common(p, system=False)
-
-    p = sub.add_parser("fundamental-class",
-                       help="both constructions and their agreement")
-    _add_common(p, system=False)
-
-    p = sub.add_parser("lemma1", help="deck map reverses the cover orientation")
-    _add_common(p, system=False)
-
-    p = sub.add_parser("lemma2", help="pushforward of the cover class vanishes")
-    _add_common(p, system=False)
-
-    p = sub.add_parser("phi-check",
-                       help="splitting sequences and the identification phi")
-    _add_common(p, system=False)
-
-    p = sub.add_parser("cap-identity", help="random cap boundary identities")
-    _add_common(p)
-    p.add_argument("--trials", type=_positive_int, default=100)
-
-    p = sub.add_parser("verify-duality", help="duality verdict per degree")
-    _add_common(p)
-
-    p = sub.add_parser("check-mv", help="Mayer-Vietoris exactness + splitting")
-    _add_common(p)
-    p.add_argument("--cover", required=True,
-                   help="hemispheres (octahedron) | cylinders (torus, klein)")
-
-    p = sub.add_parser("diagram6", help="cap-compatibility diagram blocks")
-    p.add_argument("--config", required=True, choices=diagram6_names())
-    p.add_argument("--system", default="constant")
-    p.add_argument("--ring", default="Z")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("tsv", "plain"), default="tsv")
-
-    p = sub.add_parser("corpus-all", help="the full acceptance battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--format", choices=("tsv", "plain"), default="tsv")
-
-    return parser
+# every option of every subcommand, each declared once: its argparse keywords
+_OPTIONS = {
+    "--complex": dict(required=True, help="corpus name (%s) or a complex file"
+                      % ", ".join(BUILTIN_NAMES)),
+    "--config": dict(required=True, choices=diagram6_names()),
+    "--system": dict(default="constant", help="constant[:rank] | orientation "
+                     "| random-flat[:seed[:rank]] | file path"),
+    "--ring": dict(default="Z", help="Z | Q | Z/<m>"),
+    "--seed": dict(type=int, default=0),
+    "--format": dict(choices=tuple(_SEPARATORS), default="tsv"),
+    "--trials": dict(type=_positive_int, default=100),
+    "--cover": dict(required=True, help="hemispheres (octahedron) | "
+                    "cylinders (torus, klein)"),
+}
 
 
 def _cmd_validate(args):
     cx, name, digest = _resolve_complex(args.complex)
-    rep = Report(args, "validate", complex=name, complex_digest=digest)
+    rep = Report(args, complex=name, complex_digest=digest)
     r = validate(cx)
     rep.row("dimension", r.dimension)
     rep.row("f_vector", ",".join(str(x) for x in cx.f_vector()))
@@ -221,8 +172,7 @@ def _cmd_validate(args):
 def _cmd_orientation(args):
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
-    rep = Report(args, "orientation", complex=name, complex_digest=digest,
-                 ring=ring)
+    rep = Report(args, complex=name, complex_digest=digest, ring=ring)
     omega = orientation_system(cx, ring)
     trivial, _ = is_trivializable(omega)
     cover = build_double_cover(cx, omega)
@@ -241,8 +191,7 @@ def _cmd_rows(driver, args):
     printed as it is."""
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
-    rep = Report(args, args.command, complex=name, complex_digest=digest,
-                 ring=ring)
+    rep = Report(args, complex=name, complex_digest=digest, ring=ring)
     for row in driver(cx, ring):
         if isinstance(row[1], bool):
             rep.check(*row)
@@ -255,9 +204,8 @@ def _cmd_cap_identity(args):
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, "cap-identity", complex=name, complex_digest=digest,
-                 system=syslabel, ring=ring, seed=args.seed,
-                 trials=args.trials)
+    rep = Report(args, complex=name, complex_digest=digest, system=syslabel,
+                 ring=ring, seed=args.seed, trials=args.trials)
     failures = len(acceptance.cap_identity_failures(
         cx, system, random.Random(args.seed), args.trials))
     rep.check("cap_boundary_identity", failures == 0,
@@ -269,8 +217,8 @@ def _cmd_verify_duality(args):
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, "verify-duality", complex=name, complex_digest=digest,
-                 system=syslabel, ring=ring, seed=args.seed)
+    rep = Report(args, complex=name, complex_digest=digest, system=syslabel,
+                 ring=ring, seed=args.seed)
     report = verify_duality(cx, system, ring)
     rep.block(report.to_tsv())
     if not report.all_verified:
@@ -286,7 +234,7 @@ def _cmd_check_mv(args):
     cx, pair = named_cover(args.complex, args.cover)
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, "check-mv", complex=args.complex, cover=args.cover,
+    rep = Report(args, complex=args.complex, cover=args.cover,
                  system=syslabel, ring=ring)
     for row in acceptance.mv_rows(pair, system):
         rep.check(*row)
@@ -300,8 +248,8 @@ def _cmd_diagram6(args):
     cx = cfg["complex"]
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, "diagram6", config=args.config, system=syslabel,
-                 ring=ring, seed=args.seed)
+    rep = Report(args, config=args.config, system=syslabel, ring=ring,
+                 seed=args.seed)
     report = diagram6_check(cx, cfg["U"], cfg["V"], cfg["K"], cfg["L"],
                             system, ring, resample_seed=args.seed or None)
     rep.block(report.to_tsv())
@@ -312,36 +260,68 @@ def _cmd_diagram6(args):
 
 
 def _cmd_corpus_all(args):
-    rep = Report(args, "corpus-all", seed=args.seed, trials=args.trials)
+    rep = Report(args, seed=args.seed, trials=args.trials)
     for result in acceptance.run_all(seed=args.seed, trials=args.trials):
         rep.check(result.name, result.passed, result.detail)
     return rep.finish()
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "orientation": _cmd_orientation,
-    "fundamental-class": functools.partial(
-        _cmd_rows, acceptance.fundamental_class_rows),
-    "lemma1": functools.partial(_cmd_rows, acceptance.lemma1_rows),
-    "lemma2": functools.partial(_cmd_rows, acceptance.lemma2_rows),
-    "phi-check": functools.partial(_cmd_rows, acceptance.phi_rows),
-    "cap-identity": _cmd_cap_identity,
-    "verify-duality": _cmd_verify_duality,
-    "check-mv": _cmd_check_mv,
-    "diagram6": _cmd_diagram6,
-    "corpus-all": _cmd_corpus_all,
+# every subcommand, declared once: its help, its options in order (mostly
+# those of a check on one complex, without or with a local system), and its
+# handler, which takes the parsed arguments and returns the exit code
+_UNTWISTED = ("--complex", "--ring", "--seed", "--format")
+_TWISTED = ("--complex", "--system", "--ring", "--seed", "--format")
+_COMMANDS = {
+    "validate": ("closed-pseudomanifold report", _UNTWISTED, _cmd_validate),
+    "orientation": ("orientability and cover census", _UNTWISTED,
+                    _cmd_orientation),
+    "fundamental-class": ("both constructions and their agreement",
+                          _UNTWISTED, functools.partial(
+                              _cmd_rows, acceptance.fundamental_class_rows)),
+    "lemma1": ("deck map reverses the cover orientation", _UNTWISTED,
+               functools.partial(_cmd_rows, acceptance.lemma1_rows)),
+    "lemma2": ("pushforward of the cover class vanishes", _UNTWISTED,
+               functools.partial(_cmd_rows, acceptance.lemma2_rows)),
+    "phi-check": ("splitting sequences and the identification phi",
+                  _UNTWISTED, functools.partial(_cmd_rows,
+                                                acceptance.phi_rows)),
+    "cap-identity": ("random cap boundary identities",
+                     _TWISTED + ("--trials",), _cmd_cap_identity),
+    "verify-duality": ("duality verdict per degree", _TWISTED,
+                       _cmd_verify_duality),
+    "check-mv": ("Mayer-Vietoris exactness + splitting",
+                 _TWISTED + ("--cover",), _cmd_check_mv),
+    "diagram6": ("cap-compatibility diagram blocks",
+                 ("--config",) + _TWISTED[1:], _cmd_diagram6),
+    "corpus-all": ("the full acceptance battery",
+                   ("--seed", "--trials", "--format"), _cmd_corpus_all),
 }
 
 
+@functools.cache
+def build_parser():
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace on every call, and a parser per run would leave its
+    thousands of objects in reference cycles for the collector."""
+    parser = argparse.ArgumentParser(
+        prog="twistcap",
+        description="Twisted simplicial homology, orientation double covers, "
+                    "and machine-checked duality.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except CheckFailed as exc:
-        sep = "\t" if args.format == "tsv" else "  "
-        print(sep.join(("FAIL", type(exc).__name__, str(exc))))
+        print(_SEPARATORS[args.format].join(
+            ("FAIL", type(exc).__name__, str(exc))))
         return 1
     except TwistcapError as exc:
         print(f"error: {exc}", file=sys.stderr)

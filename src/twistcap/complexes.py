@@ -375,8 +375,11 @@ class Subcomplex:
 
     def __init__(self, ambient: SimplicialComplex, simplices):
         closure: dict[int, set] = {}
-        for s in simplices:
-            t = tuple(s)
+        # largest first: a simplex already in the closure is a face of one
+        # closed before it, so its faces are there too
+        for t in sorted(map(tuple, simplices), key=len, reverse=True):
+            if t in closure.get(len(t) - 1, ()):
+                continue
             if t not in ambient:
                 raise TwistcapError(f"{t} is not a simplex of the ambient complex")
             for size in range(1, len(t) + 1):

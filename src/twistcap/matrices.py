@@ -165,17 +165,20 @@ class ExactMatrix:
         """This matrix, for a memo to keep, with each row equal to a row of
         `table` (the `row_table` of the memo's owner) taken from it, and
         each empty row `_EMPTY_ROW`; the matrix itself when that changes no
-        row.  The table maps the hash of a row's items to the first row it
-        took under that hash, so a row whose hash collides with an unequal
-        row's stays as it is."""
+        row.  The table keys each row it took by the hash of its items, or
+        on a collision with an unequal row by the next free integer after
+        it: a row is looked up from its hash on until an equal row or a free
+        key turns up, which stays valid since a table only grows."""
         rows = []
         changed = False
         take = table.setdefault
         for old in self.sparse_rows:
             if old:
-                row = take(hash(frozenset(old.items())), old)
-                if row is not old and row != old:
-                    row = old
+                key = hash(frozenset(old.items()))
+                row = take(key, old)
+                while row is not old and row != old:
+                    key += 1
+                    row = take(key, old)
             else:
                 row = _EMPTY_ROW
             changed = changed or row is not old

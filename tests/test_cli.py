@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -281,6 +282,100 @@ def test_negative_trials_exit_2(capsys):
     assert exc.value.code == 2
     assert "error: argument --trials" in capsys.readouterr().err
 
+
+
+# the options of every subcommand, in order: (flag, default, type, choices,
+# required)
+_UNTWISTED = [("--complex", None, None, None, True),
+              ("--ring", "Z", None, None, False),
+              ("--seed", 0, "int", None, False),
+              ("--format", "tsv", None, ("tsv", "plain"), False)]
+_TWISTED = _UNTWISTED[:1] + [("--system", "constant", None, None, False)] \
+    + _UNTWISTED[1:]
+OPTION_SURFACE = {
+    "validate": _UNTWISTED,
+    "orientation": _UNTWISTED,
+    "fundamental-class": _UNTWISTED,
+    "lemma1": _UNTWISTED,
+    "lemma2": _UNTWISTED,
+    "phi-check": _UNTWISTED,
+    "cap-identity": _TWISTED + [("--trials", 100, "_positive_int", None,
+                                 False)],
+    "verify-duality": _TWISTED,
+    "check-mv": _TWISTED + [("--cover", None, None, None, True)],
+    "diagram6": [("--config", None, None, ("torus", "sphere", "klein"),
+                  True)] + _TWISTED[1:],
+    "corpus-all": [("--seed", 0, "int", None, False),
+                   ("--trials", 100, "_positive_int", None, False),
+                   ("--format", "tsv", None, ("tsv", "plain"), False)],
+}
+
+
+def test_the_option_surface_is_unchanged():
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    built = {name: [(a.option_strings[0], a.default,
+                     getattr(a.type, "__name__", None), a.choices, a.required)
+                    for a in sub._actions if a.dest != "help"]
+             for name, sub in commands.items()}
+    assert built == OPTION_SURFACE
+    assert list(built) == list(OPTION_SURFACE)
+
+
+_TOP_USAGE = """usage: twistcap [-h]
+                {validate,orientation,fundamental-class,lemma1,lemma2,\
+phi-check,cap-identity,verify-duality,check-mv,diagram6,corpus-all}
+                ...
+"""
+_COMMAND_CHOICES = ("'validate', 'orientation', 'fundamental-class', "
+                    "'lemma1', 'lemma2', 'phi-check', 'cap-identity', "
+                    "'verify-duality', 'check-mv', 'diagram6', 'corpus-all'")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["validate"], """\
+usage: twistcap validate [-h] --complex COMPLEX [--ring RING] [--seed SEED]
+                         [--format {tsv,plain}]
+twistcap validate: error: the following arguments are required: --complex
+"""),
+    (["validate", "--complex", "rp2", "--format", "xml"], """\
+usage: twistcap validate [-h] --complex COMPLEX [--ring RING] [--seed SEED]
+                         [--format {tsv,plain}]
+twistcap validate: error: argument --format: invalid choice: 'xml' \
+(choose from 'tsv', 'plain')
+"""),
+    (["cap-identity", "--complex", "circle", "--trials", "0"], """\
+usage: twistcap cap-identity [-h] --complex COMPLEX [--system SYSTEM]
+                             [--ring RING] [--seed SEED]
+                             [--format {tsv,plain}] [--trials TRIALS]
+twistcap cap-identity: error: argument --trials: '0' is not a positive \
+integer
+"""),
+    (["nope"], _TOP_USAGE + "twistcap: error: argument command: invalid "
+     f"choice: 'nope' (choose from {_COMMAND_CHOICES})\n"),
+    (["diagram6", "--config", "nope"], """\
+usage: twistcap diagram6 [-h] --config {torus,sphere,klein} [--system SYSTEM]
+                         [--ring RING] [--seed SEED] [--format {tsv,plain}]
+twistcap diagram6: error: argument --config: invalid choice: 'nope' \
+(choose from 'torus', 'sphere', 'klein')
+"""),
+    (["check-mv", "--complex", "torus"], """\
+usage: twistcap check-mv [-h] --complex COMPLEX [--system SYSTEM]
+                         [--ring RING] [--seed SEED] [--format {tsv,plain}]
+                         --cover COVER
+twistcap check-mv: error: the following arguments are required: --cover
+"""),
+    (["validate", "--complex", "rp2", "--system", "constant"], _TOP_USAGE
+     + "twistcap: error: unrecognized arguments: --system constant\n"),
+], ids=["no-complex", "format-xml", "trials-0", "unknown-command",
+        "config-nope", "no-cover", "system-on-validate"])
+def test_malformed_command_lines_exit_2(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")  # the width usage lines wrap at
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def _unreadable(tmp_path, kind):

@@ -166,6 +166,18 @@ def test_hstack_shares_the_first_block_rows_no_later_block_extends():
     assert H.data == ((0, 1, 0), (0, 0, 1)) and zero.is_zero()
 
 
+def test_rows_whose_hashes_collide_are_both_shared():
+    # hash(-1) == hash(-2), so the two rows' items hash alike
+    a, b = {0: 1, 1: -1}, {0: 1, 1: -2}
+    assert hash(frozenset(a.items())) == hash(frozenset(b.items()))
+    table = {}
+    first = ExactMatrix._from_rows(Z, [a, b], 2)
+    assert first.shared(table) is first and len(table) == 2
+    again = ExactMatrix._from_rows(Z, [dict(a), dict(b)], 2).shared(table)
+    assert again.sparse_rows[0] is a and again.sparse_rows[1] is b
+    assert len(table) == 2
+
+
 def test_kron_and_apply():
     A = mat(Z, [[0, 1], [1, 0]])
     B = mat(Z, [[-1]])

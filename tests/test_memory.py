@@ -141,11 +141,12 @@ class ReadOnlyRows:
 
 
 def in_table(row, table):
-    """True when `row` is the row that `table` holds for its content, or
-    is left as it is because its hash collides with an unequal row's there
-    (hash(-1) == hash(-2), so {0: 1, 1: -1} collides with {0: 1, 1: -2})."""
-    held = table.get(hash(frozenset(row.items())))
-    return held is row or held is not None and held != row
+    """True when `row` is the row that `table` holds for its content: the
+    first equal row on the keys from its hash on."""
+    key = hash(frozenset(row.items()))
+    while key in table and table[key] != row:
+        key += 1
+    return table.get(key) is row
 
 
 def test_nothing_writes_into_a_shared_row(monkeypatch):
