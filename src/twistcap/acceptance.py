@@ -1,8 +1,9 @@
 """The corpus-wide acceptance battery.
 
-Ten checks, each a pure function returning (passed, detail); everything runs
-at tolerance zero.  The CLI's corpus-all subcommand and the test suite both
-drive this module, so the command line and pytest certify the same thing.
+Ten checks, each a pure function returning a `CheckResult`, which is its
+own (name, passed, detail) row; everything runs at tolerance zero.  The
+CLI's corpus-all subcommand and the test suite both drive this module, so
+the command line and pytest certify the same thing.
 The per-complex checks the CLI also runs on its own are row drivers,
 generators of (label, ok, detail) rows (`fundamental_class_rows`,
 `lemma1_rows`, `lemma2_rows`, `phi_rows` and `mv_rows`): the CLI prints the
@@ -13,6 +14,7 @@ is no check, and is printed as it is.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .cap import boundary_identity_check, cap_setting, verify_duality
@@ -33,13 +35,20 @@ COVER_RINGS = (Z, Zmod(3))
 NONORIENTABLE = ("rp2", "klein")
 
 
-class CheckResult:
-    __slots__ = ("name", "passed", "detail")
+# one criterion's verdict, which is also its (label, ok, detail) row
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+
+def _failed(detail, bad):
+    """`detail`, with the failed cases `bad` appended when there are any."""
+    return detail + (f"; failed {bad}" if bad else "")
+
+
+def _tally(count, noun, failures, first):
+    """The detail "N noun, M failures", with the first failure appended
+    when there is one."""
+    detail = f"{count} {noun}, {failures} failures"
+    return detail + (f"; first: {first}" if first else "")
 
 
 def system_family(M, ring: RingSpec, seed: int):
@@ -62,10 +71,9 @@ def check_structural(seed=0) -> CheckResult:
                     pair_complex(M, G).verify_squares()
                 except Exception as exc:  # noqa: BLE001 - recorded verbatim
                     failures.append(f"{name}/{ring}/{label}: {exc}")
-    detail = f"{count} chain complexes, {len(failures)} failures"
-    if failures:
-        detail += "; first: " + failures[0]
-    return CheckResult("structural d2=0 delta2=0", not failures, detail)
+    return CheckResult("structural d2=0 delta2=0", not failures,
+                       _tally(count, "chain complexes", len(failures),
+                              failures and failures[0]))
 
 
 def fundamental_class_rows(M, ring):
@@ -103,8 +111,7 @@ def check_lemma1() -> CheckResult:
         if not all(ok for _, ok, _ in lemma1_rows(corpus(name), Z)):
             bad.append(name)
     return CheckResult("lemma 1 deck reversal", not bad,
-                       f"checked {', '.join(names)}"
-                       + (f"; failed {bad}" if bad else ""))
+                       _failed(f"checked {', '.join(names)}", bad))
 
 
 def _k_choices(M):
@@ -160,7 +167,7 @@ def check_lemma2() -> CheckResult:
                 if not ok:
                     bad.append(f"{name}/{ring}/{label}")
     return CheckResult("lemma 2 pushforward vanishes", not bad,
-                       f"{count} cases" + (f"; failed {bad}" if bad else ""))
+                       _failed(f"{count} cases", bad))
 
 
 def check_sequences_and_phi() -> CheckResult:
@@ -174,7 +181,7 @@ def check_sequences_and_phi() -> CheckResult:
             bad += [f"{name}/{ring}: {label}"
                     for label, ok, _ in phi_rows(M, ring) if not ok]
     return CheckResult("splitting sequences and phi", not bad,
-                       f"{count} cases" + (f"; failed {bad}" if bad else ""))
+                       _failed(f"{count} cases", bad))
 
 
 def check_fundamental_class() -> CheckResult:
@@ -190,9 +197,8 @@ def check_fundamental_class() -> CheckResult:
                         bad.append(f"{name}/{ring}: {label}")
                 elif value.normal_form != (1, ()):
                     bad.append(f"{name}/{ring}: H_n not free rank 1")
-    return CheckResult("fundamental class agreement", not bad,
-                       f"{len(CORPUS_NAMES) * len(COVER_RINGS)} cases"
-                       + (f"; failed {bad}" if bad else ""))
+    return CheckResult("fundamental class agreement", not bad, _failed(
+        f"{len(CORPUS_NAMES) * len(COVER_RINGS)} cases", bad))
 
 
 def cap_identity_failures(M, G, rng, trials):
@@ -232,10 +238,8 @@ def check_cap_identity(trials=100, seed=0) -> CheckResult:
                 if failures and first is None:
                     k, n = failures[0]
                     first = f"{name}/{ring}/{label} k={k} n={n}"
-    detail = f"{count} pairs, {bad} failures"
-    if first:
-        detail += f"; first: {first}"
-    return CheckResult("cap boundary identity", bad == 0, detail)
+    return CheckResult("cap boundary identity", bad == 0,
+                       _tally(count, "pairs", bad, first))
 
 
 def check_duality(seed=0) -> CheckResult:
@@ -279,8 +283,8 @@ def check_mayer_vietoris() -> CheckResult:
             bad += [f"{cname}/{ring}: {label}"
                     for label, ok, _ in mv_rows(pair, G) if not ok]
     return CheckResult("mayer-vietoris exactness + splitting", not bad,
-                       "3 covers x 2 rings, splitting exhaustive"
-                       + (f"; failed {bad}" if bad else ""))
+                       _failed("3 covers x 2 rings, splitting exhaustive",
+                               bad))
 
 
 def check_diagram6() -> CheckResult:
@@ -309,8 +313,7 @@ def check_diagram6() -> CheckResult:
     sign = signs.pop() if len(signs) == 1 else None
     detail = f"observed connecting sign: {sign:+d}" if sign is not None \
         else "connecting sign unobservable"
-    return CheckResult("diagram (6) blocks", not bad,
-                       detail + (f"; failed {bad}" if bad else ""))
+    return CheckResult("diagram (6) blocks", not bad, _failed(detail, bad))
 
 
 def _fraction_rank(rows):
@@ -351,10 +354,8 @@ def check_smith_kernel(count=1000, seed=0) -> CheckResult:
         if not ok:
             bad += 1
             first = first or f"matrix #{idx}"
-    detail = f"{count} matrices, {bad} failures"
-    if first:
-        detail += f"; first: {first}"
-    return CheckResult("smith normal form kernel", bad == 0, detail)
+    return CheckResult("smith normal form kernel", bad == 0,
+                       _tally(count, "matrices", bad, first))
 
 
 def run_all(seed=0, trials=100):

@@ -14,7 +14,8 @@ The coboundary convention in chains.py is exactly the one that makes
 
 hold on the nose; boundary_identity_check evaluates both sides literally.
 Capping cocycle representatives with the twisted fundamental cycle gives the
-duality map, certified degree by degree through the module machinery.
+duality map, certified degree by degree through the module machinery; the
+verdict is a record whose `table` yields the rows of its report.
 Memoized (`complexes.memo`): each degree's duality map, on the system, keyed
 by the two presentations it is induced between; its isomorphism certificate
 is derived again on every call.
@@ -23,14 +24,14 @@ is derived again on every call.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 
 from .chains import (FundamentalClassData, fundamental_class_direct,
                      pair_complex, relative_killed)
 from .complexes import FullSubcomplex, memo, validate
 from .errors import (BadIndices, BaseMismatch, DegreeMismatch,
                      NotRelativeCocycle, RingMismatch, TwistcapError)
-from .fpmodules import (IsoResult, ModuleMap, homology_presentation,
-                        induced_map, is_isomorphism)
+from .fpmodules import homology_presentation, induced_map, is_isomorphism
 from .localsystems import tensor
 from .matrices import ExactMatrix
 
@@ -193,16 +194,10 @@ def relative_cap(M, G, K: FullSubcomplex, k, c_vec, nu: FundamentalClassData):
 # the duality verdict
 # ---------------------------------------------------------------------------
 
-class DualityRow:
-    __slots__ = ("degree", "left", "right", "map", "iso")
-
-    def __init__(self, degree: int, left, right, map: ModuleMap,
-                 iso: IsoResult):
-        self.degree = degree
-        self.left = left     # FPModule H^k(M; G)
-        self.right = right   # FPModule H_{n-k}(M; G (x) M_R)
-        self.map = map
-        self.iso = iso
+# degree k: the duality map H^k(M; G) -> H_{n-k}(M; G (x) M_R) between the
+# FPModules left and right, and its IsoResult
+class DualityRow(namedtuple("DualityRow", "degree left right map iso")):
+    __slots__ = ()
 
     @property
     def verdict(self) -> bool:
@@ -218,26 +213,23 @@ class DualityRow:
         return hashlib.sha256(repr(payload).encode()).hexdigest()[:12]
 
 
-class DualityReport:
-    __slots__ = ("base", "system", "ring", "rows")
-
-    def __init__(self, base, system, ring, rows: tuple):
-        self.base = base
-        self.system = system
-        self.ring = ring
-        self.rows = rows
+class DualityReport(namedtuple("DualityReport", "base system ring rows")):
+    __slots__ = ()
 
     @property
     def all_verified(self) -> bool:
         return all(r.verdict for r in self.rows)
 
-    def to_tsv(self) -> str:
-        lines = ["degree\tleft\tright\tverdict\tcertificate"]
+    def table(self):
+        """The report's rows: a header, one row per degree, and a FAIL row
+        when a degree is no isomorphism."""
+        yield "degree", "left", "right", "verdict", "certificate"
         for r in self.rows:
-            verdict = "iso" if r.verdict else "FAIL"
-            lines.append(f"{r.degree}\t{r.left}\t{r.right}\t{verdict}\t"
-                         f"{r.certificate_hash()}")
-        return "\n".join(lines) + "\n"
+            yield (r.degree, r.left, r.right, "iso" if r.verdict else "FAIL",
+                   r.certificate_hash())
+        if not self.all_verified:
+            bad = [r.degree for r in self.rows if not r.verdict]
+            yield "FAIL", "duality", f"degrees {bad} not isomorphisms"
 
 
 def verify_duality(M, G, ring) -> DualityReport:

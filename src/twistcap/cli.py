@@ -6,6 +6,13 @@ and never include timestamps.  Exit codes: 0 when all requested checks pass,
 1 on a check failure (with a machine-readable FAIL line in the body), 2 on
 usage or input-format errors.
 
+Every report is a header, rows of cells and a result line, and
+`Report.rows` is the one place a row becomes a line: a bool second cell
+prints as ok or FAIL, any other cell as its str, and the report fails, exit
+1, exactly when a printed row has a FAIL cell.  The checks hand the CLI
+rows: the battery's row drivers, the `table` of a duality or diagram (6)
+report, and the battery's own results.
+
 `_COMMANDS` is the one place a subcommand is declared: its help, its options
 (each declared once, in `_OPTIONS`) and its handler.  The parser is built
 from it and `main` dispatches through it.
@@ -104,28 +111,25 @@ _SEPARATORS = {"tsv": "\t", "plain": "  "}
 class Report:
     def __init__(self, args, **meta):
         self.sep = _SEPARATORS[args.format]
-        self.lines = [f"# twistcap {VERSION}"]
         fields = " ".join(f"{k}={v}" for k, v in meta.items())
-        self.lines.append(f"# command={args.command} {fields}")
-        self.failed = False
+        self.lines = [f"# twistcap {VERSION}",
+                      f"# command={args.command} {fields}"]
 
-    def row(self, *cells):
-        self.lines.append(self.sep.join(str(c) for c in cells))
-
-    def check(self, label, ok, detail=""):
-        self.row(label, "ok" if ok else "FAIL", detail)
-        if not ok:
-            self.failed = True
-
-    def block(self, tsv):
-        """Append a tab-separated block, one `row` per line."""
-        for line in tsv.rstrip("\n").split("\n"):
-            self.row(*line.split("\t"))
-
-    def finish(self) -> int:
-        self.lines.append(f"# result={'fail' if self.failed else 'pass'}")
+    def rows(self, rows) -> int:
+        """Print the header, one line per row and the result line, once
+        every row is computed; return the exit code.  A bool second cell
+        prints as ok or FAIL, every other cell as its str, and the report
+        fails exactly when a printed row has a FAIL cell."""
+        failed = False
+        for row in rows:
+            cells = [str(cell) for cell in row]
+            if isinstance(row[1], bool):
+                cells[1] = "ok" if row[1] else "FAIL"
+            failed = failed or "FAIL" in cells
+            self.lines.append(self.sep.join(cells))
+        self.lines.append(f"# result={'fail' if failed else 'pass'}")
         print("\n".join(self.lines))
-        return 1 if self.failed else 0
+        return int(failed)
 
 
 def _positive_int(text: str) -> int:
@@ -158,15 +162,13 @@ def _cmd_validate(args):
     cx, name, digest = _resolve_complex(args.complex)
     rep = Report(args, complex=name, complex_digest=digest)
     r = validate(cx)
-    rep.row("dimension", r.dimension)
-    rep.row("f_vector", ",".join(str(x) for x in cx.f_vector()))
-    rep.row("euler_characteristic", r.euler_characteristic)
-    rep.check("is_pure", r.is_pure)
-    rep.check("each_ridge_in_two_facets", r.each_ridge_in_two_facets)
-    rep.check("dual_graph_connected", r.dual_graph_connected)
-    rep.check("links_validated", r.links_validated)
-    rep.check("closed_pseudomanifold", r.closed_pseudomanifold)
-    return rep.finish()
+    checks = ("is_pure", "each_ridge_in_two_facets", "dual_graph_connected",
+              "links_validated", "closed_pseudomanifold")
+    return rep.rows((
+        ("dimension", r.dimension),
+        ("f_vector", ",".join(str(x) for x in cx.f_vector())),
+        ("euler_characteristic", r.euler_characteristic),
+        *((label, getattr(r, label), "") for label in checks)))
 
 
 def _cmd_orientation(args):
@@ -177,27 +179,22 @@ def _cmd_orientation(args):
     trivial, _ = is_trivializable(omega)
     cover = build_double_cover(cx, omega)
     comps = facet_components(cover.total)
-    rep.row("orientable", trivial)
-    rep.row("cover_components", comps)
-    rep.row("cover_euler_characteristic", cover.total.euler_characteristic())
-    rep.check("census_agreement", (comps == 2) == trivial,
-              "cover disconnected iff orientation system trivializable")
-    return rep.finish()
+    # orientable is a verdict, not a check: printed True or False
+    return rep.rows((
+        ("orientable", str(trivial)),
+        ("cover_components", comps),
+        ("cover_euler_characteristic", cover.total.euler_characteristic()),
+        ("census_agreement", (comps == 2) == trivial,
+         "cover disconnected iff orientation system trivializable")))
 
 
 def _cmd_rows(driver, args):
     """Print the rows of the battery's `driver` on one complex over one
-    ring: a row whose second cell is a bool is a check, any other row is
-    printed as it is."""
+    ring."""
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
     rep = Report(args, complex=name, complex_digest=digest, ring=ring)
-    for row in driver(cx, ring):
-        if isinstance(row[1], bool):
-            rep.check(*row)
-        else:
-            rep.row(*row)
-    return rep.finish()
+    return rep.rows(driver(cx, ring))
 
 
 def _cmd_cap_identity(args):
@@ -208,9 +205,8 @@ def _cmd_cap_identity(args):
                  ring=ring, seed=args.seed, trials=args.trials)
     failures = len(acceptance.cap_identity_failures(
         cx, system, random.Random(args.seed), args.trials))
-    rep.check("cap_boundary_identity", failures == 0,
-              f"trials={args.trials} failures={failures}")
-    return rep.finish()
+    return rep.rows((("cap_boundary_identity", failures == 0,
+                      f"trials={args.trials} failures={failures}"),))
 
 
 def _cmd_verify_duality(args):
@@ -219,13 +215,7 @@ def _cmd_verify_duality(args):
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
     rep = Report(args, complex=name, complex_digest=digest, system=syslabel,
                  ring=ring, seed=args.seed)
-    report = verify_duality(cx, system, ring)
-    rep.block(report.to_tsv())
-    if not report.all_verified:
-        rep.failed = True
-        bad = [r.degree for r in report.rows if not r.verdict]
-        rep.row("FAIL", "duality", f"degrees {bad} not isomorphisms")
-    return rep.finish()
+    return rep.rows(verify_duality(cx, system, ring).table())
 
 
 def _cmd_check_mv(args):
@@ -236,11 +226,10 @@ def _cmd_check_mv(args):
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
     rep = Report(args, complex=args.complex, cover=args.cover,
                  system=syslabel, ring=ring)
-    for row in acceptance.mv_rows(pair, system):
-        rep.check(*row)
-    if rep.failed:
-        rep.row("FAIL", "mayer-vietoris", "see rows above")
-    return rep.finish()
+    rows = tuple(acceptance.mv_rows(pair, system))
+    if not all(ok for _, ok, _ in rows):
+        rows += (("FAIL", "mayer-vietoris", "see rows above"),)
+    return rep.rows(rows)
 
 
 def _cmd_diagram6(args):
@@ -250,20 +239,14 @@ def _cmd_diagram6(args):
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
     rep = Report(args, config=args.config, system=syslabel, ring=ring,
                  seed=args.seed)
-    report = diagram6_check(cx, cfg["U"], cfg["V"], cfg["K"], cfg["L"],
-                            system, ring, resample_seed=args.seed or None)
-    rep.block(report.to_tsv())
-    if not report.all_verified:
-        rep.failed = True
-        rep.row("FAIL", "diagram6", "a block failed to commute")
-    return rep.finish()
+    return rep.rows(diagram6_check(
+        cx, cfg["U"], cfg["V"], cfg["K"], cfg["L"], system, ring,
+        resample_seed=args.seed or None).table())
 
 
 def _cmd_corpus_all(args):
     rep = Report(args, seed=args.seed, trials=args.trials)
-    for result in acceptance.run_all(seed=args.seed, trials=args.trials):
-        rep.check(result.name, result.passed, result.detail)
-    return rep.finish()
+    return rep.rows(acceptance.run_all(seed=args.seed, trials=args.trials))
 
 
 # every subcommand, declared once: its help, its options in order (mostly

@@ -22,6 +22,7 @@ the object whose memo holds it.
 from __future__ import annotations
 
 import weakref
+from collections import namedtuple
 from functools import partial
 from itertools import chain, combinations, islice
 from operator import attrgetter
@@ -203,20 +204,10 @@ def weak(name):
 # validation
 # ---------------------------------------------------------------------------
 
-class ManifoldReport:
-    __slots__ = ("dimension", "is_pure", "each_ridge_in_two_facets",
-                 "dual_graph_connected", "links_validated",
-                 "euler_characteristic")
-
-    def __init__(self, dimension: int, is_pure: bool,
-                 each_ridge_in_two_facets: bool, dual_graph_connected: bool,
-                 links_validated: bool, euler_characteristic: int):
-        self.dimension = dimension
-        self.is_pure = is_pure
-        self.each_ridge_in_two_facets = each_ridge_in_two_facets
-        self.dual_graph_connected = dual_graph_connected
-        self.links_validated = links_validated
-        self.euler_characteristic = euler_characteristic
+class ManifoldReport(namedtuple("ManifoldReport", (
+        "dimension", "is_pure", "each_ridge_in_two_facets",
+        "dual_graph_connected", "links_validated", "euler_characteristic"))):
+    __slots__ = ()
 
     @property
     def closed_pseudomanifold(self) -> bool:

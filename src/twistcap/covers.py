@@ -38,6 +38,8 @@ lift costs little more than a lookup.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .chains import (FundamentalClassData, PairComplex, pair_complex,
                      relative_killed, transfer_matrix)
 from .complexes import (FullSubcomplex, SimplicialComplex, memo,
@@ -270,18 +272,10 @@ def lemma1_check(cover, ring) -> bool:
 # the +/- splitting and the identification with twisted base chains
 # ---------------------------------------------------------------------------
 
-class DegreeSplit:
-    __slots__ = ("sigma", "delta", "incl_plus", "incl_minus", "orbit_bases")
-
-    def __init__(self, sigma: ExactMatrix, delta: ExactMatrix,
-                 incl_plus: ExactMatrix, incl_minus: ExactMatrix,
-                 orbit_bases: tuple):
-        self.sigma = sigma
-        self.delta = delta
-        self.incl_plus = incl_plus
-        self.incl_minus = incl_minus
-        # base simplices indexing the orbit generators
-        self.orbit_bases = orbit_bases
+# one degree of the splitting, four ExactMatrix objects, and the base
+# simplices indexing the orbit generators
+DegreeSplit = namedtuple("DegreeSplit",
+                         "sigma delta incl_plus incl_minus orbit_bases")
 
 
 class SplitMaps:
@@ -383,15 +377,10 @@ def check_split_exactness(split: SplitMaps) -> dict:
     return memo(split, "exactness", build)
 
 
-class PhiData:
-    __slots__ = ("matrices", "boundary_commutes", "degreewise_iso", "split")
-
-    def __init__(self, matrices: dict, boundary_commutes: bool,
-                 degreewise_iso: bool, split: SplitMaps):
-        self.matrices = matrices  # degree -> orbit -> twisted relative coords
-        self.boundary_commutes = boundary_commutes
-        self.degreewise_iso = degreewise_iso
-        self.split = split        # the +/- splitting phi is read from
+# matrices: degree -> orbit -> twisted relative coords; split: the +/-
+# splitting (SplitMaps) phi is read from
+PhiData = namedtuple("PhiData",
+                     "matrices boundary_commutes degreewise_iso split")
 
 
 def phi_identify(cover, ring, K: FullSubcomplex | None = None) -> PhiData:

@@ -49,6 +49,7 @@ is_isomorphism's inverse or kernel/cokernel witness are all read off it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (CertificateFailed, CompositionNonzero, NotChainMap,
@@ -372,17 +373,9 @@ def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
     return ModuleMap(src.module, dst.module, M)
 
 
-class IsoResult:
-    __slots__ = ("isomorphism", "inverse", "kernel_witness",
-                 "cokernel_witness")
-
-    def __init__(self, isomorphism: bool, inverse: ExactMatrix | None = None,
-                 kernel_witness: tuple | None = None,
-                 cokernel_witness: tuple | None = None):
-        self.isomorphism = isomorphism
-        self.inverse = inverse
-        self.kernel_witness = kernel_witness
-        self.cokernel_witness = cokernel_witness
+class IsoResult(namedtuple("IsoResult", "isomorphism inverse kernel_witness "
+                           "cokernel_witness", defaults=(None, None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.isomorphism

@@ -10,7 +10,8 @@ compatibility diagram is a ladder of cap products between two such rows,
 checked on matrices of generator representatives: the two cap squares
 commute exactly with the minus sign on the second cap column, and the
 connecting block commutes up to one global sign, which is measured and
-reported rather than assumed.
+reported rather than assumed.  The sequences and the diagram return records
+(named tuples); the diagram's `table` yields the rows of its report.
 
 Connecting maps are computed on the matrix of generator representatives by
 explicit chain splitting with a deterministic tie-break: anything lying in
@@ -37,6 +38,7 @@ pieces, so a fault in any of them shows on a repeated check too.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from .cap import cap_matrix
 from .chains import (PairComplex, fundamental_class_direct, pair_complex,
@@ -104,16 +106,10 @@ def _zero_map_from(ring, source: FPModule) -> ModuleMap:
                      ExactMatrix.zeros(ring, 0, source.generator_count))
 
 
-class ExactSequenceReport:
-    __slots__ = ("kind", "node_labels", "modules", "maps", "exactness")
-
-    def __init__(self, kind: str, node_labels: tuple, modules: tuple,
-                 maps: tuple, exactness: tuple):
-        self.kind = kind
-        self.node_labels = node_labels
-        self.modules = modules
-        self.maps = maps              # maps[i] : modules[i] -> modules[i+1]
-        self.exactness = exactness    # verdicts at modules[1..-2]
+# maps[i] : modules[i] -> modules[i+1]; exactness: verdicts at modules[1..-2]
+class ExactSequenceReport(namedtuple(
+        "ExactSequenceReport", "kind node_labels modules maps exactness")):
+    __slots__ = ()
 
     @property
     def all_exact(self) -> bool:
@@ -395,35 +391,25 @@ def splitting_holds(pair: CoverPair, G) -> bool:
 # the cap-compatibility diagram
 # ---------------------------------------------------------------------------
 
-class Diagram6Report:
-    __slots__ = ("square_left", "square_right", "connecting_ok",
-                 "connecting_sign")
-
-    def __init__(self, square_left: bool, square_right: bool,
-                 connecting_ok: bool, connecting_sign: int | None):
-        self.square_left = square_left
-        self.square_right = square_right
-        self.connecting_ok = connecting_ok
-        self.connecting_sign = connecting_sign
-
-    def __eq__(self, other):
-        if type(other) is not Diagram6Report:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
+class Diagram6Report(namedtuple("Diagram6Report", "square_left square_right "
+                                "connecting_ok connecting_sign")):
+    __slots__ = ()
 
     @property
     def all_verified(self) -> bool:
         return self.square_left and self.square_right and self.connecting_ok
 
-    def to_tsv(self) -> str:
-        lines = ["block\tverdict\tsign"]
-        lines.append(f"cap-square-left\t{'ok' if self.square_left else 'FAIL'}\t+1")
-        lines.append(f"cap-square-right\t{'ok' if self.square_right else 'FAIL'}\t+1")
-        sign = "n/a" if self.connecting_sign is None else f"{self.connecting_sign:+d}"
-        lines.append(
-            f"connecting\t{'ok' if self.connecting_ok else 'FAIL'}\t{sign}")
-        return "\n".join(lines) + "\n"
+    def table(self):
+        """The report's rows: a header, one check row per block, and a FAIL
+        row when a block does not commute."""
+        sign = self.connecting_sign
+        yield "block", "verdict", "sign"
+        yield "cap-square-left", self.square_left, "+1"
+        yield "cap-square-right", self.square_right, "+1"
+        yield "connecting", self.connecting_ok, \
+            "n/a" if sign is None else f"{sign:+d}"
+        if not self.all_verified:
+            yield "FAIL", "diagram6", "a block failed to commute"
 
 
 def _restricted_fundamental_chain(M, nu, pool_pc, allowed_defect: Subcomplex):

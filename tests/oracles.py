@@ -165,3 +165,10 @@ def _link_is_closed_pm(link, expected_dim):
     if expected_dim == 0:
         return len(link) == 2
     return _is_closed_pm(link) and links_validated(link)
+
+
+def has_fail_row(out, sep="\t"):
+    """True when a body line of a CLI report, one that does not start with
+    '#', has a cell that is exactly FAIL: the rows alone decide exit 1."""
+    return any("FAIL" in line.split(sep) for line in out.splitlines()
+               if not line.startswith("#"))

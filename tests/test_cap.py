@@ -209,9 +209,8 @@ def test_duality_out_of_hypothesis_mod2_regression():
 def test_report_serializes():
     M = corpus("circle")
     report = verify_duality(M, constant_system(M, Z, 1), Z)
-    text = report.to_tsv()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("degree\t")
+    lines = list(report.table())
+    assert lines[0][0] == "degree"
     assert len(lines) == 1 + len(report.rows)
     assert all("iso" in ln for ln in lines[1:])
 

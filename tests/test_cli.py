@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import has_fail_row
 from twistcap import acceptance, chains, cli, covers, fpmodules, mv
 from twistcap.cli import main
 from twistcap.complexes import (BUILTIN_NAMES, SimplicialComplex, _grid_klein,
@@ -621,3 +622,48 @@ def test_a_fault_after_a_warm_run_still_fails(monkeypatch, capsys, warm,
     # and the injected fault still gives its FAIL row and exit 1
     assert run(capsys, *warm)[0] == 0
     fault(monkeypatch, capsys)
+
+
+# -- the exit code is a property of the rows ----------------------------------
+
+def run_checking_rows(capsys, *argv):
+    """`run`, asserting that the exit code is 1 exactly when a printed row
+    has a FAIL cell."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code == 1) == has_fail_row(captured.out)
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fault", [
+    test_corpus_all_formatting,
+    test_fundamental_cycle_failure_exits_1,
+    test_failed_inverse_certificate_exits_1,
+    test_escaping_connecting_chain_exits_1,
+    test_connecting_image_not_a_cycle_exits_1,
+    test_connecting_image_not_a_cocycle_exits_1,
+    test_disagreeing_coboundaries_exit_1,
+    test_cap_rung_off_the_cycles_fails_both_cap_squares,
+    test_antisymmetric_inclusion_off_by_one_entry_fails_phi,
+], ids=lambda fault: fault.__name__)
+def test_a_fault_exits_1_exactly_with_a_fail_row(monkeypatch, capsys, fault):
+    # each fault-injected run again, its `run` checking the contract
+    monkeypatch.setitem(globals(), "run", run_checking_rows)
+    fault(monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("rows, body, code", [
+    ([("FAIL", "x", "")], ["FAIL\tx\t"], 1),
+    ([("a", False, "")], ["a\tFAIL\t"], 1),
+    ([("a", True, "")], ["a\tok\t"], 0),
+    ([("orientable", "False")], ["orientable\tFalse"], 0),
+    ([("degree", "left"), (0, "Z")], ["degree\tleft", "0\tZ"], 0),
+])
+def test_report_rows_render_and_decide_the_exit_code(capsys, rows, body,
+                                                     code):
+    args = argparse.Namespace(command="rows", format="tsv")
+    assert cli.Report(args, seed=0).rows(rows) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# twistcap 0.1.0", "# command=rows seed=0"]
+    assert lines[2:-1] == body
+    assert lines[-1] == f"# result={'fail' if code else 'pass'}"

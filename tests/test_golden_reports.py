@@ -23,6 +23,7 @@ import hashlib
 
 import pytest
 
+from oracles import has_fail_row
 from twistcap.cli import main
 
 GOLDEN = (
@@ -82,3 +83,12 @@ def test_report_is_byte_identical(capsys, command, code, digest):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN,
+                         ids=[c for c, _, _ in GOLDEN])
+def test_exit_code_is_1_exactly_when_a_row_fails(capsys, command, code,
+                                                 digest):
+    sep = "  " if "--format plain" in command else "\t"
+    assert main(command.split()) == code
+    assert (code == 1) == has_fail_row(capsys.readouterr().out, sep)

@@ -44,7 +44,9 @@ A ``<name>.__new__(...)`` call, such as ``object.__new__(cls)`` or
 ``__init__``, is made only in
 ``TRUSTED_CONSTRUCTORS`` (``ExactMatrix._from_rows``), so every other
 object is built by its one constructor, and a new trusted constructor fails
-until it is listed.
+until it is listed.  Only ``cli.py`` holds the report format: no other
+module has a string constant with a tab in it, so every check hands the
+CLI rows of cells, not text.
 """
 
 import ast
@@ -477,3 +479,13 @@ def test_only_the_listed_trusted_constructors_skip_init():
              and node.func.attr == "__new__"
              and isinstance(node.func.value, ast.Name)}
     assert_listed(found, TRUSTED_CONSTRUCTORS, "trusted constructors")
+
+
+def test_only_the_cli_writes_tabs():
+    tabbed = [f"{path.name}:{node.lineno}"
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "\t" in node.value]
+    assert not tabbed, "string constants with a tab outside cli.py: " \
+        + ", ".join(tabbed)

@@ -14,6 +14,8 @@ gauge fixed on a spanning tree turns one system's tree transports into the
 other's, and then every edge must agree.
 """
 
+from itertools import combinations
+
 import pytest
 
 from twistcap import localsystems
@@ -22,6 +24,8 @@ from twistcap.chains import homology, pair_complex, relative_killed, \
 from twistcap.complexes import (CORPUS_NAMES, FullSubcomplex,
                                 SimplicialComplex, _grid_klein, _grid_torus,
                                 corpus)
+from twistcap.chains import fundamental_class_direct
+from twistcap.errors import NotClosedPseudomanifold
 from twistcap.fpmodules import induced_map
 from twistcap.localsystems import constant_system, orientation_system
 from twistcap.rings import Z, Zmod
@@ -133,3 +137,59 @@ def test_one_flipped_star_sign_is_not_local_homology(monkeypatch, name):
     M = fresh(name)
     assert not gauge_equivalent(local_transports(M, Z),
                                 orientation_system(M, Z))
+
+
+def sign(system, u, v):
+    """The transport of a rank-1 sign system between u and v, either way."""
+    return system.ring.one if u == v \
+        else system.transport(min(u, v), max(u, v)).entry(0, 0)
+
+
+def local_fundamental_signs(M, ring):
+    """{v: the unit c_v by which the fundamental class, restricted to
+    C(M|v) and carried to the fiber at v, is c_v times the generator of
+    H_n(M|v) that `local_transports` reads}."""
+    nu, n = fundamental_class_direct(M, ring), M.dimension
+    G, at = constant_system(M, ring), pair_complex(M, nu.system).index(n)
+    signs = {}
+    for v in range(M.vertex_count):
+        local_pc, presented = local_homology(M, G, {v})
+        # each facet's coefficient lies in the fiber at its leading vertex
+        chain = tuple(ring.normalize(nu.chain[at[s]]
+                                     * sign(nu.system, v, s[0]))
+                      for s in local_pc.space(n))
+        (c,) = presented.class_vector(chain)
+        assert ring.is_unit(c)
+        signs[v] = c
+    return signs
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("name", ["rp2", "klein", "torus4x4", "sphere3",
+                                  "rp3"])
+def test_the_fundamental_class_is_a_local_generator_in_the_same_gauge(name,
+                                                                      ring):
+    # c_u c_v is the ratio of the two systems' transports on uv: the local
+    # signs of the fundamental class are a gauge that carries the local
+    # homology system to the orientation system
+    M, R = fresh(name), RINGS[ring]
+    signs = local_fundamental_signs(M, R)
+    omega = orientation_system(M, R)
+    assert all(R.normalize(signs[u] * signs[v])
+               == R.normalize(t * sign(omega, u, v))
+               for (u, v), t in local_transports(M, R).items())
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_two_spheres_glued_at_a_vertex_are_refused(ring):
+    # the boundaries of two tetrahedra sharing vertex 0: the local homology
+    # there has rank two, not one, and the orientation system is refused
+    M = SimplicialComplex(7, [f for tet in ((0, 1, 2, 3), (0, 4, 5, 6))
+                              for f in combinations(tet, 3)])
+    G, R = constant_system(M, RINGS[ring]), RINGS[ring]
+    assert homology(M, G, 2, FullSubcomplex(M, {0})).module.normal_form \
+        == (2, ())
+    assert homology(M, G, 2, FullSubcomplex(M, {1})).module.normal_form \
+        == (1, ())
+    with pytest.raises(NotClosedPseudomanifold):
+        orientation_system(M, R)

@@ -20,12 +20,23 @@ After the workload and a full collection it prints, tab-separated:
   bytes that repeat a row of equal content.  A row that matrices over two
   rings hold counts in both rings' lines and once in `all`.
 
+With --sites it prints instead, for the same workload, what each call
+site of `ExactMatrix.shared` does with the tables of shared rows, read by
+wrapping the method from outside: per site (module, enclosing function), the
+nonempty rows it inserts into a table, the rows it takes from one (an equal
+row already there), the rows it hands in that already are the table's, and
+its empty rows; then one `from` line per pair of sites, the rows the first
+took that the second had inserted.  The census keeps every table and
+inserted row alive, so it reports no memory.
+
 Run from the root of a checkout (stdlib only):
     python3 tools/row_census.py --passes 1 --seed 1
     python3 tools/row_census.py --mv
+    python3 tools/row_census.py --sites [--mv]
 """
 
 import argparse
+import collections
 import contextlib
 import gc
 import io
@@ -97,16 +108,77 @@ def row_lines(matrices):
         yield label, len(rows), total, kept, total - kept
 
 
+class SiteCensus:
+    """`ExactMatrix.shared` wrapped from outside, counting per call site."""
+
+    COLUMNS = ("inserted", "taken", "held", "empty")
+
+    def __init__(self):
+        self.counts = collections.defaultdict(collections.Counter)
+        self.sources = collections.Counter()   # (taker, inserter) -> rows
+        # (id(table), id(row)) -> (table, row, inserting site); holding the
+        # table and the row keeps both ids their own
+        self.inserter = {}
+
+    def wrap(self):
+        shared = ExactMatrix.shared
+
+        def counted(matrix, table):
+            caller = sys._getframe(1)
+            site = (caller.f_globals["__name__"].rpartition(".")[2] + "."
+                    + caller.f_code.co_qualname.replace("<locals>.", "")
+                    .removesuffix(".<lambda>"))
+            result = shared(matrix, table)
+            self.record(site, table, matrix.sparse_rows, result.sparse_rows)
+            return result
+        ExactMatrix.shared = counted
+
+    def record(self, site, table, before, after):
+        counts = self.counts[site]
+        for old, new in zip(before, after):
+            key = (id(table), id(new))
+            if not old:
+                counts["empty"] += 1
+            elif new is not old:
+                counts["taken"] += 1
+                self.sources[site, self.inserter[key][2]] += 1
+            elif key in self.inserter:
+                counts["held"] += 1
+            else:
+                counts["inserted"] += 1
+                self.inserter[key] = (table, new, site)
+
+    def print(self):
+        print("sites\tsite\t" + "\t".join(self.COLUMNS))
+        for site in sorted(self.counts):
+            print(f"sites\t{site}\t"
+                  + "\t".join(str(self.counts[site][c]) for c in self.COLUMNS))
+        print("from\ttaker\tinserter\trows")
+        for (taker, inserter), rows in sorted(self.sources.items()):
+            print(f"from\t{taker}\t{inserter}\t{rows}")
+
+
 def main_census():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--passes", type=int, default=1)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mv", action="store_true",
                    help="the Mayer-Vietoris steps on the n = 24 Klein cover")
+    p.add_argument("--sites", action="store_true",
+                   help="per call site of ExactMatrix.shared, the rows it "
+                   "inserts into and takes from the tables")
     args = p.parse_args()
+    census = SiteCensus()
+    if args.sites:
+        # before the workload is built, so every row in a table is seen
+        census.wrap()
     # with --mv, the complex, which keeps what the steps build, stays alive
     run, _complex = (mv_cover() if args.mv
                      else (corpus_passes(args.passes, args.seed), None))
+    if args.sites:
+        run()
+        census.print()
+        return
     gc.collect()
     tracemalloc.start()
     run()
