@@ -359,15 +359,15 @@ def check_smith_kernel(count=1000, seed=0) -> CheckResult:
 
 
 def run_all(seed=0, trials=100):
-    return [
-        check_structural(seed),
-        check_lemma1(),
-        check_lemma2(),
-        check_sequences_and_phi(),
-        check_fundamental_class(),
-        check_cap_identity(trials, seed),
-        check_duality(seed),
-        check_mayer_vietoris(),
-        check_diagram6(),
-        check_smith_kernel(1000, seed),
-    ]
+    """The ten criteria, one at a time: a criterion that raises leaves the
+    ones before it computed."""
+    yield check_structural(seed)
+    yield check_lemma1()
+    yield check_lemma2()
+    yield check_sequences_and_phi()
+    yield check_fundamental_class()
+    yield check_cap_identity(trials, seed)
+    yield check_duality(seed)
+    yield check_mayer_vietoris()
+    yield check_diagram6()
+    yield check_smith_kernel(1000, seed)

@@ -3,15 +3,18 @@
 Every run is deterministic given its options and seed: reports carry a
 self-describing header with the artifact version, ring, and input digests,
 and never include timestamps.  Exit codes: 0 when all requested checks pass,
-1 on a check failure (with a machine-readable FAIL line in the body), 2 on
-usage or input-format errors.
+1 on a check failure (a FAIL row in a report with its header and result
+line), 2 on usage or input-format errors (a message on stderr, nothing on
+stdout).
 
-Every report is a header, rows of cells and a result line, and
-`Report.rows` is the one place a row becomes a line: a bool second cell
-prints as ok or FAIL, any other cell as its str, and the report fails, exit
-1, exactly when a printed row has a FAIL cell.  The checks hand the CLI
-rows: the battery's row drivers, the `table` of a duality or diagram (6)
-report, and the battery's own results.
+A subcommand's handler is a generator: it resolves its inputs, yields its
+header fields as a dict, then yields its rows of cells.  `render` is the one
+place a row becomes a line and the one place the exit code is decided: a
+`CheckFailed` raised while the rows are computed becomes a FAIL row of the
+same report, and nothing is printed until the result line is built, so an
+input error raised mid-rows still leaves stdout empty.  The checks hand the
+CLI rows: the battery's row drivers, the `table` of a duality or diagram
+(6) report, and the battery's own results.
 
 `_COMMANDS` is the one place a subcommand is declared: its help, its options
 (each declared once, in `_OPTIONS`) and its handler.  The parser is built
@@ -108,28 +111,29 @@ def _resolve_system(spec: str, cx, ring, seed: int):
 _SEPARATORS = {"tsv": "\t", "plain": "  "}
 
 
-class Report:
-    def __init__(self, args, **meta):
-        self.sep = _SEPARATORS[args.format]
-        fields = " ".join(f"{k}={v}" for k, v in meta.items())
-        self.lines = [f"# twistcap {VERSION}",
-                      f"# command={args.command} {fields}"]
-
-    def rows(self, rows) -> int:
-        """Print the header, one line per row and the result line, once
-        every row is computed; return the exit code.  A bool second cell
-        prints as ok or FAIL, every other cell as its str, and the report
-        fails exactly when a printed row has a FAIL cell."""
-        failed = False
-        for row in rows:
+def render(args, report) -> int:
+    """Print `report`, a handler's header fields and then its rows, once
+    every row is computed; return the exit code.  A bool second cell prints
+    as ok or FAIL, every other cell as its str; a `CheckFailed` raised while
+    the rows are computed is the last row, FAIL with its name and message;
+    the report fails exactly when a printed row has a FAIL cell."""
+    sep = _SEPARATORS[args.format]
+    fields = " ".join(f"{k}={v}" for k, v in next(report).items())
+    lines = [f"# twistcap {VERSION}", f"# command={args.command} {fields}"]
+    failed = False
+    try:
+        for row in report:
             cells = [str(cell) for cell in row]
             if isinstance(row[1], bool):
                 cells[1] = "ok" if row[1] else "FAIL"
             failed = failed or "FAIL" in cells
-            self.lines.append(self.sep.join(cells))
-        self.lines.append(f"# result={'fail' if failed else 'pass'}")
-        print("\n".join(self.lines))
-        return int(failed)
+            lines.append(sep.join(cells))
+    except CheckFailed as exc:
+        lines.append(sep.join(("FAIL", type(exc).__name__, str(exc))))
+        failed = True
+    lines.append(f"# result={'fail' if failed else 'pass'}")
+    print("\n".join(lines))
+    return int(failed)
 
 
 def _positive_int(text: str) -> int:
@@ -160,62 +164,60 @@ _OPTIONS = {
 
 def _cmd_validate(args):
     cx, name, digest = _resolve_complex(args.complex)
-    rep = Report(args, complex=name, complex_digest=digest)
+    yield dict(complex=name, complex_digest=digest)
     r = validate(cx)
-    checks = ("is_pure", "each_ridge_in_two_facets", "dual_graph_connected",
-              "links_validated", "closed_pseudomanifold")
-    return rep.rows((
-        ("dimension", r.dimension),
-        ("f_vector", ",".join(str(x) for x in cx.f_vector())),
-        ("euler_characteristic", r.euler_characteristic),
-        *((label, getattr(r, label), "") for label in checks)))
+    yield "dimension", r.dimension
+    yield "f_vector", ",".join(str(x) for x in cx.f_vector())
+    yield "euler_characteristic", r.euler_characteristic
+    for label in ("is_pure", "each_ridge_in_two_facets",
+                  "dual_graph_connected", "links_validated",
+                  "closed_pseudomanifold"):
+        yield label, getattr(r, label), ""
 
 
 def _cmd_orientation(args):
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
-    rep = Report(args, complex=name, complex_digest=digest, ring=ring)
+    yield dict(complex=name, complex_digest=digest, ring=ring)
     omega = orientation_system(cx, ring)
     trivial, _ = is_trivializable(omega)
     cover = build_double_cover(cx, omega)
     comps = facet_components(cover.total)
     # orientable is a verdict, not a check: printed True or False
-    return rep.rows((
-        ("orientable", str(trivial)),
-        ("cover_components", comps),
-        ("cover_euler_characteristic", cover.total.euler_characteristic()),
-        ("census_agreement", (comps == 2) == trivial,
-         "cover disconnected iff orientation system trivializable")))
+    yield "orientable", str(trivial)
+    yield "cover_components", comps
+    yield "cover_euler_characteristic", cover.total.euler_characteristic()
+    yield ("census_agreement", (comps == 2) == trivial,
+           "cover disconnected iff orientation system trivializable")
 
 
 def _cmd_rows(driver, args):
-    """Print the rows of the battery's `driver` on one complex over one
-    ring."""
+    """The rows of the battery's `driver` on one complex over one ring."""
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
-    rep = Report(args, complex=name, complex_digest=digest, ring=ring)
-    return rep.rows(driver(cx, ring))
+    yield dict(complex=name, complex_digest=digest, ring=ring)
+    yield from driver(cx, ring)
 
 
 def _cmd_cap_identity(args):
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, complex=name, complex_digest=digest, system=syslabel,
-                 ring=ring, seed=args.seed, trials=args.trials)
+    yield dict(complex=name, complex_digest=digest, system=syslabel,
+               ring=ring, seed=args.seed, trials=args.trials)
     failures = len(acceptance.cap_identity_failures(
         cx, system, random.Random(args.seed), args.trials))
-    return rep.rows((("cap_boundary_identity", failures == 0,
-                      f"trials={args.trials} failures={failures}"),))
+    yield ("cap_boundary_identity", failures == 0,
+           f"trials={args.trials} failures={failures}")
 
 
 def _cmd_verify_duality(args):
     cx, name, digest = _resolve_complex(args.complex)
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, complex=name, complex_digest=digest, system=syslabel,
-                 ring=ring, seed=args.seed)
-    return rep.rows(verify_duality(cx, system, ring).table())
+    yield dict(complex=name, complex_digest=digest, system=syslabel,
+               ring=ring, seed=args.seed)
+    yield from verify_duality(cx, system, ring).table()
 
 
 def _cmd_check_mv(args):
@@ -224,12 +226,9 @@ def _cmd_check_mv(args):
     cx, pair = named_cover(args.complex, args.cover)
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, complex=args.complex, cover=args.cover,
-                 system=syslabel, ring=ring)
-    rows = tuple(acceptance.mv_rows(pair, system))
-    if not all(ok for _, ok, _ in rows):
-        rows += (("FAIL", "mayer-vietoris", "see rows above"),)
-    return rep.rows(rows)
+    yield dict(complex=args.complex, cover=args.cover, system=syslabel,
+               ring=ring)
+    yield from acceptance.mv_rows(pair, system)
 
 
 def _cmd_diagram6(args):
@@ -237,21 +236,20 @@ def _cmd_diagram6(args):
     cx = cfg["complex"]
     ring = parse_ring(args.ring)
     system, syslabel = _resolve_system(args.system, cx, ring, args.seed)
-    rep = Report(args, config=args.config, system=syslabel, ring=ring,
-                 seed=args.seed)
-    return rep.rows(diagram6_check(
+    yield dict(config=args.config, system=syslabel, ring=ring, seed=args.seed)
+    yield from diagram6_check(
         cx, cfg["U"], cfg["V"], cfg["K"], cfg["L"], system, ring,
-        resample_seed=args.seed or None).table())
+        resample_seed=args.seed or None).table()
 
 
 def _cmd_corpus_all(args):
-    rep = Report(args, seed=args.seed, trials=args.trials)
-    return rep.rows(acceptance.run_all(seed=args.seed, trials=args.trials))
+    yield dict(seed=args.seed, trials=args.trials)
+    yield from acceptance.run_all(seed=args.seed, trials=args.trials)
 
 
 # every subcommand, declared once: its help, its options in order (mostly
 # those of a check on one complex, without or with a local system), and its
-# handler, which takes the parsed arguments and returns the exit code
+# handler, a generator of the report's header fields and then its rows
 _UNTWISTED = ("--complex", "--ring", "--seed", "--format")
 _TWISTED = ("--complex", "--system", "--ring", "--seed", "--format")
 _COMMANDS = {
@@ -301,11 +299,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][2](args)
-    except CheckFailed as exc:
-        print(_SEPARATORS[args.format].join(
-            ("FAIL", type(exc).__name__, str(exc))))
-        return 1
+        return render(args, _COMMANDS[args.command][2](args))
     except TwistcapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,7 @@ from .errors import (CertificateFailed, CompositionNonzero, NotChainMap,
                      TwistcapError)
 from .matrices import (ExactMatrix, SmithDecomposition, SmithSolver,
                        _is_own_smith_form, smith_normal_form)
-from .rings import INTEGERS, MODULAR, RingSpec
+from .rings import RingSpec
 
 
 class FPModule:
@@ -91,13 +91,7 @@ class FPModule:
         return hash((self.ring, self.normal_form))
 
     def __str__(self):
-        ring = self.ring
-        if ring.kind == INTEGERS:
-            free = "Z"
-        elif ring.kind == MODULAR:
-            free = f"Z/{ring.modulus}"
-        else:
-            free = "Q"
+        free = str(self.ring)
         parts = []
         if self.free_rank == 1:
             parts.append(free)

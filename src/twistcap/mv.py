@@ -400,16 +400,13 @@ class Diagram6Report(namedtuple("Diagram6Report", "square_left square_right "
         return self.square_left and self.square_right and self.connecting_ok
 
     def table(self):
-        """The report's rows: a header, one check row per block, and a FAIL
-        row when a block does not commute."""
+        """The report's rows: a header, then one check row per block."""
         sign = self.connecting_sign
         yield "block", "verdict", "sign"
         yield "cap-square-left", self.square_left, "+1"
         yield "cap-square-right", self.square_right, "+1"
         yield "connecting", self.connecting_ok, \
             "n/a" if sign is None else f"{sign:+d}"
-        if not self.all_verified:
-            yield "FAIL", "diagram6", "a block failed to commute"
 
 
 def _restricted_fundamental_chain(M, nu, pool_pc, allowed_defect: Subcomplex):

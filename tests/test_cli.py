@@ -1,4 +1,5 @@
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -9,9 +10,11 @@ import pytest
 
 from oracles import has_fail_row
 from twistcap import acceptance, chains, cli, covers, fpmodules, mv
+from twistcap.chains import NotAFundamentalCycle
 from twistcap.cli import main
 from twistcap.complexes import (BUILTIN_NAMES, SimplicialComplex, _grid_klein,
                                 _grid_torus, dumps_complex, validate)
+from twistcap.errors import CertificateFailed, TwistcapError
 from twistcap.localsystems import constant_system
 from twistcap.matrices import ExactMatrix
 
@@ -467,7 +470,11 @@ def assert_check_failure(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err == ""
-    assert out.splitlines()[-1].split("\t")[:2] == ["FAIL", name]
+    lines = out.splitlines()
+    assert lines[0] == "# twistcap 0.1.0"
+    assert lines[1].startswith(f"# command={argv[0]} ")
+    assert lines[-2].split("\t")[:2] == ["FAIL", name]
+    assert lines[-1] == "# result=fail"
 
 
 def test_fundamental_cycle_failure_exits_1(monkeypatch, capsys):
@@ -573,7 +580,7 @@ def test_cap_rung_off_the_cycles_fails_both_cap_squares(monkeypatch, capsys):
     assert "cap-square-left\tFAIL" in out
     assert "cap-square-right\tFAIL" in out
     assert "connecting\tok\t+1" in out
-    assert out.splitlines()[-2].split("\t")[:2] == ["FAIL", "diagram6"]
+    assert out.splitlines()[-1] == "# result=fail"
 
 
 def test_antisymmetric_inclusion_off_by_one_entry_fails_phi(monkeypatch,
@@ -662,8 +669,98 @@ def test_a_fault_exits_1_exactly_with_a_fail_row(monkeypatch, capsys, fault):
 def test_report_rows_render_and_decide_the_exit_code(capsys, rows, body,
                                                      code):
     args = argparse.Namespace(command="rows", format="tsv")
-    assert cli.Report(args, seed=0).rows(rows) == code
+    assert cli.render(args, iter([{"seed": 0}, *rows])) == code
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["# twistcap 0.1.0", "# command=rows seed=0"]
     assert lines[2:-1] == body
     assert lines[-1] == f"# result={'fail' if code else 'pass'}"
+
+
+# -- one report shape: a check that raises is a FAIL row of its report --------
+
+def test_a_driver_that_raises_ends_its_report_with_a_fail_row(monkeypatch,
+                                                              capsys):
+    def driver(cx, ring):
+        yield "first", True, "computed"
+        raise NotAFundamentalCycle("facet signs do not close up")
+
+    text, options, _ = cli._COMMANDS["lemma1"]
+    monkeypatch.setitem(cli._COMMANDS, "lemma1", (
+        text, options, functools.partial(cli._cmd_rows, driver)))
+    code, out, err = run(capsys, "lemma1", "--complex", "rp2")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "# twistcap 0.1.0"
+    assert lines[1].startswith("# command=lemma1 complex=rp2 ")
+    assert lines[2:] == [
+        "first\tok\tcomputed",
+        "FAIL\tNotAFundamentalCycle\tfacet signs do not close up",
+        "# result=fail"]
+
+
+def test_an_input_error_after_the_header_exits_2_with_nothing_printed(
+        monkeypatch, capsys):
+    def refusing(args):
+        yield dict(complex="x")
+        yield "first", True, ""
+        raise TwistcapError("refused")
+
+    text, options, _ = cli._COMMANDS["validate"]
+    monkeypatch.setitem(cli._COMMANDS, "validate", (text, options, refusing))
+    code, out, err = run(capsys, "validate", "--complex", "rp2")
+    assert (code, out, err) == (2, "", "error: refused\n")
+
+
+def test_a_criterion_that_raises_keeps_the_rows_before_it(monkeypatch,
+                                                          capsys):
+    def uncertified(seed=0):
+        raise CertificateFailed("inverse certificate failed verification")
+
+    monkeypatch.setattr(acceptance, "check_duality", uncertified)
+    code, out, err = run(capsys, "corpus-all", "--trials", "1")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["# twistcap 0.1.0",
+                         "# command=corpus-all seed=0 trials=1"]
+    assert [line.split("\t")[:2] for line in lines[2:-2]] == [
+        [name, "ok"] for name in (
+            "structural d2=0 delta2=0", "lemma 1 deck reversal",
+            "lemma 2 pushforward vanishes", "splitting sequences and phi",
+            "fundamental class agreement", "cap boundary identity")]
+    assert lines[-2:] == [
+        "FAIL\tCertificateFailed\tinverse certificate failed verification",
+        "# result=fail"]
+
+
+def run_checking_shape(capsys, *argv):
+    """`run_checking_rows`, asserting also that an exit-1 report has its
+    header and its result line, and that an exit-2 run prints nothing."""
+    code, out, err = run_checking_rows(capsys, *argv)
+    lines = out.splitlines()
+    if code == 1:
+        assert lines[0] == "# twistcap 0.1.0"
+        assert lines[1].startswith(f"# command={argv[0]} ")
+        assert lines[-1] == "# result=fail"
+    elif code == 2:
+        assert out == ""
+    return code, out, err
+
+
+@pytest.mark.parametrize("fault", [
+    test_corpus_all_formatting,
+    test_fundamental_cycle_failure_exits_1,
+    test_failed_inverse_certificate_exits_1,
+    test_escaping_connecting_chain_exits_1,
+    test_connecting_image_not_a_cycle_exits_1,
+    test_connecting_image_not_a_cocycle_exits_1,
+    test_disagreeing_coboundaries_exit_1,
+    test_cap_rung_off_the_cycles_fails_both_cap_squares,
+    test_antisymmetric_inclusion_off_by_one_entry_fails_phi,
+    test_a_driver_that_raises_ends_its_report_with_a_fail_row,
+    test_an_input_error_after_the_header_exits_2_with_nothing_printed,
+    test_a_criterion_that_raises_keeps_the_rows_before_it,
+], ids=lambda fault: fault.__name__)
+def test_every_failing_report_has_one_shape(monkeypatch, capsys, fault):
+    # each fault-injected run again, its `run` checking the report's shape
+    monkeypatch.setitem(globals(), "run", run_checking_shape)
+    fault(monkeypatch, capsys)

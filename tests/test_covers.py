@@ -1,7 +1,8 @@
 import pytest
 
 from twistcap import covers
-from twistcap.chains import fundamental_class_direct, pair_complex
+from twistcap.chains import (fundamental_class_direct, pair_complex,
+                             transfer_matrix)
 from twistcap.complexes import (FullSubcomplex, corpus, dumps_complex,
                                 loads_complex, validate)
 from twistcap.covers import (CoverOrientation, DegreeSplit, DoubleCover,
@@ -9,7 +10,7 @@ from twistcap.covers import (CoverOrientation, DegreeSplit, DoubleCover,
                              build_double_cover, check_split_exactness,
                              cover_chains, deck_chain_matrix, lemma1_check,
                              lemma2_check, orient_cover, orientation_cover,
-                             phi_identify, split_maps)
+                             phi_identify, pushforward, split_maps)
 from twistcap.errors import IncoherentCover, NotSignSystem, TwoIsZero
 from twistcap.localsystems import (constant_system, is_trivializable,
                                    orientation_system)
@@ -287,6 +288,34 @@ def test_lemma2_pushforward_vanishes(name, ring):
     M = corpus(name)
     for K in (None, FullSubcomplex(M, {0})):
         assert lemma2_check(M, ring, K)
+
+
+@pytest.mark.parametrize("name, K, forms", [
+    ("sphere2", "all", ((2, ()), (1, ()))),
+    ("torus", "all", ((2, ()), (1, ()))),
+    ("rp2", "all", ((1, ()), (0, ()))),
+    ("klein", "all", ((1, ()), (0, ()))),
+    ("sphere2", "vertex0", ((2, ()), (1, ()))),
+    ("torus", "vertex0", ((2, ()), (1, ()))),
+    ("rp2", "vertex0", ((2, ()), (1, ()))),
+    ("klein", "vertex0", ((2, ()), (1, ()))),
+])
+def test_pushforward_sends_the_cover_class_to_zero(name, K, forms):
+    # p_* over Z from the orientation cover: two sheets over an orientable
+    # surface and one connected cover over a non-orientable one, and the two
+    # local generators over vertex 0 onto the one of M; Lemma 2 through the
+    # public map: p_* of the cover's class is zero
+    M = corpus(name)
+    K = None if K == "all" else FullSubcomplex(M, {0})
+    cover = orientation_cover(M)
+    pmap = pushforward(cover, Z, K)
+    assert (pmap.source.normal_form, pmap.target.normal_form) == forms
+    n = M.dimension
+    rel_pc = cover_chains(cover, Z, K)
+    z = orient_cover(cover).cycle_vector(Z)
+    coords = rel_pc.homology(n).class_vector(
+        transfer_matrix(cover_chains(cover, Z), rel_pc, n).apply(z))
+    assert pmap.target.is_zero_class(pmap.apply(coords))
 
 
 def dumps_cover(cover):

@@ -46,7 +46,9 @@ A ``<name>.__new__(...)`` call, such as ``object.__new__(cls)`` or
 object is built by its one constructor, and a new trusted constructor fails
 until it is listed.  Only ``cli.py`` holds the report format: no other
 module has a string constant with a tab in it, so every check hands the
-CLI rows of cells, not text.
+CLI rows of cells, not text.  Only the CLI's renderer, ``cli.render``,
+has an ``except`` clause that names ``CheckFailed`` or a subclass of it, so
+a check that raises becomes a FAIL row of its own report and nowhere else.
 """
 
 import ast
@@ -489,3 +491,32 @@ def test_only_the_cli_writes_tabs():
               and "\t" in node.value]
     assert not tabbed, "string constants with a tab outside cli.py: " \
         + ", ".join(tabbed)
+
+
+# (module, enclosing function) of every except clause that names CheckFailed
+# or a subclass: the renderer, which makes the failure a FAIL row
+CHECK_FAILED_HANDLERS = {("cli", "render")}
+
+
+def _check_failures():
+    """CheckFailed and the names of the package's classes derived from it."""
+    classes = [node for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    names = {"CheckFailed"}
+    while True:
+        derived = {node.name for node in classes
+                   if any(getattr(base, "id", getattr(base, "attr", None))
+                          in names for base in node.bases)}
+        if derived <= names:
+            return names
+        names |= derived
+
+
+def test_only_the_renderer_catches_a_failed_check():
+    names = _check_failures()
+    found = {(module, where) for module, where, node in _package_nodes()
+             if isinstance(node, ast.ExceptHandler) and node.type is not None
+             and names & {name for name, _ in _references(node.type)}}
+    assert_listed(found, CHECK_FAILED_HANDLERS,
+                  "except clauses of a failed check")

@@ -113,3 +113,18 @@ def test_a_kernel_divisor_other_than_1_factors_the_next_d_out(monkeypatch):
         assert str(pc.cohomology(0).module) == ("Z" if ring == Z else "Z/4")
         assert top is pc.cohomology(M.dimension)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("ring", (Z, Zmod(3)), ids=str)
+@pytest.mark.parametrize("name", ["circle", "rp2", "rp3"])
+def test_a_degree_outside_0_to_n_is_zero_and_presented_afresh(name, ring):
+    # a degree with no chains is off the ladder: the zero module, presented
+    # again on every ask, while a degree on the ladder is kept
+    M = corpus(name)
+    pc = pair_complex(M, orientation_system(M, ring))
+    for kind in KINDS:
+        assert getattr(pc, kind)(0) is getattr(pc, kind)(0)
+        for k in (-1, M.dimension + 1):
+            first = getattr(pc, kind)(k)
+            assert first.module.normal_form == (0, ()), (kind, k)
+            assert getattr(pc, kind)(k) is not first, (kind, k)
