@@ -75,12 +75,6 @@ def cap_setting(M, G, Gp, K=None):
     return cochain_pc, chain_pc, out_pc
 
 
-def cap_chain(M, G, Gp, k, c_vec, n, a_vec):
-    """Absolute cap product on chain/cochain vectors."""
-    cochain_pc, chain_pc, out_pc = cap_setting(M, G, Gp)
-    return cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec)
-
-
 def boundary_identity_check(M, G, Gp, k, n, c_vec, a_vec):
     """Verify the cap boundary identity exactly, returning (holds, diff).
 

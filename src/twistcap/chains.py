@@ -218,12 +218,6 @@ def relative_killed(M: SimplicialComplex, K: FullSubcomplex | None):
     return comp if comp.vertex_subset else None
 
 
-def chain_complex(M, G, K: FullSubcomplex | None = None) -> PairComplex:
-    pc = pair_complex(M, G, killed=relative_killed(M, K))
-    pc.verify_squares()
-    return pc
-
-
 def homology(M, G, k, K: FullSubcomplex | None = None) -> HomologyPresentation:
     return pair_complex(M, G, killed=relative_killed(M, K)).homology(k)
 
@@ -281,16 +275,6 @@ class FundamentalClassData:
         n = self.degree
         proj = transfer_matrix(self._pc, rel, n)
         return proj.apply(self.chain)
-
-    def relative_presentation(self, K: FullSubcomplex) -> HomologyPresentation:
-        return homology(self.base, self.system, self.degree, K)
-
-    def class_in(self, presentation: HomologyPresentation, K=None):
-        vec = self.chain if K is None else self.restriction(K)
-        coords = presentation.class_vector(vec)
-        if coords is None:
-            raise TwistcapError("fundamental chain is not a cycle in the pair")
-        return coords
 
 
 def fundamental_class_direct(M, ring, system=None) -> FundamentalClassData:

@@ -86,9 +86,18 @@ def _spec_int(spec: str, parts, i: int, default: int, max_rank=None) -> int:
     return value
 
 
+# the fields each system kind takes after its name
+_SYSTEM_FIELDS = {"orientation": (), "constant": ("RANK",),
+                  "random-flat": ("SEED", "RANK")}
+
+
 def _resolve_system(spec: str, cx, ring, seed: int):
     parts = spec.split(":")
     name = parts[0]
+    fields = _SYSTEM_FIELDS.get(name)
+    if fields is not None and len(parts) > 1 + len(fields):
+        raise UnknownName(f"unknown system {spec!r}: the form is "
+                          + ":".join((name,) + fields))
     if name == "constant":
         rank = _spec_int(spec, parts, 1, 1, MAX_RANK)
         return constant_system(cx, ring, rank), spec

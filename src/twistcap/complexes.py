@@ -493,10 +493,6 @@ class FullSubcomplex:
         return f"FullSubcomplex({sorted(self.vertex_subset)})"
 
 
-def complement(K: FullSubcomplex) -> FullSubcomplex:
-    return K.complement()
-
-
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------

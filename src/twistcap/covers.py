@@ -438,21 +438,15 @@ def _orientation_cover_cycle(M, ring):
     return cover, orient_cover(cover).cycle_vector(ring)
 
 
-def _pushforward(cover, ring, K):
-    """The presented top relative homology of the cover, and p_* on it."""
+def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
+    """p_* on top relative homology, as a map of presented modules."""
     M = cover.base
     n = M.dimension
     top_pc = cover_chains(cover, ring, K)
     base_pc = pair_complex(M, constant_system(M, ring),
                            killed=relative_killed(M, K))
     proj = vertex_map_chain_matrix(cover.projection, ring, n, top_pc, base_pc)
-    src, dst = top_pc.homology(n), base_pc.homology(n)
-    return src, induced_map(proj, src, dst)
-
-
-def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
-    """p_* on top relative homology, as a map of presented modules."""
-    return _pushforward(cover, ring, K)[1]
+    return induced_map(proj, top_pc.homology(n), base_pc.homology(n))
 
 
 def lemma2_check(M, ring, K: FullSubcomplex | None = None) -> bool:
@@ -461,11 +455,11 @@ def lemma2_check(M, ring, K: FullSubcomplex | None = None) -> bool:
     n = M.dimension
     rel_pc = cover_chains(cover, ring, K)
     z_rel = transfer_matrix(cover_chains(cover, ring), rel_pc, n).apply(z)
-    src, pmap = _pushforward(cover, ring, K)
-    coords = src.class_vector(z_rel)
+    pmap = pushforward(cover, ring, K)
+    coords = rel_pc.homology(n).class_vector(z_rel)
     if coords is None:
         raise TwistcapError("cover orientation cycle is not a relative cycle")
-    return pmap.target.is_zero_class(pmap.apply(coords))
+    return pmap.target.is_zero_class(pmap.matrix.apply(coords))
 
 
 def fundamental_class_via_cover(M, ring) -> FundamentalClassData:

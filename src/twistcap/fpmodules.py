@@ -325,9 +325,6 @@ class ModuleMap:
         ring = self.matrix.ring
         return sum(1 for d in self.image.snf.diagonal() if ring.is_unit(d))
 
-    def apply(self, coords):
-        return self.matrix.apply(coords)
-
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other (self @ other), through the same middle object."""
         if other.target is not self.source:
@@ -388,8 +385,10 @@ def is_isomorphism(f: ModuleMap) -> IsoResult:
     units = f.image_units()
     if units < tt:
         # the first non-unit pivot position marks a cokernel class, the
-        # element that U sends to that unit vector
-        return IsoResult(False, cokernel_witness=snf.u_inverse_column(units))
+        # element that U sends to that unit vector: column `units` of U^-1
+        col = snf.u_inv_columns((units,))[0]
+        return IsoResult(False, cokernel_witness=tuple(
+            col.get(i, ring.zero) for i in range(tt)))
 
     ker_gens, _ = snf.kernel_with_relations()
     kernel_classes = _top_rows(ker_gens, ts)

@@ -54,7 +54,7 @@ from fractions import Fraction
 from .complexes import SimplicialComplex, memo, star_signs, validate, weak
 from .errors import (BaseMismatch, NotClosedPseudomanifold, RingMismatch,
                      SystemFormatError, TwistcapError)
-from .matrices import ExactMatrix, inverse, kernel, row_table
+from .matrices import ExactMatrix, inverse, kernel_with_relations, row_table
 from .rings import Q, RingSpec, Zmod, parse_ring
 
 # the largest rank a user may ask for, far above the corpus's, the tests'
@@ -342,10 +342,10 @@ def random_sign_cocycle(base: SimplicialComplex, seed: int) -> dict:
     """
     edges = base.faces(1)
     eidx = base.face_index(1)
-    K = memo(base, "sign_cocycle_kernel", lambda: kernel(
+    K = memo(base, "sign_cocycle_kernel", lambda: kernel_with_relations(
         ExactMatrix._from_rows(Zmod(2), [
             {eidx[e]: 1 for e in ((u, v), (v, w), (u, w))}
-            for u, v, w in base.faces(2)], len(edges))))
+            for u, v, w in base.faces(2)], len(edges)))[0])
     rng = random.Random(seed)
     chosen = {j for j in range(K.cols) if rng.randrange(2)}
     combo = [sum(x for j, x in row.items() if j in chosen) % 2

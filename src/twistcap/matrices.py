@@ -599,23 +599,11 @@ class SmithDecomposition:
 
     # -- reads of the diagonal ---------------------------------------------
 
-    def u_inverse_column(self, j):
-        """Column j of U^-1 as a dense tuple: the element of the row space
-        that U sends to the j-th unit vector."""
-        ring = self.D.ring
-        col = [ring.zero] * self.D.rows
-        for i, x in self.u_inv_columns((j,))[0].items():
-            col[i] = x
-        return tuple(col)
-
     def diagonal(self):
         zero = self.D.ring.zero
         rows = self.D.sparse_rows
         return tuple(rows[i].get(i, zero)
                      for i in range(min(self.D.rows, self.D.cols)))
-
-    def nonzero_count(self):
-        return sum(1 for d in self.diagonal() if d)
 
     @cached_property
     def kernel_positions(self):
@@ -896,10 +884,6 @@ def _euclid_core(S, r, c, m):
 def kernel_with_relations(A: ExactMatrix):
     """Generators K of ker(A) plus the relations among those generators."""
     return smith_normal_form(A).kernel_with_relations()
-
-
-def kernel(A: ExactMatrix) -> ExactMatrix:
-    return kernel_with_relations(A)[0]
 
 
 class SmithSolver:

@@ -756,7 +756,7 @@ def test_gauged_systems_invert_only_their_gauges(monkeypatch, ring):
 
 def test_sign_cocycles_factor_the_incidence_once_per_complex(monkeypatch):
     M = fresh("klein")
-    kernels = count_calls(monkeypatch, localsystems, "kernel")
+    kernels = count_calls(monkeypatch, localsystems, "kernel_with_relations")
     systems = [random_flat_system(M, ring, 2, seed=seed)
                for ring in (Z, Zmod(3)) for seed in (0, 1)]
     assert len(kernels) == 1

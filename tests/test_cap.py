@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from twistcap.cap import (boundary_identity_check, cap_chain, cap_matrix,
-                          cap_setting, cap_vector, face_restriction,
-                          relative_cap, verify_duality)
+from twistcap.cap import (boundary_identity_check, cap_matrix, cap_setting,
+                          cap_vector, face_restriction, relative_cap,
+                          verify_duality)
 from twistcap.chains import fundamental_class_direct, pair_complex
 from twistcap.complexes import FullSubcomplex, corpus
 from twistcap.errors import BadIndices, DegreeMismatch
@@ -95,7 +95,7 @@ def test_cap_degree_guards():
     M = corpus("sphere2")
     G = constant_system(M, Z, 1)
     with pytest.raises(DegreeMismatch):
-        cap_chain(M, G, G, 2, (), 1, ())
+        cap_vector(*cap_setting(M, G, G), 2, (), 1, ())
 
 
 def test_torus_cap_with_fundamental_class_pairs_cycles():

@@ -1,8 +1,9 @@
 import pytest
 
-from twistcap.chains import (NotAFundamentalCycle, PairComplex, chain_complex,
-                             cohomology, fundamental_class_direct, homology,
-                             inclusion_restriction, relative_killed)
+from twistcap.chains import (NotAFundamentalCycle, PairComplex, cohomology,
+                             fundamental_class_direct, homology,
+                             inclusion_restriction, pair_complex,
+                             relative_killed)
 from twistcap.complexes import FullSubcomplex, corpus
 from twistcap.covers import fundamental_class_via_cover
 from twistcap.errors import FlatnessViolation, TwoIsZero
@@ -18,7 +19,8 @@ from oracles import RP2_FACETS, boundary_matrix
 
 def test_constant_system_reproduces_ordinary_boundaries():
     M = corpus("rp2")
-    pc = chain_complex(M, constant_system(M, Z))
+    pc = pair_complex(M, constant_system(M, Z))
+    pc.verify_squares()
     expected2, _, _ = boundary_matrix(RP2_FACETS, 2)
     expected1, _, _ = boundary_matrix(RP2_FACETS, 1)
     assert pc.boundary(2) == ExactMatrix(Z, expected2)
@@ -29,7 +31,8 @@ def test_circle_swap_system_boundary_blocks():
     M = corpus("circle")
     swap = ExactMatrix(Z, [[0, 1], [1, 0]])
     system = LocalSystem(M, Z, 2, {(0, 2): swap})
-    pc = chain_complex(M, system)
+    pc = pair_complex(M, system)
+    pc.verify_squares()
     d1 = pc.boundary(1)
     assert (d1.rows, d1.cols) == (6, 6)
     # edge (0,1): faces (1,) - (0,), identity blocks
@@ -46,8 +49,7 @@ def test_boundary_and_coboundary_square_to_zero(name, ring):
     systems = [constant_system(M, ring, 1), constant_system(M, ring, 2),
                orientation_system(M, ring), random_flat_system(M, ring, 2, 11)]
     for g in systems:
-        pc = chain_complex(M, g)
-        assert pc.verify_squares()
+        assert pair_complex(M, g).verify_squares()
 
 
 def test_flatness_violation_rejected():
@@ -58,7 +60,7 @@ def test_flatness_violation_rejected():
     transport[edge] = transport[edge].scale(-1)
     bad = LocalSystem(M, Z, 1, transport)
     with pytest.raises(FlatnessViolation):
-        chain_complex(M, bad)
+        pair_complex(M, bad).verify_squares()
 
 
 def test_classical_homology_values():
@@ -166,8 +168,8 @@ def test_mod2_direct_class_exists():
 def vertex_generator_check(nu, vertex):
     """The image of nu in H_n(M|{x}) generates that rank-one module."""
     K = FullSubcomplex(nu.base, {vertex})
-    pres = nu.relative_presentation(K)
-    return pres.module.generates(nu.class_in(pres, K))
+    pres = homology(nu.base, nu.system, nu.degree, K)
+    return pres.module.generates(pres.class_vector(nu.restriction(K)))
 
 
 @pytest.mark.parametrize("name", ["sphere2", "rp2", "torus", "klein"])
@@ -186,8 +188,8 @@ def test_inclusion_restriction_chain():
     assert inclusion_restriction(nu, K1, K2)
     assert inclusion_restriction(nu, K1, K1)
     # restriction to a vertex is the local generator
-    pres = nu.relative_presentation(K1)
-    coords = nu.class_in(pres, K1)
+    pres = homology(nu.base, nu.system, nu.degree, K1)
+    coords = pres.class_vector(nu.restriction(K1))
     assert pres.module.generates(coords)
 
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from twistcap.complexes import (BUILTIN_NAMES, FullSubcomplex,
                                 SimplicialComplex, Subcomplex, _grid_klein,
-                                _grid_torus, closed_star,
-                                complement, corpus, dumps_complex,
-                                loads_complex, named_complex, star_component_walk,
+                                _grid_torus, closed_star, corpus,
+                                dumps_complex, loads_complex, named_complex,
+                                star_component_walk,
                                 star_signs, validate, whole_subcomplex)
 from twistcap.errors import (ComplexFormatError, DisconnectedStar, NotInStar,
                              TwistcapError, UnknownName)
@@ -146,15 +146,15 @@ def test_star_walk_errors():
 def test_full_subcomplex_and_complement():
     cx = corpus("sphere2")
     K = FullSubcomplex(cx, {0})
-    comp = complement(K)
+    comp = K.complement()
     assert comp.vertex_subset == frozenset({1, 2, 3})
     assert comp.simplices(2) == ((1, 2, 3),)
-    assert complement(comp) == K
+    assert comp.complement() == K
 
     everything = FullSubcomplex(cx, range(4))
-    assert complement(everything).simplices(0) == ()
+    assert everything.complement().simplices(0) == ()
     empty = FullSubcomplex(cx, ())
-    assert complement(empty).simplices(2) == cx.faces(2)
+    assert empty.complement().simplices(2) == cx.faces(2)
 
 
 def test_subcomplex_operations():

@@ -315,7 +315,7 @@ def test_pushforward_sends_the_cover_class_to_zero(name, K, forms):
     z = orient_cover(cover).cycle_vector(Z)
     coords = rel_pc.homology(n).class_vector(
         transfer_matrix(cover_chains(cover, Z), rel_pc, n).apply(z))
-    assert pmap.target.is_zero_class(pmap.apply(coords))
+    assert pmap.target.is_zero_class(pmap.matrix.apply(coords))
 
 
 def dumps_cover(cover):

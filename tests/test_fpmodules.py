@@ -99,7 +99,7 @@ def test_a_surjective_map_with_a_kernel_returns_its_kernel_witness(ring):
     assert not res.isomorphism and res.cokernel_witness is None
     witness = res.kernel_witness
     assert not source.is_zero_class(witness)
-    assert f.apply(witness) == (ring.zero,)
+    assert f.matrix.apply(witness) == (ring.zero,)
 
 
 def test_inclusion_into_contractible_is_zero():

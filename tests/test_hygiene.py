@@ -258,10 +258,9 @@ FACTORIZATION_SITES = {
     ("fpmodules", "_smith_form", "smith_normal_form"),
     ("localsystems", "LocalSystem.__init__", "inverse"),
     ("localsystems", "gauge_transform", "inverse"),
-    ("localsystems", "random_sign_cocycle", "kernel"),
+    ("localsystems", "random_sign_cocycle", "kernel_with_relations"),
     ("matrices", "SmithSolver.__init__", "smith_normal_form"),
     ("matrices", "inverse", "SmithSolver"),
-    ("matrices", "kernel", "kernel_with_relations"),
     ("matrices", "kernel_with_relations", "smith_normal_form"),
 }
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from twistcap import complexes, matrices
 from twistcap.errors import TwistcapError
 from twistcap.matrices import (ExactMatrix, SmithDecomposition, SmithSolver,
-                               block_diag, inverse, kernel,
-                               kernel_with_relations, smith_normal_form)
+                               block_diag, inverse, kernel_with_relations,
+                               smith_normal_form)
 from twistcap.rings import MODULAR, Q, RATIONALS, Z, Zmod
 
 from oracles import (RP2_FACETS, boundary_matrix, invariant_factors_by_minors,
@@ -81,7 +81,7 @@ def test_snf_random_integer_matrices(seed):
     A = mat(Z, rows)
     snf = smith_normal_form(A)
     assert snf.verify(A)
-    assert snf.nonzero_count() == rational_rank(rows)
+    assert sum(map(bool, snf.diagonal())) == rational_rank(rows)
     if r <= 4 and c <= 4:
         expected = [d for d in invariant_factors_by_minors(rows)]
         got = [d for d in diag_of(snf) if d]
@@ -102,7 +102,7 @@ def test_snf_random_modular(m):
 
 def test_kernel_is_exact():
     A = mat(Z, [[1, 2, 3], [2, 4, 6]])
-    K = kernel(A)
+    K = kernel_with_relations(A)[0]
     assert (A @ K).is_zero()
     assert K.cols == 2
     # saturation: (1,1,-1) lies in the kernel and must be expressible over Z
@@ -483,7 +483,8 @@ def test_u_inverse_is_a_two_sided_inverse(ring, data):
     assert all(x for col in snf.u_inv_columns(range(r))
                for x in col.values())  # sparse
     U_inv = ExactMatrix.from_columns(
-        ring, [snf.u_inverse_column(j) for j in range(r)], r)
+        ring, [[col.get(i, ring.zero) for i in range(r)]
+               for col in snf.u_inv_columns(range(r))], r)
     ident = ExactMatrix.identity(ring, r)
     assert snf.U @ U_inv == ident
     assert U_inv @ snf.U == ident
