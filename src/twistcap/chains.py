@@ -9,15 +9,19 @@ the unique convention that makes the cap boundary identity hold on the nose:
     delta c (sigma) = T[v0<-v1](c(face_0)) + sum_{i>=1} (-1)^i c(face_i)
 
 Relative pairs use full-subcomplex complements: C(M|K) = C(M)/C(complement K).
-Coordinates belong to the cells: an absolute PairComplex reads the base
-complex's own faces and face index, and the relative ones over one cell set
-(pool, killed) read one coordinate tuple and one index per degree, memoized
-on the base under the cell set's content, whatever their system.  A
-PairComplex keeps its (co)boundary matrices and the presentations of its
+Coordinates belong to the cells, one fiber block per simplex in `space(k)`
+order: an absolute PairComplex reads the base complex's own faces and face
+index, and the relative ones over one cell set (pool, killed) read one
+tuple and one index per degree, memoized on the base under the cell set's
+content, whatever their system.  PairComplex owns this layout: it builds
+the (co)boundaries, the chain map a signed map of cells induces
+(`cell_map`: transfers, quotients, a cover's deck map, projection and
+orbit inclusions, the MV splitting) and rank-1 chains (`chain`,
+`coefficients`).  It keeps its (co)boundaries and the presentations of its
 homology and cohomology, each kind built for every degree at once as a
 ladder that factors no boundary of its own; both take their rows from the
-table of shared rows of the system (matrices.row_table), as the MV spaces
-do for the transfer matrices they keep.
+system's table of shared rows (matrices.row_table), as the MV spaces' kept
+transfers do.
 The direct, facet-by-facet construction of the twisted fundamental class
 lives here as well; the construction through the orientation double cover
 lives in `covers`, which builds on this module.
@@ -107,6 +111,34 @@ class PairComplex:
 
     def length(self, k: int) -> int:
         return len(self.space(k)) * self.rank
+
+    def chain(self, k: int, coefficients: dict) -> tuple:
+        """The rank-1 k-chain with the integer coefficient c on each
+        simplex s of {s: c}, and 0 elsewhere."""
+        return tuple(self.ring.from_int(coefficients.get(s, 0))
+                     for s in self.space(k))
+
+    def coefficients(self, k: int, vec) -> dict:
+        """The nonzero coefficients of the rank-1 k-chain vec, by simplex,
+        in `space(k)` order."""
+        return {s: x for s, x in zip(self.space(k), vec) if x}
+
+    def cell_map(self, dst: PairComplex, k: int, images) -> ExactMatrix:
+        """The degree-k chain map into dst induced by a signed map of cells:
+        s goes to the sum of sign * t over the (t, sign) pairs of images(s),
+        distinct cells, each as sign times the identity of the fiber block;
+        a t that dst does not hold contributes nothing."""
+        ring, r = self.ring, self.rank
+        index = dst.index(k)
+        data = [{} for _ in range(dst.length(k))]
+        for j, s in enumerate(self.space(k)):
+            for t, sign in images(s):
+                pos = index.get(t)
+                if pos is not None:
+                    x = ring.from_int(sign)
+                    for a in range(r):
+                        data[pos * r + a][j * r + a] = x
+        return ExactMatrix._from_rows(ring, data, self.length(k))
 
     # -- matrices ---------------------------------------------------------
 
@@ -238,17 +270,7 @@ def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
                                          or src.rank != dst.rank
                                          or src.ring != dst.ring):
         raise TwistcapError("transfer between unrelated complexes")
-    ring, r = src.ring, src.rank
-    rows = dst.length(k)
-    didx = dst.index(k)
-    data = [{} for _ in range(rows)]
-    for j, s in enumerate(src.space(k)):
-        pos = didx.get(s)
-        if pos is None:
-            continue
-        for a in range(r):
-            data[pos * r + a][j * r + a] = ring.one
-    return ExactMatrix._from_rows(ring, data, src.length(k))
+    return src.cell_map(dst, k, lambda s: ((s, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +316,8 @@ def fundamental_class_direct(M, ring, system=None) -> FundamentalClassData:
     if pc.rank != 1:
         raise TwistcapError("fundamental cycles use a rank-1 system")
     n = M.dimension
-    vec = [ring.zero] * pc.length(n)
-    idx = pc.index(n)
-    for facet in M.faces(n):
-        sign = star_signs(M, facet[0])[facet]
-        vec[idx[facet]] = ring.from_int(sign)
-    vec = tuple(vec)
+    vec = pc.chain(n, {facet: star_signs(M, facet[0])[facet]
+                       for facet in M.faces(n)})
     defect = pc.boundary(n).apply(vec)
     if any(x != ring.zero for x in defect):
         raise NotAFundamentalCycle(

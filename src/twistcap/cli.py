@@ -256,13 +256,14 @@ def _cmd_corpus_all(args):
     yield from acceptance.run_all(seed=args.seed, trials=args.trials)
 
 
-# every subcommand, declared once: its help, its options in order (mostly
-# those of a check on one complex, without or with a local system), and its
-# handler, a generator of the report's header fields and then its rows
-_UNTWISTED = ("--complex", "--ring", "--seed", "--format")
+# every subcommand, declared once: its help, the options its handler reads,
+# in order (argparse refuses any other), and its handler, a generator of the
+# report's header fields and then its rows
+_UNTWISTED = ("--complex", "--ring", "--format")
 _TWISTED = ("--complex", "--system", "--ring", "--seed", "--format")
 _COMMANDS = {
-    "validate": ("closed-pseudomanifold report", _UNTWISTED, _cmd_validate),
+    "validate": ("closed-pseudomanifold report", ("--complex", "--format"),
+                 _cmd_validate),
     "orientation": ("orientability and cover census", _UNTWISTED,
                     _cmd_orientation),
     "fundamental-class": ("both constructions and their agreement",

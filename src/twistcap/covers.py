@@ -13,17 +13,20 @@ carries the opposite sign on the nose, and the two sheets of an orientable
 base project to opposite base orientations.
 
 Every double-cover construction lives here: the sheet lift, the relative
-chains of the total space (`cover_chains`), the chain maps of the deck
-transformation and the projection, Lemmas 1 and 2, the +/- splitting maps
-Sigma, Delta with the orbit bases of the symmetric and antisymmetric chains
-and the exactness of their two sequences (the splitting lemma's identities
-R i = 1, p = j P, P s = 1, i R + s P = 1), the identification phi of the
-antisymmetric complex with the twisted chains of the base (the antisymmetric
-inclusion is a chain map; both checks are products and factor nothing), and
-the fundamental class pushed through it.  The orientation double cover of
-a complex is `orientation_cover(M)`, the cover of its integer orientation
-character; Lemmas 1 and 2, phi and the fundamental class through the cover
-read it over every ring, so a complex has one.
+chains of the total space (`cover_chains`), the deck transformation tau and
+the projection p, Lemmas 1 and 2, the +/- splitting maps Sigma, Delta with
+the orbit bases of the symmetric and antisymmetric chains and the exactness
+of their two sequences (the splitting lemma's identities R i = 1, p = j P,
+P s = 1, i R + s P = 1), the identification phi of the antisymmetric
+complex with the twisted chains of the base (the antisymmetric inclusion is
+a chain map; both checks are products and factor nothing), and the
+fundamental class pushed through it.  tau, p and the orbit inclusions are
+cell maps (`chains.PairComplex.cell_map`), and chains of the cover are
+built and read by simplex (`PairComplex.chain`, `coefficients`).  The
+orientation double cover of a complex is `orientation_cover(M)`, the cover
+of its integer orientation character; Lemmas 1 and 2, phi and the
+fundamental class through the cover read it over every ring, so a complex
+has one.
 
 Memoized (`complexes.memo`): the cover on its sign system; its orientation,
 sign systems and +/- splittings (one per ring and K) on the cover; the
@@ -174,13 +177,8 @@ class CoverOrientation:
 
     def cycle_vector(self, ring: RingSpec):
         cover = self.cover
-        pc = cover_chains(cover, ring)
-        n = cover.total.dimension
-        idx = pc.index(n)
-        vec = [ring.zero] * pc.length(n)
-        for facet, sign in self.facet_signs.items():
-            vec[idx[facet]] = ring.from_int(sign)
-        return tuple(vec)
+        return cover_chains(cover, ring).chain(cover.total.dimension,
+                                               self.facet_signs)
 
 
 def _calibrated_sign(cover, base, facet) -> int:
@@ -237,27 +235,20 @@ def cover_chains(cover, ring, K: FullSubcomplex | None = None) -> PairComplex:
 # chain maps of the deck transformation and the projection
 # ---------------------------------------------------------------------------
 
-def vertex_map_chain_matrix(vmap, ring, k, src_pc, dst_pc) -> ExactMatrix:
+def vertex_map_chain_matrix(vmap, k, src_pc, dst_pc) -> ExactMatrix:
     """Chain map induced by a simplicial vertex map (with parity signs)."""
-    didx = dst_pc.index(k)
-    rows = dst_pc.length(k)
-    data = [{} for _ in range(rows)]
-    for j, s in enumerate(src_pc.space(k)):
+    def images(s):
         image = [vmap[v] for v in s]
         if len(set(image)) != len(image):
-            continue  # degenerate, contributes zero
-        parity = _perm_parity(image)
-        pos = didx.get(tuple(sorted(image)))
-        if pos is None:
-            continue
-        data[pos][j] = ring.from_int(parity)
-    return ExactMatrix._from_rows(ring, data, src_pc.length(k))
+            return ()  # degenerate, contributes zero
+        return ((tuple(sorted(image)), _perm_parity(image)),)
+    return src_pc.cell_map(dst_pc, k, images)
 
 
 def deck_chain_matrix(cover, ring, k, pc=None) -> ExactMatrix:
     if pc is None:
         pc = cover_chains(cover, ring)
-    return vertex_map_chain_matrix(cover.deck, ring, k, pc, pc)
+    return vertex_map_chain_matrix(cover.deck, k, pc, pc)
 
 
 def lemma1_check(cover, ring) -> bool:
@@ -301,8 +292,9 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
 
     Works on the relative chains of (cover | preimage of K) in every degree.
     The orbit generators are base-ordered: the generator over a base simplex
-    is parity * (rep -+ parity_eps * deck(rep)) with rep the canonical lift,
-    so the antisymmetric basis matches the twisted chains of the base with
+    is parity(rep) * rep +- parity(deck(rep)) * deck(rep), + in C^+ and - in
+    C^-, with rep the canonical lift and parity the projection parity, so
+    the antisymmetric basis matches the twisted chains of the base with
     coefficient +1.  Memoized on the cover.
     """
     if not ring.two_is_nonzero:
@@ -314,34 +306,28 @@ def split_maps(cover, ring, K: FullSubcomplex | None = None) -> SplitMaps:
 def _build_split_maps(cover, ring, K) -> SplitMaps:
     total_pc = cover_chains(cover, ring, K)
     base = cover.base
-    base_pc_space = pair_complex(base, constant_system(base, ring),
-                                 killed=relative_killed(base, K))
+    base_pc = pair_complex(base, constant_system(base, ring),
+                           killed=relative_killed(base, K))
     table = row_table(cover)
+
+    def orbit(sign):
+        def images(b):
+            rep = cover.canonical_lift(b)
+            other = cover.deck_image(rep)
+            return ((rep, projection_parity(cover, rep)),
+                    (other, sign * projection_parity(cover, other)))
+        return images
+
     degrees = {}
     for k in range(base.dimension + 1):
         tau = deck_chain_matrix(cover, ring, k, total_pc)
         ident = ExactMatrix.identity(ring, total_pc.length(k))
         sigma = (ident + tau).shared(table)
         delta = (ident - tau).shared(table)
-        idx = total_pc.index(k)
-        plus_rows = [{} for _ in range(total_pc.length(k))]
-        minus_rows = [{} for _ in range(total_pc.length(k))]
-        orbit_bases = base_pc_space.space(k)
-        for j, b in enumerate(orbit_bases):
-            rep = cover.canonical_lift(b)
-            other = cover.deck_image(rep)
-            parity = projection_parity(cover, rep)
-            eps = parity * projection_parity(cover, other)
-            plus_rows[idx[rep]][j] = ring.from_int(parity)
-            plus_rows[idx[other]][j] = ring.from_int(parity * eps)
-            minus_rows[idx[rep]][j] = ring.from_int(parity)
-            minus_rows[idx[other]][j] = ring.from_int(-parity * eps)
-        incl_plus = ExactMatrix._from_rows(
-            ring, plus_rows, len(orbit_bases)).shared(table)
-        incl_minus = ExactMatrix._from_rows(
-            ring, minus_rows, len(orbit_bases)).shared(table)
+        incl_plus = base_pc.cell_map(total_pc, k, orbit(1)).shared(table)
+        incl_minus = base_pc.cell_map(total_pc, k, orbit(-1)).shared(table)
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
-                                 tuple(orbit_bases))
+                                 tuple(base_pc.space(k)))
     return SplitMaps(cover, ring, K, degrees)
 
 
@@ -445,7 +431,7 @@ def pushforward(cover, ring, K: FullSubcomplex | None = None) -> ModuleMap:
     top_pc = cover_chains(cover, ring, K)
     base_pc = pair_complex(M, constant_system(M, ring),
                            killed=relative_killed(M, K))
-    proj = vertex_map_chain_matrix(cover.projection, ring, n, top_pc, base_pc)
+    proj = vertex_map_chain_matrix(cover.projection, n, top_pc, base_pc)
     return induced_map(proj, top_pc.homology(n), base_pc.homology(n))
 
 
@@ -470,10 +456,7 @@ def fundamental_class_via_cover(M, ring) -> FundamentalClassData:
     if not lemma1_check(cover, ring):
         raise TwistcapError("deck transformation does not negate the cover cycle")
     n = M.dimension
-    idx_total = cover_chains(cover, ring).index(n)
-    vec = []
-    for facet in M.faces(n):
-        rep = cover.canonical_lift(facet)
-        vec.append(ring.normalize(projection_parity(cover, rep) * z[idx_total[rep]]))
-    return FundamentalClassData(M, ring, orientation_system(M, ring),
-                                tuple(vec))
+    lifted = cover_chains(cover, ring).coefficients(n, z)
+    vec = tuple(ring.normalize(projection_parity(cover, rep) * lifted[rep])
+                for rep in map(cover.canonical_lift, M.faces(n)))
+    return FundamentalClassData(M, ring, orientation_system(M, ring), vec)

@@ -156,10 +156,7 @@ class _MVSpaces:
     def blocks(self, pc, k, inside) -> ExactMatrix:
         """The projection of pc's degree-k coordinates onto the fiber blocks
         of the simplices that `inside` holds."""
-        r, one = self.rank, self.ring.one
-        rows = [{pos * r + a: one} if inside(s) else {}
-                for pos, s in enumerate(pc.space(k)) for a in range(r)]
-        return ExactMatrix._from_rows(self.ring, rows, len(rows))
+        return pc.cell_map(pc, k, lambda s: ((s, 1),) if inside(s) else ())
 
     def split(self, k):
         """The cochain splitting of degree k, (S_beta, S_gamma): a cochain
@@ -168,8 +165,8 @@ class _MVSpaces:
         those inside C, so that beta|^ - gamma|^ = alpha, the identity
         `splitting_holds` checks."""
         def build():
-            in_c = self.blocks(self.right, k, self.C.contains)
-            s_gamma = -(in_c @ self.transfer(self.inter, self.right, k))
+            s_gamma = self.inter.cell_map(self.right, k, lambda s: (
+                ((s, -1),) if self.C.contains(s) else ()))
             return (self.transfer(self.inter, self.left, k),
                     s_gamma.shared(self.table))
         return memo(self, ("split", k), build)
@@ -415,8 +412,8 @@ def _restricted_fundamental_chain(M, nu, pool_pc, allowed_defect: Subcomplex):
     n = M.dimension
     vec = transfer_matrix(full_pc, pool_pc, n).apply(nu.chain)
     defect = pool_pc.boundary(n).apply(vec)
-    for pos, s in enumerate(pool_pc.space(n - 1)):
-        if defect[pos] != nu.ring.zero and not allowed_defect.contains(s):
+    for s in pool_pc.coefficients(n - 1, defect):
+        if not allowed_defect.contains(s):
             raise TwistcapError(
                 f"restricted fundamental chain has boundary outside the pair at {s}")
     return vec

@@ -294,14 +294,15 @@ def test_negative_trials_exit_2(capsys):
 
 # the options of every subcommand, in order: (flag, default, type, choices,
 # required)
-_UNTWISTED = [("--complex", None, None, None, True),
-              ("--ring", "Z", None, None, False),
-              ("--seed", 0, "int", None, False),
-              ("--format", "tsv", None, ("tsv", "plain"), False)]
-_TWISTED = _UNTWISTED[:1] + [("--system", "constant", None, None, False)] \
-    + _UNTWISTED[1:]
+_COMPLEX = ("--complex", None, None, None, True)
+_FORMAT = ("--format", "tsv", None, ("tsv", "plain"), False)
+_RING = ("--ring", "Z", None, None, False)
+_SEED = ("--seed", 0, "int", None, False)
+_UNTWISTED = [_COMPLEX, _RING, _FORMAT]
+_TWISTED = [_COMPLEX, ("--system", "constant", None, None, False), _RING,
+            _SEED, _FORMAT]
 OPTION_SURFACE = {
-    "validate": _UNTWISTED,
+    "validate": [_COMPLEX, _FORMAT],
     "orientation": _UNTWISTED,
     "fundamental-class": _UNTWISTED,
     "lemma1": _UNTWISTED,
@@ -313,9 +314,8 @@ OPTION_SURFACE = {
     "check-mv": _TWISTED + [("--cover", None, None, None, True)],
     "diagram6": [("--config", None, None, ("torus", "sphere", "klein"),
                   True)] + _TWISTED[1:],
-    "corpus-all": [("--seed", 0, "int", None, False),
-                   ("--trials", 100, "_positive_int", None, False),
-                   ("--format", "tsv", None, ("tsv", "plain"), False)],
+    "corpus-all": [_SEED, ("--trials", 100, "_positive_int", None, False),
+                   _FORMAT],
 }
 
 
@@ -343,13 +343,11 @@ _COMMAND_CHOICES = ("'validate', 'orientation', 'fundamental-class', "
 
 @pytest.mark.parametrize("argv, err", [
     (["validate"], """\
-usage: twistcap validate [-h] --complex COMPLEX [--ring RING] [--seed SEED]
-                         [--format {tsv,plain}]
+usage: twistcap validate [-h] --complex COMPLEX [--format {tsv,plain}]
 twistcap validate: error: the following arguments are required: --complex
 """),
     (["validate", "--complex", "rp2", "--format", "xml"], """\
-usage: twistcap validate [-h] --complex COMPLEX [--ring RING] [--seed SEED]
-                         [--format {tsv,plain}]
+usage: twistcap validate [-h] --complex COMPLEX [--format {tsv,plain}]
 twistcap validate: error: argument --format: invalid choice: 'xml' \
 (choose from 'tsv', 'plain')
 """),
@@ -376,8 +374,13 @@ twistcap check-mv: error: the following arguments are required: --cover
 """),
     (["validate", "--complex", "rp2", "--system", "constant"], _TOP_USAGE
      + "twistcap: error: unrecognized arguments: --system constant\n"),
+    (["validate", "--complex", "rp2", "--ring", "Z/2"], _TOP_USAGE
+     + "twistcap: error: unrecognized arguments: --ring Z/2\n"),
+    (["lemma2", "--complex", "rp2", "--seed", "1"], _TOP_USAGE
+     + "twistcap: error: unrecognized arguments: --seed 1\n"),
 ], ids=["no-complex", "format-xml", "trials-0", "unknown-command",
-        "config-nope", "no-cover", "system-on-validate"])
+        "config-nope", "no-cover", "system-on-validate", "ring-on-validate",
+        "seed-on-lemma2"])
 def test_malformed_command_lines_exit_2(monkeypatch, capsys, argv, err):
     monkeypatch.setenv("COLUMNS", "80")  # the width usage lines wrap at
     with pytest.raises(SystemExit) as exc:

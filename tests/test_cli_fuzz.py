@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistcap.cli import main
+from twistcap.cli import _COMMANDS, main
 from twistcap.complexes import corpus, dumps_complex
 
 COMPLEX_COMMANDS = ("validate", "orientation", "fundamental-class", "lemma1",
@@ -153,9 +153,13 @@ def text_or(values):
 @st.composite
 def option_argvs(draw):
     command = draw(st.sampled_from(OPTION_COMMANDS))
-    options = {"--ring": text_or(OPTION_RINGS),
-               "--seed": text_or(OPTION_INTS),
-               "--format": st.sampled_from(("tsv", "plain", "xml"))}
+    # a ring or seed only where the subcommand takes one, so that the
+    # command line reaches its handler
+    declared = _COMMANDS[command][1]
+    options = {flag: values for flag, values in (
+        ("--ring", text_or(OPTION_RINGS)), ("--seed", text_or(OPTION_INTS)),
+        ("--format", st.sampled_from(("tsv", "plain", "xml"))))
+        if flag in declared}
     if command == "check-mv":
         options["--cover"] = st.sampled_from(("cylinders", "hemispheres",
                                               "bands"))

@@ -3,17 +3,20 @@ import pytest
 from twistcap import covers
 from twistcap.chains import (fundamental_class_direct, pair_complex,
                              transfer_matrix)
-from twistcap.complexes import (FullSubcomplex, corpus, dumps_complex,
-                                loads_complex, validate)
+from twistcap.chains import relative_killed
+from twistcap.complexes import (BUILTIN_NAMES, FullSubcomplex, corpus,
+                                dumps_complex, loads_complex, named_complex,
+                                validate)
 from twistcap.covers import (CoverOrientation, DegreeSplit, DoubleCover,
                              SplitMaps, _check_cover_invariants,
                              build_double_cover, check_split_exactness,
                              cover_chains, deck_chain_matrix, lemma1_check,
                              lemma2_check, orient_cover, orientation_cover,
-                             phi_identify, pushforward, split_maps)
+                             phi_identify, pushforward, split_maps,
+                             vertex_map_chain_matrix)
 from twistcap.errors import IncoherentCover, NotSignSystem, TwoIsZero
 from twistcap.localsystems import (constant_system, is_trivializable,
-                                   orientation_system)
+                                   orientation_system, random_flat_system)
 from twistcap.matrices import ExactMatrix
 from twistcap.rings import Q, Z, Zmod
 
@@ -334,3 +337,47 @@ def test_cover_export_roundtrips_as_complex():
     text = dumps_cover(c)
     assert "sheet" in text
     assert loads_complex(text) == c.total  # annotations are comments
+
+
+def _chain_map_faults(label, f, d_src, d_dst, degrees):
+    """The degrees k of `degrees` where d_dst(k) f(k) != f(k-1) d_src(k)."""
+    return [(label, k) for k in degrees
+            if d_dst(k) @ f(k) != f(k - 1) @ d_src(k)]
+
+
+@pytest.mark.parametrize("ring", [Z, Zmod(3)], ids=str)
+def test_every_cell_map_is_a_chain_map(ring):
+    # the deck map tau, the projection p and the quotient transfer T, each
+    # built by PairComplex.cell_map, in every degree of every built-in
+    faults = []
+    for name in BUILTIN_NAMES:
+        M = named_complex(name)
+        n = M.dimension
+        degrees = range(n + 1)
+        cover = orientation_cover(M)
+        total = cover_chains(cover, ring)
+        base = pair_complex(M, constant_system(M, ring))
+
+        def tau(k):
+            return deck_chain_matrix(cover, ring, k, total)
+
+        def p(k):
+            return vertex_map_chain_matrix(cover.projection, k, total, base)
+
+        faults += [((name, "tau^2"), k) for k in degrees
+                   if tau(k) @ tau(k) != ExactMatrix.identity(
+                       ring, total.length(k))]
+        faults += _chain_map_faults((name, "tau"), tau, total.boundary,
+                                    total.boundary, degrees)
+        faults += _chain_map_faults((name, "p"), p, total.boundary,
+                                    base.boundary, degrees)
+        killed = relative_killed(M, FullSubcomplex(M, {0}))
+        for G in (orientation_system(M, ring),
+                  random_flat_system(M, ring, 2, seed=1)):
+            pc = pair_complex(M, G)
+            rel = pair_complex(M, G, killed=killed)
+            faults += _chain_map_faults(
+                (name, f"T rank {G.rank}"),
+                lambda k: transfer_matrix(pc, rel, k), pc.boundary,
+                rel.boundary, degrees)
+    assert faults == []

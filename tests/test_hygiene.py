@@ -49,6 +49,13 @@ module has a string constant with a tab in it, so every check hands the
 CLI rows of cells, not text.  Only the CLI's renderer, ``cli.render``,
 has an ``except`` clause that names ``CheckFailed`` or a subclass of it, so
 a check that raises becomes a FAIL row of its own report and nowhere else.
+Only ``chains`` reads a pair complex's coordinates, by a call of a method
+named ``index`` or by enumerating a ``.space(...)`` call (the iterable of
+a loop or a comprehension, an argument of ``enumerate`` or ``zip``): every
+other module builds its chain maps and chains through
+``PairComplex.cell_map``, ``chain`` and ``coefficients``.  The one listed
+exception, in ``COORDINATE_READS``, is ``cap.cap_matrix``, whose tensor
+fibers are laid out in the Kronecker order of ``localsystems.tensor``.
 """
 
 import ast
@@ -519,3 +526,32 @@ def test_only_the_renderer_catches_a_failed_check():
              and names & {name for name, _ in _references(node.type)}}
     assert_listed(found, CHECK_FAILED_HANDLERS,
                   "except clauses of a failed check")
+
+
+# (module, enclosing function) outside chains of every read of a pair
+# complex's coordinates: the cap product's tensor fibers
+COORDINATE_READS = {("cap", "cap_matrix")}
+
+
+def _iterated(node):
+    """The expressions `node` iterates over: the iterable of a loop or a
+    comprehension, the arguments of enumerate and zip."""
+    if isinstance(node, (ast.For, ast.comprehension)):
+        return [node.iter]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in ("enumerate", "zip"):
+        return node.args
+    return []
+
+
+def _method_call(node, name):
+    return isinstance(node, ast.Call) \
+        and isinstance(node.func, ast.Attribute) and node.func.attr == name
+
+
+def test_only_chains_reads_the_coordinates():
+    found = {(module, where) for module, where, node in _package_nodes()
+             if module != "chains"
+             and (_method_call(node, "index")
+                  or any(_method_call(e, "space") for e in _iterated(node)))}
+    assert_listed(found, COORDINATE_READS, "coordinate reads outside chains")
