@@ -29,22 +29,11 @@ from collections import namedtuple
 from .chains import (FundamentalClassData, fundamental_class_direct,
                      pair_complex, relative_killed)
 from .complexes import FullSubcomplex, memo, validate
-from .errors import (BadIndices, BaseMismatch, DegreeMismatch,
-                     NotRelativeCocycle, RingMismatch, TwistcapError)
+from .errors import (BaseMismatch, DegreeMismatch, NotRelativeCocycle,
+                     RingMismatch, TwistcapError)
 from .fpmodules import homology_presentation, induced_map, is_isomorphism
 from .localsystems import tensor
 from .matrices import ExactMatrix
-
-
-def face_restriction(simplex, indices):
-    """The face of an ordered simplex named by strictly increasing indices."""
-    s = tuple(simplex)
-    idx = tuple(indices)
-    if not idx or any(a >= b for a, b in zip(idx, idx[1:])):
-        raise BadIndices(f"indices {idx} are not strictly increasing")
-    if idx[0] < 0 or idx[-1] >= len(s):
-        raise BadIndices(f"indices {idx} out of range for {s}")
-    return tuple(s[i] for i in idx)
 
 
 def cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec):

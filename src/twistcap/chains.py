@@ -16,12 +16,12 @@ tuple and one index per degree, memoized on the base under the cell set's
 content, whatever their system.  PairComplex owns this layout: it builds
 the (co)boundaries, the chain map a signed map of cells induces
 (`cell_map`: transfers, quotients, a cover's deck map, projection and
-orbit inclusions, the MV splitting) and rank-1 chains (`chain`,
-`coefficients`).  It keeps its (co)boundaries and the presentations of its
-homology and cohomology, each kind built for every degree at once as a
-ladder that factors no boundary of its own; both take their rows from the
-system's table of shared rows (matrices.row_table), as the MV spaces' kept
-transfers do.
+orbit inclusions, the MV splitting), rank-1 chains (`chain`,
+`coefficients`) and the cell that holds a coordinate (`cell`).  It keeps
+its (co)boundaries and the presentations of its homology and cohomology,
+each kind built for every degree at once as a ladder that factors no
+boundary of its own; both take their rows from the system's table of
+shared rows (matrices.row_table), as the MV spaces' kept transfers do.
 The direct, facet-by-facet construction of the twisted fundamental class
 lives here as well; the construction through the orientation double cover
 lives in `covers`, which builds on this module.
@@ -111,6 +111,10 @@ class PairComplex:
 
     def length(self, k: int) -> int:
         return len(self.space(k)) * self.rank
+
+    def cell(self, k: int, i: int):
+        """The k-simplex whose fiber block holds coordinate i."""
+        return self.space(k)[i // self.rank]
 
     def chain(self, k: int, coefficients: dict) -> tuple:
         """The rank-1 k-chain with the integer coefficient c on each

@@ -45,7 +45,7 @@ from .localsystems import (MAX_RANK, constant_system, dumps_local_system,
                            orientation_system, random_flat_system)
 from .mv import (NAMED_COVERS, diagram6_check, diagram6_names, named_cover,
                  named_diagram6)
-from .rings import parse_ring
+from .rings import parse_int, parse_ring
 
 VERSION = "0.1.0"
 
@@ -76,7 +76,7 @@ def _spec_int(spec: str, parts, i: int, default: int, max_rank=None) -> int:
     if len(parts) <= i:
         return default
     try:
-        value = int(parts[i])
+        value = parse_int(parts[i])
     except ValueError:
         raise UnknownName(
             f"unknown system {spec!r}: {parts[i]!r} is not an integer")
@@ -125,7 +125,9 @@ def render(args, report) -> int:
     every row is computed; return the exit code.  A bool second cell prints
     as ok or FAIL, every other cell as its str; a `CheckFailed` raised while
     the rows are computed is the last row, FAIL with its name and message;
-    the report fails exactly when a printed row has a FAIL cell."""
+    the report fails exactly when a printed row has a FAIL cell.  A reader
+    that closed the pipe leaves the exit code as it is: stdout then points
+    at os.devnull, so the flush at exit has nothing left to raise."""
     sep = _SEPARATORS[args.format]
     fields = " ".join(f"{k}={v}" for k, v in next(report).items())
     lines = [f"# twistcap {VERSION}", f"# command={args.command} {fields}"]
@@ -141,7 +143,11 @@ def render(args, report) -> int:
         lines.append(sep.join(("FAIL", type(exc).__name__, str(exc))))
         failed = True
     lines.append(f"# result={'fail' if failed else 'pass'}")
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return int(failed)
 
 

@@ -5,18 +5,21 @@ ascending tuple, so each simplex has exactly one canonical ordering.  That
 single convention is what later makes boundary signs, cap products and chain
 maps unambiguous.
 
-Closed-pseudomanifold validation, dual-graph walks comparing local
-orientations, full subcomplexes and their complements, and a fixed corpus of
-triangulated manifolds all live here.  Vertex links are checked in place,
-with no link complex built: in an n-complex, every link is a closed
-pseudomanifold down to pairs of points exactly when the complex is pure,
-every ridge lies in two facets, and the facets containing each simplex of
-dimension at most n - 2 are connected across ridges that contain it
-(`validate`).  Each complex keeps one index from vertex to the facets
-containing it (`SimplicialComplex.vertex_stars`); the walks, `star_signs` and
-the orientation system read their stars from it.  `memo` is the package's
-one cache policy, and `weak` the one way a memoized object refers back to
-the object whose memo holds it.
+Closed-pseudomanifold validation, the walk comparing local orientations,
+full subcomplexes and their complements, and a fixed corpus of triangulated
+manifolds all live here.  Vertex links are checked in place, with no link
+complex built: in an n-complex, every link is a closed pseudomanifold down
+to pairs of points exactly when the complex is pure, every ridge lies in two
+facets, and the facets containing each simplex of dimension at most n - 2
+are connected across ridges that contain it (`validate`).  Each complex
+keeps one index from vertex to the facets containing it
+(`SimplicialComplex.vertex_stars`); `star_signs` and the orientation system
+read their stars from it.  There is one orientation walk,
+`ridge_sign_walk`, through one vertex star, and `star_signs` is its one
+caller: the orientation system, the twisted fundamental class and the
+calibration of a double cover all read their local orientations there.
+`memo` is the package's one cache policy, and `weak` the one way a
+memoized object refers back to the object whose memo holds it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from operator import attrgetter
 
 from .errors import (ComplexFormatError, DisconnectedStar, NotInStar,
                      TwistcapError, UnknownName)
+from .rings import parse_int
 
 
 class SimplicialComplex:
@@ -269,7 +273,7 @@ def facet_components(complex, simplex=()) -> int:
 
 
 # ---------------------------------------------------------------------------
-# orientation walks in vertex stars
+# the orientation walk in a vertex star
 # ---------------------------------------------------------------------------
 
 def _ridge_sign(facet, ridge):
@@ -280,23 +284,23 @@ def _ridge_sign(facet, ridge):
     raise TwistcapError(f"{ridge} is not a ridge of {facet}")
 
 
-def ridge_sign_walk(complex, start, sign=1, vertex=None):
-    """Carry an orientation from `start` (with `sign`) across shared ridges.
+def ridge_sign_walk(complex, start, vertex):
+    """Carry the orientation of `start`, sign +1, across the ridges through
+    `vertex`, so the walk stays in the vertex's star.
 
     Crossing a ridge flips the sign according to whether the two facets
-    induce the same boundary orientation on it.  With `vertex`, only ridges
-    through that vertex are crossed, so the walk stays in its star.  Returns
-    {facet: sign} over the facets reached, or None when two paths give some
-    facet opposite signs.
+    induce the same boundary orientation on it.  Returns {facet: sign} over
+    the facets reached, or None when two paths give some facet opposite
+    signs.
     """
     adj = complex.facet_adjacency()
-    signs = {start: sign}
+    signs = {start: 1}
     stack = [start]
     while stack:
         f = stack.pop()
         s = signs[f]
         for g, ridge in adj[f]:
-            if vertex is not None and vertex not in ridge:
+            if vertex not in ridge:
                 continue
             t = -s * _ridge_sign(f, ridge) * _ridge_sign(g, ridge)
             if g not in signs:
@@ -304,33 +308,6 @@ def ridge_sign_walk(complex, start, sign=1, vertex=None):
                 stack.append(g)
             elif signs[g] != t:
                 return None
-    return signs
-
-
-def star_component_walk(complex, vertex, facet_a, facet_b):
-    """Relative orientation sign between two facets of a vertex star.
-
-    Walks the dual graph restricted to facets containing `vertex`, flipping
-    the sign across each ridge according to whether the boundary-induced
-    orientations agree.  Path independence holds in manifold stars and is
-    exercised by the tests.
-    """
-    fa, fb = tuple(facet_a), tuple(facet_b)
-    for f in (fa, fb):
-        if vertex not in f or f not in complex.face_index(complex.dimension):
-            raise NotInStar(f"facet {f} does not contain vertex {vertex}")
-    signs = _star_signs_from(complex, vertex, fa)
-    if fb not in signs:
-        raise DisconnectedStar(
-            f"facets {fa} and {fb} lie in different components of star({vertex})")
-    return signs[fb]
-
-
-def _star_signs_from(complex, vertex, start):
-    signs = ridge_sign_walk(complex, start, vertex=vertex)
-    if signs is None:
-        raise DisconnectedStar(
-            f"star of vertex {vertex} is not orientably consistent")
     return signs
 
 
@@ -346,7 +323,10 @@ def star_signs(complex, vertex):
         star = complex.vertex_stars().get(vertex, ())
         if not star:
             raise NotInStar(f"vertex {vertex} lies in no facet")
-        signs = _star_signs_from(complex, vertex, star[0])
+        signs = ridge_sign_walk(complex, star[0], vertex)
+        if signs is None:
+            raise DisconnectedStar(
+                f"star of vertex {vertex} is not orientably consistent")
         if len(signs) != len(star):
             raise DisconnectedStar(f"star of vertex {vertex} is disconnected")
         return signs
@@ -510,7 +490,7 @@ def loads_complex(text: str) -> SimplicialComplex:
             if tokens[0] != "dim" or len(tokens) != 2:
                 raise ComplexFormatError(lineno, "expected 'dim <n>'")
             try:
-                declared_dim = int(tokens[1])
+                declared_dim = parse_int(tokens[1])
             except ValueError:
                 raise ComplexFormatError(lineno, f"bad dimension {tokens[1]!r}")
             if declared_dim < 0:
@@ -519,7 +499,7 @@ def loads_complex(text: str) -> SimplicialComplex:
         if tokens[0] != "simplex":
             raise ComplexFormatError(lineno, f"expected 'simplex ...', got {tokens[0]!r}")
         try:
-            verts = [int(t) for t in tokens[1:]]
+            verts = [parse_int(t) for t in tokens[1:]]
         except ValueError:
             raise ComplexFormatError(lineno, "vertices must be integers")
         if not verts:

@@ -3,14 +3,17 @@
 Points of the cover are (vertex, sheet); sheet 0 over a vertex stands for the
 reference local orientation there, sheet 1 for its negation.  A base simplex
 lifts by propagating sheets along its edges with the sign system; the deck
-map swaps sheets.  The chosen orientation of the cover assigns each lifted
-facet the sign
-
-    (-1)^sheet(leading base vertex) * base facet sign * projection parity
-
-which is exactly "the orientation the point names": the deck image then
-carries the opposite sign on the nose, and the two sheets of an orientable
-base project to opposite base orientations.
+map swaps sheets.  One orbit table (`_orbits`) gives each base simplex its
+canonical lift (sheet 0 at its lowest vertex) and that lift's deck image,
+with their projection parities p and q; the orientation, the +/- splitting
+and the fundamental class through the cover read it.  The chosen
+orientation is the sheet calibration, "the orientation the point names":
+over a base facet b, w * p on the canonical lift and -w * q on its deck
+image, with w the sign of b in the star of b[0] (`complexes.star_signs`).
+The deck map negates it on the nose, and the two sheets of an orientable
+base project to opposite base orientations.  It is certified ridge by
+ridge: the two facets on each ridge must induce opposite orientations on
+it, or IncoherentCover is raised.
 
 Every double-cover construction lives here: the sheet lift, the relative
 chains of the total space (`cover_chains`), the deck transformation tau and
@@ -45,8 +48,8 @@ from collections import namedtuple
 
 from .chains import (FundamentalClassData, PairComplex, pair_complex,
                      relative_killed, transfer_matrix)
-from .complexes import (FullSubcomplex, SimplicialComplex, memo,
-                        ridge_sign_walk, star_signs, validate, weak)
+from .complexes import (FullSubcomplex, SimplicialComplex, _ridge_sign,
+                        memo, star_signs, validate, weak)
 from .errors import IncoherentCover, NotSignSystem, TwistcapError, TwoIsZero
 from .fpmodules import ModuleMap, induced_map
 from .localsystems import (LocalSystem, _kept_on, constant_system,
@@ -100,18 +103,12 @@ class DoubleCover:
         self.signs = signs
         self._cache = {}
 
-    def sheet(self, total_vertex: int) -> int:
-        return 0 if total_vertex < self._base_count else 1
-
     def canonical_lift(self, simplex):
         """The lift carrying sheet 0 at the simplex's lowest vertex."""
         return _sheet_lift(self.signs, self._base_count, simplex)
 
     def deck_image(self, total_simplex):
         return tuple(sorted(self.deck[v] for v in total_simplex))
-
-    def project(self, total_simplex):
-        return tuple(sorted(self.projection[v] for v in total_simplex))
 
     def lift_vertices(self, vertex_set):
         n = self._base_count
@@ -164,6 +161,19 @@ def projection_parity(cover, total_simplex) -> int:
     return _perm_parity([cover.projection[v] for v in total_simplex])
 
 
+def _orbits(cover, simplices) -> dict:
+    """Base simplex b -> ((rep, p), (deck(rep), q)): b's canonical lift and
+    that lift's deck image, each with its projection parity, in the order
+    of `simplices`.  The one place orbit lifts and parities are computed."""
+    orbits = {}
+    for b in simplices:
+        rep = cover.canonical_lift(b)
+        other = cover.deck_image(rep)
+        orbits[b] = ((rep, projection_parity(cover, rep)),
+                     (other, projection_parity(cover, other)))
+    return orbits
+
+
 class CoverOrientation:
     """Signs of the facets of a cover's total space; memoized on the cover,
     which it holds weakly."""
@@ -181,23 +191,12 @@ class CoverOrientation:
                                                self.facet_signs)
 
 
-def _calibrated_sign(cover, base, facet) -> int:
-    base_facet = cover.project(facet)
-    v0 = base_facet[0]
-    lift_of_v0 = [v for v in facet if cover.projection[v] == v0][0]
-    sheet = cover.sheet(lift_of_v0)
-    w = star_signs(base, v0)[base_facet]
-    return (-1) ** sheet * w * projection_parity(cover, facet)
-
-
 def orient_cover(cover: DoubleCover) -> CoverOrientation:
-    """Coherent orientation by sign-BFS, seeded with the sheet calibration.
-
-    Seeds are deterministic: the lexicographically first facet of each
-    component, carrying the positive orientation in the sheet calibration.
-    The BFS result is cross-checked against the calibration facet by facet;
-    a mismatch means the sheet bookkeeping is broken upstream.
-    """
+    """The chosen orientation of the cover's total space, the sheet
+    calibration certified ridge by ridge (see the module docstring), read
+    off the orbit table of the base facets; IncoherentCover when the total
+    space is not a closed pseudomanifold or the calibration fails on a
+    ridge.  Memoized on the cover."""
     return memo(cover, "orientation", lambda: _build_orientation(cover))
 
 
@@ -207,17 +206,14 @@ def _build_orientation(cover: DoubleCover) -> CoverOrientation:
     if not report.is_pure or not report.each_ridge_in_two_facets:
         raise IncoherentCover("cover total space is not a closed pseudomanifold")
     signs = {}
-    for facet in total.faces(total.dimension):
-        if facet in signs:
-            continue
-        component = ridge_sign_walk(total, facet,
-                                    _calibrated_sign(cover, base, facet))
-        if component is None:
-            raise IncoherentCover("cover admits no coherent orientation")
-        signs.update(component)
-    for facet, sign in signs.items():
-        if sign != _calibrated_sign(cover, base, facet):
-            raise IncoherentCover("coherent orientation drifts from sheet calibration")
+    for b, ((rep, p), (other, q)) in _orbits(cover, base.facets).items():
+        w = star_signs(base, b[0])[b]
+        signs[rep] = w * p
+        signs[other] = -w * q
+    for ridge, (f, g) in total.ridge_to_facets().items():
+        if signs[f] * _ridge_sign(f, ridge) == signs[g] * _ridge_sign(g, ridge):
+            raise IncoherentCover(
+                f"sheet calibration is incoherent across the ridge {ridge}")
     return CoverOrientation(cover, signs)
 
 
@@ -309,23 +305,19 @@ def _build_split_maps(cover, ring, K) -> SplitMaps:
     base_pc = pair_complex(base, constant_system(base, ring),
                            killed=relative_killed(base, K))
     table = row_table(cover)
-
-    def orbit(sign):
-        def images(b):
-            rep = cover.canonical_lift(b)
-            other = cover.deck_image(rep)
-            return ((rep, projection_parity(cover, rep)),
-                    (other, sign * projection_parity(cover, other)))
-        return images
-
     degrees = {}
     for k in range(base.dimension + 1):
         tau = deck_chain_matrix(cover, ring, k, total_pc)
         ident = ExactMatrix.identity(ring, total_pc.length(k))
         sigma = (ident + tau).shared(table)
         delta = (ident - tau).shared(table)
-        incl_plus = base_pc.cell_map(total_pc, k, orbit(1)).shared(table)
-        incl_minus = base_pc.cell_map(total_pc, k, orbit(-1)).shared(table)
+        plus = _orbits(cover, base_pc.space(k))
+        minus = {b: (lift, (other, -q))
+                 for b, (lift, (other, q)) in plus.items()}
+        incl_plus = base_pc.cell_map(total_pc, k, plus.__getitem__
+                                     ).shared(table)
+        incl_minus = base_pc.cell_map(total_pc, k, minus.__getitem__
+                                      ).shared(table)
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
                                  tuple(base_pc.space(k)))
     return SplitMaps(cover, ring, K, degrees)
@@ -457,6 +449,6 @@ def fundamental_class_via_cover(M, ring) -> FundamentalClassData:
         raise TwistcapError("deck transformation does not negate the cover cycle")
     n = M.dimension
     lifted = cover_chains(cover, ring).coefficients(n, z)
-    vec = tuple(ring.normalize(projection_parity(cover, rep) * lifted[rep])
-                for rep in map(cover.canonical_lift, M.faces(n)))
+    vec = tuple(ring.normalize(p * lifted[rep])
+                for (rep, p), _ in _orbits(cover, M.faces(n)).values())
     return FundamentalClassData(M, ring, orientation_system(M, ring), vec)

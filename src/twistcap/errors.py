@@ -88,10 +88,6 @@ class TwoIsZero(TwistcapError):
 
 # -- cap products -----------------------------------------------------------
 
-class BadIndices(TwistcapError):
-    pass
-
-
 class DegreeMismatch(TwistcapError):
     pass
 

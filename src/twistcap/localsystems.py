@@ -55,7 +55,7 @@ from .complexes import SimplicialComplex, memo, star_signs, validate, weak
 from .errors import (BaseMismatch, NotClosedPseudomanifold, RingMismatch,
                      SystemFormatError, TwistcapError)
 from .matrices import ExactMatrix, inverse, kernel_with_relations, row_table
-from .rings import Q, RingSpec, Zmod, parse_ring
+from .rings import Q, RingSpec, Zmod, parse_int, parse_ring
 
 # the largest rank a user may ask for, far above the corpus's, the tests'
 # and the benchmark's (at most 3)
@@ -264,14 +264,6 @@ def tensor(G: LocalSystem, Gp: LocalSystem) -> LocalSystem:
     return memo(G, ("tensor", None if Gp is G else Gp), build)
 
 
-def holonomy(system: LocalSystem, loop) -> ExactMatrix:
-    """Ordered product of edge transports around a closed vertex loop."""
-    loop = list(loop)
-    if loop[0] != loop[-1]:
-        loop = loop + [loop[0]]
-    return system.path_transport(loop)
-
-
 def _conjugated(base, ring, rank, transport: dict, reverse: dict,
                 gauge: dict, table: dict) -> LocalSystem:
     """The system with transports g_u^{-1} @ T[u<-v] @ g_v, built with their
@@ -432,11 +424,13 @@ def loads_local_system(text: str, base: SimplicialComplex) -> LocalSystem:
         if tokens[0] == "rank":
             if rank is not None:
                 raise SystemFormatError(lineno, "duplicate rank line")
-            if len(tokens) != 2 or not tokens[1].isdecimal() \
-                    or not 1 <= int(tokens[1]) <= MAX_RANK:
+            try:
+                rank = parse_int(tokens[1]) if len(tokens) == 2 else 0
+            except ValueError:
+                rank = 0
+            if not 1 <= rank <= MAX_RANK:
                 raise SystemFormatError(
                     lineno, f"rank must be an integer from 1 to {MAX_RANK}")
-            rank = int(tokens[1])
             continue
         if tokens[0] == "edge":
             if ring is None or rank is None:
@@ -445,7 +439,7 @@ def loads_local_system(text: str, base: SimplicialComplex) -> LocalSystem:
             if len(tokens) != 3:
                 raise SystemFormatError(lineno, "expected 'edge u v'")
             try:
-                u, v = int(tokens[1]), int(tokens[2])
+                u, v = parse_int(tokens[1]), parse_int(tokens[2])
             except ValueError:
                 raise SystemFormatError(lineno, "edge endpoints must be integers")
             if not u < v:
@@ -485,8 +479,8 @@ def _parse_entry(token: str, ring: RingSpec):
         if ring != Q:
             raise ValueError(token)
         num, den = token.split("/", 1)
-        return ring.normalize(Fraction(int(num), int(den)))
-    return ring.normalize(int(token))
+        return ring.normalize(Fraction(parse_int(num), parse_int(den)))
+    return ring.normalize(parse_int(token))
 
 
 def load_local_system(path, base) -> LocalSystem:

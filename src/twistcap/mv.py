@@ -225,12 +225,12 @@ def _connecting_chain(spaces: _MVSpaces, k, cycles: ExactMatrix):
     `_MVSpaces.zigzag` image, checked to lie in the intersection, in the
     (A^B, C^D) coordinates."""
     chains = spaces.zigzag(k) @ cycles
-    space, r = spaces.absolute.space(k - 1), spaces.rank
+    cell = spaces.absolute.cell
     # the first column that escapes, at its first simplex outside A^B
     escapes = [(min(row), i) for i, row in enumerate(chains.sparse_rows)
-               if row and not spaces.AB.contains(space[i // r])]
+               if row and not spaces.AB.contains(cell(k - 1, i))]
     if escapes:
-        s = space[min(escapes)[1] // r]
+        s = cell(k - 1, min(escapes)[1])
         raise ConnectingChainEscapes(
             f"connecting chain escapes the intersection at {s}")
     return spaces.transfer(spaces.absolute, spaces.inter, k - 1) @ chains

@@ -186,6 +186,17 @@ def Zmod(m: int) -> RingSpec:
     return RingSpec(MODULAR, m)
 
 
+def parse_int(token: str) -> int:
+    """The integer a token of the file formats or of a system spec spells:
+    ASCII digits with an optional leading '-'.  Anything else, such as
+    '+2', '1_0' or full-width digits, all of which int() takes, raises
+    ValueError."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_ring(text: str) -> RingSpec:
     """Parse 'Z', 'Q', 'Z/5' or 'Zmod5' (also 'Zmod 5')."""
     t = text.strip()

@@ -3,35 +3,15 @@ import random
 import pytest
 
 from twistcap.cap import (boundary_identity_check, cap_matrix, cap_setting,
-                          cap_vector, face_restriction, relative_cap,
-                          verify_duality)
+                          cap_vector, relative_cap, verify_duality)
 from twistcap.chains import fundamental_class_direct, pair_complex
 from twistcap.complexes import FullSubcomplex, corpus
-from twistcap.errors import BadIndices, DegreeMismatch
+from twistcap.errors import DegreeMismatch
 from twistcap.fpmodules import ModuleMap
 from twistcap.localsystems import (constant_system, orientation_system,
                                    random_flat_system, tensor)
 from twistcap.matrices import ExactMatrix
 from twistcap.rings import Q, Z, Zmod
-
-
-
-def test_face_restriction_basics():
-    s = (2, 5, 7, 9)
-    assert face_restriction(s, range(4)) == s
-    assert face_restriction(s, [0, 1, 2]) == (2, 5, 7)
-    assert face_restriction(s, [2, 3]) == (7, 9)
-    # front and back overlap exactly at the split vertex
-    n, k = 3, 1
-    front = face_restriction(s, range(n - k + 1))
-    back = face_restriction(s, range(n - k, n + 1))
-    assert front[-1] == back[0]
-    with pytest.raises(BadIndices):
-        face_restriction(s, [1, 1])
-    with pytest.raises(BadIndices):
-        face_restriction(s, [3, 2])
-    with pytest.raises(BadIndices):
-        face_restriction(s, [0, 9])
 
 
 def random_vec(ring, length, rng):

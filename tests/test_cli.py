@@ -284,6 +284,69 @@ def test_zero_denominator_in_system_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "line 4" in err
 
 
+_CIRCLE = "dim 1\nsimplex 0 1\nsimplex 1 2\nsimplex 0 2\n"
+
+
+# every integer of the file formats and of a spec field is ASCII digits with
+# an optional leading '-': int() alone takes each of these spellings
+@pytest.mark.parametrize("text, line", [
+    (_CIRCLE.replace("0 2", "0 \uff12"), 4),
+    (_CIRCLE.replace("0 2", "0 +2"), 4),
+    (_CIRCLE.replace("0 2", "0_0 2"), 4),
+    (_CIRCLE.replace("dim 1", "dim \uff101"), 1)],
+    ids=["full-width-vertex", "plus-vertex", "underscore-vertex",
+         "full-width-dim"])
+def test_a_non_ascii_or_decorated_integer_in_a_complex_exits_2(
+        tmp_path, capsys, text, line):
+    path = tmp_path / "circle.cx"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--complex", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("ring Q\nrank 1\nedge 0 1\n1_0/3\n", 4),
+    ("ring Q\nrank 1\nedge \uff10 1\n1\n", 3),
+    ("ring Q\nrank \uff11\nedge 0 1\n1\n", 2)],
+    ids=["underscore-entry", "full-width-edge", "full-width-rank"])
+def test_a_non_ascii_or_decorated_integer_in_a_system_exits_2(
+        tmp_path, capsys, text, line):
+    path = tmp_path / "bad.ls"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify-duality", "--complex", "circle",
+                         "--system", str(path), "--ring", "Q")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("spec", ["constant:\uff12", "constant:+2",
+                                  "random-flat:1_0"])
+def test_a_non_ascii_or_decorated_spec_field_exits_2(capsys, spec):
+    code, out, err = run(capsys, "verify-duality", "--complex", "circle",
+                         "--system", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown system {spec!r}: ")
+
+
+def test_a_passing_report_exits_0_when_its_reader_closed_the_pipe():
+    # the read end is closed before the child starts, so every write fails
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "twistcap.cli", "validate", "--complex",
+             "rp3"], stdout=write, stderr=subprocess.PIPE, env=env,
+            text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (0, "")
+
+
 def test_negative_trials_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cap-identity", "--complex", "circle", "--trials", "-5"])

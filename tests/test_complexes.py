@@ -10,9 +10,9 @@ from twistcap.complexes import (BUILTIN_NAMES, FullSubcomplex,
                                 SimplicialComplex, Subcomplex, _grid_klein,
                                 _grid_torus, closed_star, corpus,
                                 dumps_complex, loads_complex, named_complex,
-                                star_component_walk,
-                                star_signs, validate, whole_subcomplex)
-from twistcap.errors import (ComplexFormatError, DisconnectedStar, NotInStar,
+                                ridge_sign_walk, star_signs, validate,
+                                whole_subcomplex)
+from twistcap.errors import (ComplexFormatError, DisconnectedStar,
                              TwistcapError, UnknownName)
 
 import oracles
@@ -113,11 +113,11 @@ def test_snf_scaling_refuses_a_grid_side_below_3():
 def test_star_walk_identity_and_adjacent():
     cx = corpus("sphere2")
     f = (0, 1, 2)
-    assert star_component_walk(cx, 0, f, f) == 1
+    assert ridge_sign_walk(cx, f, 0)[f] == 1
     # adjacent facets across ridge (0,1): dropped vertices both at even
     # positions, so the relative sign is -1 (they orient S^2 coherently
     # with alternating facet signs)
-    assert star_component_walk(cx, 0, (0, 1, 2), (0, 1, 3)) == -1
+    assert ridge_sign_walk(cx, (0, 1, 2), 0)[(0, 1, 3)] == -1
 
 
 def test_star_walk_path_independent_everywhere():
@@ -130,17 +130,19 @@ def test_star_walk_path_independent_everywhere():
             signs = star_signs(cx, v)
             assert set(signs) == set(star)
             for a in star:
+                from_a = ridge_sign_walk(cx, a, v)
+                assert set(from_a) == set(star)
                 for b in star:
-                    assert star_component_walk(cx, v, a, b) == signs[a] * signs[b]
+                    assert from_a[b] == signs[a] * signs[b]
 
 
 def test_star_walk_errors():
-    cx = corpus("sphere2")
-    with pytest.raises(NotInStar):
-        star_component_walk(cx, 3, (0, 1, 2), (0, 1, 3))
+    # vertex 2's two facets share no ridge through it
     two = SimplicialComplex(6, [(0, 1, 2), (0, 1, 3), (2, 4, 5)])
-    with pytest.raises((DisconnectedStar, NotInStar)):
-        star_component_walk(two, 2, (0, 1, 2), (2, 4, 5))
+    assert ridge_sign_walk(two, (0, 1, 2), 2) == {(0, 1, 2): 1}
+    with pytest.raises(DisconnectedStar,
+                       match="star of vertex 2 is disconnected"):
+        star_signs(two, 2)
 
 
 def test_full_subcomplex_and_complement():

@@ -125,6 +125,25 @@ def test_lemma1_fails_on_a_flipped_facet_sign(monkeypatch):
     assert lemma1_check(c, Z) is False
 
 
+@pytest.mark.parametrize("name", ["rp2", "klein", "sphere2", "rp3"])
+def test_a_flipped_star_sign_is_refused_by_the_ridge_check(name, monkeypatch):
+    # one base facet's sign at its leading vertex flipped: its two lifts
+    # then disagree with a neighbour on a ridge, and the cover is refused
+    M = corpus(name)
+    cover = orientation_cover(M)
+    facet = M.facets[0]
+    star_signs = covers.star_signs
+
+    def flipped(cx, vertex):
+        signs = star_signs(cx, vertex)
+        if cx is M and vertex == facet[0]:
+            signs = {**signs, facet: -signs[facet]}
+        return signs
+    monkeypatch.setattr(covers, "star_signs", flipped)
+    with pytest.raises(IncoherentCover):
+        covers._build_orientation(cover)
+
+
 def _with_deck(cover, swaps):
     """The cover with its deck map changed to swap each pair in `swaps`
     (a pair (v, v) fixes v)."""
@@ -160,8 +179,9 @@ def test_components_project_to_opposite_orientations():
     idx = base_pc.index(2)
     projected = {}
     for facet, sign in orientation.facet_signs.items():
-        base = c.project(facet)
-        sheet = c.sheet([v for v in facet if c.projection[v] == base[0]][0])
+        base = tuple(sorted(c.projection[v] for v in facet))
+        over = [v for v in facet if c.projection[v] == base[0]][0]
+        sheet = int(over >= M.vertex_count)
         from twistcap.covers import projection_parity
         projected.setdefault(sheet, [0] * base_pc.length(2))
         projected[sheet][idx[base]] += sign * projection_parity(c, facet)
@@ -328,7 +348,7 @@ def dumps_cover(cover):
     lines.append("# sheets: total vertex = base vertex + sheet * base_count")
     for v in range(cover.total.vertex_count):
         lines.append(f"# vertex {v} over {cover.projection[v]} "
-                     f"sheet {cover.sheet(v)}")
+                     f"sheet {int(v >= cover.base.vertex_count)}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,9 +2,11 @@
 
 Every top-level function and class, and every method that is not a dunder,
 must be referenced somewhere outside its own definition: in the package, the
-tests, tools/ or perfbench/.  A top-level class must also be used by the
-package, tools/ or perfbench/, not only named by the tests or re-exported by
-the package __init__.  String constants count as references, because
+tests, tools/ or perfbench/.  A top-level class, and a top-level public
+function, must also be used by the package, tools/ or perfbench/, not only
+named by the tests or re-exported by the package __init__; the functions
+that only the tests call are listed, each with its reason, in
+``TEST_ONLY_FUNCTIONS``.  String constants count as references, because
 the benchmark tracer names the functions it wraps as "Class.method" strings.
 A private definition, one whose name starts with an underscore, must be
 used by the package, tools/ or perfbench/, not only by the tests.
@@ -50,10 +52,12 @@ CLI rows of cells, not text.  Only the CLI's renderer, ``cli.render``,
 has an ``except`` clause that names ``CheckFailed`` or a subclass of it, so
 a check that raises becomes a FAIL row of its own report and nowhere else.
 Only ``chains`` reads a pair complex's coordinates, by a call of a method
-named ``index`` or by enumerating a ``.space(...)`` call (the iterable of
-a loop or a comprehension, an argument of ``enumerate`` or ``zip``): every
-other module builds its chain maps and chains through
-``PairComplex.cell_map``, ``chain`` and ``coefficients``.  The one listed
+named ``index``, by enumerating a ``.space(...)`` call (the iterable of
+a loop or a comprehension, an argument of ``enumerate`` or ``zip``), or by
+subscripting a ``.space(...)`` call or a name bound to one, tuple unpacking
+included: every other module builds its chain maps and chains through
+``PairComplex.cell_map``, ``chain`` and ``coefficients``, and names the
+cell of a coordinate by ``PairComplex.cell``.  The one listed
 exception, in ``COORDINATE_READS``, is ``cap.cap_matrix``, whose tensor
 fibers are laid out in the Kronecker order of ``localsystems.tensor``.
 """
@@ -142,6 +146,38 @@ def test_every_class_is_used_outside_the_tests():
                 test_only.append(f"{path.relative_to(ROOT)}:{node.lineno} "
                                  f"{node.name}")
     assert not test_only, "classes only the tests use: " + ", ".join(test_only)
+
+
+# (module, name) of the public functions that only the tests call, each with
+# its reason
+TEST_ONLY_FUNCTIONS = {
+    # perfbench/test_perfbench.py pins cap's module-level
+    # homology_presentation, which only relative_cap calls
+    ("cap", "relative_cap"),
+    # each waits to become a verdict row or a test oracle
+    ("chains", "inclusion_restriction"),
+    ("localsystems", "gauge_transform"),
+}
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    trees = list(_trees())
+    refs = _reference_index(trees)
+    test_only = set()
+    for path, tree in trees:
+        if PACKAGE not in path.parents:
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) \
+                    or node.name.startswith("_"):
+                continue
+            users = [(p, line) for p, line in refs.get(node.name, ())
+                     if p.name != "__init__.py" and TESTS not in p.parents
+                     and (p != path or not node.lineno <= line <= node.end_lineno)]
+            if not users:
+                test_only.add((path.stem, node.name))
+    assert_listed(test_only, TEST_ONLY_FUNCTIONS,
+                  "public functions only the tests use")
 
 
 def test_private_names_are_used_outside_the_tests():
@@ -549,9 +585,32 @@ def _method_call(node, name):
         and isinstance(node.func, ast.Attribute) and node.func.attr == name
 
 
+def _space_bindings(target, value):
+    """The names `target = value` binds to a `.space(...)` call, tuple
+    unpacking included."""
+    if isinstance(target, ast.Name):
+        return {target.id} if _method_call(value, "space") else set()
+    if isinstance(target, (ast.Tuple, ast.List)) \
+            and isinstance(value, (ast.Tuple, ast.List)) \
+            and len(target.elts) == len(value.elts):
+        return set().union(*map(_space_bindings, target.elts, value.elts))
+    return set()
+
+
 def test_only_chains_reads_the_coordinates():
-    found = {(module, where) for module, where, node in _package_nodes()
-             if module != "chains"
-             and (_method_call(node, "index")
-                  or any(_method_call(e, "space") for e in _iterated(node)))}
+    nodes = [entry for entry in _package_nodes() if entry[0] != "chains"]
+    # (module, enclosing function) -> names bound there to a .space(...)
+    bound = {}
+    for module, where, node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                bound.setdefault((module, where), set()).update(
+                    _space_bindings(target, node.value))
+    found = {(module, where) for module, where, node in nodes
+             if _method_call(node, "index")
+             or any(_method_call(e, "space") for e in _iterated(node))
+             or isinstance(node, ast.Subscript)
+             and (_method_call(node.value, "space")
+                  or isinstance(node.value, ast.Name)
+                  and node.value.id in bound.get((module, where), ()))}
     assert_listed(found, COORDINATE_READS, "coordinate reads outside chains")

@@ -1,12 +1,12 @@
 """Cross-module invariants."""
 
 from twistcap.chains import homology
-from twistcap.complexes import corpus, dumps_complex, star_component_walk
+from twistcap.complexes import corpus, dumps_complex, ridge_sign_walk
 from twistcap.covers import build_double_cover
 from twistcap.fpmodules import (ModuleMap, homology_presentation,
                                 is_isomorphism)
-from twistcap.localsystems import (constant_system, holonomy,
-                                   orientation_system, random_flat_system, tensor)
+from twistcap.localsystems import (constant_system, orientation_system,
+                                   random_flat_system, tensor)
 from twistcap.matrices import ExactMatrix
 from twistcap.rings import Z
 
@@ -54,19 +54,18 @@ def test_star_walk_sign_exhaustive_path_enumeration():
             a, b = star[0], star[-1]
             signs = set(_all_simple_dual_paths(cx, vertex, a, b))
             assert len(signs) == 1
-            assert star_component_walk(cx, vertex, a, b) in signs
+            assert ridge_sign_walk(cx, a, vertex)[b] in signs
 
 
 def test_orientation_reference_choice_is_gauge():
     # recompute star signs from the *last* facet containing each vertex;
-    # edge signs change by a vertex gauge, loop holonomies do not change
-    from twistcap.complexes import _star_signs_from
+    # edge signs change by a vertex gauge, loop transports do not change
     from twistcap.localsystems import LocalSystem
     cx = corpus("klein")
     stars = cx.vertex_stars()
     alt_signs = {}
     for v in range(cx.vertex_count):
-        alt_signs[v] = _star_signs_from(cx, v, stars[v][-1])
+        alt_signs[v] = ridge_sign_walk(cx, stars[v][-1], v)
     transport = {}
     for (u, v) in cx.faces(1):
         facet = next(f for f in stars[u] if v in f)
@@ -76,7 +75,8 @@ def test_orientation_reference_choice_is_gauge():
     standard = orientation_system(cx, Z)
     for tri in cx.faces(2):
         u, v, w = tri
-        assert holonomy(alt, [u, v, w]) == holonomy(standard, [u, v, w])
+        loop = (u, v, w, u)
+        assert alt.path_transport(loop) == standard.path_transport(loop)
 
 
 def test_homology_presentation_idempotent():
