@@ -212,9 +212,9 @@ def cap_identity_failures(M, G, rng, trials):
     for _ in range(trials):
         k = rng.randint(0, M.dimension)
         n = rng.randint(k, M.dimension)
-        c = tuple(ring.from_int(rng.randint(-3, 3))
+        c = tuple(ring.normalize(rng.randint(-3, 3))
                   for _ in range(cochain_pc.length(k)))
-        a = tuple(ring.from_int(rng.randint(-3, 3))
+        a = tuple(ring.normalize(rng.randint(-3, 3))
                   for _ in range(chain_pc.length(n)))
         ok, _diff = boundary_identity_check(M, G, Gp, k, n, c, a)
         if not ok:

@@ -94,7 +94,7 @@ def boundary_identity_check(M, G, Gp, k, n, c_vec, a_vec):
         last = cap_vector(cochain_pc, chain_pc, out_pc, k + 1, dc, n, a_vec)
     else:
         last = (ring.zero,) * target_len
-    weight = ring.from_int((-1) ** (n - k))
+    weight = ring.normalize((-1) ** (n - k))
     diff = tuple(ring.normalize(x - y - weight * z)
                  for x, y, z in zip(lhs, mid, last))
     return all(x == ring.zero for x in diff), diff

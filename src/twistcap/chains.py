@@ -119,7 +119,7 @@ class PairComplex:
     def chain(self, k: int, coefficients: dict) -> tuple:
         """The rank-1 k-chain with the integer coefficient c on each
         simplex s of {s: c}, and 0 elsewhere."""
-        return tuple(self.ring.from_int(coefficients.get(s, 0))
+        return tuple(self.ring.normalize(coefficients.get(s, 0))
                      for s in self.space(k))
 
     def coefficients(self, k: int, vec) -> dict:
@@ -139,7 +139,7 @@ class PairComplex:
             for t, sign in images(s):
                 pos = index.get(t)
                 if pos is not None:
-                    x = ring.from_int(sign)
+                    x = ring.normalize(sign)
                     for a in range(r):
                         data[pos * r + a][j * r + a] = x
         return ExactMatrix._from_rows(ring, data, self.length(k))
@@ -182,7 +182,7 @@ class PairComplex:
                         data[row + a].update(
                             (col + b, x) for b, x in entries.items())
                 else:
-                    sign = ring.from_int(-1 if i % 2 else 1)
+                    sign = ring.normalize(-1 if i % 2 else 1)
                     for a in range(r):
                         data[row + a][col + a] = sign
         return ExactMatrix._from_rows(ring, data, len(cols) * r).shared(

@@ -151,9 +151,16 @@ def render(args, report) -> int:
     return int(failed)
 
 
+def _integer(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -169,7 +176,7 @@ _OPTIONS = {
     "--system": dict(default="constant", help="constant[:rank] | orientation "
                      "| random-flat[:seed[:rank]] | file path"),
     "--ring": dict(default="Z", help="Z | Q | Z/<m>"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_integer, default=0),
     "--format": dict(choices=tuple(_SEPARATORS), default="tsv"),
     "--trials": dict(type=_positive_int, default=100),
     "--cover": dict(required=True, help="hemispheres (octahedron) | "

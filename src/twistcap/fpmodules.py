@@ -334,11 +334,6 @@ class ModuleMap:
     def is_zero(self) -> bool:
         return self.target.zero_classes(self.matrix)
 
-    def equals(self, other: "ModuleMap") -> bool:
-        if self.source is not other.source or self.target is not other.target:
-            raise TwistcapError("composition mismatch")
-        return self.target.zero_classes(self.matrix - other.matrix)
-
 
 def induced_map(f_chain: ExactMatrix, src: HomologyPresentation,
                 dst: HomologyPresentation) -> ModuleMap:

@@ -151,7 +151,7 @@ class LocalSystem:
         if self.rank != 1:
             return False
         one = self.ring.one
-        minus = self.ring.from_int(-1)
+        minus = self.ring.normalize(-1)
         return all(m.entry(0, 0) in (one, minus)
                    for m in self._transport.values())
 
@@ -354,7 +354,7 @@ def _random_gauge_matrix(ring, rank, rng) -> tuple:
         j = rng.randrange(rank)
         if i == j:
             continue
-        coeff = ring.from_int(rng.choice((-2, -1, 1, 2)))
+        coeff = ring.normalize(rng.choice((-2, -1, 1, 2)))
         if coeff:  # +-2 vanishes over Z/2
             unit = ExactMatrix._from_rows(
                 ring, [{j: coeff} if a == i else {} for a in range(rank)], rank)
@@ -377,7 +377,7 @@ def random_flat_system(base, ring, rank, seed) -> LocalSystem:
         if rank == 1:
             return _kept_on(base, sign_system(base, ring, signs[0]))
         transport = {e: ExactMatrix._from_rows(
-                         ring, [{i: ring.from_int(signs[i][e])}
+                         ring, [{i: ring.normalize(signs[i][e])}
                                 for i in range(rank)], rank)
                      for e in base.faces(1)}
         gauge = {v: _random_gauge_matrix(ring, rank, rng)

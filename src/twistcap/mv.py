@@ -504,7 +504,7 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
         rows = [{} for _ in range(length)]
         for j in range(cols):
             for row in rows:
-                x = ring.from_int(rng.randint(-2, 2))
+                x = ring.normalize(rng.randint(-2, 2))
                 if x:
                     row[j] = x
         noise = ExactMatrix._from_rows(ring, rows, cols)
@@ -561,7 +561,7 @@ def diagram6_check(M, U: Subcomplex, V: Subcomplex, K: FullSubcomplex,
             X = generators(top.inter, top.inter.cohomology(k), k)
             glued = _glue_coboundary(top, k, X)
             zigzag = _connecting_chain(bot, n - k, cap_m @ X)
-            weight = ring.from_int((-1) ** (n - k))
+            weight = ring.normalize((-1) ** (n - k))
             gaps = _route_gaps(p_down, caps_first[k + 1] @ glued, zigzag,
                                (weight, -weight))
             if gaps is None:

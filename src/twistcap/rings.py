@@ -8,13 +8,19 @@ integral entries that chain complexes are made of runs at integer speed;
 from an explicit ``Fraction``, since ``int / int`` would be a float.
 Arbitrary precision comes for free; fixed-width overflow cannot happen.
 
-A RingSpec bundles the canonical-form, unit and divisibility arithmetic the
-normal-form code needs.  Instances are immutable and hashable so they can
-key caches.
+A RingSpec is a record, a named tuple (kind, modulus), so it is immutable,
+hashable and compared field by field, and can key caches; it bundles the
+canonical-form, unit and divisibility arithmetic the normal-form code needs.
+The modulus of Z/m is an ``int`` of at least 2; a float, a Fraction or a
+bool is refused, as is any modulus on Z or Q.  ``parse_int`` is the one
+rule for an integer spelled in text: the file formats, the ``--system``
+fields, the ``--seed`` and ``--trials`` options and the modulus of
+``parse_ring`` all read theirs with it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -25,42 +31,19 @@ RATIONALS = "Q"
 MODULAR = "Zmod"
 
 
-class RingSpec:
-    __slots__ = ("kind", "modulus")
+class RingSpec(namedtuple("RingSpec", "kind modulus")):
+    __slots__ = ()
+    zero, one = 0, 1
 
-    def __init__(self, kind: str, modulus: int | None = None):
+    def __new__(cls, kind: str, modulus: int | None = None):
         if kind not in (INTEGERS, RATIONALS, MODULAR):
             raise TwistcapError(f"unknown ring kind {kind!r}")
         if kind == MODULAR:
-            if modulus is None or modulus < 2:
-                raise TwistcapError("modular ring needs modulus >= 2")
+            if type(modulus) is not int or modulus < 2:
+                raise TwistcapError("modular ring needs an integer modulus >= 2")
         elif modulus is not None:
             raise TwistcapError(f"{kind} takes no modulus")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RingSpec is immutable: cannot set {name!r}")
-
-    # every matrix operation compares the rings of its operands, which are
-    # nearly always the same object
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not RingSpec:
-            return NotImplemented
-        return self.kind == other.kind and self.modulus == other.modulus
-
-    def __ne__(self, other):
-        return self is not other and not self == other
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
-
-    # -- presentation --------------------------------------------------
-
-    def __repr__(self):
-        return f"RingSpec(kind={self.kind!r}, modulus={self.modulus!r})"
+        return super().__new__(cls, kind, modulus)
 
     def __str__(self):
         if self.kind == MODULAR:
@@ -85,18 +68,6 @@ class RingSpec:
             x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def from_int(self, k: int):
-        """Image of the integer k, e.g. the signs +-1 used everywhere."""
-        return self.normalize(k)
-
     def is_unit(self, x) -> bool:
         if self.kind == INTEGERS:
             return x in (1, -1)
@@ -114,7 +85,7 @@ class RingSpec:
             return b % a == 0
         m = self.modulus
         g = gcd(a % m, m)
-        return (b % m) % g == 0 if g else b % m == 0
+        return (b % m) % g == 0
 
     def divide(self, b, a):
         """Some y with a*y = b, or None when no solution exists."""
@@ -137,7 +108,7 @@ class RingSpec:
         if b % g:
             return None
         mg = m // g
-        return (b // g) * pow(a // g, -1, mg) % m if mg > 1 else 0
+        return (b // g) * pow(a // g, -1, mg) % m
 
     def annihilator(self, a):
         """Generator of {r : r*a = 0}; zero over the integers and rationals."""
@@ -172,7 +143,7 @@ class RingSpec:
         # unit mod m in that class is reached within g steps of m/g.
         g = gcd(a, m)
         step = m // g
-        u = pow(a // g, -1, step) if step > 1 else 0
+        u = pow(a // g, -1, step)
         while gcd(u, m) != 1:
             u += step
         return u
@@ -206,7 +177,8 @@ def parse_ring(text: str) -> RingSpec:
         return Q
     for prefix in ("Z/", "Zmod"):
         if t.startswith(prefix):
-            body = t[len(prefix):].strip()
-            if body.isascii() and body.isdigit():  # int() rejects "²"
-                return Zmod(int(body))
+            try:
+                return Zmod(parse_int(t[len(prefix):].strip()))
+            except ValueError:
+                break
     raise TwistcapError(f"cannot parse ring {text!r}")

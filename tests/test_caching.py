@@ -354,7 +354,7 @@ def test_induced_map_factors_nothing(monkeypatch, ring):
     calls = count_factorizations(monkeypatch)
     solvers = count_calls(monkeypatch, matrices.SmithSolver, "__init__")
     for k, p in enumerate(pres):
-        f = ExactMatrix.identity(ring, pc.length(k)).scale(ring.from_int(3))
+        f = ExactMatrix.identity(ring, pc.length(k)).scale(ring.normalize(3))
         assert induced_map(f, p, p).matrix.rows == p.module.generator_count
     assert calls == [] and solvers == []
 

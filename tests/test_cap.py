@@ -275,4 +275,4 @@ def test_duality_inverse_is_two_sided_modulo_relations(name, ring):
             for m, loop in ((f.source, back.compose(f)),
                             (f.target, f.compose(back))):
                 ident = ExactMatrix.identity(ring, m.generator_count)
-                assert loop.equals(ModuleMap(m, m, ident))
+                assert m.zero_classes(loop.matrix - ident)

@@ -235,7 +235,7 @@ def _reference_boundary(pc, k):
                     for b in range(r):
                         row[j * r + b] = block.data[a][b]
             else:
-                sign = ring.from_int(-1 if i % 2 else 1)
+                sign = ring.normalize(-1 if i % 2 else 1)
                 for a in range(r):
                     data[pos * r + a][j * r + a] = sign
     return ExactMatrix._from_rows(
@@ -263,7 +263,7 @@ def _reference_coboundary(pc, k):
                         row[pos * r + b] = ring.normalize(
                             row[pos * r + b] + block.data[a][b])
             else:
-                sign = ring.from_int(-1 if i % 2 else 1)
+                sign = ring.normalize(-1 if i % 2 else 1)
                 for a in range(r):
                     row = data[i_row * r + a]
                     row[pos * r + a] = ring.normalize(row[pos * r + a] + sign)

@@ -13,7 +13,8 @@ from twistcap import acceptance, chains, cli, covers, fpmodules, mv
 from twistcap.chains import NotAFundamentalCycle
 from twistcap.cli import main
 from twistcap.complexes import (BUILTIN_NAMES, SimplicialComplex, _grid_klein,
-                                _grid_torus, dumps_complex, validate)
+                                _grid_torus, dumps_complex, named_complex,
+                                validate)
 from twistcap.errors import CertificateFailed, TwistcapError
 from twistcap.localsystems import constant_system
 from twistcap.matrices import ExactMatrix
@@ -347,6 +348,13 @@ def test_a_passing_report_exits_0_when_its_reader_closed_the_pipe():
     assert (child.returncode, child.stderr) == (0, "")
 
 
+def test_a_negative_seed_runs(capsys):
+    code, out, err = run(capsys, "cap-identity", "--complex", "circle",
+                         "--seed", "-5", "--trials", "2")
+    assert (code, err) == (0, "")
+    assert "seed=-5" in out
+
+
 def test_negative_trials_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cap-identity", "--complex", "circle", "--trials", "-5"])
@@ -360,7 +368,7 @@ def test_negative_trials_exit_2(capsys):
 _COMPLEX = ("--complex", None, None, None, True)
 _FORMAT = ("--format", "tsv", None, ("tsv", "plain"), False)
 _RING = ("--ring", "Z", None, None, False)
-_SEED = ("--seed", 0, "int", None, False)
+_SEED = ("--seed", 0, "_integer", None, False)
 _UNTWISTED = [_COMPLEX, _RING, _FORMAT]
 _TWISTED = [_COMPLEX, ("--system", "constant", None, None, False), _RING,
             _SEED, _FORMAT]
@@ -399,6 +407,11 @@ _TOP_USAGE = """usage: twistcap [-h]
 phi-check,cap-identity,verify-duality,check-mv,diagram6,corpus-all}
                 ...
 """
+_CAP_USAGE = """\
+usage: twistcap cap-identity [-h] --complex COMPLEX [--system SYSTEM]
+                             [--ring RING] [--seed SEED]
+                             [--format {tsv,plain}] [--trials TRIALS]
+"""
 _COMMAND_CHOICES = ("'validate', 'orientation', 'fundamental-class', "
                     "'lemma1', 'lemma2', 'phi-check', 'cap-identity', "
                     "'verify-duality', 'check-mv', 'diagram6', 'corpus-all'")
@@ -414,12 +427,22 @@ usage: twistcap validate [-h] --complex COMPLEX [--format {tsv,plain}]
 twistcap validate: error: argument --format: invalid choice: 'xml' \
 (choose from 'tsv', 'plain')
 """),
-    (["cap-identity", "--complex", "circle", "--trials", "0"], """\
-usage: twistcap cap-identity [-h] --complex COMPLEX [--system SYSTEM]
-                             [--ring RING] [--seed SEED]
-                             [--format {tsv,plain}] [--trials TRIALS]
-twistcap cap-identity: error: argument --trials: '0' is not a positive \
-integer
+    (["cap-identity", "--complex", "circle", "--trials", "0"], _CAP_USAGE
+     + "twistcap cap-identity: error: argument --trials: '0' is not a "
+     "positive integer\n"),
+    (["cap-identity", "--complex", "circle", "--trials", "\uff13"],
+     _CAP_USAGE + "twistcap cap-identity: error: argument --trials: "
+     "'\uff13' is not a positive integer\n"),
+    (["cap-identity", "--complex", "circle", "--seed", "\uff12"], _CAP_USAGE
+     + "twistcap cap-identity: error: argument --seed: '\uff12' is not an "
+     "integer\n"),
+    (["cap-identity", "--complex", "circle", "--seed", "+1"], _CAP_USAGE
+     + "twistcap cap-identity: error: argument --seed: '+1' is not an "
+     "integer\n"),
+    (["corpus-all", "--seed", "1_0"], """\
+usage: twistcap corpus-all [-h] [--seed SEED] [--trials TRIALS]
+                           [--format {tsv,plain}]
+twistcap corpus-all: error: argument --seed: '1_0' is not an integer
 """),
     (["nope"], _TOP_USAGE + "twistcap: error: argument command: invalid "
      f"choice: 'nope' (choose from {_COMMAND_CHOICES})\n"),
@@ -441,7 +464,8 @@ twistcap check-mv: error: the following arguments are required: --cover
      + "twistcap: error: unrecognized arguments: --ring Z/2\n"),
     (["lemma2", "--complex", "rp2", "--seed", "1"], _TOP_USAGE
      + "twistcap: error: unrecognized arguments: --seed 1\n"),
-], ids=["no-complex", "format-xml", "trials-0", "unknown-command",
+], ids=["no-complex", "format-xml", "trials-0", "trials-fullwidth",
+        "seed-fullwidth", "seed-plus", "seed-underscore", "unknown-command",
         "config-nope", "no-cover", "system-on-validate", "ring-on-validate",
         "seed-on-lemma2"])
 def test_malformed_command_lines_exit_2(monkeypatch, capsys, argv, err):
@@ -501,6 +525,13 @@ def _pinched(build):
     return cx
 
 
+def _suspension(cx):
+    """The suspension of `cx`, with cone points n and n + 1 for n vertices."""
+    n = cx.vertex_count
+    return SimplicialComplex(n + 2, [f + (apex,) for f in cx.facets
+                                     for apex in (n, n + 1)])
+
+
 def _pinched_grid(tmp_path, build):
     path = tmp_path / "pinched.cx"
     path.write_text(dumps_complex(_pinched(build)))
@@ -513,13 +544,38 @@ def test_pinched_vertex_fails_link_validation(build):
     # the pinch vertex's link is two circles; in the suspension, each apex
     # has the pinched surface as its link
     cx = _pinched(build)
-    n = cx.vertex_count
-    suspension = SimplicialComplex(n + 2, [f + (apex,) for f in cx.facets
-                                           for apex in (n, n + 1)])
-    for complex_ in (cx, suspension):
+    for complex_ in (cx, _suspension(cx)):
         report = validate(complex_)
         assert report.closed_pseudomanifold
         assert not report.links_validated
+
+
+@pytest.mark.parametrize("command", ["orientation", "fundamental-class",
+                                     "lemma1", "verify-duality"])
+def test_an_inconsistent_vertex_star_exits_2(tmp_path, capsys, command):
+    # in the suspension of RP^2 the star of each cone point is the cone on
+    # RP^2, which no choice of facet signs orients
+    path = tmp_path / "suspended_rp2.cx"
+    path.write_text(dumps_complex(_suspension(named_complex("rp2"))))
+    assert run(capsys, "validate", "--complex", str(path))[0] == 0
+    code, out, err = run(capsys, command, "--complex", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: star of vertex 6 is not orientably consistent\n"
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z/3", "Q"])
+def test_a_failing_duality_row_prints_its_witness_certificate(tmp_path,
+                                                              capsys, ring):
+    # the suspension of the 7-vertex torus is a closed pseudomanifold but no
+    # homology manifold: H^1 = 0 against H_2 of rank 2, a cokernel witness,
+    # and H^2 of rank 2 against H_1 = 0, a kernel witness
+    path = tmp_path / "suspended_torus.cx"
+    path.write_text(dumps_complex(_suspension(named_complex("torus"))))
+    code, out, err = run(capsys, "verify-duality", "--complex", str(path),
+                         "--ring", ring)
+    assert (code, err) == (1, "")
+    rows = [line.split("\t")[3:] for line in out.splitlines()[4:6]]
+    assert rows == [["FAIL", "4f8887b738ef"], ["FAIL", "37ac1695b599"]]
 
 
 @pytest.mark.parametrize("build", [_grid_torus, _grid_klein],
@@ -629,6 +685,34 @@ def test_disagreeing_coboundaries_exit_1(monkeypatch, capsys):
     assert_check_failure(capsys, "CoboundariesDisagree",
                          ["check-mv", "--complex", "torus",
                           "--cover", "cylinders"])
+
+
+def _negate_first_column(matrix):
+    ring = matrix.ring
+    return ExactMatrix._from_rows(ring, [
+        {j: ring.normalize(-x) if j == 0 else x for j, x in row.items()}
+        for row in matrix.sparse_rows], matrix.cols)
+
+
+@pytest.mark.parametrize("fault, sign", [
+    (_bump_first_row, "+1"),                 # a route off the cycles
+    (lambda zigzag: zigzag.scale(2), "+1"),  # neither weight matches
+    (_negate_first_column, "n/a"),           # generators disagree on a sign
+], ids=["off-the-cycles", "both-weights-fail", "signs-disagree"])
+def test_a_faulty_connecting_route_fails_the_connecting_block(
+        monkeypatch, capsys, fault, sign):
+    # only in the block of degree 0, so each fault fails through one branch;
+    # the block of degree 1 still reads the sign +1
+    zig_zag = mv._connecting_chain
+    monkeypatch.setattr(mv, "_connecting_chain", lambda spaces, k, cycles:
+                        fault(zig_zag(spaces, k, cycles)) if k == 2
+                        else zig_zag(spaces, k, cycles))
+    code, out, err = run(capsys, "diagram6", "--config", "torus")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-4:] == ["cap-square-left\tok\t+1",
+                                     "cap-square-right\tok\t+1",
+                                     f"connecting\tFAIL\t{sign}",
+                                     "# result=fail"]
 
 
 def test_cap_rung_off_the_cycles_fails_both_cap_squares(monkeypatch, capsys):

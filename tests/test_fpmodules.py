@@ -172,8 +172,7 @@ def test_maps_compose_only_through_the_same_middle_module():
     f = ModuleMap(free, M1, imat([[0], [1]]))
     g = ModuleMap(M2, free, imat([[1, 0]]))
     assert M1 == M2 and is_isomorphism(f) and is_isomorphism(g)
-    for check in (lambda: g.compose(f), lambda: is_exact_at(f, g),
-                  lambda: f.equals(ModuleMap(free, M2, f.matrix))):
+    for check in (lambda: g.compose(f), lambda: is_exact_at(f, g)):
         with pytest.raises(TwistcapError, match="composition mismatch"):
             check()
 
@@ -208,8 +207,6 @@ def test_a_map_is_zero_only_when_every_column_is():
     last = ModuleMap(free, zmod2, imat([[2, 4, 1]]))
     assert zero.is_zero()
     assert not last.is_zero()
-    assert zero.equals(ModuleMap(free, zmod2, imat([[0, 0, 0]])))
-    assert not last.equals(zero)
 
 
 @pytest.mark.parametrize("ring", [Z, Zmod(3), Zmod(4), Q], ids=str)
@@ -240,7 +237,7 @@ def test_smith_basis_presentation(name, ring):
                 unit = [ring.one if i == j else ring.zero for i in range(g)]
                 assert module.classes_equal(pres.class_vector(cycle), unit)
             if d_in.cols:
-                boundary = d_in.apply([ring.from_int(i % 3 - 1)
+                boundary = d_in.apply([ring.normalize(i % 3 - 1)
                                        for i in range(d_in.cols)])
                 assert module.is_zero_class(pres.class_vector(boundary))
 
@@ -292,7 +289,7 @@ def test_cycle_coordinates_match_the_cycle_solver(name, ring):
             module, n = pres.module, pres.chain_rank
 
             def small():
-                return ring.from_int(rng.randint(-3, 3))
+                return ring.normalize(rng.randint(-3, 3))
 
             # a random cycle: generator chains plus a boundary
             chain = pres.cycles.apply([small()
@@ -328,13 +325,11 @@ def test_cycle_coordinates_match_the_cycle_solver(name, ring):
                 for _ in range(3):
                     h[rng.randrange(d_in.cols)][rng.randrange(n)] = small()
                 f = f + d_in @ ExactMatrix(ring, h)
-            new_map = induced_map(f, pres, pres)
-            old_map = ModuleMap(module, module,
-                                frozen_induced_matrix(f, pres, pres))
-            assert new_map.equals(old_map)
+            new = induced_map(f, pres, pres).matrix
+            assert module.zero_classes(
+                new - frozen_induced_matrix(f, pres, pres))
             ident = ExactMatrix.identity(ring, module.generator_count)
-            scalar = ModuleMap(module, module, ident.scale(s))
-            assert new_map.equals(scalar)
+            assert module.zero_classes(new - ident.scale(s))
 
 
 def test_boundary_to_a_nonzero_class_is_not_a_chain_map():
@@ -412,10 +407,10 @@ def test_class_matrix_matches_a_dense_computation(ring):
             kinds.add((isinstance(row, int), a == ring.one))
         # the generator chains, a random cycle and a boundary
         columns = list(pres.cycles.columns())
-        combo = pres.cycles.apply([ring.from_int(rng.randint(-3, 3))
+        combo = pres.cycles.apply([ring.normalize(rng.randint(-3, 3))
                                    for _ in range(pres.cycles.cols)])
         if d_in.cols:
-            boundary = d_in.apply([ring.from_int(rng.randint(-3, 3))
+            boundary = d_in.apply([ring.normalize(rng.randint(-3, 3))
                                    for _ in range(d_in.cols)])
             combo = tuple(ring.normalize(x + y)
                           for x, y in zip(combo, boundary))

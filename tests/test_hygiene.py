@@ -6,7 +6,9 @@ tests, tools/ or perfbench/.  A top-level class, and a top-level public
 function, must also be used by the package, tools/ or perfbench/, not only
 named by the tests or re-exported by the package __init__; the functions
 that only the tests call are listed, each with its reason, in
-``TEST_ONLY_FUNCTIONS``.  String constants count as references, because
+``TEST_ONLY_FUNCTIONS``.  A public method or property of a package class
+must be read as ``.name`` by the package outside its own definition, by
+tools/ or by perfbench/.  String constants count as references, because
 the benchmark tracer names the functions it wraps as "Class.method" strings.
 A private definition, one whose name starts with an underscore, must be
 used by the package, tools/ or perfbench/, not only by the tests.
@@ -178,6 +180,36 @@ def test_every_public_function_is_used_outside_the_tests():
                 test_only.add((path.stem, node.name))
     assert_listed(test_only, TEST_ONLY_FUNCTIONS,
                   "public functions only the tests use")
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    trees = list(_trees())
+    reads = {}
+    for path, tree in trees:
+        if TESTS in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    test_only = []
+    for path, tree in trees:
+        if PACKAGE not in path.parents:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not isinstance(item, ast.FunctionDef) \
+                        or item.name.startswith("_"):
+                    continue
+                users = [(p, line) for p, line in reads.get(item.name, ())
+                         if p != path
+                         or not item.lineno <= line <= item.end_lineno]
+                if not users:
+                    test_only.append(f"{path.relative_to(ROOT)}:{item.lineno}"
+                                     f" {cls.name}.{item.name}")
+    assert not test_only, "public methods only the tests use: " \
+        + ", ".join(test_only)
 
 
 def test_private_names_are_used_outside_the_tests():

@@ -270,7 +270,7 @@ def test_a_rank_one_system_with_a_minus_one_edge_is_no_unit(ring):
     flipped = edges[len(edges) // 2]
     H = sign_system(M, ring, {e: -1 if e == flipped else 1 for e in edges})
     G = random_flat_system(M, ring, 2, 4)
-    minus = ring.from_int(-1)
+    minus = ring.normalize(-1)
     for T in (tensor(H, G), tensor(G, H)):
         assert T is not G and T.rank == 2
         for e in edges:

@@ -149,7 +149,7 @@ def test_connecting_naturality_for_nested_torus_covers():
                          "connecting image is not a cycle")
     incl = induced_map(transfer_matrix(sp1.inter, sp2.inter, 1),
                        h1_int1, h1_int2)
-    assert incl.compose(d1).equals(d2)
+    assert d2.target.zero_classes(incl.compose(d1).matrix - d2.matrix)
 
 
 # sized band configurations, name -> (grid, axis): the Klein bottle and the

@@ -53,6 +53,31 @@ def test_parse_ring_rejects_with_a_usage_error(text):
         parse_ring(text)
 
 
+@pytest.mark.parametrize("make", [lambda: Zmod(4.0),
+                                  lambda: Zmod(Fraction(5)),
+                                  lambda: Zmod(True),
+                                  lambda: RingSpec("Zmod", "5"),
+                                  lambda: RingSpec("Z", 3),
+                                  lambda: RingSpec("R")],
+                         ids=["float", "fraction", "bool", "str", "Z-modulus",
+                              "unknown-kind"])
+def test_a_bad_ring_is_refused(make):
+    with pytest.raises(TwistcapError):
+        make()
+
+
+def test_a_ring_is_a_value():
+    assert Zmod(5) == Zmod(5) and hash(Zmod(5)) == hash(("Zmod", 5))
+    assert Z != Q and Zmod(5) != Zmod(7)
+    assert [repr(r) for r in (Z, Q, Zmod(5))] == [
+        "RingSpec(kind='Z', modulus=None)",
+        "RingSpec(kind='Q', modulus=None)",
+        "RingSpec(kind='Zmod', modulus=5)"]
+    assert [str(r) for r in (Z, Q, Zmod(5))] == ["Z", "Q", "Z/5"]
+    with pytest.raises(AttributeError):
+        Z.kind = "Q"
+
+
 def test_a_rational_is_an_int_when_integral():
     two = Q.normalize(Fraction(6, 3))
     assert two == 2 and type(two) is int
@@ -64,7 +89,7 @@ def test_a_rational_is_an_int_when_integral():
     assert minus_one == -1 and type(minus_one) is int
 
 
-UNARY = ("normalize", "from_int", "is_unit", "annihilator",
+UNARY = ("normalize", "is_unit", "annihilator",
          "canonical_generator", "unit_scaling_to_canonical")
 BINARY = ("divides", "divide")
 SMALL_RATIONALS = st.one_of(
