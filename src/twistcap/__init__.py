@@ -4,7 +4,7 @@ and machine-checked Poincare duality over Z, Z/m and Q."""
 from .cap import (DualityReport, boundary_identity_check, relative_cap,
                   verify_duality)
 from .chains import (FundamentalClassData, cohomology,
-                     fundamental_class_direct, homology, inclusion_restriction)
+                     fundamental_class_direct, homology)
 from .complexes import (FullSubcomplex, ManifoldReport, SimplicialComplex,
                         Subcomplex, corpus, load_complex, named_complex,
                         validate)

@@ -27,7 +27,7 @@ import hashlib
 from collections import namedtuple
 
 from .chains import (FundamentalClassData, fundamental_class_direct,
-                     pair_complex, relative_killed)
+                     pair_complex, relative_killed, transfer_matrix)
 from .complexes import FullSubcomplex, memo, validate
 from .errors import (BaseMismatch, DegreeMismatch, NotRelativeCocycle,
                      RingMismatch, TwistcapError)
@@ -55,13 +55,10 @@ def cap_vector(cochain_pc, chain_pc, out_pc, k, c_vec, n, a_vec):
     return cap_matrix(cochain_pc, chain_pc, out_pc, k, n, a_vec).apply(c_vec)
 
 
-def cap_setting(M, G, Gp, K=None):
+def cap_setting(M, G, Gp):
     """The three pair complexes a cap computation runs over."""
-    killed = relative_killed(M, K) if K is not None else None
-    cochain_pc = pair_complex(M, G, killed=killed)
-    chain_pc = pair_complex(M, Gp, killed=killed)
-    out_pc = pair_complex(M, tensor(G, Gp))
-    return cochain_pc, chain_pc, out_pc
+    return (pair_complex(M, G), pair_complex(M, Gp),
+            pair_complex(M, tensor(G, Gp)))
 
 
 def boundary_identity_check(M, G, Gp, k, n, c_vec, a_vec):
@@ -159,7 +156,8 @@ def relative_cap(M, G, K: FullSubcomplex, k, c_vec, nu: FundamentalClassData):
     if any(x != ring.zero for x in dc):
         raise NotRelativeCocycle("cochain is not a relative cocycle")
     chain_pc = pair_complex(M, nu.system, killed=killed)
-    alpha = nu.restriction(K)
+    alpha = transfer_matrix(pair_complex(M, nu.system), chain_pc, n).apply(
+        nu.chain)
     da = chain_pc.boundary(n).apply(alpha)
     if any(x != ring.zero for x in da):
         raise TwistcapError("restricted fundamental chain is not a relative cycle")

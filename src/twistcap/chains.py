@@ -22,12 +22,14 @@ its (co)boundaries and the presentations of its homology and cohomology,
 each kind built for every degree at once as a ladder that factors no
 boundary of its own; both take their rows from the system's table of
 shared rows (matrices.row_table), as the MV spaces' kept transfers do.
-The direct, facet-by-facet construction of the twisted fundamental class
-lives here as well; the construction through the orientation double cover
-lives in `covers`, which builds on this module.
+The twisted fundamental class is a record, built here facet by facet; the
+construction through the orientation double cover lives in `covers`, which
+builds on this module.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .complexes import (FullSubcomplex, SimplicialComplex, Subcomplex,
                         memo, star_signs, validate, weak)
@@ -258,8 +260,8 @@ def homology(M, G, k, K: FullSubcomplex | None = None) -> HomologyPresentation:
     return pair_complex(M, G, killed=relative_killed(M, K)).homology(k)
 
 
-def cohomology(M, G, k, K: FullSubcomplex | None = None) -> HomologyPresentation:
-    return pair_complex(M, G, killed=relative_killed(M, K)).cohomology(k)
+def cohomology(M, G, k) -> HomologyPresentation:
+    return pair_complex(M, G).cohomology(k)
 
 
 def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
@@ -281,26 +283,9 @@ def transfer_matrix(src: PairComplex, dst: PairComplex, k: int) -> ExactMatrix:
 # fundamental classes
 # ---------------------------------------------------------------------------
 
-class FundamentalClassData:
-    """A twisted top cycle plus access to its relative restrictions."""
-
-    def __init__(self, base, ring, system, chain):
-        self.base = base
-        self.ring = ring
-        self.system = system
-        self.chain = chain
-        self._pc = pair_complex(base, system)
-
-    @property
-    def degree(self):
-        return self.base.dimension
-
-    def restriction(self, K: FullSubcomplex):
-        """The image of the cycle in the relative pair C(M|K)."""
-        rel = pair_complex(self.base, self.system, killed=relative_killed(self.base, K))
-        n = self.degree
-        proj = transfer_matrix(self._pc, rel, n)
-        return proj.apply(self.chain)
+# a twisted top cycle: the coordinates of an n-chain over a rank-1 system
+FundamentalClassData = namedtuple("FundamentalClassData",
+                                  "base ring system chain")
 
 
 def fundamental_class_direct(M, ring, system=None) -> FundamentalClassData:
@@ -327,21 +312,3 @@ def fundamental_class_direct(M, ring, system=None) -> FundamentalClassData:
         raise NotAFundamentalCycle(
             "facet signs do not close up over this system", witness=defect)
     return FundamentalClassData(M, ring, system, vec)
-
-
-def inclusion_restriction(nu: FundamentalClassData, K1: FullSubcomplex,
-                          K2: FullSubcomplex) -> bool:
-    """Quotient-map image of nu_{K2} equals nu_{K1} in H_n(M|K1)."""
-    if not K1.issubset(K2):
-        raise TwistcapError("K1 must be contained in K2")
-    M, n = nu.base, nu.degree
-    pc2 = pair_complex(M, nu.system, killed=relative_killed(M, K2))
-    pc1 = pair_complex(M, nu.system, killed=relative_killed(M, K1))
-    proj = transfer_matrix(pc2, pc1, n)
-    pres1 = pc1.homology(n)
-    image = proj.apply(nu.restriction(K2))
-    a = pres1.class_vector(image)
-    b = pres1.class_vector(nu.restriction(K1))
-    if a is None or b is None:
-        raise TwistcapError("restrictions are not cycles")
-    return pres1.module.classes_equal(a, b)

@@ -35,8 +35,14 @@ from .errors import (ComplexFormatError, DisconnectedStar, NotInStar,
 from .rings import parse_int
 
 
+# the most faces a complex may have: 48 times the 21,600 of the largest one
+# a test or tool builds, the 60 x 60 Klein bottle of tools/snf_scaling.py
+MAX_FACES = 1 << 20
+
+
 class SimplicialComplex:
-    """Abstract complex, closed under faces, immutable after construction."""
+    """Abstract complex, closed under faces, immutable after construction;
+    one of more than MAX_FACES faces is refused as its simplices are read."""
 
     def __init__(self, vertex_count: int, simplices):
         if vertex_count <= 0:
@@ -53,10 +59,21 @@ class SimplicialComplex:
             if t[0] < 0 or t[-1] >= vertex_count:
                 raise TwistcapError(f"vertex out of range in {t}")
             gens.add(t)
+        listed = 0  # faces listed, repeats included; counted when it passes
         for t in gens:
+            faces = (1 << len(t)) - 1
+            if faces > MAX_FACES:
+                raise TwistcapError(f"a {len(t) - 1}-simplex has {faces} "
+                                    f"faces, over the bound of {MAX_FACES}")
             for size in range(1, len(t) + 1):
                 for f in combinations(t, size):
                     by_dim.setdefault(size - 1, set()).add(f)
+            listed += faces
+            if listed > MAX_FACES:
+                listed = sum(map(len, by_dim.values()))
+                if listed > MAX_FACES:
+                    raise TwistcapError(f"the complex has {listed} faces or "
+                                        f"more, over the bound of {MAX_FACES}")
         if not by_dim:
             raise TwistcapError("complex needs at least one simplex")
         # labels are in range: they cover 0..n-1 when there are n, and the
@@ -413,11 +430,9 @@ def whole_subcomplex(ambient) -> Subcomplex:
 
 def closed_star(ambient, vertex_set) -> Subcomplex:
     vs = set(vertex_set)
-    gens = [s for k in range(ambient.dimension + 1)
-            for s in ambient.faces(k) if vs.intersection(s)]
-    if not gens:
-        return empty_subcomplex(ambient)
-    return Subcomplex(ambient, gens)
+    return Subcomplex(ambient, [s for k in range(ambient.dimension + 1)
+                                for s in ambient.faces(k)
+                                if vs.intersection(s)])
 
 
 class FullSubcomplex:
@@ -451,15 +466,8 @@ class FullSubcomplex:
 
     def as_subcomplex(self) -> Subcomplex:
         ambient = self.ambient
-        gens = [s for k in range(ambient.dimension + 1)
-                for s in self.simplices(k)]
-        if not gens:
-            return empty_subcomplex(ambient)
-        return Subcomplex(ambient, gens)
-
-    def issubset(self, other: "FullSubcomplex") -> bool:
-        return (self._ambient == other._ambient
-                and self.vertex_subset <= other.vertex_subset)
+        return Subcomplex(ambient, [s for k in range(ambient.dimension + 1)
+                                    for s in self.simplices(k)])
 
     def __eq__(self, other):
         return (isinstance(other, FullSubcomplex)

@@ -36,10 +36,10 @@ sign systems and +/- splittings (one per ring and K) on the cover; the
 exactness verdicts of a splitting on the splitting.  The cover and its
 total space take the table of shared rows of the sign system
 (matrices.row_table), and so do the splittings and the systems on either.
-A cover holds its base and its sign system weakly, and its orientation and
-splittings hold the cover weakly (`complexes.weak`), so none of them keeps
-alive what it is memoized on.  Sheet lifts are computed on every ask: a
-lift costs little more than a lookup.
+A cover holds only its base, weakly, its orientation holds the cover
+weakly (`complexes.weak`), and a splitting holds nothing of its cover, so
+none of them keeps alive what it is memoized on.  Sheet lifts are computed
+on every ask: a lift costs little more than a lookup.
 """
 
 from __future__ import annotations
@@ -84,22 +84,20 @@ def _sheet_lift(signs, base_count, simplex):
 
 
 class DoubleCover:
-    """The cover of `base` that the sign system `cocycle` defines.  It is
-    memoized on its cocycle, so it holds both weakly, and the total space,
-    which is its own, strongly."""
+    """The cover of `base` that the edge signs `signs` define.  It is
+    memoized on its sign system, so it holds its base weakly, and the total
+    space, which is its own, strongly."""
 
     __slots__ = ("_base", "_base_count", "total", "projection", "deck",
-                 "_cocycle", "signs", "_cache", "__weakref__")
+                 "signs", "_cache", "__weakref__")
     base = weak("base")
-    cocycle = weak("cocycle")
 
-    def __init__(self, base, total, projection, deck, cocycle, signs):
+    def __init__(self, base, total, projection, deck, signs):
         self.base = base
         self._base_count = base.vertex_count
         self.total = total
         self.projection = projection
         self.deck = deck
-        self.cocycle = cocycle
         self.signs = signs
         self._cache = {}
 
@@ -137,7 +135,7 @@ def _build_double_cover(M, omega) -> DoubleCover:
     total = SimplicialComplex(2 * n, maximal)
     projection = tuple(v % n for v in range(2 * n))
     deck = tuple((v + n) % (2 * n) for v in range(2 * n))
-    cover = DoubleCover(M, total, projection, deck, omega, signs)
+    cover = DoubleCover(M, total, projection, deck, signs)
     row_table(cover, omega)
     row_table(total, omega)
     _check_cover_invariants(cover)
@@ -266,17 +264,12 @@ DegreeSplit = namedtuple("DegreeSplit",
 
 
 class SplitMaps:
-    """The +/- splitting of a cover's chains, memoized on the cover, which
-    it holds weakly."""
+    """The +/- splitting of a cover's chains, degree by degree; memoized on
+    the cover, of which it holds nothing."""
 
-    __slots__ = ("_cover", "ring", "K", "degrees", "_cache")
-    cover = weak("cover")
+    __slots__ = ("degrees", "_cache")
 
-    def __init__(self, cover: DoubleCover, ring: RingSpec,
-                 K: FullSubcomplex | None, degrees: dict):
-        self.cover = cover
-        self.ring = ring
-        self.K = K
+    def __init__(self, degrees: dict):
         self.degrees = degrees
         # objects derived from this splitting; a copy built from the same
         # fields starts empty
@@ -320,7 +313,7 @@ def _build_split_maps(cover, ring, K) -> SplitMaps:
                                       ).shared(table)
         degrees[k] = DegreeSplit(sigma, delta, incl_plus, incl_minus,
                                  tuple(base_pc.space(k)))
-    return SplitMaps(cover, ring, K, degrees)
+    return SplitMaps(degrees)
 
 
 def _split_exact(i: ExactMatrix, p: ExactMatrix, j: ExactMatrix) -> bool:

@@ -37,7 +37,6 @@ class UnknownName(TwistcapError):
 class ComplexFormatError(TwistcapError):
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class NotInStar(TwistcapError):
@@ -57,7 +56,6 @@ class NotClosedPseudomanifold(TwistcapError):
 class SystemFormatError(TwistcapError):
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class BaseMismatch(TwistcapError):

@@ -15,10 +15,10 @@ unit of the tensor product: tensoring with it returns the other factor.
 Otherwise a tensor product builds one Kronecker product per distinct pair
 of factor matrices, and a 1x1 identity factor gives the other factor's
 matrix object, so the tensor of two sign systems holds at most four
-matrices.  A random gauge is built with its inverse, so only
-the gauges passed to gauge_transform and the transports read from a file
-are inverted, once, and a non-invertible transport is rejected there.  A
-rank a user asks for is at most MAX_RANK; only tensor products exceed it.
+matrices.  A random gauge is built with its inverse, so only the
+transports read from a file are inverted, once each, and a non-invertible
+transport is rejected there.  A rank a user asks for is at most MAX_RANK;
+only tensor products exceed it.
 
 Memoized (`complexes.memo`): the constant, orientation and seeded random
 flat systems, one per distinct (ring, rank, seed), a system read from a file
@@ -33,13 +33,12 @@ what its memo hangs on: a system memoized on its complex, and everything
 memoized under it (its path transports, tensor products, pair complexes,
 presentations, covers and MV spaces), takes the complex's, so equal rows of
 the kept matrices of every system and ring on one complex are one dict.
-Any other system, such as one that sign_system, gauge_transform or
-LocalSystem builds when called directly, has a table of its own, which dies
-with it, so a lasting complex keeps nothing of a passing system.  The
-transports a constructor computes, the gauged ones of random_flat_system
-and the Kronecker products of a tensor, take their rows from the table the
-system takes, and gauge_transform's share their rows among themselves; a
-transport passed in is kept as the object given.
+Any other system, such as one that sign_system or LocalSystem builds when
+called directly, has a table of its own, which dies with it, so a lasting
+complex keeps nothing of a passing system.  The transports a constructor
+computes, the gauged ones of random_flat_system and the Kronecker products
+of a tensor, take their rows from the table the system takes; a transport
+passed in is kept as the object given.
 
 The orientation system is the rank-1 sign system whose edge signs record
 whether carrying a local orientation along the edge reverses it; it is
@@ -278,14 +277,6 @@ def _conjugated(base, ring, rank, transport: dict, reverse: dict,
         conj[(u, v)] = (inv_u @ mat @ g_v).shared(table)
         rev[(u, v)] = (inv_v @ reverse[(u, v)] @ g_u).shared(table)
     return LocalSystem(base, ring, rank, conj, rev)
-
-
-def gauge_transform(system: LocalSystem, gauge: dict) -> LocalSystem:
-    """Change fiber bases: T'[u<-v] = g_u^{-1} @ T[u<-v] @ g_v, inverting
-    each g once."""
-    return _conjugated(system.base, system.ring, system.rank,
-                       system._transport, system._reverse,
-                       {v: (g, inverse(g)) for v, g in gauge.items()}, {})
 
 
 def is_trivializable(system: LocalSystem):

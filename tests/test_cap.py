@@ -4,7 +4,8 @@ import pytest
 
 from twistcap.cap import (boundary_identity_check, cap_matrix, cap_setting,
                           cap_vector, relative_cap, verify_duality)
-from twistcap.chains import fundamental_class_direct, pair_complex
+from twistcap.chains import (fundamental_class_direct, pair_complex,
+                             relative_killed)
 from twistcap.complexes import FullSubcomplex, corpus
 from twistcap.errors import DegreeMismatch
 from twistcap.fpmodules import ModuleMap
@@ -247,8 +248,10 @@ def test_cap_matrix_applies_as_cap_vector(name, ring):
                      random_flat_system(M, ring, 2, 7))
     for G in systems:
         for Gp in chain_systems:
-            for K in (None, FullSubcomplex(M, {0})):
-                cochain_pc, chain_pc, out_pc = cap_setting(M, G, Gp, K)
+            out_pc = pair_complex(M, tensor(G, Gp))
+            for killed in (None, relative_killed(M, FullSubcomplex(M, {0}))):
+                cochain_pc = pair_complex(M, G, killed=killed)
+                chain_pc = pair_complex(M, Gp, killed=killed)
                 for n in range(M.dimension + 1):
                     a = random_vec(ring, chain_pc.length(n), rng)
                     for k in range(n + 1):

@@ -12,9 +12,9 @@ from oracles import has_fail_row
 from twistcap import acceptance, chains, cli, covers, fpmodules, mv
 from twistcap.chains import NotAFundamentalCycle
 from twistcap.cli import main
-from twistcap.complexes import (BUILTIN_NAMES, SimplicialComplex, _grid_klein,
-                                _grid_torus, dumps_complex, named_complex,
-                                validate)
+from twistcap.complexes import (BUILTIN_NAMES, MAX_FACES, SimplicialComplex,
+                                _grid_klein, _grid_torus, dumps_complex,
+                                named_complex, validate)
 from twistcap.errors import CertificateFailed, TwistcapError
 from twistcap.localsystems import constant_system
 from twistcap.matrices import ExactMatrix
@@ -25,11 +25,18 @@ from twistcap.matrices import ExactMatrix
 HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def test_importing_the_package_and_cli_loads_no_introspection_modules():
+def package_env():
+    """The environment of a child Python that imports this checkout's
+    package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
                                                       env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_the_package_and_cli_loads_no_introspection_modules():
+    env = package_env()
     probe = ("import sys, twistcap, twistcap.cli; "
              f"print(sorted(set({HEAVY_STDLIB!r}) & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -69,6 +76,29 @@ def test_a_huge_vertex_label_exits_2_with_a_short_message(tmp_path, capsys):
     assert "vertices [1, 2, 3, 4, 5] and 999999999994 more lie in no " \
         "simplex" in err
     assert len(err) < 200
+
+
+def test_the_boundary_of_the_26_simplex_exits_2_at_once(tmp_path):
+    # 28 lines: 27 facets of 26 vertices each, and 2^27 - 2 faces; one facet
+    # alone passes the bound, so the file is refused before any face is
+    # listed.  The CLI runs in a process of its own under a 1 GiB address
+    # space, so a build that did list them would fail there, not take the
+    # machine's memory.
+    path = tmp_path / "sphere25.cx"
+    path.write_text("dim 25\n" + "".join(
+        "simplex " + " ".join(map(str, facet)) + "\n"
+        for facet in combinations(range(27), 26)))
+    assert len(path.read_text().splitlines()) == 28
+    env = package_env()
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from twistcap.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", probe, "validate",
+                           "--complex", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: line 0: a 25-simplex has {2 ** 26 - 1} "
+                           f"faces, over the bound of {MAX_FACES}\n")
 
 
 def test_validate_open_surface_fails(tmp_path, capsys):
@@ -332,10 +362,7 @@ def test_a_non_ascii_or_decorated_spec_field_exits_2(capsys, spec):
 
 def test_a_passing_report_exits_0_when_its_reader_closed_the_pipe():
     # the read end is closed before the child starts, so every write fails
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
-                                                      env.get("PYTHONPATH")]))
+    env = package_env()
     read, write = os.pipe()
     os.close(read)
     try:
@@ -753,8 +780,7 @@ def test_antisymmetric_inclusion_off_by_one_entry_fails_phi(monkeypatch,
                                        d.incl_minus.cols)
         faulty = covers.DegreeSplit(d.sigma, d.delta, d.incl_plus, moved,
                                     d.orbit_bases)
-        return covers.SplitMaps(maps.cover, maps.ring, maps.K,
-                                {**maps.degrees, 1: faulty})
+        return covers.SplitMaps({**maps.degrees, 1: faulty})
 
     monkeypatch.setattr(covers, "split_maps", moved_entry)
     code, out, err = run(capsys, "phi-check", "--complex", "rp2")

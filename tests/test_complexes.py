@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistcap import complexes
 from twistcap.complexes import (BUILTIN_NAMES, FullSubcomplex,
                                 SimplicialComplex, Subcomplex, _grid_klein,
                                 _grid_torus, closed_star, corpus,
@@ -157,6 +158,20 @@ def test_full_subcomplex_and_complement():
     assert everything.complement().simplices(0) == ()
     empty = FullSubcomplex(cx, ())
     assert empty.complement().simplices(2) == cx.faces(2)
+
+
+def test_a_complex_past_the_face_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(complexes, "MAX_FACES", 12)
+    # two triangles on an edge: 11 distinct faces, 14 with the repeats
+    assert sum(SimplicialComplex(4, [(0, 1, 2), (1, 2, 3)]).f_vector()) == 11
+    # and a pendant edge: 13 faces, though no simplex has more than 7
+    with pytest.raises(TwistcapError,
+                       match="has 13 faces or more, over the bound of 12"):
+        SimplicialComplex(5, [(0, 1, 2), (1, 2, 3), (3, 4)])
+    # a simplex of 15 faces is refused before its faces are listed
+    with pytest.raises(TwistcapError,
+                       match="a 3-simplex has 15 faces, over the bound of 12"):
+        SimplicialComplex(4, [(0, 1, 2, 3)])
 
 
 def test_subcomplex_operations():

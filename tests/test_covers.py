@@ -151,7 +151,7 @@ def _with_deck(cover, swaps):
     for v, w in swaps:
         deck[v], deck[w] = w, v
     return DoubleCover(cover.base, cover.total, cover.projection, tuple(deck),
-                       cover.cocycle, cover.signs)
+                       cover.signs)
 
 
 def test_a_deck_map_with_fixed_points_is_incoherent():
@@ -255,7 +255,7 @@ def test_a_faulty_splitting_fails_exactly_its_sequences(field, lift, fault):
     degrees[k] = DegreeSplit(parts["sigma"], parts["delta"],
                              parts["incl_plus"], parts["incl_minus"],
                              d.orbit_bases)
-    verdicts = check_split_exactness(SplitMaps(c, Z, None, degrees))
+    verdicts = check_split_exactness(SplitMaps(degrees))
     seq1, seq2 = EXACT_WITH[field]
     assert verdicts[k]["seq1"] is seq1 and verdicts[k]["seq2"] is seq2
     assert all(v == {"seq1": True, "seq2": True}

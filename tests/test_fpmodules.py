@@ -160,6 +160,11 @@ def test_exactness_checker():
     assert is_exact_at(times2, proj)
     times4 = ModuleMap(free, free, imat([[4]]))
     assert not is_exact_at(times4, proj)
+    # Z --1--> Z --1--> Z is not exact at the middle: the kernel of the
+    # second map, 0, lies in the image of the first, so only the composite,
+    # 1 and not 0, shows the failure
+    one = ModuleMap(free, free, imat([[1]]))
+    assert not is_exact_at(one, one)
 
 
 def test_maps_compose_only_through_the_same_middle_module():

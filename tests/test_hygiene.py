@@ -10,6 +10,11 @@ that only the tests call are listed, each with its reason, in
 must be read as ``.name`` by the package outside its own definition, by
 tools/ or by perfbench/.  String constants count as references, because
 the benchmark tracer names the functions it wraps as "Class.method" strings.
+Every defaulted parameter of a package function or method is passed, by
+position or keyword, by some call of that name in the package outside the
+function's own definition, in tools/ or in perfbench/ (a class's __init__
+is called by the class name); the ones only the tests pass are listed, each
+with its reason, in ``TEST_ONLY_PARAMETERS``.
 A private definition, one whose name starts with an underscore, must be
 used by the package, tools/ or perfbench/, not only by the tests.
 No module may import a name it never uses; the package __init__ re-exports
@@ -154,11 +159,9 @@ def test_every_class_is_used_outside_the_tests():
 # its reason
 TEST_ONLY_FUNCTIONS = {
     # perfbench/test_perfbench.py pins cap's module-level
-    # homology_presentation, which only relative_cap calls
+    # homology_presentation, which only relative_cap calls, until the
+    # benchmark reads the library's own counters
     ("cap", "relative_cap"),
-    # each waits to become a verdict row or a test oracle
-    ("chains", "inclusion_restriction"),
-    ("localsystems", "gauge_transform"),
 }
 
 
@@ -210,6 +213,76 @@ def test_every_public_method_is_used_outside_the_tests():
                                      f" {cls.name}.{item.name}")
     assert not test_only, "public methods only the tests use: " \
         + ", ".join(test_only)
+
+
+# (module, function, parameter) of the defaulted parameters that only the
+# tests pass, each with its reason
+TEST_ONLY_PARAMETERS = {
+    # relative homology H_k(M|K), which the tests read off the pair
+    # complexes the verdicts build
+    ("chains", "homology", "K"),
+    # a system that is not the orientation system, whose boundary defect
+    # is the witness of a failed fundamental class
+    ("chains", "fundamental_class_direct", "system"),
+}
+
+
+def _defaulted(fn, method):
+    """(name, position) of each defaulted parameter of the def `fn`: its
+    position among the positional arguments of a call, or None when it is
+    keyword-only.  A call passes a method's first parameter by its object,
+    and a class's __init__ or __new__ that of the instance or the class."""
+    skip = 1 if method and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in fn.decorator_list) else 0
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position):
+    """True when `call` passes the parameter `name` at `position`, or may,
+    through a starred argument or a ** mapping."""
+    if position is not None and (len(call.args) > position or any(
+            isinstance(a, ast.Starred) for a in call.args)):
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    # a default that only the tests override is a parameter kept for them
+    trees = list(_trees())
+    calls = {}
+    for path, tree in trees:
+        if TESTS in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr",
+                                                          None))
+                calls.setdefault(callee, []).append((path, node))
+    test_only = set()
+    for path, tree in trees:
+        if PACKAGE not in path.parents:
+            continue
+        defs = [(node.name, node, False) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        defs += [(cls.name if item.name in ("__init__", "__new__")
+                  else item.name, item, True)
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for item in cls.body if isinstance(item, ast.FunctionDef)]
+        for callee, fn, method in defs:
+            outside = [call for p, call in calls.get(callee, ())
+                       if p != path
+                       or not fn.lineno <= call.lineno <= fn.end_lineno]
+            for name, position in _defaulted(fn, method):
+                if not any(_passes(call, name, position) for call in outside):
+                    test_only.add((path.stem, fn.name, name))
+    assert_listed(test_only, TEST_ONLY_PARAMETERS,
+                  "defaulted parameters only the tests pass")
 
 
 def test_private_names_are_used_outside_the_tests():
@@ -332,7 +405,6 @@ FACTORIZATION_SITES = {
     ("fpmodules", "ModuleMap.image", "SmithSolver"),
     ("fpmodules", "_smith_form", "smith_normal_form"),
     ("localsystems", "LocalSystem.__init__", "inverse"),
-    ("localsystems", "gauge_transform", "inverse"),
     ("localsystems", "random_sign_cocycle", "kernel_with_relations"),
     ("matrices", "SmithSolver.__init__", "smith_normal_form"),
     ("matrices", "inverse", "SmithSolver"),

@@ -9,14 +9,23 @@ from twistcap.complexes import SimplicialComplex, corpus
 from twistcap.errors import (BaseMismatch, FlatnessViolation,
                              NotClosedPseudomanifold, RingMismatch,
                              SystemFormatError, TwistcapError)
-from twistcap.localsystems import (LocalSystem, constant_system,
-                                   dumps_local_system, gauge_transform,
-                                   is_trivializable, loads_local_system,
-                                   orientation_system, random_flat_system,
-                                   random_sign_cocycle, tensor,
-                                   validate_flatness)
-from twistcap.matrices import ExactMatrix
+from twistcap.localsystems import (LocalSystem, _conjugated, constant_system,
+                                   dumps_local_system, is_trivializable,
+                                   loads_local_system, orientation_system,
+                                   random_flat_system, random_sign_cocycle,
+                                   tensor, validate_flatness)
+from twistcap.matrices import ExactMatrix, inverse
 from twistcap.rings import Q, Z, Zmod
+
+
+def gauge_transform(system, gauge):
+    """The system in new fiber bases, T'[u<-v] = g_u^{-1} @ T[u<-v] @ g_v
+    for the g that `gauge` gives each vertex (a vertex missing from it
+    keeps its basis), built with its reverses by the gauging of
+    random_flat_system."""
+    return _conjugated(system.base, system.ring, system.rank,
+                       system._transport, system._reverse,
+                       {v: (g, inverse(g)) for v, g in gauge.items()}, {})
 
 
 def test_constant_system_flat():

@@ -33,6 +33,13 @@ def test_snf_two_by_two():
     assert snf.verify(A)
     assert diag_of(snf) == [2, 4]
     assert invariant_factors_by_minors([[2, 4], [6, 8]]) == [2, 4]
+    # with a non-unit determinant the logs still give U @ A @ V == D, and
+    # only the determinant says that the transform is not invertible
+    fields = {name: getattr(snf, name)
+              for name in ("D", "u_det", "v_det", "row_log", "col_log",
+                           "phys", "scales", "units")}
+    for det in ("u_det", "v_det"):
+        assert not SmithDecomposition(**{**fields, det: 2}).verify(A)
 
 
 def test_snf_identity_and_zero():

@@ -505,10 +505,8 @@ WEAK_READS = {
     "CoverPair.X": lambda M: (mv.CoverPair(
         M, whole_subcomplex(M), whole_subcomplex(M)), "X"),
     "DoubleCover.base": lambda M: (_cover_of(M), "base"),
-    "DoubleCover.cocycle": lambda M: (_cover_of(M), "cocycle"),
     "CoverOrientation.cover": lambda M: (
         covers.orient_cover(_cover_of(M)), "cover"),
-    "SplitMaps.cover": lambda M: (covers.split_maps(_cover_of(M), Q), "cover"),
 }
 
 
